@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race race-stress fuzz-smoke bench-smoke bench-parallel bench-preprocess bench-sched bench-serve bench-obs bench-kernels bench-batch bench-store
+.PHONY: ci vet build test race race-stress fuzz-smoke bench-smoke bench-json bench-parallel bench-preprocess bench-sched bench-serve bench-obs bench-kernels bench-batch bench-store
 
 ci: vet build race race-stress fuzz-smoke bench-smoke
 
@@ -56,6 +56,29 @@ fuzz-smoke:
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# The committed performance trajectory (ROADMAP aim 1):
+# `make bench-json PR=13` runs the repository benchmark (BENCHMARK.json,
+# cmd/smatchbench) once per workload and saves each run's final JSON
+# line — correct/attempted/failed and the end-to-end metrics — with the
+# commit, toolchain and GOMAXPROCS as BENCH_13.json at the repo root.
+# A failed run (exit status non-zero) leaves no file. Full per-run
+# output stays in .bench_build/bench-json-<workload>.log.
+BENCH_WORKLOADS = serve-warm serve-cold enum-heavy stream-embeddings
+
+bench-json:
+	@test -n "$(PR)" || { echo "usage: make bench-json PR=<n>" >&2; exit 2; }
+	@set -e; mkdir -p .bench_build; \
+	sha=$$(git rev-parse HEAD 2>/dev/null || echo unknown); \
+	git diff --quiet HEAD 2>/dev/null || sha=$$sha-dirty; \
+	{ printf '{"pr":"%s","git_sha":"%s","go_version":"%s","gomaxprocs":%s,"workloads":{' \
+	    "$(PR)" "$$sha" "$$($(GO) env GOVERSION)" "$${GOMAXPROCS:-$$(nproc)}"; \
+	  sep=; for w in $(BENCH_WORKLOADS); do \
+	    echo "bench-json: $$w" >&2; \
+	    $(GO) run ./cmd/smatchbench -workload $$w > .bench_build/bench-json-$$w.log; \
+	    printf '%s\n"%s":%s' "$$sep" "$$w" "$$(tail -n 1 .bench_build/bench-json-$$w.log)"; sep=,; \
+	  done; printf '\n}}\n'; } > .bench_build/BENCH_$(PR).json; \
+	mv .bench_build/BENCH_$(PR).json BENCH_$(PR).json; echo "bench-json: wrote BENCH_$(PR).json" >&2
 
 # The parallel-scaling measurement behind EXPERIMENTS.md's
 # "Parallel scaling" section.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"subgraphmatching/internal/core"
@@ -186,45 +185,16 @@ func (s *server) matchBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, batchResponse{Items: len(items), Errors: errs, Results: out})
 }
 
-// batchEmbeddingLine is one streamed embedding, tagged with the item it
-// belongs to (groups enumerate concurrently, so lines interleave).
-type batchEmbeddingLine struct {
-	Index     int      `json:"index"`
-	Embedding []uint32 `json:"embedding"`
-}
-
-// matchBatchStream is the NDJSON variant. The 200 is committed before
-// the batch runs — per-item failures are inline indexed lines, exactly
-// like the non-streaming envelope's error entries. Writes from
-// concurrently enumerating groups are mutex-serialized so lines never
-// interleave bytes.
+// matchBatchStream is the NDJSON variant, written through the same
+// ndjsonStream as /match?stream=1. Per-item failures are inline indexed
+// lines, exactly like the non-streaming envelope's error entries, so
+// the response is always a 200.
 func (s *server) matchBatchStream(w http.ResponseWriter, r *http.Request, reqs []service.Request, submitted []int, out []batchResultItem) {
 	withTrace := r.URL.Query().Get("trace") == "1"
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	var mu sync.Mutex
-	enc := json.NewEncoder(w)
-	writeLine := func(v any) {
-		mu.Lock()
-		defer mu.Unlock()
-		enc.Encode(v)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	stream := newNDJSONStream(w)
 
 	for pos := range reqs {
-		idx := submitted[pos]
-		reqs[pos].OnMatch = func(m []uint32) bool {
-			// The service reuses the mapping slice between callbacks;
-			// copy before it escapes to the encoder.
-			emb := make([]uint32, len(m))
-			copy(emb, m)
-			writeLine(batchEmbeddingLine{Index: idx, Embedding: emb})
-			return true
-		}
+		reqs[pos].OnMatch = stream.batchEmbeddingSink(submitted[pos])
 	}
 
 	var results []service.BatchResult
@@ -232,8 +202,8 @@ func (s *server) matchBatchStream(w http.ResponseWriter, r *http.Request, reqs [
 		var err error
 		results, err = s.svc.SubmitBatch(r.Context(), reqs)
 		if err != nil {
-			// Whole-batch failure after the 200 committed: fan the error
-			// out to every submitted item's line.
+			// Whole-batch failure: fan the error out to every submitted
+			// item's line.
 			for _, i := range submitted {
 				out[i].Error = err.Error()
 				out[i].Status = statusFor(err)
@@ -251,6 +221,7 @@ func (s *server) matchBatchStream(w http.ResponseWriter, r *http.Request, reqs [
 		out[i].Result = &mr
 	}
 	for i := range out {
-		writeLine(out[i])
+		stream.writeJSON(out[i])
 	}
+	stream.finish()
 }

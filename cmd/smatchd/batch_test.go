@@ -129,6 +129,9 @@ func TestMatchBatchStreamNDJSON(t *testing.T) {
 		{Graph: "main", Query: q, Algo: "CFL", Limit: 5},
 		{Graph: "absent", Query: q},
 		{Graph: "main", Query: q, Algo: "CFL", Limit: 5},
+		// A second group: it enumerates concurrently with the first, so
+		// the two sinks meet on the stream's lock.
+		{Graph: "main", Query: q, Algo: "GQL", Limit: 5},
 	})
 	resp, body := do(t, "POST", ts.URL+"/match/batch?stream=1", string(items))
 	if resp.StatusCode != http.StatusOK {
@@ -153,16 +156,19 @@ func TestMatchBatchStreamNDJSON(t *testing.T) {
 		}
 		switch {
 		case line.Embedding != nil:
+			if want := marshalLine(t, batchEmbeddingLine{line.Index, line.Embedding}); sc.Text()+"\n" != string(want) {
+				t.Fatalf("embedding line %q, want %q", sc.Text(), want)
+			}
 			embeddings[line.Index]++
 		default:
 			terminals[line.Index] = batchResultItem{Index: line.Index,
 				Result: line.Result, Error: line.Error, Status: line.Status}
 		}
 	}
-	if len(terminals) != 3 {
-		t.Fatalf("%d terminal lines, want 3", len(terminals))
+	if len(terminals) != 4 {
+		t.Fatalf("%d terminal lines, want 4", len(terminals))
 	}
-	for _, i := range []int{0, 2} {
+	for _, i := range []int{0, 2, 3} {
 		term := terminals[i]
 		if term.Error != "" || term.Result == nil {
 			t.Fatalf("item %d: %+v", i, term)

@@ -64,7 +64,14 @@
 // Without stream, /match returns one JSON result object. With
 // stream=1 it returns NDJSON: one {"embedding":[...]} line per match
 // (written with backpressure — a slow reader slows the search), then a
-// final {"result":{...}} summary line.
+// final {"result":{...}} summary line. Both streaming endpoints share
+// one writer (stream.go) and one flush rule: the first line is flushed
+// at once, after that a flush happens when 32 KiB are buffered or 5 ms
+// have passed since the last one (the clock is read every 16 lines),
+// and the final flush carries the summary line. Every flush runs under
+// a 30 s write deadline: a reader that stops draining fails the write,
+// which aborts the search and releases its admission units; a failed
+// write from a closed connection does the same at once.
 //
 // Status mapping: unknown graph 404, invalid query or graph text 400,
 // overload 503 (with Retry-After), deadline 504. Streamed requests get

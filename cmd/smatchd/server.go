@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -417,58 +416,26 @@ func (s *server) match(w http.ResponseWriter, r *http.Request) {
 	s.matchStream(w, r, req, withTrace)
 }
 
-// embeddingLine is one NDJSON stream record.
-type embeddingLine struct {
-	Embedding []uint32 `json:"embedding"`
-}
-
-// matchStream writes embeddings as NDJSON while the search runs. The
-// sink executes inside enumeration, so every write applies backpressure
-// to the search; a failed write (client gone) aborts it. The 200 status
-// is committed lazily at the first embedding, so everything that fails
-// before enumeration streams anything — unknown graph, validation,
-// admission overload — still maps to a real status code via httpError;
-// only a mid-stream failure degrades to a final {"error": ...} line.
+// matchStream writes embeddings as NDJSON while the search runs (see
+// ndjsonStream for the line encoding and flush rule). The sink executes
+// inside enumeration, so every write applies backpressure to the
+// search; a failed write (client gone or stalled) aborts it. The 200
+// status is committed lazily at the first embedding, so everything that
+// fails before enumeration streams anything — unknown graph,
+// validation, admission overload — still maps to a real status code via
+// httpError; only a mid-stream failure degrades to a final
+// {"error": ...} line.
 func (s *server) matchStream(w http.ResponseWriter, r *http.Request, req service.Request, withTrace bool) {
-	bw := bufio.NewWriter(w)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(bw)
-	started := false
-	start := func() {
-		if !started {
-			started = true
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-		}
-	}
-	const flushEvery = 64
-	n := 0
-	resp, err := s.svc.Stream(r.Context(), req, func(m []uint32) bool {
-		start()
-		if err := enc.Encode(embeddingLine{Embedding: m}); err != nil {
-			return false
-		}
-		n++
-		if n%flushEvery == 0 {
-			if bw.Flush() != nil {
-				return false
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		return true
-	})
-	if err != nil {
-		if !started {
-			httpError(w, err)
-			return
-		}
-		enc.Encode(map[string]string{"error": err.Error()})
-		bw.Flush()
+	out := newNDJSONStream(w)
+	resp, err := s.svc.Stream(r.Context(), req, out.embeddingSink())
+	switch {
+	case err == nil:
+		out.writeJSON(map[string]matchResult{"result": toMatchResult(resp, withTrace)})
+	case !out.committed():
+		httpError(w, err)
 		return
+	default:
+		out.writeJSON(map[string]string{"error": err.Error()})
 	}
-	start()
-	enc.Encode(map[string]matchResult{"result": toMatchResult(resp, withTrace)})
-	bw.Flush()
+	out.finish()
 }

@@ -181,6 +181,29 @@ func TestParseSkipsComments(t *testing.T) {
 	}
 }
 
+// TestParseLineLimit pins the line limit of both text formats, so a
+// change of the scanner's buffering (today 1 MiB allocated per call)
+// cannot move it: a 100 kB line parses, a line over 1 MiB fails with
+// bufio.ErrTooLong under the format's own prefix.
+func TestParseLineLimit(t *testing.T) {
+	const tail = "t 2 1\nv 0 0\nv 1 0\ne 0 1\n"
+	long := "# " + strings.Repeat("x", 100_000) + "\n" + tail
+	if g, err := Parse(strings.NewReader(long)); err != nil || g.NumEdges() != 1 {
+		t.Errorf("100 kB comment line: graph %v, err %v", g, err)
+	}
+	if g, err := ParseEdgeList(strings.NewReader("# "+strings.Repeat("x", 100_000)+"\n1 2\n"), 1, 1); err != nil || g.NumEdges() != 1 {
+		t.Errorf("edge list with a 100 kB comment line: graph %v, err %v", g, err)
+	}
+
+	tooLong := "# " + strings.Repeat("x", 1<<20) + "\n" + tail
+	if _, err := Parse(strings.NewReader(tooLong)); err == nil || err.Error() != "graph: reading input: bufio.Scanner: token too long" {
+		t.Errorf("line over 1 MiB: err = %v", err)
+	}
+	if _, err := ParseEdgeList(strings.NewReader(tooLong), 1, 1); err == nil || err.Error() != "graph: reading edge list: bufio.Scanner: token too long" {
+		t.Errorf("edge-list line over 1 MiB: err = %v", err)
+	}
+}
+
 func TestIsConnected(t *testing.T) {
 	if g := triangleWithTail(); !g.IsConnected() {
 		t.Error("triangleWithTail should be connected")
