@@ -30,8 +30,10 @@ race:
 # cross-worker state leak trips -race here. The store stress churns
 # register/replace/unregister through the durable manager (and the
 # HTTP surface) and verifies a restart reconstructs the exact state.
+# The graph stress is the concurrent first use of the lazily built NLF
+# index (8 goroutines racing into one sync.Once).
 race-stress:
-	$(GO) test -race -run 'Stress' -count 1 ./internal/core ./internal/filter ./internal/candspace ./internal/service ./internal/obs ./internal/obs/flight ./internal/store ./cmd/smatchd
+	$(GO) test -race -run 'Stress' -count 1 ./internal/graph ./internal/core ./internal/filter ./internal/candspace ./internal/service ./internal/obs ./internal/obs/flight ./internal/store ./cmd/smatchd
 
 # Short corpus-plus-mutation runs of the fuzz targets: filter soundness
 # (candidate sets never drop a ground-truth embedding vertex),

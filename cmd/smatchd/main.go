@@ -215,12 +215,12 @@ func main() {
 			info.Name, info.Vertices, info.Edges, info.Labels)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: newServer(svc, serverOptions{
+	srv := newHTTPServer(*addr, newServer(svc, serverOptions{
 		pprof:       *pprofOn,
 		batchWindow: *batchWin,
 		batchMax:    *batchMax,
 		store:       mgr,
-	})}
+	}))
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -248,5 +248,28 @@ func main() {
 			fmt.Fprintln(os.Stderr, "smatchd: store close:", err)
 			os.Exit(1)
 		}
+	}
+}
+
+// Connection-level timeouts. A client gets readHeaderTimeout to send
+// its request headers, and a keep-alive connection may sit idle for
+// idleTimeout between requests; both close the connection, neither
+// touches a request in flight.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer returns smatchd's http.Server. ReadTimeout and
+// WriteTimeout stay unset on purpose: they bound the whole request body
+// and the whole response, which would cut a large PUT /graphs upload
+// and a long NDJSON stream — the stream carries its own per-flush write
+// deadline (stream.go).
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }

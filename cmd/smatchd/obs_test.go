@@ -83,6 +83,59 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestGraphIndexBytesReported: the lazily built NLF index shows up where
+// an operator looks for graph memory — index_bytes on GET /graphs and
+// the smatch_graph_index_bytes{graph=…} gauge — as 0 until the first
+// filter run, as the graph's own figure afterwards, and not at all once
+// the graph is unregistered.
+func TestGraphIndexBytesReported(t *testing.T) {
+	ts, g := newTestServer(t)
+	indexBytes := func() (listed int64, metric float64) {
+		t.Helper()
+		_, body := do(t, "GET", ts.URL+"/graphs", "")
+		var infos []struct {
+			Name       string
+			IndexBytes *int64 `json:"index_bytes"`
+		}
+		if err := json.Unmarshal([]byte(body), &infos); err != nil {
+			t.Fatalf("GET /graphs: %v in %q", err, body)
+		}
+		if len(infos) != 1 || infos[0].Name != "main" || infos[0].IndexBytes == nil {
+			t.Fatalf("GET /graphs = %q, want one graph with index_bytes", body)
+		}
+		_, metrics := do(t, "GET", ts.URL+"/metrics", "")
+		m := regexp.MustCompile(`(?m)^smatch_graph_index_bytes\{graph="main"\} (\S+)$`).FindStringSubmatch(metrics)
+		if m == nil {
+			t.Fatalf("no smatch_graph_index_bytes{graph=\"main\"} sample in /metrics")
+		}
+		v, err := strconv.ParseFloat(m[1], 64)
+		if err != nil {
+			t.Fatalf("bad smatch_graph_index_bytes sample %q", m[1])
+		}
+		return *infos[0].IndexBytes, v
+	}
+
+	if listed, metric := indexBytes(); listed != 0 || metric != 0 {
+		t.Fatalf("before any match: index_bytes %d, gauge %v; want 0", listed, metric)
+	}
+	q := testutil.RandomConnectedQuery(rand.New(rand.NewSource(5)), g, 4)
+	if resp, out := do(t, "POST", ts.URL+"/match?graph=main", graphText(t, q)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("match = %d %q", resp.StatusCode, out)
+	}
+	want := g.IndexBytes()
+	if want == 0 {
+		t.Fatal("a served match left the graph without its NLF index")
+	}
+	if listed, metric := indexBytes(); listed != want || metric != float64(want) {
+		t.Fatalf("after a match: index_bytes %d, gauge %v; want %d", listed, metric, want)
+	}
+
+	do(t, "DELETE", ts.URL+"/graphs/main", "")
+	if _, metrics := do(t, "GET", ts.URL+"/metrics", ""); strings.Contains(metrics, "smatch_graph_index_bytes{") {
+		t.Error("smatch_graph_index_bytes still has a sample after the graph was unregistered")
+	}
+}
+
 // TestMatchTraceParam: trace=1 attaches the span tree to the /match
 // result; without it the field is absent.
 func TestMatchTraceParam(t *testing.T) {

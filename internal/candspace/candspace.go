@@ -18,6 +18,7 @@ package candspace
 import (
 	"sort"
 
+	"subgraphmatching/internal/bitset"
 	"subgraphmatching/internal/graph"
 	"subgraphmatching/internal/intersect"
 	"subgraphmatching/internal/par"
@@ -81,27 +82,62 @@ func BuildTreeParallel(q, g *graph.Graph, candidates [][]uint32, parent []graph.
 	return s
 }
 
+// materialized reports whether the directed pair (u, up) gets a CSR:
+// always for the full variant (parent == nil), only along tree edges
+// otherwise.
+func materialized(parent []graph.Vertex, u, up graph.Vertex) bool {
+	return parent == nil || parent[u] == up || parent[up] == u
+}
+
+// appendMembers appends to dst the vertices of nv (sorted) that member
+// contains: 𝒜[u->u'](v) = N(v) ∩ C(u') as one scan of N(v) against the
+// membership bitmap of C(u'), in N(v)'s order and so sorted. Both the
+// sequential and the chunked parallel build fill their CSRs through it.
+func appendMembers(dst []uint32, nv []uint32, member *bitset.Set) []uint32 {
+	for _, w := range nv {
+		if member.Contains(w) {
+			dst = append(dst, w)
+		}
+	}
+	return dst
+}
+
 func build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex) *Space {
 	s := &Space{
 		q:          q,
 		candidates: candidates,
 		edges:      make([][]*edgeCSR, q.NumVertices()),
 	}
+	for u := range s.edges {
+		s.edges[u] = make([]*edgeCSR, q.Degree(graph.Vertex(u)))
+	}
+	// Pairs are visited grouped by their target u′, so the bitmap of
+	// C(u′) is set once, serves every u ∈ N(u′), and is cleared by
+	// walking C(u′) again (never a full reset).
+	member := bitset.New(g.NumVertices())
 	var scratch []uint32
-	for u := 0; u < q.NumVertices(); u++ {
-		ns := q.Neighbors(graph.Vertex(u))
-		s.edges[u] = make([]*edgeCSR, len(ns))
-		for i, up := range ns {
-			if parent != nil && parent[u] != up && parent[up] != graph.Vertex(u) {
-				continue // tree variant: skip non-tree edges
+	for t := 0; t < q.NumVertices(); t++ {
+		up := graph.Vertex(t)
+		for _, v := range candidates[up] {
+			member.Set(v)
+		}
+		for _, u := range q.Neighbors(up) {
+			if !materialized(parent, u, up) {
+				continue
 			}
 			csr := &edgeCSR{offsets: make([]int32, len(candidates[u])+1)}
+			scratch = scratch[:0]
 			for ci, v := range candidates[u] {
-				scratch = intersect.Hybrid(scratch[:0], g.Neighbors(v), candidates[up])
-				csr.targets = append(csr.targets, scratch...)
-				csr.offsets[ci+1] = int32(len(csr.targets))
+				scratch = appendMembers(scratch, g.Neighbors(v), member)
+				csr.offsets[ci+1] = int32(len(scratch))
 			}
-			s.edges[u][i] = csr
+			// Exact length: a cached plan is charged len(targets)
+			// (MemoryBytes), so it must not hold spare capacity.
+			csr.targets = append(make([]uint32, 0, len(scratch)), scratch...)
+			s.edges[u][s.neighborPos(u, up)] = csr
+		}
+		for _, v := range candidates[up] {
+			member.Clear(v)
 		}
 	}
 	return s
@@ -145,7 +181,7 @@ func buildParallel(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vert
 		ns := q.Neighbors(graph.Vertex(u))
 		s.edges[u] = make([]*edgeCSR, len(ns))
 		for i, up := range ns {
-			if parent != nil && parent[u] != up && parent[up] != graph.Vertex(u) {
+			if !materialized(parent, graph.Vertex(u), up) {
 				continue
 			}
 			pair := len(pairs)
@@ -164,6 +200,17 @@ func buildParallel(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vert
 			}
 		}
 	}
+	// Tasks of different pairs run concurrently, so every target vertex
+	// gets its own read-only membership bitmap up front.
+	member := make([]*bitset.Set, q.NumVertices())
+	for _, p := range pairs {
+		if member[p.up] == nil {
+			member[p.up] = bitset.New(g.NumVertices())
+			for _, v := range candidates[p.up] {
+				member[p.up].Set(v)
+			}
+		}
+	}
 	// Per-task partial CSRs: the chunk's concatenated targets plus the
 	// per-candidate lengths, stitched into offsets afterwards.
 	targets := make([][]uint32, len(tasks))
@@ -176,17 +223,26 @@ func buildParallel(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vert
 		ls := make([]int32, len(chunk))
 		for k, v := range chunk {
 			before := len(out)
-			out = intersect.Hybrid(out, g.Neighbors(v), candidates[p.up])
+			out = appendMembers(out, g.Neighbors(v), member[p.up])
 			ls[k] = int32(len(out) - before)
 		}
 		targets[t], lens[t] = out, ls
 		return uint64(len(chunk) + len(out))
 	})
 	// Stitch: tasks of one pair are contiguous and in candidate order.
+	// targets is allocated at the summed chunk lengths — exact, like the
+	// sequential build.
 	for t := 0; t < len(tasks); {
 		pair := tasks[t].pair
 		p := pairs[pair]
-		csr := &edgeCSR{offsets: make([]int32, len(candidates[p.u])+1)}
+		total := 0
+		for e := t; e < len(tasks) && tasks[e].pair == pair; e++ {
+			total += len(targets[e])
+		}
+		csr := &edgeCSR{
+			offsets: make([]int32, len(candidates[p.u])+1),
+			targets: make([]uint32, 0, total),
+		}
 		ci := 0
 		for ; t < len(tasks) && tasks[t].pair == pair; t++ {
 			csr.targets = append(csr.targets, targets[t]...)

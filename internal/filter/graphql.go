@@ -95,15 +95,24 @@ func runGraphQLRadius(q, g *graph.Graph, rounds, radius int, tr *StageTrace) [][
 
 // semiPerfect builds the bipartite graph between qn = N(u) and N(v) and
 // tests whether every query neighbor can be matched to a distinct data
-// neighbor that is one of its candidates.
+// neighbor that is one of its candidates. A data neighbor's right id is
+// its position in N(v) — dense, so the matcher's per-right state stays
+// d(v) long — and a query neighbor with no candidate in N(v) ends the
+// test at once (HasSemiPerfectMatching would reject it first anyway).
 func (s *state) semiPerfect(m *bipartite.Matcher, qn []graph.Vertex, v uint32) bool {
 	m.Reset(len(qn))
+	nv := s.g.Neighbors(v)
 	for i, up := range qn {
 		mem := s.member[up]
-		for _, w := range s.g.Neighbors(v) {
+		edges := 0
+		for pos, w := range nv {
 			if mem.Contains(w) {
-				m.AddEdge(i, int32(w))
+				m.AddEdge(i, int32(pos))
+				edges++
 			}
+		}
+		if edges == 0 {
+			return false
 		}
 	}
 	return m.HasSemiPerfectMatching(len(qn))

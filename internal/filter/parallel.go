@@ -52,7 +52,6 @@ const refineChunk = 128
 // scratch is one worker's private mutable state. Everything the
 // per-task closures touch besides task-indexed output slots lives here.
 type scratch struct {
-	counter *graph.LabelCounter
 	matcher *bipartite.Matcher
 	gProf   *profiler    // radius-r data-graph profiles (GQL, radius > 1)
 	qProf   *profiler    // radius-r query profiles
@@ -62,10 +61,7 @@ type scratch struct {
 func (s *state) newScratches(workers, radius int) []*scratch {
 	sc := make([]*scratch, workers)
 	for w := range sc {
-		sc[w] = &scratch{
-			counter: graph.NewLabelCounter(graph.MaxLabelOf(s.q, s.g)),
-			matcher: bipartite.NewMatcher(s.q.MaxDegree()),
-		}
+		sc[w] = &scratch{matcher: bipartite.NewMatcher(s.q.MaxDegree())}
 		if radius > 1 {
 			sc[w].gProf = newProfiler(s.g, radius)
 			sc[w].qProf = newProfiler(s.q, radius)
@@ -124,7 +120,7 @@ func RunParallelTraced(m Method, q, g *graph.Graph, workers int, tr *StageTrace)
 	case NLF:
 		s := newState(q, g)
 		s.generateParallel(workers, tally, nil, func(sc *scratch, u graph.Vertex, v uint32) bool {
-			return s.g.Degree(v) >= s.q.Degree(u) && s.nlfOKWith(sc.counter, u, v)
+			return s.g.Degree(v) >= s.q.Degree(u) && s.nlfOK(u, v)
 		})
 		tr.add("nlf", start, s.cand)
 		return s.result(), tally, nil
@@ -175,7 +171,7 @@ func runGraphQLRadiusParallel(q, g *graph.Graph, rounds, radius, workers int, ta
 	s := newState(q, g)
 	if radius <= 1 {
 		s.generateParallel(workers, tally, nil, func(sc *scratch, u graph.Vertex, v uint32) bool {
-			return s.g.Degree(v) >= s.q.Degree(u) && s.nlfOKWith(sc.counter, u, v)
+			return s.g.Degree(v) >= s.q.Degree(u) && s.nlfOK(u, v)
 		})
 	} else {
 		s.generateParallel(workers, tally, &radius, func(sc *scratch, u graph.Vertex, v uint32) bool {
@@ -259,7 +255,7 @@ func runSteadyParallel(q, g *graph.Graph, workers int, tally []uint64, tr *Stage
 	start := time.Now()
 	s := newState(q, g)
 	s.generateParallel(workers, tally, nil, func(sc *scratch, u graph.Vertex, v uint32) bool {
-		return s.g.Degree(v) >= s.q.Degree(u) && s.nlfOKWith(sc.counter, u, v)
+		return s.g.Degree(v) >= s.q.Degree(u) && s.nlfOK(u, v)
 	})
 	for u := 0; u < q.NumVertices(); u++ {
 		s.rebuildMember(graph.Vertex(u))

@@ -11,7 +11,7 @@ import (
 // TestParallelFilterStress is the race-detector gate for the parallel
 // filtering paths (`make race-stress` / `make ci`): many short runs at
 // 8 workers on a small skewed graph, so that any shared-state bug — a
-// scratch counter or matcher leaking across workers, a membership
+// scratch matcher or profiler leaking across workers, a membership
 // bitmap mutated inside a Jacobi round — trips `go test -race` with
 // high probability, and any scheduling-dependent output diverges from
 // the reference run.

@@ -39,6 +39,11 @@ func newProfiler(g *graph.Graph, radius int) *profiler {
 // counts.
 type labelProfile [][]labelCount
 
+type labelCount struct {
+	label graph.Label
+	count int32
+}
+
 // profile returns the cumulative per-distance label profile of u in g.
 func (p *profiler) profile(g *graph.Graph, u graph.Vertex) labelProfile {
 	p.collect(g, u)

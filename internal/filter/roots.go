@@ -54,9 +54,8 @@ func CFLRootWorkers(q, g *graph.Graph, workers int) graph.Vertex {
 	}
 	s := newState(q, g)
 	sizes := make([]int, len(top))
-	counters := rootCounters(q, g, workers, len(top))
-	par.Run(workers, len(top), func(w, t int) uint64 {
-		sizes[t] = len(s.nlfCandidatesWith(counters[w], top[t]))
+	par.Run(workers, len(top), func(_, t int) uint64 {
+		sizes[t] = len(s.nlfCandidates(top[t]))
 		return uint64(sizes[t]) + 1
 	})
 	best := top[0]
@@ -80,10 +79,9 @@ func CECIRootWorkers(q, g *graph.Graph, workers int) graph.Vertex {
 	s := newState(q, g)
 	n := q.NumVertices()
 	scores := make([]float64, n)
-	counters := rootCounters(q, g, workers, n)
-	par.Run(workers, n, func(w, t int) uint64 {
+	par.Run(workers, n, func(_, t int) uint64 {
 		uu := graph.Vertex(t)
-		size := len(s.nlfCandidatesWith(counters[w], uu))
+		size := len(s.nlfCandidates(uu))
 		scores[t] = float64(size) / float64(q.Degree(uu))
 		return uint64(size) + 1
 	})
@@ -96,8 +94,7 @@ func DPIsoRoot(q, g *graph.Graph) graph.Vertex {
 }
 
 // DPIsoRootWorkers is DPIsoRoot with the per-vertex LDF sizing fanned
-// out over `workers` goroutines. The LDF rule needs no per-worker
-// scratch: ldfCandidates only reads the immutable graphs.
+// out over `workers` goroutines.
 func DPIsoRootWorkers(q, g *graph.Graph, workers int) graph.Vertex {
 	s := newState(q, g)
 	n := q.NumVertices()
@@ -109,22 +106,6 @@ func DPIsoRootWorkers(q, g *graph.Graph, workers int) graph.Vertex {
 		return uint64(size) + 1
 	})
 	return argminRoot(scores)
-}
-
-// rootCounters allocates one NLF scratch counter per worker par.Run will
-// actually use (mirroring its clamp of workers to [1, n]).
-func rootCounters(q, g *graph.Graph, workers, n int) []*graph.LabelCounter {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	cs := make([]*graph.LabelCounter, workers)
-	for w := range cs {
-		cs[w] = graph.NewLabelCounter(graph.MaxLabelOf(q, g))
-	}
-	return cs
 }
 
 // argminRoot is the deterministic reduction shared by the root rules:

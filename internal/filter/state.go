@@ -14,32 +14,17 @@ type state struct {
 	q, g   *graph.Graph
 	cand   [][]uint32
 	member []*bitset.Set // member[u].Contains(v) iff v in cand[u]
-
-	qNLF    [][]labelCount // per query vertex: required neighbor label counts
-	counter *graph.LabelCounter
-}
-
-type labelCount struct {
-	label graph.Label
-	count int32
 }
 
 func newState(q, g *graph.Graph) *state {
 	s := &state{
-		q:       q,
-		g:       g,
-		cand:    make([][]uint32, q.NumVertices()),
-		member:  make([]*bitset.Set, q.NumVertices()),
-		qNLF:    make([][]labelCount, q.NumVertices()),
-		counter: graph.NewLabelCounter(graph.MaxLabelOf(q, g)),
+		q:      q,
+		g:      g,
+		cand:   make([][]uint32, q.NumVertices()),
+		member: make([]*bitset.Set, q.NumVertices()),
 	}
-	for u := 0; u < q.NumVertices(); u++ {
+	for u := range s.member {
 		s.member[u] = bitset.New(g.NumVertices())
-		s.counter.CountNeighbors(q, graph.Vertex(u))
-		for _, l := range s.counter.Touched() {
-			s.qNLF[u] = append(s.qNLF[u], labelCount{l, s.counter.Count(l)})
-		}
-		sort.Slice(s.qNLF[u], func(i, j int) bool { return s.qNLF[u][i].label < s.qNLF[u][j].label })
 	}
 	return s
 }
@@ -51,19 +36,22 @@ func (s *state) ldfOK(u graph.Vertex, v uint32) bool {
 
 // nlfOK checks the neighbor label frequency condition: for every label l
 // among u's neighbors, v must have at least as many l-labeled neighbors.
+// Both sides come from the graphs' NLF indexes (built once per graph, on
+// first use), so the check is a merge of two sorted label lists and
+// reads only immutable data — every worker of the parallel runners and
+// root selectors calls it on the shared state.
 func (s *state) nlfOK(u graph.Vertex, v uint32) bool {
-	return s.nlfOKWith(s.counter, u, v)
-}
-
-// nlfOKWith is nlfOK against an explicit counter, so the parallel
-// runners can hand every worker its own scratch counter while sharing
-// the immutable qNLF requirement tables.
-func (s *state) nlfOKWith(counter *graph.LabelCounter, u graph.Vertex, v uint32) bool {
-	counter.CountNeighbors(s.g, v)
-	for _, lc := range s.qNLF[u] {
-		if counter.Count(lc.label) < lc.count {
+	need, needCnt := s.q.NLF().Of(u)
+	have, haveCnt := s.g.NLF().Of(v)
+	j := 0
+	for i, l := range need {
+		for j < len(have) && have[j] < l {
+			j++
+		}
+		if j == len(have) || have[j] != l || haveCnt[j] < needCnt[i] {
 			return false
 		}
+		j++
 	}
 	return true
 }
@@ -91,16 +79,9 @@ func (s *state) ldfCandidates(u graph.Vertex) []uint32 {
 
 // nlfCandidates returns the sorted LDF+NLF candidate set of u.
 func (s *state) nlfCandidates(u graph.Vertex) []uint32 {
-	return s.nlfCandidatesWith(s.counter, u)
-}
-
-// nlfCandidatesWith is nlfCandidates against an explicit scratch
-// counter, so root selection can size several candidate sets
-// concurrently over one shared state.
-func (s *state) nlfCandidatesWith(counter *graph.LabelCounter, u graph.Vertex) []uint32 {
 	var out []uint32
 	for _, v := range s.g.VerticesWithLabel(s.q.Label(u)) {
-		if s.g.Degree(v) >= s.q.Degree(u) && s.nlfOKWith(counter, u, v) {
+		if s.g.Degree(v) >= s.q.Degree(u) && s.nlfOK(u, v) {
 			out = append(out, v)
 		}
 	}

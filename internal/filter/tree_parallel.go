@@ -48,20 +48,14 @@ const treeChunk = 64
 
 // treeScratch is one worker's private state for the tree filters: a
 // dedup bitset for generation chunks (tasks undo only the bits they
-// set — a full Reset is O(|V(G)|/64) and would dominate small chunks)
-// and an NLF label counter.
+// set — a full Reset is O(|V(G)|/64) and would dominate small chunks).
 type treeScratch struct {
-	seen    *bitset.Set
-	counter *graph.LabelCounter
+	seen *bitset.Set
 }
 
 func (s *state) newTreeFrontier(workers int) *par.Frontier[*treeScratch] {
-	maxLabel := graph.MaxLabelOf(s.q, s.g)
 	return par.NewFrontier(workers, func(int) *treeScratch {
-		return &treeScratch{
-			seen:    bitset.New(s.g.NumVertices()),
-			counter: graph.NewLabelCounter(maxLabel),
-		}
+		return &treeScratch{seen: bitset.New(s.g.NumVertices())}
 	})
 }
 
@@ -218,7 +212,7 @@ func (s *state) genChunk(sc *treeScratch, op treeOp, lo, hi int) []uint32 {
 	var out []uint32
 	if len(op.src) == 0 {
 		for _, v := range s.g.VerticesWithLabel(s.q.Label(u))[lo:hi] {
-			if s.g.Degree(v) >= s.q.Degree(u) && s.nlfOKWith(sc.counter, u, v) {
+			if s.g.Degree(v) >= s.q.Degree(u) && s.nlfOK(u, v) {
 				out = append(out, v)
 			}
 		}
@@ -226,7 +220,7 @@ func (s *state) genChunk(sc *treeScratch, op treeOp, lo, hi int) []uint32 {
 	}
 	for _, vp := range s.cand[op.src[0]][lo:hi] {
 		for _, v := range s.g.Neighbors(vp) {
-			if !sc.seen.Contains(v) && s.ldfOK(u, v) && s.nlfOKWith(sc.counter, u, v) {
+			if !sc.seen.Contains(v) && s.ldfOK(u, v) && s.nlfOK(u, v) {
 				sc.seen.Set(v)
 				out = append(out, v)
 			}

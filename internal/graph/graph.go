@@ -6,12 +6,15 @@
 // search and set intersections over neighbor lists linear-time merges. A
 // label index (label -> sorted vertex list) and label-pair edge statistics
 // are computed at build time; they back the LDF filter and the QuickSI
-// ordering method respectively.
+// ordering method respectively. The neighbour-label-frequency index
+// behind the NLF filter (nlf.go) is built lazily, on first use.
 package graph
 
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // Vertex identifies a vertex. Vertices of a graph with n vertices are
@@ -26,7 +29,8 @@ const NoVertex = ^Vertex(0)
 
 // Graph is an immutable undirected vertex-labeled graph in CSR form.
 // The zero value is an empty graph; use a Builder or the io helpers to
-// construct non-trivial instances.
+// construct non-trivial instances. A Graph must not be copied after
+// first use (it carries the sync.Once guarding its lazy indexes).
 type Graph struct {
 	offsets   []int64  // len n+1; adj[offsets[v]:offsets[v+1]] are v's neighbors
 	adj       []Vertex // sorted within each vertex's slice
@@ -38,6 +42,11 @@ type Graph struct {
 	// number of edges whose endpoint labels are {l1,l2}. Used by the
 	// QuickSI infrequent-edge-first ordering.
 	labelPairEdges map[uint64]int64
+
+	// nlf is the neighbour-label-frequency index, built on first use
+	// (see NLF); nil until then.
+	nlfOnce sync.Once
+	nlf     atomic.Pointer[NLF]
 }
 
 // NumVertices returns |V|.

@@ -263,6 +263,7 @@ type family struct {
 	counter    *Counter
 	gauge      *Gauge
 	gaugeFn    func() float64
+	gaugeVecFn func() []LabeledValue
 	histogram  *Histogram
 	counterVec *CounterVec
 	gaugeVec   *GaugeVec
@@ -335,6 +336,20 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // in-use, cache size) instead of double-booking it.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(&family{name: name, help: help, typ: TypeGauge, gaugeFn: fn})
+}
+
+// LabeledValue is one child of a GaugeVecFunc family.
+type LabeledValue struct {
+	Label string
+	Value float64
+}
+
+// GaugeVecFunc registers a one-label gauge family whose children are
+// computed at scrape time: GaugeFunc for a set that comes and goes
+// (registered graphs), where stored children would outlive their
+// subject.
+func (r *Registry) GaugeVecFunc(name, help, label string, fn func() []LabeledValue) {
+	r.register(&family{name: name, help: help, typ: TypeGauge, labels: []string{label}, gaugeVecFn: fn})
 }
 
 // Histogram registers and returns an unlabeled histogram; nil bounds use
@@ -472,6 +487,12 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "%s %d\n", f.name, f.gauge.Value())
 		case f.gaugeFn != nil:
 			fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(f.gaugeFn()))
+		case f.gaugeVecFn != nil:
+			children := f.gaugeVecFn()
+			sort.Slice(children, func(i, j int) bool { return children[i].Label < children[j].Label })
+			for _, c := range children {
+				fmt.Fprintf(w, "%s%s %s\n", f.name, labelString(f.labels, []string{c.Label}, "", ""), formatFloat(c.Value))
+			}
 		case f.histogram != nil:
 			writeHistogram(w, f.name, nil, nil, f.histogram)
 		case f.counterVec != nil:

@@ -24,6 +24,10 @@ func TestWritePrometheusGolden(t *testing.T) {
 
 	r.GaugeFunc("test_capacity", "Capacity at scrape time.", func() float64 { return 8 })
 
+	r.GaugeVecFunc("test_index_bytes", "Per-graph bytes at scrape time.", "graph", func() []LabeledValue {
+		return []LabeledValue{{"g1", 1440}, {"g0", 0}} // rendered sorted by label
+	})
+
 	cv := r.CounterVec("test_embeddings_total", "Embeddings per workload.", "graph", "algo")
 	cv.With("g1", "Optimized").Add(10)
 	cv.With("g0", "CFL").Inc()

@@ -206,6 +206,16 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 		"Data graphs currently registered.", func() float64 {
 			return float64(len(s.reg.list()))
 		})
+	r.GaugeVecFunc("smatch_graph_index_bytes",
+		"Bytes held by each registered graph's lazily built indexes (0 until first use).", "graph",
+		func() []obs.LabeledValue {
+			graphs := s.reg.list()
+			out := make([]obs.LabeledValue, len(graphs))
+			for i, g := range graphs {
+				out[i] = obs.LabeledValue{Label: g.Name, Value: float64(g.IndexBytes)}
+			}
+			return out
+		})
 	r.GaugeFunc("smatch_uptime_seconds",
 		"Seconds since the service started.", func() float64 {
 			return time.Since(s.start).Seconds()

@@ -25,6 +25,10 @@ type GraphInfo struct {
 	// every cached plan built against the old version.
 	Generation   uint64
 	RegisteredAt time.Time
+	// IndexBytes is the memory held by the indexes the graph builds
+	// lazily (graph.IndexBytes, today the NLF index): 0 until the first
+	// filter run against it.
+	IndexBytes int64 `json:"index_bytes"`
 }
 
 // graphEntry is an immutable registry slot; replacement swaps the whole
@@ -41,6 +45,7 @@ func (e *graphEntry) info() GraphInfo {
 	return GraphInfo{
 		Name: e.name, Vertices: e.g.NumVertices(), Edges: e.g.NumEdges(),
 		Labels: e.g.NumLabels(), Generation: e.gen, RegisteredAt: e.at,
+		IndexBytes: e.g.IndexBytes(),
 	}
 }
 
