@@ -1,6 +1,6 @@
 # Development targets. `make ci` is the gate every change must pass:
 # vet, build, the full test suite under the race detector, a stress
-# pass over the parallel preprocessing paths, a short fuzz run of the
+# pass over multi-worker preprocessing, a short fuzz run of the
 # filter-soundness invariant, and a one-iteration benchmark smoke pass
 # to catch bit-rotted bench code.
 
@@ -22,9 +22,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Hammer the parallel filter + candidate-space paths under the race
-# detector (100 iterations at 8 workers each, diffed against the
-# 1-worker reference), plus the serving layer's 100-goroutine
+# Hammer the filter executor and the candidate-space build under the
+# race detector (100 iterations at 8 workers each, diffed against the
+# same code at one worker — there is no separate sequential path; what
+# the one-worker run must produce is pinned by the parent-commit
+# digests in the ordinary tests), plus the serving layer's 100-goroutine
 # concurrent-Submit stress over shared cached plans, plus the metrics
 # registry's concurrent counter/gauge/histogram hammering. Any
 # cross-worker state leak trips -race here. The store stress churns
@@ -87,8 +89,9 @@ bench-json:
 bench-parallel:
 	$(GO) test -run '^$$' -bench BenchmarkParallelSkew -benchmem -benchtime 5x .
 
-# The preprocessing-parallelism measurement behind EXPERIMENTS.md's
-# "Parallel preprocessing" section.
+# The preprocessing measurement behind EXPERIMENTS.md's "Parallel
+# preprocessing" section: every phase at 1 (ns/op, allocs/op — the cost
+# of the one code path run inline), 4 and 8 workers (proj-speedup).
 bench-preprocess:
 	$(GO) test -run '^$$' -bench BenchmarkPreprocess -benchmem -benchtime 5x .
 

@@ -206,7 +206,10 @@ func BenchmarkFig15FailingSets(b *testing.B) {
 func BenchmarkFig14Spectrum(b *testing.B) {
 	f := getFixture(b)
 	q := f.dense16[0]
-	cand := filter.RunGraphQL(q, f.g, filter.DefaultGQLRounds)
+	cand, err := filter.Run(filter.GQL, q, f.g)
+	if err != nil {
+		b.Fatal(err)
+	}
 	phiGQL, err := order.Compute(order.GQL, q, f.g, cand)
 	if err != nil {
 		b.Fatal(err)
@@ -597,11 +600,14 @@ func BenchmarkAblationGallopThreshold(b *testing.B) {
 func BenchmarkAblationCandSpace(b *testing.B) {
 	f := getFixture(b)
 	q := f.dense16[0]
-	cand := filter.RunCFL(q, f.g)
-	tree := graph.NewBFSTree(q, filter.CFLRoot(q, f.g))
+	cand, err := filter.Run(filter.CFL, q, f.g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree := graph.NewBFSTree(q, filter.Root(filter.CFL, q, f.g, 1))
 	b.Run("tree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			candspace.BuildTree(q, f.g, cand, tree.Parent)
+			candspace.Build(q, f.g, cand, tree.Parent, 1)
 		}
 	})
 	b.Run("full", func(b *testing.B) {
@@ -623,7 +629,9 @@ func BenchmarkAblationNLF(b *testing.B) {
 	})
 	b.Run("NLF", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			filter.RunNLF(q, f.g)
+			if _, err := filter.Run(filter.NLF, q, f.g); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }
@@ -638,7 +646,10 @@ func BenchmarkAblationGQLRounds(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			mean := 0.0
 			for i := 0; i < b.N; i++ {
-				cand := filter.RunGraphQL(q, f.g, rounds)
+				cand, _, err := filter.RunOpts(filter.GQL, q, f.g, filter.Options{GQLRounds: rounds})
+				if err != nil {
+					b.Fatal(err)
+				}
 				mean = filter.MeanCandidates(cand)
 			}
 			b.ReportMetric(mean, "candidates/vertex")
@@ -691,16 +702,20 @@ func BenchmarkAblationCompression(b *testing.B) {
 	})
 }
 
-// BenchmarkPreprocess measures the parallel preprocessing pipeline on
-// the skewed R-MAT fixture, one sub-benchmark per phase × worker
-// count. On CPU-constrained runners wall-clock understates the
-// parallelism, so each parallel run also reports
+// BenchmarkPreprocess measures the preprocessing pipeline on the skewed
+// R-MAT fixture, one sub-benchmark per phase × worker count. The
+// workers-1 rows are the cost of the one code path run inline (ns/op,
+// allocs/op). On CPU-constrained runners wall-clock understates the
+// parallelism, so each multi-worker run also reports
 // proj-speedup = Σ(worker work)/max(worker work) — the makespan bound
 // the task partition admits on unconstrained cores, from the per-worker
 // work-unit tallies (candidates examined for the filters, candidates
-// scanned + adjacency targets emitted for the CSR build). This is the
-// same metric the enumeration benchmarks derive from
-// Result.WorkerNodes; see EXPERIMENTS.md "Parallel preprocessing".
+// scanned + adjacency targets emitted for the CSR build, elements
+// scanned for the block layout). This is the same metric the
+// enumeration benchmarks derive from Result.WorkerNodes; see
+// EXPERIMENTS.md "Parallel preprocessing".
+
+var preprocessWorkers = []int{1, 4, 8}
 
 func reportMakespan(b *testing.B, work []uint64) {
 	b.Helper()
@@ -709,14 +724,14 @@ func reportMakespan(b *testing.B, work []uint64) {
 	}
 }
 
-func BenchmarkPreprocessGraphQL(b *testing.B) {
+func benchPreprocessFilter(b *testing.B, m filter.Method) {
 	f := getSkewFixture(b)
-	for _, workers := range []int{1, 4, 8} {
+	for _, workers := range preprocessWorkers {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			var work []uint64
 			for i := 0; i < b.N; i++ {
 				var err error
-				_, work, err = filter.RunParallelStats(filter.GQL, f.q, f.g, workers)
+				_, work, err = filter.RunOpts(m, f.q, f.g, filter.Options{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -726,56 +741,10 @@ func BenchmarkPreprocessGraphQL(b *testing.B) {
 	}
 }
 
-func BenchmarkPreprocessCFL(b *testing.B) {
-	f := getSkewFixture(b)
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			var work []uint64
-			for i := 0; i < b.N; i++ {
-				var err error
-				_, work, err = filter.RunParallelStats(filter.CFL, f.q, f.g, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportMakespan(b, work)
-		})
-	}
-}
-
-func BenchmarkPreprocessCECI(b *testing.B) {
-	f := getSkewFixture(b)
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			var work []uint64
-			for i := 0; i < b.N; i++ {
-				var err error
-				_, work, err = filter.RunParallelStats(filter.CECI, f.q, f.g, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportMakespan(b, work)
-		})
-	}
-}
-
-func BenchmarkPreprocessDPIso(b *testing.B) {
-	f := getSkewFixture(b)
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			var work []uint64
-			for i := 0; i < b.N; i++ {
-				var err error
-				_, work, err = filter.RunParallelStats(filter.DPIso, f.q, f.g, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportMakespan(b, work)
-		})
-	}
-}
+func BenchmarkPreprocessGraphQL(b *testing.B) { benchPreprocessFilter(b, filter.GQL) }
+func BenchmarkPreprocessCFL(b *testing.B)     { benchPreprocessFilter(b, filter.CFL) }
+func BenchmarkPreprocessCECI(b *testing.B)    { benchPreprocessFilter(b, filter.CECI) }
+func BenchmarkPreprocessDPIso(b *testing.B)   { benchPreprocessFilter(b, filter.DPIso) }
 
 func BenchmarkPreprocessBuildFull(b *testing.B) {
 	f := getSkewFixture(b)
@@ -783,13 +752,50 @@ func BenchmarkPreprocessBuildFull(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, workers := range []int{1, 4, 8} {
+	for _, workers := range preprocessWorkers {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			var work []uint64
 			for i := 0; i < b.N; i++ {
-				_, work = candspace.BuildFullParallelStats(f.q, f.g, cand, workers)
+				_, work = candspace.Build(f.q, f.g, cand, nil, workers)
 			}
 			reportMakespan(b, work)
+		})
+	}
+}
+
+func BenchmarkPreprocessBlocks(b *testing.B) {
+	f := getSkewFixture(b)
+	cand, err := filter.Run(filter.GQL, f.q, f.g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range preprocessWorkers {
+		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+			var work []uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s := candspace.BuildFull(f.q, f.g, cand)
+				b.StartTimer()
+				work = s.MaterializeBlocks(workers)
+			}
+			reportMakespan(b, work)
+		})
+	}
+}
+
+func BenchmarkPreprocessOrder(b *testing.B) {
+	f := getSkewFixture(b)
+	cand, err := filter.Run(filter.GQL, f.q, f.g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range preprocessWorkers {
+		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := order.Compute(order.DPIso, f.q, f.g, cand, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }
@@ -922,7 +928,7 @@ func BenchmarkCandSpaceBlockLayout(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			s := candspace.BuildFull(q, f.g, cand)
-			s.MaterializeBlocksParallel(4)
+			s.MaterializeBlocks(4)
 		}
 	})
 }

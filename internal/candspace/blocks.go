@@ -11,53 +11,34 @@ import (
 // intersections during enumeration. One intersect.FlatBlocks arena is
 // built per directed query edge — the per-candidate layouts are offset
 // windows into it, so the whole materialization allocates O(edges)
-// objects, not O(candidates). It is idempotent.
-func (s *Space) MaterializeBlocks() {
-	if s.flat != nil {
-		return
-	}
-	s.flat = make([][]*intersect.FlatBlocks, len(s.edges))
-	for u, row := range s.edges {
-		s.flat[u] = make([]*intersect.FlatBlocks, len(row))
-		for i, csr := range row {
-			if csr == nil {
-				continue
-			}
-			nCand := len(csr.offsets) - 1
-			counts := make([]int32, nCand)
-			for ci := 0; ci < nCand; ci++ {
-				counts[ci] = int32(intersect.CountBlocks(csr.targets[csr.offsets[ci]:csr.offsets[ci+1]]))
-			}
-			fb := intersect.NewFlatBlocks(counts)
-			for ci := 0; ci < nCand; ci++ {
-				fb.EncodeSet(ci, csr.targets[csr.offsets[ci]:csr.offsets[ci+1]])
-			}
-			s.flat[u][i] = fb
-		}
-	}
-}
-
-// MaterializeBlocksParallel is MaterializeBlocks across `workers`
-// goroutines, returning the per-worker work tallies (elements scanned,
-// both passes) for par.MakespanBound. The two-phase build — count
-// blocks per candidate, prefix-sum into exact arenas, then encode into
-// disjoint ranges — needs no synchronization and produces arenas
-// byte-identical to the sequential build at every worker count.
-func (s *Space) MaterializeBlocksParallel(workers int) []uint64 {
+// objects, not O(candidates). It is idempotent (a repeat returns nil).
+//
+// The optional argument is the worker count (absent or ≤ 1 = inline on
+// the caller's goroutine); the return value is the per-worker work
+// tallies (elements scanned, both passes) for par.MakespanBound. The
+// two-phase build — count blocks per candidate, prefix-sum into exact
+// arenas, then encode into disjoint ranges — needs no synchronization
+// and produces byte-identical arenas at every worker count. On one
+// worker a task is a pair's whole candidate list.
+func (s *Space) MaterializeBlocks(workers ...int) []uint64 {
 	if s.flat != nil {
 		return nil
 	}
-	if workers <= 1 {
-		s.MaterializeBlocks()
-		return nil
+	w := 1
+	if len(workers) > 0 && workers[0] > 1 {
+		w = workers[0]
 	}
 	type pairRef struct {
 		u, pos int
 		csr    *edgeCSR
 		counts []int32
 	}
-	var pairs []pairRef
-	var tasks []buildTask
+	directed := 0
+	for _, row := range s.edges {
+		directed += len(row)
+	}
+	pairs := make([]pairRef, 0, directed)
+	tasks := make([]buildTask, 0, directed)
 	s.flat = make([][]*intersect.FlatBlocks, len(s.edges))
 	for u, row := range s.edges {
 		s.flat[u] = make([]*intersect.FlatBlocks, len(row))
@@ -66,18 +47,18 @@ func (s *Space) MaterializeBlocksParallel(workers int) []uint64 {
 				continue
 			}
 			nCand := len(csr.offsets) - 1
-			pair := len(pairs)
-			pairs = append(pairs, pairRef{u: u, pos: i, csr: csr, counts: make([]int32, nCand)})
-			for lo := 0; lo < nCand; lo += buildChunk {
-				hi := lo + buildChunk
-				if hi > nCand {
-					hi = nCand
-				}
-				tasks = append(tasks, buildTask{pair: pair, lo: lo, hi: hi})
+			chunk := nCand
+			if w > 1 {
+				chunk = buildChunk
 			}
+			for lo := 0; lo < nCand; lo += chunk {
+				tasks = append(tasks, buildTask{pair: len(pairs), lo: lo, hi: min(lo+chunk, nCand)})
+			}
+			pairs = append(pairs, pairRef{u: u, pos: i, csr: csr, counts: make([]int32, nCand)})
 		}
 	}
-	work := par.Run(workers, len(tasks), func(w, t int) uint64 {
+	tally := make([]uint64, w)
+	par.Accumulate(tally, par.Run(w, len(tasks), func(_, t int) uint64 {
 		task := tasks[t]
 		p := pairs[task.pair]
 		var n uint64
@@ -87,11 +68,11 @@ func (s *Space) MaterializeBlocksParallel(workers int) []uint64 {
 			n += uint64(len(set))
 		}
 		return n
-	})
+	}))
 	for _, p := range pairs {
 		s.flat[p.u][p.pos] = intersect.NewFlatBlocks(p.counts)
 	}
-	encode := par.Run(workers, len(tasks), func(w, t int) uint64 {
+	par.Accumulate(tally, par.Run(w, len(tasks), func(_, t int) uint64 {
 		task := tasks[t]
 		p := pairs[task.pair]
 		fb := s.flat[p.u][p.pos]
@@ -102,11 +83,8 @@ func (s *Space) MaterializeBlocksParallel(workers int) []uint64 {
 			n += uint64(len(set))
 		}
 		return n
-	})
-	for i := range work {
-		work[i] += encode[i]
-	}
-	return work
+	}))
+	return tally
 }
 
 // HasBlocks reports whether MaterializeBlocks has run.

@@ -20,8 +20,9 @@ func flatBlocksEqual(t *testing.T, a, b *Space) {
 }
 
 // TestMaterializeBlocksParallelIdentical pins the two-phase build's
-// determinism claim: the parallel materialization produces arenas
-// byte-identical to the sequential one at every worker count.
+// determinism claim: the materialization produces arenas byte-identical
+// to the one-worker ones at every worker count, and one tally per
+// worker.
 func TestMaterializeBlocksParallelIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 10; trial++ {
@@ -30,24 +31,25 @@ func TestMaterializeBlocksParallelIdentical(t *testing.T) {
 		if q == nil {
 			continue
 		}
-		cand := filter.RunNLF(q, g)
+		cand, _ := filter.Run(filter.NLF, q, g)
 		seq := BuildFull(q, g, cand)
 		seq.MaterializeBlocks()
 		for _, workers := range []int{1, 2, 4, 8} {
 			par := BuildFull(q, g, cand)
-			work := par.MaterializeBlocksParallel(workers)
+			work := par.MaterializeBlocks(workers)
 			if !par.HasBlocks() {
 				t.Fatalf("workers=%d: HasBlocks false after materialization", workers)
 			}
 			flatBlocksEqual(t, seq, par)
-			if workers > 1 {
-				var total uint64
-				for _, w := range work {
-					total += w
-				}
-				if total == 0 && seq.BlockMemoryBytes() > 0 {
-					t.Errorf("workers=%d: zero work tallied for nonempty layout", workers)
-				}
+			if len(work) != workers {
+				t.Fatalf("workers=%d: tally %v, want one entry per worker", workers, work)
+			}
+			var total uint64
+			for _, w := range work {
+				total += w
+			}
+			if total == 0 && seq.BlockMemoryBytes() > 0 {
+				t.Errorf("workers=%d: zero work tallied for nonempty layout", workers)
 			}
 		}
 	}
@@ -65,7 +67,7 @@ func TestMaterializeBlocksAllocsScaleWithEdges(t *testing.T) {
 	for q == nil {
 		q = testutil.RandomConnectedQuery(rng, g, 5)
 	}
-	cand := filter.RunNLF(q, g)
+	cand, _ := filter.Run(filter.NLF, q, g)
 	proto := BuildFull(q, g, cand)
 	pairs, sets := 0, 0
 	for u := 0; u < q.NumVertices(); u++ {
@@ -102,7 +104,7 @@ func TestMaterializeBlocksAllocsScaleWithEdges(t *testing.T) {
 // the separate slice and view lookups.
 func TestAdjacencyWithViewConsistent(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
-	cand := filter.RunNLF(q, g)
+	cand, _ := filter.Run(filter.NLF, q, g)
 	s := BuildFull(q, g, cand)
 
 	// Before materialization: slices present, views absent.
@@ -147,7 +149,7 @@ func TestAdjacencyWithViewConsistent(t *testing.T) {
 // explicit per-candidate sum.
 func TestPairSize(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
-	cand := filter.RunNLF(q, g)
+	cand, _ := filter.Run(filter.NLF, q, g)
 	s := BuildFull(q, g, cand)
 	for u := 0; u < q.NumVertices(); u++ {
 		uu := graph.Vertex(u)
@@ -171,7 +173,7 @@ func TestPairSize(t *testing.T) {
 // per-view sums.
 func TestBlockStats(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
-	cand := filter.RunNLF(q, g)
+	cand, _ := filter.Run(filter.NLF, q, g)
 	s := BuildFull(q, g, cand)
 	if sets, blocks, elems := s.BlockStats(); sets != 0 || blocks != 0 || elems != 0 {
 		t.Fatalf("BlockStats before materialization = %d/%d/%d", sets, blocks, elems)
@@ -215,12 +217,12 @@ func TestParallelMaterializeStress(t *testing.T) {
 	for q == nil {
 		q = testutil.RandomConnectedQuery(rng, g, 5)
 	}
-	cand := filter.RunNLF(q, g)
+	cand, _ := filter.Run(filter.NLF, q, g)
 	seq := BuildFull(q, g, cand)
 	seq.MaterializeBlocks()
 	for i := 0; i < 50; i++ {
 		s := BuildFull(q, g, cand)
-		s.MaterializeBlocksParallel(8)
+		s.MaterializeBlocks(8)
 		flatBlocksEqual(t, seq, s)
 	}
 }

@@ -16,6 +16,7 @@
 package candspace
 
 import (
+	"slices"
 	"sort"
 
 	"subgraphmatching/internal/bitset"
@@ -47,38 +48,11 @@ type edgeCSR struct {
 	targets []uint32
 }
 
-// BuildFull materializes 𝒜 for every query edge (CECI/DP-iso style).
-// candidates[u] must be sorted; the slice is retained.
+// BuildFull materializes 𝒜 for every query edge (CECI/DP-iso style) on
+// one worker: Build with no parent array. candidates[u] must be sorted;
+// the slice is retained.
 func BuildFull(q *graph.Graph, g *graph.Graph, candidates [][]uint32) *Space {
-	return build(q, g, candidates, nil)
-}
-
-// BuildTree materializes 𝒜 only for the spanning-tree edges given by
-// parent (CFL style): pairs (parent[u], u) and (u, parent[u]).
-func BuildTree(q *graph.Graph, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex) *Space {
-	return build(q, g, candidates, parent)
-}
-
-// BuildFullParallel is BuildFull across `workers` goroutines. Every
-// (u, u′) directed query-edge adjacency list is independent of the
-// others, so the CSRs are built concurrently — in candidate-range
-// chunks, stitched back in order — and the result is byte-identical to
-// the sequential build for every worker count.
-func BuildFullParallel(q, g *graph.Graph, candidates [][]uint32, workers int) *Space {
-	s, _ := BuildFullParallelStats(q, g, candidates, workers)
-	return s
-}
-
-// BuildFullParallelStats is BuildFullParallel returning also the
-// per-worker work tallies (candidates processed plus targets emitted),
-// the input to par.MakespanBound.
-func BuildFullParallelStats(q, g *graph.Graph, candidates [][]uint32, workers int) (*Space, []uint64) {
-	return buildParallel(q, g, candidates, nil, workers)
-}
-
-// BuildTreeParallel is BuildTree across `workers` goroutines.
-func BuildTreeParallel(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex, workers int) *Space {
-	s, _ := buildParallel(q, g, candidates, parent, workers)
+	s, _ := Build(q, g, candidates, nil, 1)
 	return s
 }
 
@@ -91,8 +65,7 @@ func materialized(parent []graph.Vertex, u, up graph.Vertex) bool {
 
 // appendMembers appends to dst the vertices of nv (sorted) that member
 // contains: 𝒜[u->u'](v) = N(v) ∩ C(u') as one scan of N(v) against the
-// membership bitmap of C(u'), in N(v)'s order and so sorted. Both the
-// sequential and the chunked parallel build fill their CSRs through it.
+// membership bitmap of C(u'), in N(v)'s order and so sorted.
 func appendMembers(dst []uint32, nv []uint32, member *bitset.Set) []uint32 {
 	for _, w := range nv {
 		if member.Contains(w) {
@@ -102,7 +75,48 @@ func appendMembers(dst []uint32, nv []uint32, member *bitset.Set) []uint32 {
 	return dst
 }
 
-func build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex) *Space {
+// buildChunk is the number of candidates of u one build task
+// intersects on a multi-worker run. Chunking below the per-edge grain
+// matters under label skew, where a single (u, u′) pair over a hub
+// label's candidates can hold most of the total intersection work. 64
+// is finer than the filter's scan chunks because per-candidate cost
+// varies more here (a hub's adjacency list can be orders of magnitude
+// longer than a leaf's).
+const buildChunk = 64
+
+// buildTask covers candidates[lo:hi] of one directed pair: the index of
+// the pair in the task list's pair slice, and its candidate range.
+type buildTask struct {
+	pair   int
+	lo, hi int
+}
+
+// buildPair is one directed pair (u, u′) of the target group being
+// built: its source vertex and the CSR under construction.
+type buildPair struct {
+	u   graph.Vertex
+	csr *edgeCSR
+}
+
+// Build materializes 𝒜 across `workers` goroutines (≤ 1 = inline on
+// the caller's goroutine) and returns it beside the per-worker work
+// tallies (candidates processed plus targets emitted), the input to
+// par.MakespanBound. With parent == nil every query edge is
+// materialized; otherwise only the spanning-tree edges given by parent
+// (CFL style): pairs (parent[u], u) and (u, parent[u]). candidates[u]
+// must be sorted; the slice is retained.
+//
+// Pairs are visited grouped by their target u′, so one bitmap of C(u′)
+// is set once, serves every u ∈ N(u′), and is cleared by walking C(u′)
+// again (never a full reset). Inside a group the candidates of each u
+// are cut into chunks that fan out as tasks reading the shared bitmap;
+// every (u, u′) adjacency list is independent of the others, so the
+// CSRs, stitched in chunk order, are byte-identical for every worker
+// count. On one worker a task is a pair's whole candidate list.
+func Build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex, workers int) (*Space, []uint64) {
+	if workers < 1 {
+		workers = 1
+	}
 	s := &Space{
 		q:          q,
 		candidates: candidates,
@@ -111,149 +125,82 @@ func build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex) *Spa
 	for u := range s.edges {
 		s.edges[u] = make([]*edgeCSR, q.Degree(graph.Vertex(u)))
 	}
-	// Pairs are visited grouped by their target u′, so the bitmap of
-	// C(u′) is set once, serves every u ∈ N(u′), and is cleared by
-	// walking C(u′) again (never a full reset).
+	tally := make([]uint64, workers)
 	member := bitset.New(g.NumVertices())
-	var scratch []uint32
+	scratch := make([][]uint32, workers) // per-worker target buffer, reused across tasks
+	var pairs []buildPair
+	var tasks []buildTask
+	var chunks [][]uint32
 	for t := 0; t < q.NumVertices(); t++ {
 		up := graph.Vertex(t)
-		for _, v := range candidates[up] {
-			member.Set(v)
-		}
+		pairs, tasks = pairs[:0], tasks[:0]
 		for _, u := range q.Neighbors(up) {
 			if !materialized(parent, u, up) {
 				continue
 			}
-			csr := &edgeCSR{offsets: make([]int32, len(candidates[u])+1)}
-			scratch = scratch[:0]
-			for ci, v := range candidates[u] {
-				scratch = appendMembers(scratch, g.Neighbors(v), member)
-				csr.offsets[ci+1] = int32(len(scratch))
-			}
-			// Exact length: a cached plan is charged len(targets)
-			// (MemoryBytes), so it must not hold spare capacity.
-			csr.targets = append(make([]uint32, 0, len(scratch)), scratch...)
+			n := len(candidates[u])
+			csr := &edgeCSR{offsets: make([]int32, n+1)}
 			s.edges[u][s.neighborPos(u, up)] = csr
+			chunk := n
+			if workers > 1 {
+				chunk = buildChunk
+			}
+			for lo := 0; lo < n; lo += chunk {
+				tasks = append(tasks, buildTask{pair: len(pairs), lo: lo, hi: min(lo+chunk, n)})
+			}
+			pairs = append(pairs, buildPair{u: u, csr: csr})
+		}
+		for _, v := range candidates[up] {
+			member.Set(v)
+		}
+		// A task fills its slice of the pair's offsets with chunk-local
+		// running totals and leaves an exact-length copy of its targets.
+		chunks = slices.Grow(chunks[:0], len(tasks))[:len(tasks)]
+		work := par.Run(workers, len(tasks), func(w, t int) uint64 {
+			task := tasks[t]
+			p := pairs[task.pair]
+			offsets := p.csr.offsets[task.lo+1 : task.hi+1]
+			buf := scratch[w][:0]
+			for i, v := range candidates[p.u][task.lo:task.hi] {
+				buf = appendMembers(buf, g.Neighbors(v), member)
+				offsets[i] = int32(len(buf))
+			}
+			scratch[w] = buf
+			chunks[t] = append(make([]uint32, 0, len(buf)), buf...)
+			return uint64(task.hi - task.lo + len(buf))
+		})
+		par.Accumulate(tally, work)
+		// Stitch: tasks of one pair are contiguous and in candidate
+		// order. targets is exact-length either way — a cached plan is
+		// charged len(targets) (MemoryBytes), so it must not hold spare
+		// capacity.
+		for t := 0; t < len(tasks); {
+			pair := tasks[t].pair
+			csr := pairs[pair].csr
+			first := t
+			total := 0
+			for ; t < len(tasks) && tasks[t].pair == pair; t++ {
+				if total > 0 {
+					for ci := tasks[t].lo; ci < tasks[t].hi; ci++ {
+						csr.offsets[ci+1] += int32(total)
+					}
+				}
+				total += len(chunks[t])
+			}
+			if t-first == 1 {
+				csr.targets = chunks[first]
+				continue
+			}
+			csr.targets = make([]uint32, 0, total)
+			for _, c := range chunks[first:t] {
+				csr.targets = append(csr.targets, c...)
+			}
 		}
 		for _, v := range candidates[up] {
 			member.Clear(v)
 		}
 	}
-	return s
-}
-
-// buildChunk is the number of candidates of u one build task
-// intersects. Chunking below the per-edge grain matters under label
-// skew, where a single (u, u′) pair over a hub label's candidates can
-// hold most of the total intersection work. 64 is finer than the
-// filter chunks because per-candidate cost varies more here (a hub's
-// adjacency list can be orders of magnitude longer than a leaf's): on
-// the skewed R-MAT benchmark fixture the 4-worker makespan bound rises
-// from 2.2 at chunk 512 to 3.7 at 64 with no measurable task overhead.
-const buildChunk = 64
-
-// buildTask covers candidates[lo:hi] of the pair list entry pair.
-type buildTask struct {
-	pair   int
-	lo, hi int
-}
-
-// pairJob is one materialized directed query edge (u, u′).
-type pairJob struct {
-	u   graph.Vertex
-	pos int // index of u′ in u's neighbor list
-	up  graph.Vertex
-}
-
-func buildParallel(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex, workers int) (*Space, []uint64) {
-	if workers <= 1 {
-		return build(q, g, candidates, parent), nil
-	}
-	s := &Space{
-		q:          q,
-		candidates: candidates,
-		edges:      make([][]*edgeCSR, q.NumVertices()),
-	}
-	var pairs []pairJob
-	var tasks []buildTask
-	for u := 0; u < q.NumVertices(); u++ {
-		ns := q.Neighbors(graph.Vertex(u))
-		s.edges[u] = make([]*edgeCSR, len(ns))
-		for i, up := range ns {
-			if !materialized(parent, graph.Vertex(u), up) {
-				continue
-			}
-			pair := len(pairs)
-			pairs = append(pairs, pairJob{u: graph.Vertex(u), pos: i, up: up})
-			n := len(candidates[u])
-			if n == 0 {
-				tasks = append(tasks, buildTask{pair: pair, lo: 0, hi: 0})
-				continue
-			}
-			for lo := 0; lo < n; lo += buildChunk {
-				hi := lo + buildChunk
-				if hi > n {
-					hi = n
-				}
-				tasks = append(tasks, buildTask{pair: pair, lo: lo, hi: hi})
-			}
-		}
-	}
-	// Tasks of different pairs run concurrently, so every target vertex
-	// gets its own read-only membership bitmap up front.
-	member := make([]*bitset.Set, q.NumVertices())
-	for _, p := range pairs {
-		if member[p.up] == nil {
-			member[p.up] = bitset.New(g.NumVertices())
-			for _, v := range candidates[p.up] {
-				member[p.up].Set(v)
-			}
-		}
-	}
-	// Per-task partial CSRs: the chunk's concatenated targets plus the
-	// per-candidate lengths, stitched into offsets afterwards.
-	targets := make([][]uint32, len(tasks))
-	lens := make([][]int32, len(tasks))
-	work := par.Run(workers, len(tasks), func(w, t int) uint64 {
-		task := tasks[t]
-		p := pairs[task.pair]
-		chunk := candidates[p.u][task.lo:task.hi]
-		var out []uint32
-		ls := make([]int32, len(chunk))
-		for k, v := range chunk {
-			before := len(out)
-			out = appendMembers(out, g.Neighbors(v), member[p.up])
-			ls[k] = int32(len(out) - before)
-		}
-		targets[t], lens[t] = out, ls
-		return uint64(len(chunk) + len(out))
-	})
-	// Stitch: tasks of one pair are contiguous and in candidate order.
-	// targets is allocated at the summed chunk lengths — exact, like the
-	// sequential build.
-	for t := 0; t < len(tasks); {
-		pair := tasks[t].pair
-		p := pairs[pair]
-		total := 0
-		for e := t; e < len(tasks) && tasks[e].pair == pair; e++ {
-			total += len(targets[e])
-		}
-		csr := &edgeCSR{
-			offsets: make([]int32, len(candidates[p.u])+1),
-			targets: make([]uint32, 0, total),
-		}
-		ci := 0
-		for ; t < len(tasks) && tasks[t].pair == pair; t++ {
-			csr.targets = append(csr.targets, targets[t]...)
-			for _, l := range lens[t] {
-				csr.offsets[ci+1] = csr.offsets[ci] + l
-				ci++
-			}
-		}
-		s.edges[p.u][p.pos] = csr
-	}
-	return s, work
+	return s, tally
 }
 
 // Query returns the query graph the space was built for.

@@ -57,7 +57,7 @@ func TestAdjacencyConsistency(t *testing.T) {
 		if q == nil {
 			continue
 		}
-		cand := filter.RunNLF(q, g)
+		cand, _ := filter.Run(filter.NLF, q, g)
 		s := BuildFull(q, g, cand)
 		for u := 0; u < q.NumVertices(); u++ {
 			uu := graph.Vertex(u)
@@ -86,9 +86,9 @@ func TestAdjacencyConsistency(t *testing.T) {
 
 func TestTreeSpaceOnlyMaterializesTreeEdges(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
-	cand := filter.RunCFL(q, g)
+	cand, _ := filter.Run(filter.CFL, q, g)
 	tree := graph.NewBFSTree(q, 0)
-	s := BuildTree(q, g, cand, tree.Parent)
+	s := buildAt(q, g, cand, tree.Parent, 1)
 	// Tree edges: (u0,u1), (u0,u2), (u1,u3). Non-tree: (u1,u2), (u2,u3).
 	treePairs := [][2]graph.Vertex{{0, 1}, {1, 0}, {0, 2}, {2, 0}, {1, 3}, {3, 1}}
 	for _, p := range treePairs {
@@ -110,7 +110,7 @@ func TestTreeSpaceOnlyMaterializesTreeEdges(t *testing.T) {
 func TestMetrics(t *testing.T) {
 	q, g, s := func() (*graph.Graph, *graph.Graph, *Space) {
 		q, g := testutil.PaperQuery(), testutil.PaperData()
-		cand := filter.RunCFL(q, g)
+		cand, _ := filter.Run(filter.CFL, q, g)
 		return q, g, BuildFull(q, g, cand)
 	}()
 	_ = g

@@ -40,7 +40,7 @@ func TestEstimateUpperBoundsBruteForce(t *testing.T) {
 		if q == nil {
 			continue
 		}
-		cand := filter.RunNLF(q, g)
+		cand, _ := filter.Run(filter.NLF, q, g)
 		if filter.AnyEmpty(cand) {
 			continue
 		}

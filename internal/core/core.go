@@ -147,14 +147,11 @@ type Limits struct {
 	// split heavy tasks recursively) or the static expand-everything
 	// heuristic. See SplitPolicy.
 	Split SplitPolicy
-	// Workers sets the worker-goroutine count for the parallelized
-	// preprocessing phases — candidate filtering and candidate-space
-	// construction (0 = inherit Parallel, 1 = sequential
-	// preprocessing). Candidate sets are identical for every worker
-	// count, with one documented exception: GraphQL filtering under
-	// more than one worker refines in Jacobi rounds, which within the
-	// bounded round budget prune a (still sound and complete) superset
-	// of the sequential Gauss–Seidel sets.
+	// Workers sets the worker-goroutine count for the preprocessing
+	// phases — candidate filtering, candidate-space construction and
+	// ordering (0 = inherit Parallel, 1 = everything inline on the
+	// caller's goroutine). Candidate sets, and with them the whole
+	// plan, are identical for every worker count.
 	Workers int
 	// Trace attaches the phase-span breakdown to Result.Trace. Spans
 	// are built only at phase boundaries (a handful of allocations per
@@ -328,8 +325,9 @@ type Plan struct {
 	MemoryBytes    int64
 
 	// Span is the preprocessing phase breakdown: a "preprocess" root
-	// with "filter" (and its per-stage children on sequential runs),
-	// "build" and "order" children. Always populated — span assembly
+	// with "filter" (and its per-stage children, plus one tally child
+	// per worker when the plan was built by more than one), "build" and
+	// "order" children. Always populated — span assembly
 	// happens once per plan at phase boundaries and is dwarfed by the
 	// phases themselves. Immutable once the plan is built: cached plans
 	// share it across requests.
@@ -339,9 +337,11 @@ type Plan struct {
 // Preprocess runs the preprocessing half of the pipeline — filtering
 // (paper Algorithm 1 line 1), auxiliary-structure construction, ordering
 // (line 2) and the symmetry-class setup — and returns the resulting
-// Plan. workers parallelizes filtering and the candidate-space build
-// (1 = sequential). Configurations routed to the external engines have
-// no plan; Preprocess reports ErrNoPlan for them.
+// Plan. workers is handed to every layer — filtering, the
+// candidate-space build and ordering each take it once (≤ 1 = inline on
+// the caller's goroutine) — and never changes the plan. Configurations
+// routed to the external engines have no plan; Preprocess reports
+// ErrNoPlan for them.
 func Preprocess(q, g *graph.Graph, cfg Config, workers int) (*Plan, error) {
 	if q == nil || g == nil {
 		return nil, fmt.Errorf("core: %w", ErrNilGraph)
@@ -366,11 +366,10 @@ func Preprocess(q, g *graph.Graph, cfg Config, workers int) (*Plan, error) {
 
 	// Step 1: filtering. The method's internal stages (e.g. GQL's local
 	// pruning and refinement rounds, CFL's generate/refine phases)
-	// become children of the filter span on sequential and parallel
-	// runs alike — the parallel runners close stages at their barriers.
-	// Parallel runs additionally attach one zero-duration child per
-	// worker carrying its work tally (candidate vertices examined), the
-	// preprocessing analogue of the enumerate span's worker children.
+	// become children of the filter span. Multi-worker runs
+	// additionally attach one zero-duration child per worker carrying
+	// its work tally (candidate vertices examined), the preprocessing
+	// analogue of the enumerate span's worker children.
 	t0 := time.Now()
 	stages := filter.StageTrace{PerVertex: true}
 	cand, filterTally, err := runFilter(q, g, cfg, workers, &stages)
@@ -391,9 +390,11 @@ func Preprocess(q, g *graph.Graph, cfg Config, workers int) (*Plan, error) {
 		fs.AddChild(obs.NewSpan(st.Name, time.Time{}, st.Duration).
 			SetAttr("candidates", st.Candidates))
 	}
-	for w, work := range filterTally {
-		fs.AddChild(obs.NewSpan(fmt.Sprintf("worker-%d", w), time.Time{}, 0).
-			SetAttr("work", work))
+	if workers > 1 {
+		for w, work := range filterTally {
+			fs.AddChild(obs.NewSpan(fmt.Sprintf("worker-%d", w), time.Time{}, 0).
+				SetAttr("work", work))
+		}
 	}
 	plan.Span.AddChild(fs)
 	plan.Stages = stages.Stages
@@ -409,19 +410,11 @@ func Preprocess(q, g *graph.Graph, cfg Config, workers int) (*Plan, error) {
 	needSpace := cfg.Local == enumerate.TreeEdge || cfg.Local == enumerate.Intersect ||
 		cfg.Local == enumerate.IntersectBlock
 	if needSpace {
+		var parent []graph.Vertex // nil = every query edge
 		if cfg.TreeSpace {
-			root := filter.CFLRootWorkers(q, g, workers)
-			tree := graph.NewBFSTree(q, root)
-			if workers > 1 {
-				plan.Space = candspace.BuildTreeParallel(q, g, cand, tree.Parent, workers)
-			} else {
-				plan.Space = candspace.BuildTree(q, g, cand, tree.Parent)
-			}
-		} else if workers > 1 {
-			plan.Space = candspace.BuildFullParallel(q, g, cand, workers)
-		} else {
-			plan.Space = candspace.BuildFull(q, g, cand)
+			parent = graph.NewBFSTree(q, filter.Root(filter.CFL, q, g, workers)).Parent
 		}
+		plan.Space, _ = candspace.Build(q, g, cand, parent, workers)
 		// Materialize the flat block layout whenever the enumeration may
 		// run the word-parallel kernel: always for IntersectBlock, and
 		// for Intersect under the adaptive or pinned-block policy. The
@@ -431,11 +424,7 @@ func Preprocess(q, g *graph.Graph, cfg Config, workers int) (*Plan, error) {
 			(cfg.Local == enumerate.Intersect &&
 				(cfg.Kernel == intersect.PolicyAdaptive || cfg.Kernel == intersect.PolicyBlock))
 		if wantBlocks {
-			if workers > 1 {
-				plan.Space.MaterializeBlocksParallel(workers)
-			} else {
-				plan.Space.MaterializeBlocks()
-			}
+			plan.Space.MaterializeBlocks(workers)
 		}
 	}
 	plan.BuildTime = time.Since(t0)
@@ -476,10 +465,10 @@ func Preprocess(q, g *graph.Graph, cfg Config, workers int) (*Plan, error) {
 	if phi == nil {
 		if cfg.AutoOrder && plan.Space != nil {
 			var best order.Method
-			best, phi, err = order.BestWorkers(q, g, cand, plan.Space, workers)
+			best, phi, err = order.Best(q, g, cand, plan.Space, workers)
 			orderMethod = "auto:" + best.String()
 		} else {
-			phi, err = order.ComputeWorkers(cfg.Order, q, g, cand, workers)
+			phi, err = order.Compute(cfg.Order, q, g, cand, workers)
 			orderMethod = cfg.Order.String()
 		}
 		if err != nil {
@@ -487,7 +476,7 @@ func Preprocess(q, g *graph.Graph, cfg Config, workers int) (*Plan, error) {
 		}
 	}
 	if cfg.Adaptive && cfg.DPWeights && plan.Space != nil {
-		plan.Weights = order.BuildDPWeightsWorkers(q, plan.Space, phi, workers)
+		plan.Weights = order.BuildDPWeights(q, plan.Space, phi, workers)
 	}
 	plan.OrderTime = time.Since(t0)
 	plan.Order = phi
@@ -718,11 +707,8 @@ func Match(q, g *graph.Graph, cfg Config, limits Limits) (*Result, error) {
 	return res, nil
 }
 
-// runFilter dispatches the configured filtering method. Both the
-// sequential and the parallel paths record the method's internal
-// stages into tr (same stage names — the parallel runners close stages
-// at their barriers); parallel runs additionally return the per-worker
-// work tallies (nil on sequential runs).
+// runFilter runs the configured filtering method once, recording its
+// internal stages into tr and returning the per-worker work tallies.
 func runFilter(q, g *graph.Graph, cfg Config, workers int, tr *filter.StageTrace) ([][]uint32, []uint64, error) {
 	if cfg.Homomorphism {
 		// Structural filters assume injectivity (even LDF's degree
@@ -730,40 +716,13 @@ func runFilter(q, g *graph.Graph, cfg Config, workers int, tr *filter.StageTrace
 		// homomorphisms.
 		return filter.RunLabelOnly(q, g), nil, nil
 	}
-	switch cfg.Filter {
-	case filter.GQL:
-		if cfg.GQLRounds > 0 || cfg.GQLRadius > 1 {
-			rounds := cfg.GQLRounds
-			if rounds == 0 {
-				rounds = filter.DefaultGQLRounds
-			}
-			radius := cfg.GQLRadius
-			if radius == 0 {
-				radius = 1
-			}
-			if workers > 1 {
-				cand, tally := filter.RunGraphQLRadiusParallelStats(q, g, rounds, radius, workers, tr)
-				return cand, tally, nil
-			}
-			return filter.RunGraphQLRadiusTraced(q, g, rounds, radius, tr), nil, nil
-		}
-	case filter.DPIso:
-		if cfg.DPIsoPasses > 0 {
-			if !q.IsConnected() || q.NumVertices() == 0 {
-				return nil, nil, fmt.Errorf("core: invalid query")
-			}
-			if workers > 1 {
-				cand, tally := filter.RunDPIsoParallelStats(q, g, cfg.DPIsoPasses, workers, tr)
-				return cand, tally, nil
-			}
-			return filter.RunDPIsoTraced(q, g, cfg.DPIsoPasses, tr), nil, nil
-		}
-	}
-	if workers > 1 {
-		return filter.RunParallelTraced(cfg.Filter, q, g, workers, tr)
-	}
-	cand, err := filter.RunTraced(cfg.Filter, q, g, tr)
-	return cand, nil, err
+	return filter.RunOpts(cfg.Filter, q, g, filter.Options{
+		Workers:     workers,
+		Trace:       tr,
+		GQLRounds:   cfg.GQLRounds,
+		GQLRadius:   cfg.GQLRadius,
+		DPIsoPasses: cfg.DPIsoPasses,
+	})
 }
 
 func matchVF2(q, g *graph.Graph, limits Limits) (*Result, error) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -33,6 +34,7 @@ func TestExplainReconcilesAcrossPresetsAndWorkers(t *testing.T) {
 	n := q.NumVertices()
 	for _, a := range explainPresets() {
 		cfg := PresetConfig(a, q, g)
+		var oneWorker []StageProfile
 		for _, workers := range []int{1, 2, 4, 8} {
 			res, err := Match(q, g, cfg, Limits{Parallel: workers, Profile: true})
 			if err != nil {
@@ -106,6 +108,21 @@ func TestExplainReconcilesAcrossPresetsAndWorkers(t *testing.T) {
 				if sum != st.After {
 					t.Errorf("%v/w%d: stage %q counts sum %d != after %d",
 						a, workers, st.Name, sum, st.After)
+				}
+			}
+
+			// The reduction table is the one-worker table at every worker
+			// count — GraphQL's included.
+			if workers == 1 {
+				oneWorker = p.Filter
+			} else if len(p.Filter) != len(oneWorker) {
+				t.Errorf("%v/w%d: %d filter stages, one worker had %d", a, workers, len(p.Filter), len(oneWorker))
+			} else {
+				for i, st := range p.Filter {
+					if w1 := oneWorker[i]; st.Name != w1.Name || st.After != w1.After || !slices.Equal(st.Counts, w1.Counts) {
+						t.Errorf("%v/w%d: stage %d (%s, %d, %v) != one-worker (%s, %d, %v)",
+							a, workers, i, st.Name, st.After, st.Counts, w1.Name, w1.After, w1.Counts)
+					}
 				}
 			}
 

@@ -1,0 +1,78 @@
+package core
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// preprocessSurface is every exported function and method of the three
+// preprocessing layers. Each layer has one entry point per job, and the
+// worker count, the trace and the method parameters are arguments of
+// that entry point — a new RunXParallelStatsTraced must show up here as
+// a reviewed line. cmd/smatchbench pins the call forms filter.Run(m,q,g),
+// filter.RunLDF(q,g), candspace.BuildFull(q,g,cand),
+// (*Space).MaterializeBlocks() and order.Compute(m,q,g,cand): those stay
+// thin forwards (or take their extras as a trailing variadic).
+var preprocessSurface = map[string][]string{
+	"../filter": {
+		"AnyEmpty", "MeanCandidates", "Method.String", "Methods", "ParseMethod",
+		"Root", "Run", "RunLDF", "RunLabelOnly", "RunOpts", "TotalCandidates",
+	},
+	"../candspace": {
+		"Build", "BuildFull", "EstimateSpanningTreeEmbeddings",
+		"Space.Adjacency", "Space.AdjacencyView", "Space.AdjacencyWithView",
+		"Space.AllCandidates", "Space.BlockMemoryBytes", "Space.BlockStats",
+		"Space.CandidateIndex", "Space.Candidates", "Space.HasBlocks",
+		"Space.HasPair", "Space.MaterializeBlocks", "Space.MeanCandidates",
+		"Space.MemoryBytes", "Space.PairSize", "Space.Query", "Space.TotalCandidates",
+	},
+	"../order": {
+		"Best", "BuildDPWeights", "Compute", "ComputeCECI", "ComputeCFL",
+		"ComputeDPIso", "ComputeGQL", "ComputeQSI", "ComputeRI", "ComputeVF2PP",
+		"EstimateCost", "Method.String", "Methods", "ParseMethod", "Random", "Validate",
+	},
+}
+
+func TestPreprocessSurface(t *testing.T) {
+	for dir, want := range preprocessSurface {
+		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", dir, err)
+		}
+		var got []string
+		for _, pkg := range pkgs {
+			for _, file := range pkg.Files {
+				for _, decl := range file.Decls {
+					fn, ok := decl.(*ast.FuncDecl)
+					if !ok || !fn.Name.IsExported() {
+						continue
+					}
+					name := fn.Name.Name
+					if fn.Recv != nil {
+						recv := fn.Recv.List[0].Type
+						if star, ok := recv.(*ast.StarExpr); ok {
+							recv = star.X
+						}
+						id, ok := recv.(*ast.Ident)
+						if !ok || !id.IsExported() {
+							continue
+						}
+						name = id.Name + "." + name
+					}
+					got = append(got, name)
+				}
+			}
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s exports\n  %v\nthe reviewed surface is\n  %v", dir, got, want)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -78,7 +79,7 @@ func TestMatchTraceOff(t *testing.T) {
 	}
 }
 
-// TestMatchTraceFilterStages checks that a sequential run surfaces the
+// TestMatchTraceFilterStages checks that a one-worker run surfaces the
 // filter's internal stages as children of the filter span.
 func TestMatchTraceFilterStages(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -103,10 +104,11 @@ func TestMatchTraceFilterStages(t *testing.T) {
 	}
 }
 
-// TestParallelPreprocessFilterTrace closes the observability gap where
-// only sequential preprocessing reported filter stage children: under
-// Workers > 1 every filter method must surface its stage children AND
-// one worker-N child per preprocessing worker on the filter span.
+// TestParallelPreprocessFilterTrace pins the filter span at one and at
+// four workers for every filter method: the stage children — and
+// Plan.Stages, EXPLAIN's raw material — are the same at both, name for
+// name and count for count; a one-worker span has no worker-N child; a
+// four-worker span has one per worker, tallying non-zero work.
 func TestParallelPreprocessFilterTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := testutil.RandomGraph(rng, 100, 400, 3)
@@ -114,35 +116,59 @@ func TestParallelPreprocessFilterTrace(t *testing.T) {
 	for _, m := range filter.Methods() {
 		cfg := PresetConfig(GraphQL, q, g)
 		cfg.Filter = m
-		plan, err := Preprocess(q, g, cfg, 4)
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		f := plan.Span.Child("filter")
-		if f == nil {
-			t.Fatalf("%v: no filter span", m)
-		}
-		wellNested(t, m.String(), plan.Span)
-		var stages, workers int
-		var work uint64
-		for _, c := range f.Children {
-			if strings.HasPrefix(c.Name, "worker-") {
-				workers++
-				if v, ok := c.Attr("work").(uint64); ok {
-					work += v
-				}
-			} else {
-				stages++
+		var oneWorker []filter.Stage
+		for _, n := range []int{1, 4} {
+			plan, err := Preprocess(q, g, cfg, n)
+			if err != nil {
+				t.Fatalf("%v/w%d: %v", m, n, err)
 			}
-		}
-		if stages == 0 {
-			t.Errorf("%v: parallel filter span has no stage children", m)
-		}
-		if workers == 0 {
-			t.Errorf("%v: parallel filter span has no worker children", m)
-		}
-		if work == 0 {
-			t.Errorf("%v: worker children tally zero work", m)
+			f := plan.Span.Child("filter")
+			if f == nil {
+				t.Fatalf("%v/w%d: no filter span", m, n)
+			}
+			wellNested(t, m.String(), plan.Span)
+			var stages []string
+			var workers int
+			var work uint64
+			for _, c := range f.Children {
+				if strings.HasPrefix(c.Name, "worker-") {
+					workers++
+					if v, ok := c.Attr("work").(uint64); ok {
+						work += v
+					}
+				} else {
+					stages = append(stages, c.Name)
+				}
+			}
+			if len(stages) != len(plan.Stages) || len(stages) == 0 {
+				t.Fatalf("%v/w%d: stage children %v for %d plan stages", m, n, stages, len(plan.Stages))
+			}
+			for i, st := range plan.Stages {
+				if stages[i] != st.Name {
+					t.Errorf("%v/w%d: stage child %d is %q, plan stage %q", m, n, i, stages[i], st.Name)
+				}
+			}
+			if n == 1 {
+				oneWorker = plan.Stages
+				if workers != 0 {
+					t.Errorf("%v/w1: one-worker filter span has %d worker children", m, workers)
+				}
+				continue
+			}
+			if workers != n || work == 0 {
+				t.Errorf("%v/w%d: %d worker children tallying %d work", m, n, workers, work)
+			}
+			if len(plan.Stages) != len(oneWorker) {
+				t.Fatalf("%v/w%d: %d stages, one worker had %d", m, n, len(plan.Stages), len(oneWorker))
+			}
+			for i, st := range plan.Stages {
+				if st.Name != oneWorker[i].Name || st.Candidates != oneWorker[i].Candidates ||
+					!slices.Equal(st.Counts, oneWorker[i].Counts) {
+					t.Errorf("%v/w%d: stage %d (%s, %d, %v) != one-worker (%s, %d, %v)", m, n, i,
+						st.Name, st.Candidates, st.Counts,
+						oneWorker[i].Name, oneWorker[i].Candidates, oneWorker[i].Counts)
+				}
+			}
 		}
 	}
 }

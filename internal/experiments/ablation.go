@@ -42,7 +42,10 @@ func Ablation(env Env) error {
 		var sumTime time.Duration
 		for _, q := range set.Queries {
 			t0 := time.Now()
-			cand := filter.RunGraphQL(q, g, rounds)
+			cand, _, err := filter.RunOpts(filter.GQL, q, g, filter.Options{GQLRounds: rounds})
+			if err != nil {
+				return err
+			}
 			sumTime += time.Since(t0)
 			sumCand += filter.MeanCandidates(cand)
 		}
@@ -62,7 +65,10 @@ func Ablation(env Env) error {
 		var sumTime time.Duration
 		for _, q := range set.Queries {
 			t0 := time.Now()
-			cand := filter.RunGraphQLRadius(q, g, filter.DefaultGQLRounds, radius)
+			cand, _, err := filter.RunOpts(filter.GQL, q, g, filter.Options{GQLRadius: radius})
+			if err != nil {
+				return err
+			}
 			sumTime += time.Since(t0)
 			sumCand += filter.MeanCandidates(cand)
 		}

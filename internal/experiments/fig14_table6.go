@@ -52,7 +52,10 @@ func spectrum(q, g *graph.Graph, n int, seed int64, limits core.Limits) []time.D
 // methodTime evaluates one query with a named ordering method under the
 // same setup (GraphQL candidates feed the order, as in Section 5.3).
 func methodTime(q, g *graph.Graph, om order.Method, limits core.Limits) (time.Duration, bool) {
-	cand := filter.RunGraphQL(q, g, filter.DefaultGQLRounds)
+	cand, err := filter.Run(filter.GQL, q, g)
+	if err != nil {
+		return 0, false
+	}
 	if filter.AnyEmpty(cand) {
 		return 0, true
 	}

@@ -35,8 +35,8 @@ func runFilterOnce(m filter.Method, q, g *graph.Graph) (filterOutcome, error) {
 	switch m {
 	case filter.CFL:
 		if !filter.AnyEmpty(cand) {
-			tree := graph.NewBFSTree(q, filter.CFLRoot(q, g))
-			candspace.BuildTree(q, g, cand, tree.Parent)
+			tree := graph.NewBFSTree(q, filter.Root(filter.CFL, q, g, 1))
+			candspace.Build(q, g, cand, tree.Parent, 1)
 		}
 	case filter.CECI, filter.DPIso:
 		if !filter.AnyEmpty(cand) {

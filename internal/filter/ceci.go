@@ -3,11 +3,10 @@ package filter
 import (
 	"time"
 
-	"subgraphmatching/internal/bitset"
 	"subgraphmatching/internal/graph"
 )
 
-// RunCECI implements CECI's filtering (paper Section 3.1.1, Example 3.3):
+// runCECI implements CECI's filtering (paper Section 3.1.1, Example 3.3):
 //
 //  1. Construction and filtering along the BFS traversal order δ: C(u) is
 //     generated from C(u.p) with Generation Rule 3.1; whenever C(u) is
@@ -17,51 +16,49 @@ import (
 //  2. Refinement along the reverse of δ, pruning C(u) against its tree
 //     children only — the source of CECI's weaker pruning power in
 //     Figure 8.
-func RunCECI(q, g *graph.Graph) [][]uint32 {
-	root := CECIRoot(q, g)
-	return runCECIFrom(q, g, root, nil)
-}
-
-// runCECIFrom optionally records the two phases as trace stages:
-// "construct" (along δ with symmetric pruning) and "refine" (reverse-δ
-// against tree children).
-func runCECIFrom(q, g *graph.Graph, root graph.Vertex, tr *StageTrace) [][]uint32 {
+//
+// Trace stages: "construct" (along δ with symmetric pruning) and
+// "refine" (reverse-δ against tree children).
+func (s *state) runCECI(tr *StageTrace) {
 	stageStart := time.Now()
-	t := graph.NewBFSTree(q, root)
-	s := newState(q, g)
-	seen := bitset.New(g.NumVertices())
+	q := s.q
+	t := graph.NewBFSTree(q, Root(CECI, q, s.g, s.fr.Workers()))
 	pos := make([]int, q.NumVertices())
 	for i, u := range t.Order {
 		pos[u] = i
 	}
 
 	// Phase 1: construction along δ with symmetric backward pruning.
+	var ops []op
 	for i, u := range t.Order {
 		if i == 0 {
-			s.setCandidates(u, s.nlfCandidates(u))
+			ops = append(ops, op{kind: opScan, u: u, nlf: true})
 			continue
 		}
 		p := t.Parent[u]
-		s.generateFromParent(u, p, seen)
-		s.prune(p, u) // rule out parents' candidates with no child candidate
+		ops = append(ops,
+			op{kind: opGen, u: u, src: []graph.Vertex{p}},
+			op{kind: opPrune, u: p, src: []graph.Vertex{u}}) // rule out parents' candidates with no child candidate
 		for _, un := range q.Neighbors(u) {
 			if pos[un] < i && un != p { // backward non-tree edge
-				s.prune(u, un)
-				s.prune(un, u)
+				ops = append(ops,
+					op{kind: opPrune, u: u, src: []graph.Vertex{un}},
+					op{kind: opPrune, u: un, src: []graph.Vertex{u}})
 			}
 		}
 	}
-
+	s.run(ops)
 	stageStart = tr.add("construct", stageStart, s.cand)
 
-	// Phase 2: reverse-δ refinement against tree children.
+	// Phase 2: reverse-δ refinement against tree children only.
+	ops = ops[:0]
 	children := t.Children()
 	for i := len(t.Order) - 1; i >= 0; i-- {
 		u := t.Order[i]
-		for _, c := range children[u] {
-			s.prune(u, c)
+		if len(children[u]) > 0 {
+			ops = append(ops, op{kind: opPrune, u: u, src: children[u]})
 		}
 	}
+	s.run(ops)
 	tr.add("refine", stageStart, s.cand)
-	return s.result()
 }

@@ -3,11 +3,10 @@ package filter
 import (
 	"time"
 
-	"subgraphmatching/internal/bitset"
 	"subgraphmatching/internal/graph"
 )
 
-// RunCFL implements CFL's filtering (paper Section 3.1.1, Example 3.2):
+// runCFL implements CFL's filtering (paper Section 3.1.1, Example 3.2):
 //
 //  1. Generation, top-down along a BFS tree q_t of q: C(u) is generated
 //     from C(u.p) with Generation Rule 3.1 (each candidate must also pass
@@ -17,47 +16,53 @@ import (
 //     deeper BFS level.
 //
 // The compressed path index itself (edges between candidates of tree
-// edges) is materialized separately by candspace.BuildTree.
-func RunCFL(q, g *graph.Graph) [][]uint32 {
-	root := CFLRoot(q, g)
-	return runCFLFrom(q, g, root, nil)
-}
-
-// runCFLFrom optionally records the two phases as trace stages:
-// "generate" (top-down with backward pruning) and "refine" (bottom-up).
-func runCFLFrom(q, g *graph.Graph, root graph.Vertex, tr *StageTrace) [][]uint32 {
+// edges) is materialized separately by candspace.Build.
+//
+// Trace stages: "generate" (top-down with backward pruning) and
+// "refine" (bottom-up).
+func (s *state) runCFL(tr *StageTrace) {
 	stageStart := time.Now()
+	q := s.q
+	root := Root(CFL, q, s.g, s.fr.Workers())
 	t := graph.NewBFSTree(q, root)
-	s := newState(q, g)
-	seen := bitset.New(g.NumVertices())
-	visited := make([]bool, q.NumVertices())
 
 	// Phase 1: top-down generation with backward pruning.
+	var ops []op
+	visited := make([]bool, q.NumVertices())
 	for _, u := range t.Order {
 		if u == root {
-			s.setCandidates(u, s.nlfCandidates(u))
+			ops = append(ops, op{kind: opScan, u: u, nlf: true})
 		} else {
-			s.generateFromParent(u, t.Parent[u], seen)
+			ops = append(ops, op{kind: opGen, u: u, src: []graph.Vertex{t.Parent[u]}})
 			for _, un := range q.Neighbors(u) {
 				if visited[un] && un != t.Parent[u] {
-					s.prune(u, un)
-					s.prune(un, u)
+					ops = append(ops,
+						op{kind: opPrune, u: u, src: []graph.Vertex{un}},
+						op{kind: opPrune, u: un, src: []graph.Vertex{u}})
 				}
 			}
 		}
 		visited[u] = true
 	}
+	s.run(ops)
 	stageStart = tr.add("generate", stageStart, s.cand)
 
-	// Phase 2: bottom-up refinement against deeper neighbors.
+	// Phase 2: bottom-up refinement. Each vertex's prunes against its
+	// deeper neighbors are one op; a level only reads strictly deeper
+	// (earlier-refined) sets, so each level is one wave.
+	ops = ops[:0]
 	for i := len(t.Order) - 1; i >= 0; i-- {
 		u := t.Order[i]
+		var deeper []graph.Vertex
 		for _, un := range q.Neighbors(u) {
 			if t.Depth[un] > t.Depth[u] {
-				s.prune(u, un)
+				deeper = append(deeper, un)
 			}
 		}
+		if len(deeper) > 0 {
+			ops = append(ops, op{kind: opPrune, u: u, src: deeper})
+		}
 	}
+	s.run(ops)
 	tr.add("refine", stageStart, s.cand)
-	return s.result()
 }

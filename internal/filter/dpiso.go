@@ -7,86 +7,60 @@ import (
 	"subgraphmatching/internal/graph"
 )
 
-// RunDPIso implements DP-iso's filtering (paper Section 3.1.1, Example
+// runDPIso implements DP-iso's filtering (paper Section 3.1.1, Example
 // 3.4): every C(u) is initialized with LDF, then refined in `passes`
 // alternating sweeps. Odd-numbered sweeps walk the reverse of the BFS
 // order δ and prune C(u) against its forward neighbors (the first such
 // sweep also applies NLF); even-numbered sweeps walk δ and prune against
 // backward neighbors. The original paper uses passes = 3.
-func RunDPIso(q, g *graph.Graph, passes int) [][]uint32 {
-	root := DPIsoRoot(q, g)
-	return runDPIsoFrom(q, g, root, passes, nil)
-}
-
-// runDPIsoFrom optionally records trace stages: "init" for the LDF
-// initialization, then one "pass-<k>" per alternating refinement sweep.
-func runDPIsoFrom(q, g *graph.Graph, root graph.Vertex, passes int, tr *StageTrace) [][]uint32 {
-	stageStart := time.Now()
-	t := graph.NewBFSTree(q, root)
-	s := newState(q, g)
-	for u := 0; u < q.NumVertices(); u++ {
-		s.setCandidates(graph.Vertex(u), s.ldfCandidates(graph.Vertex(u)))
-	}
-	tr.add("init", stageStart, s.cand)
-	s.dpisoPassesTraced(t, passes, tr)
-	return s.result()
-}
-
-// dpisoPasses runs DP-iso's alternating refinement sweeps over already
-// initialized (LDF) candidate sets. The sweeps prune in sequence along
-// the BFS order — each depends on the previous removals — so both the
-// sequential and the parallel runner share this exact loop and differ
-// only in how the initialization was produced.
-func (s *state) dpisoPasses(t *graph.BFSTree, passes int) {
-	s.dpisoPassesTraced(t, passes, nil)
-}
-
-// dpisoPassesTraced is dpisoPasses with one trace stage per sweep.
-func (s *state) dpisoPassesTraced(t *graph.BFSTree, passes int, tr *StageTrace) {
+//
+// The root is chosen from the LDF sets just built — the argmin
+// Root(DPIso, …) computes, without scanning the pools a second time.
+//
+// Trace stages: "init" for the LDF initialization, then one "pass-<k>"
+// per sweep.
+func (s *state) runDPIso(passes int, tr *StageTrace) {
 	stageStart := time.Now()
 	q := s.q
+	s.run(scanAll(q, false))
+	scores := make([]float64, q.NumVertices())
+	for u := range scores {
+		scores[u] = float64(len(s.cand[u])) / float64(q.Degree(graph.Vertex(u)))
+	}
+	t := graph.NewBFSTree(q, argminRoot(scores))
+	stageStart = tr.add("init", stageStart, s.cand)
+
 	pos := make([]int, q.NumVertices())
 	for i, u := range t.Order {
 		pos[u] = i
 	}
+	// sweep emits one prune per vertex of order against its neighbors
+	// on the `forward` side of δ.
+	sweep := func(order []graph.Vertex, forward, nlf bool) []op {
+		var ops []op
+		for _, u := range order {
+			var src []graph.Vertex
+			for _, un := range q.Neighbors(u) {
+				if (pos[un] > pos[u]) == forward {
+					src = append(src, un)
+				}
+			}
+			if nlf || len(src) > 0 {
+				ops = append(ops, op{kind: opPrune, u: u, src: src, nlf: nlf})
+			}
+		}
+		return ops
+	}
+	reverse := make([]graph.Vertex, len(t.Order))
+	for i, u := range t.Order {
+		reverse[len(reverse)-1-i] = u
+	}
 	for pass := 0; pass < passes; pass++ {
 		if pass%2 == 0 {
-			// Reverse δ: prune against forward neighbors.
-			for i := len(t.Order) - 1; i >= 0; i-- {
-				u := t.Order[i]
-				if pass == 0 {
-					s.applyNLF(u)
-				}
-				for _, un := range q.Neighbors(u) {
-					if pos[un] > i {
-						s.prune(u, un)
-					}
-				}
-			}
+			s.run(sweep(reverse, true, pass == 0))
 		} else {
-			// Along δ: prune against backward neighbors.
-			for i, u := range t.Order {
-				for _, un := range q.Neighbors(u) {
-					if pos[un] < i {
-						s.prune(u, un)
-					}
-				}
-			}
+			s.run(sweep(t.Order, false, false))
 		}
 		stageStart = tr.add(fmt.Sprintf("pass-%d", pass+1), stageStart, s.cand)
 	}
-}
-
-// applyNLF removes the candidates of u failing the NLF condition.
-func (s *state) applyNLF(u graph.Vertex) {
-	c := s.cand[u]
-	kept := c[:0]
-	for _, v := range c {
-		if s.nlfOK(u, v) {
-			kept = append(kept, v)
-		} else {
-			s.member[u].Clear(v)
-		}
-	}
-	s.cand[u] = kept
 }

@@ -1,8 +1,11 @@
 package filter
 
 import (
-	"fmt"
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -12,19 +15,16 @@ import (
 	"subgraphmatching/internal/testutil"
 )
 
-// The differential harness for the parallel preprocessing pipeline: on
-// a grid of R-MAT/querygen fixtures it pins down exactly what is and
-// is not allowed to differ between the sequential and parallel runners.
+// The differential harness for the preprocessing pipeline: on a grid of
+// R-MAT/querygen fixtures it pins down that a worker count never changes
+// a result, and that the results are the ones the sequential runners
+// produced before the two paths were made one.
 //
-//   - For every filter and every worker count, the parallel candidate
-//     sets are byte-identical to the 1-worker parallel run (parallelism
-//     never changes results).
-//   - For every filter except GQL, the parallel run is also
-//     byte-identical to the sequential Run (only GQL's refinement
-//     changes iteration semantics).
-//   - GQL's Jacobi refinement keeps, per bounded round budget, a
-//     superset of the sequential Gauss–Seidel sets, and converges to
-//     exactly the same fix point.
+//   - For every filter, every parameter variant and every worker count,
+//     the candidate sets hash to the digest recorded from the parent
+//     commit's sequential code (parentDigests).
+//   - GQL is held to that like every other method: its refinement is
+//     Gauss–Seidel at query-vertex granularity at every worker count.
 
 var equivalenceWorkers = []int{1, 2, 4, 8}
 
@@ -39,9 +39,9 @@ func equivalenceGrid(t testing.TB) []equivFixture {
 	t.Helper()
 	var out []equivFixture
 	cells := []struct {
-		name    string
-		rc      rmat.Config
-		qc      querygen.Config
+		name string
+		rc   rmat.Config
+		qc   querygen.Config
 	}{
 		{
 			name: "skew85-dense6",
@@ -94,85 +94,117 @@ func assertSortedDeduped(t *testing.T, label string, cand [][]uint32) {
 	}
 }
 
-// isSupersetPerVertex reports whether sup[u] ⊇ sub[u] for every u (both
-// sorted).
-func isSupersetPerVertex(sup, sub [][]uint32) bool {
-	for u := range sub {
-		i := 0
-		for _, v := range sub[u] {
-			for i < len(sup[u]) && sup[u][i] < v {
-				i++
-			}
-			if i >= len(sup[u]) || sup[u][i] != v {
-				return false
-			}
+// digestVariants are the (method, parameters) points the parent digests
+// were recorded at: every method at its defaults, plus GQL rounds ∈
+// {1,3} and radius 2, DP-iso passes ∈ {1,4}.
+var digestVariants = []struct {
+	name string
+	m    Method
+	o    Options
+}{
+	{"LDF", LDF, Options{}},
+	{"NLF", NLF, Options{}},
+	{"GQL", GQL, Options{}},
+	{"GQL/rounds=1", GQL, Options{GQLRounds: 1}},
+	{"GQL/rounds=3", GQL, Options{GQLRounds: 3}},
+	{"GQL/radius=2", GQL, Options{GQLRadius: 2}},
+	{"CFL", CFL, Options{}},
+	{"CECI", CECI, Options{}},
+	{"DPiso", DPIso, Options{}},
+	{"DPiso/passes=1", DPIso, Options{DPIsoPasses: 1}},
+	{"DPiso/passes=4", DPIso, Options{DPIsoPasses: 4}},
+	{"STEADY", Steady, Options{}},
+}
+
+// parentDigests holds, per "fixture/variant", the FNV-64a digest of the
+// candidate sets of the fixture's queries (per set: length, then the
+// vertices, little-endian uint32s) as produced by the sequential
+// runners of commit 8bbdf91 — RunLDF, RunNLF, RunGraphQLRadius, RunCFL,
+// RunCECI, RunDPIso, RunSteady — the last commit that had them.
+var parentDigests = map[string]uint64{
+	"skew85-dense6/LDF":              0x888864be22d94fda,
+	"skew85-dense6/NLF":              0x29424922b499fd73,
+	"skew85-dense6/GQL":              0x794a7e476355feae,
+	"skew85-dense6/GQL/rounds=1":     0xb800e8a74238b3ee,
+	"skew85-dense6/GQL/rounds=3":     0x794a7e476355feae,
+	"skew85-dense6/GQL/radius=2":     0x794a7e476355feae,
+	"skew85-dense6/CFL":              0x3e9fad7ff7db691c,
+	"skew85-dense6/CECI":             0x3e9fad7ff7db691c,
+	"skew85-dense6/DPiso":            0x3e9fad7ff7db691c,
+	"skew85-dense6/DPiso/passes=1":   0xa067227508ef90ae,
+	"skew85-dense6/DPiso/passes=4":   0x3e9fad7ff7db691c,
+	"skew85-dense6/STEADY":           0x3e9fad7ff7db691c,
+	"uniform-sparse8/LDF":            0x517db779acc278d4,
+	"uniform-sparse8/NLF":            0x4e2d4abb41623cd0,
+	"uniform-sparse8/GQL":            0x235909d0eed19d02,
+	"uniform-sparse8/GQL/rounds=1":   0xa34f9ba85c9c7d27,
+	"uniform-sparse8/GQL/rounds=3":   0x73965d25b66762fa,
+	"uniform-sparse8/GQL/radius=2":   0x235909d0eed19d02,
+	"uniform-sparse8/CFL":            0x98ffc771b6189b3c,
+	"uniform-sparse8/CECI":           0xa62ce9b791f0513e,
+	"uniform-sparse8/DPiso":          0xef0438889d8611b2,
+	"uniform-sparse8/DPiso/passes=1": 0x89e93d3a823eab79,
+	"uniform-sparse8/DPiso/passes=4": 0x904af9c75b08506c,
+	"uniform-sparse8/STEADY":         0x904af9c75b08506c,
+	"fewlabels-any4/LDF":             0x095235bbc9061048,
+	"fewlabels-any4/NLF":             0xa452339880b19154,
+	"fewlabels-any4/GQL":             0x8070086e6f198376,
+	"fewlabels-any4/GQL/rounds=1":    0x8070086e6f198376,
+	"fewlabels-any4/GQL/rounds=3":    0x8070086e6f198376,
+	"fewlabels-any4/GQL/radius=2":    0x8070086e6f198376,
+	"fewlabels-any4/CFL":             0x8070086e6f198376,
+	"fewlabels-any4/CECI":            0x8070086e6f198376,
+	"fewlabels-any4/DPiso":           0x8070086e6f198376,
+	"fewlabels-any4/DPiso/passes=1":  0x0e2cecb2c045f042,
+	"fewlabels-any4/DPiso/passes=4":  0x8070086e6f198376,
+	"fewlabels-any4/STEADY":          0x8070086e6f198376,
+	"paper/LDF":                      0xacbb2553012c14b7,
+	"paper/NLF":                      0xacbb2553012c14b7,
+	"paper/GQL":                      0xd89e73860c602f50,
+	"paper/GQL/rounds=1":             0xd89e73860c602f50,
+	"paper/GQL/rounds=3":             0xd89e73860c602f50,
+	"paper/GQL/radius=2":             0xd89e73860c602f50,
+	"paper/CFL":                      0xd89e73860c602f50,
+	"paper/CECI":                     0xd89e73860c602f50,
+	"paper/DPiso":                    0xd89e73860c602f50,
+	"paper/DPiso/passes=1":           0xd89e73860c602f50,
+	"paper/DPiso/passes=4":           0xd89e73860c602f50,
+	"paper/STEADY":                   0xd89e73860c602f50,
+}
+
+// digestCandidates folds candidate sets into h: per set its length,
+// then its vertices, as little-endian uint32s.
+func digestCandidates(h hash.Hash64, cand [][]uint32) {
+	var b [4]byte
+	for _, c := range cand {
+		binary.LittleEndian.PutUint32(b[:], uint32(len(c)))
+		h.Write(b[:])
+		for _, v := range c {
+			binary.LittleEndian.PutUint32(b[:], v)
+			h.Write(b[:])
 		}
 	}
-	return true
 }
 
 func TestParallelFiltersMatchOneWorkerExactly(t *testing.T) {
 	for _, f := range equivalenceGrid(t) {
-		for qi, q := range f.queries {
-			for _, m := range Methods() {
-				name := fmt.Sprintf("%s/q%d/%v", f.name, qi, m)
-				seq, err := Run(m, q, f.g)
-				if err != nil {
-					t.Fatalf("%s: sequential: %v", name, err)
-				}
-				base, err := RunParallel(m, q, f.g, 1)
-				if err != nil {
-					t.Fatalf("%s: workers=1: %v", name, err)
-				}
-				assertSortedDeduped(t, name, base)
-				for _, w := range equivalenceWorkers[1:] {
-					got, err := RunParallel(m, q, f.g, w)
-					if err != nil {
-						t.Fatalf("%s: workers=%d: %v", name, w, err)
-					}
-					if !reflect.DeepEqual(got, base) {
-						t.Fatalf("%s: workers=%d differs from workers=1:\n got %v\nwant %v",
-							name, w, got, base)
-					}
-				}
-				if m == GQL {
-					// Jacobi within the bounded default budget may lag the
-					// in-place removals by up to one round: superset only.
-					if !isSupersetPerVertex(base, seq) {
-						t.Fatalf("%s: Jacobi sets not a superset of Gauss–Seidel:\njacobi %v\ngauss  %v",
-							name, base, seq)
-					}
-				} else if !reflect.DeepEqual(base, seq) {
-					t.Fatalf("%s: parallel differs from sequential:\n got %v\nwant %v", name, base, seq)
-				}
+		for _, v := range digestVariants {
+			name := f.name + "/" + v.name
+			want, ok := parentDigests[name]
+			if !ok {
+				t.Fatalf("%s: no parent digest recorded", name)
 			}
-		}
-	}
-}
-
-// TestGraphQLJacobiVsGaussSeidelRounds pins the per-round relationship:
-// after any bounded round budget the Jacobi sets contain the
-// Gauss–Seidel sets, and with the budget lifted (running both to
-// convergence) they are identical.
-func TestGraphQLJacobiVsGaussSeidelRounds(t *testing.T) {
-	const convergedRounds = 64 // both runners break at the fix point long before this
-	for _, f := range equivalenceGrid(t) {
-		for qi, q := range f.queries {
-			name := fmt.Sprintf("%s/q%d", f.name, qi)
-			for rounds := 1; rounds <= 3; rounds++ {
-				gauss := RunGraphQL(q, f.g, rounds)
-				jacobi := RunGraphQLParallel(q, f.g, rounds, 4)
-				if !isSupersetPerVertex(jacobi, gauss) {
-					t.Fatalf("%s rounds=%d: Jacobi not a superset:\njacobi %v\ngauss  %v",
-						name, rounds, jacobi, gauss)
-				}
-			}
-			gauss := RunGraphQL(q, f.g, convergedRounds)
 			for _, w := range equivalenceWorkers {
-				jacobi := RunGraphQLParallel(q, f.g, convergedRounds, w)
-				if !reflect.DeepEqual(jacobi, gauss) {
-					t.Fatalf("%s workers=%d: fix points differ:\njacobi %v\ngauss  %v",
-						name, w, jacobi, gauss)
+				o := v.o
+				o.Workers = w
+				h := fnv.New64a()
+				for _, q := range f.queries {
+					cand := mustRun(t, v.m, q, f.g, o)
+					assertSortedDeduped(t, name, cand)
+					digestCandidates(h, cand)
+				}
+				if got := h.Sum64(); got != want {
+					t.Errorf("%s workers=%d: digest %#016x, parent's sequential run %#016x", name, w, got, want)
 				}
 			}
 		}
@@ -180,14 +212,25 @@ func TestGraphQLJacobiVsGaussSeidelRounds(t *testing.T) {
 }
 
 // TestSteadyParallelReachesSameFixPoint checks the strongest filter
-// separately: STEADY's fix point is order-independent, so the Jacobi
-// parallel runner must reproduce it bit for bit.
+// separately and without reference to a recorded run: at every worker
+// count the STEADY sets are the one-worker sets, and they are a fix
+// point of Filtering Rule 3.1 — every remaining candidate of u has a
+// neighbor among the candidates of every neighbor of u.
 func TestSteadyParallelReachesSameFixPoint(t *testing.T) {
 	for _, f := range equivalenceGrid(t) {
 		for qi, q := range f.queries {
-			want := RunSteady(q, f.g)
-			for _, w := range equivalenceWorkers {
-				got := RunSteadyParallel(q, f.g, w)
+			want := mustRun(t, Steady, q, f.g, Options{})
+			for u, c := range want {
+				for _, v := range c {
+					for _, up := range q.Neighbors(graph.Vertex(u)) {
+						if !slices.ContainsFunc(f.g.Neighbors(v), func(w uint32) bool { return containsVertex(want[up], w) }) {
+							t.Fatalf("%s/q%d: v%d ∈ C(u%d) has no neighbor in C(u%d): not a fix point", f.name, qi, v, u, up)
+						}
+					}
+				}
+			}
+			for _, w := range equivalenceWorkers[1:] {
+				got := mustRun(t, Steady, q, f.g, Options{Workers: w})
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s/q%d workers=%d: steady fix points differ", f.name, qi, w)
 				}
@@ -196,17 +239,23 @@ func TestSteadyParallelReachesSameFixPoint(t *testing.T) {
 	}
 }
 
-// TestDPIsoParallelMatchesSequential locks the refactored root
-// selection: RunDPIsoParallel derives the root from the already-built
-// LDF sets and must agree with RunDPIso (which calls DPIsoRoot) on
-// every fixture and pass count.
+// TestDPIsoParallelMatchesSequential covers the pass counts the parent
+// digests do not (the digests pin passes 1, 3 and 4 to the sequential
+// runner that asked DPIsoRoot for its root; the filter now derives the
+// root from the LDF sets it has just built): every pass count and
+// worker count returns the one-worker sets, and Root(DPIso, …) — what
+// the ordering asks — is the same vertex at every worker count.
 func TestDPIsoParallelMatchesSequential(t *testing.T) {
 	for _, f := range equivalenceGrid(t) {
 		for qi, q := range f.queries {
+			root := Root(DPIso, q, f.g, 1)
 			for _, passes := range []int{1, 3, 5} {
-				want := RunDPIso(q, f.g, passes)
-				for _, w := range equivalenceWorkers {
-					got := RunDPIsoParallel(q, f.g, passes, w)
+				want := mustRun(t, DPIso, q, f.g, Options{DPIsoPasses: passes})
+				for _, w := range equivalenceWorkers[1:] {
+					if got := Root(DPIso, q, f.g, w); got != root {
+						t.Fatalf("%s/q%d workers=%d: Root(DPIso) = u%d, one worker says u%d", f.name, qi, w, got, root)
+					}
+					got := mustRun(t, DPIso, q, f.g, Options{DPIsoPasses: passes, Workers: w})
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s/q%d passes=%d workers=%d: differs", f.name, qi, passes, w)
 					}
@@ -221,8 +270,8 @@ func TestDPIsoParallelMatchesSequential(t *testing.T) {
 // fans out over an empty frontier and the backward cascade empties the
 // ancestors. Query: path u0(A)-u1(B)-u2(C)-u3(A); data: path
 // v0(A)-v1(B)-v2(C), where v2's degree is too small for u2, so C(u2)
-// dies during generation with a whole level still below it. The
-// parallel runners must agree with the sequential ones bit for bit and
+// dies during generation with a whole level still below it. Every
+// worker count must agree with the reference filter bit for bit and
 // must not panic on the empty waves.
 func TestTreeFiltersEmptyMidLevel(t *testing.T) {
 	mk := func(labels []graph.Label, edges [][2]graph.Vertex) *graph.Graph {
@@ -242,9 +291,9 @@ func TestTreeFiltersEmptyMidLevel(t *testing.T) {
 	q := mk([]graph.Label{0, 1, 2, 0}, [][2]graph.Vertex{{0, 1}, {1, 2}, {2, 3}})
 	g := mk([]graph.Label{0, 1, 2}, [][2]graph.Vertex{{0, 1}, {1, 2}})
 	for _, m := range []Method{CFL, CECI} {
-		seq, err := Run(m, q, g)
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
+		seq := newRefFilter(q, g).cfl(Root(CFL, q, g, 1))
+		if m == CECI {
+			seq = newRefFilter(q, g).ceci(Root(CECI, q, g, 1))
 		}
 		empty := 0
 		for u := range seq {
@@ -256,12 +305,9 @@ func TestTreeFiltersEmptyMidLevel(t *testing.T) {
 			t.Fatalf("%v: fixture did not produce an empty candidate set: %v", m, seq)
 		}
 		for _, w := range equivalenceWorkers {
-			got, err := RunParallel(m, q, g, w)
-			if err != nil {
-				t.Fatalf("%v workers=%d: %v", m, w, err)
-			}
-			if !reflect.DeepEqual(got, seq) {
-				t.Fatalf("%v workers=%d: parallel differs on empty-level fixture:\n got %v\nwant %v",
+			got := mustRun(t, m, q, g, Options{Workers: w})
+			if !reflect.DeepEqual(emptyNotNil(got), emptyNotNil(seq)) {
+				t.Fatalf("%v workers=%d: differs from the reference on empty-level fixture:\n got %v\nwant %v",
 					m, w, got, seq)
 			}
 		}
@@ -269,25 +315,27 @@ func TestTreeFiltersEmptyMidLevel(t *testing.T) {
 }
 
 // TestRunParallelStatsTalliesWork sanity-checks the makespan
-// instrumentation: tallies must be non-empty for the parallelized
-// methods and sum to at least the total label-pool work of one scan.
+// instrumentation: every method reports one tally per worker (one entry
+// on a one-worker run) and a non-zero total.
 func TestRunParallelStatsTalliesWork(t *testing.T) {
 	f := equivalenceGrid(t)[0]
 	q := f.queries[0]
 	for _, m := range Methods() {
-		_, work, err := RunParallelStats(m, q, f.g, 4)
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if work == nil {
-			t.Fatalf("%v: nil tally from parallel run", m)
-		}
-		var total uint64
-		for _, w := range work {
-			total += w
-		}
-		if total == 0 {
-			t.Errorf("%v: zero work tallied", m)
+		for _, w := range []int{0, 1, 4} {
+			_, work, err := RunOpts(m, q, f.g, Options{Workers: w})
+			if err != nil {
+				t.Fatalf("%v: %v", m, err)
+			}
+			if len(work) != max(w, 1) {
+				t.Fatalf("%v workers=%d: tally %v, want one entry per worker", m, w, work)
+			}
+			var total uint64
+			for _, n := range work {
+				total += n
+			}
+			if total == 0 {
+				t.Errorf("%v workers=%d: zero work tallied", m, w)
+			}
 		}
 	}
 }

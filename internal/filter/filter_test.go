@@ -14,6 +14,16 @@ import (
 // for the strong structural filters.
 var paperRefined = [][]uint32{{0}, {2, 4}, {3, 5}, {10, 12}}
 
+// mustRun is RunOpts without the tally, failing the test on an error.
+func mustRun(t testing.TB, m Method, q, g *graph.Graph, o Options) [][]uint32 {
+	t.Helper()
+	cand, _, err := RunOpts(m, q, g, o)
+	if err != nil {
+		t.Fatalf("RunOpts(%v, %+v): %v", m, o, err)
+	}
+	return cand
+}
+
 func TestLDFOnPaperExample(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
 	got := RunLDF(q, g)
@@ -26,7 +36,7 @@ func TestLDFOnPaperExample(t *testing.T) {
 
 func TestNLFOnPaperExample(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
-	got := RunNLF(q, g)
+	got := mustRun(t, NLF, q, g, Options{})
 	// NLF removes v8 from C(u3) (no B neighbor) and v7 never qualifies.
 	want := [][]uint32{{0}, {2, 4, 6}, {1, 3, 5}, {10, 12}}
 	if !reflect.DeepEqual(got, want) {
@@ -36,7 +46,7 @@ func TestNLFOnPaperExample(t *testing.T) {
 
 func TestGraphQLOnPaperExample(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
-	got := RunGraphQL(q, g, DefaultGQLRounds)
+	got := mustRun(t, GQL, q, g, Options{})
 	// Example 3.1: v1 is removed from C(u2) by the semi-perfect matching
 	// test; v6 falls for the same reason (no candidate neighbor for u2).
 	if !reflect.DeepEqual(got, paperRefined) {
@@ -46,10 +56,10 @@ func TestGraphQLOnPaperExample(t *testing.T) {
 
 func TestCFLOnPaperExample(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
-	if root := CFLRoot(q, g); root != 0 {
-		t.Fatalf("CFLRoot = u%d, want u0 (as in Example 3.2)", root)
+	if root := Root(CFL, q, g, 1); root != 0 {
+		t.Fatalf("Root(CFL) = u%d, want u0 (as in Example 3.2)", root)
 	}
-	got := RunCFL(q, g)
+	got := mustRun(t, CFL, q, g, Options{})
 	// Example 3.2: generation removes v6 via non-tree edge e(u1,u2);
 	// bottom-up refinement removes v1 (no neighbor in C(u3)).
 	if !reflect.DeepEqual(got, paperRefined) {
@@ -59,10 +69,10 @@ func TestCFLOnPaperExample(t *testing.T) {
 
 func TestCECIOnPaperExample(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
-	if root := CECIRoot(q, g); root != 0 {
-		t.Fatalf("CECIRoot = u%d, want u0 (as in Example 3.3)", root)
+	if root := Root(CECI, q, g, 1); root != 0 {
+		t.Fatalf("Root(CECI) = u%d, want u0 (as in Example 3.3)", root)
 	}
-	got := RunCECI(q, g)
+	got := mustRun(t, CECI, q, g, Options{})
 	if !reflect.DeepEqual(got, paperRefined) {
 		t.Errorf("CECI = %v, want %v", got, paperRefined)
 	}
@@ -70,10 +80,10 @@ func TestCECIOnPaperExample(t *testing.T) {
 
 func TestDPIsoOnPaperExample(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
-	if root := DPIsoRoot(q, g); root != 0 {
-		t.Fatalf("DPIsoRoot = u%d, want u0 (as in Example 3.4)", root)
+	if root := Root(DPIso, q, g, 1); root != 0 {
+		t.Fatalf("Root(DPIso) = u%d, want u0 (as in Example 3.4)", root)
 	}
-	got := RunDPIso(q, g, DefaultDPIsoPasses)
+	got := mustRun(t, DPIso, q, g, Options{})
 	if !reflect.DeepEqual(got, paperRefined) {
 		t.Errorf("DPiso = %v, want %v", got, paperRefined)
 	}
@@ -81,7 +91,7 @@ func TestDPIsoOnPaperExample(t *testing.T) {
 
 func TestSteadyOnPaperExample(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
-	got := RunSteady(q, g)
+	got := mustRun(t, Steady, q, g, Options{})
 	if !reflect.DeepEqual(got, paperRefined) {
 		t.Errorf("STEADY = %v, want %v", got, paperRefined)
 	}
@@ -217,7 +227,7 @@ func TestSteadyIsTightestStructuralFilter(t *testing.T) {
 		if q == nil {
 			return true
 		}
-		steady := RunSteady(q, g)
+		steady := mustRun(t, Steady, q, g, Options{})
 		for _, m := range []Method{NLF, CFL, CECI, DPIso} {
 			cand, _ := Run(m, q, g)
 			for u := range steady {

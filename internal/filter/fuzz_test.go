@@ -72,25 +72,21 @@ func FuzzFilterSoundness(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%v: Run: %v", m, err)
 			}
-			par, err := RunParallel(m, q, g, workers)
-			if err != nil {
-				t.Fatalf("%v: RunParallel: %v", m, err)
-			}
-			// Beyond soundness: every method except GQL (Jacobi rounds)
-			// must reproduce the sequential sets exactly at any worker
-			// count — the wave-scheduled CFL/CECI replay included.
-			if m != GQL && !reflect.DeepEqual(par, seq) {
-				t.Fatalf("%v: parallel (workers=%d) differs from sequential:\n got %v\nwant %v",
+			par := mustRun(t, m, q, g, Options{Workers: workers})
+			// Beyond soundness: every method must reproduce the
+			// one-worker sets exactly at any worker count.
+			if !reflect.DeepEqual(par, seq) {
+				t.Fatalf("%v: workers=%d differs from one worker:\n got %v\nwant %v",
 					m, workers, par, seq)
 			}
 			for _, emb := range truth {
 				for u, v := range emb {
 					if !containsVertex(seq[u], uint32(v)) {
-						t.Fatalf("%v: sequential C(u%d)=%v drops matched vertex %d (embedding %v)",
+						t.Fatalf("%v: one-worker C(u%d)=%v drops matched vertex %d (embedding %v)",
 							m, u, seq[u], v, emb)
 					}
 					if !containsVertex(par[u], uint32(v)) {
-						t.Fatalf("%v: parallel C(u%d)=%v drops matched vertex %d (embedding %v)",
+						t.Fatalf("%v: multi-worker C(u%d)=%v drops matched vertex %d (embedding %v)",
 							m, u, par[u], v, emb)
 					}
 				}

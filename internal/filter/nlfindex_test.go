@@ -250,11 +250,10 @@ func TestNLFIndexMatchesCounting(t *testing.T) {
 			continue
 		}
 		cases++
-		s := newState(q, g)
 		ref := newRefFilter(q, g)
 		for u := 0; u < q.NumVertices(); u++ {
 			for v := 0; v < g.NumVertices(); v++ {
-				got, want := s.nlfOK(graph.Vertex(u), uint32(v)), ref.nlfOK(graph.Vertex(u), uint32(v))
+				got, want := nlfOK(q, g, graph.Vertex(u), uint32(v)), ref.nlfOK(graph.Vertex(u), uint32(v))
 				if got != want {
 					t.Fatalf("seed %d: nlfOK(u%d, v%d) = %v, counting says %v", seed, u, v, got, want)
 				}
@@ -279,10 +278,10 @@ func TestNLFIndexMatchesCounting(t *testing.T) {
 			}
 			return cand
 		}
-		check("RunNLF", RunNLF(q, g), newRefFilter(q, g).nlf())
+		check("Run(NLF)", run(NLF), newRefFilter(q, g).nlf())
 		check("Run(GQL)", run(GQL), newRefFilter(q, g).gql(DefaultGQLRounds))
-		check("Run(CFL)", run(CFL), newRefFilter(q, g).cfl(CFLRoot(q, g)))
-		check("Run(CECI)", run(CECI), newRefFilter(q, g).ceci(CECIRoot(q, g)))
+		check("Run(CFL)", run(CFL), newRefFilter(q, g).cfl(Root(CFL, q, g, 1)))
+		check("Run(CECI)", run(CECI), newRefFilter(q, g).ceci(Root(CECI, q, g, 1)))
 	}
 	if accepted == 0 || rejected == 0 {
 		t.Fatalf("degenerate corpus: %d checks accepted, %d rejected", accepted, rejected)
@@ -299,13 +298,12 @@ func TestNLFIndexRequirementBoundary(t *testing.T) {
 	)
 	// Query: a hub with two label-7 leaves.
 	q := graph.MustFromEdges([]graph.Label{9, 7, 7}, [][2]graph.Vertex{{0, 1}, {0, 2}})
-	s := newState(q, g)
 	for v, want := range []bool{false, true, true} {
-		if got := s.nlfOK(0, uint32(v)); got != want {
+		if got := nlfOK(q, g, 0, uint32(v)); got != want {
 			t.Errorf("nlfOK(hub, v%d) = %v, want %v", v, got, want)
 		}
 	}
-	if got, want := RunNLF(q, g)[0], []uint32{1, 2}; !reflect.DeepEqual(got, want) {
+	if got, want := mustRun(t, NLF, q, g, Options{})[0], []uint32{1, 2}; !reflect.DeepEqual(got, want) {
 		t.Errorf("C(hub) = %v, want %v", got, want)
 	}
 }

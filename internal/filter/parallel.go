@@ -1,438 +1,365 @@
 package filter
 
 import (
-	"fmt"
-	"math"
-	"time"
+	"slices"
 
 	"subgraphmatching/internal/bipartite"
+	"subgraphmatching/internal/bitset"
 	"subgraphmatching/internal/graph"
-	"subgraphmatching/internal/par"
 )
 
-// Parallel filtering. The per-query-vertex phases of the filters — LDF
-// and NLF candidate generation, GraphQL's profile-based local pruning,
-// DP-iso's LDF initialization — examine each (query vertex, data
-// vertex) pair independently, so they fan out over a worker pool: the
-// label pool of every query vertex is cut into index chunks, chunks are
-// distributed dynamically (package par), and the per-chunk outputs are
-// stitched back in chunk order, which keeps the result byte-identical
-// to a single-worker run.
+// One execution path. Every filtering method is a sequence of
+// operations on the candidate state — scan a label pool into C(u),
+// generate C(u) from C(parent) (Generation Rule 3.1), prune C(u)
+// against neighboring sets (Filtering Rule 3.1), or refine C(u) with
+// GraphQL's semi-perfect matching test — and the method files (cfl.go,
+// ceci.go, dpiso.go, graphql.go, filter.go) only spell out their
+// sequence. This file executes a sequence; there is no other executor,
+// and a one-worker run is the same code with every task inline on the
+// caller's goroutine (package par).
 //
-// GraphQL's global refinement and STEADY's fix-point pruning are not
-// independent per vertex: the sequential code removes candidates in
-// place, so each check sees the removals of the previous one
-// (Gauss–Seidel). The parallel runners instead refine in Jacobi rounds
-// against an immutable snapshot of the previous round's candidate sets:
-// all survivor sets for one round are computed concurrently, then the
-// removals are applied at a barrier, and only the query vertices with a
-// changed neighbor are re-checked in the next round (frontier). Within
-// a bounded round budget a Jacobi round prunes no more than a
-// Gauss–Seidel round (its snapshot is never smaller), so per round the
-// Jacobi sets are a superset of the sequential ones; iterated to the
-// fix point both orders converge to the same unique maximal consistent
-// sets, because the pruning conditions are monotone in the candidate
-// sets (chaotic iteration of a monotone decreasing operator).
-// equivalence_test.go pins down both properties.
+// The result is the one the operations produce when applied strictly
+// one after another, at every worker count. Parallelism is extracted
+// on two axes without changing it:
 //
-// CFL and CECI run their BFS-tree passes wave-scheduled (see
-// tree_parallel.go): their single-pass pruning sequences are replayed
-// exactly, so — unlike GQL — their parallel output is byte-identical
-// to the sequential one at every worker count.
+//   - within one operation, the input list is cut into index chunks
+//     that fan out as tasks; a candidate's fate depends only on sets the
+//     operation does not write (a check of v ∈ C(u) reads member[u′]
+//     for u′ ≠ u, never member[u]), so the chunks are independent and
+//     their outputs, stitched in chunk order, are the sequential output;
+//   - consecutive operations that touch disjoint state are packed into
+//     one "wave" and fan out together. Within a wave every task reads
+//     state frozen at the wave boundary; writes are applied in
+//     operation order at the post-wave barrier. An operation that
+//     reads state an earlier wave member writes starts the next wave,
+//     so each operation still observes exactly what the strictly
+//     sequential run would have. Consecutive prunes of one target fuse
+//     into one multi-source prune (sequential composition of prunes on
+//     a fixed target is the conjunction of their checks — the sources'
+//     sets are untouched by prunes of the target).
+//
+// The per-vertex scans of all query vertices are one wave, one BFS
+// level's generations read only the previous level's sets and become a
+// wave naturally, and GraphQL's refinement — Gauss–Seidel at
+// query-vertex granularity: refine C(u) for u in order, each seeing
+// the removals of the vertices before it — packs runs of mutually
+// non-adjacent query vertices.
 
-// genChunk is the number of label-pool vertices one generation task
-// scans. Small enough that a hub label's pool splits into many tasks
-// (load balance under label skew), large enough that the per-task
-// bookkeeping stays negligible.
-const genChunk = 256
+// scanChunk is the number of label-pool vertices one scan task examines
+// on a multi-worker run. Small enough that a hub label's pool splits
+// into many tasks (load balance under label skew), large enough that
+// the per-task bookkeeping stays negligible.
+const scanChunk = 256
 
-// refineChunk is the number of candidates one refinement task checks.
-const refineChunk = 128
+// candChunk is the number of candidates (parent candidates for
+// generation, own candidates for pruning and refinement) one task
+// handles on a multi-worker run. Waves over candidate lists are smaller
+// than the label-pool scans, so the chunk is finer to keep enough tasks
+// in flight per wave.
+const candChunk = 64
 
-// scratch is one worker's private mutable state. Everything the
-// per-task closures touch besides task-indexed output slots lives here.
+// scratch is one worker's private mutable state, allocated on first
+// use by the task that needs it: a dedup bitset for generation chunks
+// (tasks undo only the bits they set — a full Reset is O(|V(G)|/64) and
+// would dominate small chunks), the matcher of the semi-perfect
+// matching test, and the radius-r profilers of GraphQL's wide local
+// pruning.
 type scratch struct {
-	matcher *bipartite.Matcher
-	gProf   *profiler    // radius-r data-graph profiles (GQL, radius > 1)
-	qProf   *profiler    // radius-r query profiles
-	want    labelProfile // current task's query-side profile
+	seen         *bitset.Set
+	matcher      *bipartite.Matcher
+	gProf, qProf *profiler
 }
 
-func (s *state) newScratches(workers, radius int) []*scratch {
-	sc := make([]*scratch, workers)
-	for w := range sc {
-		sc[w] = &scratch{matcher: bipartite.NewMatcher(s.q.MaxDegree())}
-		if radius > 1 {
-			sc[w].gProf = newProfiler(s.g, radius)
-			sc[w].qProf = newProfiler(s.q, radius)
+type opKind uint8
+
+const (
+	// opScan overwrites C(u) with the vertices of u's label pool that
+	// pass the degree check and, when nlf is set, the NLF check (the
+	// radius-r profile check on a state with radius > 1).
+	opScan opKind = iota
+	// opGen overwrites C(u) by Generation Rule 3.1 from C(src[0]).
+	opGen
+	// opPrune keeps the v ∈ C(u) with a neighbor in C(u′) for every
+	// u′ ∈ src (Filtering Rule 3.1) that also pass NLF when nlf is set.
+	opPrune
+	// opMatch keeps the v ∈ C(u) whose neighborhood has a semi-perfect
+	// matching against src = N(u) (GraphQL, Observation 3.2).
+	opMatch
+)
+
+// op is one step of a method's operation sequence.
+type op struct {
+	kind opKind
+	u    graph.Vertex
+	src  []graph.Vertex
+	nlf  bool
+}
+
+// scanAll is the opening wave of most methods: one label-pool scan per
+// query vertex.
+func scanAll(q *graph.Graph, nlf bool) []op {
+	ops := make([]op, q.NumVertices())
+	for u := range ops {
+		ops[u] = op{kind: opScan, u: graph.Vertex(u), nlf: nlf}
+	}
+	return ops
+}
+
+// run executes the operation sequence with wave packing and reports
+// whether a prune or refinement removed any candidate. Writer tracking
+// is all the packing needs: an operation joins the current wave unless
+// it reads or writes a vertex's candidate state that an earlier wave
+// member writes (reads of unwritten state are free — they see the
+// frozen wave snapshot, which is exactly the pre-operation state the
+// strictly sequential run would read).
+func (s *state) run(ops []op) bool {
+	const (
+		free = iota
+		overwritten
+		filtered
+	)
+	written := make([]uint8, len(s.cand))
+	listRead := make([]bool, len(s.cand)) // a wave member generates from the vertex's list
+	slot := make([]int, len(s.cand))      // wave index of the filter op on a `filtered` vertex
+	var wave []op
+	removed := false
+	flush := func() {
+		if len(wave) > 0 {
+			removed = s.runWave(wave) || removed
+			wave = wave[:0]
 		}
+		clear(written)
+		clear(listRead)
 	}
-	return sc
-}
-
-// RunParallel executes method m with its default parameters across
-// `workers` goroutines. The result is deterministic: identical for
-// every workers value, including 1. For every method except GQL it is
-// also byte-identical to the sequential Run — CFL and CECI replay
-// their sequential operation sequence wave-scheduled (tree_parallel.go).
-// GQL's global refinement runs in Jacobi rounds (see the package
-// comment above), which within the default round budget prunes a
-// superset of the sequential Gauss–Seidel sets — still sound and
-// complete, just up to one round behind.
-func RunParallel(m Method, q, g *graph.Graph, workers int) ([][]uint32, error) {
-	cand, _, err := RunParallelStats(m, q, g, workers)
-	return cand, err
-}
-
-// RunParallelStats is RunParallel returning also the per-worker work
-// tallies of the parallel phases (candidate vertices examined), the
-// input to par.MakespanBound. Every method reports a tally of length
-// `workers` (clamped to at least 1).
-func RunParallelStats(m Method, q, g *graph.Graph, workers int) ([][]uint32, []uint64, error) {
-	return RunParallelTraced(m, q, g, workers, nil)
-}
-
-// RunParallelTraced is RunParallelStats with per-stage instrumentation:
-// each method records the same stage names as its sequential RunTraced
-// counterpart (stage boundaries are the parallel barriers, so per-stage
-// candidate counts remain comparable across the two paths). tr may be
-// nil.
-func RunParallelTraced(m Method, q, g *graph.Graph, workers int, tr *StageTrace) ([][]uint32, []uint64, error) {
-	if q.NumVertices() == 0 {
-		return nil, nil, fmt.Errorf("filter: empty query graph")
-	}
-	if !q.IsConnected() {
-		return nil, nil, fmt.Errorf("filter: query graph must be connected")
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	tally := make([]uint64, workers)
-	start := time.Now()
-	switch m {
-	case LDF:
-		s := newState(q, g)
-		s.generateParallel(workers, tally, nil, func(sc *scratch, u graph.Vertex, v uint32) bool {
-			return s.g.Degree(v) >= s.q.Degree(u)
-		})
-		tr.add("ldf", start, s.cand)
-		return s.result(), tally, nil
-	case NLF:
-		s := newState(q, g)
-		s.generateParallel(workers, tally, nil, func(sc *scratch, u graph.Vertex, v uint32) bool {
-			return s.g.Degree(v) >= s.q.Degree(u) && s.nlfOK(u, v)
-		})
-		tr.add("nlf", start, s.cand)
-		return s.result(), tally, nil
-	case GQL:
-		return runGraphQLRadiusParallel(q, g, DefaultGQLRounds, 1, workers, tally, tr), tally, nil
-	case DPIso:
-		return runDPIsoParallel(q, g, DefaultDPIsoPasses, workers, tally, tr), tally, nil
-	case Steady:
-		return runSteadyParallel(q, g, workers, tally, tr), tally, nil
-	case CFL:
-		return runCFLParallel(q, g, CFLRootWorkers(q, g, workers), workers, tally, tr), tally, nil
-	case CECI:
-		return runCECIParallel(q, g, CECIRootWorkers(q, g, workers), workers, tally, tr), tally, nil
-	default:
-		return nil, nil, fmt.Errorf("filter: unknown method %v", m)
-	}
-}
-
-// RunGraphQLParallel is RunGraphQL with the local pruning fanned out
-// per query vertex and the global refinement run in frontier-based
-// Jacobi rounds across `workers` goroutines.
-func RunGraphQLParallel(q, g *graph.Graph, rounds, workers int) [][]uint32 {
-	return RunGraphQLRadiusParallel(q, g, rounds, 1, workers)
-}
-
-// RunGraphQLRadiusParallel is the parallel form of RunGraphQLRadius.
-// The output is identical for every workers value; relative to the
-// sequential (Gauss–Seidel) refinement each bounded round keeps a
-// superset, with equality at the fix point.
-func RunGraphQLRadiusParallel(q, g *graph.Graph, rounds, radius, workers int) [][]uint32 {
-	cand, _ := RunGraphQLRadiusParallelStats(q, g, rounds, radius, workers, nil)
-	return cand
-}
-
-// RunGraphQLRadiusParallelStats is RunGraphQLRadiusParallel returning
-// also the per-worker work tallies and recording trace stages ("local",
-// then one "refine-<k>" per Jacobi round) into tr (may be nil).
-func RunGraphQLRadiusParallelStats(q, g *graph.Graph, rounds, radius, workers int, tr *StageTrace) ([][]uint32, []uint64) {
-	if workers < 1 {
-		workers = 1
-	}
-	tally := make([]uint64, workers)
-	return runGraphQLRadiusParallel(q, g, rounds, radius, workers, tally, tr), tally
-}
-
-func runGraphQLRadiusParallel(q, g *graph.Graph, rounds, radius, workers int, tally []uint64, tr *StageTrace) [][]uint32 {
-	start := time.Now()
-	s := newState(q, g)
-	if radius <= 1 {
-		s.generateParallel(workers, tally, nil, func(sc *scratch, u graph.Vertex, v uint32) bool {
-			return s.g.Degree(v) >= s.q.Degree(u) && s.nlfOK(u, v)
-		})
-	} else {
-		s.generateParallel(workers, tally, &radius, func(sc *scratch, u graph.Vertex, v uint32) bool {
-			if s.g.Degree(v) < s.q.Degree(u) {
-				return false
-			}
-			return sc.gProf.covers(s.g, v, sc.want)
-		})
-	}
-	for u := 0; u < q.NumVertices(); u++ {
-		s.rebuildMember(graph.Vertex(u))
-	}
-	tr.add("local", start, s.cand)
-	s.refineJacobi(rounds, workers, tally, tr, "refine-%d", func(sc *scratch, u graph.Vertex, qn []graph.Vertex, v uint32) bool {
-		return s.semiPerfect(sc.matcher, qn, v)
-	})
-	return s.result()
-}
-
-// RunDPIsoParallel is the parallel form of RunDPIso: the LDF
-// initialization (the per-candidate scan that dominates DP-iso's filter
-// time) fans out per query vertex, and the root is chosen from the
-// already-computed candidate sizes — the same argmin DPIsoRoot
-// computes, without scanning the pools a second time. The alternating
-// refinement sweeps are order-dependent and stay sequential, so the
-// output is byte-identical to RunDPIso for every workers value.
-func RunDPIsoParallel(q, g *graph.Graph, passes, workers int) [][]uint32 {
-	cand, _ := RunDPIsoParallelStats(q, g, passes, workers, nil)
-	return cand
-}
-
-// RunDPIsoParallelStats is RunDPIsoParallel returning also the
-// per-worker work tallies and recording trace stages ("init", then one
-// "pass-<k>" per sweep) into tr (may be nil).
-func RunDPIsoParallelStats(q, g *graph.Graph, passes, workers int, tr *StageTrace) ([][]uint32, []uint64) {
-	if workers < 1 {
-		workers = 1
-	}
-	tally := make([]uint64, workers)
-	return runDPIsoParallel(q, g, passes, workers, tally, tr), tally
-}
-
-func runDPIsoParallel(q, g *graph.Graph, passes, workers int, tally []uint64, tr *StageTrace) [][]uint32 {
-	start := time.Now()
-	s := newState(q, g)
-	s.generateParallel(workers, tally, nil, func(sc *scratch, u graph.Vertex, v uint32) bool {
-		return s.g.Degree(v) >= s.q.Degree(u)
-	})
-	// DPIsoRoot's rule on the sets just built: argmin |C_LDF(u)| / d(u),
-	// first minimum wins.
-	root := graph.Vertex(0)
-	bestScore := -1.0
-	for u := 0; u < q.NumVertices(); u++ {
-		uu := graph.Vertex(u)
-		score := float64(len(s.cand[u])) / float64(q.Degree(uu))
-		if bestScore < 0 || score < bestScore {
-			root, bestScore = uu, score
-		}
-	}
-	for u := 0; u < q.NumVertices(); u++ {
-		s.rebuildMember(graph.Vertex(u))
-	}
-	tr.add("init", start, s.cand)
-	s.dpisoPassesTraced(graph.NewBFSTree(q, root), passes, tr)
-	return s.result()
-}
-
-// RunSteadyParallel is the parallel form of RunSteady: NLF generation
-// fans out per query vertex and Filtering Rule 3.1 is iterated in
-// Jacobi rounds to the fix point. The fix point of the rule is the
-// unique maximal mutually-consistent candidate family regardless of
-// removal order, so the output is byte-identical to RunSteady.
-func RunSteadyParallel(q, g *graph.Graph, workers int) [][]uint32 {
-	if workers < 1 {
-		workers = 1
-	}
-	return runSteadyParallel(q, g, workers, make([]uint64, workers), nil)
-}
-
-func runSteadyParallel(q, g *graph.Graph, workers int, tally []uint64, tr *StageTrace) [][]uint32 {
-	start := time.Now()
-	s := newState(q, g)
-	s.generateParallel(workers, tally, nil, func(sc *scratch, u graph.Vertex, v uint32) bool {
-		return s.g.Degree(v) >= s.q.Degree(u) && s.nlfOK(u, v)
-	})
-	for u := 0; u < q.NumVertices(); u++ {
-		s.rebuildMember(graph.Vertex(u))
-	}
-	s.refineJacobi(math.MaxInt, workers, tally, nil, "", func(sc *scratch, u graph.Vertex, qn []graph.Vertex, v uint32) bool {
-		for _, up := range qn {
-			if !s.hasNeighborIn(v, up) {
-				return false
+	for _, o := range ops {
+		// Filter tasks partition C(u) in place, so they cannot share a
+		// wave with a generation walking that list (membership reads
+		// are fine: the bitmaps only change at the barrier).
+		conflict := (o.kind == opPrune || o.kind == opMatch) && listRead[o.u]
+		for _, p := range o.src {
+			if written[p] != free { // RAW on a source's candidates
+				conflict = true
+				break
 			}
 		}
-		return true
-	})
-	// The sequential RunSteady records one "fixpoint" stage; the Jacobi
-	// rounds converge to the same fix point, so one stage matches.
-	tr.add("fixpoint", start, s.cand)
-	return s.result()
-}
-
-// rebuildMember resyncs u's membership bitmap with cand[u].
-func (s *state) rebuildMember(u graph.Vertex) {
-	s.member[u].Reset()
-	for _, v := range s.cand[u] {
-		s.member[u].Set(v)
+		// A second write of u in one wave is only possible as a prune
+		// joining an earlier prune: both read C(u) as of the wave
+		// snapshot, which is what the sequential run reads only if
+		// nothing else wrote u in between.
+		fuse := o.kind == opPrune && written[o.u] == filtered && wave[slot[o.u]].kind == opPrune
+		if conflict || (written[o.u] != free && !fuse) {
+			flush()
+			fuse = false
+		}
+		if fuse {
+			w := &wave[slot[o.u]]
+			w.src = append(append([]graph.Vertex(nil), w.src...), o.src...)
+			w.nlf = w.nlf || o.nlf
+			continue
+		}
+		slot[o.u] = len(wave)
+		wave = append(wave, o)
+		switch o.kind {
+		case opScan:
+			written[o.u] = overwritten
+		case opGen:
+			written[o.u] = overwritten
+			listRead[o.src[0]] = true
+		default:
+			written[o.u] = filtered
+		}
 	}
+	flush()
+	return removed
 }
 
-type genTask struct {
-	u      graph.Vertex
-	lo, hi int // chunk of the label pool of u
+// task is one chunk of one wave operation's input list.
+type task struct {
+	op     int
+	lo, hi int
 }
 
-// generateParallel fills s.cand[u] for every query vertex by scanning
-// VerticesWithLabel(L(u)) in chunks with pred, stitching the per-chunk
-// survivors back in chunk order (pools are sorted, so the concatenation
-// is the sorted candidate set). Membership bitmaps are not touched;
-// callers that need them run rebuildMember afterwards. radius, when
-// non-nil and > 1, equips each worker with profilers and each task with
-// the query profile of its vertex (sc.want).
-func (s *state) generateParallel(workers int, tally []uint64, radius *int, pred func(sc *scratch, u graph.Vertex, v uint32) bool) {
-	q, g := s.q, s.g
-	var tasks []genTask
-	for u := 0; u < q.NumVertices(); u++ {
-		uu := graph.Vertex(u)
-		pool := len(g.VerticesWithLabel(q.Label(uu)))
-		for lo := 0; lo < pool; lo += genChunk {
-			hi := lo + genChunk
-			if hi > pool {
-				hi = pool
+// runWave fans one wave's operations out in chunk-sized tasks and
+// applies all writes at the barrier, in operation order. Tasks read
+// only candidate state as of wave entry (candidate lists are replaced
+// and member bitmaps mutated exclusively here, after the Wave call
+// returns; a filter task reorders its own chunk and nothing else), so
+// chunk outputs are independent of worker count and task order. On a
+// one-worker pool a task is its operation's whole list: nothing to
+// balance, nothing to stitch.
+func (s *state) runWave(wave []op) (removed bool) {
+	tasks := s.tasks[:0]
+	for i, o := range wave {
+		var n int
+		switch o.kind {
+		case opScan:
+			n = len(s.g.VerticesWithLabel(s.q.Label(o.u)))
+		case opGen:
+			n = len(s.cand[o.src[0]])
+		default:
+			n = len(s.cand[o.u])
+		}
+		chunk := n
+		if s.fr.Workers() > 1 {
+			chunk = candChunk
+			if o.kind == opScan {
+				chunk = scanChunk
 			}
-			tasks = append(tasks, genTask{u: uu, lo: lo, hi: hi})
 		}
-		if pool == 0 {
-			s.cand[u] = nil
+		for lo := 0; lo < n; lo += chunk {
+			tasks = append(tasks, task{op: i, lo: lo, hi: min(lo+chunk, n)})
 		}
 	}
-	r := 1
-	if radius != nil {
-		r = *radius
-	}
-	scratches := s.newScratches(workers, r)
-	outs := make([][]uint32, len(tasks))
-	work := par.Run(workers, len(tasks), func(w, t int) uint64 {
-		sc, task := scratches[w], tasks[t]
-		if sc.qProf != nil {
-			sc.want = sc.qProf.profile(q, task.u)
+	s.tasks = tasks
+	outs := make([][]uint32, len(tasks)) // scan/gen output, filter survivors (a prefix of the chunk)
+	s.fr.Wave(len(tasks), func(sc *scratch, t int) uint64 {
+		tk := tasks[t]
+		switch o := wave[tk.op]; o.kind {
+		case opScan:
+			outs[t] = s.scanChunk(sc, o, tk.lo, tk.hi)
+		case opGen:
+			outs[t] = s.genChunk(sc, o, tk.lo, tk.hi)
+		default:
+			outs[t] = s.filterChunk(sc, o, tk.lo, tk.hi)
 		}
-		pool := g.VerticesWithLabel(q.Label(task.u))[task.lo:task.hi]
-		var out []uint32
-		for _, v := range pool {
-			if pred(sc, task.u, v) {
+		return uint64(tk.hi - tk.lo)
+	})
+
+	// Barrier: apply in operation order. Tasks were emitted per op in
+	// ascending chunk order, so stitching concatenates chunk outputs.
+	t := 0
+	for i, o := range wave {
+		first := t
+		for t < len(tasks) && tasks[t].op == i {
+			t++
+		}
+		switch o.kind {
+		case opScan:
+			s.setCandidates(o.u, stitch(outs[first:t]))
+		case opGen:
+			// Chunks dedup locally (per-worker seen bitset) in discovery
+			// order; distinct chunks of C(parent) can still reach the
+			// same data vertex. The sorted union is C(u).
+			c := stitch(outs[first:t])
+			slices.Sort(c)
+			s.setCandidates(o.u, slices.Compact(c))
+		default:
+			// Each chunk now holds its survivors, then its removals:
+			// the bitmap loses the latter, the former close ranks.
+			c, n := s.cand[o.u], 0
+			for k := first; k < t; k++ {
+				for _, v := range c[tasks[k].lo+len(outs[k]) : tasks[k].hi] {
+					s.member[o.u].Clear(v)
+					removed = true
+				}
+				n += copy(c[n:], outs[k])
+			}
+			s.cand[o.u] = c[:n]
+		}
+	}
+	return removed
+}
+
+// stitch concatenates chunk outputs; a lone chunk is adopted as is.
+func stitch(chunks [][]uint32) []uint32 {
+	if len(chunks) == 1 {
+		return chunks[0]
+	}
+	n := 0
+	for _, c := range chunks {
+		n += len(c)
+	}
+	out := make([]uint32, 0, n)
+	for _, c := range chunks {
+		out = append(out, c...)
+	}
+	return out
+}
+
+// scanChunk runs one scan task over a chunk of u's label pool (sorted,
+// so the stitched survivors are the sorted candidate set).
+func (s *state) scanChunk(sc *scratch, o op, lo, hi int) []uint32 {
+	q, g, u := s.q, s.g, o.u
+	wide := o.nlf && s.radius > 1
+	var want labelProfile
+	if wide {
+		if sc.gProf == nil {
+			sc.gProf = newProfiler(g, s.radius)
+			sc.qProf = newProfiler(q, s.radius)
+		}
+		want = sc.qProf.profile(q, u)
+	}
+	var out []uint32
+	for _, v := range g.VerticesWithLabel(q.Label(u))[lo:hi] {
+		if g.Degree(v) < q.Degree(u) {
+			continue
+		}
+		if wide {
+			if !sc.gProf.covers(g, v, want) {
+				continue
+			}
+		} else if o.nlf && !nlfOK(q, g, u, v) {
+			continue
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+// genChunk runs one generation task: Generation Rule 3.1 over a chunk
+// of C(parent) — the LDF+NLF-passing neighbors of the chunk's
+// candidates. The seen bitset dedups within the chunk; only the
+// accepted vertices were marked, so clearing them restores the scratch
+// for the next task.
+func (s *state) genChunk(sc *scratch, o op, lo, hi int) []uint32 {
+	if sc.seen == nil {
+		sc.seen = bitset.New(s.g.NumVertices())
+	}
+	var out []uint32
+	for _, vp := range s.cand[o.src[0]][lo:hi] {
+		for _, v := range s.g.Neighbors(vp) {
+			if !sc.seen.Contains(v) && ldfOK(s.q, s.g, o.u, v) && nlfOK(s.q, s.g, o.u, v) {
+				sc.seen.Set(v)
 				out = append(out, v)
 			}
 		}
-		outs[t] = out
-		return uint64(task.hi - task.lo)
-	})
-	par.Accumulate(tally, work)
-	// Stitch: tasks were emitted per u in ascending chunk order.
-	for t := 0; t < len(tasks); {
-		u := tasks[t].u
-		var cand []uint32
-		for ; t < len(tasks) && tasks[t].u == u; t++ {
-			cand = append(cand, outs[t]...)
-		}
-		s.cand[u] = cand
 	}
+	for _, v := range out {
+		sc.seen.Clear(v)
+	}
+	return out
 }
 
-type refineTask struct {
-	u      graph.Vertex
-	lo, hi int // chunk of cand[u]
+// filterChunk runs one prune or refinement task over a chunk of C(u):
+// it partitions the chunk in place — survivors first, in order, then
+// the removals — and returns the survivors.
+func (s *state) filterChunk(sc *scratch, o op, lo, hi int) []uint32 {
+	if o.kind == opMatch && sc.matcher == nil {
+		sc.matcher = bipartite.NewMatcher(s.q.MaxDegree())
+	}
+	c := s.cand[o.u][lo:hi]
+	k := 0
+	for i, v := range c {
+		if s.keeps(sc, o, v) {
+			c[k], c[i] = c[i], c[k]
+			k++
+		}
+	}
+	return c[:k]
 }
 
-// refineJacobi iterates `rounds` Jacobi refinement rounds (or until no
-// candidate is removed) with the per-candidate survival check `keep`.
-// Within a round every check reads the immutable previous-round
-// snapshot — candidate membership bitmaps are only mutated at the
-// inter-round barrier — so the survivor sets are independent of worker
-// count and task order. Rounds re-check only the frontier: query
-// vertices with at least one neighbor that lost candidates in the
-// previous round. When stageFmt is non-empty, each round closes one
-// trace stage named fmt.Sprintf(stageFmt, round+1) on tr.
-func (s *state) refineJacobi(rounds, workers int, tally []uint64, tr *StageTrace, stageFmt string, keep func(sc *scratch, u graph.Vertex, qn []graph.Vertex, v uint32) bool) {
-	stageStart := time.Now()
-	q := s.q
-	n := q.NumVertices()
-	scratches := s.newScratches(workers, 1)
-	dirty := make([]bool, n)
-	for u := range dirty {
-		dirty[u] = true
+// keeps is the survival check of a filter operation for one candidate.
+func (s *state) keeps(sc *scratch, o op, v uint32) bool {
+	if o.kind == opMatch {
+		return s.semiPerfect(sc.matcher, o.src, v)
 	}
-	var tasks []refineTask
-	for round := 0; round < rounds; round++ {
-		tasks = tasks[:0]
-		for u := 0; u < n; u++ {
-			if !dirty[u] {
-				continue
-			}
-			for lo := 0; lo < len(s.cand[u]); lo += refineChunk {
-				hi := lo + refineChunk
-				if hi > len(s.cand[u]) {
-					hi = len(s.cand[u])
-				}
-				tasks = append(tasks, refineTask{u: graph.Vertex(u), lo: lo, hi: hi})
-			}
-		}
-		if len(tasks) == 0 {
-			break
-		}
-		kept := make([][]uint32, len(tasks))
-		removed := make([][]uint32, len(tasks))
-		work := par.Run(workers, len(tasks), func(w, t int) uint64 {
-			sc, task := scratches[w], tasks[t]
-			qn := q.Neighbors(task.u)
-			var k, r []uint32
-			for _, v := range s.cand[task.u][task.lo:task.hi] {
-				if keep(sc, task.u, qn, v) {
-					k = append(k, v)
-				} else {
-					r = append(r, v)
-				}
-			}
-			kept[t], removed[t] = k, r
-			return uint64(task.hi - task.lo)
-		})
-		par.Accumulate(tally, work)
-
-		// Barrier: apply the removals and compute the next frontier.
-		shrunk := make([]bool, n)
-		for t := 0; t < len(tasks); {
-			u := tasks[t].u
-			newCand := s.cand[u][:0]
-			for ; t < len(tasks) && tasks[t].u == u; t++ {
-				newCand = append(newCand, kept[t]...)
-				for _, v := range removed[t] {
-					s.member[u].Clear(v)
-					shrunk[u] = true
-				}
-			}
-			s.cand[u] = newCand
-		}
-		changed := false
-		for u := 0; u < n; u++ {
-			dirty[u] = false
-			for _, un := range q.Neighbors(graph.Vertex(u)) {
-				if shrunk[un] {
-					dirty[u] = true
-					changed = true
-					break
-				}
-			}
-		}
-		if stageFmt != "" {
-			stageStart = tr.add(fmt.Sprintf(stageFmt, round+1), stageStart, s.cand)
-		}
-		if !changed {
-			break
+	if o.nlf && !nlfOK(s.q, s.g, o.u, v) {
+		return false
+	}
+	for _, up := range o.src {
+		if !s.hasNeighborIn(v, up) {
+			return false
 		}
 	}
+	return true
 }

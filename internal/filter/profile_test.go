@@ -16,8 +16,8 @@ func TestGraphQLRadiusOneMatchesDefault(t *testing.T) {
 		if q == nil {
 			continue
 		}
-		a := RunGraphQL(q, g, DefaultGQLRounds)
-		b := RunGraphQLRadius(q, g, DefaultGQLRounds, 1)
+		a := mustRun(t, GQL, q, g, Options{})
+		b := mustRun(t, GQL, q, g, Options{GQLRadius: 1})
 		for u := range a {
 			if len(a[u]) != len(b[u]) {
 				t.Fatalf("radius-1 differs from default at u%d: %v vs %v", u, a[u], b[u])
@@ -34,8 +34,8 @@ func TestGraphQLRadiusTwoCompleteAndTighter(t *testing.T) {
 		if q == nil {
 			return true
 		}
-		r1 := RunGraphQLRadius(q, g, DefaultGQLRounds, 1)
-		r2 := RunGraphQLRadius(q, g, DefaultGQLRounds, 2)
+		r1 := mustRun(t, GQL, q, g, Options{GQLRadius: 1})
+		r2 := mustRun(t, GQL, q, g, Options{GQLRadius: 2})
 		// r=2 must prune at least as much as r=1.
 		for u := range r1 {
 			if !subsetOf(r2[u], r1[u]) {

@@ -1,31 +1,47 @@
 package filter
 
 import (
+	"fmt"
+
 	"subgraphmatching/internal/graph"
 	"subgraphmatching/internal/par"
 )
 
-// Root selection rules of the tree-based filters. Each is exported
-// because the corresponding ordering methods (package order) must use the
-// same deterministic root.
+// Root returns the BFS root the tree-based filter m (CFL, CECI or
+// DPIso) starts from. It is exported because the corresponding ordering
+// methods (package order) and the tree-shaped candidate space must use
+// the same deterministic root.
+//
+//   - CFL: among the (up to) three core vertices with minimum
+//     label-frequency/degree ratio, the one with the smallest NLF
+//     candidate set. Queries without a 2-core fall back to all vertices.
+//   - CECI: argmin |C_NLF(u)| / d(u).
+//   - DPIso: argmin |C_LDF(u)| / d(u).
 //
 // The dominant cost of every rule is sizing NLF/LDF candidate sets — one
-// label-frequency scan of the data graph per query vertex — so each rule
-// has a Workers form that fans the sizing out over internal/par and
-// reduces with a sequential argmin. The result is identical for every
-// worker count: the scores are written per task index and the tie-break
-// (lowest vertex id wins) lives entirely in the reduction.
-
-// CFLRoot picks CFL's start vertex: among the (up to) three core vertices
-// with minimum label-frequency/degree ratio, the one with the smallest
-// NLF candidate set. Queries without a 2-core fall back to all vertices.
-func CFLRoot(q, g *graph.Graph) graph.Vertex {
-	return CFLRootWorkers(q, g, 1)
+// scan of a label pool per query vertex — which fans out over `workers`
+// goroutines (≤ 1 = inline) and reduces with a sequential argmin. The
+// result is identical for every worker count: the sizes are written per
+// task index and the tie-break (lowest vertex id wins) lives entirely in
+// the reduction. Root panics for a method that has no root rule.
+func Root(m Method, q, g *graph.Graph, workers int) graph.Vertex {
+	switch m {
+	case CFL:
+		return cflRoot(q, g, workers)
+	case CECI, DPIso:
+		scores := make([]float64, q.NumVertices())
+		par.Run(workers, len(scores), func(_, t int) uint64 {
+			uu := graph.Vertex(t)
+			size := poolSize(q, g, uu, m == CECI)
+			scores[t] = float64(size) / float64(q.Degree(uu))
+			return uint64(size) + 1
+		})
+		return argminRoot(scores)
+	}
+	panic(fmt.Sprintf("filter: method %v has no root rule", m))
 }
 
-// CFLRootWorkers is CFLRoot with the NLF candidate-set sizing of the top
-// ranked vertices fanned out over `workers` goroutines.
-func CFLRootWorkers(q, g *graph.Graph, workers int) graph.Vertex {
+func cflRoot(q, g *graph.Graph, workers int) graph.Vertex {
 	core := q.TwoCore()
 	pool := make([]graph.Vertex, 0, q.NumVertices())
 	for u := 0; u < q.NumVertices(); u++ {
@@ -52,10 +68,9 @@ func CFLRootWorkers(q, g *graph.Graph, workers int) graph.Vertex {
 			top = top[:3]
 		}
 	}
-	s := newState(q, g)
 	sizes := make([]int, len(top))
 	par.Run(workers, len(top), func(_, t int) uint64 {
-		sizes[t] = len(s.nlfCandidates(top[t]))
+		sizes[t] = poolSize(q, g, top[t], true)
 		return uint64(sizes[t]) + 1
 	})
 	best := top[0]
@@ -68,44 +83,15 @@ func CFLRootWorkers(q, g *graph.Graph, workers int) graph.Vertex {
 	return best
 }
 
-// CECIRoot picks CECI's start vertex: argmin |C_NLF(u)| / d(u).
-func CECIRoot(q, g *graph.Graph) graph.Vertex {
-	return CECIRootWorkers(q, g, 1)
-}
-
-// CECIRootWorkers is CECIRoot with the per-vertex NLF sizing fanned out
-// over `workers` goroutines.
-func CECIRootWorkers(q, g *graph.Graph, workers int) graph.Vertex {
-	s := newState(q, g)
-	n := q.NumVertices()
-	scores := make([]float64, n)
-	par.Run(workers, n, func(_, t int) uint64 {
-		uu := graph.Vertex(t)
-		size := len(s.nlfCandidates(uu))
-		scores[t] = float64(size) / float64(q.Degree(uu))
-		return uint64(size) + 1
-	})
-	return argminRoot(scores)
-}
-
-// DPIsoRoot picks DP-iso's start vertex: argmin |C_LDF(u)| / d(u).
-func DPIsoRoot(q, g *graph.Graph) graph.Vertex {
-	return DPIsoRootWorkers(q, g, 1)
-}
-
-// DPIsoRootWorkers is DPIsoRoot with the per-vertex LDF sizing fanned
-// out over `workers` goroutines.
-func DPIsoRootWorkers(q, g *graph.Graph, workers int) graph.Vertex {
-	s := newState(q, g)
-	n := q.NumVertices()
-	scores := make([]float64, n)
-	par.Run(workers, n, func(_, t int) uint64 {
-		uu := graph.Vertex(t)
-		size := len(s.ldfCandidates(uu))
-		scores[t] = float64(size) / float64(q.Degree(uu))
-		return uint64(size) + 1
-	})
-	return argminRoot(scores)
+// poolSize is |C_LDF(u)|, or |C_NLF(u)| when nlf is set.
+func poolSize(q, g *graph.Graph, u graph.Vertex, nlf bool) int {
+	n := 0
+	for _, v := range g.VerticesWithLabel(q.Label(u)) {
+		if g.Degree(v) >= q.Degree(u) && (!nlf || nlfOK(q, g, u, v)) {
+			n++
+		}
+	}
+	return n
 }
 
 // argminRoot is the deterministic reduction shared by the root rules:

@@ -1,11 +1,6 @@
 package filter
 
-import (
-	"fmt"
-	"time"
-
-	"subgraphmatching/internal/graph"
-)
+import "time"
 
 // Stage records one internal stage of a filtering method: its name, how
 // long it took, and the candidate count across query vertices once it
@@ -22,8 +17,8 @@ type Stage struct {
 	Counts     []uint32
 }
 
-// StageTrace collects the stages of one filtering run. A nil trace
-// disables collection; the traced run paths check the pointer once per
+// StageTrace collects the stages of one filtering run (Options.Trace).
+// A nil trace disables collection; the run checks the pointer once per
 // stage boundary, so the cost of an untraced run is a nil compare.
 // PerVertex retains the per-query-vertex candidate counts at every stage
 // boundary (O(stages x |V(q)|) extra space, negligible next to the
@@ -58,61 +53,4 @@ func TotalCandidates(cand [][]uint32) uint64 {
 		n += uint64(len(c))
 	}
 	return n
-}
-
-// total is TotalCandidates over the state's live candidate sets.
-func (s *state) total() uint64 {
-	var n uint64
-	for _, c := range s.cand {
-		n += uint64(len(c))
-	}
-	return n
-}
-
-// RunTraced is Run with per-stage instrumentation: it executes method m
-// sequentially and appends each internal stage to tr (single-stage
-// methods record one entry). tr may be nil, in which case RunTraced
-// behaves exactly like Run.
-func RunTraced(m Method, q, g *graph.Graph, tr *StageTrace) ([][]uint32, error) {
-	if q.NumVertices() == 0 {
-		return nil, fmt.Errorf("filter: empty query graph")
-	}
-	if !q.IsConnected() {
-		return nil, fmt.Errorf("filter: query graph must be connected")
-	}
-	start := time.Now()
-	switch m {
-	case LDF:
-		c := RunLDF(q, g)
-		tr.add("ldf", start, c)
-		return c, nil
-	case NLF:
-		c := RunNLF(q, g)
-		tr.add("nlf", start, c)
-		return c, nil
-	case GQL:
-		return runGraphQLRadius(q, g, DefaultGQLRounds, 1, tr), nil
-	case CFL:
-		return runCFLFrom(q, g, CFLRoot(q, g), tr), nil
-	case CECI:
-		return runCECIFrom(q, g, CECIRoot(q, g), tr), nil
-	case DPIso:
-		return runDPIsoFrom(q, g, DPIsoRoot(q, g), DefaultDPIsoPasses, tr), nil
-	case Steady:
-		c := RunSteady(q, g)
-		tr.add("fixpoint", start, c)
-		return c, nil
-	default:
-		return nil, fmt.Errorf("filter: unknown method %v", m)
-	}
-}
-
-// RunGraphQLRadiusTraced is RunGraphQLRadius with stage collection.
-func RunGraphQLRadiusTraced(q, g *graph.Graph, rounds, radius int, tr *StageTrace) [][]uint32 {
-	return runGraphQLRadius(q, g, rounds, radius, tr)
-}
-
-// RunDPIsoTraced is RunDPIso with stage collection.
-func RunDPIsoTraced(q, g *graph.Graph, passes int, tr *StageTrace) [][]uint32 {
-	return runDPIsoFrom(q, g, DPIsoRoot(q, g), passes, tr)
 }

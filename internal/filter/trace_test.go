@@ -27,10 +27,7 @@ func TestRunTracedStages(t *testing.T) {
 	}
 	for _, m := range Methods() {
 		var tr StageTrace
-		got, err := RunTraced(m, q, g, &tr)
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
+		got := mustRun(t, m, q, g, Options{Trace: &tr})
 		plain, err := Run(m, q, g)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
@@ -71,10 +68,10 @@ func TestRunTracedStages(t *testing.T) {
 	}
 }
 
-// TestRunParallelTracedStages pins the parallel-path observability fix:
-// every filter method must report stage children and a non-nil per-worker
-// tally under Workers > 1 — previously CFL/CECI (and the GQL/DPIso/Steady
-// stats paths) delegated to sequential code or returned no trace at all.
+// TestRunParallelTracedStages pins stage-trace parity across worker
+// counts: every filter method reports its stages and a per-worker tally
+// under Workers > 1, and the stages match the one-worker trace name for
+// name and count for count (stage boundaries are the run's barriers).
 func TestRunParallelTracedStages(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := testutil.RandomGraph(rng, 120, 480, 3)
@@ -91,12 +88,12 @@ func TestRunParallelTracedStages(t *testing.T) {
 	}
 	for _, m := range Methods() {
 		var tr StageTrace
-		got, work, err := RunParallelTraced(m, q, g, 4, &tr)
+		got, work, err := RunOpts(m, q, g, Options{Workers: 4, Trace: &tr})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
-		if work == nil {
-			t.Fatalf("%v: nil tally", m)
+		if len(work) != 4 {
+			t.Fatalf("%v: tally %v, want one entry per worker", m, work)
 		}
 		want := wantStages[m]
 		if len(tr.Stages) < len(want) {
@@ -111,22 +108,17 @@ func TestRunParallelTracedStages(t *testing.T) {
 		if last.Candidates != TotalCandidates(got) {
 			t.Errorf("%v: final stage candidates %d != returned total %d", m, last.Candidates, TotalCandidates(got))
 		}
-		// The exact-replay methods must also match the sequential trace
-		// stage for stage — same names, same candidate counts after each.
-		if m == GQL {
-			continue // Jacobi rounds legitimately differ from Gauss–Seidel
-		}
+		// Every method matches the one-worker trace stage for stage —
+		// same names, same candidate counts after each.
 		var seq StageTrace
-		if _, err := RunTraced(m, q, g, &seq); err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
+		mustRun(t, m, q, g, Options{Trace: &seq})
 		if len(tr.Stages) != len(seq.Stages) {
-			t.Fatalf("%v: parallel %d stages, sequential %d", m, len(tr.Stages), len(seq.Stages))
+			t.Fatalf("%v: 4 workers %d stages, one worker %d", m, len(tr.Stages), len(seq.Stages))
 		}
 		for i := range tr.Stages {
 			if tr.Stages[i].Name != seq.Stages[i].Name ||
 				tr.Stages[i].Candidates != seq.Stages[i].Candidates {
-				t.Errorf("%v: stage %d parallel (%s, %d) != sequential (%s, %d)", m, i,
+				t.Errorf("%v: stage %d at 4 workers (%s, %d) != at one worker (%s, %d)", m, i,
 					tr.Stages[i].Name, tr.Stages[i].Candidates,
 					seq.Stages[i].Name, seq.Stages[i].Candidates)
 			}
@@ -140,10 +132,7 @@ func TestRunTracedNil(t *testing.T) {
 	g := testutil.RandomGraph(rng, 60, 200, 2)
 	q := testutil.RandomConnectedQuery(rng, g, 5)
 	for _, m := range Methods() {
-		a, err := RunTraced(m, q, g, nil)
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
+		a := mustRun(t, m, q, g, Options{Trace: nil})
 		b, _ := Run(m, q, g)
 		if len(a) != len(b) {
 			t.Fatalf("%v: mismatch", m)

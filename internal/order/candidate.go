@@ -52,15 +52,10 @@ func ComputeGQL(q *graph.Graph, cand [][]uint32) []graph.Vertex {
 }
 
 // ComputeCECI returns CECI's matching order: the BFS traversal of q from
-// CECI's root (argmin |C_NLF(u)|/d(u)).
-func ComputeCECI(q, g *graph.Graph) []graph.Vertex {
-	return ComputeCECIWorkers(q, g, 1)
-}
-
-// ComputeCECIWorkers is ComputeCECI with the root-selection NLF sizing
-// fanned out over `workers` goroutines (same order at every count).
-func ComputeCECIWorkers(q, g *graph.Graph, workers int) []graph.Vertex {
-	root := filter.CECIRootWorkers(q, g, workers)
+// CECI's root (argmin |C_NLF(u)|/d(u)), whose NLF sizing fans out over
+// `workers` goroutines (same order at every count).
+func ComputeCECI(q, g *graph.Graph, workers int) []graph.Vertex {
+	root := filter.Root(filter.CECI, q, g, workers)
 	t := graph.NewBFSTree(q, root)
 	return append([]graph.Vertex(nil), t.Order...)
 }
@@ -78,15 +73,11 @@ func ComputeCECIWorkers(q, g *graph.Graph, workers int) []graph.Vertex {
 // parent), so removing non-root degree-one vertices from the BFS order
 // keeps every remaining parent in the prefix, and each postponed leaf's
 // single neighbor precedes it.
-func ComputeDPIso(q, g *graph.Graph) []graph.Vertex {
-	return ComputeDPIsoWorkers(q, g, 1)
-}
-
-// ComputeDPIsoWorkers is ComputeDPIso with the root-selection LDF
-// sizing fanned out over `workers` goroutines (same order at every
-// count).
-func ComputeDPIsoWorkers(q, g *graph.Graph, workers int) []graph.Vertex {
-	root := filter.DPIsoRootWorkers(q, g, workers)
+//
+// The root selection's LDF sizing fans out over `workers` goroutines
+// (same order at every count).
+func ComputeDPIso(q, g *graph.Graph, workers int) []graph.Vertex {
+	root := filter.Root(filter.DPIso, q, g, workers)
 	t := graph.NewBFSTree(q, root)
 	if q.NumVertices() < 3 {
 		return append([]graph.Vertex(nil), t.Order...)

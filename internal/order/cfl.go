@@ -12,13 +12,14 @@ import (
 // candidate paths isomorphic to each P. The first path minimizes
 // c(P)/(|NT(P)|+1) where NT(P) are the non-tree edges adjacent to P;
 // subsequent paths minimize c(P^u)/|C(u)| where u is the path's
-// connection vertex to the current order.
-func ComputeCFL(q, g *graph.Graph, cand [][]uint32) []graph.Vertex {
+// connection vertex to the current order. The root selection's NLF
+// sizing fans out over `workers` goroutines (same order at every count).
+func ComputeCFL(q, g *graph.Graph, cand [][]uint32, workers int) []graph.Vertex {
 	n := q.NumVertices()
 	if n == 1 {
 		return []graph.Vertex{0}
 	}
-	root := filter.CFLRoot(q, g)
+	root := filter.Root(filter.CFL, q, g, workers)
 	t := graph.NewBFSTree(q, root)
 	children := t.Children()
 

@@ -81,17 +81,13 @@ func edgeSelectivity(space *candspace.Space, a, b graph.Vertex) float64 {
 // the method with the lowest estimated cost together with its order — a
 // light-weight automatic order chooser built on the study's finding that
 // no single ordering method dominates (Section 6).
-func Best(q, g *graph.Graph, cand [][]uint32, space *candspace.Space) (Method, []graph.Vertex, error) {
-	return BestWorkers(q, g, cand, space, 1)
-}
-
-// BestWorkers is Best with the per-method order computation and cost
-// probes fanned out over `workers` goroutines. Each method's (order,
-// cost) pair depends only on the method, so the fan-out is trivially
-// deterministic; the reduction scans methods in their canonical sequence
-// and keeps the first minimum, exactly like the sequential loop (the
-// first error in method order wins too).
-func BestWorkers(q, g *graph.Graph, cand [][]uint32, space *candspace.Space, workers int) (Method, []graph.Vertex, error) {
+//
+// The per-method order computation and cost probes fan out over
+// `workers` goroutines (≤ 1 = inline). Each method's (order, cost) pair
+// depends only on the method, so the fan-out is trivially deterministic;
+// the reduction scans methods in their canonical sequence and keeps the
+// first minimum (the first error in method order wins too).
+func Best(q, g *graph.Graph, cand [][]uint32, space *candspace.Space, workers int) (Method, []graph.Vertex, error) {
 	ms := Methods()
 	phis := make([][]graph.Vertex, len(ms))
 	costs := make([]float64, len(ms))

@@ -70,7 +70,7 @@ func TestBestReturnsValidOrder(t *testing.T) {
 			continue
 		}
 		space := candspace.BuildFull(q, g, cand)
-		m, phi, err := Best(q, g, cand, space)
+		m, phi, err := Best(q, g, cand, space, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ func TestOrdersDeterministic(t *testing.T) {
 		if q == nil {
 			continue
 		}
-		cand := filter.RunNLF(q, g)
+		cand, _ := filter.Run(filter.NLF, q, g)
 		for _, m := range Methods() {
 			a, err1 := Compute(m, q, g, cand)
 			b, err2 := Compute(m, q, g, cand)
@@ -43,7 +43,7 @@ func TestDPIsoPostponesDegreeOneVertices(t *testing.T) {
 		if q == nil {
 			continue
 		}
-		phi := ComputeDPIso(q, g)
+		phi := ComputeDPIso(q, g, 1)
 		if err := Validate(q, phi); err != nil {
 			t.Fatalf("invalid DPiso order: %v", err)
 		}

@@ -6,6 +6,11 @@ import (
 	"subgraphmatching/internal/par"
 )
 
+// dpWeightsMinFanout gates the per-level fan-out: levels with fewer
+// candidates than this run inline, because spawning goroutines per BFS
+// level costs more than the weight sums they would compute.
+const dpWeightsMinFanout = 64
+
 // BuildDPWeights builds DP-iso's weight array over the candidate space:
 // for each query vertex u and candidate v, an estimate of the number of
 // embeddings of the maximal tree-like path starting at u into the
@@ -19,23 +24,15 @@ import (
 // evaluated bottom-up along the reverse of delta. Leaves (no tree-like
 // children) have weight 1. The result indexes [queryVertex][candIdx] and
 // plugs into enumerate.Options.AdaptiveWeights.
-func BuildDPWeights(q *graph.Graph, space *candspace.Space, delta []graph.Vertex) [][]float64 {
-	return BuildDPWeightsWorkers(q, space, delta, 1)
-}
-
-// dpWeightsMinFanout gates the per-level fan-out: levels with fewer
-// candidates than this run inline, because spawning goroutines per BFS
-// level costs more than the weight sums they would compute.
-const dpWeightsMinFanout = 64
-
-// BuildDPWeightsWorkers is BuildDPWeights with each level's
-// per-candidate weight sums fanned out over `workers` goroutines. The
-// levels themselves stay sequential (level i reads the weights of every
-// deeper level), but within a level each candidate's weight depends only
-// on already-finished levels, so the output is byte-identical for every
-// worker count: w[ci] is a fixed-order product of fixed-order sums
-// regardless of which worker computes it.
-func BuildDPWeightsWorkers(q *graph.Graph, space *candspace.Space, delta []graph.Vertex, workers int) [][]float64 {
+//
+// Each level's per-candidate weight sums fan out over `workers`
+// goroutines (≤ 1 = inline). The levels themselves stay sequential
+// (level i reads the weights of every deeper level), but within a level
+// each candidate's weight depends only on already-finished levels, so
+// the output is byte-identical for every worker count: w[ci] is a
+// fixed-order product of fixed-order sums regardless of which worker
+// computes it.
+func BuildDPWeights(q *graph.Graph, space *candspace.Space, delta []graph.Vertex, workers int) [][]float64 {
 	n := q.NumVertices()
 	pos := make([]int, n)
 	for i, u := range delta {

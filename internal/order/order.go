@@ -63,16 +63,18 @@ func Methods() []Method { return []Method{QSI, GQL, CFL, CECI, DPIso, RI, VF2PP}
 // cand are consulted by the candidate-size-driven methods (GQL, CFL,
 // CECI, DPIso); the structure-only methods (QSI, RI, VF2PP) ignore them
 // and may receive nil.
-func Compute(m Method, q, g *graph.Graph, cand [][]uint32) ([]graph.Vertex, error) {
-	return ComputeWorkers(m, q, g, cand, 1)
-}
-
-// ComputeWorkers is Compute with the root-selection scans of the
-// BFS-rooted methods (CECI, DPIso) fanned out over `workers`
-// goroutines; the orders are identical for every workers value. The
+//
+// The optional trailing argument is a worker count (absent or ≤ 1 =
+// inline on the caller's goroutine): the root-selection scans of the
+// BFS-rooted methods (CFL, CECI, DPIso) fan out over that many
+// goroutines, and the orders are identical for every value. The
 // remaining methods are inherently sequential (greedy extensions) and
-// ignore workers.
-func ComputeWorkers(m Method, q, g *graph.Graph, cand [][]uint32, workers int) ([]graph.Vertex, error) {
+// ignore it.
+func Compute(m Method, q, g *graph.Graph, cand [][]uint32, workers ...int) ([]graph.Vertex, error) {
+	w := 1
+	if len(workers) > 0 {
+		w = workers[0]
+	}
 	if q.NumVertices() == 0 {
 		return nil, fmt.Errorf("order: empty query graph")
 	}
@@ -86,11 +88,11 @@ func ComputeWorkers(m Method, q, g *graph.Graph, cand [][]uint32, workers int) (
 	case GQL:
 		return ComputeGQL(q, cand), nil
 	case CFL:
-		return ComputeCFL(q, g, cand), nil
+		return ComputeCFL(q, g, cand, w), nil
 	case CECI:
-		return ComputeCECIWorkers(q, g, workers), nil
+		return ComputeCECI(q, g, w), nil
 	case DPIso:
-		return ComputeDPIsoWorkers(q, g, workers), nil
+		return ComputeDPIso(q, g, w), nil
 	case RI:
 		return ComputeRI(q), nil
 	case VF2PP:

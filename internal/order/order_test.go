@@ -12,7 +12,7 @@ import (
 
 func TestAllMethodsProduceValidOrders(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
-	cand := filter.RunNLF(q, g)
+	cand, _ := filter.Run(filter.NLF, q, g)
 	for _, m := range Methods() {
 		phi, err := Compute(m, q, g, cand)
 		if err != nil {
@@ -32,7 +32,7 @@ func TestOrdersValidOnRandomQueries(t *testing.T) {
 		if q == nil {
 			return true
 		}
-		cand := filter.RunNLF(q, g)
+		cand, _ := filter.Run(filter.NLF, q, g)
 		for _, m := range Methods() {
 			phi, err := Compute(m, q, g, cand)
 			if err != nil {
@@ -53,7 +53,7 @@ func TestOrdersValidOnRandomQueries(t *testing.T) {
 
 func TestGQLStartsWithSmallestCandidateSet(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
-	cand := filter.RunNLF(q, g) // |C| = 1, 3, 3, 2
+	cand, _ := filter.Run(filter.NLF, q, g) // |C| = 1, 3, 3, 2
 	phi := ComputeGQL(q, cand)
 	if phi[0] != 0 {
 		t.Errorf("GQL order starts at u%d, want u0 (smallest candidate set)", phi[0])
@@ -126,8 +126,8 @@ func TestQSIPicksInfrequentEdgeFirst(t *testing.T) {
 func TestCECIAndDPIsoAreBFSOrders(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
 	for name, phi := range map[string][]graph.Vertex{
-		"CECI":  ComputeCECI(q, g),
-		"DPiso": ComputeDPIso(q, g),
+		"CECI":  ComputeCECI(q, g, 1),
+		"DPiso": ComputeDPIso(q, g, 1),
 	} {
 		// Example 3.3/3.4: delta = (u0, u1, u2, u3).
 		want := []graph.Vertex{0, 1, 2, 3}
@@ -142,8 +142,8 @@ func TestCECIAndDPIsoAreBFSOrders(t *testing.T) {
 
 func TestCFLOrderStartsWithCoreRoot(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
-	cand := filter.RunCFL(q, g)
-	phi := ComputeCFL(q, g, cand)
+	cand, _ := filter.Run(filter.CFL, q, g)
+	phi := ComputeCFL(q, g, cand, 1)
 	if phi[0] != 0 {
 		t.Errorf("CFL order = %v, expected root u0 first", phi)
 	}
@@ -155,7 +155,7 @@ func TestCFLOrderStartsWithCoreRoot(t *testing.T) {
 func TestCFLOrderSingleVertex(t *testing.T) {
 	q := graph.MustFromEdges([]graph.Label{0}, nil)
 	g := testutil.PaperData()
-	phi := ComputeCFL(q, g, [][]uint32{{0}})
+	phi := ComputeCFL(q, g, [][]uint32{{0}}, 1)
 	if len(phi) != 1 || phi[0] != 0 {
 		t.Errorf("CFL single-vertex order = %v", phi)
 	}

@@ -121,7 +121,7 @@ func (s *Service) SubmitBatch(ctx context.Context, items []Request) ([]BatchResu
 				graph:   entry.name,
 				gen:     entry.gen,
 				queryFP: graph.FingerprintOf(req.Query),
-				cfgHash: configHash(cfg, req.preprocessWorkers()),
+				cfgHash: configHash(cfg),
 			},
 			noCache: req.NoCache,
 		}

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"subgraphmatching/internal/core"
-	"subgraphmatching/internal/filter"
 	"subgraphmatching/internal/graph"
 	"subgraphmatching/internal/obs"
 )
@@ -27,14 +26,14 @@ type planKey struct {
 }
 
 // configHash digests every Config field that influences the plan's
-// contents plus the one preprocessing-mode distinction that does
-// (GraphQL's Jacobi rounds under parallel preprocessing keep a superset
-// of the sequential candidate sets, so parallel- and sequential-built
-// GQL plans get distinct keys). The external-engine flags are folded in
-// too: they never reach the cache on the Submit path (external engines
-// have no plan), but SubmitBatch groups requests by this hash and must
-// not co-group a pipeline config with a Glasgow/VF2/Ullmann one.
-func configHash(cfg core.Config, preWorkers int) uint64 {
+// contents. The preprocessing worker count is not among them: a plan is
+// identical at every worker count, so a plan built by a parallel=4
+// request serves a later parallel=1 request. The external-engine flags
+// are folded in too: they never reach the cache on the Submit path
+// (external engines have no plan), but SubmitBatch groups requests by
+// this hash and must not co-group a pipeline config with a
+// Glasgow/VF2/Ullmann one.
+func configHash(cfg core.Config) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	u64 := func(x uint64) {
@@ -71,8 +70,6 @@ func configHash(cfg core.Config, preWorkers int) uint64 {
 	for _, v := range cfg.FixedOrder {
 		u64(uint64(v))
 	}
-	jacobi := cfg.Filter == filter.GQL && !cfg.Homomorphism && preWorkers > 1
-	flag(jacobi)
 	return h.Sum64()
 }
 

@@ -8,6 +8,7 @@ import (
 	"subgraphmatching/internal/enumerate"
 	"subgraphmatching/internal/filter"
 	"subgraphmatching/internal/graph"
+	"subgraphmatching/internal/testutil"
 )
 
 func testKey(graphName string, gen uint64, id uint64) planKey {
@@ -196,37 +197,39 @@ func TestPlanCacheChurnStaysBounded(t *testing.T) {
 func TestConfigHashDistinguishesPlanShapingKnobs(t *testing.T) {
 	base := core.Config{Filter: filter.GQL, Local: enumerate.Intersect}
 	seen := map[uint64]string{}
-	record := func(name string, cfg core.Config, workers int) {
-		h := configHash(cfg, workers)
+	record := func(name string, cfg core.Config) {
+		h := configHash(cfg)
 		if prev, ok := seen[h]; ok {
 			t.Fatalf("configHash collision: %s == %s", name, prev)
 		}
 		seen[h] = name
 	}
-	record("base", base, 1)
-	// GQL under parallel preprocessing refines in Jacobi rounds → its
-	// candidate sets (and thus plans) differ from the sequential build.
-	record("base-jacobi", base, 4)
+	record("base", base)
 	cfg := base
 	cfg.Filter = filter.CFL
-	record("filter", cfg, 1)
+	record("filter", cfg)
 	cfg = base
 	cfg.TreeSpace = true
-	record("treespace", cfg, 1)
+	record("treespace", cfg)
 	cfg = base
 	cfg.FailingSets = true
-	record("failingsets", cfg, 1)
+	record("failingsets", cfg)
 	cfg = base
 	cfg.GQLRounds = 7
-	record("rounds", cfg, 1)
+	record("rounds", cfg)
 	cfg = base
 	cfg.FixedOrder = []graph.Vertex{0, 1, 2}
-	record("fixedorder", cfg, 1)
+	record("fixedorder", cfg)
 
-	// Non-GQL filters build identical candidate sets at any worker
-	// count, so the worker count must NOT split their keys.
-	cfl := core.Config{Filter: filter.CFL, Local: enumerate.Intersect}
-	if configHash(cfl, 1) != configHash(cfl, 8) {
-		t.Fatal("non-GQL configs must share keys across preprocessing worker counts")
+	// Every filter — GQL included — builds identical candidate sets at
+	// any worker count, so requests that differ only in their worker
+	// counts must resolve to one key.
+	g := testutil.PaperData()
+	for _, algo := range []core.Algorithm{core.GraphQL, core.CFL} {
+		one := Request{Algorithm: algo, Workers: 1}
+		many := Request{Algorithm: algo, Parallel: 4, Workers: 8}
+		if configHash(one.resolveConfig(g)) != configHash(many.resolveConfig(g)) {
+			t.Fatalf("%v: worker counts split the plan key", algo)
+		}
 	}
 }

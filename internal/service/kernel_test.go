@@ -23,7 +23,7 @@ func TestConfigHashSeparatesKernelPolicies(t *testing.T) {
 	} {
 		cfg := base
 		cfg.Kernel = p
-		h := configHash(cfg, 1)
+		h := configHash(cfg)
 		if prev, dup := seen[h]; dup {
 			t.Fatalf("policies %v and %v share config hash %#x", prev, p, h)
 		}

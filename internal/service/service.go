@@ -320,8 +320,8 @@ func (r *Request) resolveConfig(g *graph.Graph) core.Config {
 	return cfg
 }
 
-// preprocessWorkers mirrors core.Limits' resolution so the cache key and
-// the actual preprocessing agree on the worker count.
+// preprocessWorkers mirrors core.Limits' resolution of the
+// preprocessing worker count.
 func (r *Request) preprocessWorkers() int {
 	w := r.Workers
 	if w == 0 {
@@ -373,8 +373,7 @@ func (s *Service) Submit(ctx context.Context, req Request) (resp *Response, retE
 	// The admitted weight IS the enumeration budget: clamp the request's
 	// parallelism to it, so an oversized ?parallel= cannot hold MaxInFlight
 	// units yet spawn an engine per root candidate. Preprocessing workers
-	// get the same ceiling. Clamping precedes the cache-key computation in
-	// matchCached, so the key reflects the worker count actually used.
+	// get the same ceiling.
 	if req.Parallel > int(weight) {
 		req.Parallel = int(weight)
 	}
@@ -582,7 +581,7 @@ func (s *Service) planFor(ctx context.Context, entry *graphEntry, q *graph.Graph
 		graph:   entry.name,
 		gen:     entry.gen,
 		queryFP: graph.FingerprintOf(q),
-		cfgHash: configHash(cfg, preWorkers),
+		cfgHash: configHash(cfg),
 	}
 	if plan, ok := s.cache.get(key); ok {
 		return plan, planHit, nil

@@ -103,12 +103,16 @@ func TestSubmitCachedMatchesFreshAcrossPresets(t *testing.T) {
 }
 
 func TestSubmitCacheAccountingAndStats(t *testing.T) {
-	s, g := newTestService(t, Config{PlanCacheSize: 8})
+	s, g := newTestService(t, Config{PlanCacheSize: 8, MaxInFlight: 4})
 	rng := rand.New(rand.NewSource(3))
 	q := testutil.RandomConnectedQuery(rng, g, 4)
 	ctx := context.Background()
 	req := Request{Graph: "main", Query: q, Algorithm: core.GraphQL}
-	for i := 0; i < 3; i++ {
+	// The worker count is not part of the plan key: the GQL plan a
+	// parallel=4 request builds serves the parallel=1 and default
+	// requests after it.
+	for i, parallel := range []int{4, 1, 0} {
+		req.Parallel = parallel
 		resp, err := s.Submit(ctx, req)
 		if err != nil {
 			t.Fatal(err)
@@ -118,8 +122,8 @@ func TestSubmitCacheAccountingAndStats(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.Cache.Hits != 2 || st.Cache.Misses != 1 {
-		t.Fatalf("cache stats = %+v, want 2 hits 1 miss", st.Cache)
+	if st.Cache.Hits != 2 || st.Cache.Misses != 1 || st.Cache.Size != 1 {
+		t.Fatalf("cache stats = %+v, want 2 hits 1 miss 1 entry", st.Cache)
 	}
 	if len(st.Workloads) != 1 {
 		t.Fatalf("workloads = %+v, want one", st.Workloads)

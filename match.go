@@ -207,14 +207,11 @@ type Options struct {
 	// (0 = default factor). Negative values are rejected with
 	// ErrBadSplitFactor.
 	SplitFactor int
-	// Workers sets the worker-goroutine count for the parallelized
-	// preprocessing phases — candidate filtering and candidate-space
-	// construction (0 = inherit Parallel, 1 = sequential
-	// preprocessing). Candidate sets are identical across worker
-	// counts, except that GraphQL filtering under more than one worker
-	// refines in Jacobi rounds, which within the bounded round budget
-	// keep a (still sound and complete) superset of the sequential
-	// sets. Embedding counts are unaffected either way.
+	// Workers sets the worker-goroutine count for the preprocessing
+	// phases — candidate filtering, candidate-space construction and
+	// ordering (0 = inherit Parallel, 1 = everything inline on the
+	// calling goroutine). Candidate sets are identical for every
+	// worker count, and so are embedding counts.
 	Workers int
 	// Trace attaches a phase-span tree to Result.Trace: filtering (with
 	// per-stage candidate counts), candidate-space construction,
