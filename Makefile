@@ -49,7 +49,9 @@ race-stress:
 # profile rendering (Render/Chrome export never panic on arbitrary
 # span trees and always emit parseable output), and split estimation
 # (the cost model stays finite and forced recursive splits enumerate
-# exactly the sequential embedding multiset).
+# exactly the sequential embedding multiset), and the NDJSON wire format
+# (the delta line encoder reads, after every step of a sequence of
+# mappings, exactly what encoding/json writes).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFilterSoundness -fuzztime 5s ./internal/filter
 	$(GO) test -run '^$$' -fuzz FuzzSplitEstimates -fuzztime 5s ./internal/core
@@ -57,6 +59,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBatchGrouping -fuzztime 5s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 5s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzProfileRender -fuzztime 5s ./internal/obs/flight
+	$(GO) test -run '^$$' -fuzz FuzzLineEncoder -fuzztime 5s ./cmd/smatchd
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

@@ -29,30 +29,105 @@ const (
 // test can shorten it.
 var streamWriteTimeout = 30 * time.Second
 
-// appendEmbeddingLine appends {"embedding":[m...]}\n to dst — the bytes
-// json.Encoder produced for struct{Embedding []uint32}, built without
-// reflection or allocation.
-func appendEmbeddingLine(dst []byte, m []uint32) []byte {
-	dst = append(dst, `{"embedding":[`...)
-	return appendMappingTail(dst, m)
-}
+// An embedding line is a head — {"embedding":[ for /match,
+// {"index":i,"embedding":[ for item i of a batch — followed by the
+// mapping's numbers and ]}\n: the bytes json.Encoder produced for
+// struct{Embedding []uint32} and struct{Index int; Embedding []uint32},
+// built without reflection or allocation.
+const embeddingHead = `{"embedding":[`
 
-// appendBatchEmbeddingLine appends {"index":i,"embedding":[m...]}\n.
-func appendBatchEmbeddingLine(dst []byte, index int, m []uint32) []byte {
+func appendBatchEmbeddingHead(dst []byte, index int) []byte {
 	dst = append(dst, `{"index":`...)
 	dst = strconv.AppendInt(dst, int64(index), 10)
-	dst = append(dst, `,"embedding":[`...)
-	return appendMappingTail(dst, m)
+	return append(dst, `,"embedding":[`...)
 }
 
-func appendMappingTail(dst []byte, m []uint32) []byte {
+// lineEncoder produces the embedding lines of one sink. A depth-first
+// search emits runs of embeddings that differ in the last one or two
+// mapped vertices, so it keeps the previous line and rewrites only the
+// numbers that changed — in place when the digit count is the same, by
+// shifting the rest of the line when it is not. The result is always
+// the line encodeFull builds from scratch, which is what the first
+// call and a change of mapping length get.
+type lineEncoder struct {
+	head []byte   // everything before the first number
+	line []byte   // the previous line, complete
+	prev []uint32 // the mapping line encodes
+	// off[i] is where number i starts in line; it ends one byte before
+	// off[i+1], at its separator (',' or, for the last number, ']').
+	off []int
+}
+
+func (e *lineEncoder) encode(m []uint32) []byte {
+	if len(e.line) == 0 || len(m) != len(e.prev) {
+		return e.encodeFull(m)
+	}
+	prev := e.prev[:len(m)]
+	changed := 0
+	for i, v := range m {
+		if v != prev[i] {
+			changed++
+		}
+	}
+	// Rewriting a number costs about twice what appending it in sequence
+	// does (the shift, the offsets), so lines that share less than half
+	// their numbers with the previous one — interleaved parallel workers
+	// — are cheaper built afresh.
+	if 2*changed > len(m) {
+		return e.encodeFull(m)
+	}
+	for i, v := range m {
+		if v == prev[i] {
+			continue
+		}
+		prev[i] = v
+		var buf [10]byte
+		d := formatUint32(&buf, v)
+		start, end := e.off[i], e.off[i+1]-1
+		if grow := len(d) - (end - start); grow != 0 {
+			n := len(e.line)
+			if grow > 0 {
+				e.line = append(e.line, d[:grow]...) // any grow bytes: overwritten below
+			}
+			copy(e.line[end+grow:], e.line[end:n])
+			e.line = e.line[:n+grow]
+			for j := i + 1; j < len(e.off); j++ {
+				e.off[j] += grow
+			}
+		}
+		copy(e.line[start:], d)
+	}
+	return e.line
+}
+
+// formatUint32 writes v in decimal at the end of buf (a uint32 has at
+// most 10 digits) and returns the digits: strconv.AppendUint without
+// the base dispatch, which was a third of the encoder's time.
+func formatUint32(buf *[10]byte, v uint32) []byte {
+	i := len(buf) - 1
+	for ; v >= 10; i-- {
+		buf[i] = byte('0' + v%10)
+		v /= 10
+	}
+	buf[i] = byte('0' + v)
+	return buf[i:]
+}
+
+func (e *lineEncoder) encodeFull(m []uint32) []byte {
+	e.prev = append(e.prev[:0], m...)
+	e.off = e.off[:0]
+	line := append(e.line[:0], e.head...)
 	for i, v := range m {
 		if i > 0 {
-			dst = append(dst, ',')
+			line = append(line, ',')
 		}
-		dst = strconv.AppendUint(dst, uint64(v), 10)
+		e.off = append(e.off, len(line))
+		var buf [10]byte
+		line = append(line, formatUint32(&buf, v)...)
 	}
-	return append(dst, "]}\n"...)
+	e.off = append(e.off, len(line)+1)
+	e.line = append(line, "]}\n"...)
+	return e.line
 }
 
 // ndjsonStream is the one streaming response writer. Lines are
@@ -114,25 +189,19 @@ func (s *ndjsonStream) writeLine(line []byte) bool {
 }
 
 // embeddingSink is the /match?stream=1 per-embedding callback. The
-// service serializes the calls for one request, so the line buffer
-// needs no lock; only the finished line goes through writeLine.
+// service serializes the calls for one request, so the encoder needs
+// no lock; only the finished line goes through writeLine.
 func (s *ndjsonStream) embeddingSink() func(m []uint32) bool {
-	var line []byte
-	return func(m []uint32) bool {
-		line = appendEmbeddingLine(line[:0], m)
-		return s.writeLine(line)
-	}
+	enc := lineEncoder{head: []byte(embeddingHead)}
+	return func(m []uint32) bool { return s.writeLine(enc.encode(m)) }
 }
 
 // batchEmbeddingSink is the same for item index of a streamed batch:
 // items of different groups call their sinks concurrently, each
-// encoding into its own buffer outside the stream's lock.
+// encoding with its own encoder outside the stream's lock.
 func (s *ndjsonStream) batchEmbeddingSink(index int) func(m []uint32) bool {
-	var line []byte
-	return func(m []uint32) bool {
-		line = appendBatchEmbeddingLine(line[:0], index, m)
-		return s.writeLine(line)
-	}
+	enc := lineEncoder{head: appendBatchEmbeddingHead(nil, index)}
+	return func(m []uint32) bool { return s.writeLine(enc.encode(m)) }
 }
 
 // writeJSON writes v as one line: the trailing result, error and

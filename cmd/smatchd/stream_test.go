@@ -12,6 +12,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -39,6 +40,26 @@ func marshalLine(t testing.TB, v any) []byte {
 		t.Fatal(err)
 	}
 	return append(b, '\n')
+}
+
+// appendEmbeddingLine and appendBatchEmbeddingLine build one line from
+// scratch: the reference the delta encoder is held to.
+func appendEmbeddingLine(dst []byte, m []uint32) []byte {
+	return appendMappingTail(append(dst, embeddingHead...), m)
+}
+
+func appendBatchEmbeddingLine(dst []byte, index int, m []uint32) []byte {
+	return appendMappingTail(appendBatchEmbeddingHead(dst, index), m)
+}
+
+func appendMappingTail(dst []byte, m []uint32) []byte {
+	for i, v := range m {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendUint(dst, uint64(v), 10)
+	}
+	return append(dst, "]}\n"...)
 }
 
 // FuzzAppendEmbeddingLine pins both append encoders byte for byte
@@ -77,6 +98,74 @@ func FuzzAppendEmbeddingLine(f *testing.F) {
 		}
 		if got, want := appendBatchEmbeddingLine(nil, index, m), marshalLine(t, batchEmbeddingLine{index, m}); !bytes.Equal(got, want) {
 			t.Fatalf("appendBatchEmbeddingLine(%d, %v) = %q, want %q", index, m, got, want)
+		}
+	})
+}
+
+// FuzzLineEncoder is the wire-format pin for what the sinks actually
+// run: a sequence of mappings through one plain and one batch encoder
+// must read, at every step, exactly what encoding/json writes for the
+// reference structs. The script's first byte is the mapping length
+// (mod 65); each later step either replaces the mapping by one of a new
+// length or overwrites one to three positions, with values drawn from
+// the decimal-width boundaries or from raw bytes.
+func FuzzLineEncoder(f *testing.F) {
+	boundaries := []uint32{0, 9, 10, 99, 100, 9999, 10000, 99999, 100000, 999999999, 1000000000, math.MaxUint32}
+	// Even value bytes pick boundaries[b/2]; opcode 8 changes the length,
+	// opcodes 1–3 overwrite that many positions.
+	f.Add([]byte{0, 1, 1, 2, 8, 0, 8, 1, 22, 1, 0, 0}, 0)                           // lengths 0 → 0 → 1, MaxUint32 → 0
+	f.Add([]byte{1, 2, 1, 0, 4, 1, 0, 6, 1, 0, 8, 1, 0, 12, 1, 0, 14, 1, 0, 2}, 10) // one number across 9/10, 99/100, 9999/10000 and back
+	f.Add([]byte{64, 3, 63, 22, 0, 0, 31, 4, 2, 62, 2, 63, 2, 8, 64, 8, 1, 8, 0, 8, 64}, 1023)
+	f.Add([]byte{12, 1, 11, 6, 1, 11, 8, 1, 11, 6, 2, 10, 20, 11, 2, 8, 5, 1, 4, 22, 8, 12}, 7)
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 16; i++ {
+		script := make([]byte, 16+rng.Intn(112))
+		rng.Read(script)
+		f.Add(script, rng.Intn(maxBatchItems))
+	}
+	f.Fuzz(func(t *testing.T, script []byte, index int) {
+		next := func() byte {
+			if len(script) == 0 {
+				return 0
+			}
+			b := script[0]
+			script = script[1:]
+			return b
+		}
+		value := func() uint32 {
+			b := next()
+			if b%2 == 0 {
+				return boundaries[int(b/2)%len(boundaries)]
+			}
+			return (uint32(next()) | uint32(next())<<8 | uint32(next())<<16 | uint32(next())<<24) >> (b / 2 % 32)
+		}
+		mapping := func() []uint32 {
+			m := make([]uint32, int(next())%65) // non-nil: a mapping is never null on the wire
+			for i := range m {
+				m[i] = value()
+			}
+			return m
+		}
+		plain := lineEncoder{head: []byte(embeddingHead)}
+		batch := lineEncoder{head: appendBatchEmbeddingHead(nil, index)}
+		m := mapping()
+		for step := 0; ; step++ {
+			if got, want := plain.encode(m), marshalLine(t, embeddingLine{m}); !bytes.Equal(got, want) {
+				t.Fatalf("step %d: plain line %q, want %q", step, got, want)
+			}
+			if got, want := batch.encode(m), marshalLine(t, batchEmbeddingLine{index, m}); !bytes.Equal(got, want) {
+				t.Fatalf("step %d: batch line %q, want %q", step, got, want)
+			}
+			if len(script) == 0 {
+				return
+			}
+			if op := next(); op%8 == 0 {
+				m = mapping()
+			} else if len(m) > 0 {
+				for k := 1 + int(op)%3; k > 0; k-- {
+					m[int(next())%len(m)] = value()
+				}
+			}
 		}
 	})
 }
@@ -292,11 +381,15 @@ func TestStreamSinkSteadyStateAllocs(t *testing.T) {
 		buf: make([]byte, 0, streamFlushBytes+(4<<10))}
 	sink := s.embeddingSink()
 	m := benchMapping()
-	sink(m) // sizes the line buffer
+	m[11] = math.MaxUint32
+	sink(m) // sizes the line buffer at its widest
 	// 2000 lines per run cross the byte trigger several times, so the
-	// flush path is inside the measurement.
+	// flush path is inside the measurement; the last position walks
+	// through every digit width, so the encoder's shifts are too.
 	allocs := testing.AllocsPerRun(20, func() {
 		for i := 0; i < 2000; i++ {
+			m[11] = math.MaxUint32 >> uint(i%32)
+			m[3] = uint32(i)
 			if !sink(m) {
 				t.Fatal("sink failed")
 			}
@@ -309,19 +402,44 @@ func TestStreamSinkSteadyStateAllocs(t *testing.T) {
 
 // BenchmarkStreamSink is one stream-embeddings response without the
 // search: 20 000 12-vertex embeddings through the sink into a
-// discarding ResponseWriter.
+// discarding ResponseWriter. "dfs" is the order the engine produces —
+// runs of 13 embeddings that differ in the last position, the one
+// before it moving between runs — and "random" changes every position
+// on every line, which is what interleaved parallel workers can
+// approach and the most the delta encoder can be made to do.
 func BenchmarkStreamSink(b *testing.B) {
-	m := benchMapping()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s := newNDJSONStream(discardWriter{hdr: http.Header{}})
-		sink := s.embeddingSink()
-		for j := 0; j < 20000; j++ {
-			if !sink(m) {
-				b.Fatal("sink failed")
-			}
+	const lines = 20000
+	dfs, random := make([][]uint32, lines), make([][]uint32, lines)
+	rng := rand.New(rand.NewSource(1))
+	for j := range dfs {
+		m := benchMapping()
+		m[10] += uint32(j / 13 * 7 % 9000)
+		m[11] += uint32(j % 13 * 631)
+		dfs[j] = m
+		r := make([]uint32, 12)
+		for i := range r {
+			r[i] = uint32(rng.Intn(20000))
 		}
-		s.finish()
+		random[j] = r
+	}
+	for _, bc := range []struct {
+		name string
+		rows [][]uint32
+	}{{"dfs", dfs}, {"random", random}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s := newNDJSONStream(discardWriter{hdr: http.Header{}})
+				sink := s.embeddingSink()
+				for _, m := range bc.rows {
+					if !sink(m) {
+						b.Fatal("sink failed")
+					}
+				}
+				s.finish()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
+		})
 	}
 }
 

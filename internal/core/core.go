@@ -123,10 +123,10 @@ type Limits struct {
 	// one. This is how context cancellation reaches the engines.
 	Cancel *atomic.Bool
 	// OnMatch optionally receives every embedding; returning false
-	// aborts the search. Sequentially the slice is reused between calls
-	// (copy it to retain); under parallel execution calls are serialized,
-	// arrive in no particular order, and each receives a private copy
-	// the callback may keep.
+	// aborts the search. The slice is the engine's own and is valid only
+	// during the call, at every worker count: copy it to retain. Under
+	// parallel execution calls are serialized and arrive in no
+	// particular order.
 	OnMatch func(mapping []uint32) bool
 	// Parallel runs the enumeration across this many worker goroutines
 	// (0 or 1 = sequential). Embedding counts remain exact. Not

@@ -88,12 +88,12 @@ func matchParallel(q, g *graph.Graph, cand [][]uint32, space *candspace.Space,
 			return false
 		}
 		if limits.OnMatch != nil {
-			// The engine reuses its embedding slice for the rest of the
-			// search; hand the callback a private copy so stored matches
-			// are not silently overwritten (FindAll-style collectors).
-			mc := append(make([]uint32, 0, len(m)), m...)
+			// m is this worker's engine slice. The worker is blocked in
+			// this call and the callback must not keep the slice (the
+			// Limits.OnMatch contract, same as sequentially), so it goes
+			// through as it is; the lock only serializes the callbacks.
 			matchLock.Lock()
-			cont := limits.OnMatch(mc)
+			cont := limits.OnMatch(m)
 			matchLock.Unlock()
 			if !cont {
 				stop.Store(true)

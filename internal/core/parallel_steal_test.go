@@ -127,10 +127,10 @@ func TestParallelCapExactUnderContention(t *testing.T) {
 	}
 }
 
-// TestParallelOnMatchSlicesAreStable pins the aliasing fix: slices
-// handed to OnMatch under parallel execution are private copies, so a
-// collector that stores them without copying still ends up with valid,
-// pairwise-distinct embeddings.
+// TestParallelOnMatchSlicesAreStable pins the OnMatch contract under
+// parallel execution: the slice is the calling worker's own and no
+// other worker touches it during the call, so a collector that copies
+// it there ends up with valid, pairwise-distinct embeddings.
 func TestParallelOnMatchSlicesAreStable(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
 	rng := rand.New(rand.NewSource(13))
@@ -145,7 +145,7 @@ func TestParallelOnMatchSlicesAreStable(t *testing.T) {
 		cfg := Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect}
 		var stored [][]uint32
 		res, err := Match(wl.q, wl.g, cfg, Limits{Parallel: 4, OnMatch: func(m []uint32) bool {
-			stored = append(stored, m) // deliberately NOT copied
+			stored = append(stored, append([]uint32(nil), m...))
 			return true
 		}})
 		if err != nil {
@@ -157,13 +157,49 @@ func TestParallelOnMatchSlicesAreStable(t *testing.T) {
 		seen := make(map[string]bool)
 		for _, m := range stored {
 			if !validEmbedding(wl.q, wl.g, m) {
-				t.Fatalf("stored slice %v is not a valid embedding (overwritten?)", m)
+				t.Fatalf("stored slice %v is not a valid embedding (written during the call?)", m)
 			}
 			key := string(uint32SliceBytes(m))
 			if seen[key] {
-				t.Fatalf("duplicate stored embedding %v (aliased slice overwritten)", m)
+				t.Fatalf("duplicate stored embedding %v", m)
 			}
 			seen[key] = true
+		}
+	}
+}
+
+// TestParallelOnMatchAllocs: a callback that does not keep the slice
+// costs no allocation per embedding at any worker count — the parallel
+// runner passes the engine's slice through, as the sequential one does.
+func TestParallelOnMatchAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	g := testutil.RandomGraph(rng, 60, 400, 1)
+	q := graph.MustFromEdges(make([]graph.Label, 4), [][2]graph.Vertex{{0, 1}, {1, 2}, {2, 3}})
+	plan, err := Preprocess(q, g, Config{Filter: filter.LDF, Order: order.GQL, Local: enumerate.Intersect}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 4} {
+		var embeddings uint64
+		run := func(cap uint64) {
+			res, err := MatchPlan(plan, Limits{Parallel: workers, MaxEmbeddings: cap,
+				OnMatch: func(m []uint32) bool { return len(m) == 4 }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			embeddings = res.Embeddings
+		}
+		// The same run capped at one embedding pays every per-run
+		// allocation (engines, deques, goroutines); what the full run
+		// allocates beyond it is per embedding.
+		base := testing.AllocsPerRun(10, func() { run(1) })
+		full := testing.AllocsPerRun(10, func() { run(0) })
+		if embeddings < 10000 {
+			t.Fatalf("fixture: %d embeddings", embeddings)
+		}
+		if perEmbedding := (full - base) / float64(embeddings); perEmbedding > 0.001 {
+			t.Errorf("workers=%d: %.0f allocs for %d embeddings against %.0f for one: %.4f per embedding, want 0",
+				workers, full, embeddings, base, perEmbedding)
 		}
 	}
 }

@@ -261,11 +261,13 @@ func (e *engine) adaptiveRec(depth int) bitset.Mask64 {
 	}
 	if len(lc) == 0 {
 		a.pool = append(a.pool, u)
-		f := bitset.Mask64(0).With(uint32(u))
-		for _, un := range a.bwdDelta[u] {
-			f = f.With(uint32(un))
-		}
-		return f
+		return nodeMask(0, u, a.bwdDelta[u])
+	}
+	if depth == e.q.NumVertices()-1 {
+		// The last vertex has no DAG children left to activate.
+		accum := e.leafLevel(depth, u, lc)
+		a.pool = append(a.pool, u)
+		return nodeMask(accum, u, a.bwdDelta[u])
 	}
 	var accum bitset.Mask64
 	for _, v := range lc {
@@ -318,9 +320,5 @@ func (e *engine) adaptiveRec(depth int) bitset.Mask64 {
 	a.pool = append(a.pool, u)
 	// As in the static engine, the candidate set iterated above depends
 	// on the DAG parents' mappings, so they belong to the failing set.
-	accum = accum.With(uint32(u))
-	for _, un := range a.bwdDelta[u] {
-		accum = accum.With(uint32(un))
-	}
-	return accum
+	return nodeMask(accum, u, a.bwdDelta[u])
 }

@@ -582,10 +582,9 @@ func (e *engine) runPlain(depth int) bool {
 		return false
 	}
 	if depth == e.q.NumVertices() {
+		// Only an entry point that pinned the whole embedding gets here;
+		// the search itself finishes in leafLevel.
 		if e.prof != nil {
-			// Leaves carry no LC but are search nodes: counting them keeps
-			// sum(Nodes) == Stats.Nodes and Nodes[n] == Stats.Embeddings,
-			// the reconciliation EXPLAIN relies on.
 			e.prof.Nodes[depth]++
 		}
 		return e.emit()
@@ -603,6 +602,10 @@ func (e *engine) runPlain(depth int) bool {
 		if len(lc) == 0 {
 			e.prof.EmptyLC[depth]++
 		}
+	}
+	if depth == e.q.NumVertices()-1 {
+		e.leafLevel(depth, u, lc)
+		return !e.aborted
 	}
 	for _, v := range lc {
 		if e.visited[v] {
@@ -638,6 +641,7 @@ func (e *engine) runFS(depth int) bitset.Mask64 {
 		return e.fullMask
 	}
 	if depth == e.q.NumVertices() {
+		// Pinned whole embedding, as in runPlain.
 		if e.prof != nil {
 			e.prof.Nodes[depth]++
 		}
@@ -661,11 +665,10 @@ func (e *engine) runFS(depth int) bitset.Mask64 {
 	if len(lc) == 0 {
 		// Emptyset class: the failure involves u and the vertices whose
 		// mappings constrained LC.
-		f := bitset.Mask64(0).With(uint32(u))
-		for _, un := range e.bwd[depth] {
-			f = f.With(uint32(un))
-		}
-		return f
+		return nodeMask(0, u, e.bwd[depth])
+	}
+	if depth == e.q.NumVertices()-1 {
+		return nodeMask(e.leafLevel(depth, u, lc), u, e.bwd[depth])
 	}
 	var accum bitset.Mask64
 	for _, v := range lc {
@@ -715,9 +718,68 @@ func (e *engine) runFS(depth int) bitset.Mask64 {
 	// introduce candidates no child mask accounts for. The node's
 	// failing set therefore always includes u and its backward
 	// neighbors. (A full accum — match found — stays full.)
+	return nodeMask(accum, u, e.bwd[depth])
+}
+
+// nodeMask adds u and its backward neighbors to a node's failing set.
+func nodeMask(accum bitset.Mask64, u graph.Vertex, bwd []graph.Vertex) bitset.Mask64 {
 	accum = accum.With(uint32(u))
-	for _, un := range e.bwd[depth] {
+	for _, un := range bwd {
 		accum = accum.With(uint32(un))
+	}
+	return accum
+}
+
+// leafLevel finishes the last unmapped query vertex u in place, shared
+// by runPlain, runFS and adaptiveRec: every admissible v of lc is one
+// search node and one embedding, with the conflict and symmetry checks,
+// the node accounting (enterNode, so Stats.Nodes and the cancel/deadline
+// ticker advance exactly as a recursive call would) and the profile
+// counters of a full level, but without mapping u — nothing below the
+// last level reads visited, mapped, candIdx or the adaptive pool.
+//
+// It returns the union of the children's failing sets: {u, owner} for a
+// conflict (left out when failing sets are off: nothing reads the mask
+// then, and finding the owner is a scan), {u, peer} for a symmetry
+// skip, fullMask once an embedding was emitted or the search aborted.
+func (e *engine) leafLevel(depth int, u graph.Vertex, lc []uint32) bitset.Mask64 {
+	var accum bitset.Mask64
+	for _, v := range lc {
+		if e.visited[v] {
+			if e.prof != nil {
+				e.prof.Conflicts[depth]++
+			}
+			if e.opts.FailingSets {
+				accum = accum.With(uint32(u)).With(uint32(e.ownerOf(v)))
+			}
+			continue
+		}
+		if e.symPeers != nil {
+			if p := e.symViolator(u, v); p != graph.NoVertex {
+				if e.prof != nil {
+					e.prof.SymmetrySkips[depth]++
+				}
+				accum = accum.With(uint32(u)).With(uint32(p))
+				continue
+			}
+		}
+		if e.prof != nil {
+			e.prof.Extended[depth]++
+		}
+		if !e.enterNode() {
+			return e.fullMask
+		}
+		if e.prof != nil {
+			// Leaves carry no LC but are search nodes: counting them keeps
+			// sum(Nodes) == Stats.Nodes and Nodes[n] == Stats.Embeddings,
+			// the reconciliation EXPLAIN relies on.
+			e.prof.Nodes[depth+1]++
+		}
+		e.embedding[u] = v
+		if !e.emit() {
+			return e.fullMask
+		}
+		accum = e.fullMask
 	}
 	return accum
 }

@@ -158,7 +158,14 @@ func newPlanCache(maxEntries int, maxBytes int64) *planCache {
 	}
 }
 
-func (c *planCache) get(k planKey) (*core.Plan, bool) {
+func (c *planCache) get(k planKey) (*core.Plan, bool) { return c.lookup(k, true) }
+
+// recheck is get for a caller whose miss on k is already counted:
+// finding the plan now counts a hit, still not finding it counts
+// nothing more.
+func (c *planCache) recheck(k planKey) (*core.Plan, bool) { return c.lookup(k, false) }
+
+func (c *planCache) lookup(k planKey, countMiss bool) (*core.Plan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[k]; ok {
@@ -166,7 +173,9 @@ func (c *planCache) get(k planKey) (*core.Plan, bool) {
 		c.hits.Inc()
 		return e.Value.(*cacheEntry).plan, true
 	}
-	c.misses.Inc()
+	if countMiss {
+		c.misses.Inc()
+	}
 	return nil, false
 }
 

@@ -126,8 +126,9 @@ type Request struct {
 	// Parallel and Schedule, they never enter the plan-cache key.
 	Split       core.SplitPolicy
 	SplitFactor int
-	// OnMatch optionally receives every embedding (see core.Limits);
-	// Stream sets it from its sink argument.
+	// OnMatch optionally receives every embedding; the slice is valid
+	// only during the call (see core.Limits). Stream sets it from its
+	// sink argument.
 	OnMatch func(mapping []uint32) bool
 	// NoCache bypasses the plan cache for this request — preprocessing
 	// always runs fresh and the plan is not retained. Benchmarks use it
@@ -563,11 +564,14 @@ func planSpan(src planSource, plan *core.Plan, start time.Time, d time.Duration)
 // planFor obtains the preprocessing plan for (graph entry, query,
 // config): from the cache when enabled, else by building — with
 // concurrent cold-key builds collapsed into one by the singleflight
-// group. The leader inserts into the cache inside the flight, so a
-// request always finds either the flight or the finished plan — one
-// build per key, no matter how many requests dogpile it. This is the
-// single plan-acquisition path shared by Submit and SubmitBatch (which
-// calls it once per batch group).
+// group. The leader inserts into the cache inside the flight, and a
+// request that leads a flight looks in the cache once more before it
+// builds: its own lookup may have missed just before an earlier
+// leader's insert and found that flight already gone. So a request
+// always ends with the flight or the finished plan — one build per key,
+// no matter how many requests dogpile it. This is the single
+// plan-acquisition path shared by Submit and SubmitBatch (which calls
+// it once per batch group).
 func (s *Service) planFor(ctx context.Context, entry *graphEntry, q *graph.Graph, cfg core.Config, preWorkers int, noCache bool) (*core.Plan, planSource, error) {
 	if s.cache == nil || noCache {
 		s.metrics.planBuilds.Inc()
@@ -586,7 +590,12 @@ func (s *Service) planFor(ctx context.Context, entry *graphEntry, q *graph.Graph
 	if plan, ok := s.cache.get(key); ok {
 		return plan, planHit, nil
 	}
+	lateHit := false
 	plan, leader, err := s.builds.do(ctx, key, func() (*core.Plan, error) {
+		if p, ok := s.cache.recheck(key); ok {
+			lateHit = true
+			return p, nil
+		}
 		s.metrics.planBuilds.Inc()
 		p, err := core.Preprocess(q, entry.g, cfg, preWorkers)
 		if err != nil {
@@ -597,11 +606,15 @@ func (s *Service) planFor(ctx context.Context, entry *graphEntry, q *graph.Graph
 	if err != nil {
 		return nil, planBuilt, err
 	}
-	if leader {
+	switch {
+	case !leader:
+		s.metrics.planBuildWaits.Inc()
+		return plan, planShared, nil
+	case lateHit:
+		return plan, planHit, nil
+	default:
 		return plan, planBuilt, nil
 	}
-	s.metrics.planBuildWaits.Inc()
-	return plan, planShared, nil
 }
 
 // matchFresh enumerates over a plan this request just built, charging

@@ -15,9 +15,11 @@ import (
 // N-1 of the results only long enough to throw them away.
 //
 // The leader's build function inserts the plan into the cache *before*
-// the in-flight entry is removed, so at every instant a concurrent
-// request either joins the in-flight build or hits the cache — the
-// build count for one key is exactly one regardless of arrival timing.
+// the in-flight entry is removed, and starts by looking in the cache
+// itself (planFor): a request whose own lookup missed before that
+// insert and that arrives here after the entry's removal leads a new
+// flight, finds the plan and builds nothing — the build count for one
+// key is exactly one regardless of arrival timing.
 type buildGroup struct {
 	mu    sync.Mutex
 	calls map[planKey]*buildCall

@@ -181,10 +181,10 @@ type Options struct {
 	// The paper's experiments use five minutes.
 	TimeLimit time.Duration
 	// OnMatch, when non-nil, receives each embedding indexed by query
-	// vertex. Returning false stops the search. Sequentially the slice
-	// is reused between calls (copy it to retain); under parallel
-	// execution calls are serialized, arrive in no particular order, and
-	// each receives a private copy the callback may keep.
+	// vertex. Returning false stops the search. The slice is reused
+	// between calls and valid only during the call, at every Parallel
+	// setting: copy it to retain. Under parallel execution calls are
+	// serialized and arrive in no particular order.
 	OnMatch func(mapping []Vertex) bool
 	// Parallel runs the enumeration across this many worker goroutines
 	// (0 or 1 = sequential). Embedding counts remain exact; not
