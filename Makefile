@@ -38,7 +38,9 @@ race-stress:
 	$(GO) test -race -run 'Stress' -count 1 ./internal/graph ./internal/core ./internal/filter ./internal/candspace ./internal/service ./internal/obs ./internal/obs/flight ./internal/store ./cmd/smatchd
 
 # Short corpus-plus-mutation runs of the fuzz targets: filter soundness
-# (candidate sets never drop a ground-truth embedding vertex),
+# (candidate sets never drop a ground-truth embedding vertex), GraphQL's
+# per-label-class matching test (the same verdict as one matching over
+# all of N(u), for every (u, v) in every refinement state),
 # intersection-kernel equivalence (every kernel — merge, gallop, hybrid,
 # block, flat views, selector policies — produces identical output), and
 # batch grouping (SubmitBatch over arbitrary item mixes stays index-
@@ -54,6 +56,7 @@ race-stress:
 # mappings, exactly what encoding/json writes).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFilterSoundness -fuzztime 5s ./internal/filter
+	$(GO) test -run '^$$' -fuzz FuzzSemiPerfectClasses -fuzztime 5s ./internal/filter
 	$(GO) test -run '^$$' -fuzz FuzzSplitEstimates -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzIntersectKernels -fuzztime 5s ./internal/intersect
 	$(GO) test -run '^$$' -fuzz FuzzBatchGrouping -fuzztime 5s ./internal/service
@@ -94,7 +97,9 @@ bench-parallel:
 
 # The preprocessing measurement behind EXPERIMENTS.md's "Parallel
 # preprocessing" section: every phase at 1 (ns/op, allocs/op — the cost
-# of the one code path run inline), 4 and 8 workers (proj-speedup).
+# of the one code path run inline), 4 and 8 workers (proj-speedup); and
+# BenchmarkPreprocessColdMix, serve-cold's plan mix in-process (ns, B,
+# allocs and the per-stage split per plan), behind "Cold path II".
 bench-preprocess:
 	$(GO) test -run '^$$' -bench BenchmarkPreprocess -benchmem -benchtime 5x .
 

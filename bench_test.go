@@ -932,3 +932,48 @@ func BenchmarkCandSpaceBlockLayout(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkPreprocessColdMix is the in-process twin of the repository
+// benchmark's serve-cold workload: the same R-MAT shape (20 000 v /
+// 200 000 e / 20 labels), a mix of 4–20-vertex dense and sparse
+// queries, the Optimized preset, one worker, one core.Preprocess per
+// iteration with the queries cycled — so ns/op, B/op and allocs/op
+// (-benchmem) read per plan. The extra metrics split the plan's time by
+// stage: the filter's own StageTrace (GraphQL's local pruning and
+// refinement rounds), the candidate-space build (CSR + blocks) and the
+// order.
+func BenchmarkPreprocessColdMix(b *testing.B) {
+	g, err := rmat.Generate(rmat.Config{NumVertices: 20000, NumEdges: 200000, NumLabels: 20, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var queries []*graph.Graph
+	for _, size := range []int{4, 8, 12, 16, 20} {
+		for _, d := range []querygen.Density{querygen.Dense, querygen.Sparse} {
+			qs, err := querygen.Generate(g, querygen.Config{NumVertices: size, Count: 8, Density: d, Seed: int64(size)*2 + int64(d)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			queries = append(queries, qs...)
+		}
+	}
+	g.NLF() // resident per graph, not per plan
+	stage := map[string]time.Duration{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := queries[i%len(queries)]
+		plan, err := core.Preprocess(q, g, core.PresetConfig(core.Optimized, q, g), 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, st := range plan.Stages {
+			stage[st.Name] += st.Duration
+		}
+		stage["build"] += plan.BuildTime
+		stage["order"] += plan.OrderTime
+	}
+	for name, d := range stage {
+		b.ReportMetric(float64(d.Microseconds())/float64(b.N), name+"-us/plan")
+	}
+}

@@ -16,6 +16,7 @@
 package candspace
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -91,8 +92,8 @@ type buildTask struct {
 	lo, hi int
 }
 
-// buildPair is one directed pair (u, u′) of the target group being
-// built: its source vertex and the CSR under construction.
+// buildPair is one scanned directed pair (u, u′) of the target group
+// being built: its source vertex and the CSR under construction.
 type buildPair struct {
 	u   graph.Vertex
 	csr *edgeCSR
@@ -100,19 +101,27 @@ type buildPair struct {
 
 // Build materializes 𝒜 across `workers` goroutines (≤ 1 = inline on
 // the caller's goroutine) and returns it beside the per-worker work
-// tallies (candidates processed plus targets emitted), the input to
-// par.MakespanBound. With parent == nil every query edge is
+// tallies (candidates scanned plus targets emitted or transposed), the
+// input to par.MakespanBound. With parent == nil every query edge is
 // materialized; otherwise only the spanning-tree edges given by parent
 // (CFL style): pairs (parent[u], u) and (u, parent[u]). candidates[u]
 // must be sorted; the slice is retained.
 //
-// Pairs are visited grouped by their target u′, so one bitmap of C(u′)
-// is set once, serves every u ∈ N(u′), and is cleared by walking C(u′)
-// again (never a full reset). Inside a group the candidates of each u
-// are cut into chunks that fan out as tasks reading the shared bitmap;
-// every (u, u′) adjacency list is independent of the others, so the
-// CSRs, stitched in chunk order, are byte-identical for every worker
-// count. On one worker a task is a pair's whole candidate list.
+// 𝒜[u→u′] and 𝒜[u′→u] are one edge set E(C(u), C(u′)) read from its
+// two ends, so each query edge is found once and transposed. It is
+// scanned from the end whose candidates have the smaller Σ d(v) (ties:
+// the smaller vertex id — a property of the input, never of the worker
+// count), the N(v) of each candidate against a bitmap of the other
+// end's set. Scanned pairs are visited grouped by their target u′, so
+// one bitmap of C(u′) is set once, serves every u that scans towards
+// u′, and is cleared by walking C(u′) again (never a full reset). Inside
+// a group the candidates of each u are cut into chunks that fan out as
+// tasks reading the shared bitmap; the group's pairs are then
+// transposed, one task per pair, with a target's index in C(u′) taken
+// from popcount prefix sums over the same bitmap. Every adjacency list
+// is a set that does not depend on how it was found, so the CSRs are
+// byte-identical for every worker count and scan direction. On one
+// worker a scan task is a pair's whole candidate list.
 func Build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex, workers int) (*Space, []uint64) {
 	if workers < 1 {
 		workers = 1
@@ -122,11 +131,17 @@ func Build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex, work
 		candidates: candidates,
 		edges:      make([][]*edgeCSR, q.NumVertices()),
 	}
+	scanCost := make([]uint64, q.NumVertices()) // Σ d(v) over C(u): what scanning from u reads
 	for u := range s.edges {
 		s.edges[u] = make([]*edgeCSR, q.Degree(graph.Vertex(u)))
+		for _, v := range candidates[u] {
+			scanCost[u] += uint64(g.Degree(v))
+		}
 	}
 	tally := make([]uint64, workers)
 	member := bitset.New(g.NumVertices())
+	words := member.Words()
+	before := make([]int32, len(words))  // members of the bitmap below each word
 	scratch := make([][]uint32, workers) // per-worker target buffer, reused across tasks
 	var pairs []buildPair
 	var tasks []buildTask
@@ -137,6 +152,9 @@ func Build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex, work
 		for _, u := range q.Neighbors(up) {
 			if !materialized(parent, u, up) {
 				continue
+			}
+			if scanCost[u] > scanCost[up] || (scanCost[u] == scanCost[up] && u > up) {
+				continue // up's group scans this edge the other way
 			}
 			n := len(candidates[u])
 			csr := &edgeCSR{offsets: make([]int32, n+1)}
@@ -149,6 +167,9 @@ func Build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex, work
 				tasks = append(tasks, buildTask{pair: len(pairs), lo: lo, hi: min(lo+chunk, n)})
 			}
 			pairs = append(pairs, buildPair{u: u, csr: csr})
+		}
+		if len(pairs) == 0 {
+			continue
 		}
 		for _, v := range candidates[up] {
 			member.Set(v)
@@ -196,11 +217,54 @@ func Build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex, work
 				csr.targets = append(csr.targets, c...)
 			}
 		}
+		below := int32(0)
+		for i, w := range words {
+			before[i] = below
+			below += int32(bits.OnesCount64(w))
+		}
+		work = par.Run(workers, len(pairs), func(_, i int) uint64 {
+			p := pairs[i]
+			rev := transpose(p.csr, candidates[p.u], len(candidates[up]), words, before)
+			s.edges[up][s.neighborPos(up, p.u)] = rev
+			return uint64(len(rev.targets))
+		})
+		par.Accumulate(tally, work)
 		for _, v := range candidates[up] {
 			member.Clear(v)
 		}
 	}
 	return s, tally
+}
+
+// transpose turns fwd = 𝒜[u→u′] over src = C(u) into 𝒜[u′→u] over the
+// nt candidates of u′ by a counting sort on the target's index in
+// C(u′): the number of set bits of words (the bitmap of C(u′)) below
+// it, from the per-word running counts in before. Sources are visited
+// in ascending order, so every transposed list comes out sorted.
+func transpose(fwd *edgeCSR, src []uint32, nt int, words []uint64, before []int32) *edgeCSR {
+	rank := func(w uint32) int32 {
+		return before[w/64] + int32(bits.OnesCount64(words[w/64]&(1<<(w%64)-1)))
+	}
+	rev := &edgeCSR{offsets: make([]int32, nt+1), targets: make([]uint32, len(fwd.targets))}
+	for _, w := range fwd.targets {
+		rev.offsets[rank(w)+1]++
+	}
+	for r := 0; r < nt; r++ {
+		rev.offsets[r+1] += rev.offsets[r]
+	}
+	// Fill with offsets[r] as the write cursor of list r: afterwards it
+	// has advanced to the start of list r+1, so shifting the array up by
+	// one restores the offsets.
+	for i, v := range src {
+		for _, w := range fwd.targets[fwd.offsets[i]:fwd.offsets[i+1]] {
+			r := rank(w)
+			rev.targets[rev.offsets[r]] = v
+			rev.offsets[r]++
+		}
+	}
+	copy(rev.offsets[1:], rev.offsets[:nt])
+	rev.offsets[0] = 0
+	return rev
 }
 
 // Query returns the query graph the space was built for.

@@ -1,7 +1,9 @@
 package filter
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"subgraphmatching/internal/bipartite"
@@ -23,7 +25,12 @@ import (
 //
 // The global refinement checks Observation 3.2: v ∈ C(u) survives only if
 // the bipartite graph between N(u) and N(v) — with an edge (u', v') iff
-// v' ∈ C(u') — has a semi-perfect matching covering N(u). The query
+// v' ∈ C(u') — has a semi-perfect matching covering N(u). Candidates of
+// query vertices with different labels are disjoint, so that bipartite
+// graph is a disjoint union over the labels of N(u) and Hall's condition
+// holds iff it holds per label class (labelClasses): a class of one
+// query neighbor needs a single witness in N(v), and only classes of
+// two or more same-label neighbors need a matching at all. The query
 // vertices are refined in id order and the removals from C(u) take
 // effect before the next vertex is refined, strengthening later checks
 // within the same round; the candidates of one vertex never read each
@@ -39,7 +46,8 @@ func (s *state) runGraphQL(rounds, radius int, tr *StageTrace) {
 
 	refine := make([]op, s.q.NumVertices())
 	for u := range refine {
-		refine[u] = op{kind: opMatch, u: graph.Vertex(u), src: s.q.Neighbors(graph.Vertex(u))}
+		src := s.q.Neighbors(graph.Vertex(u))
+		refine[u] = op{kind: opMatch, u: graph.Vertex(u), src: src, classes: labelClasses(s.q, src)}
 	}
 	for round := 0; round < rounds; round++ {
 		changed := s.run(refine)
@@ -50,27 +58,60 @@ func (s *state) runGraphQL(rounds, radius int, tr *StageTrace) {
 	}
 }
 
-// semiPerfect builds the bipartite graph between qn = N(u) and N(v) and
-// tests whether every query neighbor can be matched to a distinct data
-// neighbor that is one of its candidates. A data neighbor's right id is
-// its position in N(v) — dense, so the matcher's per-right state stays
-// d(v) long — and a query neighbor with no candidate in N(v) ends the
-// test at once (HasSemiPerfectMatching would reject it first anyway).
-func (s *state) semiPerfect(m *bipartite.Matcher, qn []graph.Vertex, v uint32) bool {
-	m.Reset(len(qn))
+// labelClasses cuts qn = N(u) into its label classes — the query
+// neighbors that share a label, in id order within a class — smallest
+// class first, so the one-witness classes reject before any matching is
+// set up.
+func labelClasses(q *graph.Graph, qn []graph.Vertex) [][]graph.Vertex {
+	byLabel := slices.Clone(qn)
+	slices.SortStableFunc(byLabel, func(a, b graph.Vertex) int { return cmp.Compare(q.Label(a), q.Label(b)) })
+	var classes [][]graph.Vertex
+	for lo := 0; lo < len(byLabel); {
+		hi := lo + 1
+		for hi < len(byLabel) && q.Label(byLabel[hi]) == q.Label(byLabel[lo]) {
+			hi++
+		}
+		classes = append(classes, byLabel[lo:hi:hi])
+		lo = hi
+	}
+	slices.SortStableFunc(classes, func(a, b []graph.Vertex) int { return cmp.Compare(len(a), len(b)) })
+	return classes
+}
+
+// semiPerfect tests whether every query neighbor of u can be matched to
+// a distinct data neighbor of v that is one of its candidates, label
+// class by label class (see runGraphQL). A class of one needs only some
+// neighbor of v in its candidate set; a larger class builds the
+// bipartite graph between its members and N(v) — a data neighbor's
+// right id is its position in N(v), dense, so the matcher's per-right
+// state stays d(v) long — and a member with no candidate in N(v) ends
+// the test at once.
+func (s *state) semiPerfect(m *bipartite.Matcher, classes [][]graph.Vertex, v uint32) bool {
 	nv := s.g.Neighbors(v)
-	for i, up := range qn {
-		mem := s.member[up]
-		edges := 0
-		for pos, w := range nv {
-			if mem.Contains(w) {
-				m.AddEdge(i, int32(pos))
-				edges++
+	for _, class := range classes {
+		if len(class) == 1 {
+			if !s.hasNeighborIn(v, class[0]) {
+				return false
+			}
+			continue
+		}
+		m.Reset(len(class))
+		for i, up := range class {
+			mem := s.member[up]
+			edges := 0
+			for pos, w := range nv {
+				if mem.Contains(w) {
+					m.AddEdge(i, int32(pos))
+					edges++
+				}
+			}
+			if edges == 0 {
+				return false
 			}
 		}
-		if edges == 0 {
+		if !m.HasSemiPerfectMatching(len(class)) {
 			return false
 		}
 	}
-	return m.HasSemiPerfectMatching(len(qn))
+	return true
 }

@@ -205,10 +205,30 @@ func (r *refFilter) gql(rounds int) [][]uint32 {
 // available count, labels the data graph lacks (1, 3) and labels above
 // its maximum (5, 6).
 func nlfCase(rng *rand.Rand) (q, g *graph.Graph) {
+	return nlfCaseLabelled(rng,
+		func() graph.Label { return graph.Label(rng.Intn(3)) * 2 },
+		func() graph.Label { return graph.Label(rng.Intn(7)) })
+}
+
+// wideNLFCase is nlfCase over a 200-label alphabet in which most
+// vertices draw from {0,1,2} + 64·{0,1,2,3}: labels that share a
+// signature bit are everywhere, so a requirement for label l regularly
+// meets a data vertex that only has neighbours labelled l ± 64.
+func wideNLFCase(rng *rand.Rand) (q, g *graph.Graph) {
+	draw := func() graph.Label {
+		if rng.Intn(4) == 0 {
+			return graph.Label(rng.Intn(200))
+		}
+		return graph.Label(rng.Intn(3) + 64*rng.Intn(4))
+	}
+	return nlfCaseLabelled(rng, draw, draw)
+}
+
+func nlfCaseLabelled(rng *rand.Rand, dataLabel, leafLabel func() graph.Label) (q, g *graph.Graph) {
 	n := 8 + rng.Intn(25)
 	b := graph.NewBuilder(n, 4*n)
 	for i := 0; i < n; i++ {
-		b.AddVertex(graph.Label(rng.Intn(3)) * 2)
+		b.AddVertex(dataLabel())
 	}
 	for i := 0; i < 4*n; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
@@ -225,7 +245,7 @@ func nlfCase(rng *rand.Rand) (q, g *graph.Graph) {
 	edges := base.Edges()
 	if rng.Intn(3) > 0 {
 		leaf := graph.Vertex(len(labels))
-		labels = append(labels, graph.Label(rng.Intn(7)))
+		labels = append(labels, leafLabel())
 		edges = append(edges, [2]graph.Vertex{graph.Vertex(rng.Intn(int(leaf))), leaf})
 	}
 	return graph.MustFromEdges(labels, edges), g
@@ -240,52 +260,91 @@ func emptyNotNil(cand [][]uint32) [][]uint32 {
 	return out
 }
 
+// nlfTally counts what a corpus exercised: nlfOK verdicts, and among
+// the rejections those the signatures could not make — some needed
+// label is absent from N(v) but shares its bit with one that is there.
+type nlfTally struct{ accepted, rejected, collided int }
+
+// checkAgainstCounting holds nlfOK to the counting check for every
+// (u, v), and every filter built on it to the reference's sets. The
+// reference never looks at a signature.
+func checkAgainstCounting(t *testing.T, seed int64, q, g *graph.Graph, tally *nlfTally) {
+	t.Helper()
+	ref := newRefFilter(q, g)
+	for u := 0; u < q.NumVertices(); u++ {
+		need, _ := q.NLF().Of(graph.Vertex(u))
+		for v := 0; v < g.NumVertices(); v++ {
+			got, want := nlfOK(q, g, graph.Vertex(u), uint32(v)), ref.nlfOK(graph.Vertex(u), uint32(v))
+			if got != want {
+				t.Fatalf("seed %d: nlfOK(u%d, v%d) = %v, counting says %v", seed, u, v, got, want)
+			}
+			if got {
+				tally.accepted++
+				continue
+			}
+			tally.rejected++
+			have, _ := g.NLF().Of(uint32(v))
+			missing := slices.ContainsFunc(need, func(l graph.Label) bool { return !slices.Contains(have, l) })
+			if missing && q.NLF().Signature(graph.Vertex(u))&^g.NLF().Signature(uint32(v)) == 0 {
+				tally.collided++
+			}
+		}
+	}
+	check := func(name string, got, want [][]uint32) {
+		t.Helper()
+		if !reflect.DeepEqual(emptyNotNil(got), emptyNotNil(want)) {
+			t.Fatalf("seed %d: %s = %v, reference %v", seed, name, got, want)
+		}
+	}
+	run := func(m Method) [][]uint32 {
+		t.Helper()
+		cand, err := Run(m, q, g)
+		if err != nil {
+			t.Fatalf("seed %d: Run(%v): %v", seed, m, err)
+		}
+		return cand
+	}
+	check("Run(NLF)", run(NLF), newRefFilter(q, g).nlf())
+	check("Run(GQL)", run(GQL), newRefFilter(q, g).gql(DefaultGQLRounds))
+	check("Run(CFL)", run(CFL), newRefFilter(q, g).cfl(Root(CFL, q, g, 1)))
+	check("Run(CECI)", run(CECI), newRefFilter(q, g).ceci(Root(CECI, q, g, 1)))
+}
+
 // The index-backed nlfOK is the counting check, pair by pair, and every
 // filter built on it returns the reference's sets.
 func TestNLFIndexMatchesCounting(t *testing.T) {
-	cases, accepted, rejected := 0, 0, 0
-	for seed := int64(0); cases < 300; seed++ {
+	var tally nlfTally
+	for seed, cases := int64(0), 0; cases < 300; seed++ {
 		q, g := nlfCase(rand.New(rand.NewSource(seed)))
 		if q == nil {
 			continue
 		}
 		cases++
-		ref := newRefFilter(q, g)
-		for u := 0; u < q.NumVertices(); u++ {
-			for v := 0; v < g.NumVertices(); v++ {
-				got, want := nlfOK(q, g, graph.Vertex(u), uint32(v)), ref.nlfOK(graph.Vertex(u), uint32(v))
-				if got != want {
-					t.Fatalf("seed %d: nlfOK(u%d, v%d) = %v, counting says %v", seed, u, v, got, want)
-				}
-				if got {
-					accepted++
-				} else {
-					rejected++
-				}
-			}
-		}
-		check := func(name string, got, want [][]uint32) {
-			t.Helper()
-			if !reflect.DeepEqual(emptyNotNil(got), emptyNotNil(want)) {
-				t.Fatalf("seed %d: %s = %v, reference %v", seed, name, got, want)
-			}
-		}
-		run := func(m Method) [][]uint32 {
-			t.Helper()
-			cand, err := Run(m, q, g)
-			if err != nil {
-				t.Fatalf("seed %d: Run(%v): %v", seed, m, err)
-			}
-			return cand
-		}
-		check("Run(NLF)", run(NLF), newRefFilter(q, g).nlf())
-		check("Run(GQL)", run(GQL), newRefFilter(q, g).gql(DefaultGQLRounds))
-		check("Run(CFL)", run(CFL), newRefFilter(q, g).cfl(Root(CFL, q, g, 1)))
-		check("Run(CECI)", run(CECI), newRefFilter(q, g).ceci(Root(CECI, q, g, 1)))
+		checkAgainstCounting(t, seed, q, g, &tally)
 	}
-	if accepted == 0 || rejected == 0 {
-		t.Fatalf("degenerate corpus: %d checks accepted, %d rejected", accepted, rejected)
+	if tally.accepted == 0 || tally.rejected == 0 {
+		t.Fatalf("degenerate corpus: %+v", tally)
 	}
+}
+
+// With more than 64 labels the signature's bits collide, and a collision
+// may only hand the decision to the merge: on a 200-label corpus built
+// to collide, every verdict and every candidate set is still the
+// signature-free reference's.
+func TestNLFSignatureCollisionsChangeNothing(t *testing.T) {
+	var tally nlfTally
+	for seed, cases := int64(0), 0; cases < 300; seed++ {
+		q, g := wideNLFCase(rand.New(rand.NewSource(seed)))
+		if q == nil {
+			continue
+		}
+		cases++
+		checkAgainstCounting(t, seed, q, g, &tally)
+	}
+	if tally.accepted == 0 || tally.rejected == 0 || tally.collided == 0 {
+		t.Fatalf("degenerate corpus: %+v", tally)
+	}
+	t.Logf("%+v", tally)
 }
 
 // The boundary cases by hand: a star query needing k neighbours of one

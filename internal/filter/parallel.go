@@ -93,6 +93,10 @@ type op struct {
 	u    graph.Vertex
 	src  []graph.Vertex
 	nlf  bool
+	// classes is src cut into label classes (opMatch only; labelClasses):
+	// a property of the query, so it is computed once per refined vertex
+	// and shared by every candidate's check in every round.
+	classes [][]graph.Vertex
 }
 
 // scanAll is the opening wave of most methods: one label-pool scan per
@@ -351,7 +355,7 @@ func (s *state) filterChunk(sc *scratch, o op, lo, hi int) []uint32 {
 // keeps is the survival check of a filter operation for one candidate.
 func (s *state) keeps(sc *scratch, o op, v uint32) bool {
 	if o.kind == opMatch {
-		return s.semiPerfect(sc.matcher, o.src, v)
+		return s.semiPerfect(sc.matcher, o.classes, v)
 	}
 	if o.nlf && !nlfOK(s.q, s.g, o.u, v) {
 		return false

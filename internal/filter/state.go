@@ -47,12 +47,20 @@ func ldfOK(q, g *graph.Graph, u graph.Vertex, v uint32) bool {
 // nlfOK checks the neighbor label frequency condition: for every label l
 // among u's neighbors, v must have at least as many l-labeled neighbors.
 // Both sides come from the graphs' NLF indexes (built once per graph, on
-// first use), so the check is a merge of two sorted label lists and
-// reads only immutable data — every worker and the root selectors call
-// it concurrently.
+// first use). The label-presence signatures decide first: a label u
+// needs whose bit v's signature lacks is a label v has no neighbor of,
+// and most rejections end there, on one word per side. Otherwise the
+// check is a merge of two sorted label lists (a signature is exact only
+// up to labels that collide mod 64, so the merge always has the last
+// word). It reads only immutable data — every worker and the root
+// selectors call it concurrently.
 func nlfOK(q, g *graph.Graph, u graph.Vertex, v uint32) bool {
-	need, needCnt := q.NLF().Of(u)
-	have, haveCnt := g.NLF().Of(v)
+	qx, gx := q.NLF(), g.NLF()
+	if qx.Signature(u)&^gx.Signature(v) != 0 {
+		return false
+	}
+	need, needCnt := qx.Of(u)
+	have, haveCnt := gx.Of(v)
 	j := 0
 	for i, l := range need {
 		for j < len(have) && have[j] < l {

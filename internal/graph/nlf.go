@@ -9,12 +9,19 @@ import "slices"
 // "does v have at least k neighbours labelled l" is a merge of two
 // short sorted lists instead of a recount of L(N(v)) per check.
 //
-// Size: Σ_v min(d(v), |Σ|) entries of 8 bytes plus 4 bytes per vertex.
+// Beside the lists sits a 64-bit label-presence signature per vertex:
+// bit l%64 is set iff some neighbour carries label l. A vertex whose
+// signature misses a bit of the requirement's cannot pass the merge, so
+// most rejections are one AND-NOT on a dense array and never touch the
+// lists; labels that collide mod 64 only make the signature say "maybe".
+//
+// Size: Σ_v min(d(v), |Σ|) entries of 8 bytes plus 12 bytes per vertex.
 // Offsets are int32, so the index holds at most 2³¹−1 entries.
 type NLF struct {
 	off []int32
 	lab []Label
 	cnt []int32
+	sig []uint64
 }
 
 // Of returns v's neighbour labels in ascending order and, aligned with
@@ -25,9 +32,15 @@ func (x *NLF) Of(v Vertex) ([]Label, []int32) {
 	return x.lab[lo:hi], x.cnt[lo:hi]
 }
 
+// Signature returns v's label-presence signature: bit l%64 is set iff
+// some neighbour of v carries label l. If Signature(u) of a requirement
+// has a bit that Signature(v) lacks, v has no neighbour with one of the
+// labels u needs.
+func (x *NLF) Signature(v Vertex) uint64 { return x.sig[v] }
+
 // Bytes returns the heap footprint of the index arrays.
 func (x *NLF) Bytes() int64 {
-	return int64(len(x.off))*4 + int64(len(x.lab))*4 + int64(len(x.cnt))*4
+	return int64(len(x.off))*4 + int64(len(x.lab))*4 + int64(len(x.cnt))*4 + int64(len(x.sig))*8
 }
 
 // NLF returns the graph's neighbour-label-frequency index, building it
@@ -55,7 +68,7 @@ func (g *Graph) IndexBytes() int64 {
 // end.
 func buildNLF(g *Graph) *NLF {
 	n := g.NumVertices()
-	x := &NLF{off: make([]int32, n+1)}
+	x := &NLF{off: make([]int32, n+1), sig: make([]uint64, n)}
 	var buf []Label
 	for v := 0; v < n; v++ {
 		buf = buf[:0]
@@ -67,6 +80,7 @@ func buildNLF(g *Graph) *NLF {
 			if i == 0 || buf[i-1] != l {
 				x.lab = append(x.lab, l)
 				x.cnt = append(x.cnt, 0)
+				x.sig[v] |= 1 << (l % 64)
 			}
 			x.cnt[len(x.cnt)-1]++
 		}

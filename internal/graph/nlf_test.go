@@ -27,7 +27,7 @@ func randomSparseGraph(rng *rand.Rand) *Graph {
 
 // The index must say exactly what counting L(N(v)) says: the same
 // labels, in ascending order, with the same counts — and nothing for an
-// isolated vertex.
+// isolated vertex. The signature is those labels folded to bits mod 64.
 func TestNLFMatchesLabelCounter(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		g := randomSparseGraph(rand.New(rand.NewSource(seed)))
@@ -50,11 +50,33 @@ func TestNLFMatchesLabelCounter(t *testing.T) {
 					t.Fatalf("seed %d: vertex %d label %d: count %d, want %d", seed, v, l, counts[i], c.Count(l))
 				}
 			}
+			var sig uint64
+			for _, l := range labels {
+				sig |= 1 << (l % 64)
+			}
+			if x.Signature(Vertex(v)) != sig {
+				t.Fatalf("seed %d: signature of N(%d) = %#x, want %#x", seed, v, x.Signature(Vertex(v)), sig)
+			}
 			entries += len(labels)
 		}
-		want := int64(g.NumVertices()+1)*4 + int64(entries)*8
+		want := int64(g.NumVertices()+1)*4 + int64(entries)*8 + int64(g.NumVertices())*8
 		if x.Bytes() != want || g.IndexBytes() != want {
 			t.Fatalf("seed %d: Bytes = %d, IndexBytes = %d, want %d", seed, x.Bytes(), g.IndexBytes(), want)
+		}
+	}
+}
+
+// Labels that differ by a multiple of 64 share a signature bit: the
+// signature says "some neighbour has label l or one colliding with it",
+// never more.
+func TestNLFSignatureCollidesMod64(t *testing.T) {
+	// A path 0-1-2-3 labelled 5, 69, 133, 6: vertex 1 sees {5, 133}
+	// (one bit), vertex 2 sees {69, 6} (two bits).
+	g := MustFromEdges([]Label{5, 69, 133, 6}, [][2]Vertex{{0, 1}, {1, 2}, {2, 3}})
+	x := g.NLF()
+	for v, want := range []uint64{1 << 5, 1 << 5, 1<<5 | 1<<6, 1 << 5} {
+		if got := x.Signature(Vertex(v)); got != want {
+			t.Errorf("signature of N(%d) = %#x, want %#x", v, got, want)
 		}
 	}
 }
