@@ -977,3 +977,61 @@ func BenchmarkPreprocessColdMix(b *testing.B) {
 		b.ReportMetric(float64(d.Microseconds())/float64(b.N), name+"-us/plan")
 	}
 }
+
+// BenchmarkEnumerateHeavyMix is the in-process twin of the repository
+// benchmark's enum-heavy workload, one class at a time: the same R-MAT
+// graph, and per query size the harness's 16 sparse queries (same
+// seeds, same rule: the first 16 of 32 whose capped run reaches 250 000
+// embeddings), each planned once under the Optimized preset; one
+// iteration is one sequential core.MatchPlan, the plans cycled. ns/node
+// is what a search node costs in the recursion the class runs — the
+// 8-vertex class searches without failing sets, the larger two with
+// them — which BenchmarkEngineLeafLevel (14 of 15 nodes are leaves)
+// cannot see. EXPERIMENTS.md "One enumeration path" reads it at
+// -benchtime 2s -count 3.
+func BenchmarkEnumerateHeavyMix(b *testing.B) {
+	const limit, perSize = 250000, 16
+	g, err := rmat.Generate(rmat.Config{NumVertices: 20000, NumEdges: 200000, NumLabels: 20, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, size := range []int{8, 12, 16} {
+		qs, err := querygen.Generate(g, querygen.Config{NumVertices: size, Count: 2 * perSize,
+			Density: querygen.Sparse, Seed: 1000 + int64(size)*2 + int64(querygen.Sparse)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var plans []*core.Plan
+		seen := map[graph.Fingerprint]bool{}
+		for _, q := range qs {
+			fp := graph.FingerprintOf(q)
+			if seen[fp] || len(plans) == perSize {
+				continue
+			}
+			seen[fp] = true
+			plan, err := core.Preprocess(q, g, core.PresetConfig(core.Optimized, q, g), 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res, err := core.MatchPlan(plan, core.Limits{MaxEmbeddings: limit}); err != nil {
+				b.Fatal(err)
+			} else if res.LimitHit {
+				plans = append(plans, plan)
+			}
+		}
+		b.Run(fmt.Sprintf("%d-sparse", size), func(b *testing.B) {
+			var nodes uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := core.MatchPlan(plans[i%len(plans)], core.Limits{MaxEmbeddings: limit})
+				if err != nil {
+					b.Fatal(err)
+				}
+				nodes += res.Nodes
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
+			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+		})
+	}
+}

@@ -208,10 +208,9 @@ func run(ctx context.Context, queryPath, dataPath, algoName string, limit uint64
 	printed := 0
 	opts := sm.Options{Algorithm: algo, MaxEmbeddings: limit, TimeLimit: timeout,
 		Parallel: parallel, Workers: workers, Schedule: sched, Split: splitPol,
-		Trace: trace, Explain: explain}
-	if profile || hom || sym || kern != sm.KernelAdaptive {
+		Trace: trace, Explain: explain || profile}
+	if hom || sym || kern != sm.KernelAdaptive {
 		cfg := sm.PresetConfig(algo, q, g)
-		cfg.Profile = profile
 		cfg.Homomorphism = hom
 		cfg.SymmetryBreaking = sym
 		cfg.Kernel = kern
@@ -270,7 +269,7 @@ func run(ctx context.Context, queryPath, dataPath, algoName string, limit uint64
 	} else {
 		fmt.Println("status:        solved")
 	}
-	if res.Explain != nil {
+	if explain && res.Explain != nil {
 		fmt.Println("\nexplain:")
 		res.Explain.Render(os.Stdout)
 	}

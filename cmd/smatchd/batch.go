@@ -9,7 +9,6 @@ import (
 
 	"subgraphmatching/internal/core"
 	"subgraphmatching/internal/graph"
-	"subgraphmatching/internal/intersect"
 	"subgraphmatching/internal/service"
 )
 
@@ -30,12 +29,7 @@ type batchItemRequest struct {
 	Timeout  string `json:"timeout,omitempty"`
 	Parallel int    `json:"parallel,omitempty"`
 	Workers  int    `json:"workers,omitempty"`
-	Kernel   string `json:"kernel,omitempty"`
-	// Split and SplitFactor mirror the /match split= and splitfactor=
-	// parameters: the work-steal task-splitting policy and threshold.
-	Split       string `json:"split,omitempty"`
-	SplitFactor int    `json:"split_factor,omitempty"`
-	NoCache     bool   `json:"no_cache,omitempty"`
+	NoCache  bool   `json:"no_cache,omitempty"`
 	// Explain attaches the EXPLAIN/ANALYZE profile to this item's
 	// result — the batch form of /match?explain=1.
 	Explain bool `json:"explain,omitempty"`
@@ -87,24 +81,6 @@ func (bi *batchItemRequest) toRequest() (service.Request, error) {
 	}
 	if bi.Workers < 0 || bi.Workers > maxWorkersParam {
 		return req, fmt.Errorf("bad workers %d (want 0..%d)", bi.Workers, maxWorkersParam)
-	}
-	if bi.Split != "" {
-		sp, err := core.ParseSplitPolicy(bi.Split)
-		if err != nil {
-			return req, err
-		}
-		req.Split = sp
-	}
-	if bi.SplitFactor < 0 || bi.SplitFactor > maxWorkersParam {
-		return req, fmt.Errorf("bad split_factor %d (want 0..%d)", bi.SplitFactor, maxWorkersParam)
-	}
-	req.SplitFactor = bi.SplitFactor
-	if bi.Kernel != "" {
-		k, err := intersect.ParsePolicy(bi.Kernel)
-		if err != nil {
-			return req, err
-		}
-		req.Kernel = k
 	}
 	var err error
 	req.Query, err = graph.Parse(strings.NewReader(bi.Query))

@@ -28,7 +28,7 @@
 //	       [&parallel=4] [&workers=4] [&stream=1] [&trace=1] [&explain=1]
 //	POST   /match/batch           run many queries as one batch (body:
 //	       JSON array of {graph, query, algo?, limit?, timeout?,
-//	       parallel?, workers?, kernel?, no_cache?}); items sharing a
+//	       parallel?, workers?, no_cache?, explain?}); items sharing a
 //	       (graph, query, config) group pass admission once and resolve
 //	       one plan; duplicates run once. Response: indexed per-item
 //	       results; failed items carry their /match-equivalent status.

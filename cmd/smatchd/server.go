@@ -13,7 +13,6 @@ import (
 
 	"subgraphmatching/internal/core"
 	"subgraphmatching/internal/graph"
-	"subgraphmatching/internal/intersect"
 	"subgraphmatching/internal/obs"
 	"subgraphmatching/internal/service"
 	"subgraphmatching/internal/store"
@@ -362,21 +361,6 @@ func (s *server) parseMatchRequest(w http.ResponseWriter, r *http.Request) (serv
 	if v := params.Get("workers"); v != "" {
 		if req.Workers, err = strconv.Atoi(v); err != nil || req.Workers < 0 || req.Workers > maxWorkersParam {
 			return req, fmt.Errorf("bad workers %q (want 0..%d)", v, maxWorkersParam)
-		}
-	}
-	if v := params.Get("split"); v != "" {
-		if req.Split, err = core.ParseSplitPolicy(v); err != nil {
-			return req, err
-		}
-	}
-	if v := params.Get("splitfactor"); v != "" {
-		if req.SplitFactor, err = strconv.Atoi(v); err != nil || req.SplitFactor < 0 || req.SplitFactor > maxWorkersParam {
-			return req, fmt.Errorf("bad splitfactor %q (want 0..%d)", v, maxWorkersParam)
-		}
-	}
-	if v := params.Get("kernel"); v != "" {
-		if req.Kernel, err = intersect.ParsePolicy(v); err != nil {
-			return req, err
 		}
 	}
 	req.Profile = params.Get("explain") == "1"

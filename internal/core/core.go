@@ -102,12 +102,6 @@ type Config struct {
 	// GlasgowMemoryBudget bounds the CP solver's bitset working set
 	// (0 = glasgow.DefaultMemoryBudget).
 	GlasgowMemoryBudget int64
-	// Profile collects per-depth search statistics into Result.Profile.
-	// Parallel runs merge the per-worker profiles; shallow-depth counts
-	// there differ slightly from a sequential run because pre-assigned
-	// task prefixes skip the shared root levels. Not supported by the
-	// Glasgow solver.
-	Profile bool
 }
 
 // Limits bounds a query's execution, mirroring the paper's methodology
@@ -159,12 +153,14 @@ type Limits struct {
 	Trace bool
 	// Profile attaches the EXPLAIN/ANALYZE breakdown to Result.Explain:
 	// per-filter-stage candidate reduction, the matching order with
-	// per-vertex cardinalities, and the per-depth enumeration heat table.
-	// Unlike Config.Profile it is a per-request limit, not part of the
-	// configuration — a cached plan is shared between profiled and
-	// unprofiled requests. Implies per-depth search profiling for the
-	// run. Not supported by the external engines (Glasgow/VF2/Ullmann),
-	// which have no plan to explain.
+	// per-vertex cardinalities, and the per-depth enumeration heat table
+	// — with the per-depth search statistics behind it on Result.Profile.
+	// Parallel runs merge the per-worker profiles; shallow-depth counts
+	// there differ slightly from a sequential run because pinned task
+	// prefixes skip the shared root levels. It is a per-request limit,
+	// not part of the configuration: a cached plan is shared between
+	// profiled and unprofiled requests. Not supported by the external
+	// engines (Glasgow/VF2/Ullmann), which have no plan to explain.
 	Profile bool
 }
 
@@ -202,8 +198,8 @@ type Result struct {
 	// Order is the matching order used (nil for Glasgow and adaptive
 	// runs, where no static order exists).
 	Order []graph.Vertex
-	// Profile holds per-depth search statistics when Config.Profile or
-	// Limits.Profile was set.
+	// Profile holds per-depth search statistics when Limits.Profile was
+	// set.
 	Profile *enumerate.SearchProfile
 	// WorkerProfiles, set on profiled parallel runs, holds each worker's
 	// own per-depth profile (Profile is their merge) — the per-worker
@@ -586,7 +582,7 @@ func MatchPlan(plan *Plan, limits Limits) (*Result, error) {
 		TimeLimit:       limits.TimeLimit,
 		OnMatch:         limits.OnMatch,
 		Cancel:          limits.Cancel,
-		Profile:         cfg.Profile || limits.Profile,
+		Profile:         limits.Profile,
 	})
 	if err != nil {
 		return nil, err

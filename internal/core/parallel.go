@@ -13,11 +13,12 @@ import (
 // Parallel enumeration. Each worker owns one reusable enumerate.Engine
 // over the shared (read-only) candidate sets and auxiliary structure, so
 // per-task scratch is allocated once per worker, not per subtree. The
-// search space is divided into task units — root candidates, or (root,
-// second) pairs when the root's candidate list is small enough to make
-// splitting worthwhile — and distributed by the scheduler selected in
-// Limits.Schedule: dynamic work stealing (default) or the static strided
-// partition the paper mentions for CECI's multi-threaded execution.
+// search space is divided into task units — pinned prefixes: root
+// candidates, or longer ones when the root's candidate list is small
+// enough to make splitting worthwhile — and distributed by the scheduler
+// selected in Limits.Schedule: dynamic work stealing (default) or the
+// static strided partition the paper mentions for CECI's multi-threaded
+// execution.
 //
 // The embedding cap is enforced with a shared CAS loop: a worker
 // reserves a sequence number only while the count is below the cap, so
@@ -108,7 +109,6 @@ func matchParallel(q, g *graph.Graph, cand [][]uint32, space *candspace.Space,
 		return true
 	}
 
-	profile := cfg.Profile || limits.Profile
 	opts := enumerate.Options{
 		Local:           cfg.Local,
 		Kernel:          cfg.Kernel,
@@ -116,7 +116,7 @@ func matchParallel(q, g *graph.Graph, cand [][]uint32, space *candspace.Space,
 		Adaptive:        cfg.Adaptive,
 		AdaptiveWeights: weights,
 		VF2PPRules:      cfg.VF2PPRules,
-		Profile:         profile,
+		Profile:         limits.Profile,
 		Cancel:          stop,
 	}
 	if !countLocally {
@@ -150,8 +150,7 @@ func matchParallel(q, g *graph.Graph, cand [][]uint32, space *candspace.Space,
 	info := &SplitInfo{Policy: limits.Split}
 	var tasks []enumTask
 	splitRegime := limits.Schedule == ScheduleWorkSteal &&
-		q.NumVertices() >= 2 && len(rootCands) < workers*splitFactor &&
-		!(cfg.Adaptive && limits.Split == SplitStatic)
+		q.NumVertices() >= 2 && len(rootCands) < workers*splitFactor
 	var probeTimedOut bool
 	if splitRegime {
 		probe, err := enumerate.NewEngine(q, g, cand, space, phi, enumerate.Options{
@@ -176,16 +175,12 @@ func matchParallel(q, g *graph.Graph, cand [][]uint32, space *candspace.Space,
 			est := newSplitEstimator(q, g, cand, space, phi)
 			tasks = buildCostModelTasks(probe, rootCands, est, q.NumVertices(), workers, info)
 		}
-		finishSplitInfo(info, tasks, probe)
+		info.ProbeKernels = probe.Stats().Kernels
 		probeTimedOut = probe.Stats().TimedOut
 	} else {
-		tasks = make([]enumTask, len(rootCands))
-		for i, v := range rootCands {
-			tasks[i] = enumTask{root: v, second: noSecond}
-		}
-		info.Tasks = len(tasks)
-		info.MaxPrefix = 1
+		tasks = rootTasks(make([]enumTask, 0, len(rootCands)), rootCands)
 	}
+	info.setPoolShape(tasks)
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
@@ -227,7 +222,7 @@ func matchParallel(q, g *graph.Graph, cand [][]uint32, space *candspace.Space,
 						break
 					}
 					tasks++
-					if !eng.RunRoot(rootCands[i]) {
+					if !eng.RunPrefix(rootCands[i : i+1]) {
 						break
 					}
 				}
@@ -271,18 +266,7 @@ func matchParallel(q, g *graph.Graph, cand [][]uint32, space *candspace.Space,
 						continue
 					}
 					tasks++
-					var cont bool
-					switch {
-					case t.prefix != nil:
-						cont = eng.RunPrefix(t.prefix)
-					case t.second == noSecond:
-						cont = eng.RunRoot(t.root)
-					case cfg.Adaptive:
-						cont = eng.RunAdaptivePair(t.root, t.second)
-					default:
-						cont = eng.RunRootPair(t.root, t.second)
-					}
-					if !cont {
+					if !eng.RunPrefix(t) {
 						return
 					}
 				}
@@ -292,7 +276,7 @@ func matchParallel(q, g *graph.Graph, cand [][]uint32, space *candspace.Space,
 	wg.Wait()
 
 	var mergedProf *enumerate.SearchProfile
-	if profile {
+	if limits.Profile {
 		mergedProf = enumerate.NewSearchProfile(q.NumVertices())
 		res.WorkerProfiles = make([]*enumerate.SearchProfile, len(engines))
 	}

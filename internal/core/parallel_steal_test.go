@@ -238,8 +238,8 @@ func uint32SliceBytes(m []uint32) []byte {
 // profile whose extension totals match the sequential search shape.
 func TestParallelProfileMerging(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
-	cfg := Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect, Profile: true}
-	res, err := Match(q, g, cfg, Limits{Parallel: 3})
+	cfg := Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect}
+	res, err := Match(q, g, cfg, Limits{Parallel: 3, Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,15 +270,15 @@ func TestScheduleParseRoundTrip(t *testing.T) {
 func TestTaskDeque(t *testing.T) {
 	d := &taskDeque{}
 	for i := 0; i < 10; i++ {
-		d.push(enumTask{root: uint32(i), second: noSecond})
+		d.push(enumTask{uint32(i)})
 	}
 	// Owner pops from the tail.
-	if tk, ok := d.pop(); !ok || tk.root != 9 {
+	if tk, ok := d.pop(); !ok || tk[0] != 9 {
 		t.Fatalf("pop = %v, %v; want root 9", tk, ok)
 	}
 	// Thief takes half (rounded up) from the head: 9 remain -> 5 stolen.
 	chunk := d.stealHalf()
-	if len(chunk) != 5 || chunk[0].root != 0 || chunk[4].root != 4 {
+	if len(chunk) != 5 || chunk[0][0] != 0 || chunk[4][0] != 4 {
 		t.Fatalf("stealHalf = %v", chunk)
 	}
 	// Remaining: roots 5..8, owner side.
@@ -288,7 +288,7 @@ func TestTaskDeque(t *testing.T) {
 		if !ok {
 			break
 		}
-		rest = append(rest, tk.root)
+		rest = append(rest, tk[0])
 	}
 	if len(rest) != 4 || rest[0] != 8 || rest[3] != 5 {
 		t.Fatalf("rest = %v", rest)

@@ -106,19 +106,11 @@ func ParseSplitPolicy(s string) (SplitPolicy, error) {
 // SplitPolicies lists the split policies in declaration order.
 func SplitPolicies() []SplitPolicy { return []SplitPolicy{SplitCostModel, SplitStatic} }
 
-// enumTask is one unit of schedulable work: a root candidate, optionally
-// pinned to a depth-1 expansion (second != noSecond), or — for the
-// recursive cost-model splitter — to an arbitrary-length order prefix.
-type enumTask struct {
-	root, second uint32
-	// prefix, when non-nil, pins the order's first len(prefix) vertices
-	// (root and second mirror prefix[0] and prefix[1]); the task runs via
-	// Engine.RunPrefix. Immutable once built — deques share it by header.
-	prefix []uint32
-}
-
-// noSecond marks a root-only task.
-const noSecond = ^uint32(0)
+// enumTask is one unit of schedulable work: the prefix of data vertices
+// its search is pinned to — a root candidate alone, or a longer prefix
+// where the splitter refined it — run via Engine.RunPrefix. Immutable
+// once built: deques share it by header.
+type enumTask []uint32
 
 // taskDeque is one worker's chunk of the task pool. The owner pops from
 // the tail; thieves take half of the remaining tasks from the head in a
@@ -138,7 +130,7 @@ func (d *taskDeque) pop() (enumTask, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.head >= len(d.tasks) {
-		return enumTask{}, false
+		return nil, false
 	}
 	t := d.tasks[len(d.tasks)-1]
 	d.tasks = d.tasks[:len(d.tasks)-1]

@@ -138,6 +138,27 @@ type splitWork struct {
 	est      float64
 }
 
+// rootTasks appends one root-grained task per root candidate. Each task
+// is a one-element window of roots itself, so the coarse pool allocates
+// nothing per task.
+func rootTasks(tasks []enumTask, roots []uint32) []enumTask {
+	for i := range roots {
+		tasks = append(tasks, roots[i:i+1:i+1])
+	}
+	return tasks
+}
+
+// pairTasks appends one (root, child) task per child, all carved from
+// one backing array.
+func pairTasks(tasks []enumTask, root uint32, children []uint32) []enumTask {
+	pairs := make([]uint32, 0, 2*len(children))
+	for _, c := range children {
+		pairs = append(pairs, root, c)
+		tasks = append(tasks, pairs[len(pairs)-2:len(pairs):len(pairs)])
+	}
+	return tasks
+}
+
 // buildStaticTasks is the SplitStatic policy: expand every root
 // candidate into all its depth-1 pairs. Probe work is tallied; the
 // model predicts nothing. A probe halted by cancellation or the
@@ -147,24 +168,50 @@ func buildStaticTasks(probe *enumerate.Engine, rootCands []uint32, info *SplitIn
 	tasks := make([]enumTask, 0, len(rootCands))
 	var buf []uint32
 	for i, v := range rootCands {
-		if probe.Stopped() {
-			for _, r := range rootCands[i:] {
-				tasks = append(tasks, enumTask{root: r, second: noSecond})
-			}
-			break
+		if !probe.Stopped() {
+			buf = probe.ExpandPrefix(rootCands[i:i+1], buf[:0])
 		}
-		buf = probe.ExpandRoot(v, buf[:0])
 		if probe.Stopped() {
-			tasks = append(tasks, enumTask{root: v, second: noSecond})
-			continue
+			return rootTasks(tasks, rootCands[i:])
 		}
 		info.Probes++
 		info.ProbeCandidates += uint64(len(buf))
-		for _, w := range buf {
-			tasks = append(tasks, enumTask{root: v, second: w})
-		}
+		tasks = pairTasks(tasks, v, buf)
 	}
 	return tasks
+}
+
+// probeRoots opens both cost-model builders: every root candidate is
+// probed once for its depth-1 fanout and costed from it. A root the
+// probe could not expand — halted by cancellation or the deadline —
+// stays childless on the model's unrefined estimate, so the pool always
+// covers the full search space. It returns the work items in root order
+// and the sum of their estimates.
+func probeRoots(probe *enumerate.Engine, rootCands []uint32, est *splitEstimator, info *SplitInfo) ([]splitWork, float64) {
+	work := make([]splitWork, 0, len(rootCands))
+	var buf []uint32
+	total := 0.0
+	for i := range rootCands {
+		w := splitWork{prefix: rootCands[i : i+1 : i+1], est: est.subtree[1]}
+		if !probe.Stopped() {
+			buf = probe.ExpandPrefix(w.prefix, buf[:0])
+		}
+		if !probe.Stopped() {
+			info.Probes++
+			info.ProbeCandidates += uint64(len(buf))
+			w.children = append([]uint32(nil), buf...)
+			w.est = est.taskCost(1, len(buf))
+		}
+		work = append(work, w)
+		total += w.est
+	}
+	return work, total
+}
+
+// splitThreshold is the estimate above which a task is split: a quarter
+// of a worker's fair share of total, floored at splitMinCost.
+func splitThreshold(total float64, workers int) float64 {
+	return max(total/float64(workers*splitShareDivisor), splitMinCost)
 }
 
 // buildCostModelTasks is the SplitCostModel policy over a static order.
@@ -178,81 +225,39 @@ func buildStaticTasks(probe *enumerate.Engine, rootCands []uint32, info *SplitIn
 func buildCostModelTasks(probe *enumerate.Engine, rootCands []uint32, est *splitEstimator,
 	n, workers int, info *SplitInfo) []enumTask {
 
-	pending := make([]splitWork, 0, len(rootCands))
-	var final []splitWork
-	var buf []uint32
-	total := 0.0
-	for i, v := range rootCands {
-		if probe.Stopped() {
-			for _, r := range rootCands[i:] {
-				final = append(final, splitWork{prefix: []uint32{r}, est: est.subtree[1]})
-				total += est.subtree[1]
-			}
-			break
-		}
-		buf = probe.ExpandRoot(v, buf[:0])
-		if probe.Stopped() {
-			final = append(final, splitWork{prefix: []uint32{v}, est: est.subtree[1]})
-			total += est.subtree[1]
-			continue
-		}
-		info.Probes++
-		info.ProbeCandidates += uint64(len(buf))
-		w := splitWork{
-			prefix:   []uint32{v},
-			children: append([]uint32(nil), buf...),
-			est:      est.taskCost(1, len(buf)),
-		}
-		pending = append(pending, w)
-		total += w.est
-	}
-
-	threshold := total / float64(workers*splitShareDivisor)
-	if threshold < splitMinCost {
-		threshold = splitMinCost
-	}
+	pending, total := probeRoots(probe, rootCands, est, info)
+	threshold := splitThreshold(total, workers)
 	maxTasks := workers * splitMaxTasksPerWorker
 
+	tasks := make([]enumTask, 0, len(pending))
+	predicted := 0.0
+	var buf []uint32
 	for len(pending) > 0 {
 		w := pending[0]
 		pending = pending[1:]
 		L := len(w.prefix)
 		split := w.est > threshold && L < n-1 && len(w.children) > 0 &&
-			len(final)+len(pending)+len(w.children) <= maxTasks && !probe.Stopped()
+			len(tasks)+len(pending)+len(w.children) <= maxTasks && !probe.Stopped()
 		if !split {
-			final = append(final, w)
+			tasks = append(tasks, w.prefix)
+			predicted += w.est
 			continue
 		}
 		for _, c := range w.children {
-			cp := append(append(make([]uint32, 0, L+1), w.prefix...), c)
-			buf = probe.ExpandPrefix(cp, buf[:0])
-			child := splitWork{prefix: cp}
-			if probe.Stopped() {
-				// Halted mid-split: keep the child unprobed on the model's
+			child := splitWork{
+				prefix: append(append(make([]uint32, 0, L+1), w.prefix...), c),
+				// Halted mid-split, the child stays unprobed on the model's
 				// unrefined estimate so coverage stays complete.
-				child.est = est.subtree[L+1]
-				final = append(final, child)
-				continue
+				est: est.subtree[L+1],
 			}
-			info.Probes++
-			info.ProbeCandidates += uint64(len(buf))
-			child.children = append([]uint32(nil), buf...)
-			child.est = est.taskCost(L+1, len(buf))
+			buf = probe.ExpandPrefix(child.prefix, buf[:0])
+			if !probe.Stopped() {
+				info.Probes++
+				info.ProbeCandidates += uint64(len(buf))
+				child.children = append([]uint32(nil), buf...)
+				child.est = est.taskCost(L+1, len(buf))
+			}
 			pending = append(pending, child)
-		}
-	}
-
-	tasks := make([]enumTask, len(final))
-	predicted := 0.0
-	for i, w := range final {
-		predicted += w.est
-		switch len(w.prefix) {
-		case 1:
-			tasks[i] = enumTask{root: w.prefix[0], second: noSecond}
-		case 2:
-			tasks[i] = enumTask{root: w.prefix[0], second: w.prefix[1]}
-		default:
-			tasks[i] = enumTask{root: w.prefix[0], second: w.prefix[1], prefix: w.prefix}
 		}
 	}
 	info.PredictedNodes = uint64(predicted)
@@ -260,92 +265,45 @@ func buildCostModelTasks(probe *enumerate.Engine, rootCands []uint32, est *split
 }
 
 // buildAdaptiveCostTasks is the SplitCostModel policy under DP-iso's
-// adaptive ordering, which chooses its real order at runtime: a heavy
-// root splits on the runtime-chosen second vertex (the one
-// selectExtendable picks after mapping the root — re-derived identically
-// by RunAdaptivePair), probed through ExpandAdaptiveRoot. The recursion
-// stops there: deeper adaptive prefixes have no stable vertex to pin.
-// The estimator runs over the BFS delta as a proxy for the dynamic
-// order, which is exact at the split boundary (depths 0-1) and
-// approximate below it.
+// adaptive ordering: a heavy root splits on the runtime-chosen second
+// vertex, one level only. Position i of a prefix is a function of
+// prefix[:i] (see enumerate's pin), so deeper pins would be sound; what
+// stops the recursion is the estimator, which runs over the BFS delta
+// as a proxy for the dynamic order — exact at the split boundary
+// (depths 0-1), approximate below it — so the split children are costed
+// from the model alone instead of being probed in turn.
 func buildAdaptiveCostTasks(probe *enumerate.Engine, rootCands []uint32, est *splitEstimator,
 	workers int, info *SplitInfo) []enumTask {
 
-	type rootProbe struct {
-		root     uint32
-		children []uint32
-		est      float64
-		probed   bool
-	}
-	probes := make([]rootProbe, 0, len(rootCands))
-	var buf []uint32
-	total := 0.0
-	for i, v := range rootCands {
-		if probe.Stopped() {
-			for _, r := range rootCands[i:] {
-				probes = append(probes, rootProbe{root: r, est: est.subtree[1]})
-				total += est.subtree[1]
-			}
-			break
-		}
-		buf = probe.ExpandAdaptiveRoot(v, buf[:0])
-		if probe.Stopped() {
-			probes = append(probes, rootProbe{root: v, est: est.subtree[1]})
-			total += est.subtree[1]
-			continue
-		}
-		info.Probes++
-		info.ProbeCandidates += uint64(len(buf))
-		rp := rootProbe{root: v, children: append([]uint32(nil), buf...), est: est.taskCost(1, len(buf)), probed: true}
-		probes = append(probes, rp)
-		total += rp.est
-	}
-
-	threshold := total / float64(workers*splitShareDivisor)
-	if threshold < splitMinCost {
-		threshold = splitMinCost
-	}
+	roots, total := probeRoots(probe, rootCands, est, info)
+	threshold := splitThreshold(total, workers)
 	maxTasks := workers * splitMaxTasksPerWorker
 
 	var tasks []enumTask
 	predicted := 0.0
-	for _, rp := range probes {
-		if rp.probed && rp.est > threshold && len(rp.children) > 0 &&
-			len(tasks)+len(rp.children) <= maxTasks {
-			for _, w := range rp.children {
-				tasks = append(tasks, enumTask{root: rp.root, second: w})
-				predicted += est.subtree[2]
-			}
+	for _, w := range roots {
+		if w.est <= threshold || len(w.children) == 0 || len(tasks)+len(w.children) > maxTasks {
+			tasks = append(tasks, w.prefix)
+			predicted += w.est
 			continue
 		}
-		tasks = append(tasks, enumTask{root: rp.root, second: noSecond})
-		predicted += rp.est
+		tasks = pairTasks(tasks, w.prefix[0], w.children)
+		for range w.children {
+			predicted += est.subtree[2] // one term per task, as everywhere in the pool
+		}
 	}
 	info.PredictedNodes = uint64(predicted)
 	return tasks
 }
 
-// finishSplitInfo fills the pool-shape fields and the probe engine's
-// kernel tally once the task pool is final.
-func finishSplitInfo(info *SplitInfo, tasks []enumTask, probe *enumerate.Engine) {
+// setPoolShape fills the pool-shape fields once the task pool is final.
+func (info *SplitInfo) setPoolShape(tasks []enumTask) {
 	info.Tasks = len(tasks)
+	info.MaxPrefix = 1
 	for _, t := range tasks {
-		pl := 1
-		switch {
-		case t.prefix != nil:
-			pl = len(t.prefix)
-		case t.second != noSecond:
-			pl = 2
-		}
-		if pl > 1 {
+		if len(t) > 1 {
 			info.SplitTasks++
 		}
-		if pl > info.MaxPrefix {
-			info.MaxPrefix = pl
-		}
+		info.MaxPrefix = max(info.MaxPrefix, len(t))
 	}
-	if info.MaxPrefix == 0 {
-		info.MaxPrefix = 1
-	}
-	info.ProbeKernels = probe.Stats().Kernels
 }

@@ -10,15 +10,18 @@ import (
 	"testing"
 )
 
-// preprocessSurface is every exported function and method of the three
-// preprocessing layers. Each layer has one entry point per job, and the
-// worker count, the trace and the method parameters are arguments of
-// that entry point — a new RunXParallelStatsTraced must show up here as
-// a reviewed line. cmd/smatchbench pins the call forms filter.Run(m,q,g),
+// layerSurface is every exported function and method of the three
+// preprocessing layers and of enumeration. Each layer has one entry
+// point per job, and the worker count, the trace and the method
+// parameters are arguments of that entry point — a new
+// RunXParallelStatsTraced must show up here as a reviewed line; so must
+// a second way to pin a task (RunPrefix and ExpandPrefix take a prefix
+// of any length, under static and adaptive orders alike).
+// cmd/smatchbench pins the call forms filter.Run(m,q,g),
 // filter.RunLDF(q,g), candspace.BuildFull(q,g,cand),
 // (*Space).MaterializeBlocks() and order.Compute(m,q,g,cand): those stay
 // thin forwards (or take their extras as a trailing variadic).
-var preprocessSurface = map[string][]string{
+var layerSurface = map[string][]string{
 	"../filter": {
 		"AnyEmpty", "MeanCandidates", "Method.String", "Methods", "ParseMethod",
 		"Root", "Run", "RunLDF", "RunLabelOnly", "RunOpts", "TotalCandidates",
@@ -36,10 +39,17 @@ var preprocessSurface = map[string][]string{
 		"ComputeDPIso", "ComputeGQL", "ComputeQSI", "ComputeRI", "ComputeVF2PP",
 		"EstimateCost", "Method.String", "Methods", "ParseMethod", "Random", "Validate",
 	},
+	"../enumerate": {
+		"Engine.ExpandPrefix", "Engine.ResetStats", "Engine.Run", "Engine.RunPrefix",
+		"Engine.SetDeadline", "Engine.Stats", "Engine.Stopped", "LocalCandidates.String",
+		"NewEngine", "NewSearchProfile", "Run", "SearchProfile.BranchingSummary",
+		"SearchProfile.MaxDepth", "SearchProfile.Merge", "SearchProfile.Render",
+		"SearchProfile.TotalNodes", "Stats.Solved",
+	},
 }
 
-func TestPreprocessSurface(t *testing.T) {
-	for dir, want := range preprocessSurface {
+func TestLayerSurface(t *testing.T) {
+	for dir, want := range layerSurface {
 		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
 			return !strings.HasSuffix(fi.Name(), "_test.go")
 		}, 0)

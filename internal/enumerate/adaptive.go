@@ -22,6 +22,7 @@ type adaptiveState struct {
 	pool        []graph.Vertex   // currently extendable vertices
 	lcOf        [][]uint32       // local candidates, computed at activation
 	weightOf    []float64        // selection weight, computed at activation
+	pinned      []graph.Vertex   // per prefix position: the vertex pin selected
 }
 
 func (e *engine) initAdaptive() {
@@ -32,6 +33,7 @@ func (e *engine) initAdaptive() {
 	a.parentsLeft = make([]int, n)
 	a.lcOf = make([][]uint32, n)
 	a.weightOf = make([]float64, n)
+	a.pinned = make([]graph.Vertex, n)
 	for u := 0; u < n; u++ {
 		uu := graph.Vertex(u)
 		for _, un := range e.q.Neighbors(uu) {
@@ -133,96 +135,17 @@ func (e *engine) selectExtendable() graph.Vertex {
 	return u
 }
 
-// ExpandAdaptiveRoot is the adaptive-mode task-splitting probe: with the
-// DAG root mapped to v, it mirrors adaptiveRec's first step — activate
-// the root's DAG children and select the runtime-chosen second vertex —
-// and appends that vertex's local candidates to dst. RunAdaptivePair
-// re-derives the same second vertex deterministically, so the scheduler
-// only needs the candidate list. Returns dst unchanged once cancelled or
-// past the deadline, and in non-adaptive mode (see ExpandRoot).
-func (E *Engine) ExpandAdaptiveRoot(v uint32, dst []uint32) []uint32 {
-	e := &E.engine
-	if !e.opts.Adaptive || e.q.NumVertices() < 2 || e.probeHalt() {
-		return dst
-	}
+// peekExtendable returns the local candidates of the vertex
+// selectExtendable maps next, leaving the pool as it was (nil when
+// nothing is extendable).
+func (e *engine) peekExtendable() []uint32 {
 	a := &e.adaptive
-	root := e.phi[0]
-	a.pool = a.pool[:0]
-	a.lcOf[root] = append(a.lcOf[root][:0], v)
-	a.weightOf[root] = e.activationWeight(root, a.lcOf[root])
-	a.pool = append(a.pool, root)
-	u := e.selectExtendable() // the root: the pool's only entry
-	e.assign(u, v)
-	e.activate(u)
-	if len(a.pool) > 0 {
-		u2 := e.selectExtendable()
-		for _, w := range a.lcOf[u2] {
-			if !e.visited[w] {
-				dst = append(dst, w)
-			}
-		}
-		a.pool = append(a.pool, u2)
+	if len(a.pool) == 0 {
+		return nil
 	}
-	e.deactivate(u)
-	e.unassign(u, v)
-	a.pool = a.pool[:0]
-	return dst
-}
-
-// RunAdaptivePair enumerates the adaptive search with the DAG root
-// mapped to v and the runtime-chosen second vertex — the same vertex
-// selectExtendable picks after activating the root, re-derived here so
-// it matches ExpandAdaptiveRoot exactly — mapped to w. This is the
-// fine-grained adaptive task unit; embeddings are identical to running
-// the root whole, split across the second vertex's candidates. The same
-// stop contract as RunRoot applies.
-func (E *Engine) RunAdaptivePair(v, w uint32) bool {
-	e := &E.engine
-	if !e.opts.Adaptive {
-		return E.RunRootPair(v, w)
-	}
-	if e.aborted {
-		return false
-	}
-	a := &e.adaptive
-	root := e.phi[0]
-	a.pool = a.pool[:0]
-	a.lcOf[root] = append(a.lcOf[root][:0], v)
-	a.weightOf[root] = e.activationWeight(root, a.lcOf[root])
-	a.pool = append(a.pool, root)
 	u := e.selectExtendable()
-	e.assign(u, v)
-	// The pinned depths never re-enter adaptiveRec, so their activation
-	// kernels are attributed here (to depths 0 and 1) to keep the
-	// per-depth kernel sums equal to Stats.Kernels, as adaptiveRec does.
-	var kpre intersect.KernelStats
-	if e.prof != nil {
-		kpre = e.sel.Stats()
-	}
-	e.activate(u)
-	if e.prof != nil {
-		e.prof.addKernelDelta(0, kpre, e.sel.Stats())
-	}
-	if len(a.pool) > 0 && !e.visited[w] {
-		u2 := e.selectExtendable()
-		if e.symPeers == nil || e.symViolator(u2, w) == graph.NoVertex {
-			e.assign(u2, w)
-			if e.prof != nil {
-				kpre = e.sel.Stats()
-			}
-			e.activate(u2)
-			if e.prof != nil {
-				e.prof.addKernelDelta(1, kpre, e.sel.Stats())
-			}
-			e.adaptiveRec(2)
-			e.deactivate(u2)
-			e.unassign(u2, w)
-		}
-		a.pool = append(a.pool, u2)
-	}
-	e.deactivate(u)
-	e.unassign(u, v)
-	return !e.aborted
+	a.pool = append(a.pool, u)
+	return a.lcOf[u]
 }
 
 func (e *engine) runAdaptive() {

@@ -41,7 +41,7 @@ func Run(q, g *graph.Graph, cand [][]uint32, space *candspace.Space, phi []graph
 // the partial embedding, visited marks, per-depth local-candidate
 // buffers, intersection intermediates, failing-set masks — is allocated
 // once at construction and re-seeded on each run, so repeated runs and
-// per-task calls (RunRoot, RunRootPair) allocate nothing.
+// per-task calls (RunPrefix, ExpandPrefix) allocate nothing.
 //
 // An Engine is not safe for concurrent use; parallel callers hold one
 // engine per worker over shared read-only inputs.
@@ -124,10 +124,8 @@ func (E *Engine) Run() *Stats {
 	}
 	if e.opts.Adaptive {
 		e.runAdaptive()
-	} else if e.opts.FailingSets {
-		e.runFS(0)
 	} else {
-		e.runPlain(0)
+		e.runFS(0)
 	}
 	e.stats.Duration = time.Since(start)
 	e.stats.Kernels = e.sel.Stats()
@@ -148,9 +146,6 @@ func (e *engine) resetRun() {
 	e.clockTicker = 0
 	e.deadline = time.Time{}
 	e.sel.ResetStats()
-	if e.opts.Adaptive {
-		e.adaptive.pool = e.adaptive.pool[:0]
-	}
 }
 
 // SetDeadline arms (or, with a zero time, disarms) the wall-clock
@@ -159,8 +154,8 @@ func (e *engine) resetRun() {
 func (E *Engine) SetDeadline(t time.Time) { E.engine.deadline = t }
 
 // Stats returns the engine's cumulative statistics: a full Run resets
-// them, while the per-task entry points (RunRoot, RunRootPair)
-// accumulate across calls so a worker's tally is read once at the end.
+// them, while the per-task entry point (RunPrefix) accumulates across
+// calls so a worker's tally is read once at the end.
 func (E *Engine) Stats() *Stats {
 	E.engine.stats.Kernels = E.engine.sel.Stats()
 	return &E.engine.stats
@@ -168,8 +163,8 @@ func (E *Engine) Stats() *Stats {
 
 // Stopped reports whether the engine has aborted — cancellation,
 // deadline, an OnMatch abort, or the embedding cap. Schedulers probing
-// through ExpandRoot/ExpandPrefix check it to tell an empty expansion
-// from a halted one.
+// through ExpandPrefix check it to tell an empty expansion from a halted
+// one.
 func (E *Engine) Stopped() bool { return E.engine.aborted }
 
 // ResetStats clears the cumulative statistics and the abort flag without
@@ -181,42 +176,11 @@ func (E *Engine) ResetStats() {
 	E.engine.deadline = deadline
 }
 
-// RunRoot enumerates the search subtree with the order's start vertex
-// pre-assigned to the data vertex v — one scheduler task unit. Results
-// accumulate into Stats. It reports false when the search must stop
-// (cancellation, deadline, or an OnMatch abort); the caller should then
-// stop feeding tasks.
-func (E *Engine) RunRoot(v uint32) bool {
-	e := &E.engine
-	if e.aborted {
-		return false
-	}
-	root := e.phi[0]
-	if e.opts.Adaptive {
-		a := &e.adaptive
-		a.pool = a.pool[:0]
-		a.lcOf[root] = append(a.lcOf[root][:0], v)
-		a.weightOf[root] = e.activationWeight(root, a.lcOf[root])
-		a.pool = append(a.pool, root)
-		e.adaptiveRec(0)
-		return !e.aborted
-	}
-	e.assign(root, v)
-	if e.opts.FailingSets {
-		e.runFS(1)
-	} else {
-		e.runPlain(1)
-	}
-	e.unassign(root, v)
-	return !e.aborted
-}
-
-// probeHalt polls the cancellation flag and deadline once. The probe
-// entry points (ExpandRoot, ExpandPrefix, ExpandAdaptiveRoot) expand no
-// search nodes, so enterNode's amortized ticker never fires for them;
-// each probe call polls directly instead — a degenerate root expansion
-// must respond to ctx cancellation and Limits.TimeLimit like any other
-// search work.
+// probeHalt polls the cancellation flag and deadline once. ExpandPrefix
+// expands no search nodes, so enterNode's amortized ticker never fires
+// for it; each probe call polls directly instead — a degenerate root
+// expansion must respond to ctx cancellation and Limits.TimeLimit like
+// any other search work.
 func (e *engine) probeHalt() bool {
 	if e.aborted {
 		return true
@@ -233,135 +197,137 @@ func (e *engine) probeHalt() bool {
 	return false
 }
 
-// ExpandRoot computes the depth-1 local candidates reached when the
-// start vertex maps to v, appended to dst — the task-splitting probe a
-// scheduler uses to break one heavy root candidate into finer (root,
-// second) task units for RunRootPair. Candidates conflicting with v are
-// already filtered out. Only static orders can be pre-split this way; in
-// adaptive mode ExpandRoot returns dst unchanged (see
-// ExpandAdaptiveRoot). Once cancelled or past the deadline it returns
-// dst unchanged immediately.
-func (E *Engine) ExpandRoot(v uint32, dst []uint32) []uint32 {
-	e := &E.engine
-	if e.opts.Adaptive || e.q.NumVertices() < 2 || e.probeHalt() {
-		return dst
+// pin maps position i of a pinned prefix to the data vertex v. The
+// query vertex at position i is phi[i] under a static order; under
+// DP-iso's runtime order it is the vertex selectExtendable picks once
+// prefix[:i] is mapped — a function of the prefix alone, so a probe and
+// the task it produced re-derive the same vertex. A pinned position is
+// not a search node: nothing is counted except, when profiling, the
+// kernels its activation ran (attributed to depth i, as adaptiveRec
+// does). pin reports false, leaving the engine as it found it, when v
+// conflicts with an earlier position or breaks the symmetry order —
+// ExpandPrefix filters the former, so only a caller fabricating prefixes
+// sees it.
+func (e *engine) pin(i int, v uint32) bool {
+	u := e.phi[i]
+	a := &e.adaptive
+	if e.opts.Adaptive {
+		if i == 0 {
+			// The DAG root is the only extendable vertex of an empty
+			// mapping.
+			a.pool = append(a.pool[:0], u)
+		}
+		if len(a.pool) == 0 {
+			return false
+		}
+		u = e.selectExtendable()
 	}
-	root := e.phi[0]
-	e.assign(root, v)
-	for _, w := range e.computeLC(1, e.phi[1]) {
-		if !e.visited[w] {
-			dst = append(dst, w)
+	if e.visited[v] || (e.symPeers != nil && e.symViolator(u, v) != graph.NoVertex) {
+		if e.opts.Adaptive {
+			a.pool = append(a.pool, u)
+		}
+		return false
+	}
+	e.assign(u, v)
+	if e.opts.Adaptive {
+		a.pinned[i] = u
+		var kpre intersect.KernelStats
+		if e.prof != nil {
+			kpre = e.sel.Stats()
+		}
+		e.activate(u)
+		if e.prof != nil {
+			e.prof.addKernelDelta(i, kpre, e.sel.Stats())
 		}
 	}
-	e.unassign(root, v)
-	return dst
+	return true
 }
 
-// ExpandPrefix generalizes ExpandRoot to deeper pins: with the order's
-// first len(prefix) vertices mapped to prefix, it appends the local
-// candidates of the next order vertex to dst — the recursive splitting
-// probe. A prefix whose assignments conflict yields no candidates. The
-// same cancellation contract as ExpandRoot applies.
+// unpin undoes a successful pin(i, v); positions unwind last to first.
+func (e *engine) unpin(i int, v uint32) {
+	u := e.phi[i]
+	if e.opts.Adaptive {
+		a := &e.adaptive
+		u = a.pinned[i]
+		e.deactivate(u)
+		a.pool = append(a.pool, u)
+	}
+	e.unassign(u, v)
+}
+
+// pinPrefix pins prefix position by position and returns how many
+// positions it mapped: len(prefix) unless one of them conflicts.
+func (e *engine) pinPrefix(prefix []uint32) int {
+	for i, v := range prefix {
+		if !e.pin(i, v) {
+			return i
+		}
+	}
+	return len(prefix)
+}
+
+func (e *engine) unpinPrefix(prefix []uint32) {
+	for i := len(prefix) - 1; i >= 0; i-- {
+		e.unpin(i, prefix[i])
+	}
+}
+
+// ExpandPrefix is the task-splitting probe: with the search's first
+// len(prefix) positions mapped to prefix (see pin for which query vertex
+// a position is), it appends to dst the local candidates of the next
+// position, those conflicting with the prefix already filtered out —
+// the children a scheduler pins to split one heavy task into finer
+// RunPrefix units. A conflicting prefix, or one that leaves no next
+// position, yields nothing; once cancelled or past the deadline
+// ExpandPrefix returns dst unchanged immediately.
 func (E *Engine) ExpandPrefix(prefix, dst []uint32) []uint32 {
 	e := &E.engine
 	L := len(prefix)
-	if e.opts.Adaptive || L == 0 || L >= e.q.NumVertices() || e.probeHalt() {
+	if L == 0 || L >= e.q.NumVertices() || e.probeHalt() {
 		return dst
 	}
-	assigned := 0
-	for i, v := range prefix {
-		if i > 0 && e.visited[v] {
-			break
+	k := e.pinPrefix(prefix)
+	if k == L {
+		var lc []uint32
+		if e.opts.Adaptive {
+			lc = e.peekExtendable()
+		} else {
+			lc = e.computeLC(L, e.phi[L])
 		}
-		e.assign(e.phi[i], v)
-		assigned++
-	}
-	if assigned == L {
-		for _, w := range e.computeLC(L, e.phi[L]) {
+		for _, w := range lc {
 			if !e.visited[w] {
 				dst = append(dst, w)
 			}
 		}
 	}
-	for i := assigned - 1; i >= 0; i-- {
-		e.unassign(e.phi[i], prefix[i])
-	}
+	e.unpinPrefix(prefix[:k])
 	return dst
 }
 
-// RunPrefix enumerates the subtree with the order's first len(prefix)
-// positions pre-assigned to prefix — the task unit produced by the
-// recursive cost-model splitter. Prefixes of length 1 and 2 behave like
-// RunRoot and RunRootPair. A conflicting prefix (as RunRootPair, only a
-// caller fabricating tasks produces one) is a no-op. The same stop
-// contract as RunRoot applies.
+// RunPrefix enumerates the search subtree below a pinned prefix — one
+// scheduler task unit, at any length from a root candidate to the whole
+// embedding. Results accumulate into Stats; the pinned positions are not
+// search nodes. A conflicting prefix is a no-op. RunPrefix reports false
+// when the search must stop (cancellation, deadline, the embedding cap
+// or an OnMatch abort); the caller should then stop feeding tasks.
 func (E *Engine) RunPrefix(prefix []uint32) bool {
 	e := &E.engine
 	if e.aborted {
 		return false
 	}
 	L := len(prefix)
-	if L == 0 || L > e.q.NumVertices() || e.opts.Adaptive {
+	if L == 0 || L > e.q.NumVertices() {
 		return true
 	}
-	assigned := 0
-	ok := true
-	for i, v := range prefix {
-		u := e.phi[i]
-		if i > 0 {
-			if e.visited[v] {
-				ok = false
-				break
-			}
-			if e.symPeers != nil && e.symViolator(u, v) != graph.NoVertex {
-				ok = false
-				break
-			}
-		}
-		e.assign(u, v)
-		assigned++
-	}
-	if ok {
-		if e.opts.FailingSets {
-			e.runFS(L)
+	k := e.pinPrefix(prefix)
+	if k == L {
+		if e.opts.Adaptive {
+			e.adaptiveRec(L)
 		} else {
-			e.runPlain(L)
+			e.runFS(L)
 		}
 	}
-	for i := assigned - 1; i >= 0; i-- {
-		e.unassign(e.phi[i], prefix[i])
-	}
-	return !e.aborted
-}
-
-// RunRootPair enumerates the subtree with the first two order positions
-// pre-assigned to (v, w) — the fine-grained task unit produced by
-// ExpandRoot. The same stop contract as RunRoot applies.
-func (E *Engine) RunRootPair(v, w uint32) bool {
-	e := &E.engine
-	if e.aborted {
-		return false
-	}
-	root, second := e.phi[0], e.phi[1]
-	e.assign(root, v)
-	if e.visited[w] {
-		// v == w conflict; ExpandRoot filters these, so only a caller
-		// fabricating tasks gets here.
-		e.unassign(root, v)
-		return true
-	}
-	if e.symPeers != nil && e.symViolator(second, w) != graph.NoVertex {
-		e.unassign(root, v)
-		return true
-	}
-	e.assign(second, w)
-	if e.opts.FailingSets {
-		e.runFS(2)
-	} else {
-		e.runPlain(2)
-	}
-	e.unassign(second, w)
-	e.unassign(root, v)
+	e.unpinPrefix(prefix[:k])
 	return !e.aborted
 }
 
@@ -575,73 +541,20 @@ func (e *engine) unassign(u graph.Vertex, v uint32) {
 	}
 }
 
-// runPlain is the recursion of Algorithm 1 without failing sets. It
-// returns false when the search was aborted by a limit.
-func (e *engine) runPlain(depth int) bool {
-	if !e.enterNode() {
-		return false
-	}
-	if depth == e.q.NumVertices() {
-		// Only an entry point that pinned the whole embedding gets here;
-		// the search itself finishes in leafLevel.
-		if e.prof != nil {
-			e.prof.Nodes[depth]++
-		}
-		return e.emit()
-	}
-	u := e.phi[depth]
-	var kpre intersect.KernelStats
-	if e.prof != nil {
-		kpre = e.sel.Stats()
-	}
-	lc := e.computeLC(depth, u)
-	if e.prof != nil {
-		e.prof.addKernelDelta(depth, kpre, e.sel.Stats())
-		e.prof.Nodes[depth]++
-		e.prof.Candidates[depth] += uint64(len(lc))
-		if len(lc) == 0 {
-			e.prof.EmptyLC[depth]++
-		}
-	}
-	if depth == e.q.NumVertices()-1 {
-		e.leafLevel(depth, u, lc)
-		return !e.aborted
-	}
-	for _, v := range lc {
-		if e.visited[v] {
-			if e.prof != nil {
-				e.prof.Conflicts[depth]++
-			}
-			continue
-		}
-		if e.symPeers != nil && e.symViolator(u, v) != graph.NoVertex {
-			if e.prof != nil {
-				e.prof.SymmetrySkips[depth]++
-			}
-			continue
-		}
-		if e.prof != nil {
-			e.prof.Extended[depth]++
-		}
-		e.assign(u, v)
-		cont := e.runPlain(depth + 1)
-		e.unassign(u, v)
-		if !cont {
-			return false
-		}
-	}
-	return true
-}
-
-// runFS is the recursion with failing-sets pruning. The returned mask is
-// the failing set of the subtree rooted at the current node; fullMask
-// means "a match was found below (or nothing can be pruned)".
+// runFS is the recursion of Algorithm 1 over a static order. The
+// returned mask is the failing set of the subtree rooted at the current
+// node; fullMask means "a match was found below (or nothing can be
+// pruned)". The masks are maintained throughout and acted upon only
+// when the failing-sets optimization is enabled, which also spares the
+// plain search the one costly part of keeping them, the owner scan on a
+// conflict.
 func (e *engine) runFS(depth int) bitset.Mask64 {
 	if !e.enterNode() {
 		return e.fullMask
 	}
 	if depth == e.q.NumVertices() {
-		// Pinned whole embedding, as in runPlain.
+		// Only an entry point that pinned the whole embedding gets here;
+		// the search itself finishes in leafLevel.
 		if e.prof != nil {
 			e.prof.Nodes[depth]++
 		}
@@ -670,13 +583,16 @@ func (e *engine) runFS(depth int) bitset.Mask64 {
 	if depth == e.q.NumVertices()-1 {
 		return nodeMask(e.leafLevel(depth, u, lc), u, e.bwd[depth])
 	}
+	fs := e.opts.FailingSets
 	var accum bitset.Mask64
 	for _, v := range lc {
 		var child bitset.Mask64
 		if e.visited[v] {
 			// Conflict class: u collides with the vertex already mapped
 			// to v.
-			child = bitset.Mask64(0).With(uint32(u)).With(uint32(e.ownerOf(v)))
+			if fs {
+				child = bitset.Mask64(0).With(uint32(u)).With(uint32(e.ownerOf(v)))
+			}
 			if e.prof != nil {
 				e.prof.Conflicts[depth]++
 			}
@@ -698,7 +614,7 @@ func (e *engine) runFS(depth int) bitset.Mask64 {
 				return e.fullMask
 			}
 		}
-		if child != e.fullMask && !child.Has(uint32(u)) {
+		if fs && child != e.fullMask && !child.Has(uint32(u)) {
 			// The failure below does not involve u: every sibling
 			// assignment of u fails identically, so skip them. If an
 			// earlier sibling's subtree contained a match, this node
@@ -731,7 +647,7 @@ func nodeMask(accum bitset.Mask64, u graph.Vertex, bwd []graph.Vertex) bitset.Ma
 }
 
 // leafLevel finishes the last unmapped query vertex u in place, shared
-// by runPlain, runFS and adaptiveRec: every admissible v of lc is one
+// by runFS and adaptiveRec: every admissible v of lc is one
 // search node and one embedding, with the conflict and symmetry checks,
 // the node accounting (enterNode, so Stats.Nodes and the cancel/deadline
 // ticker advance exactly as a recursive call would) and the profile

@@ -61,12 +61,12 @@ func TestEngineRunRootPartitionsTheSearch(t *testing.T) {
 				t.Fatalf("NewEngine: %v", err)
 			}
 			for _, v := range f.cand[f.phi[0]] {
-				if !e.RunRoot(v) {
-					t.Fatalf("RunRoot(%d) stopped unexpectedly", v)
+				if !e.RunPrefix([]uint32{v}) {
+					t.Fatalf("RunPrefix(%d) stopped unexpectedly", v)
 				}
 			}
 			if got := e.Stats().Embeddings; got != ref.Embeddings {
-				t.Errorf("trial %d opts %+v: RunRoot partition found %d embeddings, full run %d",
+				t.Errorf("trial %d opts %+v: root partition found %d embeddings, full run %d",
 					trial, opts, got, ref.Embeddings)
 			}
 		}
@@ -86,11 +86,7 @@ func TestEngineRootPairPartitionsTheSearch(t *testing.T) {
 			continue
 		}
 		f := newFixture(t, q, g, filter.GQL)
-		for _, opts := range []Options{
-			{Local: Direct},
-			{Local: Intersect},
-			{Local: Intersect, FailingSets: true},
-		} {
+		for _, opts := range reuseOptionSets() {
 			ref := f.run(t, opts)
 			e, err := NewEngine(f.q, f.g, f.cand, f.space, f.phi, opts)
 			if err != nil {
@@ -98,10 +94,10 @@ func TestEngineRootPairPartitionsTheSearch(t *testing.T) {
 			}
 			var buf []uint32
 			for _, v := range f.cand[f.phi[0]] {
-				buf = e.ExpandRoot(v, buf[:0])
+				buf = e.ExpandPrefix([]uint32{v}, buf[:0])
 				for _, w := range buf {
-					if !e.RunRootPair(v, w) {
-						t.Fatalf("RunRootPair(%d,%d) stopped unexpectedly", v, w)
+					if !e.RunPrefix([]uint32{v, w}) {
+						t.Fatalf("RunPrefix(%d,%d) stopped unexpectedly", v, w)
 					}
 				}
 			}
@@ -114,7 +110,7 @@ func TestEngineRootPairPartitionsTheSearch(t *testing.T) {
 }
 
 // TestEngineRunRootAccumulatesAcrossTasks pins the scheduler contract:
-// per-task entry points accumulate into Stats until ResetStats.
+// the per-task entry point accumulates into Stats until ResetStats.
 func TestEngineRunRootAccumulatesAcrossTasks(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
 	f := newFixture(t, q, g, filter.GQL)
@@ -124,14 +120,14 @@ func TestEngineRunRootAccumulatesAcrossTasks(t *testing.T) {
 	}
 	roots := f.cand[f.phi[0]]
 	for _, v := range roots {
-		e.RunRoot(v)
+		e.RunPrefix([]uint32{v})
 	}
 	firstNodes := e.Stats().Nodes
 	if firstNodes == 0 {
 		t.Fatal("no nodes accounted")
 	}
 	for _, v := range roots {
-		e.RunRoot(v)
+		e.RunPrefix([]uint32{v})
 	}
 	if got := e.Stats().Nodes; got != 2*firstNodes {
 		t.Errorf("accumulated nodes = %d, want %d", got, 2*firstNodes)
@@ -144,7 +140,7 @@ func TestEngineRunRootAccumulatesAcrossTasks(t *testing.T) {
 
 // TestEngineSteadyStateAllocationFree is the zero-alloc contract behind
 // the engine-reuse API: once buffers are warm, a full enumeration run
-// performs no heap allocations.
+// performs no heap allocations, and neither do the task entries.
 func TestEngineSteadyStateAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := testutil.RandomGraph(rng, 60, 240, 2)
@@ -153,11 +149,8 @@ func TestEngineSteadyStateAllocationFree(t *testing.T) {
 		q = testutil.RandomConnectedQuery(rng, g, 5)
 	}
 	f := newFixture(t, q, g, filter.GQL)
-	for _, opts := range []Options{
-		{Local: Direct},
-		{Local: Intersect},
-		{Local: Intersect, FailingSets: true},
-	} {
+	roots := f.cand[f.phi[0]]
+	for _, opts := range reuseOptionSets() {
 		e, err := NewEngine(f.q, f.g, f.cand, f.space, f.phi, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -167,6 +160,24 @@ func TestEngineSteadyStateAllocationFree(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(20, func() { e.Run() }); allocs > 0 {
 			t.Errorf("opts %+v: %.1f allocs per warmed run, want 0", opts, allocs)
+		}
+		// The task entries — what a scheduler worker and its splitter
+		// call per task — pin and probe out of the same buffers.
+		pair := make([]uint32, 2)
+		var children []uint32
+		tasks := func() {
+			for i := range roots {
+				e.RunPrefix(roots[i : i+1])
+				children = e.ExpandPrefix(roots[i:i+1], children[:0])
+				for _, w := range children {
+					pair[0], pair[1] = roots[i], w
+					e.RunPrefix(pair)
+				}
+			}
+		}
+		tasks()
+		if allocs := testing.AllocsPerRun(20, tasks); allocs > 0 {
+			t.Errorf("opts %+v: %.1f allocs per warmed pass over the task entries, want 0", opts, allocs)
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"subgraphmatching/internal/filter"
 	"subgraphmatching/internal/graph"
+	"subgraphmatching/internal/intersect"
 	"subgraphmatching/internal/testutil"
 )
 
@@ -259,11 +260,13 @@ func TestLeafLevelMatchesParentDigests(t *testing.T) {
 	}
 }
 
-// TestLeafLevelEntryPoints runs every task entry point over the
-// fixture's hand-made queries: partitioning the search by root, (root, second) pair or
-// longer prefix — down to prefixes that pin the whole embedding, which
-// is the one case that still reaches the depth == n branch — yields
-// exactly the embeddings of the full run.
+// TestLeafLevelEntryPoints runs the task entry point over the fixture's
+// hand-made queries, under static and adaptive orders alike:
+// partitioning the search by prefixes of every length — from root
+// candidates down to prefixes that pin the whole embedding, which is the
+// one case that still reaches the depth == n branch — yields exactly the
+// embeddings of the full run, and a pinned position is not a search
+// node.
 func TestLeafLevelEntryPoints(t *testing.T) {
 	g, queries := leafFixture(t)
 	for _, lq := range queries[:4] {
@@ -283,7 +286,13 @@ func TestLeafLevelEntryPoints(t *testing.T) {
 					got = append(got, embeddingKey(m))
 					return true
 				}
+				opts.Profile = true
 				e, err := NewEngine(f.q, f.g, f.cand, f.space, f.phi, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				// As in the scheduler, probing is a second engine's work.
+				probe, err := NewEngine(f.q, f.g, f.cand, f.space, f.phi, c.opts)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -300,38 +309,35 @@ func TestLeafLevelEntryPoints(t *testing.T) {
 							}
 						}
 					}
-					if e.Stats().Embeddings != ref.Embeddings {
-						t.Errorf("%s %s: Stats.Embeddings %d, full run %d", name, entry, e.Stats().Embeddings, ref.Embeddings)
+					st := e.Stats()
+					if st.Embeddings != ref.Embeddings {
+						t.Errorf("%s %s: Stats.Embeddings %d, full run %d", name, entry, st.Embeddings, ref.Embeddings)
+					}
+					// What the pinned positions ran is in the profile too: the
+					// per-depth split still sums to the totals.
+					var kernels intersect.KernelStats
+					for _, k := range st.Profile.Kernels {
+						kernels.Add(k)
+					}
+					if kernels != st.Kernels || st.Profile.TotalNodes() != st.Nodes {
+						t.Errorf("%s %s: profile sums to %v kernels, %d nodes; Stats has %v, %d",
+							name, entry, kernels, st.Profile.TotalNodes(), st.Kernels, st.Nodes)
 					}
 					got = got[:0]
 					e.ResetStats()
 				}
 
 				roots := f.cand[f.phi[0]]
-				for _, r := range roots {
-					e.RunRoot(r)
+				for i := range roots {
+					e.RunPrefix(roots[i : i+1])
 				}
-				if !opts.FailingSets && !opts.Adaptive {
+				if !opts.FailingSets {
 					// The root node itself is the only one the tasks skip.
 					if nodes := e.Stats().Nodes; nodes != ref.Nodes-1 {
-						t.Errorf("%s RunRoot: %d nodes over all roots, full run %d", name, nodes, ref.Nodes)
+						t.Errorf("%s RunPrefix(len 1): %d nodes over all roots, full run %d", name, nodes, ref.Nodes)
 					}
 				}
-				check("RunRoot")
-				if n < 2 {
-					continue
-				}
-				var buf []uint32
-				if opts.Adaptive {
-					for _, r := range roots {
-						buf = e.ExpandAdaptiveRoot(r, buf[:0])
-						for _, w := range append([]uint32(nil), buf...) {
-							e.RunAdaptivePair(r, w)
-						}
-					}
-					check("RunAdaptivePair")
-					continue
-				}
+				check("RunPrefix(len 1)")
 				// Every prefix length from 2 up to the whole embedding.
 				for L := 2; L <= n; L++ {
 					var expand func(prefix []uint32)
@@ -340,15 +346,15 @@ func TestLeafLevelEntryPoints(t *testing.T) {
 							e.RunPrefix(prefix)
 							return
 						}
-						for _, w := range e.ExpandPrefix(prefix, nil) {
+						for _, w := range probe.ExpandPrefix(prefix, nil) {
 							expand(append(prefix[:len(prefix):len(prefix)], w))
 						}
 					}
 					for _, r := range roots {
 						expand([]uint32{r})
 					}
-					// ExpandPrefix does not apply symmetry breaking; RunPrefix
-					// rejects the out-of-order prefixes itself.
+					// ExpandPrefix does not order its children by the symmetry
+					// classes; pinning rejects the out-of-order prefixes.
 					check(fmt.Sprintf("RunPrefix(len %d)", L))
 				}
 			}
@@ -501,7 +507,7 @@ func TestLeafLevelHonorsCancelAndDeadline(t *testing.T) {
 		e.ResetStats()
 		e.SetDeadline(time.Now().Add(-time.Second))
 		for _, r := range f.cand[f.phi[0]] {
-			if !e.RunRoot(r) {
+			if !e.RunPrefix([]uint32{r}) {
 				break
 			}
 		}

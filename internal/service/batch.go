@@ -54,9 +54,6 @@ type execKey struct {
 	maxEmbeddings uint64
 	timeLimit     time.Duration
 	parallel      int
-	schedule      core.Schedule
-	split         core.SplitPolicy
-	splitFactor   int
 	workers       int
 	// profile keeps profiled and unprofiled items apart: a fan-out of an
 	// unprofiled run has no Explain to offer a profiled duplicate.
@@ -311,9 +308,6 @@ func (s *Service) runBatchItem(ctx context.Context, began time.Time, grp *batchG
 		maxEmbeddings: req.MaxEmbeddings,
 		timeLimit:     timeLimit,
 		parallel:      req.Parallel,
-		schedule:      req.Schedule,
-		split:         req.Split,
-		splitFactor:   req.SplitFactor,
 		workers:       req.Workers,
 		profile:       req.Profile,
 	}
@@ -339,9 +333,6 @@ func (s *Service) runBatchItem(ctx context.Context, began time.Time, grp *batchG
 		Cancel:        &flag,
 		OnMatch:       req.OnMatch,
 		Parallel:      req.Parallel,
-		Schedule:      req.Schedule,
-		Split:         req.Split,
-		SplitFactor:   req.SplitFactor,
 		Workers:       req.Workers,
 		Profile:       req.Profile,
 		Trace:         true,

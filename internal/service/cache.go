@@ -59,13 +59,13 @@ func configHash(cfg core.Config) uint64 {
 	flag(cfg.VF2PPRules)
 	flag(cfg.Homomorphism)
 	flag(cfg.SymmetryBreaking)
-	flag(cfg.Profile)
 	flag(cfg.UseGlasgow)
 	flag(cfg.UseVF2)
 	flag(cfg.UseUllmann)
 	u64(uint64(cfg.GQLRounds))
 	u64(uint64(cfg.GQLRadius))
 	u64(uint64(cfg.DPIsoPasses))
+	u64(uint64(cfg.GlasgowMemoryBudget))
 	u64(uint64(len(cfg.FixedOrder)))
 	for _, v := range cfg.FixedOrder {
 		u64(uint64(v))

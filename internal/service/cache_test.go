@@ -220,6 +220,11 @@ func TestConfigHashDistinguishesPlanShapingKnobs(t *testing.T) {
 	cfg = base
 	cfg.FixedOrder = []graph.Vertex{0, 1, 2}
 	record("fixedorder", cfg)
+	// A batch group runs every item under its first item's config, so two
+	// Glasgow items with different budgets must not share a group.
+	cfg = base
+	cfg.GlasgowMemoryBudget = 1 << 20
+	record("glasgowbudget", cfg)
 
 	// Every filter — GQL included — builds identical candidate sets at
 	// any worker count, so requests that differ only in their worker

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"subgraphmatching/internal/core"
+	"subgraphmatching/internal/graph"
 	"subgraphmatching/internal/intersect"
 	"subgraphmatching/internal/testutil"
 )
@@ -31,22 +32,31 @@ func TestConfigHashSeparatesKernelPolicies(t *testing.T) {
 	}
 }
 
-// TestRequestKernelOverride: a request-level kernel override reaches
-// the executed config, distinct policies get distinct plan-cache
-// entries, and the service-wide kernel mix shows up in Stats.
+// TestRequestKernelOverride: a kernel pinned through Custom.Kernel — the
+// one way a service request leaves the adaptive default — reaches the
+// executed config and returns identical embeddings, distinct policies
+// get distinct plan-cache entries, and the service-wide kernel mix shows
+// up in Stats.
 func TestRequestKernelOverride(t *testing.T) {
 	s, g := newTestService(t, Config{})
 	defer s.Close()
+	// A cyclic query: some vertex has two backward neighbors, so the
+	// intersect local actually executes pairwise kernels.
 	rng := rand.New(rand.NewSource(3))
-	q := testutil.RandomConnectedQuery(rng, g, 5)
-	if q == nil {
-		t.Fatal("no query")
+	var q *graph.Graph
+	for q == nil || q.NumEdges() < q.NumVertices() {
+		q = testutil.RandomConnectedQuery(rng, g, 5)
 	}
 	ctx := context.Background()
+	pinned := func(kern intersect.Policy) Request {
+		cfg := core.PresetConfig(core.Optimized, q, g)
+		cfg.Kernel = kern
+		return Request{Graph: "main", Query: q, Custom: &cfg}
+	}
 
 	var want uint64
 	for i, kern := range []intersect.Policy{intersect.PolicyAdaptive, intersect.PolicyMerge, intersect.PolicyHybrid} {
-		resp, err := s.Submit(ctx, Request{Graph: "main", Query: q, Algorithm: core.Optimized, Kernel: kern})
+		resp, err := s.Submit(ctx, pinned(kern))
 		if err != nil {
 			t.Fatalf("kernel %v: %v", kern, err)
 		}
@@ -58,25 +68,30 @@ func TestRequestKernelOverride(t *testing.T) {
 		if resp.CacheHit {
 			t.Errorf("kernel %v: unexpected cache hit — policies must not share plans", kern)
 		}
+		if kern == intersect.PolicyMerge {
+			if k := resp.Result.Kernels; k.Total() == 0 || k[intersect.KernelMerge] != k.Total() {
+				t.Errorf("pinned merge ran the mix %v", k.Map())
+			}
+		}
 	}
-	// Same policy again: now the plan is shared.
-	resp, err := s.Submit(ctx, Request{Graph: "main", Query: q, Algorithm: core.Optimized, Kernel: intersect.PolicyMerge})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.CacheHit {
-		t.Error("repeat request with the same kernel policy missed the cache")
+	// Same policy again: now the plan is shared. The preset spelled out as
+	// a Custom config is the preset's plan too.
+	for _, req := range []Request{pinned(intersect.PolicyMerge), {Graph: "main", Query: q, Algorithm: core.Optimized}} {
+		resp, err := s.Submit(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.CacheHit {
+			t.Errorf("repeat of %s with the same kernel policy missed the cache", req.algoName())
+		}
 	}
 
 	st := s.Stats()
-	if resp.Result.Kernels.Total() > 0 && len(st.Kernels) == 0 {
-		t.Errorf("requests tallied kernels but Stats.Kernels is empty")
-	}
 	var total uint64
 	for _, n := range st.Kernels {
 		total += n
 	}
-	if resp.Result.Kernels.Total() > 0 && total == 0 {
-		t.Errorf("Stats.Kernels sums to zero: %v", st.Kernels)
+	if total == 0 {
+		t.Errorf("Stats.Kernels sums to zero after intersect requests: %v", st.Kernels)
 	}
 }

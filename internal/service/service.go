@@ -10,7 +10,6 @@ import (
 
 	"subgraphmatching/internal/core"
 	"subgraphmatching/internal/graph"
-	"subgraphmatching/internal/intersect"
 	"subgraphmatching/internal/obs"
 	"subgraphmatching/internal/obs/flight"
 )
@@ -106,26 +105,16 @@ type Request struct {
 	// component configuration.
 	Algorithm core.Algorithm
 	Custom    *core.Config
-	// Kernel, when not PolicyAdaptive, overrides the resolved config's
-	// intersection-kernel policy (preset or Custom) — the request-level
-	// form of the kernel= query parameter. The adaptive default cannot
-	// be forced back onto a Custom config that pinned a static kernel;
-	// set Custom.Kernel directly for that.
-	Kernel intersect.Policy
-	// MaxEmbeddings, TimeLimit, Parallel, Schedule and Workers carry the
-	// meanings of core.Limits. TimeLimit 0 inherits the service default;
-	// Parallel is also the request's admission weight.
+	// MaxEmbeddings, TimeLimit, Parallel and Workers carry the meanings
+	// of core.Limits. TimeLimit 0 inherits the service default; Parallel
+	// is also the request's admission weight. Parallel requests always
+	// run under the default scheduler (work stealing, cost-model
+	// splitting); the baselines it is measured against are reachable
+	// through core.Limits and the smatch CLI, not through the service.
 	MaxEmbeddings uint64
 	TimeLimit     time.Duration
 	Parallel      int
-	Schedule      core.Schedule
 	Workers       int
-	// Split and SplitFactor carry the meanings of core.Limits: the
-	// work-steal task-splitting policy and its engagement threshold.
-	// Per-request execution knobs, not part of the plan identity — like
-	// Parallel and Schedule, they never enter the plan-cache key.
-	Split       core.SplitPolicy
-	SplitFactor int
 	// OnMatch optionally receives every embedding; the slice is valid
 	// only during the call (see core.Limits). Stream sets it from its
 	// sink argument.
@@ -308,17 +297,12 @@ func (r *Request) algoName() string {
 }
 
 // resolveConfig materializes the request's component configuration:
-// the algorithm preset (or the explicit Custom override) with the
-// request-level kernel-policy override applied.
+// the algorithm preset, or the explicit Custom override.
 func (r *Request) resolveConfig(g *graph.Graph) core.Config {
-	cfg := core.PresetConfig(r.Algorithm, r.Query, g)
 	if r.Custom != nil {
-		cfg = *r.Custom
+		return *r.Custom
 	}
-	if r.Kernel != intersect.PolicyAdaptive {
-		cfg.Kernel = r.Kernel
-	}
-	return cfg
+	return core.PresetConfig(r.Algorithm, r.Query, g)
 }
 
 // preprocessWorkers mirrors core.Limits' resolution of the
@@ -415,9 +399,6 @@ func (s *Service) Submit(ctx context.Context, req Request) (resp *Response, retE
 		Cancel:        &flag,
 		OnMatch:       req.OnMatch,
 		Parallel:      req.Parallel,
-		Schedule:      req.Schedule,
-		Split:         req.Split,
-		SplitFactor:   req.SplitFactor,
 		Workers:       req.Workers,
 		Profile:       req.Profile,
 		// The service always traces: spans are built at phase

@@ -47,7 +47,7 @@ func Algorithms() []Algorithm { return core.Algorithms() }
 
 // PresetConfig returns the component configuration behind a preset for
 // the given query and data graph — the starting point for tweaking a
-// known algorithm (e.g. enabling Config.Profile or Config.FailingSets).
+// known algorithm (e.g. enabling Config.FailingSets or Config.AutoOrder).
 func PresetConfig(a Algorithm, q, g *Graph) Config { return core.PresetConfig(a, q, g) }
 
 // ParseAlgorithm maps a preset name (QSI, GQL, CFL, CECI, DPiso, RI,
