@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -32,7 +33,7 @@ func TestMatchBatchEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	items, err := json.Marshal([]batchItemRequest{
+	items, err := json.Marshal([]matchRequest{
 		{Graph: "main", Query: q, Algo: "CFL"},
 		{Graph: "main", Query: q, Algo: "CFL"},
 		{Graph: "main", Query: q, Algo: "GQL"},
@@ -75,7 +76,7 @@ func TestMatchBatchItemIsolationStatuses(t *testing.T) {
 	ts, g := newTestServer(t)
 	q := graphText(t, testutil.RandomConnectedQuery(rand.New(rand.NewSource(5)), g, 4))
 
-	items, _ := json.Marshal([]batchItemRequest{
+	items, _ := json.Marshal([]matchRequest{
 		{Graph: "main", Query: q},
 		{Graph: "absent", Query: q},             // 404
 		{Graph: "main", Query: "garbage"},       // 400 (parse)
@@ -111,7 +112,7 @@ func TestMatchBatchItemIsolationStatuses(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad body: %d, want 400", resp.StatusCode)
 	}
-	big, _ := json.Marshal(make([]batchItemRequest, maxBatchItems+1))
+	big, _ := json.Marshal(make([]matchRequest, maxBatchItems+1))
 	resp, _ = do(t, "POST", ts.URL+"/match/batch", string(big))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized batch: %d, want 400", resp.StatusCode)
@@ -125,13 +126,13 @@ func TestMatchBatchStreamNDJSON(t *testing.T) {
 	ts, g := newTestServer(t)
 	q := graphText(t, testutil.RandomConnectedQuery(rand.New(rand.NewSource(5)), g, 4))
 
-	items, _ := json.Marshal([]batchItemRequest{
-		{Graph: "main", Query: q, Algo: "CFL", Limit: 5},
+	items, _ := json.Marshal([]matchRequest{
+		{Graph: "main", Query: q, Algo: "CFL", Limit: "5"},
 		{Graph: "absent", Query: q},
-		{Graph: "main", Query: q, Algo: "CFL", Limit: 5},
+		{Graph: "main", Query: q, Algo: "CFL", Limit: "5"},
 		// A second group: it enumerates concurrently with the first, so
 		// the two sinks meet on the stream's lock.
-		{Graph: "main", Query: q, Algo: "GQL", Limit: 5},
+		{Graph: "main", Query: q, Algo: "GQL", Limit: "5"},
 	})
 	resp, body := do(t, "POST", ts.URL+"/match/batch?stream=1", string(items))
 	if resp.StatusCode != http.StatusOK {
@@ -254,5 +255,91 @@ func TestBatcherFlagCoalescesMatchRequests(t *testing.T) {
 	}
 	if st.Batches.Batches >= n {
 		t.Fatalf("%d batches for %d concurrent requests: nothing coalesced", st.Batches.Batches, n)
+	}
+}
+
+// TestMatchAndBatchItemDecodeAlike sends the same logical request as
+// /match query parameters and as a one-item /match/batch body: both go
+// through matchRequest.toRequest, so a bad field earns the same status
+// either way and a good request the same counts.
+func TestMatchAndBatchItemDecodeAlike(t *testing.T) {
+	ts, g := newTestServer(t)
+	q := graphText(t, testutil.RandomConnectedQuery(rand.New(rand.NewSource(5)), g, 4))
+
+	cases := []struct {
+		name  string
+		req   matchRequest
+		query string // the query graph text; q unless set
+		want  int
+	}{
+		{name: "defaults", req: matchRequest{Graph: "main"}, want: http.StatusOK},
+		{name: "every field", req: matchRequest{Graph: "main", Algo: "CFL", Limit: "3", Timeout: "30s",
+			Parallel: "1", Workers: "2", Explain: true}, want: http.StatusOK},
+		{name: "upper bounds", req: matchRequest{Graph: "main", Parallel: "4096", Workers: "4096"}, want: http.StatusOK},
+		{name: "bad algo", req: matchRequest{Graph: "main", Algo: "WAT"}, want: http.StatusBadRequest},
+		{name: "bad timeout", req: matchRequest{Graph: "main", Timeout: "soon"}, want: http.StatusBadRequest},
+		{name: "bad limit", req: matchRequest{Graph: "main", Limit: "-1"}, want: http.StatusBadRequest},
+		{name: "parallel=-1", req: matchRequest{Graph: "main", Parallel: "-1"}, want: http.StatusBadRequest},
+		{name: "workers=4097", req: matchRequest{Graph: "main", Workers: "4097"}, want: http.StatusBadRequest},
+		{name: "fractional parallel", req: matchRequest{Graph: "main", Parallel: "1.5"}, want: http.StatusBadRequest},
+		{name: "missing graph", req: matchRequest{}, want: http.StatusBadRequest},
+		{name: "unknown graph", req: matchRequest{Graph: "nope"}, want: http.StatusNotFound},
+		{name: "malformed query text", req: matchRequest{Graph: "main"}, query: "v 0 0", want: http.StatusBadRequest},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if c.query == "" {
+				c.query = q
+			}
+			params := url.Values{}
+			for k, v := range map[string]string{"graph": c.req.Graph, "algo": c.req.Algo,
+				"limit": string(c.req.Limit), "timeout": c.req.Timeout,
+				"parallel": string(c.req.Parallel), "workers": string(c.req.Workers)} {
+				if v != "" {
+					params.Set(k, v)
+				}
+			}
+			if c.req.Explain {
+				params.Set("explain", "1")
+			}
+			resp, body := do(t, "POST", ts.URL+"/match?"+params.Encode(), c.query)
+			if resp.StatusCode != c.want {
+				t.Fatalf("/match: status %d %q, want %d", resp.StatusCode, body, c.want)
+			}
+			var lone matchResult
+			if c.want == http.StatusOK {
+				if err := json.Unmarshal([]byte(body), &lone); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			c.req.Query = c.query
+			items, err := json.Marshal([]matchRequest{c.req})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, body = do(t, "POST", ts.URL+"/match/batch", string(items))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("/match/batch: %d %s", resp.StatusCode, body)
+			}
+			var out batchResponse
+			if err := json.Unmarshal([]byte(body), &out); err != nil || len(out.Results) != 1 {
+				t.Fatalf("bad batch response (%v): %s", err, body)
+			}
+			item := out.Results[0]
+			if c.want != http.StatusOK {
+				if item.Status != c.want {
+					t.Fatalf("batch item: status %d %q, /match said %d", item.Status, item.Error, c.want)
+				}
+				return
+			}
+			if item.Result == nil {
+				t.Fatalf("batch item failed (%d %q) where /match succeeded", item.Status, item.Error)
+			}
+			if item.Result.Embeddings != lone.Embeddings || item.Result.LimitHit != lone.LimitHit ||
+				item.Result.TimedOut != lone.TimedOut || (item.Result.Profile != nil) != (lone.Profile != nil) {
+				t.Errorf("batch item %+v\n/match     %+v", *item.Result, lone)
+			}
+		})
 	}
 }

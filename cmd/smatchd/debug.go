@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	"subgraphmatching/internal/core"
 	"subgraphmatching/internal/obs/flight"
 )
 
@@ -16,7 +15,8 @@ import (
 // POST /match; ?format=text renders the profile as a table instead of
 // JSON.
 func (s *server) explain(w http.ResponseWriter, r *http.Request) {
-	req, err := s.parseMatchRequest(w, r)
+	params := r.URL.Query()
+	req, err := requestFromParams(w, r, params)
 	if err != nil {
 		httpError(w, err)
 		return
@@ -26,16 +26,12 @@ func (s *server) explain(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
-	if r.URL.Query().Get("format") == "text" {
+	if params.Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		resp.Profile.Render(w)
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Profile   *core.Profile `json:"profile"`
-		CacheHit  bool          `json:"cache_hit"`
-		QueueWait time.Duration `json:"queue_wait_ns"`
-	}{resp.Profile, resp.CacheHit, resp.QueueWait})
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // tracezEntry is one retained request in the /debug/tracez listing —

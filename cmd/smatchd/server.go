@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -324,80 +325,112 @@ func toMatchResult(resp *service.Response, withTrace bool) matchResult {
 	return res
 }
 
-// parseMatchRequest turns query parameters + body into a service
-// request. The request body is the query graph in the t/v/e text
-// format.
-func (s *server) parseMatchRequest(w http.ResponseWriter, r *http.Request) (service.Request, error) {
-	var req service.Request
-	params := r.URL.Query()
-	req.Graph = params.Get("graph")
-	if req.Graph == "" {
+// matchRequest is the wire form of one matching request, whichever way
+// it arrived: /match and /explain fill it from query parameters (the
+// query graph, in the t/v/e text format, is the body), each
+// /match/batch item from its JSON object (the query travels inline, and
+// no_cache exists only there). Numbers stay text until toRequest — the
+// one way from here to a service.Request — judges them.
+type matchRequest struct {
+	Graph    string      `json:"graph"`
+	Query    string      `json:"query"`
+	Algo     string      `json:"algo,omitempty"`
+	Limit    json.Number `json:"limit,omitempty"`
+	Timeout  string      `json:"timeout,omitempty"`
+	Parallel json.Number `json:"parallel,omitempty"`
+	Workers  json.Number `json:"workers,omitempty"`
+	NoCache  bool        `json:"no_cache,omitempty"`
+	// Explain attaches the EXPLAIN/ANALYZE profile to the result
+	// (?explain=1).
+	Explain bool `json:"explain,omitempty"`
+}
+
+// requestFromParams decodes a /match or /explain request.
+func requestFromParams(w http.ResponseWriter, r *http.Request, params url.Values) (service.Request, error) {
+	m := matchRequest{
+		Graph:    params.Get("graph"),
+		Algo:     params.Get("algo"),
+		Limit:    json.Number(params.Get("limit")),
+		Timeout:  params.Get("timeout"),
+		Parallel: json.Number(params.Get("parallel")),
+		Workers:  json.Number(params.Get("workers")),
+		Explain:  params.Get("explain") == "1",
+	}
+	return m.toRequest(http.MaxBytesReader(w, r.Body, maxQueryBody))
+}
+
+// toRequest validates the wire form and converts it, reporting the
+// first bad field. query supplies the query graph's text: the HTTP body
+// or the item's inline field.
+func (m *matchRequest) toRequest(query io.Reader) (service.Request, error) {
+	req := service.Request{Graph: m.Graph, Algorithm: core.Optimized, NoCache: m.NoCache, Profile: m.Explain}
+	if m.Graph == "" {
 		return req, fmt.Errorf("missing required parameter graph")
 	}
-	req.Algorithm = core.Optimized
-	if a := params.Get("algo"); a != "" {
-		algo, err := core.ParseAlgorithm(a)
-		if err != nil {
+	var err error
+	if m.Algo != "" {
+		if req.Algorithm, err = core.ParseAlgorithm(m.Algo); err != nil {
 			return req, err
 		}
-		req.Algorithm = algo
 	}
-	var err error
-	if v := params.Get("limit"); v != "" {
-		if req.MaxEmbeddings, err = strconv.ParseUint(v, 10, 64); err != nil {
-			return req, fmt.Errorf("bad limit %q", v)
+	if m.Limit != "" {
+		if req.MaxEmbeddings, err = strconv.ParseUint(string(m.Limit), 10, 64); err != nil {
+			return req, fmt.Errorf("bad limit %q", m.Limit)
 		}
 	}
-	if v := params.Get("timeout"); v != "" {
-		if req.TimeLimit, err = time.ParseDuration(v); err != nil {
-			return req, fmt.Errorf("bad timeout %q", v)
+	if m.Timeout != "" {
+		if req.TimeLimit, err = time.ParseDuration(m.Timeout); err != nil {
+			return req, fmt.Errorf("bad timeout %q", m.Timeout)
 		}
 	}
-	if v := params.Get("parallel"); v != "" {
-		if req.Parallel, err = strconv.Atoi(v); err != nil || req.Parallel < 0 || req.Parallel > maxWorkersParam {
-			return req, fmt.Errorf("bad parallel %q (want 0..%d)", v, maxWorkersParam)
-		}
-	}
-	if v := params.Get("workers"); v != "" {
-		if req.Workers, err = strconv.Atoi(v); err != nil || req.Workers < 0 || req.Workers > maxWorkersParam {
-			return req, fmt.Errorf("bad workers %q (want 0..%d)", v, maxWorkersParam)
-		}
-	}
-	req.Profile = params.Get("explain") == "1"
-	req.Query, err = graph.Parse(http.MaxBytesReader(w, r.Body, maxQueryBody))
-	if err != nil {
+	if req.Parallel, err = workerCount("parallel", m.Parallel); err != nil {
 		return req, err
 	}
-	return req, nil
+	if req.Workers, err = workerCount("workers", m.Workers); err != nil {
+		return req, err
+	}
+	req.Query, err = graph.Parse(query)
+	return req, err
+}
+
+// workerCount reads a parallel or workers value (absent = 0).
+func workerCount(name string, v json.Number) (int, error) {
+	if v == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(string(v))
+	if err != nil || n < 0 || n > maxWorkersParam {
+		return 0, fmt.Errorf("bad %s %q (want 0..%d)", name, v, maxWorkersParam)
+	}
+	return n, nil
 }
 
 func (s *server) match(w http.ResponseWriter, r *http.Request) {
-	req, err := s.parseMatchRequest(w, r)
+	params := r.URL.Query()
+	req, err := requestFromParams(w, r, params)
 	if err != nil {
 		httpError(w, err)
 		return
 	}
-	withTrace := r.URL.Query().Get("trace") == "1"
-	if r.URL.Query().Get("stream") != "1" {
-		var (
-			resp *service.Response
-		)
-		if s.batcher != nil {
-			// Coalesce singleton requests: concurrent arrivals of the
-			// same hot query share one admission grant, plan lookup, and
-			// execution.
-			resp, err = s.batcher.Submit(r.Context(), req)
-		} else {
-			resp, err = s.svc.Submit(r.Context(), req)
-		}
-		if err != nil {
-			httpError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, toMatchResult(resp, withTrace))
+	withTrace := params.Get("trace") == "1"
+	if params.Get("stream") == "1" {
+		s.matchStream(w, r, req, withTrace)
 		return
 	}
-	s.matchStream(w, r, req, withTrace)
+	var resp *service.Response
+	if s.batcher != nil {
+		// Coalesce singleton requests: concurrent arrivals of the
+		// same hot query share one admission grant, plan lookup, and
+		// execution.
+		resp, err = s.batcher.Submit(r.Context(), req)
+	} else {
+		resp, err = s.svc.Submit(r.Context(), req)
+	}
+	if err != nil {
+		httpError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, toMatchResult(resp, withTrace))
 }
 
 // matchStream writes embeddings as NDJSON while the search runs (see

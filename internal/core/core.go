@@ -104,6 +104,14 @@ type Config struct {
 	GlasgowMemoryBudget int64
 }
 
+// External reports whether the configuration routes the query to one of
+// the engines that run outside the filter/order/enumerate pipeline
+// (Glasgow, VF2, Ullmann). Those have no preprocessing plan, so nothing
+// to cache, share across a batch group or explain.
+func (c Config) External() bool {
+	return c.UseGlasgow || c.UseVF2 || c.UseUllmann
+}
+
 // Limits bounds a query's execution, mirroring the paper's methodology
 // (10^5 embeddings, five minutes per query).
 type Limits struct {
@@ -342,7 +350,7 @@ func Preprocess(q, g *graph.Graph, cfg Config, workers int) (*Plan, error) {
 	if q == nil || g == nil {
 		return nil, fmt.Errorf("core: %w", ErrNilGraph)
 	}
-	if cfg.UseGlasgow || cfg.UseVF2 || cfg.UseUllmann {
+	if cfg.External() {
 		return nil, fmt.Errorf("core: %w", ErrNoPlan)
 	}
 	if q.NumVertices() == 0 {
@@ -649,7 +657,7 @@ func Match(q, g *graph.Graph, cfg Config, limits Limits) (*Result, error) {
 		return nil, fmt.Errorf("core: %w", ErrNilGraph)
 	}
 	start := time.Now()
-	if cfg.UseGlasgow || cfg.UseVF2 || cfg.UseUllmann {
+	if cfg.External() {
 		if q.NumVertices() == 0 {
 			return nil, fmt.Errorf("core: %w", ErrEmptyQuery)
 		}
@@ -688,6 +696,15 @@ func Match(q, g *graph.Graph, cfg Config, limits Limits) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return MatchFresh(plan, limits, start)
+}
+
+// MatchFresh is MatchPlan for the caller that built plan for this very
+// query, at start: the result is charged the plan's preprocessing times
+// and, when tracing, its "match" span holds the plan's preprocess span
+// beside the enumerate span. A caller that reuses a plan did not pay
+// those phases and calls MatchPlan.
+func MatchFresh(plan *Plan, limits Limits, start time.Time) (*Result, error) {
 	res, err := MatchPlan(plan, limits)
 	if err != nil {
 		return nil, err

@@ -11,16 +11,22 @@ import (
 )
 
 // layerSurface is every exported function and method of the three
-// preprocessing layers and of enumeration. Each layer has one entry
-// point per job, and the worker count, the trace and the method
-// parameters are arguments of that entry point — a new
+// preprocessing layers, of enumeration and of the serving layer. Each
+// layer has one entry point per job, and the worker count, the trace and
+// the method parameters are arguments of that entry point — a new
 // RunXParallelStatsTraced must show up here as a reviewed line; so must
 // a second way to pin a task (RunPrefix and ExpandPrefix take a prefix
-// of any length, under static and adaptive orders alike).
+// of any length, under static and adaptive orders alike) and a fourth
+// way to run a request (Submit, SubmitBatch and Explain are one spine;
+// Stream and the Batcher forward to the first two).
 // cmd/smatchbench pins the call forms filter.Run(m,q,g),
 // filter.RunLDF(q,g), candspace.BuildFull(q,g,cand),
 // (*Space).MaterializeBlocks() and order.Compute(m,q,g,cand): those stay
-// thin forwards (or take their extras as a trailing variadic).
+// thin forwards (or take their extras as a trailing variadic). Of this
+// package it pins core.Config{UseGlasgow: true} and core.Config{UseVF2:
+// true} run through core.Match, the core.Plan{…} literal, and
+// core.Preprocess(q, g, cfg, 1) — which is why the external-engine
+// switches are still Config fields.
 var layerSurface = map[string][]string{
 	"../filter": {
 		"AnyEmpty", "MeanCandidates", "Method.String", "Methods", "ParseMethod",
@@ -45,6 +51,13 @@ var layerSurface = map[string][]string{
 		"NewEngine", "NewSearchProfile", "Run", "SearchProfile.BranchingSummary",
 		"SearchProfile.MaxDepth", "SearchProfile.Merge", "SearchProfile.Render",
 		"SearchProfile.TotalNodes", "Stats.Solved",
+	},
+	"../service": {
+		"Batcher.Close", "Batcher.Submit", "New", "Service.Close", "Service.Explain",
+		"Service.Flights", "Service.Graphs", "Service.Metrics", "Service.NewBatcher",
+		"Service.RegisterGraph", "Service.RestoreGraph", "Service.SetGenerationFloor",
+		"Service.Stats", "Service.Stream", "Service.Submit", "Service.SubmitBatch",
+		"Service.UnregisterGraph",
 	},
 }
 

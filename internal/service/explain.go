@@ -13,60 +13,52 @@ import (
 type ExplainResponse struct {
 	// Profile is the plan breakdown; Analyzed is false and no heat table
 	// is present — use Submit with Request.Profile for EXPLAIN ANALYZE.
-	Profile *core.Profile
+	Profile *core.Profile `json:"profile"`
 	// CacheHit reports the plan came from the cache (or an in-flight
 	// build) rather than being preprocessed for this call.
-	CacheHit bool
+	CacheHit bool `json:"cache_hit"`
 	// QueueWait is how long admission control held the call.
-	QueueWait time.Duration
+	QueueWait time.Duration `json:"queue_wait_ns"`
 }
 
-// Explain is EXPLAIN without ANALYZE: it resolves the request's plan —
-// from the cache when possible, preprocessing otherwise — and returns
-// what the optimizer decided (per-stage candidate reduction, matching
-// order, per-vertex cardinalities) without enumerating. A dry run holds
-// one admission unit: preprocessing is bounded work, and the plan it
-// builds is cached for the real query to reuse.
-func (s *Service) Explain(ctx context.Context, req Request) (*ExplainResponse, error) {
-	if s.closed.Load() {
-		return nil, ErrClosed
+// Explain is EXPLAIN without ANALYZE — the spine minus enumeration: it
+// resolves the request's plan, from the cache when possible,
+// preprocessing otherwise, and returns what the optimizer decided
+// (per-stage candidate reduction, matching order, per-vertex
+// cardinalities). A dry run holds one admission unit: preprocessing is
+// bounded work, and the plan it builds is cached for the real query to
+// reuse.
+func (s *Service) Explain(ctx context.Context, req Request) (_ *ExplainResponse, retErr error) {
+	t, err := s.resolve(&req)
+	if t.entry == nil {
+		return nil, err
 	}
-	if req.Query == nil {
-		return nil, ErrNilQuery
-	}
-	entry, err := s.reg.get(req.Graph)
+	fl := s.flights.Start(t.entry.name, t.algo+" (explain)")
+	defer func() { fl.Finish(nil, retErr, nil) }()
 	if err != nil {
 		return nil, err
 	}
-	algo := req.algoName()
-	if err := core.Validate(req.Query, entry.g); err != nil {
-		return nil, err
-	}
-	cfg := req.resolveConfig(entry.g)
-	if cfg.UseGlasgow || cfg.UseVF2 || cfg.UseUllmann {
+	if t.cfg.External() {
 		return nil, ErrNoExplain
 	}
 
-	fl := s.flights.Start(entry.name, algo+" (explain)")
-	began := time.Now()
 	fl.SetPhase("admission")
-	if err := s.sem.acquire(ctx, entry.name, 1, s.cfg.MaxQueueWait, s.cfg.MaxQueue); err != nil {
-		fl.Finish(nil, err, nil)
+	weight, queueWait, err := s.admit(ctx, &t, time.Now(), 1, 1)
+	if err != nil {
 		return nil, err
 	}
-	defer s.sem.release(1)
-	queueWait := time.Since(began)
+	defer s.sem.release(weight)
+	req.clampTo(weight, s.cfg.MaxInFlight)
 
 	fl.SetPhase("plan")
-	plan, src, err := s.planFor(ctx, entry, req.Query, cfg, req.preprocessWorkers(), req.NoCache)
+	p, err := s.plan(ctx, &t, &req, 1)
 	if err != nil {
-		fl.Finish(nil, err, nil)
 		return nil, err
 	}
-	fl.Finish(plan.Span, nil, nil)
+	fl.Finish(p.plan.Span, nil, nil)
 	return &ExplainResponse{
-		Profile:   core.ExplainPlan(plan),
-		CacheHit:  src != planBuilt,
+		Profile:   core.ExplainPlan(p.plan),
+		CacheHit:  p.src != planBuilt,
 		QueueWait: queueWait,
 	}, nil
 }

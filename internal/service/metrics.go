@@ -238,9 +238,12 @@ func (m *serviceMetrics) touch(graph, algo string) *latencyRing {
 	return ring
 }
 
-func (m *serviceMetrics) recordError(graph, algo string) {
+// recordError and recordRejected count n requests at once: the items
+// of a batch group share one plan build and one admission grant, and
+// fail them together.
+func (m *serviceMetrics) recordError(graph, algo string, n int) {
 	m.touch(graph, algo)
-	m.errors.With(graph, algo).Inc()
+	m.errors.With(graph, algo).Add(uint64(n))
 }
 
 func (m *serviceMetrics) recordTimeout(graph, algo string) {
@@ -248,9 +251,9 @@ func (m *serviceMetrics) recordTimeout(graph, algo string) {
 	m.timeouts.With(graph, algo).Inc()
 }
 
-func (m *serviceMetrics) recordRejected(graph, algo string) {
+func (m *serviceMetrics) recordRejected(graph, algo string, n int) {
 	m.touch(graph, algo)
-	m.rejected.With(graph, algo).Inc()
+	m.rejected.With(graph, algo).Add(uint64(n))
 }
 
 // recordSuccess applies one completed request's outcome.

@@ -318,63 +318,121 @@ func (r *Request) preprocessWorkers() int {
 	return w
 }
 
-// Submit runs one request end to end: resolve the graph, validate the
-// query strictly (typed errors, not the zero-result tolerance of the
-// library-level Match), pass admission control, then serve enumeration
-// from a cached plan when one exists. Cancelling ctx stops the search
-// cooperatively; a ctx deadline tightens the time limit.
-func (s *Service) Submit(ctx context.Context, req Request) (resp *Response, retErr error) {
+// The request spine: resolve, admit, plan, run — written once here.
+// Submit is the four in a row, a batch group shares one admit and one
+// plan among its items, Explain stops after plan.
+
+// target is what resolve produces: the registered graph a request runs
+// against, its component configuration and its workload label. The
+// items of a batch group share one.
+type target struct {
+	entry *graphEntry
+	cfg   core.Config
+	algo  string
+}
+
+// resolve turns a request into its target, or the typed error that
+// refuses it (strict validation, not the zero-result tolerance of the
+// library-level Match). The target names the graph as soon as the
+// registry knew it — also beside a validation error — so the caller can
+// put the refusal on the flight recorder under that graph.
+func (s *Service) resolve(req *Request) (target, error) {
 	if s.closed.Load() {
-		return nil, ErrClosed
+		return target{}, ErrClosed
 	}
 	if req.Query == nil {
-		return nil, ErrNilQuery
+		return target{}, ErrNilQuery
 	}
 	entry, err := s.reg.get(req.Graph)
 	if err != nil {
-		return nil, err
+		return target{}, err
 	}
-	algo := req.algoName()
-	// Every request past graph resolution is on the flight recorder.
-	// The success path finishes the flight explicitly with its span and
-	// slow-log payload; Finish is idempotent, so the deferred call only
-	// catches the error returns.
-	fl := s.flights.Start(entry.name, algo)
-	defer func() { fl.Finish(nil, retErr, nil) }()
+	t := target{entry: entry, algo: req.algoName()}
 	if err := core.Validate(req.Query, entry.g); err != nil {
-		s.metrics.recordError(entry.name, algo)
-		return nil, err
+		s.metrics.recordError(entry.name, t.algo, 1)
+		return t, err
 	}
-	cfg := req.resolveConfig(entry.g)
+	t.cfg = req.resolveConfig(entry.g)
+	return t, nil
+}
 
-	// Admission: hold the request's worker count before doing any work.
-	fl.SetPhase("admission")
-	began := time.Now()
-	weight := int64(req.Parallel)
-	if weight < 1 {
-		weight = 1
+// admit holds the enumeration budget before any work happens: one
+// grant for a request asking for parallel workers, or for the n items
+// of a batch group whose heaviest asks for that many. The caller
+// releases the returned weight; began is when the wait started.
+func (s *Service) admit(ctx context.Context, t *target, began time.Time, parallel, n int) (int64, time.Duration, error) {
+	weight := s.sem.clampWeight(int64(parallel))
+	if err := s.sem.acquire(ctx, t.entry.name, weight, s.cfg.MaxQueueWait, s.cfg.MaxQueue); err != nil {
+		s.metrics.recordRejected(t.entry.name, t.algo, n)
+		return 0, 0, err
 	}
-	weight = s.sem.clampWeight(weight)
-	// The admitted weight IS the enumeration budget: clamp the request's
-	// parallelism to it, so an oversized ?parallel= cannot hold MaxInFlight
-	// units yet spawn an engine per root candidate. Preprocessing workers
-	// get the same ceiling.
-	if req.Parallel > int(weight) {
-		req.Parallel = int(weight)
-	}
-	if req.Workers > s.cfg.MaxInFlight {
-		req.Workers = s.cfg.MaxInFlight
-	}
-	if err := s.sem.acquire(ctx, entry.name, weight, s.cfg.MaxQueueWait, s.cfg.MaxQueue); err != nil {
-		s.metrics.recordRejected(entry.name, algo)
-		return nil, err
-	}
-	defer s.sem.release(weight)
 	queueWait := time.Since(began)
 	s.metrics.admissionWait.Observe(queueWait.Seconds())
+	return weight, queueWait, nil
+}
 
-	// Fold the ctx deadline into the time limit after the queue wait —
-	// waiting consumes the caller's budget.
+// clampTo holds the request to what admission granted. The admitted
+// weight IS the enumeration budget, so an oversized ?parallel= cannot
+// hold MaxInFlight units yet spawn an engine per root candidate;
+// preprocessing workers get the service-wide ceiling. Entry points call
+// it on their private copy of the request, never on a caller's.
+func (r *Request) clampTo(weight int64, maxInFlight int) {
+	if r.Parallel > int(weight) {
+		r.Parallel = int(weight)
+	}
+	if r.Workers > maxInFlight {
+		r.Workers = maxInFlight
+	}
+}
+
+// planned is the plan step's outcome: the plan (nil for the external
+// engines, which have none), how it arrived, when the step started —
+// the "match" span's origin — and how long the plan took to arrive.
+type planned struct {
+	plan    *core.Plan
+	src     planSource
+	start   time.Time
+	arrived time.Duration
+}
+
+// plan obtains the preprocessing plan an admitted request — or the n
+// items of a batch group — enumerates over. This is the one place the
+// serving path asks whether the configuration has a plan at all.
+func (s *Service) plan(ctx context.Context, t *target, req *Request, n int) (planned, error) {
+	p := planned{start: time.Now()}
+	if t.cfg.External() {
+		return p, nil
+	}
+	var err error
+	p.plan, p.src, err = s.planFor(ctx, t, req)
+	if err != nil {
+		// A preprocessing failure is a property of the (query, config)
+		// every item sharing the plan has; each would fail identically.
+		s.metrics.recordError(t.entry.name, t.algo, n)
+		return p, err
+	}
+	p.arrived = time.Since(p.start)
+	return p, nil
+}
+
+// run enumerates one admitted request over its plan and accounts for
+// the outcome; began is the origin of the latency it records (the
+// request's arrival, or its batch's). It is the one place a request
+// becomes a core.Limits: the ctx deadline is folded into the time limit
+// here, after the queue wait and the plan acquisition — both consume
+// the caller's budget — and cancelling ctx stops the search
+// cooperatively.
+//
+// The "match" span distinguishes the three ways a plan can arrive. A
+// fresh build attaches the plan's full "preprocess" span; a cache hit
+// attaches a "plan" span covering only the lookup, annotated with the
+// preprocessing cost the hit saved; a singleflight follower attaches a
+// "plan" span covering its wait on the leader's build. The latter two
+// report CacheHit — the request did not pay preprocessing — and keep
+// the Result's preprocessing times zero for the same reason.
+func (s *Service) run(ctx context.Context, t *target, req *Request, p planned,
+	began time.Time, queueWait time.Duration) (*Response, error) {
+
 	timeLimit := req.TimeLimit
 	if timeLimit <= 0 {
 		timeLimit = s.cfg.DefaultTimeLimit
@@ -383,7 +441,7 @@ func (s *Service) Submit(ctx context.Context, req Request) (resp *Response, retE
 	if hasDeadline {
 		remain := time.Until(deadline)
 		if remain <= 0 {
-			s.metrics.recordTimeout(entry.name, algo)
+			s.metrics.recordTimeout(t.entry.name, t.algo)
 			return nil, context.DeadlineExceeded
 		}
 		if remain < timeLimit {
@@ -409,17 +467,24 @@ func (s *Service) Submit(ctx context.Context, req Request) (resp *Response, retE
 
 	var (
 		res      *core.Result
+		err      error
 		cacheHit bool
 	)
-	if cfg.UseGlasgow || cfg.UseVF2 || cfg.UseUllmann {
-		// The external engines have no preprocessing plan to cache.
-		fl.SetPhase("enumerate")
-		res, err = core.Match(req.Query, entry.g, cfg, limits)
-	} else {
-		res, cacheHit, err = s.matchCached(ctx, entry, req, cfg, limits, fl)
+	switch {
+	case p.plan == nil:
+		res, err = core.Match(req.Query, t.entry.g, t.cfg, limits)
+	case p.src == planBuilt:
+		res, err = core.MatchFresh(p.plan, limits, p.start)
+	default:
+		cacheHit = true
+		if res, err = core.MatchPlan(p.plan, limits); err == nil {
+			res.Trace = obs.NewSpan("match", p.start, time.Since(p.start)).
+				AddChild(planSpan(p.src, p.plan, p.start, p.arrived)).
+				AddChild(res.Trace)
+		}
 	}
 	if err != nil {
-		s.metrics.recordError(entry.name, algo)
+		s.metrics.recordError(t.entry.name, t.algo, 1)
 		return nil, err
 	}
 	cerr := ctx.Err()
@@ -431,26 +496,66 @@ func (s *Service) Submit(ctx context.Context, req Request) (resp *Response, retE
 	}
 	if cerr != nil {
 		if cerr == context.DeadlineExceeded {
-			s.metrics.recordTimeout(entry.name, algo)
+			s.metrics.recordTimeout(t.entry.name, t.algo)
 		} else {
-			s.metrics.recordError(entry.name, algo)
+			s.metrics.recordError(t.entry.name, t.algo, 1)
 		}
 		return nil, cerr
 	}
 
-	latency := time.Since(began)
-	s.metrics.recordSuccess(entry.name, algo, res.Embeddings, cacheHit,
-		res.TimedOut, res.LimitHit, latency)
+	s.metrics.recordSuccess(t.entry.name, t.algo, res.Embeddings, cacheHit,
+		res.TimedOut, res.LimitHit, time.Since(began))
 	s.metrics.recordKernels(res.Kernels)
 	s.metrics.recordSplit(res.Split, res.Nodes)
 	s.metrics.observeDepthNodes(res.Profile)
 	s.metrics.observePhases(res.FilterTime, res.BuildTime, res.OrderTime,
 		res.EnumTime, !cacheHit)
+	return &Response{Result: res, CacheHit: cacheHit, QueueWait: queueWait}, nil
+}
+
+// Submit runs one request end to end — the spine for a group of one,
+// as a direct call chain — and then wraps the request's root span,
+// prepares its slow-query record and finishes its flight.
+func (s *Service) Submit(ctx context.Context, req Request) (resp *Response, retErr error) {
+	t, err := s.resolve(&req)
+	if t.entry == nil {
+		return nil, err
+	}
+	// Every request past graph resolution is on the flight recorder.
+	// The success path finishes the flight explicitly with its span and
+	// slow-log payload; Finish is idempotent, so the deferred call only
+	// catches the error returns.
+	fl := s.flights.Start(t.entry.name, t.algo)
+	defer func() { fl.Finish(nil, retErr, nil) }()
+	if err != nil {
+		return nil, err
+	}
+
+	fl.SetPhase("admission")
+	began := time.Now()
+	weight, queueWait, err := s.admit(ctx, &t, began, req.Parallel, 1)
+	if err != nil {
+		return nil, err
+	}
+	defer s.sem.release(weight)
+	req.clampTo(weight, s.cfg.MaxInFlight)
+
+	fl.SetPhase("plan")
+	p, err := s.plan(ctx, &t, &req, 1)
+	if err != nil {
+		return nil, err
+	}
+	fl.SetPhase("enumerate")
+	if resp, err = s.run(ctx, &t, &req, p, began, queueWait); err != nil {
+		return nil, err
+	}
+	res := resp.Result
+	latency := time.Since(began)
 
 	// Wrap the request root span: admission wait plus the match tree.
 	root := obs.NewSpan("request", began, latency).
-		SetAttr("graph", entry.name).
-		SetAttr("algo", algo)
+		SetAttr("graph", t.entry.name).
+		SetAttr("algo", t.algo)
 	root.AddChild(obs.NewSpan("admission", began, queueWait))
 	root.AddChild(res.Trace)
 	res.Trace = root
@@ -463,15 +568,15 @@ func (s *Service) Submit(ctx context.Context, req Request) (resp *Response, retE
 		s.metrics.slowQueries.Inc()
 		payload = slowQueryRecord{
 			Time:        time.Now().UTC().Format(time.RFC3339Nano),
-			Graph:       entry.name,
-			Algorithm:   algo,
+			Graph:       t.entry.name,
+			Algorithm:   t.algo,
 			QueryFP:     fingerprintHex(graph.FingerprintOf(req.Query)),
 			QueryVerts:  req.Query.NumVertices(),
 			QueryEdges:  req.Query.NumEdges(),
 			Parallel:    req.Parallel,
 			Workers:     req.Workers,
 			MaxEmb:      req.MaxEmbeddings,
-			CacheHit:    cacheHit,
+			CacheHit:    resp.CacheHit,
 			Embeddings:  res.Embeddings,
 			Nodes:       res.Nodes,
 			TimedOut:    res.TimedOut,
@@ -482,42 +587,7 @@ func (s *Service) Submit(ctx context.Context, req Request) (resp *Response, retE
 		}
 	}
 	fl.Finish(root, nil, payload)
-	return &Response{Result: res, CacheHit: cacheHit, QueueWait: queueWait}, nil
-}
-
-// matchCached serves the pipeline configurations: look the plan up by
-// (graph generation, query fingerprint, config), preprocess on a miss —
-// with concurrent misses on one key collapsed into a single build —
-// then enumerate over the shared read-only plan.
-//
-// The trace distinguishes the three ways a plan can arrive. A fresh
-// build attaches the plan's full "preprocess" span; a cache hit
-// attaches a "plan" span covering only the lookup, annotated with the
-// preprocessing cost the hit saved; a singleflight follower attaches a
-// "plan" span covering its wait on the leader's build. The latter two
-// report CacheHit — the request did not pay preprocessing — and keep
-// the Result's preprocessing times zero for the same reason.
-func (s *Service) matchCached(ctx context.Context, entry *graphEntry, req Request, cfg core.Config, limits core.Limits, fl *flight.Flight) (*core.Result, bool, error) {
-	start := time.Now()
-	fl.SetPhase("plan")
-	plan, src, err := s.planFor(ctx, entry, req.Query, cfg, req.preprocessWorkers(), req.NoCache)
-	if err != nil {
-		return nil, false, err
-	}
-	fl.SetPhase("enumerate")
-	if src == planBuilt {
-		res, err := s.matchFresh(plan, limits, start)
-		return res, false, err
-	}
-	arrived := time.Since(start)
-	res, err := core.MatchPlan(plan, limits)
-	if err != nil {
-		return nil, false, err
-	}
-	res.Trace = obs.NewSpan("match", start, time.Since(start)).
-		AddChild(planSpan(src, plan, start, arrived)).
-		AddChild(res.Trace)
-	return res, true, nil
+	return resp, nil
 }
 
 // planSource says how a request's plan arrived: built fresh by this
@@ -550,13 +620,12 @@ func planSpan(src planSource, plan *core.Plan, start time.Time, d time.Duration)
 // builds: its own lookup may have missed just before an earlier
 // leader's insert and found that flight already gone. So a request
 // always ends with the flight or the finished plan — one build per key,
-// no matter how many requests dogpile it. This is the single
-// plan-acquisition path shared by Submit and SubmitBatch (which calls
-// it once per batch group).
-func (s *Service) planFor(ctx context.Context, entry *graphEntry, q *graph.Graph, cfg core.Config, preWorkers int, noCache bool) (*core.Plan, planSource, error) {
-	if s.cache == nil || noCache {
+// no matter how many requests dogpile it.
+func (s *Service) planFor(ctx context.Context, t *target, req *Request) (*core.Plan, planSource, error) {
+	entry, q, preWorkers := t.entry, req.Query, req.preprocessWorkers()
+	if s.cache == nil || req.NoCache {
 		s.metrics.planBuilds.Inc()
-		plan, err := core.Preprocess(q, entry.g, cfg, preWorkers)
+		plan, err := core.Preprocess(q, entry.g, t.cfg, preWorkers)
 		if err != nil {
 			return nil, planBuilt, fmt.Errorf("preprocess %q: %w", entry.name, err)
 		}
@@ -566,7 +635,7 @@ func (s *Service) planFor(ctx context.Context, entry *graphEntry, q *graph.Graph
 		graph:   entry.name,
 		gen:     entry.gen,
 		queryFP: graph.FingerprintOf(q),
-		cfgHash: configHash(cfg),
+		cfgHash: configHash(t.cfg),
 	}
 	if plan, ok := s.cache.get(key); ok {
 		return plan, planHit, nil
@@ -578,7 +647,7 @@ func (s *Service) planFor(ctx context.Context, entry *graphEntry, q *graph.Graph
 			return p, nil
 		}
 		s.metrics.planBuilds.Inc()
-		p, err := core.Preprocess(q, entry.g, cfg, preWorkers)
+		p, err := core.Preprocess(q, entry.g, t.cfg, preWorkers)
 		if err != nil {
 			return nil, fmt.Errorf("preprocess %q: %w", entry.name, err)
 		}
@@ -596,22 +665,6 @@ func (s *Service) planFor(ctx context.Context, entry *graphEntry, q *graph.Graph
 	default:
 		return plan, planBuilt, nil
 	}
-}
-
-// matchFresh enumerates over a plan this request just built, charging
-// it the preprocessing times and attaching the full preprocess span.
-func (s *Service) matchFresh(plan *core.Plan, limits core.Limits, start time.Time) (*core.Result, error) {
-	res, err := core.MatchPlan(plan, limits)
-	if err != nil {
-		return nil, err
-	}
-	res.FilterTime = plan.FilterTime
-	res.BuildTime = plan.BuildTime
-	res.OrderTime = plan.OrderTime
-	res.Trace = obs.NewSpan("match", start, time.Since(start)).
-		AddChild(plan.Span).
-		AddChild(res.Trace)
-	return res, nil
 }
 
 // Stream is Submit with a mandatory per-embedding sink. The sink runs
