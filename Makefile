@@ -91,7 +91,11 @@ bench-json:
 	mv .bench_build/BENCH_$(PR).json BENCH_$(PR).json; echo "bench-json: wrote BENCH_$(PR).json" >&2
 
 # The parallel-scaling measurement behind EXPERIMENTS.md's
-# "Parallel scaling" section.
+# "Parallel scaling" section: the sequential engine and the parallel
+# runner at 4/8 workers (steal-*) on the skew fixture, against the
+# strided-* rows of the benchmark's own static-stride comparator
+# (bench_test.go stridedNodes — not a core code path), reporting
+# proj-speedup; plus the fresh-vs-reused engine allocation pair.
 bench-parallel:
 	$(GO) test -run '^$$' -bench BenchmarkParallelSkew -benchmem -benchtime 5x .
 
@@ -104,8 +108,9 @@ bench-preprocess:
 	$(GO) test -run '^$$' -bench BenchmarkPreprocess -benchmem -benchtime 5x .
 
 # The task-splitting measurement behind EXPERIMENTS.md's "Cost-model
-# splitting" section: static vs cost-model split policies at 1/4/8
+# splitting" section: the cost-model splitter (the only one) at 1/4/8
 # workers on the skew fixture, reporting proj-speedup and probe-nodes.
+# The section's static-* rows were last reproducible at commit 3ad1bc6.
 bench-sched:
 	$(GO) test -run '^$$' -bench BenchmarkSplitSkew -benchmem -benchtime 5x .
 

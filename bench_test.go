@@ -329,16 +329,55 @@ func getSkewFixture(b *testing.B) *skewFixture {
 	return &skew
 }
 
+// workerNodes extracts the per-worker search-node counts of a parallel
+// run, the input of par.MakespanBound.
+func workerNodes(res *core.Result) []uint64 {
+	nodes := make([]uint64, len(res.Workers))
+	for w, ws := range res.Workers {
+		nodes[w] = ws.Nodes
+	}
+	return nodes
+}
+
+// stridedNodes is the baseline BenchmarkParallelSkew compares the
+// runner against: worker w explores root candidates w, w+P, w+2P, ...
+// with no rebalancing (the static partition the paper mentions for
+// CECI's multi-threaded execution; par.Run is that partition). It lives
+// here, not in core: nothing but this benchmark runs it. Returns the
+// embedding count and each worker's search nodes.
+func stridedNodes(b *testing.B, plan *core.Plan, workers int) (uint64, []uint64) {
+	roots := plan.Cand[plan.Order[0]]
+	engines := make([]*enumerate.Engine, workers)
+	for w := range engines {
+		var err error
+		engines[w], err = enumerate.NewEngine(plan.Query, plan.Data, plan.Cand, plan.Space, plan.Order,
+			enumerate.Options{Local: plan.Cfg.Local})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	nodes := par.Run(workers, len(roots), func(w, i int) uint64 {
+		before := engines[w].Stats().Nodes
+		engines[w].RunPrefix(roots[i : i+1])
+		return engines[w].Stats().Nodes - before
+	})
+	var emb uint64
+	for _, eng := range engines {
+		emb += eng.Stats().Embeddings
+	}
+	return emb, nodes
+}
+
 // BenchmarkParallelSkew measures the two claims of the parallel runner
 // on the skewed workload:
 //
 //   - steal-N balances the skewed subtrees across workers where
-//     strided-N overloads one of them. Wall-clock only shows this given
-//     as many CPUs as workers; to keep the measurement meaningful on
-//     constrained runners too, each scheduler sub-benchmark also
-//     reports proj-speedup = totalNodes/maxWorkerNodes — the makespan
-//     bound the task partition admits on unconstrained cores — from
-//     Result.WorkerNodes.
+//     strided-N (stridedNodes above) overloads one of them. Wall-clock
+//     only shows this given as many CPUs as workers; to keep the
+//     measurement meaningful on constrained runners too, each parallel
+//     sub-benchmark also reports proj-speedup =
+//     Σ nodes / max worker nodes — the makespan bound the task partition
+//     admits on unconstrained cores — from Result.Workers[w].Nodes.
 //   - enum-reused drops the allocations of enum-fresh to 0 because the
 //     engine's scratch state is seeded once and reused per run.
 //
@@ -347,41 +386,36 @@ func BenchmarkParallelSkew(b *testing.B) {
 	f := getSkewFixture(b)
 	cfg := core.Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect}
 	for _, c := range []struct {
-		name  string
-		limit core.Limits
+		name    string
+		workers int
+		strided bool
 	}{
-		{"seq", core.Limits{}},
-		{"strided-4", core.Limits{Parallel: 4, Schedule: core.ScheduleStrided}},
-		{"steal-4", core.Limits{Parallel: 4, Schedule: core.ScheduleWorkSteal}},
-		{"strided-8", core.Limits{Parallel: 8, Schedule: core.ScheduleStrided}},
-		{"steal-8", core.Limits{Parallel: 8, Schedule: core.ScheduleWorkSteal}},
+		{"seq", 1, false},
+		{"strided-4", 4, true},
+		{"steal-4", 4, false},
+		{"strided-8", 8, true},
+		{"steal-8", 8, false},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			var emb uint64
-			var proj float64
+			var nodes []uint64
 			for i := 0; i < b.N; i++ {
-				res, err := core.Match(f.q, f.g, cfg, c.limit)
+				if c.strided {
+					plan, err := core.Preprocess(f.q, f.g, cfg, c.workers)
+					if err != nil {
+						b.Fatal(err)
+					}
+					emb, nodes = stridedNodes(b, plan, c.workers)
+					continue
+				}
+				res, err := core.Match(f.q, f.g, cfg, core.Limits{Parallel: c.workers})
 				if err != nil {
 					b.Fatal(err)
 				}
-				emb = res.Embeddings
-				if len(res.WorkerNodes) > 0 {
-					var total, max uint64
-					for _, n := range res.WorkerNodes {
-						total += n
-						if n > max {
-							max = n
-						}
-					}
-					if max > 0 {
-						proj = float64(total) / float64(max)
-					}
-				}
+				emb, nodes = res.Embeddings, workerNodes(res)
 			}
 			b.ReportMetric(float64(emb), "embeddings")
-			if proj > 0 {
-				b.ReportMetric(proj, "proj-speedup")
-			}
+			reportMakespan(b, nodes)
 		})
 	}
 
@@ -420,55 +454,39 @@ func BenchmarkParallelSkew(b *testing.B) {
 	})
 }
 
-// BenchmarkSplitSkew compares the work-steal task-splitting policies on
-// the skew fixture: the static expand-everything heuristic against the
-// cost-model recursive splitter, at 1/4/8 workers. The headline metric
-// is proj-speedup = totalNodes/maxWorkerNodes (the makespan bound the
-// task partition admits on unconstrained cores); probe-nodes reports the
-// splitter's own expansion overhead so the balance gain can be weighed
-// against what the probes cost. `make bench-sched` runs this grid; see
-// EXPERIMENTS.md "Cost-model splitting".
+// BenchmarkSplitSkew measures the cost-model splitter on the skew
+// fixture at 1/4/8 workers. The headline metric is proj-speedup =
+// Σ nodes / max worker nodes (the makespan bound the task partition
+// admits on unconstrained cores); probe-nodes reports the splitter's own
+// expansion overhead so the balance gain can be weighed against what the
+// probes cost. `make bench-sched` runs this grid; see EXPERIMENTS.md
+// "Cost-model splitting" (its static-* rows are the expand-everything
+// baseline, last reproducible at commit 3ad1bc6).
 func BenchmarkSplitSkew(b *testing.B) {
 	f := getSkewFixture(b)
 	cfg := core.Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect}
-	for _, pol := range core.SplitPolicies() {
-		for _, workers := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("%s-%d", pol, workers), func(b *testing.B) {
-				// Uncapped, like BenchmarkParallelSkew: an embedding cap
-				// stops the run as soon as one worker races ahead, which
-				// is exactly the imbalance the metric must observe.
-				limits := core.Limits{Parallel: workers, Split: pol}
-				var emb, probes uint64
-				var proj float64
-				for i := 0; i < b.N; i++ {
-					res, err := core.Match(f.q, f.g, cfg, limits)
-					if err != nil {
-						b.Fatal(err)
-					}
-					emb = res.Embeddings
-					if res.Split != nil {
-						probes = res.Split.Probes
-					}
-					if len(res.WorkerNodes) > 1 {
-						var total, max uint64
-						for _, n := range res.WorkerNodes {
-							total += n
-							if n > max {
-								max = n
-							}
-						}
-						if max > 0 {
-							proj = float64(total) / float64(max)
-						}
-					}
+	for _, workers := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("cost-%d", workers), func(b *testing.B) {
+			// Uncapped, like BenchmarkParallelSkew: an embedding cap
+			// stops the run as soon as one worker races ahead, which
+			// is exactly the imbalance the metric must observe.
+			limits := core.Limits{Parallel: workers}
+			var emb, probes uint64
+			var nodes []uint64
+			for i := 0; i < b.N; i++ {
+				res, err := core.Match(f.q, f.g, cfg, limits)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(emb), "embeddings")
-				b.ReportMetric(float64(probes), "probe-nodes")
-				if proj > 0 {
-					b.ReportMetric(proj, "proj-speedup")
+				emb, nodes = res.Embeddings, workerNodes(res)
+				if res.Split != nil {
+					probes = res.Split.Probes
 				}
-			})
-		}
+			}
+			b.ReportMetric(float64(emb), "embeddings")
+			b.ReportMetric(float64(probes), "probe-nodes")
+			reportMakespan(b, nodes)
+		})
 	}
 }
 
@@ -486,8 +504,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}{
 		{"seq/trace-off", core.Limits{}},
 		{"seq/trace-on", core.Limits{Trace: true}},
-		{"steal-8/trace-off", core.Limits{Parallel: 8, Schedule: core.ScheduleWorkSteal}},
-		{"steal-8/trace-on", core.Limits{Parallel: 8, Schedule: core.ScheduleWorkSteal, Trace: true}},
+		{"steal-8/trace-off", core.Limits{Parallel: 8}},
+		{"steal-8/trace-on", core.Limits{Parallel: 8, Trace: true}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -518,8 +536,8 @@ func BenchmarkProfileOverhead(b *testing.B) {
 	}{
 		{"seq/profile-off", core.Limits{}},
 		{"seq/profile-on", core.Limits{Profile: true}},
-		{"steal-8/profile-off", core.Limits{Parallel: 8, Schedule: core.ScheduleWorkSteal}},
-		{"steal-8/profile-on", core.Limits{Parallel: 8, Schedule: core.ScheduleWorkSteal, Profile: true}},
+		{"steal-8/profile-off", core.Limits{Parallel: 8}},
+		{"steal-8/profile-on", core.Limits{Parallel: 8, Profile: true}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -712,7 +730,7 @@ func BenchmarkAblationCompression(b *testing.B) {
 // work-unit tallies (candidates examined for the filters, candidates
 // scanned + adjacency targets emitted for the CSR build, elements
 // scanned for the block layout). This is the same metric the
-// enumeration benchmarks derive from Result.WorkerNodes; see
+// enumeration benchmarks derive from Result.Workers[w].Nodes; see
 // EXPERIMENTS.md "Parallel preprocessing".
 
 var preprocessWorkers = []int{1, 4, 8}

@@ -8,7 +8,7 @@
 //
 //	smatch -q query.graph -d data.graph [-algo Optimized] [-limit 100000]
 //	       [-timeout 5m] [-print 3] [-profile] [-parallel 4] [-workers 4]
-//	       [-schedule steal] [-split cost] [-kernel adaptive] [-trace] [-explain]
+//	       [-kernel adaptive] [-trace] [-explain]
 //	smatch -q queries/ -d data.graph [-csv out.csv]   # batch mode
 //	smatch -batch list.txt -d data.graph              # batched service mode:
 //	       list.txt holds query-graph paths, one per line; the queries run
@@ -49,8 +49,6 @@ func main() {
 		printN    = flag.Int("print", 0, "print up to N embeddings")
 		parallel  = flag.Int("parallel", 1, "enumeration worker goroutines")
 		workers   = flag.Int("workers", 0, "preprocessing (filter + candidate-space) worker goroutines (0 = same as -parallel)")
-		schedule  = flag.String("schedule", "steal", "parallel scheduler: steal (work stealing) or strided (static partition)")
-		split     = flag.String("split", "cost", "work-steal task splitting: cost (cost-model recursive) or static (all depth-1 pairs)")
 		kernel    = flag.String("kernel", "adaptive", "intersection-kernel policy: adaptive merge gallop hybrid block")
 		profile   = flag.Bool("profile", false, "print a per-depth search profile")
 		trace     = flag.Bool("trace", false, "print the phase-span trace (filter stages, build, order, per-worker enumeration)")
@@ -101,8 +99,8 @@ func main() {
 		}
 		return
 	}
-	if err := run(ctx, *queryPath, *dataPath, *algoName, *limit, *timeout, *printN, *parallel, *workers, *schedule,
-		*split, *kernel, *profile, *trace, *explain, *hom, *sym, *estimate); err != nil {
+	if err := run(ctx, *queryPath, *dataPath, *algoName, *limit, *timeout, *printN, *parallel, *workers,
+		*kernel, *profile, *trace, *explain, *hom, *sym, *estimate); err != nil {
 		exitErr(err)
 	}
 }
@@ -167,19 +165,11 @@ func exitErr(err error) {
 }
 
 func run(ctx context.Context, queryPath, dataPath, algoName string, limit uint64, timeout time.Duration, printN, parallel, workers int,
-	scheduleName, splitName, kernelName string, profile, trace, explain, hom, sym, estimate bool) error {
+	kernelName string, profile, trace, explain, hom, sym, estimate bool) error {
 	if queryPath == "" || dataPath == "" {
 		return fmt.Errorf("both -q and -d are required")
 	}
 	algo, err := sm.ParseAlgorithm(algoName)
-	if err != nil {
-		return err
-	}
-	sched, err := sm.ParseSchedule(scheduleName)
-	if err != nil {
-		return err
-	}
-	splitPol, err := sm.ParseSplitPolicy(splitName)
 	if err != nil {
 		return err
 	}
@@ -207,8 +197,7 @@ func run(ctx context.Context, queryPath, dataPath, algoName string, limit uint64
 
 	printed := 0
 	opts := sm.Options{Algorithm: algo, MaxEmbeddings: limit, TimeLimit: timeout,
-		Parallel: parallel, Workers: workers, Schedule: sched, Split: splitPol,
-		Trace: trace, Explain: explain || profile}
+		Parallel: parallel, Workers: workers, Trace: trace, Explain: explain || profile}
 	if hom || sym || kern != sm.KernelAdaptive {
 		cfg := sm.PresetConfig(algo, q, g)
 		cfg.Homomorphism = hom
@@ -244,7 +233,7 @@ func run(ctx context.Context, queryPath, dataPath, algoName string, limit uint64
 	fmt.Println()
 	fmt.Printf("search nodes:  %d\n", res.Nodes)
 	if s := res.Split; s != nil {
-		fmt.Printf("split:         policy=%s tasks=%d refined=%d probes=%d", s.Policy, s.Tasks, s.SplitTasks, s.Probes)
+		fmt.Printf("split:         tasks=%d refined=%d probes=%d", s.Tasks, s.SplitTasks, s.Probes)
 		if s.PredictedNodes > 0 {
 			fmt.Printf(" predicted-nodes=%d", s.PredictedNodes)
 		}

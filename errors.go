@@ -23,9 +23,6 @@ var (
 	// ErrUnknownLabel reports a query vertex label no data vertex
 	// carries. Like ErrQueryTooLarge it is a strict-validation error.
 	ErrUnknownLabel = core.ErrUnknownLabel
-	// ErrBadSplitFactor reports a negative Options.SplitFactor, which
-	// used to silently disable task splitting instead of failing loudly.
-	ErrBadSplitFactor = core.ErrBadSplitFactor
 	// ErrNilCallback reports a streaming call whose per-embedding
 	// callback is nil.
 	ErrNilCallback = errors.New("nil per-embedding callback")

@@ -135,20 +135,6 @@ type Limits struct {
 	// supported for the VF2/Ullmann engines; Glasgow has its own
 	// parallel splitter.
 	Parallel int
-	// Schedule selects how parallel work is distributed across the
-	// workers. The zero value is ScheduleWorkSteal.
-	Schedule Schedule
-	// SplitFactor tunes when the work-stealing scheduler refines root
-	// candidates into finer task units: splitting happens while the root
-	// has fewer than Parallel*SplitFactor candidates
-	// (0 = DefaultSplitFactor). Negative values are rejected with
-	// ErrBadSplitFactor.
-	SplitFactor int
-	// Split selects how tasks are sized inside the split regime: the
-	// cost-model splitter (the zero value — estimate subtree weights,
-	// split heavy tasks recursively) or the static expand-everything
-	// heuristic. See SplitPolicy.
-	Split SplitPolicy
 	// Workers sets the worker-goroutine count for the preprocessing
 	// phases — candidate filtering, candidate-space construction and
 	// ordering (0 = inherit Parallel, 1 = everything inline on the
@@ -222,20 +208,17 @@ type Result struct {
 	// kernel (the run's kernel mix under Config.Kernel); summed across
 	// workers on parallel runs, all zeros for non-intersection locals.
 	Kernels intersect.KernelStats
-	// WorkerNodes, set on parallel runs, holds the search-tree nodes
-	// each worker expanded. Its spread measures scheduler load balance:
-	// sum/max is the speedup the task partition would admit on
-	// unconstrained cores (the makespan bound), independent of how many
-	// CPUs this process actually got.
-	WorkerNodes []uint64
 	// Workers, set on parallel runs, carries each worker's scheduler
 	// tallies: tasks executed, successful and failed steal attempts,
 	// and search-tree nodes. Counters are accumulated in worker-local
 	// variables and published once at worker exit, so collecting them
-	// costs nothing on the task loop.
+	// costs nothing on the task loop. The spread of Nodes measures load
+	// balance: sum/max is the speedup the task partition would admit on
+	// unconstrained cores (the makespan bound), independent of how many
+	// CPUs this process actually got.
 	Workers []WorkerStats
 	// Split, set on parallel runs, reports how the scheduler built its
-	// task pool: policy, pool shape, probe work (already folded into
+	// task pool: pool shape, probe work (already folded into
 	// Nodes/Kernels), and the cost model's predicted node count —
 	// compare PredictedNodes against Nodes-Probes for model accuracy.
 	Split *SplitInfo
@@ -545,65 +528,55 @@ func (p *Plan) SizeBytes() int64 {
 // preprocessing times live on the plan (a caller reusing a cached plan
 // did not pay them).
 func MatchPlan(plan *Plan, limits Limits) (*Result, error) {
-	if limits.SplitFactor < 0 {
-		return nil, fmt.Errorf("core: %w (got %d)", ErrBadSplitFactor, limits.SplitFactor)
-	}
-	q, g, cfg := plan.Query, plan.Data, plan.Cfg
+	cfg := plan.Cfg
 	res := &Result{MeanCandidates: plan.MeanCandidates, MemoryBytes: plan.MemoryBytes}
 	enumStart := time.Now()
-	if plan.Empty {
-		if limits.Trace {
-			res.Trace = obs.NewSpan("enumerate", enumStart, 0).SetAttr("empty", true)
+	if !plan.Empty {
+		res.Order = plan.Order
+		opts := enumerate.Options{
+			Local:           cfg.Local,
+			Kernel:          cfg.Kernel,
+			FailingSets:     cfg.FailingSets,
+			Adaptive:        cfg.Adaptive,
+			AdaptiveWeights: plan.Weights,
+			VF2PPRules:      cfg.VF2PPRules,
+			Homomorphism:    cfg.Homomorphism,
+			SymmetryClasses: plan.SymClasses,
+			MaxEmbeddings:   limits.MaxEmbeddings,
+			TimeLimit:       limits.TimeLimit,
+			OnMatch:         limits.OnMatch,
+			Cancel:          limits.Cancel,
+			Profile:         limits.Profile,
 		}
-		if limits.Profile {
-			res.Explain = explainResult(plan, res)
+		if limits.Parallel > 1 {
+			if cfg.SymmetryBreaking || cfg.Homomorphism {
+				return nil, fmt.Errorf("core: parallel execution does not yet compose with symmetry breaking or homomorphism mode")
+			}
+			if err := matchParallel(plan, opts, limits, res); err != nil {
+				return nil, err
+			}
+		} else {
+			// Sequential is the engine called directly: no task pool, deque
+			// or goroutine stands between a request and its search.
+			stats, err := enumerate.Run(plan.Query, plan.Data, plan.Cand, plan.Space, plan.Order, opts)
+			if err != nil {
+				return nil, err
+			}
+			res.Embeddings = stats.Embeddings * plan.Orbit
+			res.Nodes = stats.Nodes
+			res.TimedOut = stats.TimedOut
+			res.LimitHit = stats.LimitHit
+			res.EnumTime = stats.Duration
+			res.Profile = stats.Profile
+			res.Kernels = stats.Kernels
 		}
-		return res, nil
 	}
-	res.Order = plan.Order
-
-	if limits.Parallel > 1 {
-		if cfg.SymmetryBreaking || cfg.Homomorphism {
-			return nil, fmt.Errorf("core: parallel execution does not yet compose with symmetry breaking or homomorphism mode")
-		}
-		if err := matchParallel(q, g, plan.Cand, plan.Space, plan.Order, plan.Weights, cfg, limits, limits.Parallel, res); err != nil {
-			return nil, err
-		}
-		if limits.Trace {
+	if limits.Trace {
+		if plan.Empty {
+			res.Trace = obs.NewSpan("enumerate", enumStart, 0).SetAttr("empty", true)
+		} else {
 			res.Trace = enumerateSpan(enumStart, res)
 		}
-		if limits.Profile {
-			res.Explain = explainResult(plan, res)
-		}
-		return res, nil
-	}
-	stats, err := enumerate.Run(q, g, plan.Cand, plan.Space, plan.Order, enumerate.Options{
-		Local:           cfg.Local,
-		Kernel:          cfg.Kernel,
-		FailingSets:     cfg.FailingSets,
-		Adaptive:        cfg.Adaptive,
-		AdaptiveWeights: plan.Weights,
-		VF2PPRules:      cfg.VF2PPRules,
-		Homomorphism:    cfg.Homomorphism,
-		SymmetryClasses: plan.SymClasses,
-		MaxEmbeddings:   limits.MaxEmbeddings,
-		TimeLimit:       limits.TimeLimit,
-		OnMatch:         limits.OnMatch,
-		Cancel:          limits.Cancel,
-		Profile:         limits.Profile,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Embeddings = stats.Embeddings * plan.Orbit
-	res.Nodes = stats.Nodes
-	res.TimedOut = stats.TimedOut
-	res.LimitHit = stats.LimitHit
-	res.EnumTime = stats.Duration
-	res.Profile = stats.Profile
-	res.Kernels = stats.Kernels
-	if limits.Trace {
-		res.Trace = enumerateSpan(enumStart, res)
 	}
 	if limits.Profile {
 		res.Explain = explainResult(plan, res)
@@ -627,8 +600,7 @@ func enumerateSpan(start time.Time, res *Result) *obs.Span {
 		es.SetAttr("limit_hit", true)
 	}
 	if s := res.Split; s != nil {
-		es.SetAttr("split_policy", s.Policy.String()).
-			SetAttr("split_tasks", uint64(s.Tasks)).
+		es.SetAttr("split_tasks", uint64(s.Tasks)).
 			SetAttr("split_probes", s.Probes)
 		if s.PredictedNodes > 0 {
 			es.SetAttr("split_predicted_nodes", s.PredictedNodes)

@@ -30,11 +30,6 @@ var (
 	// (Glasgow, VF2, Ullmann), which bypasses the filter/order/enumerate
 	// pipeline and therefore has no reusable preprocessing plan.
 	ErrNoPlan = errors.New("algorithm bypasses the preprocessing pipeline and has no plan")
-	// ErrBadSplitFactor reports a negative Limits.SplitFactor. A negative
-	// factor used to silently disable splitting (the regime comparison
-	// could never be true); it is now rejected so a typo'd knob fails
-	// loudly instead of quietly degrading load balance.
-	ErrBadSplitFactor = errors.New("split factor must be non-negative")
 )
 
 // Validate checks a (query, data) pair for degenerate inputs, returning

@@ -37,9 +37,9 @@ type Profile struct {
 	// carry the probe work as a leading row with Depth == -1, so the
 	// table's node and kernel sums still reconcile with the totals.
 	Heat []DepthHeat `json:"heat,omitempty"`
-	// Split reports the parallel scheduler's task-splitting: the policy,
-	// pool shape, probe cost, and the cost model's node prediction next
-	// to the measured count (nil on sequential runs).
+	// Split reports the parallel scheduler's task-splitting: pool shape,
+	// probe cost, and the cost model's node prediction next to the
+	// measured count (nil on sequential runs).
 	Split *SplitProfile `json:"split,omitempty"`
 	// Workers attributes search nodes per depth to each parallel worker
 	// (nil on sequential runs).
@@ -108,7 +108,6 @@ type WorkerHeat struct {
 // expanded (the run's Nodes total minus the probe row), the number
 // PredictedNodes claims to forecast.
 type SplitProfile struct {
-	Policy          string `json:"policy"`
 	Tasks           int    `json:"tasks"`
 	SplitTasks      int    `json:"split_tasks"`
 	MaxPrefix       int    `json:"max_prefix"`
@@ -168,7 +167,6 @@ func explainResult(plan *Plan, res *Result) *Profile {
 	p.Kernels = res.Kernels.Map()
 	if s := res.Split; s != nil {
 		p.Split = &SplitProfile{
-			Policy:          s.Policy.String(),
 			Tasks:           s.Tasks,
 			SplitTasks:      s.SplitTasks,
 			MaxPrefix:       s.MaxPrefix,
@@ -272,8 +270,8 @@ func (p *Profile) Render(w io.Writer) {
 		}
 	}
 	if s := p.Split; s != nil {
-		fmt.Fprintf(w, "split: policy=%s tasks=%d split=%d max-prefix=%d probes=%d",
-			s.Policy, s.Tasks, s.SplitTasks, s.MaxPrefix, s.Probes)
+		fmt.Fprintf(w, "split: tasks=%d split=%d max-prefix=%d probes=%d",
+			s.Tasks, s.SplitTasks, s.MaxPrefix, s.Probes)
 		if s.PredictedNodes > 0 && s.MeasuredNodes > 0 {
 			fmt.Fprintf(w, " predicted-nodes=%d measured-nodes=%d (x%.2f)",
 				s.PredictedNodes, s.MeasuredNodes,

@@ -7,18 +7,23 @@ import (
 	"subgraphmatching/internal/intersect"
 )
 
-// Cost-model-driven task splitting. The static SplitFactor heuristic
-// expands every root candidate into all its depth-1 pairs whenever the
-// root list is small; the cost model instead estimates each task's
-// subtree weight — candidate cardinalities scaled by edge selectivities
-// along the order, refined by the probed fanout of the task's pinned
-// prefix — and splits only the tasks whose estimate exceeds a share of
-// the total, recursing below depth 1 when one (root, second) pair still
-// dominates. On skewed data a handful of heavy roots own nearly all the
-// search tree; weighting the split puts the task granularity where the
-// work is instead of shattering the cheap roots too.
+// Cost-model-driven task splitting. When the root's candidate list is
+// short for the worker count, root-grained tasks cannot balance: on
+// skewed data a handful of heavy roots own nearly all the search tree.
+// The cost model estimates each task's subtree weight — candidate
+// cardinalities scaled by edge selectivities along the order, refined by
+// the probed fanout of the task's pinned prefix — and splits only the
+// tasks whose estimate exceeds a share of the total, recursing below
+// depth 1 when one (root, second) pair still dominates. Weighting the
+// split puts the task granularity where the work is instead of
+// shattering the cheap roots too.
 
 const (
+	// splitFactor sets when the pool is refined at all: while the root
+	// vertex has fewer than workers*splitFactor candidates. Longer
+	// candidate lists already provide enough task-level parallelism to
+	// balance through stealing alone.
+	splitFactor = 32
 	// splitShareDivisor sets the split threshold: a task is split while
 	// its estimate exceeds total/(workers*splitShareDivisor), i.e. tasks
 	// are sized to at most 1/4 of a worker's fair share.
@@ -32,11 +37,9 @@ const (
 )
 
 // SplitInfo reports how the parallel scheduler built its task pool: the
-// policy, the pool shape, the probe work spent splitting, and the cost
-// model's node prediction — checkable against the measured Result.Nodes.
+// pool shape, the probe work spent splitting, and the cost model's node
+// prediction — checkable against the measured Result.Nodes.
 type SplitInfo struct {
-	// Policy that built the task pool.
-	Policy SplitPolicy
 	// Tasks fed to the scheduler; SplitTasks of them pin more than the
 	// root vertex. MaxPrefix is the deepest pinned prefix length
 	// (1 = root-grained tasks only).
@@ -53,8 +56,8 @@ type SplitInfo struct {
 	ProbeKernels    intersect.KernelStats
 	// PredictedNodes is the cost model's estimate of the enumeration
 	// search nodes (the per-task estimates summed over the final pool);
-	// compare against Result.Nodes minus Probes. Zero under SplitStatic,
-	// which estimates nothing.
+	// compare against Result.Nodes minus Probes. Zero for a root-grained
+	// pool, which estimates nothing.
 	PredictedNodes uint64
 }
 
@@ -159,28 +162,6 @@ func pairTasks(tasks []enumTask, root uint32, children []uint32) []enumTask {
 	return tasks
 }
 
-// buildStaticTasks is the SplitStatic policy: expand every root
-// candidate into all its depth-1 pairs. Probe work is tallied; the
-// model predicts nothing. A probe halted by cancellation or the
-// deadline falls back to root-grained tasks for the remaining roots, so
-// the pool always covers the full search space.
-func buildStaticTasks(probe *enumerate.Engine, rootCands []uint32, info *SplitInfo) []enumTask {
-	tasks := make([]enumTask, 0, len(rootCands))
-	var buf []uint32
-	for i, v := range rootCands {
-		if !probe.Stopped() {
-			buf = probe.ExpandPrefix(rootCands[i:i+1], buf[:0])
-		}
-		if probe.Stopped() {
-			return rootTasks(tasks, rootCands[i:])
-		}
-		info.Probes++
-		info.ProbeCandidates += uint64(len(buf))
-		tasks = pairTasks(tasks, v, buf)
-	}
-	return tasks
-}
-
 // probeRoots opens both cost-model builders: every root candidate is
 // probed once for its depth-1 fanout and costed from it. A root the
 // probe could not expand — halted by cancellation or the deadline —
@@ -214,7 +195,7 @@ func splitThreshold(total float64, workers int) float64 {
 	return max(total/float64(workers*splitShareDivisor), splitMinCost)
 }
 
-// buildCostModelTasks is the SplitCostModel policy over a static order.
+// buildCostModelTasks sizes the pool over a static order.
 // Every root is probed once for its depth-1 fanout; any task whose
 // estimate exceeds the per-worker share threshold is split into one task
 // per probed child, each probed in turn for its own fanout — recursing
@@ -264,14 +245,15 @@ func buildCostModelTasks(probe *enumerate.Engine, rootCands []uint32, est *split
 	return tasks
 }
 
-// buildAdaptiveCostTasks is the SplitCostModel policy under DP-iso's
-// adaptive ordering: a heavy root splits on the runtime-chosen second
-// vertex, one level only. Position i of a prefix is a function of
-// prefix[:i] (see enumerate's pin), so deeper pins would be sound; what
-// stops the recursion is the estimator, which runs over the BFS delta
-// as a proxy for the dynamic order — exact at the split boundary
-// (depths 0-1), approximate below it — so the split children are costed
-// from the model alone instead of being probed in turn.
+// buildAdaptiveCostTasks sizes the pool under DP-iso's adaptive
+// ordering: a heavy root splits on the runtime-chosen second vertex, one
+// level only. It is not buildCostModelTasks with a prefix bound of 2,
+// because that builder probes every child of a split while this one
+// costs them from the model alone (below the split boundary the
+// estimator's BFS order is only a proxy for the dynamic one): on
+// TestSplitEquivalence's first random fixture under the DP-iso preset at
+// 4 workers the bounded fold reads Probes 86 / PredictedNodes 23855
+// against this builder's 13 / 23439 for the same 75-task pool.
 func buildAdaptiveCostTasks(probe *enumerate.Engine, rootCands []uint32, est *splitEstimator,
 	workers int, info *SplitInfo) []enumTask {
 
@@ -294,6 +276,48 @@ func buildAdaptiveCostTasks(probe *enumerate.Engine, rootCands []uint32, est *sp
 	}
 	info.PredictedNodes = uint64(predicted)
 	return tasks
+}
+
+// buildTaskPool builds the run's task pool and records how on res.Split.
+// Root-grained tasks are the coarse default; in the short-root regime
+// (see splitFactor) a probe engine refines them by estimated subtree
+// weight — recursively below depth 1 over static orders, on the
+// runtime-chosen second vertex in adaptive mode. The probe is a worker
+// engine minus the match hook, failing sets and profile, so it shares
+// the run's stop flag and deadline. Its expansions are search work: each
+// computed one local-candidate set, exactly what a search node does, so
+// they are folded into res.Nodes and res.Kernels here (EXPLAIN carries
+// them as the heat table's probe row), as is a probe timeout.
+func buildTaskPool(plan *Plan, opts enumerate.Options,
+	newEngine func(enumerate.Options) (*enumerate.Engine, error), workers int, res *Result) ([]enumTask, error) {
+
+	q := plan.Query
+	rootCands := plan.Cand[plan.Order[0]]
+	info := &SplitInfo{}
+	res.Split = info
+	var tasks []enumTask
+	if q.NumVertices() >= 2 && len(rootCands) < workers*splitFactor {
+		opts.OnMatch, opts.FailingSets, opts.Profile = nil, false, false
+		probe, err := newEngine(opts)
+		if err != nil {
+			return nil, err
+		}
+		est := newSplitEstimator(q, plan.Data, plan.Cand, plan.Space, plan.Order)
+		if plan.Cfg.Adaptive {
+			tasks = buildAdaptiveCostTasks(probe, rootCands, est, workers, info)
+		} else {
+			tasks = buildCostModelTasks(probe, rootCands, est, q.NumVertices(), workers, info)
+		}
+		st := probe.Stats()
+		info.ProbeKernels = st.Kernels
+		res.Nodes += info.Probes
+		res.Kernels.Add(st.Kernels)
+		res.TimedOut = st.TimedOut
+	} else {
+		tasks = rootTasks(make([]enumTask, 0, len(rootCands)), rootCands)
+	}
+	info.setPoolShape(tasks)
+	return tasks, nil
 }
 
 // setPoolShape fills the pool-shape fields once the task pool is final.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -38,12 +37,13 @@ func collectSorted(t *testing.T, q, g *graph.Graph, cfg Config, limits Limits) (
 	return out, res
 }
 
-// TestSplitPolicyEquivalence is the acceptance grid for the cost-model
-// splitter: across {static, cost} × engine configs (static orders and
-// DP-iso's adaptive ordering) × workers {1,2,4,8}, forced splitting must
-// produce byte-identical embedding sets to the sequential run, and
-// MaxEmbeddings caps must stay exact.
-func TestSplitPolicyEquivalence(t *testing.T) {
+// TestSplitEquivalence is the acceptance grid for the cost-model
+// splitter: across engine configs (static orders and DP-iso's adaptive
+// ordering) × workers {1,2,4,8}, the split pool must produce
+// byte-identical embedding sets to the sequential run, and MaxEmbeddings
+// caps must stay exact. Every fixture's root has fewer than 32
+// candidates per worker, so each parallel run is in the split regime.
+func TestSplitEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	type workload struct {
 		name string
@@ -63,41 +63,39 @@ func TestSplitPolicyEquivalence(t *testing.T) {
 		adaptive := PresetConfig(DPIso, wl.q, wl.g)
 		configs = append(configs, adaptive)
 		for _, cfg := range configs {
-			want, _ := collectSorted(t, wl.q, wl.g, cfg, Limits{})
-			for _, pol := range SplitPolicies() {
-				for _, workers := range []int{1, 2, 4, 8} {
-					limits := Limits{Parallel: workers, Split: pol, SplitFactor: 1 << 20}
-					got, res := collectSorted(t, wl.q, wl.g, cfg, limits)
-					if len(got) != len(want) {
-						t.Fatalf("%s adaptive=%v %v w%d: %d embeddings, want %d",
-							wl.name, cfg.Adaptive, pol, workers, len(got), len(want))
+			want, seq := collectSorted(t, wl.q, wl.g, cfg, Limits{})
+			for _, workers := range []int{1, 2, 4, 8} {
+				limits := Limits{Parallel: workers}
+				got, res := collectSorted(t, wl.q, wl.g, cfg, limits)
+				if len(got) != len(want) {
+					t.Fatalf("%s adaptive=%v w%d: %d embeddings, want %d",
+						wl.name, cfg.Adaptive, workers, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s adaptive=%v w%d: embedding sets differ at %d",
+							wl.name, cfg.Adaptive, workers, i)
 					}
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("%s adaptive=%v %v w%d: embedding sets differ at %d",
-								wl.name, cfg.Adaptive, pol, workers, i)
-						}
+				}
+				if workers > 1 && seq.Nodes > 0 {
+					if res.Split == nil {
+						t.Fatalf("%s w%d: parallel run has no SplitInfo", wl.name, workers)
 					}
-					if workers > 1 {
-						if res.Split == nil {
-							t.Fatalf("%s %v w%d: parallel run has no SplitInfo", wl.name, pol, workers)
-						}
-						if res.Split.Policy != pol {
-							t.Errorf("%s w%d: SplitInfo policy %v, want %v", wl.name, workers, res.Split.Policy, pol)
-						}
+					if res.Split.Probes == 0 {
+						t.Errorf("%s adaptive=%v w%d: fixture did not reach the split regime", wl.name, cfg.Adaptive, workers)
 					}
-					// Exact cap under the same forced-split schedule.
-					cap := uint64(5)
-					if uint64(len(want)) > cap {
-						limits.MaxEmbeddings = cap
-						capped, err := Match(wl.q, wl.g, cfg, limits)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if capped.Embeddings != cap {
-							t.Errorf("%s adaptive=%v %v w%d: cap run found %d, want exactly %d",
-								wl.name, cfg.Adaptive, pol, workers, capped.Embeddings, cap)
-						}
+				}
+				// Exact cap under the same split schedule.
+				cap := uint64(5)
+				if uint64(len(want)) > cap {
+					limits.MaxEmbeddings = cap
+					capped, err := Match(wl.q, wl.g, cfg, limits)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if capped.Embeddings != cap {
+						t.Errorf("%s adaptive=%v w%d: cap run found %d, want exactly %d",
+							wl.name, cfg.Adaptive, workers, capped.Embeddings, cap)
 					}
 				}
 			}
@@ -116,16 +114,13 @@ func TestSplitPredictionSurfaced(t *testing.T) {
 		q = testutil.RandomConnectedQuery(rng, g, 5)
 	}
 	cfg := Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect}
-	res, err := Match(q, g, cfg, Limits{Parallel: 4, SplitFactor: 1 << 20, Profile: true})
+	res, err := Match(q, g, cfg, Limits{Parallel: 4, Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := res.Split
 	if s == nil {
 		t.Fatal("no SplitInfo on a parallel run")
-	}
-	if s.Policy != SplitCostModel {
-		t.Fatalf("default policy = %v, want cost", s.Policy)
 	}
 	if s.Probes == 0 || s.PredictedNodes == 0 {
 		t.Fatalf("cost-model split ran without probes (%d) or prediction (%d)", s.Probes, s.PredictedNodes)
@@ -159,7 +154,7 @@ func TestParallelCancelDuringProbe(t *testing.T) {
 
 	var stop atomic.Bool
 	stop.Store(true)
-	res, err := Match(q, g, cfg, Limits{Parallel: 4, SplitFactor: 1 << 20, Cancel: &stop})
+	res, err := Match(q, g, cfg, Limits{Parallel: 4, Cancel: &stop})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +170,7 @@ func TestParallelCancelDuringProbe(t *testing.T) {
 
 	// A deadline that expires before the probe starts must stop it and
 	// report the timeout (previously the probe ran before SetDeadline).
-	res, err = Match(q, g, cfg, Limits{Parallel: 4, SplitFactor: 1 << 20, TimeLimit: time.Nanosecond})
+	res, err = Match(q, g, cfg, Limits{Parallel: 4, TimeLimit: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,43 +182,59 @@ func TestParallelCancelDuringProbe(t *testing.T) {
 	}
 }
 
-// TestSplitFactorValidation pins the negative-SplitFactor bugfix: the
-// old code silently disabled splitting, now it is a typed error.
-func TestSplitFactorValidation(t *testing.T) {
-	q, g := testutil.PaperQuery(), testutil.PaperData()
-	cfg := PresetConfig(Optimized, q, g)
-	_, err := Match(q, g, cfg, Limits{Parallel: 2, SplitFactor: -1})
-	if !errors.Is(err, ErrBadSplitFactor) {
-		t.Fatalf("SplitFactor -1: err = %v, want ErrBadSplitFactor", err)
-	}
-	// Sequential runs validate too — the knob is wrong regardless of
-	// whether this run would have consulted it.
-	_, err = Match(q, g, cfg, Limits{SplitFactor: -7})
-	if !errors.Is(err, ErrBadSplitFactor) {
-		t.Fatalf("sequential SplitFactor -7: err = %v, want ErrBadSplitFactor", err)
-	}
-}
-
-func TestSplitPolicyParseRoundTrip(t *testing.T) {
-	for _, p := range SplitPolicies() {
-		got, err := ParseSplitPolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("round trip %v: got %v, err %v", p, got, err)
+// TestSplitRegimeBoundary pins when the pool is refined: exactly while
+// the root has fewer than workers×splitFactor candidates. The fixture is
+// a 3-path query over a cycle (every vertex a light root) plus one hub
+// with 40 pendant leaves (the heavy root, and no root candidates of
+// their own), so the root list is the cycle length plus one.
+func TestSplitRegimeBoundary(t *testing.T) {
+	const workers = 2
+	q := graph.MustFromEdges(make([]graph.Label, 3), [][2]graph.Vertex{{0, 1}, {1, 2}})
+	cfg := Config{Filter: filter.LDF, Order: order.GQL, Local: enumerate.Intersect}
+	run := func(roots int) *SplitInfo {
+		cycle := roots - 1
+		var edges [][2]graph.Vertex
+		for i := 0; i < cycle; i++ {
+			edges = append(edges, [2]graph.Vertex{graph.Vertex(i), graph.Vertex((i + 1) % cycle)})
 		}
+		hub := graph.Vertex(cycle)
+		for leaf := cycle + 1; leaf <= cycle+40; leaf++ {
+			edges = append(edges, [2]graph.Vertex{hub, graph.Vertex(leaf)})
+		}
+		g := graph.MustFromEdges(make([]graph.Label, cycle+41), edges)
+		plan, err := Preprocess(q, g, cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(plan.Cand[plan.Order[0]]); got != roots {
+			t.Fatalf("fixture: %d root candidates, want %d", got, roots)
+		}
+		res, err := MatchPlan(plan, Limits{Parallel: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 2 per cycle vertex, 40×39 through the hub.
+		if want := uint64(2*(roots-1) + 40*39); res.Embeddings != want {
+			t.Fatalf("%d roots: %d embeddings, want %d", roots, res.Embeddings, want)
+		}
+		return res.Split
 	}
-	if _, err := ParseSplitPolicy("depth3"); err == nil {
-		t.Error("expected error for unknown split policy")
+
+	if s := run(workers * splitFactor); s.Tasks != workers*splitFactor || s.SplitTasks != 0 || s.MaxPrefix != 1 ||
+		s.Probes != 0 || s.PredictedNodes != 0 {
+		t.Errorf("at the boundary the pool must be root-grained and unprobed, got %+v", s)
 	}
-	if SplitPolicy(9).String() == "" {
-		t.Error("unknown policy String should be non-empty")
+	if s := run(workers*splitFactor - 1); s.Probes < uint64(workers*splitFactor-1) || s.SplitTasks != 40 ||
+		s.MaxPrefix != 2 || s.PredictedNodes == 0 {
+		t.Errorf("one below the boundary every root is probed and the hub split on its 40 leaves, got %+v", s)
 	}
 }
 
 // TestStressRecursiveSplit hammers the recursive splitter under
-// contention: repeated 8-worker runs with forced splitting (both
-// policies) over a skew-prone fixture must always agree with the
-// sequential count. Runs under `make race-stress` where any cross-task
-// state leak in prefix handling trips the race detector.
+// contention: repeated 8-worker runs over a skew-prone fixture (120
+// data vertices, so every run is in the split regime) must always agree
+// with the sequential count. Runs under `make race-stress` where any
+// cross-task state leak in prefix handling trips the race detector.
 func TestStressRecursiveSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := testutil.RandomGraph(rng, 120, 700, 2)
@@ -236,34 +247,28 @@ func TestStressRecursiveSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iters := 25
+	iters := 50
 	if testing.Short() {
-		iters = 5
+		iters = 10
 	}
-	var sawRecursive bool
 	for i := 0; i < iters; i++ {
-		for _, pol := range SplitPolicies() {
-			res, err := Match(q, g, cfg, Limits{Parallel: 8, Split: pol, SplitFactor: 1 << 20})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Embeddings != seq.Embeddings {
-				t.Fatalf("iter %d %v: %d embeddings, want %d", i, pol, res.Embeddings, seq.Embeddings)
-			}
-			if res.Split == nil || res.Split.Tasks == 0 {
-				t.Fatalf("iter %d %v: no split accounting", i, pol)
-			}
-			if pol == SplitCostModel && res.Split.MaxPrefix > 2 {
-				sawRecursive = true
-			}
+		res, err := Match(q, g, cfg, Limits{Parallel: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Embeddings != seq.Embeddings {
+			t.Fatalf("iter %d: %d embeddings, want %d", i, res.Embeddings, seq.Embeddings)
+		}
+		if res.Split == nil || res.Split.Tasks == 0 || res.Split.Probes == 0 {
+			t.Fatalf("iter %d: no split accounting: %+v", i, res.Split)
 		}
 	}
-	_ = sawRecursive // informational: recursion depends on the fixture's skew
 }
 
 // FuzzSplitEstimates drives the cost model and the recursive splitter
 // over random workloads: estimates must stay finite and well-formed, and
-// a forced cost-model split must enumerate exactly the sequential
+// the cost-model split (at most 69 data vertices against 4×32) must
+// enumerate exactly the sequential
 // embedding multiset (the split tasks partition the search space).
 func FuzzSplitEstimates(f *testing.F) {
 	f.Add(int64(1), uint8(30), uint8(90), uint8(2), uint8(4))
@@ -309,7 +314,7 @@ func FuzzSplitEstimates(f *testing.F) {
 			t.Fatal(err)
 		}
 		var got []string
-		res, err := MatchPlan(plan, Limits{Parallel: 4, SplitFactor: 1 << 20,
+		res, err := MatchPlan(plan, Limits{Parallel: 4,
 			OnMatch: func(m []uint32) bool {
 				got = append(got, string(uint32SliceBytes(m)))
 				return true

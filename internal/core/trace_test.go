@@ -173,88 +173,88 @@ func TestParallelPreprocessFilterTrace(t *testing.T) {
 	}
 }
 
-// TestParallelWorkerStats checks the scheduler tallies: every task is
-// accounted to exactly one worker, per-worker nodes match WorkerNodes,
-// and the trace surfaces one worker child per worker.
+// TestParallelWorkerStats checks the scheduler tallies: every task of
+// the pool is accounted to exactly one worker, per-worker nodes plus the
+// probe's sum to the result's, and the trace surfaces one worker child
+// per worker.
 func TestParallelWorkerStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := testutil.RandomGraph(rng, 200, 900, 2)
 	q := testutil.RandomConnectedQuery(rng, g, 5)
 	want := testutil.BruteForceCount(q, g, 0)
 
-	for _, sched := range Schedules() {
-		cfg := PresetConfig(Optimized, q, g)
-		res, err := Match(q, g, cfg, Limits{Trace: true, Parallel: 4, Schedule: sched})
-		if err != nil {
-			t.Fatalf("%v: %v", sched, err)
-		}
-		if res.Embeddings != want {
-			t.Fatalf("%v: %d embeddings, want %d", sched, res.Embeddings, want)
-		}
-		if len(res.Workers) == 0 {
-			t.Fatalf("%v: no worker stats on a parallel run", sched)
-		}
-		if len(res.Workers) != len(res.WorkerNodes) {
-			t.Fatalf("%v: %d Workers vs %d WorkerNodes", sched, len(res.Workers), len(res.WorkerNodes))
-		}
-		var tasks, nodes uint64
-		for w, ws := range res.Workers {
-			tasks += ws.Tasks
-			nodes += ws.Nodes
-			if ws.Nodes != res.WorkerNodes[w] {
-				t.Errorf("%v: worker %d nodes %d != WorkerNodes %d", sched, w, ws.Nodes, res.WorkerNodes[w])
-			}
-		}
-		if tasks == 0 {
-			t.Errorf("%v: zero tasks executed", sched)
-		}
-		if res.Split != nil {
-			// Probe expansions are search work done before the workers
-			// start; Nodes carries them, the per-worker tallies don't.
-			nodes += res.Split.Probes
-		}
-		if nodes != res.Nodes {
-			t.Errorf("%v: worker nodes sum %d != Nodes %d", sched, nodes, res.Nodes)
-		}
-		enum := res.Trace.Child("enumerate")
-		if enum == nil {
-			t.Fatalf("%v: no enumerate span", sched)
-		}
-		if len(enum.Children) != len(res.Workers) {
-			t.Errorf("%v: %d worker spans, want %d", sched, len(enum.Children), len(res.Workers))
-		}
+	cfg := PresetConfig(Optimized, q, g)
+	res, err := Match(q, g, cfg, Limits{Trace: true, Parallel: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Embeddings != want {
+		t.Fatalf("%d embeddings, want %d", res.Embeddings, want)
+	}
+	if len(res.Workers) == 0 {
+		t.Fatal("no worker stats on a parallel run")
+	}
+	var tasks, nodes uint64
+	for _, ws := range res.Workers {
+		tasks += ws.Tasks
+		nodes += ws.Nodes
+	}
+	// With no early stop the workers' Tasks sum to the pool size, whether
+	// the pool is root-grained or was refined.
+	if res.Split == nil || tasks != uint64(res.Split.Tasks) {
+		t.Errorf("workers executed %d tasks, pool is %+v", tasks, res.Split)
+	}
+	// Probe expansions are search work done before the workers start;
+	// Nodes carries them, the per-worker tallies don't.
+	if nodes+res.Split.Probes != res.Nodes {
+		t.Errorf("worker nodes %d + probes %d != Nodes %d", nodes, res.Split.Probes, res.Nodes)
+	}
+	enum := res.Trace.Child("enumerate")
+	if enum == nil {
+		t.Fatal("no enumerate span")
+	}
+	if len(enum.Children) != len(res.Workers) {
+		t.Errorf("%d worker spans, want %d", len(enum.Children), len(res.Workers))
 	}
 }
 
-// TestWorkStealTasksConserved pins down the work-steal accounting: with
-// no early stop, the workers' Tasks must sum to the task-pool size (each
-// root candidate, or each depth-1 pair when the pool was split).
+// TestWorkStealTasksConserved pins down the work-steal accounting on
+// both sides of the split regime: with no early stop, the workers' Tasks
+// sum to the task-pool size — one per root candidate when the pool is
+// root-grained, SplitInfo.Tasks when it was refined.
 func TestWorkStealTasksConserved(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := testutil.RandomGraph(rng, 150, 700, 2)
 	q := testutil.RandomConnectedQuery(rng, g, 4)
-	cfg := PresetConfig(Optimized, q, g)
-
-	// SplitFactor 1 keeps tasks root-grained, so the expected pool size
-	// is exactly the root's candidate count.
-	plan, err := Preprocess(q, g, cfg, 1)
+	plan, err := Preprocess(q, g, PresetConfig(Optimized, q, g), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Empty {
 		t.Skip("empty candidate set")
 	}
-	res, err := MatchPlan(plan, Limits{Parallel: 3, SplitFactor: 1})
-	if err != nil {
-		t.Fatal(err)
+	roots := len(plan.Cand[plan.Order[0]])
+	if roots < 2*splitFactor || roots >= 8*splitFactor {
+		t.Fatalf("fixture: %d root candidates do not straddle the split regime at 2 and 8 workers", roots)
 	}
-	var tasks uint64
-	for _, ws := range res.Workers {
-		tasks += ws.Tasks
-	}
-	wantTasks := uint64(len(plan.Cand[plan.Order[0]]))
-	if tasks != wantTasks {
-		t.Errorf("tasks sum %d, want %d (root candidates)", tasks, wantTasks)
+	for _, workers := range []int{2, 8} {
+		res, err := MatchPlan(plan, Limits{Parallel: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tasks uint64
+		for _, ws := range res.Workers {
+			tasks += ws.Tasks
+		}
+		if tasks != uint64(res.Split.Tasks) {
+			t.Errorf("workers=%d: tasks sum %d, pool has %d", workers, tasks, res.Split.Tasks)
+		}
+		if workers == 2 && (res.Split.Tasks != roots || res.Split.Probes != 0) {
+			t.Errorf("workers=2: pool %+v, want %d root-grained tasks and no probes", res.Split, roots)
+		}
+		if workers == 8 && res.Split.Probes == 0 {
+			t.Errorf("workers=8: %d roots did not reach the split regime", roots)
+		}
 	}
 }
 

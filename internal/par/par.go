@@ -124,7 +124,7 @@ func (f *Frontier[S]) Tally() []uint64 { return f.tally }
 
 // MakespanBound returns sum/max over the per-worker tallies: the speedup
 // this work distribution would admit on unconstrained cores (the same
-// metric Result.WorkerNodes feeds for enumeration). It returns 1 for
+// metric Result.Workers[w].Nodes feeds for enumeration). It returns 1 for
 // empty or all-zero tallies.
 func MakespanBound(work []uint64) float64 {
 	var total, max uint64

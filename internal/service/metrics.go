@@ -41,7 +41,7 @@ type serviceMetrics struct {
 	// requests, plus the cost model's predicted-over-measured node ratio
 	// so a drifting estimator shows up on a dashboard before it shows up
 	// as load imbalance.
-	splitTasks      *obs.CounterVec // by split policy
+	splitTasks      *obs.Counter
 	splitSplitTasks *obs.Counter
 	splitProbes     *obs.Counter
 	splitAccuracy   *obs.Histogram
@@ -121,9 +121,8 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 			"Pairwise intersection-kernel executions by kernel across completed requests.",
 			"kernel"),
 
-		splitTasks: r.CounterVec("smatch_split_tasks_total",
-			"Enumeration tasks scheduled across parallel requests, by split policy.",
-			"policy"),
+		splitTasks: r.Counter("smatch_split_tasks_total",
+			"Enumeration tasks scheduled across parallel requests."),
 		splitSplitTasks: r.Counter("smatch_split_refined_tasks_total",
 			"Tasks pinned below depth 1 by the recursive splitter."),
 		splitProbes: r.Counter("smatch_split_probe_nodes_total",
@@ -293,13 +292,13 @@ func (m *serviceMetrics) recordKernels(ks intersect.KernelStats) {
 // recordSplit folds one request's scheduler-splitting outcome into the
 // service-wide families. Sequential requests carry no SplitInfo and
 // contribute nothing; the accuracy ratio is observed only when the cost
-// model actually predicted (static splits and root-grained pools have no
-// prediction to check).
+// model actually predicted (a root-grained pool has no prediction to
+// check).
 func (m *serviceMetrics) recordSplit(info *core.SplitInfo, resultNodes uint64) {
 	if info == nil {
 		return
 	}
-	m.splitTasks.With(info.Policy.String()).Add(uint64(info.Tasks))
+	m.splitTasks.Add(uint64(info.Tasks))
 	m.splitSplitTasks.Add(uint64(info.SplitTasks))
 	m.splitProbes.Add(info.Probes)
 	if measured := resultNodes - info.Probes; info.PredictedNodes > 0 && measured > 0 {

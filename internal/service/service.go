@@ -107,10 +107,7 @@ type Request struct {
 	Custom    *core.Config
 	// MaxEmbeddings, TimeLimit, Parallel and Workers carry the meanings
 	// of core.Limits. TimeLimit 0 inherits the service default; Parallel
-	// is also the request's admission weight. Parallel requests always
-	// run under the default scheduler (work stealing, cost-model
-	// splitting); the baselines it is measured against are reachable
-	// through core.Limits and the smatch CLI, not through the service.
+	// is also the request's admission weight.
 	MaxEmbeddings uint64
 	TimeLimit     time.Duration
 	Parallel      int

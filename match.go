@@ -135,37 +135,6 @@ type Result = core.Result
 // encoding is stable for machine consumption.
 type Profile = core.Profile
 
-// Schedule selects the parallel enumeration scheduler.
-type Schedule = core.Schedule
-
-// Parallel scheduler modes.
-const (
-	ScheduleWorkSteal = core.ScheduleWorkSteal
-	ScheduleStrided   = core.ScheduleStrided
-)
-
-// ParseSchedule maps a scheduler name (steal, strided) to its Schedule.
-func ParseSchedule(s string) (Schedule, error) { return core.ParseSchedule(s) }
-
-// SplitPolicy selects how the work-steal scheduler splits heavy tasks
-// when the start vertex has few candidates relative to the worker count.
-type SplitPolicy = core.SplitPolicy
-
-// Split policies.
-const (
-	// SplitCostModel (the zero value and the default) sizes tasks with a
-	// cardinality-based cost model refined by depth-1 probes and splits
-	// the heavy ones recursively.
-	SplitCostModel = core.SplitCostModel
-	// SplitStatic reproduces the pre-cost-model behavior: expand every
-	// root candidate into all its depth-1 pairs.
-	SplitStatic = core.SplitStatic
-)
-
-// ParseSplitPolicy maps a split-policy name (cost, static) to its
-// SplitPolicy.
-func ParseSplitPolicy(s string) (SplitPolicy, error) { return core.ParseSplitPolicy(s) }
-
 // Options configures a Match call.
 type Options struct {
 	// Algorithm picks a preset. Ignored when Custom is set. The zero
@@ -187,26 +156,10 @@ type Options struct {
 	// serialized and arrive in no particular order.
 	OnMatch func(mapping []Vertex) bool
 	// Parallel runs the enumeration across this many worker goroutines
-	// (0 or 1 = sequential). Embedding counts remain exact; not
-	// supported with AlgoVF2 and AlgoUllmann.
+	// (0 or 1 = sequential): cost-model-sized tasks rebalanced by work
+	// stealing, reported in Result.Split and Result.Workers. Embedding
+	// counts remain exact; not supported with AlgoVF2 and AlgoUllmann.
 	Parallel int
-	// Schedule selects the parallel scheduler: ScheduleWorkSteal (the
-	// zero value, dynamic task distribution with stealing — tracks total
-	// work under skew) or ScheduleStrided (the static partition of the
-	// start vertex's candidates).
-	Schedule Schedule
-	// Split selects the work-steal task-splitting policy:
-	// SplitCostModel (the zero value — cost-model-sized tasks, split
-	// recursively) or SplitStatic (every root expanded to its depth-1
-	// pairs). Embeddings are identical under both; only load balance
-	// changes. Result.Split reports what the splitter did, including its
-	// predicted-vs-actual node counts.
-	Split SplitPolicy
-	// SplitFactor tunes when splitting engages: tasks are refined when
-	// the start vertex has fewer than Parallel×SplitFactor candidates
-	// (0 = default factor). Negative values are rejected with
-	// ErrBadSplitFactor.
-	SplitFactor int
 	// Workers sets the worker-goroutine count for the preprocessing
 	// phases — candidate filtering, candidate-space construction and
 	// ordering (0 = inherit Parallel, 1 = everything inline on the
@@ -250,9 +203,6 @@ func match(q, g *Graph, opts Options, cancel *atomic.Bool) (*Result, error) {
 		TimeLimit:     opts.TimeLimit,
 		OnMatch:       opts.OnMatch,
 		Parallel:      opts.Parallel,
-		Schedule:      opts.Schedule,
-		Split:         opts.Split,
-		SplitFactor:   opts.SplitFactor,
 		Workers:       opts.Workers,
 		Trace:         opts.Trace,
 		Profile:       opts.Explain,
