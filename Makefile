@@ -1,14 +1,18 @@
 # Development targets. `make ci` is the gate every change must pass:
-# vet, build, the full test suite under the race detector, a stress
+# gofmt, vet, build, the full test suite under the race detector, a stress
 # pass over multi-worker preprocessing, a short fuzz run of the
 # filter-soundness invariant, and a one-iteration benchmark smoke pass
 # to catch bit-rotted bench code.
 
 GO ?= go
 
-.PHONY: ci vet build test race race-stress fuzz-smoke bench-smoke bench-json bench-parallel bench-preprocess bench-sched bench-serve bench-obs bench-kernels bench-batch bench-store
+.PHONY: ci fmt vet build test race race-stress fuzz-smoke bench-smoke bench-json bench-parallel bench-preprocess bench-sched bench-serve bench-obs bench-kernels bench-batch bench-store
 
-ci: vet build race race-stress fuzz-smoke bench-smoke
+ci: fmt vet build race race-stress fuzz-smoke bench-smoke
+
+# Every .go file is gofmt-clean; the offenders are printed.
+fmt:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt -l . lists:" >&2; echo "$$out" >&2; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -33,9 +37,12 @@ race:
 # register/replace/unregister through the durable manager (and the
 # HTTP surface) and verifies a restart reconstructs the exact state.
 # The graph stress is the concurrent first use of the lazily built NLF
-# index (8 goroutines racing into one sync.Once).
+# index (8 goroutines racing into one sync.Once). The core cap test
+# (TestParallelCapExactUnderContention) races 1–8 workers to a cap that
+# lands inside leaf runs, with and without a sink whose calls must never
+# overlap.
 race-stress:
-	$(GO) test -race -run 'Stress' -count 1 ./internal/graph ./internal/core ./internal/filter ./internal/candspace ./internal/service ./internal/obs ./internal/obs/flight ./internal/store ./cmd/smatchd
+	$(GO) test -race -run 'Stress|CapExactUnderContention' -count 1 ./internal/graph ./internal/core ./internal/filter ./internal/candspace ./internal/service ./internal/obs ./internal/obs/flight ./internal/store ./cmd/smatchd
 
 # Short corpus-plus-mutation runs of the fuzz targets: filter soundness
 # (candidate sets never drop a ground-truth embedding vertex), GraphQL's
@@ -53,7 +60,8 @@ race-stress:
 # (the cost model stays finite and forced recursive splits enumerate
 # exactly the sequential embedding multiset), and the NDJSON wire format
 # (the delta line encoder reads, after every step of a sequence of
-# mappings, exactly what encoding/json writes).
+# mappings, exactly what encoding/json writes; so does the stream after
+# every run through the run sink, whose lines past the first are spliced).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFilterSoundness -fuzztime 5s ./internal/filter
 	$(GO) test -run '^$$' -fuzz FuzzSemiPerfectClasses -fuzztime 5s ./internal/filter
@@ -63,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 5s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzProfileRender -fuzztime 5s ./internal/obs/flight
 	$(GO) test -run '^$$' -fuzz FuzzLineEncoder -fuzztime 5s ./cmd/smatchd
+	$(GO) test -run '^$$' -fuzz FuzzRunSink -fuzztime 5s ./cmd/smatchd
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

@@ -83,7 +83,7 @@ func (s *server) matchBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if stream != nil {
-			req.OnMatch = stream.batchEmbeddingSink(i)
+			req.OnRun = stream.runSink(appendBatchEmbeddingHead(nil, i))
 		}
 		reqs = append(reqs, req)
 		submitted = append(submitted, i)

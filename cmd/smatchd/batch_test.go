@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -121,7 +122,9 @@ func TestMatchBatchItemIsolationStatuses(t *testing.T) {
 
 // TestMatchBatchStreamNDJSON checks the streaming shape: indexed
 // embedding lines followed by one indexed terminal line per item, with
-// embeddings routed to the right index.
+// embeddings routed to the right index. Items 0 and 2 are identical and
+// both streamed: each is executed and receives every embedding itself,
+// neither is deduplicated into the other.
 func TestMatchBatchStreamNDJSON(t *testing.T) {
 	ts, g := newTestServer(t)
 	q := graphText(t, testutil.RandomConnectedQuery(rand.New(rand.NewSource(5)), g, 4))
@@ -142,6 +145,7 @@ func TestMatchBatchStreamNDJSON(t *testing.T) {
 		t.Fatalf("Content-Type = %q", ct)
 	}
 	embeddings := map[int]int{}
+	streamed := map[int][]string{}
 	terminals := map[int]batchResultItem{}
 	sc := bufio.NewScanner(strings.NewReader(body))
 	for sc.Scan() {
@@ -161,6 +165,7 @@ func TestMatchBatchStreamNDJSON(t *testing.T) {
 				t.Fatalf("embedding line %q, want %q", sc.Text(), want)
 			}
 			embeddings[line.Index]++
+			streamed[line.Index] = append(streamed[line.Index], fmt.Sprint(line.Embedding))
 		default:
 			terminals[line.Index] = batchResultItem{Index: line.Index,
 				Result: line.Result, Error: line.Error, Status: line.Status}
@@ -183,6 +188,13 @@ func TestMatchBatchStreamNDJSON(t *testing.T) {
 	}
 	if embeddings[1] != 0 {
 		t.Fatal("failed item streamed embeddings")
+	}
+	if embeddings[0] == 0 || !slices.Equal(streamed[0], streamed[2]) {
+		t.Fatalf("duplicate streamed items diverged: item 0 streamed %v, item 2 %v", streamed[0], streamed[2])
+	}
+	_, metrics := do(t, "GET", ts.URL+"/metrics", "")
+	if v := promValue(t, metrics, "smatch_batch_dedup_fanout_total"); v != 0 {
+		t.Fatalf("smatch_batch_dedup_fanout_total = %v after a batch whose duplicates both stream, want 0", v)
 	}
 }
 

@@ -229,13 +229,13 @@ func TestMatchOverloadMapsTo503(t *testing.T) {
 	go func() {
 		var once bool
 		_, err := svc.Stream(context.Background(), service.Request{Graph: "main", Query: q},
-			func([]uint32) bool {
+			func(_ []uint32, _ graph.Vertex, vs []uint32) int {
 				if !once {
 					once = true
 					close(occupied)
 				}
 				<-release
-				return true
+				return len(vs)
 			})
 		done <- err
 	}()

@@ -444,7 +444,7 @@ func (s *server) match(w http.ResponseWriter, r *http.Request) {
 // {"error": ...} line.
 func (s *server) matchStream(w http.ResponseWriter, r *http.Request, req service.Request, withTrace bool) {
 	out := newNDJSONStream(w)
-	resp, err := s.svc.Stream(r.Context(), req, out.embeddingSink())
+	resp, err := s.svc.Stream(r.Context(), req, out.runSink([]byte(embeddingHead)))
 	switch {
 	case err == nil:
 		out.writeJSON(map[string]matchResult{"result": toMatchResult(resp, withTrace)})

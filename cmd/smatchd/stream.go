@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"subgraphmatching/internal/graph"
 )
 
 // The NDJSON flush rule, shared by /match?stream=1 and
@@ -42,13 +44,13 @@ func appendBatchEmbeddingHead(dst []byte, index int) []byte {
 	return append(dst, `,"embedding":[`...)
 }
 
-// lineEncoder produces the embedding lines of one sink. A depth-first
-// search emits runs of embeddings that differ in the last one or two
-// mapped vertices, so it keeps the previous line and rewrites only the
-// numbers that changed — in place when the digit count is the same, by
-// shifting the rest of the line when it is not. The result is always
-// the line encodeFull builds from scratch, which is what the first
-// call and a change of mapping length get.
+// lineEncoder produces the first embedding line of each run a sink
+// receives. Consecutive runs of a depth-first search differ in the last
+// two or three mapped vertices, so it keeps the previous line and
+// rewrites only the numbers that changed — in place when the digit count
+// is the same, by shifting the rest of the line when it is not. The
+// result is always the line encodeFull builds from scratch, which is
+// what the first call and a change of mapping length get.
 type lineEncoder struct {
 	head []byte   // everything before the first number
 	line []byte   // the previous line, complete
@@ -169,6 +171,14 @@ func (s *ndjsonStream) writeLine(line []byte) bool {
 		return false
 	}
 	s.buf = append(s.buf, line...)
+	return s.lineAppendedLocked()
+}
+
+// lineAppendedLocked applies the flush rule after one line went into the
+// buffer — the one place it is written, for whole lines and for the
+// spliced lines of a run alike. It reports false once the stream is
+// broken.
+func (s *ndjsonStream) lineAppendedLocked() bool {
 	switch {
 	case !s.started:
 		s.started = true
@@ -188,20 +198,41 @@ func (s *ndjsonStream) writeLine(line []byte) bool {
 	return s.err == nil
 }
 
-// embeddingSink is the /match?stream=1 per-embedding callback. The
-// service serializes the calls for one request, so the encoder needs
-// no lock; only the finished line goes through writeLine.
-func (s *ndjsonStream) embeddingSink() func(m []uint32) bool {
-	enc := lineEncoder{head: []byte(embeddingHead)}
-	return func(m []uint32) bool { return s.writeLine(enc.encode(m)) }
-}
-
-// batchEmbeddingSink is the same for item index of a streamed batch:
-// items of different groups call their sinks concurrently, each
-// encoding with its own encoder outside the stream's lock.
-func (s *ndjsonStream) batchEmbeddingSink(index int) func(m []uint32) bool {
-	enc := lineEncoder{head: appendBatchEmbeddingHead(nil, index)}
-	return func(m []uint32) bool { return s.writeLine(enc.encode(m)) }
+// runSink is the embedding sink of one search, in the engine's run form
+// (core.Limits.OnRun): head is embeddingHead for /match?stream=1 and
+// appendBatchEmbeddingHead(nil, i) for item i of a streamed batch. The
+// lines of a run differ in the one number at position u. The first is
+// delta-encoded against the previous run's, outside the stream's lock —
+// the service serializes the calls of one search, and items of
+// different batch groups each have their own encoder. Then, under one
+// hold of the mutex, every further line is that line's bytes before
+// number u, the digits of v, and its bytes from u's separator on,
+// appended straight to the stream buffer: the same bytes encoding the
+// whole mapping would give, since the line is a pure function of the
+// mapping and nothing but position u changed. The flush rule runs after
+// every line. A broken stream returns the number of lines it took.
+func (s *ndjsonStream) runSink(head []byte) func(m []uint32, u graph.Vertex, vs []uint32) int {
+	enc := lineEncoder{head: head}
+	return func(m []uint32, u graph.Vertex, vs []uint32) int {
+		m[u] = vs[0]
+		line := enc.encode(m)
+		before, after := line[:enc.off[u]], line[enc.off[u+1]-1:]
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.err != nil {
+			return 0
+		}
+		s.buf = append(s.buf, line...)
+		taken := 0
+		for s.lineAppendedLocked() {
+			if taken++; taken == len(vs) {
+				break
+			}
+			var buf [10]byte
+			s.buf = append(append(append(s.buf, before...), formatUint32(&buf, vs[taken])...), after...)
+		}
+		return taken
+	}
 }
 
 // writeJSON writes v as one line: the trailing result, error and

@@ -170,6 +170,97 @@ func FuzzLineEncoder(f *testing.F) {
 	})
 }
 
+// FuzzRunSink is the wire-format pin for the sink the handlers install:
+// a sequence of runs through one plain and one batch runSink must leave
+// on the wire, line for line, exactly what encoding/json writes for the
+// reference structs — the delta-encoded first line of each run and the
+// spliced rest alike. The script's first byte is the mapping length (1 +
+// mod 64, so lengths 1 and 64 both occur); each run picks the open
+// position, overwrites up to three other positions (the move between
+// two runs of a depth-first search), and draws its values from the
+// decimal-width boundaries or from raw bytes, so the number at the open
+// position changes width inside a run. A run length byte of 255 makes a
+// run long enough to cross streamFlushBytes.
+func FuzzRunSink(f *testing.F) {
+	boundaries := []uint32{0, 9, 10, 99, 100, 9999, 10000, 99999, 100000, 999999999, 1000000000, math.MaxUint32}
+	f.Add([]byte{0, 0, 0, 5, 0, 2, 4, 6, 22}, 0)                            // length 1: the open position is the whole mapping
+	f.Add([]byte{63, 63, 1, 3, 0, 22, 0, 63, 0, 2, 3, 4, 22, 0}, 1023)      // length 64, last position open, then the first
+	f.Add([]byte{11, 5, 2, 255, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22}, 7) // a run across the byte trigger, every width
+	f.Add([]byte{3, 1, 0, 1, 8, 2, 3, 1, 8, 1, 0, 1, 6}, 10)                // runs of one
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < 16; i++ {
+		script := make([]byte, 16+rng.Intn(112))
+		rng.Read(script)
+		f.Add(script, rng.Intn(maxBatchItems))
+	}
+	f.Fuzz(func(t *testing.T, script []byte, index int) {
+		next := func() byte {
+			if len(script) == 0 {
+				return 0
+			}
+			b := script[0]
+			script = script[1:]
+			return b
+		}
+		value := func() uint32 {
+			b := next()
+			if b%2 == 0 {
+				return boundaries[int(b/2)%len(boundaries)]
+			}
+			return (uint32(next()) | uint32(next())<<8 | uint32(next())<<16 | uint32(next())<<24) >> (b / 2 % 32)
+		}
+		m := make([]uint32, 1+int(next())%64)
+		for i := range m {
+			m[i] = value()
+		}
+		wp, wb := newRecordingWriter(), newRecordingWriter()
+		sp, sb := newNDJSONStream(wp), newNDJSONStream(wb)
+		plain, batch := sp.runSink([]byte(embeddingHead)), sb.runSink(appendBatchEmbeddingHead(nil, index))
+		var wantPlain, wantBatch []byte
+		for run := 0; run == 0 || len(script) > 0; run++ {
+			u := graph.Vertex(int(next()) % len(m))
+			for k := int(next()) % 4; k > 0; k-- {
+				m[int(next())%len(m)] = value()
+			}
+			n := 1 + int(next())%8
+			if n == 8 {
+				n = 1 + streamFlushBytes/len(embeddingHead)
+			}
+			vs := make([]uint32, n)
+			for i := range vs {
+				if vs[i] = value(); len(script) == 0 {
+					vs[i] = boundaries[i%len(boundaries)] // a long run past the script's end still varies its widths
+				}
+			}
+			for _, v := range vs {
+				m[u] = v
+				wantPlain = append(wantPlain, marshalLine(t, embeddingLine{m})...)
+				wantBatch = append(wantBatch, marshalLine(t, batchEmbeddingLine{index, m})...)
+			}
+			m[u] = ^vs[0] // the sink is handed the open position unset
+			if got := plain(m, u, vs); got != n {
+				t.Fatalf("run %d: plain sink took %d of %d", run, got, n)
+			}
+			m[u] = ^vs[0]
+			if got := batch(m, u, vs); got != n {
+				t.Fatalf("run %d: batch sink took %d of %d", run, got, n)
+			}
+			// After every run (and so after every line: a line is final
+			// once appended) the wire holds the reference bytes, flushed
+			// or still buffered.
+			if got := append(bytes.Join(wp.chunks, nil), sp.buf...); !bytes.Equal(got, wantPlain) {
+				t.Fatalf("run %d (u=%d, %d lines): plain stream ends %q, want %q", run, u, n, tail(got), tail(wantPlain))
+			}
+			if got := append(bytes.Join(wb.chunks, nil), sb.buf...); !bytes.Equal(got, wantBatch) {
+				t.Fatalf("run %d (u=%d, %d lines): batch stream ends %q, want %q", run, u, n, tail(got), tail(wantBatch))
+			}
+		}
+	})
+}
+
+// tail is the last couple of lines of a stream, for a failure message.
+func tail(b []byte) []byte { return b[max(0, len(b)-160):] }
+
 // recordingWriter is a ResponseWriter that keeps what each Flush
 // delivered and every write deadline it was given.
 type recordingWriter struct {
@@ -178,8 +269,9 @@ type recordingWriter struct {
 	pending   []byte
 	chunks    [][]byte
 	deadlines []time.Time
-	offered   int // bytes passed to Write, accepted or not
-	failAfter int // Write fails once this many bytes were accepted (0 = never)
+	offered   int    // bytes passed to Write, accepted or not
+	failAfter int    // Write fails once this many bytes were accepted (0 = never)
+	rejected  []byte // what the Writes that failed were offered
 }
 
 func newRecordingWriter() *recordingWriter { return &recordingWriter{hdr: http.Header{}} }
@@ -196,6 +288,7 @@ func (w *recordingWriter) Write(p []byte) (int, error) {
 	w.WriteHeader(http.StatusOK)
 	w.offered += len(p)
 	if w.failAfter > 0 && w.flushed()+len(w.pending) >= w.failAfter {
+		w.rejected = append(w.rejected, p...)
 		return 0, errors.New("recordingWriter: client gone")
 	}
 	w.pending = append(w.pending, p...)
@@ -379,62 +472,120 @@ func TestStreamSinkSteadyStateAllocs(t *testing.T) {
 	// Already started: the one-off header commit is not steady state.
 	s := &ndjsonStream{w: w, rc: http.NewResponseController(w), started: true,
 		buf: make([]byte, 0, streamFlushBytes+(4<<10))}
-	sink := s.embeddingSink()
+	sink := s.runSink([]byte(embeddingHead))
 	m := benchMapping()
-	m[11] = math.MaxUint32
-	sink(m) // sizes the line buffer at its widest
-	// 2000 lines per run cross the byte trigger several times, so the
-	// flush path is inside the measurement; the last position walks
-	// through every digit width, so the encoder's shifts are too.
+	sink(m, 11, []uint32{math.MaxUint32}) // sizes the line buffer at its widest
+	// 400 runs of 5 lines cross the byte trigger several times, so the
+	// flush path is inside the measurement; the open position walks
+	// through every digit width inside each run and another position
+	// moves between runs, so the encoder's shifts and the splice are too.
+	vs := make([]uint32, 5)
 	allocs := testing.AllocsPerRun(20, func() {
-		for i := 0; i < 2000; i++ {
-			m[11] = math.MaxUint32 >> uint(i%32)
+		for i := 0; i < 400; i++ {
+			for j := range vs {
+				vs[j] = math.MaxUint32 >> uint((5*i+j)%32)
+			}
 			m[3] = uint32(i)
-			if !sink(m) {
+			if sink(m, 11, vs) != len(vs) {
 				t.Fatal("sink failed")
 			}
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state sink allocates %.1f times per 2000 embeddings, want 0", allocs)
+		t.Fatalf("steady-state sink allocates %.1f times per 400 runs (2000 embeddings), want 0", allocs)
+	}
+}
+
+// TestRunSinkBreaksMidRun: a stream that breaks at a flush inside a run
+// reports the lines it took before that flush — some, not all — and
+// takes nothing afterwards; what it had accepted is exactly the
+// reference lines, whole.
+func TestRunSinkBreaksMidRun(t *testing.T) {
+	w := newRecordingWriter()
+	w.failAfter = 1 // the first line goes out, the next flush fails
+	s := newNDJSONStream(w)
+	sink := s.runSink([]byte(embeddingHead))
+	m := benchMapping()
+	vs := make([]uint32, 4096)
+	for i := range vs {
+		vs[i] = uint32(7 * i)
+	}
+	taken := sink(m, 5, vs)
+	if taken <= 1 || taken >= len(vs) {
+		t.Fatalf("sink took %d of a %d-line run across a failing flush, want some and not all", taken, len(vs))
+	}
+	var want []byte
+	for _, v := range vs[:taken+1] {
+		m[5] = v
+		want = append(want, marshalLine(t, embeddingLine{m})...)
+	}
+	// Offered: the first line (accepted) and then the buffer whose flush
+	// failed, which ends with the line that was not taken.
+	if got := append(bytes.Join(w.chunks, nil), w.rejected...); !bytes.Equal(got, want) {
+		t.Fatalf("stream offered %d bytes ending %q, want the first %d lines ending %q", len(got), tail(got), taken+1, tail(want))
+	}
+	if len(want) > 2*streamFlushBytes {
+		t.Fatalf("%d bytes offered before the sink noticed the break", len(want))
+	}
+	if sink(m, 5, vs) != 0 || sink(m, 4, vs[:1]) != 0 {
+		t.Fatal("a broken stream must take nothing")
 	}
 }
 
 // BenchmarkStreamSink is one stream-embeddings response without the
 // search: 20 000 12-vertex embeddings through the sink into a
-// discarding ResponseWriter. "dfs" is the order the engine produces —
-// runs of 13 embeddings that differ in the last position, the one
-// before it moving between runs — and "random" changes every position
-// on every line, which is what interleaved parallel workers can
-// approach and the most the delta encoder can be made to do.
+// discarding ResponseWriter. The "dfs" rows are the order the engine
+// produces — runs that differ in the last position, the one before it
+// moving between runs — handed over in runs of 1, 5 (the workload's
+// mean) and 16; "random" changes every position on every line (runs of
+// one), which is what interleaved parallel workers can approach and the
+// most the delta encoder can be made to do.
 func BenchmarkStreamSink(b *testing.B) {
 	const lines = 20000
-	dfs, random := make([][]uint32, lines), make([][]uint32, lines)
+	random := make([][]uint32, lines)
 	rng := rand.New(rand.NewSource(1))
-	for j := range dfs {
-		m := benchMapping()
-		m[10] += uint32(j / 13 * 7 % 9000)
-		m[11] += uint32(j % 13 * 631)
-		dfs[j] = m
+	for j := range random {
 		r := make([]uint32, 12)
 		for i := range r {
 			r[i] = uint32(rng.Intn(20000))
 		}
 		random[j] = r
 	}
-	for _, bc := range []struct {
+	type benchCase struct {
 		name string
-		rows [][]uint32
-	}{{"dfs", dfs}, {"random", random}} {
+		feed func(sink func([]uint32, graph.Vertex, []uint32) int) bool
+	}
+	cases := []benchCase{{"random", func(sink func([]uint32, graph.Vertex, []uint32) int) bool {
+		for _, m := range random {
+			if sink(m, 11, m[11:]) != 1 {
+				return false
+			}
+		}
+		return true
+	}}}
+	for _, runLen := range []int{1, 5, 16} {
+		m, vs := benchMapping(), make([]uint32, runLen)
+		base := m[10]
+		cases = append(cases, benchCase{fmt.Sprintf("dfs/run=%d", runLen), func(sink func([]uint32, graph.Vertex, []uint32) int) bool {
+			for j := 0; j < lines; j += runLen {
+				m[10] = base + uint32(j/runLen*7%9000)
+				for k := range vs {
+					vs[k] = 17500 + uint32((j/runLen+k)%13*631)
+				}
+				if sink(m, 11, vs) != runLen {
+					return false
+				}
+			}
+			return true
+		}})
+	}
+	for _, bc := range cases {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				s := newNDJSONStream(discardWriter{hdr: http.Header{}})
-				sink := s.embeddingSink()
-				for _, m := range bc.rows {
-					if !sink(m) {
-						b.Fatal("sink failed")
-					}
+				if !bc.feed(s.runSink([]byte(embeddingHead))) {
+					b.Fatal("sink failed")
 				}
 				s.finish()
 			}
@@ -451,6 +602,27 @@ func manyMatchServer(t *testing.T) *httptest.Server {
 	svc := service.New(service.Config{})
 	g := testutil.RandomGraph(rand.New(rand.NewSource(3)), 400, 4000, 1)
 	if _, err := svc.RegisterGraph("main", g, false); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newServer(svc, serverOptions{}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// hubServer serves a star: one hub and 3000 leaves, every label 0. The
+// 3-vertex path has 3000 × 2999 embeddings there, in leaf runs of 2999
+// lines — a hundred KiB each, so every flush but one in three thousand
+// falls inside a run.
+const hubLeaves = 3000
+
+func hubServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	svc := service.New(service.Config{})
+	edges := make([][2]graph.Vertex, hubLeaves)
+	for i := range edges {
+		edges[i] = [2]graph.Vertex{0, graph.Vertex(i + 1)}
+	}
+	if _, err := svc.RegisterGraph("main", graph.MustFromEdges(make([]graph.Label, hubLeaves+1), edges), false); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(newServer(svc, serverOptions{}))
@@ -521,62 +693,116 @@ func TestStreamWireFormatOverHTTP(t *testing.T) {
 
 // TestStreamClientDisconnectAbortsEnumeration runs the handler against
 // a writer that fails after the first line: the sink must stop the
-// search instead of enumerating (and encoding) the rest.
+// search instead of enumerating (and encoding) the rest. On the hub
+// fixture the failing flush falls inside the first leaf run: everything
+// offered before the break is one run, cut short.
 func TestStreamClientDisconnectAbortsEnumeration(t *testing.T) {
-	ts, q := manyMatchServer(t), pathQuery(t, 4)
-	_, body := do(t, "POST", ts.URL+"/match?graph=main&limit=0", q)
-	var full matchResult
-	if err := json.Unmarshal([]byte(body), &full); err != nil {
-		t.Fatal(err)
-	}
-	if full.Embeddings < 100000 {
-		t.Fatalf("fixture too small: %d embeddings", full.Embeddings)
-	}
-	w := newRecordingWriter()
-	w.failAfter = 1
-	req := httptest.NewRequest("POST", "/match?graph=main&limit=0&stream=1", strings.NewReader(q))
-	ts.Config.Handler.ServeHTTP(w, req)
-	if w.offered > 2*streamFlushBytes {
-		t.Fatalf("handler offered %d bytes to a dead client; the search was not aborted", w.offered)
-	}
-	if got := inUse(t, ts); got != 0 {
-		t.Fatalf("in_use = %d after the aborted stream, want 0", got)
+	for _, fx := range []struct {
+		name   string
+		ts     *httptest.Server
+		q      string
+		midRun bool
+	}{
+		{"short runs", manyMatchServer(t), pathQuery(t, 4), false},
+		{"mid-run", hubServer(t), pathQuery(t, 3), true},
+	} {
+		t.Run(fx.name, func(t *testing.T) {
+			ts, q := fx.ts, fx.q
+			_, body := do(t, "POST", ts.URL+"/match?graph=main&limit=0", q)
+			var full matchResult
+			if err := json.Unmarshal([]byte(body), &full); err != nil {
+				t.Fatal(err)
+			}
+			if full.Embeddings < 100000 {
+				t.Fatalf("fixture too small: %d embeddings", full.Embeddings)
+			}
+			w := newRecordingWriter()
+			w.failAfter = 1
+			req := httptest.NewRequest("POST", "/match?graph=main&limit=0&stream=1", strings.NewReader(q))
+			ts.Config.Handler.ServeHTTP(w, req)
+			if w.offered > 2*streamFlushBytes {
+				t.Fatalf("handler offered %d bytes to a dead client; the search was not aborted", w.offered)
+			}
+			if got := inUse(t, ts); got != 0 {
+				t.Fatalf("in_use = %d after the aborted stream, want 0", got)
+			}
+			if !fx.midRun {
+				return
+			}
+			lines := strings.SplitAfter(string(append(bytes.Join(w.chunks, nil), w.rejected...)), "\n")
+			lines = lines[:len(lines)-1]
+			if len(lines) < 2 || len(lines) >= hubLeaves-1 {
+				t.Fatalf("%d lines offered, want a break inside the first run of %d", len(lines), hubLeaves-1)
+			}
+			var first embeddingLine
+			if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
+				t.Fatal(err)
+			}
+			for i, line := range lines {
+				var rec embeddingLine
+				if err := json.Unmarshal([]byte(line), &rec); err != nil || line != string(marshalLine(t, rec)) {
+					t.Fatalf("line %d %q is not a whole embedding line: %v", i, line, err)
+				}
+				differ := 0
+				for j := range rec.Embedding {
+					if rec.Embedding[j] != first.Embedding[j] {
+						differ++
+					}
+				}
+				if differ > 1 {
+					t.Fatalf("line %d %v is not of the first line's run %v", i, rec.Embedding, first.Embedding)
+				}
+			}
+		})
 	}
 }
 
 // TestStreamStalledReaderReleasesAdmission opens a stream and never
 // reads it. Once the socket buffers fill, the write deadline fails the
 // flush, the search aborts and the admission units come back; without
-// the deadline the request would pin them until the peer closed.
+// the deadline the request would pin them until the peer closed. On the
+// hub fixture the flush that fails is, as good as always, one inside a
+// leaf run.
 func TestStreamStalledReaderReleasesAdmission(t *testing.T) {
 	old := streamWriteTimeout
 	streamWriteTimeout = 200 * time.Millisecond
 	t.Cleanup(func() { streamWriteTimeout = old })
 
-	// Tens of millions of embeddings: the response outgrows any kernel
-	// buffer long before the search ends.
-	ts, q := manyMatchServer(t), pathQuery(t, 5)
-	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetReadBuffer(4 << 10) // fill up sooner
-	}
-	fmt.Fprintf(conn, "POST /match?graph=main&limit=0&stream=1 HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s", len(q), q)
+	// Millions of embeddings: the response outgrows any kernel buffer
+	// long before the search ends.
+	for _, fx := range []struct {
+		name string
+		ts   *httptest.Server
+		q    string
+	}{
+		{"short runs", manyMatchServer(t), pathQuery(t, 5)},
+		{"mid-run", hubServer(t), pathQuery(t, 3)},
+	} {
+		t.Run(fx.name, func(t *testing.T) {
+			ts, q := fx.ts, fx.q
+			conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if tc, ok := conn.(*net.TCPConn); ok {
+				tc.SetReadBuffer(4 << 10) // fill up sooner
+			}
+			fmt.Fprintf(conn, "POST /match?graph=main&limit=0&stream=1 HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s", len(q), q)
 
-	// Wait for the stream to start (admission held), without draining it.
-	br := bufio.NewReaderSize(conn, 16)
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if status, err := br.ReadString('\n'); err != nil || !strings.Contains(status, "200") {
-		t.Fatalf("status line %q: %v", status, err)
-	}
-	deadline := time.Now().Add(20 * time.Second)
-	for inUse(t, ts) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("a reader that never drains still pins its admission units")
-		}
-		time.Sleep(20 * time.Millisecond)
+			// Wait for the stream to start (admission held), without draining it.
+			br := bufio.NewReaderSize(conn, 16)
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			if status, err := br.ReadString('\n'); err != nil || !strings.Contains(status, "200") {
+				t.Fatalf("status line %q: %v", status, err)
+			}
+			deadline := time.Now().Add(20 * time.Second)
+			for inUse(t, ts) != 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("a reader that never drains still pins its admission units")
+				}
+				time.Sleep(20 * time.Millisecond)
+			}
+		})
 	}
 }

@@ -120,15 +120,25 @@ type Limits struct {
 	// Cancel, when non-nil, is polled cooperatively during enumeration:
 	// storing true stops the search. The parallel runner additionally
 	// uses the same flag as its internal stop signal, so it may itself
-	// store true when the embedding cap or an OnMatch abort fires —
-	// callers must hand each run its own flag, not a shared long-lived
+	// store true when the embedding cap is reached or the sink declines
+	// — callers must hand each run its own flag, not a shared long-lived
 	// one. This is how context cancellation reaches the engines.
 	Cancel *atomic.Bool
-	// OnMatch optionally receives every embedding; returning false
-	// aborts the search. The slice is the engine's own and is valid only
-	// during the call, at every worker count: copy it to retain. Under
-	// parallel execution calls are serialized and arrive in no
-	// particular order.
+	// OnRun optionally receives every embedding, a leaf run at a time —
+	// the engine's own contract (enumerate.Options.OnRun): mapping with
+	// position u open, completed in emission order by each data vertex
+	// of vs. The sink may write mapping[u]; both slices are the engine's
+	// and valid only during the call, at every worker count. It returns
+	// how many of vs it took, in order; fewer than len(vs) stops the
+	// search, and only embeddings taken are counted. Under parallel
+	// execution calls are serialized and arrive in no particular order.
+	OnRun func(mapping []uint32, u graph.Vertex, vs []uint32) (taken int)
+	// OnMatch is the per-embedding form of the same sink, for callers
+	// that want one call per embedding: it sees the mappings of a run
+	// one after the other, and returning false declines that embedding
+	// and stops the search (the external engines, which call it
+	// directly, count the declined embedding; the pipeline does not).
+	// The slice rules are OnRun's. Setting both is ErrTwoSinks.
 	OnMatch func(mapping []uint32) bool
 	// Parallel runs the enumeration across this many worker goroutines
 	// (0 or 1 = sequential). Embedding counts remain exact. Not
@@ -156,6 +166,44 @@ type Limits struct {
 	// profiled and unprofiled requests. Not supported by the external
 	// engines (Glasgow/VF2/Ullmann), which have no plan to explain.
 	Profile bool
+}
+
+// runSink resolves the one sink a run delivers to, in the run form —
+// the only form below MatchPlan: OnRun as it is, OnMatch behind the
+// per-embedding adapter, nil for a run that only counts.
+func (l *Limits) runSink() (func([]uint32, graph.Vertex, []uint32) int, error) {
+	if l.OnMatch == nil {
+		return l.OnRun, nil
+	}
+	if l.OnRun != nil {
+		return nil, fmt.Errorf("core: %w", ErrTwoSinks)
+	}
+	onMatch := l.OnMatch
+	return func(m []uint32, u graph.Vertex, vs []uint32) int {
+		for i, v := range vs {
+			m[u] = v
+			if !onMatch(m) {
+				return i
+			}
+		}
+		return len(vs)
+	}, nil
+}
+
+// perEmbeddingSink is the sink in the form the external engines
+// (Glasgow, VF2, Ullmann) call: OnMatch as it is, OnRun fed runs of one.
+// With the whole mapping known any position can play the open one; the
+// run is position 0 itself, so a sink writing mapping[0] = vs[0] writes
+// what is there.
+func (l *Limits) perEmbeddingSink() (func([]uint32) bool, error) {
+	if l.OnRun == nil {
+		return l.OnMatch, nil
+	}
+	if l.OnMatch != nil {
+		return nil, fmt.Errorf("core: %w", ErrTwoSinks)
+	}
+	onRun := l.OnRun
+	return func(m []uint32) bool { return onRun(m, 0, m[:1]) == 1 }, nil
 }
 
 // preprocessWorkers resolves the effective preprocessing worker count.
@@ -528,6 +576,12 @@ func (p *Plan) SizeBytes() int64 {
 // preprocessing times live on the plan (a caller reusing a cached plan
 // did not pay them).
 func MatchPlan(plan *Plan, limits Limits) (*Result, error) {
+	// From here down there is one sink contract, the run form.
+	sink, err := limits.runSink()
+	if err != nil {
+		return nil, err
+	}
+	limits.OnRun, limits.OnMatch = sink, nil
 	cfg := plan.Cfg
 	res := &Result{MeanCandidates: plan.MeanCandidates, MemoryBytes: plan.MemoryBytes}
 	enumStart := time.Now()
@@ -544,7 +598,7 @@ func MatchPlan(plan *Plan, limits Limits) (*Result, error) {
 			SymmetryClasses: plan.SymClasses,
 			MaxEmbeddings:   limits.MaxEmbeddings,
 			TimeLimit:       limits.TimeLimit,
-			OnMatch:         limits.OnMatch,
+			OnRun:           limits.OnRun,
 			Cancel:          limits.Cancel,
 			Profile:         limits.Profile,
 		}
@@ -639,9 +693,14 @@ func Match(q, g *graph.Graph, cfg Config, limits Limits) (*Result, error) {
 		if cfg.Homomorphism {
 			return nil, fmt.Errorf("core: the external engines do not support homomorphisms")
 		}
+		// The external engines emit one embedding at a time.
+		onMatch, err := limits.perEmbeddingSink()
+		if err != nil {
+			return nil, err
+		}
+		limits.OnMatch, limits.OnRun = onMatch, nil
 		var (
 			res    *Result
-			err    error
 			engine string
 		)
 		switch {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -251,6 +252,69 @@ func TestAutoOrderAgrees(t *testing.T) {
 		}
 		if len(res.Order) != q.NumVertices() {
 			t.Fatalf("auto-order returned order %v", res.Order)
+		}
+	}
+}
+
+// TestSinkFormsAgreeAcrossEngines: the two forms of the sink are one
+// contract. For every preset — the pipeline at 1 and 3 workers, and the
+// external engines, which are fed runs of one — a run sink and a
+// per-embedding callback receive the same embedding multiset and the
+// result counts what they took; both set is ErrTwoSinks.
+func TestSinkFormsAgreeAcrossEngines(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	g := testutil.RandomGraph(rng, 40, 160, 2)
+	var q *graph.Graph
+	for q == nil {
+		q = testutil.RandomConnectedQuery(rng, g, 4)
+	}
+	collect := func(into map[string]int) func(m []uint32) bool {
+		return func(m []uint32) bool {
+			if !testutil.IsValidEmbedding(q, g, m) {
+				t.Errorf("sink received %v, not an embedding", m)
+			}
+			into[string(uint32SliceBytes(m))]++
+			return true
+		}
+	}
+	for _, a := range Algorithms() {
+		cfg := PresetConfig(a, q, g)
+		for _, workers := range []int{1, 3} {
+			if workers > 1 && cfg.External() && !cfg.UseGlasgow {
+				continue
+			}
+			perMatch, perRun := map[string]int{}, map[string]int{}
+			byMatch, err := Match(q, g, cfg, Limits{Parallel: workers, OnMatch: collect(perMatch)})
+			if err != nil {
+				t.Fatalf("%v: %v", a, err)
+			}
+			seen := collect(perRun)
+			byRun, err := Match(q, g, cfg, Limits{Parallel: workers, OnRun: func(m []uint32, u graph.Vertex, vs []uint32) int {
+				for _, v := range vs {
+					m[u] = v
+					seen(m)
+				}
+				return len(vs)
+			}})
+			if err != nil {
+				t.Fatalf("%v: %v", a, err)
+			}
+			if len(perRun) == 0 || uint64(len(perRun)) != byRun.Embeddings || byRun.Embeddings != byMatch.Embeddings {
+				t.Errorf("%v workers=%d: run sink saw %d distinct embeddings, results report %d (run) and %d (per embedding)",
+					a, workers, len(perRun), byRun.Embeddings, byMatch.Embeddings)
+			}
+			for k, n := range perRun {
+				if n != 1 || perMatch[k] != 1 {
+					t.Errorf("%v workers=%d: an embedding was delivered %d times to the run sink, %d to the callback", a, workers, n, perMatch[k])
+					break
+				}
+			}
+			_, err = Match(q, g, cfg, Limits{Parallel: workers,
+				OnMatch: func([]uint32) bool { return true },
+				OnRun:   func(_ []uint32, _ graph.Vertex, vs []uint32) int { return len(vs) }})
+			if !errors.Is(err, ErrTwoSinks) {
+				t.Errorf("%v workers=%d: both sinks set: err = %v, want ErrTwoSinks", a, workers, err)
+			}
 		}
 	}
 }

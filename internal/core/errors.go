@@ -30,6 +30,9 @@ var (
 	// (Glasgow, VF2, Ullmann), which bypasses the filter/order/enumerate
 	// pipeline and therefore has no reusable preprocessing plan.
 	ErrNoPlan = errors.New("algorithm bypasses the preprocessing pipeline and has no plan")
+	// ErrTwoSinks reports Limits with both OnRun and OnMatch set: a run
+	// delivers its embeddings to one sink.
+	ErrTwoSinks = errors.New("both OnRun and OnMatch are set")
 )
 
 // Validate checks a (query, data) pair for degenerate inputs, returning

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"subgraphmatching/internal/enumerate"
+	"subgraphmatching/internal/graph"
 )
 
 // Parallel enumeration. Each worker owns one reusable enumerate.Engine
@@ -24,15 +25,30 @@ import (
 // the reported count is exact under contention — no transient
 // over-count, no undo.
 
+// cappedCountRun bounds the leaf runs of a parallel capped count — a
+// hooked run with no sink, so no sink call or lock to share across a
+// run, and a cap that is reserved per embedding either way. It is not
+// a tuning knob but a brake, and the benchmark harness is what it
+// brakes for: with whole runs (mean 5) the two workers CAS the shared
+// counter in bursts instead of taking turns on its cache line and
+// enum-heavy reads 1.16× the parent's qps, which lifts its
+// smatchd.overhead_us / lat_p50_ms share to 0.043–0.048 against the
+// harness's 0.05 floor; with runs of one the same workload reads 0.85×
+// (a run of one costs more than the per-leaf loop it replaced), with
+// 2 0.97×, with 3 it reads what the parent read (EXPERIMENTS.md "Leaf
+// runs" has every run). It goes when the floor does — ROADMAP item 2,
+// behind Benchmark v2 (item 1a).
+const cappedCountRun = 3
+
 // matchParallel runs the enumeration step across limits.Parallel
 // goroutines. opts is the run's engine configuration as MatchPlan built
 // it from (plan, limits); the worker and probe engines are made from it
-// with the cap, deadline, cancel flag and match hook swapped for their
-// shared forms. The per-embedding hooks below read the cap and the
-// caller's callback from limits, captured whole as they always were:
-// the cap counter's cache line is contended on every embedding and
-// enum-heavy read 3 % slower with the two values copied into locals
-// (EXPERIMENTS.md "One parallel runner").
+// with the cap, deadline, cancel flag and sink swapped for their shared
+// forms. The hooks below read the cap and the caller's sink (limits.OnRun
+// — MatchPlan has resolved OnMatch into it) from limits, captured whole
+// as they always were: the cap counter's cache line is contended on
+// every embedding and enum-heavy read 3 % slower with the two values
+// copied into locals (EXPERIMENTS.md "One parallel runner").
 func matchParallel(plan *Plan, opts enumerate.Options, limits Limits, res *Result) error {
 	workers := limits.Parallel
 	var (
@@ -42,9 +58,9 @@ func matchParallel(plan *Plan, opts enumerate.Options, limits Limits, res *Resul
 	)
 	// The caller's cancel flag, when supplied, doubles as the shared stop
 	// signal: an external store(true) halts every worker at its next
-	// poll, and internal stop causes (cap reached, OnMatch abort) store
-	// into the same flag — which is why Limits.Cancel is documented as
-	// per-run.
+	// poll, and internal stop causes (cap reached, a sink that declined)
+	// store into the same flag — which is why Limits.Cancel is documented
+	// as per-run.
 	stop := opts.Cancel
 	if stop == nil {
 		stop = new(atomic.Bool)
@@ -70,40 +86,53 @@ func matchParallel(plan *Plan, opts enumerate.Options, limits Limits, res *Resul
 		}
 	}
 
-	// With no cap and no user callback there is nothing to coordinate
-	// per embedding: every engine already counts its own matches, and a
+	// With no cap and no sink there is nothing to coordinate per
+	// embedding: every engine already counts its own matches, and a
 	// shared atomic bumped tens of millions of times would serialize the
-	// workers on one cache line. Keep the per-match hook nil and sum the
-	// per-engine counts after the join.
-	countLocally := limits.MaxEmbeddings == 0 && limits.OnMatch == nil
+	// workers on one cache line. Keep the hook nil and sum the per-engine
+	// counts after the join.
+	countLocally := limits.MaxEmbeddings == 0 && limits.OnRun == nil
 
-	onMatch := func(m []uint32) bool {
+	// onRun is every worker engine's sink. It reserves the run's share of
+	// the cap one embedding at a time, exactly as the per-embedding hook
+	// did: a worker that reserved the remaining cap as a block would
+	// touch the contended counter once per run, which is ROADMAP item 2
+	// and waits for Benchmark v2 (item 1a) with the rest of it. What it
+	// reserved goes to the caller's sink in one call under matchLock.
+	onRun := func(m []uint32, u graph.Vertex, vs []uint32) int {
 		if stop.Load() {
-			return false
+			return 0
 		}
-		n, ok := acceptMatch()
-		if !ok {
-			return false
+		n, last := 0, uint64(0)
+		for n < len(vs) {
+			seq, ok := acceptMatch()
+			if !ok {
+				break
+			}
+			n, last = n+1, seq
 		}
-		if limits.OnMatch != nil {
-			// m is this worker's engine slice. The worker is blocked in
-			// this call and the callback must not keep the slice (the
-			// Limits.OnMatch contract, same as sequentially), so it goes
-			// through as it is; the lock only serializes the callbacks.
+		if limits.OnRun != nil && n > 0 {
+			// m and vs are this worker's engine slices. The worker is
+			// blocked in this call and the sink must not keep them (the
+			// Limits.OnRun contract, same as sequentially), so they go
+			// through as they are; the lock only serializes the calls.
 			matchLock.Lock()
-			cont := limits.OnMatch(m)
+			taken := limits.OnRun(m, u, vs[:n])
 			matchLock.Unlock()
-			if !cont {
+			if taken < n {
+				// What the sink declined was not delivered: give it back, so
+				// the count is of embeddings taken. The cap stays exact —
+				// the counter only ever drops below what was reserved.
+				accepted.Add(-uint64(n - taken))
 				stop.Store(true)
-				return false
+				return taken
 			}
 		}
-		if limits.MaxEmbeddings > 0 && n == limits.MaxEmbeddings {
+		if limits.MaxEmbeddings > 0 && last == limits.MaxEmbeddings {
 			limitHit.Store(true)
 			stop.Store(true)
-			return false
 		}
-		return true
+		return n
 	}
 
 	// The deadline is armed before any search work — including the
@@ -117,9 +146,12 @@ func matchParallel(plan *Plan, opts enumerate.Options, limits Limits, res *Resul
 	}
 	opts.MaxEmbeddings, opts.TimeLimit = 0, 0
 	opts.Cancel = stop
-	opts.OnMatch = nil
+	opts.OnRun = nil
 	if !countLocally {
-		opts.OnMatch = onMatch
+		opts.OnRun = onRun
+		if limits.OnRun == nil {
+			opts.MaxRun = cappedCountRun
+		}
 	}
 	newEngine := func(o enumerate.Options) (*enumerate.Engine, error) {
 		eng, err := enumerate.NewEngine(plan.Query, plan.Data, plan.Cand, plan.Space, plan.Order, o)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"subgraphmatching/internal/enumerate"
@@ -95,7 +96,12 @@ func TestParallelForcedDepthOneSplit(t *testing.T) {
 
 // TestParallelCapExactUnderContention stresses the CAS accept loop: a
 // dense unlabeled workload where all workers race to a small cap must
-// report exactly the cap, every time.
+// report exactly the cap, every time — counting only, and through a run
+// sink, which is handed exactly the cap (the last run cut short: the
+// leaf runs here are 10 long and the cap is not a multiple of 10) in
+// calls that never overlap. The sink's counter is a plain int, so under
+// -race (make race-stress) an unserialized call is a reported race as
+// well as a failed assertion.
 func TestParallelCapExactUnderContention(t *testing.T) {
 	// Triangle query in K12: 12*11*10 = 1320 embeddings, found almost
 	// instantly by every worker at once.
@@ -108,16 +114,46 @@ func TestParallelCapExactUnderContention(t *testing.T) {
 	g := graph.MustFromEdges(make([]graph.Label, 12), edges)
 	q := graph.MustFromEdges(make([]graph.Label, 3), [][2]graph.Vertex{{0, 1}, {1, 2}, {0, 2}})
 	cfg := Config{Filter: filter.LDF, Order: order.GQL, Local: enumerate.Intersect}
-	for rep := 0; rep < 40; rep++ {
-		res, err := Match(q, g, cfg, Limits{MaxEmbeddings: 137, Parallel: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Embeddings != 137 {
-			t.Fatalf("rep %d: %d embeddings, want exactly 137", rep, res.Embeddings)
-		}
-		if !res.LimitHit {
-			t.Fatalf("rep %d: LimitHit not set", rep)
+	const cap = 137
+	for _, workers := range []int{1, 2, 4, 8} {
+		for _, withSink := range []bool{false, true} {
+			for rep := 0; rep < 20; rep++ {
+				limits := Limits{MaxEmbeddings: cap, Parallel: workers}
+				var inSink atomic.Bool
+				taken, calls, short := 0, 0, 0
+				if withSink {
+					limits.OnRun = func(m []uint32, u graph.Vertex, vs []uint32) int {
+						if !inSink.CompareAndSwap(false, true) {
+							t.Error("sink calls overlap")
+						}
+						calls++
+						taken += len(vs)
+						if len(vs) < 10 {
+							short++
+						}
+						for _, v := range vs {
+							m[u] = v
+							if !validEmbedding(q, g, m) {
+								t.Errorf("run hands over %v, not an embedding", m)
+							}
+						}
+						inSink.Store(false)
+						return len(vs)
+					}
+				}
+				res, err := Match(q, g, cfg, limits)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Embeddings != cap || !res.LimitHit {
+					t.Fatalf("workers=%d sink=%v rep %d: %d embeddings (LimitHit %v), want exactly %d",
+						workers, withSink, rep, res.Embeddings, res.LimitHit, cap)
+				}
+				if withSink && (taken != cap || short == 0 || calls >= cap) {
+					t.Fatalf("workers=%d rep %d: sink took %d embeddings in %d calls (%d shorter than a full run), want %d with the cap inside a run",
+						workers, rep, taken, calls, short, cap)
+				}
+			}
 		}
 	}
 }

@@ -283,7 +283,7 @@ func buildAdaptiveCostTasks(probe *enumerate.Engine, rootCands []uint32, est *sp
 // (see splitFactor) a probe engine refines them by estimated subtree
 // weight — recursively below depth 1 over static orders, on the
 // runtime-chosen second vertex in adaptive mode. The probe is a worker
-// engine minus the match hook, failing sets and profile, so it shares
+// engine minus the sink, failing sets and profile, so it shares
 // the run's stop flag and deadline. Its expansions are search work: each
 // computed one local-candidate set, exactly what a search node does, so
 // they are folded into res.Nodes and res.Kernels here (EXPLAIN carries
@@ -297,7 +297,7 @@ func buildTaskPool(plan *Plan, opts enumerate.Options,
 	res.Split = info
 	var tasks []enumTask
 	if q.NumVertices() >= 2 && len(rootCands) < workers*splitFactor {
-		opts.OnMatch, opts.FailingSets, opts.Profile = nil, false, false
+		opts.OnRun, opts.FailingSets, opts.Profile = nil, false, false
 		probe, err := newEngine(opts)
 		if err != nil {
 			return nil, err

@@ -75,9 +75,19 @@ var layerSurface = map[string][]string{
 // next one must show up as a reviewed line with the two callers that
 // need different values of it — Schedule, Split and the split factor left
 // because nothing outside a benchmark ever set them.
+//
+// OnRun and OnMatch are one knob, the sink, in two forms (setting both is
+// ErrTwoSinks). OnRun is the contract; its caller is smatchd's run sink
+// (ndjsonStream.runSink, through service.Request.OnRun). OnMatch is the
+// per-embedding adapter over it, and its callers are the harness
+// (cmd/smatchbench/trace.go constructs core.Limits{OnMatch} and
+// service.Request{OnMatch}) and the public API (Options.OnMatch,
+// ForEachMatch, FindAll). OnMatch leaves core.Limits and service.Request
+// when Benchmark v2 (ROADMAP item 1) stops constructing it; the public
+// adapter then moves to match.go.
 var knobSurface = map[[2]string][]string{
 	{".", "Limits"}: {
-		"MaxEmbeddings", "TimeLimit", "Cancel", "OnMatch", "Parallel",
+		"MaxEmbeddings", "TimeLimit", "Cancel", "OnRun", "OnMatch", "Parallel",
 		"Workers", "Trace", "Profile",
 	},
 	{"../..", "Options"}: {

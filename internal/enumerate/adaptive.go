@@ -169,7 +169,7 @@ func (e *engine) adaptiveRec(depth int) bitset.Mask64 {
 		if e.prof != nil {
 			e.prof.Nodes[depth]++
 		}
-		e.emit()
+		e.emitPinned()
 		return e.fullMask
 	}
 	a := &e.adaptive

@@ -162,9 +162,9 @@ func (E *Engine) Stats() *Stats {
 }
 
 // Stopped reports whether the engine has aborted — cancellation,
-// deadline, an OnMatch abort, or the embedding cap. Schedulers probing
-// through ExpandPrefix check it to tell an empty expansion from a halted
-// one.
+// deadline, a sink that declined, or the embedding cap. Schedulers
+// probing through ExpandPrefix check it to tell an empty expansion from
+// a halted one.
 func (E *Engine) Stopped() bool { return E.engine.aborted }
 
 // ResetStats clears the cumulative statistics and the abort flag without
@@ -176,12 +176,13 @@ func (E *Engine) ResetStats() {
 	E.engine.deadline = deadline
 }
 
-// probeHalt polls the cancellation flag and deadline once. ExpandPrefix
-// expands no search nodes, so enterNode's amortized ticker never fires
-// for it; each probe call polls directly instead — a degenerate root
+// pollHalt polls the cancellation flag and deadline once. The search
+// calls it when clockTicker comes round (enterNode, leafLevel).
+// ExpandPrefix expands no search nodes, so the ticker never fires for
+// it; each probe call polls directly instead — a degenerate root
 // expansion must respond to ctx cancellation and Limits.TimeLimit like
 // any other search work.
-func (e *engine) probeHalt() bool {
+func (e *engine) pollHalt() bool {
 	if e.aborted {
 		return true
 	}
@@ -283,7 +284,7 @@ func (e *engine) unpinPrefix(prefix []uint32) {
 func (E *Engine) ExpandPrefix(prefix, dst []uint32) []uint32 {
 	e := &E.engine
 	L := len(prefix)
-	if L == 0 || L >= e.q.NumVertices() || e.probeHalt() {
+	if L == 0 || L >= e.q.NumVertices() || e.pollHalt() {
 		return dst
 	}
 	k := e.pinPrefix(prefix)
@@ -309,7 +310,7 @@ func (E *Engine) ExpandPrefix(prefix, dst []uint32) []uint32 {
 // embedding. Results accumulate into Stats; the pinned positions are not
 // search nodes. A conflicting prefix is a no-op. RunPrefix reports false
 // when the search must stop (cancellation, deadline, the embedding cap
-// or an OnMatch abort); the caller should then stop feeding tasks.
+// or a sink that declined); the caller should then stop feeding tasks.
 func (E *Engine) RunPrefix(prefix []uint32) bool {
 	e := &E.engine
 	if e.aborted {
@@ -358,6 +359,7 @@ type engine struct {
 	symPos   []int
 
 	lcBuf    [][]uint32            // per depth local-candidate buffer
+	run      []uint32              // leafLevel's scratch run (at most timeCheckInterval long)
 	sel      intersect.Selector    // kernel dispatcher (owns k-way scratch)
 	setsBuf  [][]uint32            // transient argument buffer for Selector.Many
 	viewsBuf []intersect.BlockView // transient block views paralleling setsBuf
@@ -491,33 +493,40 @@ func (e *engine) enterNode() bool {
 	e.clockTicker++
 	if e.clockTicker >= timeCheckInterval {
 		e.clockTicker = 0
-		if e.opts.Cancel != nil && e.opts.Cancel.Load() {
-			e.aborted = true
-			return false
-		}
-		if !e.deadline.IsZero() && time.Now().After(e.deadline) {
-			e.stats.TimedOut = true
-			e.aborted = true
-			return false
-		}
+		return !e.pollHalt()
 	}
 	return true
 }
 
-// emit records a completed embedding. It returns false if the search
-// must stop.
-func (e *engine) emit() bool {
-	e.stats.Embeddings++
-	if e.opts.OnMatch != nil && !e.opts.OnMatch(e.embedding) {
-		e.aborted = true
-		return false
+// handOver passes run — data vertices that each complete the partial
+// embedding at the open position u, in emission order — to the sink and
+// accounts the embeddings it took: all of them when there is no sink. A
+// sink that takes fewer, or reaching the embedding cap, stops the search.
+// Callers never offer more than the cap has left, so the count cannot
+// pass it.
+func (e *engine) handOver(u graph.Vertex, run []uint32) int {
+	taken := len(run)
+	if e.opts.OnRun != nil {
+		taken = e.opts.OnRun(e.embedding, u, run)
 	}
-	if e.opts.MaxEmbeddings > 0 && e.stats.Embeddings >= e.opts.MaxEmbeddings {
+	e.stats.Embeddings += uint64(taken)
+	if taken < len(run) {
+		e.aborted = true
+	} else if e.opts.MaxEmbeddings > 0 && e.stats.Embeddings >= e.opts.MaxEmbeddings {
 		e.stats.LimitHit = true
 		e.aborted = true
-		return false
 	}
-	return true
+	return taken
+}
+
+// emitPinned hands over the embedding an entry point pinned whole, as a
+// run of one: with every position mapped any of them can play the open
+// one, and the run is that position itself, so a sink writing
+// mapping[u] = vs[0] writes what is there. The search itself finishes in
+// leafLevel and never gets here.
+func (e *engine) emitPinned() {
+	u := e.phi[len(e.phi)-1]
+	e.handOver(u, e.embedding[u:u+1])
 }
 
 // assign maps query vertex u to data vertex v, recording the candidate
@@ -553,12 +562,10 @@ func (e *engine) runFS(depth int) bitset.Mask64 {
 		return e.fullMask
 	}
 	if depth == e.q.NumVertices() {
-		// Only an entry point that pinned the whole embedding gets here;
-		// the search itself finishes in leafLevel.
 		if e.prof != nil {
 			e.prof.Nodes[depth]++
 		}
-		e.emit()
+		e.emitPinned()
 		return e.fullMask
 	}
 	u := e.phi[depth]
@@ -647,12 +654,14 @@ func nodeMask(accum bitset.Mask64, u graph.Vertex, bwd []graph.Vertex) bitset.Ma
 }
 
 // leafLevel finishes the last unmapped query vertex u in place, shared
-// by runFS and adaptiveRec: every admissible v of lc is one
-// search node and one embedding, with the conflict and symmetry checks,
-// the node accounting (enterNode, so Stats.Nodes and the cancel/deadline
-// ticker advance exactly as a recursive call would) and the profile
-// counters of a full level, but without mapping u — nothing below the
-// last level reads visited, mapped, candIdx or the adaptive pool.
+// by runFS and adaptiveRec, without mapping u — nothing below the last
+// level reads visited, mapped, candIdx or the adaptive pool. It filters
+// lc by the conflict and symmetry checks of a full level (same profile
+// counters, same failing-set masks) into a run of admissible data
+// vertices, and hands the run over as soon as it is full: when it holds
+// what the embedding cap has left — so no candidate past the last
+// embedding is looked at, exactly where a per-embedding loop would have
+// stopped — or timeCheckInterval vertices, and at the end of lc.
 //
 // It returns the union of the children's failing sets: {u, owner} for a
 // conflict (left out when failing sets are off: nothing reads the mask
@@ -660,6 +669,7 @@ func nodeMask(accum bitset.Mask64, u graph.Vertex, bwd []graph.Vertex) bitset.Ma
 // skip, fullMask once an embedding was emitted or the search aborted.
 func (e *engine) leafLevel(depth int, u graph.Vertex, lc []uint32) bitset.Mask64 {
 	var accum bitset.Mask64
+	run, room := e.run[:0], e.runRoom()
 	for _, v := range lc {
 		if e.visited[v] {
 			if e.prof != nil {
@@ -679,25 +689,67 @@ func (e *engine) leafLevel(depth int, u graph.Vertex, lc []uint32) bitset.Mask64
 				continue
 			}
 		}
-		if e.prof != nil {
-			e.prof.Extended[depth]++
+		run = append(run, v)
+		if len(run) == room {
+			if !e.leafRun(depth, u, run) {
+				break
+			}
+			run, room = run[:0], e.runRoom()
+			accum = e.fullMask
 		}
-		if !e.enterNode() {
-			return e.fullMask
-		}
-		if e.prof != nil {
-			// Leaves carry no LC but are search nodes: counting them keeps
-			// sum(Nodes) == Stats.Nodes and Nodes[n] == Stats.Embeddings,
-			// the reconciliation EXPLAIN relies on.
-			e.prof.Nodes[depth+1]++
-		}
-		e.embedding[u] = v
-		if !e.emit() {
-			return e.fullMask
-		}
+	}
+	if len(run) > 0 && !e.aborted {
+		e.leafRun(depth, u, run)
 		accum = e.fullMask
 	}
+	e.run = run[:0]
+	if e.aborted {
+		return e.fullMask
+	}
 	return accum
+}
+
+// runRoom is the longest run leafLevel may hand over next: what the
+// embedding cap has left, and never more than timeCheckInterval — which
+// bounds both the scratch run and the nodes between two polls — or than
+// Options.MaxRun.
+func (e *engine) runRoom() int {
+	room := timeCheckInterval
+	if e.opts.MaxRun > 0 && e.opts.MaxRun < room {
+		room = e.opts.MaxRun
+	}
+	if limit := e.opts.MaxEmbeddings; limit > 0 && limit-e.stats.Embeddings < uint64(room) {
+		room = int(limit - e.stats.Embeddings)
+	}
+	return room
+}
+
+// leafRun hands one run of leafLevel over and accounts it. Every vertex
+// the sink took is one search node and one embedding, as if each had
+// been a recursive call: Stats.Nodes, Stats.Embeddings, the ticker and
+// the profile's Extended[depth] and Nodes[depth+1] (leaves carry no LC
+// but are search nodes: counting them keeps sum(Nodes) == Stats.Nodes
+// and Nodes[n] == Stats.Embeddings, the reconciliation EXPLAIN relies
+// on) advance by the number taken, in one step. The cancel/deadline
+// poll comes before a run that would carry the ticker to
+// timeCheckInterval, not after it, so no more nodes pass between two
+// polls than when each leaf ticked on its own; a run stopped by the poll
+// counts nothing. leafRun reports false if the search must stop.
+func (e *engine) leafRun(depth int, u graph.Vertex, run []uint32) bool {
+	if e.clockTicker+len(run) >= timeCheckInterval {
+		e.clockTicker = 0
+		if e.pollHalt() {
+			return false
+		}
+	}
+	taken := e.handOver(u, run)
+	e.stats.Nodes += uint64(taken)
+	e.clockTicker += taken
+	if e.prof != nil {
+		e.prof.Extended[depth] += uint64(taken)
+		e.prof.Nodes[depth+1] += uint64(taken)
+	}
+	return !e.aborted
 }
 
 // ownerOf returns the query vertex currently mapped to data vertex v.

@@ -10,11 +10,13 @@ import (
 )
 
 // reuseOptionSets covers every recursion variant the reusable engine
-// dispatches to.
+// dispatches to, and the last level with and without a sink.
 func reuseOptionSets() []Options {
+	takeAll := func(_ []uint32, _ graph.Vertex, vs []uint32) int { return len(vs) }
 	return []Options{
 		{Local: Direct},
 		{Local: Intersect},
+		{Local: Intersect, OnRun: takeAll},
 		{Local: Intersect, FailingSets: true},
 		{Local: IntersectBlock},
 		{Local: Intersect, Adaptive: true},

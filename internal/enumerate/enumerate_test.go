@@ -43,6 +43,21 @@ func (f *fixture) run(t testing.TB, opts Options) *Stats {
 	return st
 }
 
+// eachEmbedding is a run sink that shows fn every embedding of a run in
+// order, the way a per-embedding hook would see them. An embedding fn
+// declines (returns false) is not taken, and stops the search.
+func eachEmbedding(fn func(m []uint32) bool) func([]uint32, graph.Vertex, []uint32) int {
+	return func(m []uint32, u graph.Vertex, vs []uint32) int {
+		for i, v := range vs {
+			m[u] = v
+			if !fn(m) {
+				return i
+			}
+		}
+		return len(vs)
+	}
+}
+
 func TestPaperExampleSingleMatch(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
 	want := testutil.PaperMatch()
@@ -50,10 +65,10 @@ func TestPaperExampleSingleMatch(t *testing.T) {
 		f := newFixture(t, q, g, fm)
 		for _, local := range []LocalCandidates{Direct, Scan, TreeEdge, Intersect, IntersectBlock} {
 			var got []uint32
-			st := f.run(t, Options{Local: local, OnMatch: func(m []uint32) bool {
+			st := f.run(t, Options{Local: local, OnRun: eachEmbedding(func(m []uint32) bool {
 				got = append([]uint32(nil), m...)
 				return true
-			}})
+			})})
 			if st.Embeddings != 1 {
 				t.Errorf("filter %v local %v: %d embeddings, want 1", fm, local, st.Embeddings)
 				continue
@@ -128,13 +143,13 @@ func TestAgreementProperty(t *testing.T) {
 				for _, cfg := range configs {
 					opts := cfg.opts
 					valid := true
-					opts.OnMatch = func(m []uint32) bool {
+					opts.OnRun = eachEmbedding(func(m []uint32) bool {
 						if !testutil.IsValidEmbedding(q, g, m) {
 							valid = false
 							return false
 						}
 						return true
-					}
+					})
 					st, err := Run(q, g, cand, space, phi, opts)
 					if err != nil {
 						t.Logf("run %s: %v", cfg.name, err)
@@ -213,16 +228,18 @@ func TestMaxEmbeddingsCap(t *testing.T) {
 	}
 }
 
-func TestOnMatchAbort(t *testing.T) {
+// TestSinkAbort: a sink that takes nothing is called once, and what it
+// declined is not counted.
+func TestSinkAbort(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
 	f := newFixture(t, q, g, filter.LDF)
 	calls := 0
-	st := f.run(t, Options{Local: Intersect, OnMatch: func(m []uint32) bool {
+	st := f.run(t, Options{Local: Intersect, OnRun: func(m []uint32, u graph.Vertex, vs []uint32) int {
 		calls++
-		return false
+		return 0
 	}})
-	if calls != 1 || st.Embeddings != 1 {
-		t.Errorf("OnMatch abort: calls=%d embeddings=%d", calls, st.Embeddings)
+	if calls != 1 || st.Embeddings != 0 || st.LimitHit {
+		t.Errorf("sink abort: calls=%d embeddings=%d LimitHit=%v", calls, st.Embeddings, st.LimitHit)
 	}
 }
 

@@ -26,10 +26,10 @@ func kernelPolicies() []intersect.Policy {
 func collectEmbeddings(t *testing.T, q, g *graph.Graph, cand [][]uint32, space *candspace.Space, phi []graph.Vertex, opts Options) ([][]uint32, *Stats) {
 	t.Helper()
 	var out [][]uint32
-	opts.OnMatch = func(m []uint32) bool {
+	opts.OnRun = eachEmbedding(func(m []uint32) bool {
 		out = append(out, append([]uint32(nil), m...))
 		return true
-	}
+	})
 	st, err := Run(q, g, cand, space, phi, opts)
 	if err != nil {
 		t.Fatalf("Run(%+v): %v", opts, err)

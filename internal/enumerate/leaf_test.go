@@ -6,6 +6,8 @@ import (
 	"hash"
 	"hash/fnv"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -195,10 +197,10 @@ func embeddingKey(m []uint32) string {
 func sortedEmbeddings(t testing.TB, f *fixture, opts Options) ([]string, *Stats) {
 	t.Helper()
 	var embs []string
-	opts.OnMatch = func(m []uint32) bool {
+	opts.OnRun = eachEmbedding(func(m []uint32) bool {
 		embs = append(embs, embeddingKey(m))
 		return true
-	}
+	})
 	st := f.run(t, opts)
 	sort.Strings(embs)
 	return embs, st
@@ -227,7 +229,7 @@ func TestLeafLevelMatchesParentDigests(t *testing.T) {
 					embH.Write([]byte(e))
 				}
 				if uint64(len(embs)) != st.Embeddings {
-					t.Errorf("%s %s: %d OnMatch calls, Stats.Embeddings %d", name, lq.name, len(embs), st.Embeddings)
+					t.Errorf("%s %s: %d embeddings handed over, Stats.Embeddings %d", name, lq.name, len(embs), st.Embeddings)
 				}
 				p := st.Profile
 				for _, s := range [][]uint64{p.Nodes, p.Candidates, p.Extended, p.Conflicts, p.SymmetrySkips, p.FailingSetSkips, p.EmptyLC} {
@@ -282,10 +284,10 @@ func TestLeafLevelEntryPoints(t *testing.T) {
 				want, ref := sortedEmbeddings(t, f, opts)
 
 				var got []string
-				opts.OnMatch = func(m []uint32) bool {
+				opts.OnRun = eachEmbedding(func(m []uint32) bool {
 					got = append(got, embeddingKey(m))
 					return true
-				}
+				})
 				opts.Profile = true
 				e, err := NewEngine(f.q, f.g, f.cand, f.space, f.phi, opts)
 				if err != nil {
@@ -376,10 +378,10 @@ func stopFixture(t testing.TB) *fixture {
 // stretch that differs only in the last-mapped query vertex.
 func leafRun(t *testing.T, f *fixture, opts Options) (order [][]uint32, lo, hi int) {
 	t.Helper()
-	opts.OnMatch = func(m []uint32) bool {
+	opts.OnRun = eachEmbedding(func(m []uint32) bool {
 		order = append(order, append([]uint32(nil), m...))
 		return true
-	}
+	})
 	f.run(t, opts)
 	last := f.phi[len(f.phi)-1]
 	sameRun := func(a, b []uint32) bool {
@@ -406,60 +408,93 @@ func leafRun(t *testing.T, f *fixture, opts Options) (order [][]uint32, lo, hi i
 	return order, lo, hi
 }
 
-// stopConfigs are the three recursions that call leafLevel.
+// stopConfigs are the three recursions that call leafLevel, and the
+// plain one under symmetry breaking, whose skips the cap test counts.
 var stopConfigs = []leafConfig{
 	{"plain", Options{Local: Intersect}},
 	{"fs", Options{Local: Intersect, FailingSets: true}},
 	{"adaptive", Options{Local: Intersect, Adaptive: true}},
+	{"sym", Options{Local: Intersect, SymmetryClasses: [][]graph.Vertex{{1, 2, 3}}}},
 }
 
-// parentCapNodes is Stats.Nodes of commit 1c57d51's engine when
-// MaxEmbeddings lands two embeddings into stopFixture's longest leaf run.
-var parentCapNodes = map[string]uint64{
-	"plain":    66295,
-	"fs":       66295,
-	"adaptive": 66295,
+// parentCap is what commit 723661e's engine — the last one whose leaves
+// were accounted one by one — reports when MaxEmbeddings lands two
+// embeddings into stopFixture's longest leaf run: the Stats counters
+// (the node count is also commit 1c57d51's, whose leaves were recursive
+// calls) and the per-depth profile, which shows that no candidate past
+// the last embedding was looked at.
+type parentCap struct {
+	nodes, embeddings                        uint64
+	conflicts, symmetrySkips, extended, prof []uint64
+}
+
+var parentCaps = map[string]parentCap{
+	"plain": {66295, 62414,
+		[]uint64{0, 0, 0xd4, 0x1c8e, 0}, []uint64{0, 0, 0, 0, 0},
+		[]uint64{0xd, 0xd4, 0xe47, 0xf3ce, 0}, []uint64{1, 0xd, 0xd4, 0xe47, 0xf3ce}},
+	"fs": {66295, 62414,
+		[]uint64{0, 0, 0xd4, 0x1c8e, 0}, []uint64{0, 0, 0, 0, 0},
+		[]uint64{0xd, 0xd4, 0xe47, 0xf3ce, 0}, []uint64{1, 0xd, 0xd4, 0xe47, 0xf3ce}},
+	"adaptive": {66295, 62414,
+		[]uint64{0, 0, 0xd4, 0x1c8e, 0}, []uint64{0, 0, 0, 0, 0},
+		[]uint64{0xd, 0xd4, 0xe47, 0xf3ce, 0}, []uint64{1, 0xd, 0xd4, 0xe47, 0xf3ce}},
+	"sym": {12458, 10404,
+		[]uint64{0, 0, 0xd4, 0xe48, 0}, []uint64{0, 0, 0x723, 0x5144, 0},
+		[]uint64{0xd, 0xd4, 0x724, 0x28a4, 0}, []uint64{1, 0xd, 0xd4, 0x724, 0x28a4}},
 }
 
 func TestLeafLevelStopsMidRun(t *testing.T) {
 	f := stopFixture(t)
 	for _, c := range stopConfigs {
-		order, lo, _ := leafRun(t, f, c.opts)
+		order, lo, hi := leafRun(t, f, c.opts)
 		k := uint64(lo + 2)
 
-		// The embedding cap: exactly k, LimitHit, and the node count the
-		// recursion had when it stopped at the same leaf.
+		// The embedding cap lands inside a run: exactly k, LimitHit, and
+		// every count the parent had when it stopped at the same leaf.
 		capped := c.opts
 		capped.MaxEmbeddings = k
+		capped.Profile = true
 		st := f.run(t, capped)
 		if st.Embeddings != k || !st.LimitHit || st.TimedOut {
 			t.Errorf("%s cap %d: %d embeddings, LimitHit %v, TimedOut %v", c.name, k, st.Embeddings, st.LimitHit, st.TimedOut)
 		}
-		if want, ok := parentCapNodes[c.name]; !ok {
-			t.Errorf("no parent node count recorded:\n\t%q: %d,", c.name, st.Nodes)
-		} else if st.Nodes != want {
-			t.Errorf("%s cap %d: %d nodes, parent's engine %d", c.name, k, st.Nodes, want)
+		p := st.Profile
+		got := parentCap{st.Nodes, st.Embeddings, p.Conflicts, p.SymmetrySkips, p.Extended, p.Nodes}
+		if want, ok := parentCaps[c.name]; !ok {
+			t.Errorf("no parent counts recorded:\n\t%q: %#v,", c.name, got)
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s cap %d:\n\t%+v, parent's engine\n\t%+v", c.name, k, got, want)
 		}
 		capNodes := st.Nodes
 
-		// An OnMatch that declines the k-th embedding stops at the same
-		// leaf, having seen exactly the first k in order.
-		var calls uint64
-		declining := c.opts
-		declining.OnMatch = func(m []uint32) bool {
-			for u, v := range m {
-				if order[calls][u] != v {
-					t.Errorf("%s: embedding %d = %v, want %v", c.name, calls, m, order[calls])
-					break
+		// A sink that takes only part of a run — the one [lo, hi) — stops
+		// the search at the same leaf: it was handed the parent's sequence
+		// up to there, and exactly what it took is counted.
+		var seen uint64
+		var calls, longest int
+		partial := c.opts
+		partial.OnRun = func(m []uint32, u graph.Vertex, vs []uint32) int {
+			calls++
+			longest = max(longest, len(vs))
+			for i, v := range vs {
+				m[u] = v
+				if !slices.Equal(m, order[seen]) {
+					t.Errorf("%s: embedding %d = %v, want %v", c.name, seen, m, order[seen])
+				}
+				if seen++; seen == k {
+					return i + 1
 				}
 			}
-			calls++
-			return calls < k
+			return len(vs)
 		}
-		st = f.run(t, declining)
-		if calls != k || st.Embeddings != k || st.LimitHit || st.Nodes != capNodes {
-			t.Errorf("%s OnMatch stop at %d: %d calls, %d embeddings, %d nodes (cap run %d), LimitHit %v",
-				c.name, k, calls, st.Embeddings, st.Nodes, capNodes, st.LimitHit)
+		st = f.run(t, partial)
+		if seen != k || st.Embeddings != k || st.LimitHit || st.Nodes != capNodes {
+			t.Errorf("%s sink stop at %d: %d handed over, %d embeddings, %d nodes (cap run %d), LimitHit %v",
+				c.name, k, seen, st.Embeddings, st.Nodes, capNodes, st.LimitHit)
+		}
+		if longest != hi-lo || calls >= int(k) {
+			t.Errorf("%s: %d sink calls for %d embeddings, longest run %d; the fixture's longest is %d",
+				c.name, calls, k, longest, hi-lo)
 		}
 	}
 }
@@ -483,13 +518,13 @@ func TestLeafLevelHonorsCancelAndDeadline(t *testing.T) {
 		opts := c.opts
 		opts.Cancel = &cancel
 		var e *Engine
-		opts.OnMatch = func(m []uint32) bool {
-			if seen == lo+2 {
+		opts.OnRun = func(m []uint32, u graph.Vertex, vs []uint32) int {
+			if seen <= lo+2 && lo+2 < seen+len(vs) {
 				cancel.Store(true)
 				nodesAtCancel = e.engine.stats.Nodes
 			}
-			seen++
-			return true
+			seen += len(vs)
+			return len(vs)
 		}
 		e, err := NewEngine(f.q, f.g, f.cand, f.space, f.phi, opts)
 		if err != nil {
@@ -525,20 +560,163 @@ func TestLeafLevelHonorsCancelAndDeadline(t *testing.T) {
 	}
 }
 
+// TestLeafLevelSplitsRuns: a last level with more admissible candidates
+// than timeCheckInterval is handed over in pieces no longer than that,
+// so the scratch run and the distance between two polls stay bounded
+// whatever the data graph's degrees are; Options.MaxRun shortens the
+// pieces further. However the level is cut, the counts are the same.
+func TestLeafLevelSplitsRuns(t *testing.T) {
+	const leaves = timeCheckInterval + 100
+	edges := make([][2]graph.Vertex, leaves)
+	for i := range edges {
+		edges[i] = [2]graph.Vertex{0, graph.Vertex(i + 1)}
+	}
+	g := graph.MustFromEdges(make([]graph.Label, leaves+1), edges)
+	q := graph.MustFromEdges(make([]graph.Label, 2), [][2]graph.Vertex{{0, 1}})
+	f := newFixture(t, q, g, filter.LDF)
+	ref := f.run(t, Options{Local: Intersect})
+	for _, maxRun := range []int{0, 1, 3, 2 * timeCheckInterval} {
+		want := timeCheckInterval
+		if maxRun > 0 && maxRun < want {
+			want = maxRun
+		}
+		var longest, total int
+		st := f.run(t, Options{Local: Intersect, MaxRun: maxRun, OnRun: func(m []uint32, u graph.Vertex, vs []uint32) int {
+			if m[0] == 0 {
+				longest = max(longest, len(vs))
+			}
+			total += len(vs)
+			return len(vs)
+		}})
+		if longest != want || total != 2*leaves || st.Embeddings != ref.Embeddings || st.Nodes != ref.Nodes {
+			t.Errorf("MaxRun %d: longest run from the hub %d (want %d), %d of %d embeddings handed over, Stats (%d nodes, %d embeddings), sinkless (%d, %d)",
+				maxRun, longest, want, total, 2*leaves, st.Nodes, st.Embeddings, ref.Nodes, ref.Embeddings)
+		}
+	}
+}
+
+// runSequences are the queries whose emission sequence is compared run
+// by run with the parent's: tritail (failing sets prune it, the adaptive
+// order differs from the static one) and a 4-cycle (homomorphisms
+// differ from isomorphisms), each under three matching orders that leave
+// the open position first, in the middle and last in the mapping.
+func runSequences(t testing.TB) (*graph.Graph, []leafQuery, map[string][][]graph.Vertex) {
+	g, queries := leafFixture(t)
+	cycle4 := leafQuery{"cycle4",
+		graph.MustFromEdges(make([]graph.Label, 4), [][2]graph.Vertex{{0, 1}, {1, 2}, {2, 3}, {3, 0}}),
+		[][]graph.Vertex{{0, 2}, {1, 3}}}
+	return g, []leafQuery{queries[3], cycle4}, map[string][][]graph.Vertex{
+		"tritail": {{3, 2, 1, 0}, {0, 2, 3, 1}, {0, 1, 2, 3}},
+		"cycle4":  {{1, 2, 3, 0}, {0, 3, 2, 1}, {0, 1, 2, 3}},
+	}
+}
+
+// parentSequences holds, per "query/variant/u=open position", FNV-64a of
+// the embeddings in the order commit 723661e's per-embedding hook
+// received them, and how many there were.
+var parentSequences = map[string][2]uint64{
+	"tritail/plain/u=0":    {0x92bf94531ebf2d45, 2806},
+	"tritail/fs/u=0":       {0x92bf94531ebf2d45, 2806},
+	"tritail/adaptive/u=0": {0x92bf94531ebf2d45, 2806},
+	"tritail/sym/u=0":      {0x9b77d76882ceac94, 1403},
+	"tritail/hom/u=0":      {0x92bf94531ebf2d45, 2806},
+	"tritail/plain/u=1":    {0x0c0d843850793785, 2806},
+	"tritail/fs/u=1":       {0x0c0d843850793785, 2806},
+	"tritail/adaptive/u=1": {0x629c6375e974e845, 2806},
+	"tritail/sym/u=1":      {0x8eed8047f7f97e54, 1403},
+	"tritail/hom/u=1":      {0x0c0d843850793785, 2806},
+	"tritail/plain/u=3":    {0x222b6aef37723ec5, 2806},
+	"tritail/fs/u=3":       {0x222b6aef37723ec5, 2806},
+	"tritail/adaptive/u=3": {0x222b6aef37723ec5, 2806},
+	"tritail/sym/u=3":      {0x74fa9dcdf8951694, 1403},
+	"tritail/hom/u=3":      {0x222b6aef37723ec5, 2806},
+	"cycle4/plain/u=0":     {0xf34cc3a2d456bce5, 2000},
+	"cycle4/fs/u=0":        {0xf34cc3a2d456bce5, 2000},
+	"cycle4/adaptive/u=0":  {0xf34cc3a2d456bce5, 2000},
+	"cycle4/sym/u=0":       {0x8378fdef8bbcee25, 500},
+	"cycle4/hom/u=0":       {0x04b2e48797c39325, 5110},
+	"cycle4/plain/u=1":     {0x272d1af252f04765, 2000},
+	"cycle4/fs/u=1":        {0x272d1af252f04765, 2000},
+	"cycle4/adaptive/u=1":  {0x272d1af252f04765, 2000},
+	"cycle4/sym/u=1":       {0x51bf3e402e35ada5, 500},
+	"cycle4/hom/u=1":       {0x2290ede5c90c7625, 5110},
+	"cycle4/plain/u=3":     {0x660c89d0c1af0ce5, 2000},
+	"cycle4/fs/u=3":        {0x660c89d0c1af0ce5, 2000},
+	"cycle4/adaptive/u=3":  {0x660c89d0c1af0ce5, 2000},
+	"cycle4/sym/u=3":       {0x1e1c6610b55caaa5, 500},
+	"cycle4/hom/u=3":       {0xff338127414e3ba5, 5110},
+}
+
+// TestLeafRunsConcatenateToParentSequence: the runs, concatenated, are
+// the embedding sequence the per-embedding hook used to receive — same
+// embeddings, same order — and a run is what the contract says: the open
+// position is the last-mapped query vertex (under a static order) and no
+// other position changes inside the call.
+func TestLeafRunsConcatenateToParentSequence(t *testing.T) {
+	g, queries, orders := runSequences(t)
+	for _, lq := range queries {
+		variants := []leafConfig{
+			{"plain", Options{Local: Intersect}},
+			{"fs", Options{Local: Intersect, FailingSets: true}},
+			{"adaptive", Options{Local: Intersect, Adaptive: true}},
+			{"sym", Options{Local: Intersect, SymmetryClasses: lq.classes}},
+			{"hom", Options{Local: Intersect, Homomorphism: true}},
+		}
+		f := newFixture(t, lq.q, g, filter.LDF)
+		for _, phi := range orders[lq.name] {
+			f.phi = phi
+			open := phi[len(phi)-1]
+			for _, c := range variants {
+				name := fmt.Sprintf("%s/%s/u=%d", lq.name, c.name, open)
+				h := fnv.New64a()
+				var n uint64
+				multi := 0
+				opts := c.opts
+				opts.OnRun = func(m []uint32, u graph.Vertex, vs []uint32) int {
+					if u != open && !opts.Adaptive {
+						t.Errorf("%s: run with position %d open, the order's last vertex is %d", name, u, open)
+					}
+					if len(vs) > 1 {
+						multi++
+					}
+					for _, v := range vs {
+						m[u] = v
+						for _, x := range m {
+							foldU64(h, uint64(x))
+						}
+						n++
+					}
+					return len(vs)
+				}
+				st := f.run(t, opts)
+				got := [2]uint64{h.Sum64(), n}
+				if want, ok := parentSequences[name]; !ok {
+					t.Errorf("no parent sequence recorded:\n\t%q: {%#016x, %d},", name, got[0], got[1])
+				} else if got != want {
+					t.Errorf("%s: sequence digest %#016x over %d embeddings, parent's hook saw %#016x over %d", name, got[0], got[1], want[0], want[1])
+				}
+				if st.Embeddings != n || multi == 0 {
+					t.Errorf("%s: Stats.Embeddings %d, %d handed over, %d runs longer than one", name, st.Embeddings, n, multi)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkEngineLeafLevel is a search that is almost all last level
 // (stopFixture: 14 of 15 nodes are leaves) on a reused engine, with no
-// callback and with one that does nothing, for each recursion that
-// calls leafLevel.
+// sink and with one that does nothing, for each recursion that calls
+// leafLevel.
 func BenchmarkEngineLeafLevel(b *testing.B) {
 	f := stopFixture(b)
-	for _, c := range stopConfigs {
+	for _, c := range stopConfigs[:3] {
 		for _, cb := range []struct {
 			name string
-			fn   func([]uint32) bool
-		}{{"nil", nil}, {"noop", func([]uint32) bool { return true }}} {
-			b.Run(c.name+"/OnMatch="+cb.name, func(b *testing.B) {
+			fn   func([]uint32, graph.Vertex, []uint32) int
+		}{{"nil", nil}, {"noop", func(_ []uint32, _ graph.Vertex, vs []uint32) int { return len(vs) }}} {
+			b.Run(c.name+"/OnRun="+cb.name, func(b *testing.B) {
 				opts := c.opts
-				opts.OnMatch = cb.fn
+				opts.OnRun = cb.fn
 				e, err := NewEngine(f.q, f.g, f.cand, f.space, f.phi, opts)
 				if err != nil {
 					b.Fatal(err)

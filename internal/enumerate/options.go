@@ -102,10 +102,21 @@ type Options struct {
 	// The paper's experiments use five minutes.
 	TimeLimit time.Duration
 
-	// OnMatch, when non-nil, is invoked for each embedding with the
-	// mapping indexed by query vertex. The slice is reused between
-	// calls; copy it to retain. Returning false aborts the search.
-	OnMatch func(mapping []uint32) bool
+	// OnRun, when non-nil, receives the embeddings a leaf run at a time:
+	// mapping (indexed by query vertex) with position u open, completed
+	// in emission order by each data vertex of vs — len(vs) embeddings
+	// that share every other position. The sink may write mapping[u];
+	// both slices are the engine's and valid only during the call. It
+	// returns how many of vs it took, in order; fewer than len(vs) stops
+	// the search, and only the taken ones count in Stats.
+	OnRun func(mapping []uint32, u graph.Vertex, vs []uint32) (taken int)
+
+	// MaxRun, when positive, shortens the runs the last level hands over
+	// (and accounts in one step) to at most this many embeddings; 0
+	// leaves them as long as the level's admissible candidates, the
+	// embedding cap and timeCheckInterval allow. Only the parallel
+	// runner's capped count sets it (core.cappedCountRun has the why).
+	MaxRun int
 
 	// Cancel, when non-nil, is polled periodically; setting it to true
 	// stops the search cooperatively. Used by the parallel runner so a

@@ -29,11 +29,11 @@ func TestFingerprintDeterministic(t *testing.T) {
 func TestFingerprintSensitivity(t *testing.T) {
 	base := fpGraph(t, []Label{0, 1, 0, 2}, [][2]Vertex{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
 	cases := map[string]*Graph{
-		"label changed":  fpGraph(t, []Label{0, 1, 1, 2}, [][2]Vertex{{0, 1}, {1, 2}, {2, 3}, {3, 0}}),
-		"edge removed":   fpGraph(t, []Label{0, 1, 0, 2}, [][2]Vertex{{0, 1}, {1, 2}, {2, 3}}),
-		"edge rerouted":  fpGraph(t, []Label{0, 1, 0, 2}, [][2]Vertex{{0, 1}, {1, 2}, {2, 3}, {1, 3}}),
-		"vertex added":   fpGraph(t, []Label{0, 1, 0, 2, 0}, [][2]Vertex{{0, 1}, {1, 2}, {2, 3}, {3, 0}}),
-		"empty":          fpGraph(t, nil, nil),
+		"label changed": fpGraph(t, []Label{0, 1, 1, 2}, [][2]Vertex{{0, 1}, {1, 2}, {2, 3}, {3, 0}}),
+		"edge removed":  fpGraph(t, []Label{0, 1, 0, 2}, [][2]Vertex{{0, 1}, {1, 2}, {2, 3}}),
+		"edge rerouted": fpGraph(t, []Label{0, 1, 0, 2}, [][2]Vertex{{0, 1}, {1, 2}, {2, 3}, {1, 3}}),
+		"vertex added":  fpGraph(t, []Label{0, 1, 0, 2, 0}, [][2]Vertex{{0, 1}, {1, 2}, {2, 3}, {3, 0}}),
+		"empty":         fpGraph(t, nil, nil),
 	}
 	want := FingerprintOf(base)
 	for name, g := range cases {

@@ -41,7 +41,7 @@ type batchGroupKey struct {
 // execKey identifies executions whose outcome is identical within one
 // group: the same limits and parallelism asked for, after the clamp to
 // the group's grant. Items in a group sharing an execKey and observing
-// no per-embedding callback are deduplicated — the query runs once and
+// no sink (in either form) are deduplicated — the query runs once and
 // the result fans out to every duplicate (first cut of multi-query
 // optimization: identical queries are the degenerate common
 // substructure).
@@ -57,7 +57,7 @@ type execKey struct {
 
 // SubmitBatch runs a set of requests as one batch: items are grouped by
 // (graph, query fingerprint, config), each group passes admission once
-// and resolves its plan once, and duplicate no-callback items within a
+// and resolves its plan once, and duplicate sinkless items within a
 // group execute once with the result fanned out. Groups run
 // concurrently; items within a group run sequentially under the group's
 // admission grant. The returned slice always has len(items) entries in
@@ -66,7 +66,7 @@ type execKey struct {
 // per item.
 //
 // Equivalence contract: for any item, the embeddings delivered through
-// its OnMatch and the counts on its Response are identical to what a
+// its sink and the counts on its Response are identical to what a
 // lone Submit of the same request would produce — batching changes
 // admission and plan traffic, never results.
 func (s *Service) SubmitBatch(ctx context.Context, items []Request) ([]BatchResult, error) {
@@ -218,7 +218,7 @@ func (s *Service) runBatchGroup(ctx context.Context, began time.Time, grp *batch
 		return span
 	}
 
-	// Execute the items. Within the group, identical no-callback
+	// Execute the items. Within the group, identical sinkless
 	// executions run once and fan out.
 	dedup := make(map[execKey]*Response)
 	for n, idx := range grp.items {
@@ -230,7 +230,7 @@ func (s *Service) runBatchGroup(ctx context.Context, began time.Time, grp *batch
 			workers:       req.Workers,
 			profile:       req.Profile,
 		}
-		if prior, ok := dedup[ek]; ok && req.OnMatch == nil {
+		if prior, ok := dedup[ek]; ok && !req.hasSink() {
 			// Fan-out: an identical item already ran in this group. The
 			// Result is shared (it is read-only to callers, like a
 			// cached plan) and its span is already the group's child;
@@ -257,7 +257,7 @@ func (s *Service) runBatchGroup(ctx context.Context, began time.Time, grp *batch
 			continue
 		}
 		results[idx].Resp = resp
-		if req.OnMatch == nil {
+		if !req.hasSink() {
 			dedup[ek] = resp
 		}
 		span.AddChild(resp.Result.Trace.SetAttr("index", idx))

@@ -37,7 +37,7 @@ func TestBatchMatchesSequentialAcrossPresets(t *testing.T) {
 				var seq collectSink
 				req := Request{Graph: "main", Query: q, Algorithm: algo,
 					Parallel: workers, Workers: workers, NoCache: true}
-				seqResp, err := s.Stream(ctx, req, seq.fn)
+				seqResp, err := s.Stream(ctx, req, seq.run)
 				if err != nil {
 					t.Fatalf("sequential: %v", err)
 				}
@@ -130,6 +130,60 @@ func TestBatchGroupingOnePlanPerGroup(t *testing.T) {
 	}
 	if results[1].Resp.Result.Embeddings != results[0].Resp.Result.Embeddings {
 		t.Fatal("deduplicated item diverged from its leader")
+	}
+}
+
+// TestStreamedBatchDuplicatesBothStream: two identical items that each
+// carry a sink — in the run form, in the per-embedding form, or one of
+// each — are both executed, each sink receives the full embedding
+// multiset, and nothing is deduplicated; a third, sinkless duplicate
+// may neither stand in for them nor be served from their runs.
+func TestStreamedBatchDuplicatesBothStream(t *testing.T) {
+	s, g := newTestService(t, Config{})
+	q := testutil.RandomConnectedQuery(rand.New(rand.NewSource(11)), g, 5)
+	ctx := context.Background()
+	var want collectSink
+	ref, err := s.Stream(ctx, Request{Graph: "main", Query: q, Algorithm: core.CFL}, want.run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Result.Embeddings == 0 {
+		t.Fatal("fixture: no embeddings")
+	}
+	for _, forms := range [][2]string{{"run", "run"}, {"match", "match"}, {"run", "match"}} {
+		var sinks [2]collectSink
+		items := make([]Request, 3)
+		for i := range items {
+			items[i] = Request{Graph: "main", Query: q, Algorithm: core.CFL}
+		}
+		for i, form := range forms {
+			if form == "run" {
+				items[i].OnRun = sinks[i].run
+			} else {
+				items[i].OnMatch = sinks[i].fn
+			}
+		}
+		before := s.metrics.batchDeduped.Value()
+		results, err := s.SubmitBatch(ctx, items)
+		if err != nil {
+			t.Fatalf("%v: %v", forms, err)
+		}
+		for i, br := range results {
+			if br.Err != nil {
+				t.Fatalf("%v item %d: %v", forms, i, br.Err)
+			}
+			if br.Resp.Result.Embeddings != ref.Result.Embeddings {
+				t.Errorf("%v item %d: %d embeddings, a lone Stream %d", forms, i, br.Resp.Result.Embeddings, ref.Result.Embeddings)
+			}
+		}
+		for i := range sinks {
+			if !bytes.Equal(sinks[i].canonical(), want.canonical()) {
+				t.Errorf("%v: sink %d received %d embeddings, a lone Stream %d", forms, i, len(sinks[i].rows), len(want.rows))
+			}
+		}
+		if d := s.metrics.batchDeduped.Value() - before; d != 0 {
+			t.Errorf("%v: %d items deduplicated, want 0", forms, d)
+		}
 	}
 }
 

@@ -122,16 +122,16 @@ func fairnessFixture(t *testing.T, share float64) (s *Service, hotQ, coldQ *grap
 	coldQ = testutil.RandomConnectedQuery(rng, g, 4)
 
 	// Occupy the single worker slot with a search blocked inside its
-	// OnMatch callback until release is called.
+	// sink until release is called.
 	gate := make(chan struct{})
 	entered := make(chan struct{})
 	var once sync.Once
 	started := make(chan error, 1)
 	go func() {
-		_, err := s.Stream(context.Background(), Request{Graph: "hot", Query: hotQ}, func([]uint32) bool {
+		_, err := s.Stream(context.Background(), Request{Graph: "hot", Query: hotQ}, func(_ []uint32, _ graph.Vertex, vs []uint32) int {
 			once.Do(func() { close(entered) })
 			<-gate
-			return true
+			return len(vs)
 		})
 		started <- err
 	}()

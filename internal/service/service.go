@@ -112,9 +112,12 @@ type Request struct {
 	TimeLimit     time.Duration
 	Parallel      int
 	Workers       int
-	// OnMatch optionally receives every embedding; the slice is valid
-	// only during the call (see core.Limits). Stream sets it from its
-	// sink argument.
+	// OnRun optionally receives every embedding, a leaf run at a time;
+	// OnMatch is the per-embedding form of the same sink, kept for the
+	// callers that construct it (see core.Limits for both contracts;
+	// setting both is core.ErrTwoSinks). Stream sets OnRun from its sink
+	// argument.
+	OnRun   func(mapping []uint32, u graph.Vertex, vs []uint32) (taken int)
 	OnMatch func(mapping []uint32) bool
 	// NoCache bypasses the plan cache for this request — preprocessing
 	// always runs fresh and the plan is not retained. Benchmarks use it
@@ -427,6 +430,11 @@ func (s *Service) plan(ctx context.Context, t *target, req *Request, n int) (pla
 // "plan" span covering its wait on the leader's build. The latter two
 // report CacheHit — the request did not pay preprocessing — and keep
 // the Result's preprocessing times zero for the same reason.
+// hasSink reports whether the request delivers its embeddings
+// somewhere, in either form. Such a request is executed on its own: its
+// result cannot stand in for another item's, nor another's for it.
+func (r *Request) hasSink() bool { return r.OnRun != nil || r.OnMatch != nil }
+
 func (s *Service) run(ctx context.Context, t *target, req *Request, p planned,
 	began time.Time, queueWait time.Duration) (*Response, error) {
 
@@ -452,6 +460,7 @@ func (s *Service) run(ctx context.Context, t *target, req *Request, p planned,
 		MaxEmbeddings: req.MaxEmbeddings,
 		TimeLimit:     timeLimit,
 		Cancel:        &flag,
+		OnRun:         req.OnRun,
 		OnMatch:       req.OnMatch,
 		Parallel:      req.Parallel,
 		Workers:       req.Workers,
@@ -664,15 +673,15 @@ func (s *Service) planFor(ctx context.Context, t *target, req *Request) (*core.P
 	}
 }
 
-// Stream is Submit with a mandatory per-embedding sink. The sink runs
+// Stream is Submit with a mandatory sink, in the run form. The sink runs
 // synchronously inside enumeration — a slow consumer therefore applies
 // natural backpressure to the search instead of buffering unboundedly —
-// and returning false stops the search early. See core.Limits.OnMatch
-// for the slice-reuse rules.
-func (s *Service) Stream(ctx context.Context, req Request, sink func(mapping []uint32) bool) (*Response, error) {
+// and taking less than a whole run stops the search early. See
+// core.Limits.OnRun for the contract and the slice-reuse rules.
+func (s *Service) Stream(ctx context.Context, req Request, sink func(mapping []uint32, u graph.Vertex, vs []uint32) (taken int)) (*Response, error) {
 	if sink == nil {
 		return nil, ErrNilCallback
 	}
-	req.OnMatch = sink
+	req.OnRun = sink
 	return s.Submit(ctx, req)
 }

@@ -36,6 +36,27 @@ type collectSink struct {
 	rows [][]byte
 }
 
+// run is the sink in the run form Stream takes; fn is its per-embedding
+// form, for Request.OnMatch.
+func (c *collectSink) run(m []uint32, u graph.Vertex, vs []uint32) int {
+	return perEmbedding(c.fn)(m, u, vs)
+}
+
+// perEmbedding is the run sink that shows fn the embeddings of a run one
+// after the other; fn declines one (and stops the search) by returning
+// false.
+func perEmbedding(fn func(m []uint32) bool) func([]uint32, graph.Vertex, []uint32) int {
+	return func(m []uint32, u graph.Vertex, vs []uint32) int {
+		for i, v := range vs {
+			m[u] = v
+			if !fn(m) {
+				return i
+			}
+		}
+		return len(vs)
+	}
+}
+
 func (c *collectSink) fn(m []uint32) bool {
 	row := make([]byte, 4*len(m))
 	for i, v := range m {
@@ -66,7 +87,7 @@ func TestSubmitCachedMatchesFreshAcrossPresets(t *testing.T) {
 		t.Run(algo.String(), func(t *testing.T) {
 			var fresh collectSink
 			req := Request{Graph: "main", Query: q, Algorithm: algo, NoCache: true}
-			freshResp, err := s.Stream(ctx, req, fresh.fn)
+			freshResp, err := s.Stream(ctx, req, fresh.run)
 			if err != nil {
 				t.Fatalf("fresh: %v", err)
 			}
@@ -75,7 +96,7 @@ func TestSubmitCachedMatchesFreshAcrossPresets(t *testing.T) {
 			for round, wantHit := range []bool{false, true} {
 				var cached collectSink
 				req := Request{Graph: "main", Query: q, Algorithm: algo}
-				resp, err := s.Stream(ctx, req, cached.fn)
+				resp, err := s.Stream(ctx, req, cached.run)
 				if err != nil {
 					t.Fatalf("cached round %d: %v", round, err)
 				}
@@ -301,12 +322,16 @@ func TestStreamEarlyStop(t *testing.T) {
 	q := testutil.RandomConnectedQuery(rand.New(rand.NewSource(4)), g, 3)
 	var n int
 	resp, err := s.Stream(context.Background(), Request{Graph: "main", Query: q, Algorithm: core.GraphQL},
-		func(m []uint32) bool { n++; return n < 3 })
+		func(_ []uint32, _ graph.Vertex, vs []uint32) int {
+			take := min(len(vs), 3-n)
+			n += take
+			return take
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 3 {
-		t.Fatalf("sink called %d times, want exactly 3", n)
+		t.Fatalf("sink took %d embeddings, want exactly 3", n)
 	}
 	if resp.Result.Embeddings != 3 {
 		t.Fatalf("embeddings = %d, want 3 (stopped early)", resp.Result.Embeddings)
@@ -316,12 +341,12 @@ func TestStreamEarlyStop(t *testing.T) {
 // blockOn returns a sink that signals occupancy on its first call and
 // then blocks until release is closed — it parks a request inside
 // enumeration while holding its admission slot.
-func blockOn(occupied chan<- struct{}, release <-chan struct{}) func([]uint32) bool {
+func blockOn(occupied chan<- struct{}, release <-chan struct{}) func([]uint32, graph.Vertex, []uint32) int {
 	var once sync.Once
-	return func([]uint32) bool {
+	return func(_ []uint32, _ graph.Vertex, vs []uint32) int {
 		once.Do(func() { close(occupied) })
 		<-release
-		return true
+		return len(vs)
 	}
 }
 
@@ -398,11 +423,11 @@ func TestSubmitClampsParallelToAdmission(t *testing.T) {
 		Algorithm: core.GraphQL,
 		Parallel:  1 << 20,
 		Workers:   1 << 20,
-	}, func([]uint32) bool {
+	}, func(_ []uint32, _ graph.Vertex, vs []uint32) int {
 		if n := runtime.NumGoroutine(); n > maxSeen {
 			maxSeen = n
 		}
-		return true
+		return len(vs)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -442,7 +467,7 @@ func TestSubmitContextCancelMidSearch(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		_, err := s.Stream(ctx, Request{Graph: "dense", Query: q, Algorithm: core.GraphQL},
-			func([]uint32) bool { once.Do(func() { close(started) }); return true })
+			func(_ []uint32, _ graph.Vertex, vs []uint32) int { once.Do(func() { close(started) }); return len(vs) })
 		done <- err
 	}()
 	select {
@@ -503,7 +528,7 @@ func TestConcurrentSubmitStress(t *testing.T) {
 			var err error
 			if i%4 == 0 {
 				var sink collectSink
-				resp, err = s.Stream(ctx, req, sink.fn)
+				resp, err = s.Stream(ctx, req, sink.run)
 			} else {
 				resp, err = s.Submit(ctx, req)
 			}

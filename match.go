@@ -150,10 +150,13 @@ type Options struct {
 	// The paper's experiments use five minutes.
 	TimeLimit time.Duration
 	// OnMatch, when non-nil, receives each embedding indexed by query
-	// vertex. Returning false stops the search. The slice is reused
-	// between calls and valid only during the call, at every Parallel
-	// setting: copy it to retain. Under parallel execution calls are
-	// serialized and arrive in no particular order.
+	// vertex. Returning false stops the search; the embedding it was
+	// returned for counts as declined, so Result.Embeddings is the
+	// number of calls that returned true (the external engines —
+	// AlgoGlasgow, AlgoVF2, AlgoUllmann — count the declined one too).
+	// The slice is reused between calls and valid only during the call,
+	// at every Parallel setting: copy it to retain. Under parallel
+	// execution calls are serialized and arrive in no particular order.
 	OnMatch func(mapping []Vertex) bool
 	// Parallel runs the enumeration across this many worker goroutines
 	// (0 or 1 = sequential): cost-model-sized tasks rebalanced by work
