@@ -110,9 +110,11 @@ bench-parallel:
 
 # The preprocessing measurement behind EXPERIMENTS.md's "Parallel
 # preprocessing" section: every phase at 1 (ns/op, allocs/op — the cost
-# of the one code path run inline), 4 and 8 workers (proj-speedup); and
-# BenchmarkPreprocessColdMix, serve-cold's plan mix in-process (ns, B,
-# allocs and the per-stage split per plan), behind "Cold path II".
+# of the one code path run inline), 2 (wall clock at this box's
+# GOMAXPROCS), 4 and 8 workers (proj-speedup); and
+# BenchmarkPreprocessColdMix, serve-cold's plan mix in-process at 1 and
+# 2 workers (ns, B, allocs and the per-stage split per plan), behind
+# "Cold path II".
 bench-preprocess:
 	$(GO) test -run '^$$' -bench BenchmarkPreprocess -benchmem -benchtime 5x .
 
@@ -151,6 +153,6 @@ bench-store:
 # The intersection-kernel measurements behind EXPERIMENTS.md's
 # "Adaptive kernels" section: the raw kernel grid over the
 # density/skew fixtures, end-to-end enumeration under each kernel
-# policy, and the boxed-vs-flat block-layout footprint.
+# policy, and the flat block-layout footprint.
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'BenchmarkIntersectKernels|BenchmarkEnumerateKernelPolicy|BenchmarkCandSpaceBlockLayout' -benchmem .

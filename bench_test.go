@@ -133,7 +133,7 @@ func BenchmarkFig9EnumOptimization(b *testing.B) {
 		{"QSI-intersect", core.Config{Filter: filter.LDF, Order: order.QSI, Local: enumerate.Intersect, Kernel: intersect.PolicyHybrid}},
 		{"GQL-scan", core.Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Scan}},
 		{"GQL-intersect", core.Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect, Kernel: intersect.PolicyHybrid}},
-		{"CFL-treeedge", core.Config{Filter: filter.CFL, Order: order.CFL, Local: enumerate.TreeEdge, TreeSpace: true}},
+		{"CFL-treeedge", core.Config{Filter: filter.CFL, Order: order.CFL, Local: enumerate.TreeEdge}},
 		{"CFL-intersect", core.Config{Filter: filter.CFL, Order: order.CFL, Local: enumerate.Intersect, Kernel: intersect.PolicyHybrid}},
 		{"2PP-direct", core.Config{Filter: filter.LDF, Order: order.VF2PP, Local: enumerate.Direct, VF2PPRules: true}},
 		{"2PP-intersect", core.Config{Filter: filter.LDF, Order: order.VF2PP, Local: enumerate.Intersect, Kernel: intersect.PolicyHybrid}},
@@ -149,15 +149,14 @@ func BenchmarkFig10Intersection(b *testing.B) {
 	f := getFixture(b)
 	for _, c := range []struct {
 		name   string
-		local  enumerate.LocalCandidates
 		kernel intersect.Policy
 	}{
-		// The Hybrid arm pins its kernel so the figure keeps comparing
-		// the paper's two methods even now that adaptive is the default.
-		{"Hybrid", enumerate.Intersect, intersect.PolicyHybrid},
-		{"QFilter", enumerate.IntersectBlock, intersect.PolicyAdaptive},
+		// Both arms pin their kernel so the figure keeps comparing the
+		// paper's two methods even now that adaptive is the default.
+		{"Hybrid", intersect.PolicyHybrid},
+		{"QFilter", intersect.PolicyBlock},
 	} {
-		cfg := core.Config{Filter: filter.GQL, Order: order.GQL, Local: c.local, Kernel: c.kernel}
+		cfg := core.Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect, Kernel: c.kernel}
 		b.Run(c.name, func(b *testing.B) { runSet(b, f.dense16, f.g, cfg) })
 	}
 }
@@ -733,7 +732,7 @@ func BenchmarkAblationCompression(b *testing.B) {
 // enumeration benchmarks derive from Result.Workers[w].Nodes; see
 // EXPERIMENTS.md "Parallel preprocessing".
 
-var preprocessWorkers = []int{1, 4, 8}
+var preprocessWorkers = []int{1, 2, 4, 8}
 
 func reportMakespan(b *testing.B, work []uint64) {
 	b.Helper()
@@ -899,10 +898,11 @@ func BenchmarkEnumerateKernelPolicy(b *testing.B) {
 	}
 }
 
-// BenchmarkCandSpaceBlockLayout compares materializing the block layout
-// as boxed per-candidate BlockSets against the flat CSR-of-blocks arena
-// (allocations and layout bytes; run with -benchmem). The space build
-// itself is identical in both arms.
+// BenchmarkCandSpaceBlockLayout measures materializing the flat
+// CSR-of-blocks arena over a candidate space (allocations and layout
+// bytes; run with -benchmem), inline and on four workers. The boxed
+// per-set layout it replaced was last measured at commit 20164a0
+// (EXPERIMENTS.md "Adaptive kernels").
 func BenchmarkCandSpaceBlockLayout(b *testing.B) {
 	f := getFixture(b)
 	q := f.dense16[0]
@@ -910,28 +910,6 @@ func BenchmarkCandSpaceBlockLayout(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("boxed", func(b *testing.B) {
-		b.ReportAllocs()
-		var bytes int64
-		for i := 0; i < b.N; i++ {
-			s := candspace.BuildFull(q, f.g, cand)
-			bytes = 0
-			for u := 0; u < q.NumVertices(); u++ {
-				uu := graph.Vertex(u)
-				for _, up := range q.Neighbors(uu) {
-					if !s.HasPair(uu, up) {
-						continue
-					}
-					for ci := range s.Candidates(uu) {
-						bs := intersect.NewBlockSet(s.Adjacency(uu, up, ci))
-						// keys + words + struct and slice headers per set.
-						bytes += int64(bs.NumBlocks()*12) + 64
-					}
-				}
-			}
-		}
-		b.ReportMetric(float64(bytes), "layout-bytes")
-	})
 	b.Run("flat", func(b *testing.B) {
 		b.ReportAllocs()
 		var bytes int64
@@ -954,12 +932,14 @@ func BenchmarkCandSpaceBlockLayout(b *testing.B) {
 // BenchmarkPreprocessColdMix is the in-process twin of the repository
 // benchmark's serve-cold workload: the same R-MAT shape (20 000 v /
 // 200 000 e / 20 labels), a mix of 4–20-vertex dense and sparse
-// queries, the Optimized preset, one worker, one core.Preprocess per
-// iteration with the queries cycled — so ns/op, B/op and allocs/op
-// (-benchmem) read per plan. The extra metrics split the plan's time by
-// stage: the filter's own StageTrace (GraphQL's local pruning and
-// refinement rounds), the candidate-space build (CSR + blocks) and the
-// order.
+// queries, the Optimized preset, one core.Preprocess per iteration with
+// the queries cycled — so ns/op, B/op and allocs/op (-benchmem) read
+// per plan — on one worker (what serve-cold's parallel-less requests
+// get) and on two (the box's GOMAXPROCS: wall clock, not a makespan
+// bound; EXPERIMENTS.md "Parallel preprocessing"). The extra metrics
+// split the plan's time by stage: the filter's own StageTrace
+// (GraphQL's local pruning and refinement rounds), the candidate-space
+// build (CSR + blocks) and the order.
 func BenchmarkPreprocessColdMix(b *testing.B) {
 	g, err := rmat.Generate(rmat.Config{NumVertices: 20000, NumEdges: 200000, NumLabels: 20, Seed: 1})
 	if err != nil {
@@ -976,23 +956,26 @@ func BenchmarkPreprocessColdMix(b *testing.B) {
 		}
 	}
 	g.NLF() // resident per graph, not per plan
-	stage := map[string]time.Duration{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := queries[i%len(queries)]
-		plan, err := core.Preprocess(q, g, core.PresetConfig(core.Optimized, q, g), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, st := range plan.Stages {
-			stage[st.Name] += st.Duration
-		}
-		stage["build"] += plan.BuildTime
-		stage["order"] += plan.OrderTime
-	}
-	for name, d := range stage {
-		b.ReportMetric(float64(d.Microseconds())/float64(b.N), name+"-us/plan")
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+			stage := map[string]time.Duration{}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				q := queries[i%len(queries)]
+				plan, err := core.Preprocess(q, g, core.PresetConfig(core.Optimized, q, g), workers)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, st := range plan.Stages {
+					stage[st.Name] += st.Duration
+				}
+				stage["build"] += plan.BuildTime
+				stage["order"] += plan.OrderTime
+			}
+			for name, d := range stage {
+				b.ReportMetric(float64(d.Microseconds())/float64(b.N), name+"-us/plan")
+			}
+		})
 	}
 }
 

@@ -64,7 +64,7 @@ func contenders() []contender {
 			core.Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Scan}},
 		contender{"DPiso preset (adaptive + failing sets)",
 			core.Config{Filter: filter.DPIso, Order: order.DPIso, Local: enumerate.Intersect,
-				Adaptive: true, DPWeights: true, FailingSets: true}},
+				Adaptive: true, FailingSets: true}},
 		contender{"LDF-filter + RI-order + direct (RI)",
 			core.Config{Filter: filter.LDF, Order: order.RI, Local: enumerate.Direct}},
 	)

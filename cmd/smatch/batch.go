@@ -19,7 +19,7 @@ import (
 // duplicates execute once. The summary afterwards shows what the
 // grouping saved — the CLI face of smatchd's POST /match/batch.
 func runServiceBatch(ctx context.Context, listPath, dataPath, algoName string,
-	limit uint64, timeout time.Duration, parallel, workers int) error {
+	limit uint64, timeout time.Duration, parallel int) error {
 	if dataPath == "" {
 		return fmt.Errorf("-d is required")
 	}
@@ -71,7 +71,7 @@ func runServiceBatch(ctx context.Context, listPath, dataPath, algoName string,
 			continue
 		}
 		items[i] = service.Request{Graph: "data", Query: q, Algorithm: algo,
-			MaxEmbeddings: limit, TimeLimit: timeout, Parallel: parallel, Workers: workers}
+			MaxEmbeddings: limit, TimeLimit: timeout, Parallel: parallel}
 	}
 
 	began := time.Now()

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	smatch -q query.graph -d data.graph [-algo Optimized] [-limit 100000]
-//	       [-timeout 5m] [-print 3] [-profile] [-parallel 4] [-workers 4]
+//	       [-timeout 5m] [-print 3] [-profile] [-parallel 4]
 //	       [-kernel adaptive] [-trace] [-explain]
 //	smatch -q queries/ -d data.graph [-csv out.csv]   # batch mode
 //	smatch -batch list.txt -d data.graph              # batched service mode:
@@ -47,8 +47,7 @@ func main() {
 		limit     = flag.Uint64("limit", 100_000, "stop after this many embeddings (0 = all)")
 		timeout   = flag.Duration("timeout", 5*time.Minute, "per-query time limit (0 = none)")
 		printN    = flag.Int("print", 0, "print up to N embeddings")
-		parallel  = flag.Int("parallel", 1, "enumeration worker goroutines")
-		workers   = flag.Int("workers", 0, "preprocessing (filter + candidate-space) worker goroutines (0 = same as -parallel)")
+		parallel  = flag.Int("parallel", 1, "worker goroutines for enumeration and preprocessing (filter, candidate space, order)")
 		kernel    = flag.String("kernel", "adaptive", "intersection-kernel policy: adaptive merge gallop hybrid block")
 		profile   = flag.Bool("profile", false, "print a per-depth search profile")
 		trace     = flag.Bool("trace", false, "print the phase-span trace (filter stages, build, order, per-worker enumeration)")
@@ -88,7 +87,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if *batchList != "" {
-		if err := runServiceBatch(ctx, *batchList, *dataPath, *algoName, *limit, *timeout, *parallel, *workers); err != nil {
+		if err := runServiceBatch(ctx, *batchList, *dataPath, *algoName, *limit, *timeout, *parallel); err != nil {
 			exitErr(err)
 		}
 		return
@@ -99,7 +98,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(ctx, *queryPath, *dataPath, *algoName, *limit, *timeout, *printN, *parallel, *workers,
+	if err := run(ctx, *queryPath, *dataPath, *algoName, *limit, *timeout, *printN, *parallel,
 		*kernel, *profile, *trace, *explain, *hom, *sym, *estimate); err != nil {
 		exitErr(err)
 	}
@@ -164,7 +163,7 @@ func exitErr(err error) {
 	os.Exit(1)
 }
 
-func run(ctx context.Context, queryPath, dataPath, algoName string, limit uint64, timeout time.Duration, printN, parallel, workers int,
+func run(ctx context.Context, queryPath, dataPath, algoName string, limit uint64, timeout time.Duration, printN, parallel int,
 	kernelName string, profile, trace, explain, hom, sym, estimate bool) error {
 	if queryPath == "" || dataPath == "" {
 		return fmt.Errorf("both -q and -d are required")
@@ -197,7 +196,7 @@ func run(ctx context.Context, queryPath, dataPath, algoName string, limit uint64
 
 	printed := 0
 	opts := sm.Options{Algorithm: algo, MaxEmbeddings: limit, TimeLimit: timeout,
-		Parallel: parallel, Workers: workers, Trace: trace, Explain: explain || profile}
+		Parallel: parallel, Trace: trace, Explain: explain || profile}
 	if hom || sym || kern != sm.KernelAdaptive {
 		cfg := sm.PresetConfig(algo, q, g)
 		cfg.Homomorphism = hom

@@ -37,7 +37,7 @@ func TestRunPaperExample(t *testing.T) {
 	defer func() { os.Stdout = old }()
 
 	for _, algo := range []string{"Optimized", "DPiso", "GLW"} {
-		if err := run(context.Background(), qPath, gPath, algo, 1000, time.Minute, 2, 2, 2, "adaptive", true, true, true, false, false, true); err != nil {
+		if err := run(context.Background(), qPath, gPath, algo, 1000, time.Minute, 2, 2, "adaptive", true, true, true, false, false, true); err != nil {
 			t.Errorf("run with %s: %v", algo, err)
 		}
 	}
@@ -56,18 +56,19 @@ func TestRunErrors(t *testing.T) {
 		{"g not found", qPath, gPath + ".missing", "Optimized"},
 	}
 	for _, c := range cases {
-		if err := run(context.Background(), c.q, c.g, c.algo, 0, 0, 0, 1, 0, "adaptive", false, false, false, false, false, false); err == nil {
+		if err := run(context.Background(), c.q, c.g, c.algo, 0, 0, 0, 1, "adaptive", false, false, false, false, false, false); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
 	}
-	if err := run(context.Background(), qPath, gPath, "Optimized", 0, 0, 0, 1, 0, "simd", false, false, false, false, false, false); err == nil {
+	if err := run(context.Background(), qPath, gPath, "Optimized", 0, 0, 0, 1, "simd", false, false, false, false, false, false); err == nil {
 		t.Error("bad kernel policy: expected error")
 	}
 }
 
 // TestRemovedFlagsRejected: -schedule and -split selected baselines that
-// left with their code paths; the flag package must refuse them rather
-// than smatch accept and ignore them. The test re-executes its own
+// left with their code paths, and -workers a preprocessing degree apart
+// from -parallel; the flag package must refuse them rather than smatch
+// accept and ignore them. The test re-executes its own
 // binary as smatch, since flag.Parse exits the process.
 func TestRemovedFlagsRejected(t *testing.T) {
 	if args := os.Getenv("SMATCH_TEST_ARGS"); args != "" {
@@ -75,7 +76,7 @@ func TestRemovedFlagsRejected(t *testing.T) {
 		main()
 		return
 	}
-	for _, args := range []string{"-schedule steal", "-split cost"} {
+	for _, args := range []string{"-schedule steal", "-split cost", "-workers 2"} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestRemovedFlagsRejected$")
 		cmd.Env = append(os.Environ(), "SMATCH_TEST_ARGS="+args)
 		out, err := cmd.CombinedOutput()
@@ -98,15 +99,15 @@ func TestRunModes(t *testing.T) {
 	defer func() { os.Stdout = old }()
 
 	// Homomorphism mode.
-	if err := run(context.Background(), qPath, gPath, "Optimized", 100, time.Minute, 0, 1, 0, "adaptive", false, false, false, true, false, false); err != nil {
+	if err := run(context.Background(), qPath, gPath, "Optimized", 100, time.Minute, 0, 1, "adaptive", false, false, false, true, false, false); err != nil {
 		t.Errorf("hom mode: %v", err)
 	}
 	// Symmetry breaking.
-	if err := run(context.Background(), qPath, gPath, "GQL", 100, time.Minute, 0, 1, 0, "adaptive", false, false, false, false, true, false); err != nil {
+	if err := run(context.Background(), qPath, gPath, "GQL", 100, time.Minute, 0, 1, "adaptive", false, false, false, false, true, false); err != nil {
 		t.Errorf("sym mode: %v", err)
 	}
 	// Homomorphism routed away from an external engine.
-	if err := run(context.Background(), qPath, gPath, "GLW", 100, time.Minute, 0, 1, 0, "adaptive", false, false, false, true, false, false); err != nil {
+	if err := run(context.Background(), qPath, gPath, "GLW", 100, time.Minute, 0, 1, "adaptive", false, false, false, true, false, false); err != nil {
 		t.Errorf("hom with GLW preset: %v", err)
 	}
 }

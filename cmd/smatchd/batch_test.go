@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"subgraphmatching/internal/obs"
 	"subgraphmatching/internal/service"
 	"subgraphmatching/internal/testutil"
 )
@@ -282,17 +283,20 @@ func TestMatchAndBatchItemDecodeAlike(t *testing.T) {
 		name  string
 		req   matchRequest
 		query string // the query graph text; q unless set
-		want  int
+		// removed carries a field that left the wire: a parameter and a
+		// batch-item key both ignored like any unknown one.
+		removed map[string]string
+		want    int
 	}{
 		{name: "defaults", req: matchRequest{Graph: "main"}, want: http.StatusOK},
 		{name: "every field", req: matchRequest{Graph: "main", Algo: "CFL", Limit: "3", Timeout: "30s",
-			Parallel: "1", Workers: "2", Explain: true}, want: http.StatusOK},
-		{name: "upper bounds", req: matchRequest{Graph: "main", Parallel: "4096", Workers: "4096"}, want: http.StatusOK},
+			Parallel: "1", Explain: true}, want: http.StatusOK},
+		{name: "upper bounds", req: matchRequest{Graph: "main", Parallel: "4096"}, want: http.StatusOK},
 		{name: "bad algo", req: matchRequest{Graph: "main", Algo: "WAT"}, want: http.StatusBadRequest},
 		{name: "bad timeout", req: matchRequest{Graph: "main", Timeout: "soon"}, want: http.StatusBadRequest},
 		{name: "bad limit", req: matchRequest{Graph: "main", Limit: "-1"}, want: http.StatusBadRequest},
 		{name: "parallel=-1", req: matchRequest{Graph: "main", Parallel: "-1"}, want: http.StatusBadRequest},
-		{name: "workers=4097", req: matchRequest{Graph: "main", Workers: "4097"}, want: http.StatusBadRequest},
+		{name: "workers=4097", req: matchRequest{Graph: "main"}, removed: map[string]string{"workers": "4097"}, want: http.StatusOK},
 		{name: "fractional parallel", req: matchRequest{Graph: "main", Parallel: "1.5"}, want: http.StatusBadRequest},
 		{name: "missing graph", req: matchRequest{}, want: http.StatusBadRequest},
 		{name: "unknown graph", req: matchRequest{Graph: "nope"}, want: http.StatusNotFound},
@@ -306,10 +310,13 @@ func TestMatchAndBatchItemDecodeAlike(t *testing.T) {
 			params := url.Values{}
 			for k, v := range map[string]string{"graph": c.req.Graph, "algo": c.req.Algo,
 				"limit": string(c.req.Limit), "timeout": c.req.Timeout,
-				"parallel": string(c.req.Parallel), "workers": string(c.req.Workers)} {
+				"parallel": string(c.req.Parallel)} {
 				if v != "" {
 					params.Set(k, v)
 				}
+			}
+			for k, v := range c.removed {
+				params.Set(k, v)
 			}
 			if c.req.Explain {
 				params.Set("explain", "1")
@@ -326,7 +333,18 @@ func TestMatchAndBatchItemDecodeAlike(t *testing.T) {
 			}
 
 			c.req.Query = c.query
-			items, err := json.Marshal([]matchRequest{c.req})
+			wire, err := json.Marshal(c.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fields map[string]any
+			if err := json.Unmarshal(wire, &fields); err != nil {
+				t.Fatal(err)
+			}
+			for k, v := range c.removed {
+				fields[k] = v
+			}
+			items, err := json.Marshal([]map[string]any{fields})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -353,5 +371,69 @@ func TestMatchAndBatchItemDecodeAlike(t *testing.T) {
 				t.Errorf("batch item %+v\n/match     %+v", *item.Result, lone)
 			}
 		})
+	}
+}
+
+// TestPreprocessingBoundedByAdmission: a request preprocesses on the
+// weight admission granted it. The workers= parameter and the batch
+// item's workers field are ignored, so parallel=1 builds its plan on one
+// worker — its filter span has no worker-N child — though four admission
+// units are free.
+func TestPreprocessingBoundedByAdmission(t *testing.T) {
+	g := testutil.RandomGraph(rand.New(rand.NewSource(7)), 200, 600, 3)
+	q := graphText(t, testutil.RandomConnectedQuery(rand.New(rand.NewSource(5)), g, 4))
+	batchItem, err := json.Marshal([]map[string]any{{"graph": "main", "query": q, "parallel": 1, "workers": 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// find returns the first span named name in the tree under sp.
+	var find func(sp *obs.Span, name string) *obs.Span
+	find = func(sp *obs.Span, name string) *obs.Span {
+		if sp == nil || sp.Name == name {
+			return sp
+		}
+		for _, c := range sp.Children {
+			if f := find(c, name); f != nil {
+				return f
+			}
+		}
+		return nil
+	}
+	for _, c := range []struct{ name, path, body string }{
+		{"/match", "/match?graph=main&parallel=1&workers=4&trace=1", q},
+		{"batch item", "/match/batch?trace=1", string(batchItem)},
+	} {
+		// A fresh service per case, so each request builds its plan.
+		svc := service.New(service.Config{MaxInFlight: 4})
+		if _, err := svc.RegisterGraph("main", g, false); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(newServer(svc, serverOptions{}))
+		resp, body := do(t, "POST", ts.URL+c.path, c.body)
+		ts.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", c.name, resp.StatusCode, body)
+		}
+		var res matchResult
+		if c.name == "/match" {
+			err = json.Unmarshal([]byte(body), &res)
+		} else {
+			var out batchResponse
+			if err = json.Unmarshal([]byte(body), &out); err == nil && out.Results[0].Result != nil {
+				res = *out.Results[0].Result
+			}
+		}
+		if err != nil {
+			t.Fatalf("%s: %v: %s", c.name, err, body)
+		}
+		filter := find(find(res.Trace, "preprocess"), "filter")
+		if filter == nil {
+			t.Fatalf("%s: no preprocess/filter span in %s", c.name, body)
+		}
+		for _, ch := range filter.Children {
+			if strings.HasPrefix(ch.Name, "worker-") {
+				t.Errorf("%s: filter span has a %s child: the plan was built on more workers than admitted", c.name, ch.Name)
+			}
+		}
 	}
 }

@@ -25,10 +25,10 @@
 //	DELETE /graphs/{name}         unregister
 //	POST   /match                 run a query (body: query graph text)
 //	       ?graph=name [&algo=Optimized] [&limit=N] [&timeout=5m]
-//	       [&parallel=4] [&workers=4] [&stream=1] [&trace=1] [&explain=1]
+//	       [&parallel=4] [&stream=1] [&trace=1] [&explain=1]
 //	POST   /match/batch           run many queries as one batch (body:
 //	       JSON array of {graph, query, algo?, limit?, timeout?,
-//	       parallel?, workers?, no_cache?, explain?}); items sharing a
+//	       parallel?, no_cache?, explain?}); items sharing a
 //	       (graph, query, config) group pass admission once and resolve
 //	       one plan; duplicates run once. Response: indexed per-item
 //	       results; failed items carry their /match-equivalent status.

@@ -195,8 +195,9 @@ func TestMatchErrorStatusMapping(t *testing.T) {
 		{"disconnected query", "/match?graph=main", disconnected, http.StatusBadRequest},
 		{"negative parallel", "/match?graph=main&parallel=-1", qText, http.StatusBadRequest},
 		{"oversized parallel", "/match?graph=main&parallel=1000000", qText, http.StatusBadRequest},
-		{"negative workers", "/match?graph=main&workers=-2", qText, http.StatusBadRequest},
-		{"oversized workers", "/match?graph=main&workers=1000000", qText, http.StatusBadRequest},
+		// workers= left the wire: ignored like any unknown parameter.
+		{"negative workers", "/match?graph=main&workers=-2", qText, http.StatusOK},
+		{"oversized workers", "/match?graph=main&workers=1000000", qText, http.StatusOK},
 		{"deadline", "/match?graph=main&timeout=1ns", qText, http.StatusOK}, // engine timeout → TimedOut result, not an error
 		// Pre-stream failures must carry real status codes even with
 		// stream=1 — the 200 is committed only at the first embedding.

@@ -27,11 +27,11 @@ const (
 	maxGraphBody = 1 << 30 // 1 GiB
 )
 
-// maxWorkersParam bounds the parallel= and workers= parameters at the
-// front door. The service additionally clamps admitted requests to its
-// MaxInFlight budget; this just rejects nonsense (negative or absurd
-// values) with a 400 before any work happens.
-const maxWorkersParam = 4096
+// maxParallelParam bounds the parallel= parameter at the front door.
+// The service additionally clamps admitted requests to its MaxInFlight
+// budget; this just rejects nonsense (negative or absurd values) with a
+// 400 before any work happens.
+const maxParallelParam = 4096
 
 // graphAdmin is the registration surface the handlers mutate graphs
 // through. Without persistence it is the service itself (serviceAdmin);
@@ -338,7 +338,6 @@ type matchRequest struct {
 	Limit    json.Number `json:"limit,omitempty"`
 	Timeout  string      `json:"timeout,omitempty"`
 	Parallel json.Number `json:"parallel,omitempty"`
-	Workers  json.Number `json:"workers,omitempty"`
 	NoCache  bool        `json:"no_cache,omitempty"`
 	// Explain attaches the EXPLAIN/ANALYZE profile to the result
 	// (?explain=1).
@@ -353,7 +352,6 @@ func requestFromParams(w http.ResponseWriter, r *http.Request, params url.Values
 		Limit:    json.Number(params.Get("limit")),
 		Timeout:  params.Get("timeout"),
 		Parallel: json.Number(params.Get("parallel")),
-		Workers:  json.Number(params.Get("workers")),
 		Explain:  params.Get("explain") == "1",
 	}
 	return m.toRequest(http.MaxBytesReader(w, r.Body, maxQueryBody))
@@ -383,26 +381,15 @@ func (m *matchRequest) toRequest(query io.Reader) (service.Request, error) {
 			return req, fmt.Errorf("bad timeout %q", m.Timeout)
 		}
 	}
-	if req.Parallel, err = workerCount("parallel", m.Parallel); err != nil {
-		return req, err
-	}
-	if req.Workers, err = workerCount("workers", m.Workers); err != nil {
-		return req, err
+	if m.Parallel != "" {
+		n, err := strconv.Atoi(string(m.Parallel))
+		if err != nil || n < 0 || n > maxParallelParam {
+			return req, fmt.Errorf("bad parallel %q (want 0..%d)", m.Parallel, maxParallelParam)
+		}
+		req.Parallel = n
 	}
 	req.Query, err = graph.Parse(query)
 	return req, err
-}
-
-// workerCount reads a parallel or workers value (absent = 0).
-func workerCount(name string, v json.Number) (int, error) {
-	if v == "" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(string(v))
-	if err != nil || n < 0 || n > maxWorkersParam {
-		return 0, fmt.Errorf("bad %s %q (want 0..%d)", name, v, maxWorkersParam)
-	}
-	return n, nil
 }
 
 func (s *server) match(w http.ResponseWriter, r *http.Request) {

@@ -45,10 +45,10 @@ func main() {
 		{"GQL filter + RI order + intersect",
 			sm.Config{Filter: sm.FilterGQL, Order: sm.OrderRI, Local: sm.LocalIntersect}},
 		{"CFL filter + CFL order + tree-edge (CFL)",
-			sm.Config{Filter: sm.FilterCFL, Order: sm.OrderCFL, Local: sm.LocalTreeEdge, TreeSpace: true}},
+			sm.Config{Filter: sm.FilterCFL, Order: sm.OrderCFL, Local: sm.LocalTreeEdge}},
 		{"DPiso filter + adaptive order + intersect + failing sets (DP-iso)",
 			sm.Config{Filter: sm.FilterDPIso, Order: sm.OrderDPIso, Local: sm.LocalIntersect,
-				Adaptive: true, DPWeights: true, FailingSets: true}},
+				Adaptive: true, FailingSets: true}},
 	}
 
 	fmt.Printf("%-66s %10s %9s %11s %11s %9s\n",

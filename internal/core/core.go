@@ -28,9 +28,13 @@ import (
 	"subgraphmatching/internal/vf2"
 )
 
-// Config selects one point in the study's design space.
+// Config selects one point in the study's design space: the paper's
+// (filter, order, local candidates, optimisations) tuple. What a choice
+// implies is derived, not set — Local == TreeEdge builds CFL's
+// tree-edge auxiliary structure, Adaptive builds DP-iso's weight array.
 type Config struct {
-	// Filter selects the candidate filtering method.
+	// Filter selects the candidate filtering method, run at its
+	// defaults (the ablations tune it through filter.Options).
 	Filter filter.Method
 	// Order selects the ordering method. Ignored when a FixedOrder is
 	// supplied.
@@ -38,33 +42,23 @@ type Config struct {
 	// FixedOrder, when non-nil, bypasses the ordering method entirely
 	// (used by the spectrum analysis of Figure 14).
 	FixedOrder []graph.Vertex
-	// AutoOrder evaluates every ordering method under the candidate-
-	// space cost model and picks the cheapest — the study's "no single
-	// ordering dominates" finding turned into a chooser. Requires an
-	// auxiliary-structure-based Local method; ignored when FixedOrder is
-	// set.
-	AutoOrder bool
 	// Local selects the local-candidate computation (paper Algorithms
-	// 2-5).
+	// 2-5). TreeEdge builds the auxiliary structure only over
+	// spanning-tree edges (CFL's compressed path index), Intersect over
+	// every query edge.
 	Local enumerate.LocalCandidates
 	// Kernel selects the pairwise intersection-kernel policy for the
 	// Intersect local method: adaptive per-call selection (the zero
 	// value) or one pinned static kernel (merge/gallop/hybrid/block,
-	// the Figure 10 arms). PolicyAdaptive and PolicyBlock materialize
-	// the flat block layout at build time. IntersectBlock local mode
-	// always runs the block kernel and ignores this field.
+	// the Figure 10 arms — PolicyBlock is the QFilter arm).
+	// PolicyAdaptive and PolicyBlock materialize the flat block layout
+	// at build time.
 	Kernel intersect.Policy
-	// TreeSpace builds the auxiliary structure only over spanning-tree
-	// edges (CFL's compressed path index) instead of all query edges.
-	TreeSpace bool
 	// FailingSets enables the failing-sets pruning.
 	FailingSets bool
-	// Adaptive enables DP-iso's dynamic vertex selection; requires an
-	// intersection-based Local method.
+	// Adaptive enables DP-iso's dynamic vertex selection, weighted by
+	// its path-count weight array; requires the Intersect local method.
 	Adaptive bool
-	// DPWeights computes DP-iso's path-count weight array for the
-	// adaptive selection.
-	DPWeights bool
 	// VF2PPRules enables VF2++'s extra cutoff rules (Direct mode only).
 	VF2PPRules bool
 	// Homomorphism finds subgraph homomorphisms instead of isomorphisms
@@ -81,15 +75,6 @@ type Config struct {
 	// MaxEmbeddings caps canonical embeddings (the reported total may
 	// exceed it by the orbit factor).
 	SymmetryBreaking bool
-	// GQLRounds overrides GraphQL's global-refinement iteration count
-	// (0 = default).
-	GQLRounds int
-	// GQLRadius overrides GraphQL's local-pruning profile radius
-	// (0 or 1 = the standard one-hop profile).
-	GQLRadius int
-	// DPIsoPasses overrides DP-iso's refinement pass count (0 =
-	// default).
-	DPIsoPasses int
 	// UseGlasgow routes the query to the constraint-programming solver;
 	// all other fields are ignored.
 	UseGlasgow bool
@@ -144,13 +129,9 @@ type Limits struct {
 	// (0 or 1 = sequential). Embedding counts remain exact. Not
 	// supported for the VF2/Ullmann engines; Glasgow has its own
 	// parallel splitter.
+	// Match's preprocessing fans out on the same max(Parallel, 1)
+	// workers; the plan is identical at every worker count.
 	Parallel int
-	// Workers sets the worker-goroutine count for the preprocessing
-	// phases — candidate filtering, candidate-space construction and
-	// ordering (0 = inherit Parallel, 1 = everything inline on the
-	// caller's goroutine). Candidate sets, and with them the whole
-	// plan, are identical for every worker count.
-	Workers int
 	// Trace attaches the phase-span breakdown to Result.Trace. Spans
 	// are built only at phase boundaries (a handful of allocations per
 	// query), never inside the enumeration hot path.
@@ -204,18 +185,6 @@ func (l *Limits) perEmbeddingSink() (func([]uint32) bool, error) {
 	}
 	onRun := l.OnRun
 	return func(m []uint32) bool { return onRun(m, 0, m[:1]) == 1 }, nil
-}
-
-// preprocessWorkers resolves the effective preprocessing worker count.
-func (l *Limits) preprocessWorkers() int {
-	w := l.Workers
-	if w == 0 {
-		w = l.Parallel
-	}
-	if w < 1 {
-		return 1
-	}
-	return w
 }
 
 // Result reports a query's execution, with the time split the paper
@@ -329,7 +298,7 @@ type Plan struct {
 	// Order is the matching order (nil when Empty).
 	Order []graph.Vertex
 	// Weights is DP-iso's path-count weight array (nil unless
-	// Cfg.Adaptive && Cfg.DPWeights).
+	// Cfg.Adaptive).
 	Weights [][]float64
 	// SymClasses and Orbit carry the symmetry-breaking setup; Orbit is 1
 	// when symmetry breaking is off.
@@ -344,7 +313,7 @@ type Plan struct {
 	// plans (the stage that killed the last candidate is exactly what
 	// EXPLAIN must show).
 	Stages []filter.Stage
-	// OrderMethod names how Order was chosen ("gql", "auto:ri", "fixed",
+	// OrderMethod names how Order was chosen ("gql", "ri", "fixed",
 	// ...); empty for Empty plans, which never reach ordering.
 	OrderMethod string
 
@@ -440,25 +409,24 @@ func Preprocess(q, g *graph.Graph, cfg Config, workers int) (*Plan, error) {
 		return plan, nil
 	}
 
-	// Step 1b: auxiliary structure.
+	// Step 1b: auxiliary structure — CFL's tree-edge index for TreeEdge,
+	// every query edge for Intersect.
 	t0 = time.Now()
-	needSpace := cfg.Local == enumerate.TreeEdge || cfg.Local == enumerate.Intersect ||
-		cfg.Local == enumerate.IntersectBlock
-	if needSpace {
-		var parent []graph.Vertex // nil = every query edge
-		if cfg.TreeSpace {
-			parent = graph.NewBFSTree(q, filter.Root(filter.CFL, q, g, workers)).Parent
-		}
-		plan.Space, _ = candspace.Build(q, g, cand, parent, workers)
+	structure := "none"
+	switch cfg.Local {
+	case enumerate.TreeEdge:
+		structure = "tree"
+		tree := graph.NewBFSTree(q, filter.Root(filter.CFL, q, g, workers))
+		plan.Space, _ = candspace.Build(q, g, cand, tree.Parent, workers)
+	case enumerate.Intersect:
+		structure = "full"
+		plan.Space, _ = candspace.Build(q, g, cand, nil, workers)
 		// Materialize the flat block layout whenever the enumeration may
-		// run the word-parallel kernel: always for IntersectBlock, and
-		// for Intersect under the adaptive or pinned-block policy. The
-		// flat build is O(targets) time and O(edges) allocations, so the
-		// adaptive default pays it unconditionally.
-		wantBlocks := cfg.Local == enumerate.IntersectBlock ||
-			(cfg.Local == enumerate.Intersect &&
-				(cfg.Kernel == intersect.PolicyAdaptive || cfg.Kernel == intersect.PolicyBlock))
-		if wantBlocks {
+		// run the word-parallel kernel: under the adaptive or
+		// pinned-block policy. The flat build is O(targets) time and
+		// O(edges) allocations, so the adaptive default pays it
+		// unconditionally.
+		if cfg.Kernel == intersect.PolicyAdaptive || cfg.Kernel == intersect.PolicyBlock {
 			plan.Space.MaterializeBlocks(workers)
 		}
 	}
@@ -468,14 +436,6 @@ func Preprocess(q, g *graph.Graph, cfg Config, workers int) (*Plan, error) {
 	} else {
 		for _, c := range cand {
 			plan.MemoryBytes += int64(len(c)) * 4
-		}
-	}
-	structure := "none"
-	if plan.Space != nil {
-		if cfg.TreeSpace {
-			structure = "tree"
-		} else {
-			structure = "full"
 		}
 	}
 	bs := obs.NewSpan("build", t0, plan.BuildTime).
@@ -498,19 +458,12 @@ func Preprocess(q, g *graph.Graph, cfg Config, workers int) (*Plan, error) {
 	phi := cfg.FixedOrder
 	orderMethod := "fixed"
 	if phi == nil {
-		if cfg.AutoOrder && plan.Space != nil {
-			var best order.Method
-			best, phi, err = order.Best(q, g, cand, plan.Space, workers)
-			orderMethod = "auto:" + best.String()
-		} else {
-			phi, err = order.Compute(cfg.Order, q, g, cand, workers)
-			orderMethod = cfg.Order.String()
-		}
-		if err != nil {
+		if phi, err = order.Compute(cfg.Order, q, g, cand, workers); err != nil {
 			return nil, err
 		}
+		orderMethod = cfg.Order.String()
 	}
-	if cfg.Adaptive && cfg.DPWeights && plan.Space != nil {
+	if cfg.Adaptive && plan.Space != nil {
 		plan.Weights = order.BuildDPWeights(q, plan.Space, phi, workers)
 	}
 	plan.OrderTime = time.Since(t0)
@@ -723,7 +676,7 @@ func Match(q, g *graph.Graph, cfg Config, limits Limits) (*Result, error) {
 		}
 		return res, nil
 	}
-	plan, err := Preprocess(q, g, cfg, limits.preprocessWorkers())
+	plan, err := Preprocess(q, g, cfg, limits.Parallel)
 	if err != nil {
 		return nil, err
 	}
@@ -760,13 +713,7 @@ func runFilter(q, g *graph.Graph, cfg Config, workers int, tr *filter.StageTrace
 		// homomorphisms.
 		return filter.RunLabelOnly(q, g), nil, nil
 	}
-	return filter.RunOpts(cfg.Filter, q, g, filter.Options{
-		Workers:     workers,
-		Trace:       tr,
-		GQLRounds:   cfg.GQLRounds,
-		GQLRadius:   cfg.GQLRadius,
-		DPIsoPasses: cfg.DPIsoPasses,
-	})
+	return filter.RunOpts(cfg.Filter, q, g, filter.Options{Workers: workers, Trace: tr})
 }
 
 func matchVF2(q, g *graph.Graph, limits Limits) (*Result, error) {

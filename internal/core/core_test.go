@@ -205,22 +205,6 @@ func TestEmptyCandidatesShortCircuit(t *testing.T) {
 	}
 }
 
-func TestFilterParamOverrides(t *testing.T) {
-	q, g := testutil.PaperQuery(), testutil.PaperData()
-	for _, cfg := range []Config{
-		{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Scan, GQLRounds: 5},
-		{Filter: filter.DPIso, Order: order.DPIso, Local: enumerate.Intersect, DPIsoPasses: 7},
-	} {
-		res, err := Match(q, g, cfg, Limits{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Embeddings != 1 {
-			t.Errorf("override config %+v: %d embeddings", cfg, res.Embeddings)
-		}
-	}
-}
-
 func TestAlgorithmStringAndParse(t *testing.T) {
 	for _, a := range Algorithms() {
 		got, err := ParseAlgorithm(a.String())
@@ -230,29 +214,6 @@ func TestAlgorithmStringAndParse(t *testing.T) {
 	}
 	if _, err := ParseAlgorithm("nope"); err == nil {
 		t.Error("expected parse error")
-	}
-}
-
-func TestAutoOrderAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 10; trial++ {
-		g := testutil.RandomGraph(rng, 25, 80, 3)
-		q := testutil.RandomConnectedQuery(rng, g, 5)
-		if q == nil {
-			continue
-		}
-		want := testutil.BruteForceCount(q, g, 0)
-		cfg := Config{Filter: filter.GQL, Local: enumerate.Intersect, AutoOrder: true, FailingSets: true}
-		res, err := Match(q, g, cfg, Limits{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Embeddings != want {
-			t.Fatalf("auto-order: %d embeddings, want %d", res.Embeddings, want)
-		}
-		if len(res.Order) != q.NumVertices() {
-			t.Fatalf("auto-order returned order %v", res.Order)
-		}
 	}
 }
 

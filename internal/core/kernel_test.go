@@ -35,18 +35,15 @@ func TestKernelPolicyGridAgrees(t *testing.T) {
 			continue
 		}
 		checked++
-		for _, local := range []enumerate.LocalCandidates{enumerate.Intersect, enumerate.IntersectBlock} {
-			for _, p := range kernelPolicies() {
-				for _, parallel := range []int{0, 3} {
-					cfg := Config{Filter: filter.GQL, Order: order.GQL, Local: local, Kernel: p}
-					res, err := Match(q, g, cfg, Limits{Parallel: parallel})
-					if err != nil {
-						t.Fatalf("local %v policy %v parallel %d: %v", local, p, parallel, err)
-					}
-					if res.Embeddings != want {
-						t.Errorf("local %v policy %v parallel %d: %d embeddings, want %d",
-							local, p, parallel, res.Embeddings, want)
-					}
+		for _, p := range kernelPolicies() {
+			for _, parallel := range []int{0, 3} {
+				cfg := Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect, Kernel: p}
+				res, err := Match(q, g, cfg, Limits{Parallel: parallel})
+				if err != nil {
+					t.Fatalf("policy %v parallel %d: %v", p, parallel, err)
+				}
+				if res.Embeddings != want {
+					t.Errorf("policy %v parallel %d: %d embeddings, want %d", p, parallel, res.Embeddings, want)
 				}
 			}
 		}

@@ -104,13 +104,13 @@ func PresetConfig(a Algorithm, q, g *graph.Graph) Config {
 	case GraphQL:
 		return Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Scan}
 	case CFL:
-		return Config{Filter: filter.CFL, Order: order.CFL, Local: enumerate.TreeEdge, TreeSpace: true}
+		return Config{Filter: filter.CFL, Order: order.CFL, Local: enumerate.TreeEdge}
 	case CECI:
 		return Config{Filter: filter.CECI, Order: order.CECI, Local: enumerate.Intersect}
 	case DPIso:
 		return Config{
 			Filter: filter.DPIso, Order: order.DPIso, Local: enumerate.Intersect,
-			Adaptive: true, DPWeights: true, FailingSets: true,
+			Adaptive: true, FailingSets: true,
 		}
 	case Optimized:
 		cfg := Config{Filter: filter.GQL, Local: enumerate.Intersect}
@@ -139,15 +139,11 @@ func PresetConfig(a Algorithm, q, g *graph.Graph) Config {
 // the full-edge auxiliary structure and Algorithm 5 local candidates, so
 // only the order differs. DP-iso's entry keeps its adaptive selection.
 func OrderingStudyConfig(om order.Method, failingSets bool) Config {
-	cfg := Config{
+	return Config{
 		Filter:      filter.GQL,
 		Order:       om,
 		Local:       enumerate.Intersect,
 		FailingSets: failingSets,
+		Adaptive:    om == order.DPIso,
 	}
-	if om == order.DPIso {
-		cfg.Adaptive = true
-		cfg.DPWeights = true
-	}
-	return cfg
 }

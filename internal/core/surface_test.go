@@ -49,9 +49,9 @@ var layerSurface = map[string][]string{
 		"Space.MemoryBytes", "Space.PairSize", "Space.Query", "Space.TotalCandidates",
 	},
 	"../order": {
-		"Best", "BuildDPWeights", "Compute", "ComputeCECI", "ComputeCFL",
-		"ComputeDPIso", "ComputeGQL", "ComputeQSI", "ComputeRI", "ComputeVF2PP",
-		"EstimateCost", "Method.String", "Methods", "ParseMethod", "Random", "Validate",
+		"BuildDPWeights", "Compute", "ComputeCECI", "ComputeCFL", "ComputeDPIso",
+		"ComputeGQL", "ComputeQSI", "ComputeRI", "ComputeVF2PP", "Method.String",
+		"Methods", "ParseMethod", "Random", "Validate",
 	},
 	"../enumerate": {
 		"Engine.ExpandPrefix", "Engine.ResetStats", "Engine.Run", "Engine.RunPrefix",
@@ -69,12 +69,21 @@ var layerSurface = map[string][]string{
 	},
 }
 
-// knobSurface is every field of the two structs a caller configures a
-// run with: core.Limits and the public package's Options. A field here
-// is a settable value every test grid and benchmark has to cover, so the
-// next one must show up as a reviewed line with the two callers that
-// need different values of it — Schedule, Split and the split factor left
-// because nothing outside a benchmark ever set them.
+// knobSurface is every field of the structs a caller configures a run
+// with: core.Config, core.Limits, the public package's Options and
+// service.Request. A field here is a settable value every test grid and
+// benchmark has to cover, so the next one must show up as a reviewed
+// line with the two callers that need different values of it —
+// Schedule, Split and the split factor left because nothing outside a
+// benchmark ever set them; the tree-space and DP-weights flags because
+// Local and Adaptive imply them; the auto-order flag and the
+// filter-tuning counts because nothing outside a test set them (the ablations tune filter.Options);
+// Workers because a preprocessing degree apart from Parallel carried no
+// knowledge the caller has (EXPERIMENTS.md "Parallel preprocessing").
+//
+// core.Config is the paper's tuple plus the external-engine switches,
+// which cmd/smatchbench/corpus.go constructs; they leave with ROADMAP
+// item 5's Matcher.
 //
 // OnRun and OnMatch are one knob, the sink, in two forms (setting both is
 // ErrTwoSinks). OnRun is the contract; its caller is smatchd's run sink
@@ -86,13 +95,22 @@ var layerSurface = map[string][]string{
 // when Benchmark v2 (ROADMAP item 1) stops constructing it; the public
 // adapter then moves to match.go.
 var knobSurface = map[[2]string][]string{
+	{".", "Config"}: {
+		"Filter", "Order", "FixedOrder", "Local", "Kernel", "FailingSets", "Adaptive",
+		"VF2PPRules", "Homomorphism", "SymmetryBreaking", "UseGlasgow", "UseVF2",
+		"UseUllmann", "GlasgowMemoryBudget",
+	},
 	{".", "Limits"}: {
 		"MaxEmbeddings", "TimeLimit", "Cancel", "OnRun", "OnMatch", "Parallel",
-		"Workers", "Trace", "Profile",
+		"Trace", "Profile",
 	},
 	{"../..", "Options"}: {
 		"Algorithm", "Custom", "MaxEmbeddings", "TimeLimit", "OnMatch",
-		"Parallel", "Workers", "Trace", "Explain",
+		"Parallel", "Trace", "Explain",
+	},
+	{"../service", "Request"}: {
+		"Graph", "Query", "Algorithm", "Custom", "MaxEmbeddings", "TimeLimit",
+		"Parallel", "OnRun", "OnMatch", "NoCache", "Profile",
 	},
 }
 

@@ -85,7 +85,7 @@ func TestMatchTraceFilterStages(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := testutil.RandomGraph(rng, 100, 400, 3)
 	q := testutil.RandomConnectedQuery(rng, g, 5)
-	res, err := Match(q, g, PresetConfig(GraphQL, q, g), Limits{Trace: true, Workers: 1})
+	res, err := Match(q, g, PresetConfig(GraphQL, q, g), Limits{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}

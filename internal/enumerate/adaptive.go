@@ -87,8 +87,8 @@ func (e *engine) activate(u graph.Vertex) {
 			lc = append(a.lcOf[w][:0], e.space.Adjacency(bwd[0], w, e.candIdx[bwd[0]])...)
 		} else {
 			// Same selector dispatch as the static path (lcIntersect), so
-			// the adaptive engine honors IntersectBlock and the kernel
-			// policy instead of always intersecting plain slices.
+			// the adaptive engine honors the kernel policy and the block
+			// layout instead of always intersecting plain slices.
 			lc = e.intersectBackward(a.lcOf[w][:0], bwd, w)
 		}
 		a.lcOf[w] = lc

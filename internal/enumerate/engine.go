@@ -64,16 +64,13 @@ func NewEngine(q, g *graph.Graph, cand [][]uint32, space *candspace.Space, phi [
 		return nil, fmt.Errorf("enumerate: failing sets support at most 64 query vertices, got %d", n)
 	}
 	switch opts.Local {
-	case TreeEdge, Intersect, IntersectBlock:
+	case TreeEdge, Intersect:
 		if space == nil {
 			return nil, fmt.Errorf("enumerate: %v local candidates require a candidate space", opts.Local)
 		}
 	}
-	if opts.Adaptive && opts.Local != Intersect && opts.Local != IntersectBlock {
+	if opts.Adaptive && opts.Local != Intersect {
 		return nil, fmt.Errorf("enumerate: adaptive ordering requires intersection-based local candidates")
-	}
-	if opts.Local == IntersectBlock && !space.HasBlocks() {
-		space.MaterializeBlocks()
 	}
 	if opts.Homomorphism && (len(opts.SymmetryClasses) > 0 || opts.VF2PPRules) {
 		return nil, fmt.Errorf("enumerate: homomorphism mode is incompatible with symmetry breaking and VF2++ rules")
@@ -450,16 +447,10 @@ func (e *engine) prepare() error {
 	if e.opts.Adaptive {
 		e.initAdaptive()
 	}
-	// Kernel dispatch: IntersectBlock pins the block kernel (the Figure
-	// 10 arm — Options.Kernel is ignored there); Intersect follows the
-	// configured policy. Without a materialized block layout the
-	// adaptive policy degrades to exactly the Hybrid merge/gallop
-	// switch.
-	pol := e.opts.Kernel
-	if e.opts.Local == IntersectBlock {
-		pol = intersect.PolicyBlock
-	}
-	e.sel.SetPolicy(pol)
+	// Kernel dispatch follows the configured policy. Without a
+	// materialized block layout the adaptive policy degrades to exactly
+	// the Hybrid merge/gallop switch.
+	e.sel.SetPolicy(e.opts.Kernel)
 	e.useViews = e.space != nil && e.space.HasBlocks()
 	return nil
 }

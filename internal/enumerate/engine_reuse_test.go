@@ -6,6 +6,7 @@ import (
 
 	"subgraphmatching/internal/filter"
 	"subgraphmatching/internal/graph"
+	"subgraphmatching/internal/intersect"
 	"subgraphmatching/internal/testutil"
 )
 
@@ -18,7 +19,7 @@ func reuseOptionSets() []Options {
 		{Local: Intersect},
 		{Local: Intersect, OnRun: takeAll},
 		{Local: Intersect, FailingSets: true},
-		{Local: IntersectBlock},
+		{Local: Intersect, Kernel: intersect.PolicyBlock},
 		{Local: Intersect, Adaptive: true},
 		{Local: Intersect, Adaptive: true, FailingSets: true},
 	}

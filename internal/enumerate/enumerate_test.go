@@ -9,6 +9,7 @@ import (
 	"subgraphmatching/internal/candspace"
 	"subgraphmatching/internal/filter"
 	"subgraphmatching/internal/graph"
+	"subgraphmatching/internal/intersect"
 	"subgraphmatching/internal/order"
 	"subgraphmatching/internal/testutil"
 )
@@ -27,11 +28,12 @@ func newFixture(t testing.TB, q, g *graph.Graph, fm filter.Method) *fixture {
 	if err != nil {
 		t.Fatalf("filter: %v", err)
 	}
-	return &fixture{
-		q: q, g: g, cand: cand,
-		space: candspace.BuildFull(q, g, cand),
-		phi:   graph.NewBFSTree(q, 0).Order,
-	}
+	// The space carries the flat block layout, as core.Preprocess builds
+	// it for Intersect, so the PolicyBlock (QFilter) rows run the block
+	// kernel.
+	space := candspace.BuildFull(q, g, cand)
+	space.MaterializeBlocks()
+	return &fixture{q: q, g: g, cand: cand, space: space, phi: graph.NewBFSTree(q, 0).Order}
 }
 
 func (f *fixture) run(t testing.TB, opts Options) *Stats {
@@ -63,7 +65,7 @@ func TestPaperExampleSingleMatch(t *testing.T) {
 	want := testutil.PaperMatch()
 	for _, fm := range []filter.Method{filter.LDF, filter.NLF, filter.GQL, filter.CFL} {
 		f := newFixture(t, q, g, fm)
-		for _, local := range []LocalCandidates{Direct, Scan, TreeEdge, Intersect, IntersectBlock} {
+		for _, local := range []LocalCandidates{Direct, Scan, TreeEdge, Intersect} {
 			var got []uint32
 			st := f.run(t, Options{Local: local, OnRun: eachEmbedding(func(m []uint32) bool {
 				got = append([]uint32(nil), m...)
@@ -112,7 +114,7 @@ func TestAgreementProperty(t *testing.T) {
 		{"scan", Options{Local: Scan}},
 		{"tree-edge", Options{Local: TreeEdge}},
 		{"intersect", Options{Local: Intersect}},
-		{"intersect-block", Options{Local: IntersectBlock}},
+		{"intersect-block", Options{Local: Intersect, Kernel: intersect.PolicyBlock}},
 		{"intersect+fs", Options{Local: Intersect, FailingSets: true}},
 		{"scan+fs", Options{Local: Scan, FailingSets: true}},
 		{"direct+fs", Options{Local: Direct, FailingSets: true}},
@@ -134,6 +136,7 @@ func TestAgreementProperty(t *testing.T) {
 				return false
 			}
 			space := candspace.BuildFull(q, g, cand)
+			space.MaterializeBlocks()
 			for _, om := range []order.Method{order.GQL, order.RI, order.CFL} {
 				phi, err := order.Compute(om, q, g, cand)
 				if err != nil {

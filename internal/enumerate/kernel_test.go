@@ -103,20 +103,15 @@ func TestKernelPolicyGridIdenticalEmbeddings(t *testing.T) {
 					if st.Kernels.Total() == 0 {
 						t.Errorf("trial %d policy %v dpiso=%v: no kernel executions tallied", trial, p, dpiso)
 					}
-					// The block kernel can only run where a layout exists.
+					// The block kernel can only run where a layout exists,
+					// and the QFilter arm (PolicyBlock over a layout) runs
+					// it in both the static and the DP-iso adaptive engine.
 					if !space.HasBlocks() && st.Kernels[intersect.KernelBlock] != 0 {
 						t.Errorf("trial %d policy %v dpiso=%v: block kernel ran without a layout", trial, p, dpiso)
 					}
-				}
-				// Satellite fix: IntersectBlock must honor the layout in
-				// both the static and the DP-iso adaptive engine.
-				opts := Options{Local: IntersectBlock, Adaptive: dpiso}
-				got, st := collectEmbeddings(t, q, g, cand, space, phi, opts)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d IntersectBlock dpiso=%v: embeddings differ from reference", trial, dpiso)
-				}
-				if st.Kernels[intersect.KernelBlock] == 0 {
-					t.Errorf("trial %d IntersectBlock dpiso=%v: block kernel never ran", trial, dpiso)
+					if p == intersect.PolicyBlock && space.HasBlocks() && st.Kernels[intersect.KernelBlock] == 0 {
+						t.Errorf("trial %d dpiso=%v: block policy over a layout never ran the block kernel", trial, dpiso)
+					}
 				}
 			}
 		}

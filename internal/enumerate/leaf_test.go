@@ -74,14 +74,14 @@ func leafConfigs() []leafConfig {
 		{"scan", Options{Local: Scan}},
 		{"tree-edge", Options{Local: TreeEdge}},
 		{"intersect", Options{Local: Intersect}},
-		{"intersect-block", Options{Local: IntersectBlock}},
+		{"intersect-block", Options{Local: Intersect, Kernel: intersect.PolicyBlock}},
 	}
 	for _, l := range locals {
 		out = append(out, leafConfig{"plain/" + l.name, l.opts})
 		fs := l.opts
 		fs.FailingSets = true
 		out = append(out, leafConfig{"fs/" + l.name, fs})
-		if l.opts.Local == Intersect || l.opts.Local == IntersectBlock {
+		if l.opts.Local == Intersect {
 			ad := l.opts
 			ad.Adaptive = true
 			out = append(out, leafConfig{"adaptive/" + l.name, ad})

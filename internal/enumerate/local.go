@@ -16,8 +16,7 @@ func (e *engine) computeLC(depth int, u graph.Vertex) []uint32 {
 		return e.lcScan(depth, u)
 	case TreeEdge:
 		return e.lcTreeEdge(depth, u)
-	default: // Intersect and IntersectBlock — kernel choice is the
-		// selector's (IntersectBlock pins the block policy in prepare).
+	default: // Intersect — kernel choice is the selector's.
 		return e.lcIntersect(depth, u)
 	}
 }

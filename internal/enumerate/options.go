@@ -29,17 +29,13 @@ const (
 	// verify the remaining backward edges with binary searches.
 	TreeEdge
 	// Intersect is Algorithm 5 (CECI/DP-iso): intersect the auxiliary
-	// adjacency lists of all backward neighbors.
+	// adjacency lists of all backward neighbors, with the kernel
+	// Options.Kernel selects (PolicyBlock is Figure 10's QFilter arm).
 	Intersect
-	// IntersectBlock is Algorithm 5 using the QFilter-style block layout
-	// for the intersections (Figure 10's comparison). The candidate
-	// space must have MaterializeBlocks applied.
-	IntersectBlock
 )
 
 var localNames = map[LocalCandidates]string{
-	Direct: "direct", Scan: "scan", TreeEdge: "tree-edge",
-	Intersect: "intersect", IntersectBlock: "intersect-block",
+	Direct: "direct", Scan: "scan", TreeEdge: "tree-edge", Intersect: "intersect",
 }
 
 func (l LocalCandidates) String() string {
@@ -56,9 +52,7 @@ type Options struct {
 
 	// Kernel selects how the pairwise intersection kernel is chosen in
 	// the Intersect local-candidate method: adaptively per call (the
-	// zero value) or pinned to one static kernel. IntersectBlock mode
-	// always uses the block kernel (the Figure 10 arm) and ignores this
-	// field.
+	// zero value) or pinned to one static kernel.
 	Kernel intersect.Policy
 
 	// FailingSets enables DP-iso's failing-sets pruning. Requires the
@@ -68,8 +62,7 @@ type Options struct {
 	// Adaptive enables DP-iso's dynamic vertex selection: the order phi
 	// passed to Run is interpreted as the BFS order delta defining the
 	// query DAG, and at each node the engine picks the extendable vertex
-	// with the smallest estimated cost. Requires Local == Intersect or
-	// IntersectBlock.
+	// with the smallest estimated cost. Requires Local == Intersect.
 	Adaptive bool
 
 	// AdaptiveWeights optionally supplies DP-iso's path-count weight

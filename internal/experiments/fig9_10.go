@@ -42,7 +42,7 @@ func fig9Pairs() []fig9Pair {
 		},
 		{
 			name: "CFL",
-			base: core.Config{Filter: filter.CFL, Order: order.CFL, Local: enumerate.TreeEdge, TreeSpace: true},
+			base: core.Config{Filter: filter.CFL, Order: order.CFL, Local: enumerate.TreeEdge},
 			opt:  core.Config{Filter: filter.CFL, Order: order.CFL, Local: enumerate.Intersect, Kernel: intersect.PolicyHybrid},
 		},
 		{
@@ -106,7 +106,7 @@ func Fig10(env Env) error {
 	env = env.WithDefaults()
 	section(env.Out, "Figure 10: set intersection methods (enumeration ms)", "Figure 10(a-b)")
 	hybrid := core.Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect, Kernel: intersect.PolicyHybrid}
-	qfilter := core.Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.IntersectBlock}
+	qfilter := core.Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect, Kernel: intersect.PolicyBlock}
 
 	ta := workload.Table{Title: "(a) by dataset (default dense query set)",
 		Header: []string{"dataset", "Hybrid", "QFilter"}}

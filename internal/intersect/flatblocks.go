@@ -2,10 +2,19 @@ package intersect
 
 import "math/bits"
 
-// FlatBlocks is the arena form of the QFilter-style block layout: many
-// sets share one keys/words arena, with per-set boundaries in a single
-// offsets array (a CSR over blocks). Compared to one *BlockSet per set
-// it removes the pointer per set and the two slice headers per set, so
+// FlatBlocks is the arena form of the QFilter-style block layout. Values
+// are grouped into 64-wide blocks keyed by value>>6, each block storing a
+// 64-bit occupancy word; intersecting two sets merges their block key
+// lists and ANDs the words, so one machine instruction covers up to 64
+// set elements — the effect the SIMD byte-wise QFilter achieves. Like
+// the real QFilter, the layout wins when neighbor sets are dense (many
+// elements share a block) and loses on sparse sets, where the per-block
+// overhead exceeds the word-parallel gain; Figure 10's reproduction
+// relies on exactly this trade-off.
+//
+// Many sets share one keys/words arena, with per-set boundaries in a
+// single offsets array (a CSR over blocks). Compared to a boxed layout
+// per set it removes the pointer and the two slice headers per set, so
 // materializing a candidate space allocates O(edges) objects instead of
 // O(candidates) — the layout GSI uses to make block intersection the
 // default rather than a variant.

@@ -44,8 +44,8 @@ func TestFlatBlocksRoundTrip(t *testing.T) {
 			if v.Count() != len(s) {
 				t.Fatalf("set %d: Count = %d, want %d", i, v.Count(), len(s))
 			}
-			if bs := NewBlockSet(s); v.NumBlocks() != bs.NumBlocks() {
-				t.Fatalf("set %d: %d blocks, boxed layout has %d", i, v.NumBlocks(), bs.NumBlocks())
+			if n := CountBlocks(s); v.NumBlocks() != n {
+				t.Fatalf("set %d: %d blocks, CountBlocks says %d", i, v.NumBlocks(), n)
 			}
 			totalBlocks += v.NumBlocks()
 			totalElems += len(s)
@@ -59,6 +59,14 @@ func TestFlatBlocksRoundTrip(t *testing.T) {
 		if want := (len(sets)+1)*4 + totalBlocks*4 + totalBlocks*8; f.MemoryBytes() != want {
 			t.Fatalf("MemoryBytes = %d, want %d", f.MemoryBytes(), want)
 		}
+	}
+	// 128 consecutive values occupy exactly two blocks.
+	dense := make([]uint32, 128)
+	for i := range dense {
+		dense[i] = uint32(i)
+	}
+	if n := CountBlocks(dense); n != 2 {
+		t.Errorf("CountBlocks(0..127) = %d, want 2", n)
 	}
 }
 

@@ -20,8 +20,7 @@ func decodeSorted(raw []byte) []uint32 {
 }
 
 // FuzzIntersectKernels cross-checks every intersection implementation —
-// the three slice kernels, the boxed block layout, the flat arena
-// layout, and the selector under every policy — for identical outputs
+// the three slice kernels, the flat block arena layout, and the selector under every policy — for identical outputs
 // and cardinalities on arbitrary inputs.
 func FuzzIntersectKernels(f *testing.F) {
 	f.Add([]byte{}, []byte{})
@@ -43,14 +42,6 @@ func FuzzIntersectKernels(f *testing.F) {
 		}
 		if got := Count(a, b); got != len(want) {
 			t.Fatalf("Count = %d, want %d", got, len(want))
-		}
-
-		ba, bb := NewBlockSet(a), NewBlockSet(b)
-		if got := IntersectBlocks(nil, ba, bb); !equal(got, want) {
-			t.Fatalf("IntersectBlocks = %v, want %v", got, want)
-		}
-		if got := IntersectBlocksCount(ba, bb); got != len(want) {
-			t.Fatalf("IntersectBlocksCount = %d, want %d", got, len(want))
 		}
 
 		fl := buildFlat([][]uint32{a, b})

@@ -12,7 +12,7 @@
 //   - Hybrid: picks Merge or Galloping based on the size ratio; this is
 //     the paper's default.
 //
-// A fourth, the QFilter-style block layout (see BlockSet), trades
+// A fourth, the QFilter-style block layout (see FlatBlocks), trades
 // preprocessing and memory for word-parallel intersection and is compared
 // against Hybrid in the Figure 10 reproduction.
 //

@@ -168,59 +168,6 @@ func TestIntersectManyProperty(t *testing.T) {
 	}
 }
 
-func TestBlockSetRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		in := randomSorted(rng, rng.Intn(200), 2000)
-		bs := NewBlockSet(in)
-		if bs.Size() != len(in) {
-			return false
-		}
-		out := bs.Elements(nil)
-		if len(out) == 0 && len(in) == 0 {
-			return true
-		}
-		return reflect.DeepEqual(out, in)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBlockSetIntersection(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := randomSorted(rng, rng.Intn(150), 1000)
-		b := randomSorted(rng, rng.Intn(150), 1000)
-		want := naive(a, b)
-		ba, bb := NewBlockSet(a), NewBlockSet(b)
-		got := IntersectBlocks(nil, ba, bb)
-		if !(len(got) == 0 && len(want) == 0) && !reflect.DeepEqual(got, want) {
-			return false
-		}
-		if IntersectBlocksCount(ba, bb) != len(want) {
-			return false
-		}
-		got2 := IntersectBlockWithSorted(nil, ba, b)
-		return (len(got2) == 0 && len(want) == 0) || reflect.DeepEqual(got2, want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBlockSetDenseBlocks(t *testing.T) {
-	// 128 consecutive values occupy exactly 2 blocks.
-	in := make([]uint32, 128)
-	for i := range in {
-		in[i] = uint32(i)
-	}
-	bs := NewBlockSet(in)
-	if bs.NumBlocks() != 2 {
-		t.Errorf("NumBlocks = %d, want 2", bs.NumBlocks())
-	}
-}
-
 func TestScratchIntersectMany(t *testing.T) {
 	a := []uint32{1, 2, 3, 4, 5, 6}
 	b := []uint32{2, 4, 6, 8}

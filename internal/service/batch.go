@@ -49,7 +49,6 @@ type execKey struct {
 	maxEmbeddings uint64
 	timeLimit     time.Duration
 	parallel      int
-	workers       int
 	// profile keeps profiled and unprofiled items apart: a fan-out of an
 	// unprofiled run has no Explain to offer a profiled duplicate.
 	profile bool
@@ -200,7 +199,7 @@ func (s *Service) runBatchGroup(ctx context.Context, began time.Time, grp *batch
 	// clamp never reaches the caller's slice.
 	item := func(idx int) Request {
 		req := items[idx]
-		req.clampTo(weight, s.cfg.MaxInFlight)
+		req.clampTo(weight)
 		return req
 	}
 
@@ -227,7 +226,6 @@ func (s *Service) runBatchGroup(ctx context.Context, began time.Time, grp *batch
 			maxEmbeddings: req.MaxEmbeddings,
 			timeLimit:     req.TimeLimit,
 			parallel:      req.Parallel,
-			workers:       req.Workers,
 			profile:       req.Profile,
 		}
 		if prior, ok := dedup[ek]; ok && !req.hasSink() {

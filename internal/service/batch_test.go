@@ -36,7 +36,7 @@ func TestBatchMatchesSequentialAcrossPresets(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/workers=%d", algo, workers), func(t *testing.T) {
 				var seq collectSink
 				req := Request{Graph: "main", Query: q, Algorithm: algo,
-					Parallel: workers, Workers: workers, NoCache: true}
+					Parallel: workers, NoCache: true}
 				seqResp, err := s.Stream(ctx, req, seq.run)
 				if err != nil {
 					t.Fatalf("sequential: %v", err)
@@ -45,9 +45,9 @@ func TestBatchMatchesSequentialAcrossPresets(t *testing.T) {
 				var batched collectSink
 				items := []Request{
 					{Graph: "main", Query: q, Algorithm: algo,
-						Parallel: workers, Workers: workers, OnMatch: batched.fn},
+						Parallel: workers, OnMatch: batched.fn},
 					{Graph: "main", Query: q, Algorithm: algo,
-						Parallel: workers, Workers: workers},
+						Parallel: workers},
 				}
 				results, err := s.SubmitBatch(ctx, items)
 				if err != nil {

@@ -51,20 +51,14 @@ func configHash(cfg core.Config) uint64 {
 	u64(uint64(cfg.Order))
 	u64(uint64(cfg.Local))
 	u64(uint64(cfg.Kernel))
-	flag(cfg.AutoOrder)
-	flag(cfg.TreeSpace)
 	flag(cfg.FailingSets)
 	flag(cfg.Adaptive)
-	flag(cfg.DPWeights)
 	flag(cfg.VF2PPRules)
 	flag(cfg.Homomorphism)
 	flag(cfg.SymmetryBreaking)
 	flag(cfg.UseGlasgow)
 	flag(cfg.UseVF2)
 	flag(cfg.UseUllmann)
-	u64(uint64(cfg.GQLRounds))
-	u64(uint64(cfg.GQLRadius))
-	u64(uint64(cfg.DPIsoPasses))
 	u64(uint64(cfg.GlasgowMemoryBudget))
 	u64(uint64(len(cfg.FixedOrder)))
 	for _, v := range cfg.FixedOrder {

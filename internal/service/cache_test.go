@@ -2,12 +2,10 @@ package service
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"subgraphmatching/internal/core"
-	"subgraphmatching/internal/enumerate"
-	"subgraphmatching/internal/filter"
-	"subgraphmatching/internal/graph"
 	"subgraphmatching/internal/testutil"
 )
 
@@ -194,45 +192,44 @@ func TestPlanCacheChurnStaysBounded(t *testing.T) {
 	}
 }
 
+// TestConfigHashDistinguishesPlanShapingKnobs sets every field of
+// core.Config, found by reflection, to a non-zero value — a one-element
+// FixedOrder, the second value of each enum, 1<<20 for each int — and
+// demands a hash of its own for each: a field added later without a
+// configHash entry fails here instead of silently sharing plans (and
+// batch groups) across configs.
 func TestConfigHashDistinguishesPlanShapingKnobs(t *testing.T) {
-	base := core.Config{Filter: filter.GQL, Local: enumerate.Intersect}
-	seen := map[uint64]string{}
-	record := func(name string, cfg core.Config) {
-		h := configHash(cfg)
-		if prev, ok := seen[h]; ok {
-			t.Fatalf("configHash collision: %s == %s", name, prev)
+	seen := map[uint64]string{configHash(core.Config{}): "zero"}
+	typ := reflect.TypeOf(core.Config{})
+	for i := range typ.NumField() {
+		var cfg core.Config
+		f := reflect.ValueOf(&cfg).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Uint8:
+			f.SetUint(1)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(1 << 20)
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+		default:
+			t.Fatalf("Config.%s: no non-zero value for kind %v", typ.Field(i).Name, f.Kind())
 		}
-		seen[h] = name
+		name := typ.Field(i).Name
+		if prev, ok := seen[configHash(cfg)]; ok {
+			t.Errorf("Config.%s set hashes like %s: configHash misses it", name, prev)
+		}
+		seen[configHash(cfg)] = name
 	}
-	record("base", base)
-	cfg := base
-	cfg.Filter = filter.CFL
-	record("filter", cfg)
-	cfg = base
-	cfg.TreeSpace = true
-	record("treespace", cfg)
-	cfg = base
-	cfg.FailingSets = true
-	record("failingsets", cfg)
-	cfg = base
-	cfg.GQLRounds = 7
-	record("rounds", cfg)
-	cfg = base
-	cfg.FixedOrder = []graph.Vertex{0, 1, 2}
-	record("fixedorder", cfg)
-	// A batch group runs every item under its first item's config, so two
-	// Glasgow items with different budgets must not share a group.
-	cfg = base
-	cfg.GlasgowMemoryBudget = 1 << 20
-	record("glasgowbudget", cfg)
 
 	// Every filter — GQL included — builds identical candidate sets at
 	// any worker count, so requests that differ only in their worker
 	// counts must resolve to one key.
 	g := testutil.PaperData()
 	for _, algo := range []core.Algorithm{core.GraphQL, core.CFL} {
-		one := Request{Algorithm: algo, Workers: 1}
-		many := Request{Algorithm: algo, Parallel: 4, Workers: 8}
+		one := Request{Algorithm: algo, Parallel: 1}
+		many := Request{Algorithm: algo, Parallel: 4}
 		if configHash(one.resolveConfig(g)) != configHash(many.resolveConfig(g)) {
 			t.Fatalf("%v: worker counts split the plan key", algo)
 		}

@@ -17,10 +17,11 @@ import (
 // Config sizes the service. The zero value gets sensible defaults from
 // New; a negative PlanCacheSize disables plan caching entirely.
 type Config struct {
-	// MaxInFlight caps the total enumeration workers running at once
-	// across all requests (a request with Parallel=4 holds 4 units).
-	// Requests asking for more are clamped to it — admission weight and
-	// actual worker count always agree. Default: 2×GOMAXPROCS.
+	// MaxInFlight caps the total workers running at once across all
+	// requests (a request with Parallel=4 holds 4 units, and
+	// preprocesses and enumerates on 4). Requests asking for more are
+	// clamped to it — admission weight and actual worker count always
+	// agree. Default: 2×GOMAXPROCS.
 	MaxInFlight int
 	// MaxQueue bounds how many requests may wait for admission; one
 	// more arrival is rejected with ErrQueueFull. Default: 64.
@@ -105,13 +106,13 @@ type Request struct {
 	// component configuration.
 	Algorithm core.Algorithm
 	Custom    *core.Config
-	// MaxEmbeddings, TimeLimit, Parallel and Workers carry the meanings
-	// of core.Limits. TimeLimit 0 inherits the service default; Parallel
-	// is also the request's admission weight.
+	// MaxEmbeddings, TimeLimit and Parallel carry the meanings of
+	// core.Limits. TimeLimit 0 inherits the service default; Parallel is
+	// also the request's admission weight, and so bounds both its
+	// enumeration workers and its preprocessing fan-out.
 	MaxEmbeddings uint64
 	TimeLimit     time.Duration
 	Parallel      int
-	Workers       int
 	// OnRun optionally receives every embedding, a leaf run at a time;
 	// OnMatch is the per-embedding form of the same sink, kept for the
 	// callers that construct it (see core.Limits for both contracts;
@@ -305,19 +306,6 @@ func (r *Request) resolveConfig(g *graph.Graph) core.Config {
 	return core.PresetConfig(r.Algorithm, r.Query, g)
 }
 
-// preprocessWorkers mirrors core.Limits' resolution of the
-// preprocessing worker count.
-func (r *Request) preprocessWorkers() int {
-	w := r.Workers
-	if w == 0 {
-		w = r.Parallel
-	}
-	if w < 1 {
-		return 1
-	}
-	return w
-}
-
 // The request spine: resolve, admit, plan, run — written once here.
 // Submit is the four in a row, a batch group shares one admit and one
 // plan among its items, Explain stops after plan.
@@ -372,16 +360,13 @@ func (s *Service) admit(ctx context.Context, t *target, began time.Time, paralle
 }
 
 // clampTo holds the request to what admission granted. The admitted
-// weight IS the enumeration budget, so an oversized ?parallel= cannot
-// hold MaxInFlight units yet spawn an engine per root candidate;
-// preprocessing workers get the service-wide ceiling. Entry points call
-// it on their private copy of the request, never on a caller's.
-func (r *Request) clampTo(weight int64, maxInFlight int) {
+// weight IS the request's goroutine budget, so an oversized ?parallel=
+// cannot hold MaxInFlight units yet spawn an engine per root candidate,
+// nor preprocess on more workers than it was admitted for. Entry points
+// call it on their private copy of the request, never on a caller's.
+func (r *Request) clampTo(weight int64) {
 	if r.Parallel > int(weight) {
 		r.Parallel = int(weight)
-	}
-	if r.Workers > maxInFlight {
-		r.Workers = maxInFlight
 	}
 }
 
@@ -463,7 +448,6 @@ func (s *Service) run(ctx context.Context, t *target, req *Request, p planned,
 		OnRun:         req.OnRun,
 		OnMatch:       req.OnMatch,
 		Parallel:      req.Parallel,
-		Workers:       req.Workers,
 		Profile:       req.Profile,
 		// The service always traces: spans are built at phase
 		// boundaries only, the slow-query log needs them, and callers
@@ -544,7 +528,7 @@ func (s *Service) Submit(ctx context.Context, req Request) (resp *Response, retE
 		return nil, err
 	}
 	defer s.sem.release(weight)
-	req.clampTo(weight, s.cfg.MaxInFlight)
+	req.clampTo(weight)
 
 	fl.SetPhase("plan")
 	p, err := s.plan(ctx, &t, &req, 1)
@@ -580,7 +564,6 @@ func (s *Service) Submit(ctx context.Context, req Request) (resp *Response, retE
 			QueryVerts:  req.Query.NumVertices(),
 			QueryEdges:  req.Query.NumEdges(),
 			Parallel:    req.Parallel,
-			Workers:     req.Workers,
 			MaxEmb:      req.MaxEmbeddings,
 			CacheHit:    resp.CacheHit,
 			Embeddings:  res.Embeddings,
@@ -628,10 +611,10 @@ func planSpan(src planSource, plan *core.Plan, start time.Time, d time.Duration)
 // always ends with the flight or the finished plan — one build per key,
 // no matter how many requests dogpile it.
 func (s *Service) planFor(ctx context.Context, t *target, req *Request) (*core.Plan, planSource, error) {
-	entry, q, preWorkers := t.entry, req.Query, req.preprocessWorkers()
+	entry, q := t.entry, req.Query
 	if s.cache == nil || req.NoCache {
 		s.metrics.planBuilds.Inc()
-		plan, err := core.Preprocess(q, entry.g, t.cfg, preWorkers)
+		plan, err := core.Preprocess(q, entry.g, t.cfg, req.Parallel)
 		if err != nil {
 			return nil, planBuilt, fmt.Errorf("preprocess %q: %w", entry.name, err)
 		}
@@ -653,7 +636,7 @@ func (s *Service) planFor(ctx context.Context, t *target, req *Request) (*core.P
 			return p, nil
 		}
 		s.metrics.planBuilds.Inc()
-		p, err := core.Preprocess(q, entry.g, t.cfg, preWorkers)
+		p, err := core.Preprocess(q, entry.g, t.cfg, req.Parallel)
 		if err != nil {
 			return nil, fmt.Errorf("preprocess %q: %w", entry.name, err)
 		}

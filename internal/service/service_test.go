@@ -422,7 +422,6 @@ func TestSubmitClampsParallelToAdmission(t *testing.T) {
 		Query:     q,
 		Algorithm: core.GraphQL,
 		Parallel:  1 << 20,
-		Workers:   1 << 20,
 	}, func(_ []uint32, _ graph.Vertex, vs []uint32) int {
 		if n := runtime.NumGoroutine(); n > maxSeen {
 			maxSeen = n

@@ -36,7 +36,6 @@ type slowQueryRecord struct {
 	Groups      int       `json:"groups,omitempty"`
 	ItemErrors  int       `json:"item_errors,omitempty"`
 	Parallel    int       `json:"parallel,omitempty"`
-	Workers     int       `json:"workers,omitempty"`
 	MaxEmb      uint64    `json:"max_embeddings,omitempty"`
 	CacheHit    bool      `json:"cache_hit"`
 	Embeddings  uint64    `json:"embeddings"`

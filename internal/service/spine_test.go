@@ -44,14 +44,13 @@ func filterWorkers(root *obs.Span) int {
 func TestSubmitBatchLeavesCallerSliceUntouched(t *testing.T) {
 	s, g := newTestService(t, Config{MaxInFlight: 2})
 	q := testutil.RandomConnectedQuery(rand.New(rand.NewSource(4)), g, 3)
-	items := []Request{{Graph: "main", Query: q, Algorithm: core.GraphQL, Parallel: 64, Workers: 64}}
+	items := []Request{{Graph: "main", Query: q, Algorithm: core.GraphQL, Parallel: 64}}
 	results, err := s.SubmitBatch(context.Background(), items)
 	if err != nil || results[0].Err != nil {
 		t.Fatalf("batch: %v / %v", err, results[0].Err)
 	}
-	if items[0].Parallel != 64 || items[0].Workers != 64 {
-		t.Errorf("SubmitBatch rewrote the caller's item to Parallel=%d Workers=%d",
-			items[0].Parallel, items[0].Workers)
+	if items[0].Parallel != 64 {
+		t.Errorf("SubmitBatch rewrote the caller's item to Parallel=%d", items[0].Parallel)
 	}
 	res := results[0].Resp.Result
 	if n := len(res.Workers); n < 1 || n > 2 {
@@ -85,18 +84,19 @@ func explainRecord(t *testing.T, s *Service, failed bool) (span *obs.Span, errTe
 	return nil, ""
 }
 
-// TestExplainClampsWorkers: a dry run preprocesses on at most
-// MaxInFlight workers, like every other entry point.
+// TestExplainClampsWorkers: a dry run holds one admission unit, so it
+// preprocesses inline whatever Parallel asks for — the admitted weight
+// bounds preprocessing at every entry point.
 func TestExplainClampsWorkers(t *testing.T) {
 	s, g := newTestService(t, Config{MaxInFlight: 2})
 	q := testutil.RandomConnectedQuery(rand.New(rand.NewSource(4)), g, 3)
 	if _, err := s.Explain(context.Background(), Request{Graph: "main", Query: q,
-		Algorithm: core.GraphQL, Parallel: 64, Workers: 64}); err != nil {
+		Algorithm: core.GraphQL, Parallel: 64}); err != nil {
 		t.Fatal(err)
 	}
 	span, _ := explainRecord(t, s, false)
-	if n := filterWorkers(span); n < 0 || n > 2 {
-		t.Errorf("explain preprocessed on %d workers (-1 = no filter span), want ≤ 2", n)
+	if n := filterWorkers(span); n != 0 {
+		t.Errorf("explain preprocessed on %d workers (-1 = no filter span), want 0 (inline)", n)
 	}
 }
 

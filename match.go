@@ -47,7 +47,7 @@ func Algorithms() []Algorithm { return core.Algorithms() }
 
 // PresetConfig returns the component configuration behind a preset for
 // the given query and data graph — the starting point for tweaking a
-// known algorithm (e.g. enabling Config.FailingSets or Config.AutoOrder).
+// known algorithm (e.g. enabling Config.FailingSets or Config.SymmetryBreaking).
 func PresetConfig(a Algorithm, q, g *Graph) Config { return core.PresetConfig(a, q, g) }
 
 // ParseAlgorithm maps a preset name (QSI, GQL, CFL, CECI, DPiso, RI,
@@ -94,11 +94,10 @@ type LocalCandidates = enumerate.LocalCandidates
 
 // Local-candidate computations.
 const (
-	LocalDirect         = enumerate.Direct
-	LocalScan           = enumerate.Scan
-	LocalTreeEdge       = enumerate.TreeEdge
-	LocalIntersect      = enumerate.Intersect
-	LocalIntersectBlock = enumerate.IntersectBlock
+	LocalDirect    = enumerate.Direct
+	LocalScan      = enumerate.Scan
+	LocalTreeEdge  = enumerate.TreeEdge
+	LocalIntersect = enumerate.Intersect
 )
 
 // KernelPolicy selects how pairwise set intersections inside
@@ -110,7 +109,7 @@ type KernelPolicy = intersect.Policy
 // picks merge, galloping, or the block-layout word-parallel kernel per
 // call from the operand sizes and block density; the static policies
 // pin one kernel and exist to reproduce the paper's Figure 10 style
-// comparisons.
+// comparisons (KernelBlock is its QFilter arm).
 const (
 	KernelAdaptive = intersect.PolicyAdaptive
 	KernelMerge    = intersect.PolicyMerge
@@ -162,13 +161,9 @@ type Options struct {
 	// (0 or 1 = sequential): cost-model-sized tasks rebalanced by work
 	// stealing, reported in Result.Split and Result.Workers. Embedding
 	// counts remain exact; not supported with AlgoVF2 and AlgoUllmann.
+	// Preprocessing (filtering, candidate-space construction, ordering)
+	// fans out on the same number of goroutines.
 	Parallel int
-	// Workers sets the worker-goroutine count for the preprocessing
-	// phases — candidate filtering, candidate-space construction and
-	// ordering (0 = inherit Parallel, 1 = everything inline on the
-	// calling goroutine). Candidate sets are identical for every
-	// worker count, and so are embedding counts.
-	Workers int
 	// Trace attaches a phase-span tree to Result.Trace: filtering (with
 	// per-stage candidate counts), candidate-space construction,
 	// ordering, and enumeration (with per-worker task/steal tallies
@@ -206,7 +201,6 @@ func match(q, g *Graph, opts Options, cancel *atomic.Bool) (*Result, error) {
 		TimeLimit:     opts.TimeLimit,
 		OnMatch:       opts.OnMatch,
 		Parallel:      opts.Parallel,
-		Workers:       opts.Workers,
 		Trace:         opts.Trace,
 		Profile:       opts.Explain,
 		Cancel:        cancel,
