@@ -65,9 +65,7 @@ type SplitInfo struct {
 // subtree sizes for one (order, candidates) pair. branch[d] is the
 // expected number of depth-(d+1) extensions per search node at depth d:
 // |C(phi[d])| scaled by the selectivity of every backward edge, read off
-// the candidate-space CSR in O(1) per edge — the tree's one cost model
-// (ROADMAP item 11 replaces cost-model order choice with probes, so
-// none ranks orders). Without a space (Direct/Scan
+// the candidate-space CSR in O(1) per edge. Without a space (Direct/Scan
 // locals) the data graph's edge density stands in for selectivity.
 // subtree[d] is the expected node count of the search subtree rooted at
 // one node at depth d: subtree[n] = 1 (a leaf), subtree[d] = 1 +

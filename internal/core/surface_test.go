@@ -77,8 +77,8 @@ var layerSurface = map[string][]string{
 // Schedule, Split and the split factor left because nothing outside a
 // benchmark ever set them; the tree-space and DP-weights flags because
 // Local and Adaptive imply them; the auto-order flag and the
-// filter-tuning counts because nothing outside a test set them (the ablations tune filter.Options);
-// Workers because a preprocessing degree apart from Parallel carried no
+// filter-tuning counts because nothing outside a test set them (the
+// ablations tune filter.Options); Workers because a preprocessing degree apart from Parallel carried no
 // knowledge the caller has (EXPERIMENTS.md "Parallel preprocessing").
 //
 // core.Config is the paper's tuple plus the external-engine switches,

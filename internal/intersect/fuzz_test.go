@@ -20,8 +20,9 @@ func decodeSorted(raw []byte) []uint32 {
 }
 
 // FuzzIntersectKernels cross-checks every intersection implementation —
-// the three slice kernels, the flat block arena layout, and the selector under every policy — for identical outputs
-// and cardinalities on arbitrary inputs.
+// the three slice kernels, the flat block arena layout, and the selector
+// under every policy — for identical outputs and cardinalities on
+// arbitrary inputs.
 func FuzzIntersectKernels(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{1, 1, 1, 1}, []byte{2, 4, 8})
