@@ -60,6 +60,9 @@ func TestFlatBlocksRoundTrip(t *testing.T) {
 			t.Fatalf("MemoryBytes = %d, want %d", f.MemoryBytes(), want)
 		}
 	}
+}
+
+func TestBlockSetDenseBlocks(t *testing.T) {
 	// 128 consecutive values occupy exactly two blocks.
 	dense := make([]uint32, 128)
 	for i := range dense {
@@ -67,6 +70,9 @@ func TestFlatBlocksRoundTrip(t *testing.T) {
 	}
 	if n := CountBlocks(dense); n != 2 {
 		t.Errorf("CountBlocks(0..127) = %d, want 2", n)
+	}
+	if n := buildFlat([][]uint32{dense}).View(0).NumBlocks(); n != 2 {
+		t.Errorf("View(0).NumBlocks = %d, want 2", n)
 	}
 }
 
