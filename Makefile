@@ -61,7 +61,9 @@ race-stress:
 # exactly the sequential embedding multiset), and the NDJSON wire format
 # (the delta line encoder reads, after every step of a sequence of
 # mappings, exactly what encoding/json writes; so does the stream after
-# every run through the run sink, whose lines past the first are spliced).
+# every run through the run sink, whose lines past the first are spliced),
+# and the text parsers (Parse and ParseEdgeList return the graph or the
+# error text of verbatim copies of their pre-tokenizer versions).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFilterSoundness -fuzztime 5s ./internal/filter
 	$(GO) test -run '^$$' -fuzz FuzzSemiPerfectClasses -fuzztime 5s ./internal/filter
@@ -72,6 +74,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzProfileRender -fuzztime 5s ./internal/obs/flight
 	$(GO) test -run '^$$' -fuzz FuzzLineEncoder -fuzztime 5s ./cmd/smatchd
 	$(GO) test -run '^$$' -fuzz FuzzRunSink -fuzztime 5s ./cmd/smatchd
+	$(GO) test -run '^$$' -fuzz FuzzParseMatchesReference -fuzztime 5s ./internal/graph
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

@@ -214,6 +214,22 @@ func TestMatchErrorStatusMapping(t *testing.T) {
 	}
 }
 
+// TestHugeQueryHeaderIsRefused: a t line's counts are hints. When the
+// parser preallocated them, this 24-byte body ended the daemon with a
+// fatal out-of-memory error; now it is an empty query, refused like any
+// other, and the server goes on serving.
+func TestHugeQueryHeaderIsRefused(t *testing.T) {
+	ts, g := newTestServer(t)
+	resp, body := do(t, "POST", ts.URL+"/match?graph=main", "t 2000000000 2000000000\n")
+	if resp.StatusCode < 400 || resp.StatusCode > 499 {
+		t.Fatalf("huge t line: status = %d %q, want 4xx", resp.StatusCode, body)
+	}
+	q := testutil.RandomConnectedQuery(rand.New(rand.NewSource(5)), g, 4)
+	if resp, body = do(t, "POST", ts.URL+"/match?graph=main&limit=10", graphText(t, q)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("next match = %d %q, want 200", resp.StatusCode, body)
+	}
+}
+
 func TestMatchOverloadMapsTo503(t *testing.T) {
 	svc := service.New(service.Config{MaxInFlight: 1, MaxQueue: 1, MaxQueueWait: time.Nanosecond})
 	g := testutil.RandomGraph(rand.New(rand.NewSource(7)), 200, 600, 3)

@@ -12,6 +12,7 @@ import (
 // built per directed query edge — the per-candidate layouts are offset
 // windows into it, so the whole materialization allocates O(edges)
 // objects, not O(candidates). It is idempotent (a repeat returns nil).
+// A Pair resolved before it ran carries no views.
 //
 // The optional argument is the worker count (absent or ≤ 1 = inline on
 // the caller's goroutine); the return value is the per-worker work
@@ -89,49 +90,6 @@ func (s *Space) MaterializeBlocks(workers ...int) []uint64 {
 
 // HasBlocks reports whether MaterializeBlocks has run.
 func (s *Space) HasBlocks() bool { return s.flat != nil }
-
-// AdjacencyView returns the block view of 𝒜[u->u'](v) where candIdx is
-// v's index in C(u). The zero view is returned if blocks are not
-// materialized, the pair is absent, or candIdx is out of range (e.g. -1
-// from CandidateIndex on an empty candidate set).
-func (s *Space) AdjacencyView(u, up graph.Vertex, candIdx int) intersect.BlockView {
-	if s.flat == nil {
-		return intersect.BlockView{}
-	}
-	pos := s.neighborPos(u, up)
-	if pos < 0 {
-		return intersect.BlockView{}
-	}
-	fb := s.flat[u][pos]
-	if fb == nil || candIdx < 0 || candIdx >= fb.NumSets() {
-		return intersect.BlockView{}
-	}
-	return fb.View(candIdx)
-}
-
-// AdjacencyWithView returns 𝒜[u->u'](v) as both the sorted slice and
-// its block view with a single pair lookup — the enumeration hot path's
-// accessor. The view is zero when blocks are not materialized; the
-// slice is nil under the same conditions as Adjacency.
-func (s *Space) AdjacencyWithView(u, up graph.Vertex, candIdx int) ([]uint32, intersect.BlockView) {
-	pos := s.neighborPos(u, up)
-	if pos < 0 {
-		return nil, intersect.BlockView{}
-	}
-	csr := s.edges[u][pos]
-	if csr == nil || candIdx < 0 || candIdx+1 >= len(csr.offsets) {
-		return nil, intersect.BlockView{}
-	}
-	adj := csr.targets[csr.offsets[candIdx]:csr.offsets[candIdx+1]]
-	if s.flat == nil {
-		return adj, intersect.BlockView{}
-	}
-	fb := s.flat[u][pos]
-	if fb == nil {
-		return adj, intersect.BlockView{}
-	}
-	return adj, fb.View(candIdx)
-}
 
 // PairSize returns the total adjacency size of the directed pair
 // (u, u') — sum over v∈C(u) of |𝒜[u->u'](v)| — in O(1) from the CSR,

@@ -100,26 +100,33 @@ func TestMaterializeBlocksAllocsScaleWithEdges(t *testing.T) {
 	}
 }
 
-// TestAdjacencyWithViewConsistent checks the hot-path accessor against
-// the separate slice and view lookups.
-func TestAdjacencyWithViewConsistent(t *testing.T) {
+// TestPairConsistent checks the resolved pair handle, the hot path's
+// accessor: its slices are the space's adjacency lists, its views exist
+// exactly when MaterializeBlocks ran before the pair was resolved and
+// decode to the slices, and an index out of range or a pair that is not
+// adjacent reads as absent.
+func TestPairConsistent(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
 	cand, _ := filter.Run(filter.NLF, q, g)
 	s := BuildFull(q, g, cand)
 
-	// Before materialization: slices present, views absent.
+	early := map[[2]graph.Vertex]Pair{}
 	for u := 0; u < q.NumVertices(); u++ {
 		uu := graph.Vertex(u)
 		for _, up := range q.Neighbors(uu) {
+			p := s.Pair(uu, up)
+			early[[2]graph.Vertex{uu, up}] = p
 			for ci := range s.Candidates(uu) {
-				adj, bv := s.AdjacencyWithView(uu, up, ci)
-				if bv.Valid() {
+				if p.View(ci).Valid() {
 					t.Fatalf("(%d->%d)[%d]: view valid before MaterializeBlocks", uu, up, ci)
 				}
-				if !reflect.DeepEqual(adj, s.Adjacency(uu, up, ci)) {
+				if !reflect.DeepEqual(p.Adjacency(ci), s.Adjacency(uu, up, ci)) {
 					t.Fatalf("(%d->%d)[%d]: slice mismatch", uu, up, ci)
 				}
 			}
+		}
+		if p := s.Pair(uu, uu); p != (Pair{}) {
+			t.Errorf("Pair(%d,%d) of a non-adjacent pair is not the zero Pair", uu, uu)
 		}
 	}
 	s.MaterializeBlocks()
@@ -129,16 +136,23 @@ func TestAdjacencyWithViewConsistent(t *testing.T) {
 			if !s.HasPair(uu, up) {
 				continue
 			}
+			p := s.Pair(uu, up)
 			for ci := range s.Candidates(uu) {
-				adj, bv := s.AdjacencyWithView(uu, up, ci)
+				adj, bv := p.Adjacency(ci), p.View(ci)
 				if !bv.Valid() {
 					t.Fatalf("(%d->%d)[%d]: view invalid after MaterializeBlocks", uu, up, ci)
 				}
 				if got := bv.Elements([]uint32{}); !reflect.DeepEqual(got, append([]uint32{}, adj...)) {
 					t.Fatalf("(%d->%d)[%d]: view decodes %v, slice %v", uu, up, ci, got, adj)
 				}
-				if want := s.AdjacencyView(uu, up, ci); !reflect.DeepEqual(bv, want) {
-					t.Fatalf("(%d->%d)[%d]: AdjacencyWithView view differs from AdjacencyView", uu, up, ci)
+				if early[[2]graph.Vertex{uu, up}].View(ci).Valid() {
+					t.Fatalf("(%d->%d)[%d]: a pair resolved before MaterializeBlocks grew a view", uu, up, ci)
+				}
+			}
+			n := len(s.Candidates(uu))
+			for _, ci := range []int{-1, n} {
+				if p.Adjacency(ci) != nil || p.View(ci).Valid() {
+					t.Errorf("(%d->%d)[%d]: out-of-range index reads as present", uu, up, ci)
 				}
 			}
 		}
@@ -190,8 +204,9 @@ func TestBlockStats(t *testing.T) {
 			if !s.HasPair(uu, up) {
 				continue
 			}
+			p := s.Pair(uu, up)
 			for ci := range s.Candidates(uu) {
-				v := s.AdjacencyView(uu, up, ci)
+				v := p.View(ci)
 				wantSets++
 				wantBlocks += v.NumBlocks()
 				wantElems += v.Count()

@@ -18,7 +18,6 @@ package candspace
 import (
 	"math/bits"
 	"slices"
-	"sort"
 
 	"subgraphmatching/internal/bitset"
 	"subgraphmatching/internal/graph"
@@ -279,9 +278,7 @@ func (s *Space) AllCandidates() [][]uint32 { return s.candidates }
 // CandidateIndex returns the index of data vertex v within C(u), or -1 if
 // v is not a candidate of u.
 func (s *Space) CandidateIndex(u graph.Vertex, v uint32) int {
-	c := s.candidates[u]
-	i := sort.Search(len(c), func(i int) bool { return c[i] >= v })
-	if i < len(c) && c[i] == v {
+	if i, ok := slices.BinarySearch(s.candidates[u], v); ok {
 		return i
 	}
 	return -1
@@ -289,35 +286,67 @@ func (s *Space) CandidateIndex(u graph.Vertex, v uint32) int {
 
 // neighborPos returns the position of up within u's neighbor list, or -1.
 func (s *Space) neighborPos(u, up graph.Vertex) int {
-	ns := s.q.Neighbors(u)
-	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= up })
-	if i < len(ns) && ns[i] == up {
+	if i, ok := slices.BinarySearch(s.q.Neighbors(u), up); ok {
 		return i
 	}
 	return -1
 }
 
-// Adjacency returns 𝒜[u->u'](v) — the sorted data vertices of C(u')
-// adjacent to candidate v of u — where candIdx is v's index in C(u).
-// It returns nil if the directed pair (u, u') is not materialized, or
-// if candIdx is out of range — in particular the -1 CandidateIndex
-// reports when an over-pruning filter left C(u) empty.
-func (s *Space) Adjacency(u, up graph.Vertex, candIdx int) []uint32 {
+// Pair is the directed pair (u, u') of 𝒜 resolved once: its CSR and,
+// when MaterializeBlocks ran before Space.Pair, its block arena. The
+// zero Pair is a pair that is not materialized. Enumeration resolves the
+// pairs it reads when an engine is built, so a search node indexes its
+// candidate straight into them.
+type Pair struct {
+	csr  *edgeCSR
+	flat *intersect.FlatBlocks
+}
+
+// Pair returns the directed pair (u, u'): the zero Pair when u' is not
+// a neighbour of u or the pair is not materialized.
+func (s *Space) Pair(u, up graph.Vertex) Pair {
 	pos := s.neighborPos(u, up)
 	if pos < 0 {
+		return Pair{}
+	}
+	p := Pair{csr: s.edges[u][pos]}
+	if p.csr != nil && s.flat != nil {
+		p.flat = s.flat[u][pos]
+	}
+	return p
+}
+
+// Adjacency returns 𝒜[u->u'](v) — the sorted data vertices of C(u')
+// adjacent to candidate v of u — where ci is v's index in C(u). It
+// returns nil for the zero Pair, or if ci is out of range — in
+// particular the -1 CandidateIndex reports when an over-pruning filter
+// left C(u) empty.
+func (p Pair) Adjacency(ci int) []uint32 {
+	if p.csr == nil || ci < 0 || ci+1 >= len(p.csr.offsets) {
 		return nil
 	}
-	csr := s.edges[u][pos]
-	if csr == nil || candIdx < 0 || candIdx+1 >= len(csr.offsets) {
-		return nil
+	return p.csr.targets[p.csr.offsets[ci]:p.csr.offsets[ci+1]]
+}
+
+// View returns the block view of Adjacency(ci): the zero view when the
+// pair has no block arena or ci is out of range.
+func (p Pair) View(ci int) intersect.BlockView {
+	if p.flat == nil || ci < 0 || ci >= p.flat.NumSets() {
+		return intersect.BlockView{}
 	}
-	return csr.targets[csr.offsets[candIdx]:csr.offsets[candIdx+1]]
+	return p.flat.View(ci)
+}
+
+// Adjacency returns 𝒜[u->u'](v) where candIdx is v's index in C(u): the
+// pair lookup and Pair.Adjacency in one call, for callers that read a
+// pair once.
+func (s *Space) Adjacency(u, up graph.Vertex, candIdx int) []uint32 {
+	return s.Pair(u, up).Adjacency(candIdx)
 }
 
 // HasPair reports whether the directed pair (u, u') is materialized.
 func (s *Space) HasPair(u, up graph.Vertex) bool {
-	pos := s.neighborPos(u, up)
-	return pos >= 0 && s.edges[u][pos] != nil
+	return s.Pair(u, up).csr != nil
 }
 
 // TotalCandidates returns the summed candidate-set sizes.

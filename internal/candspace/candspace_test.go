@@ -142,9 +142,10 @@ func TestBlocksMatchPlainAdjacency(t *testing.T) {
 	for u := 0; u < q.NumVertices(); u++ {
 		uu := graph.Vertex(u)
 		for _, up := range q.Neighbors(uu) {
+			p := s.Pair(uu, up)
 			for ci := range s.Candidates(uu) {
-				plain := s.Adjacency(uu, up, ci)
-				bv := s.AdjacencyView(uu, up, ci)
+				plain := p.Adjacency(ci)
+				bv := p.View(ci)
 				if !bv.Valid() {
 					t.Fatalf("missing block layout for (u%d,u%d,%d)", u, up, ci)
 				}

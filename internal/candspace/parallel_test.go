@@ -267,8 +267,12 @@ func TestDegenerateCandidateSets(t *testing.T) {
 				if adj := s.Adjacency(uu, up, idx); adj != nil {
 					t.Errorf("%s: Adjacency with index -1 = %v, want nil", name, adj)
 				}
-				if bv := s.AdjacencyView(uu, up, idx); bv.Valid() {
-					t.Errorf("%s: AdjacencyView with index -1 is valid", name)
+				p := s.Pair(uu, up)
+				if adj := p.Adjacency(idx); adj != nil {
+					t.Errorf("%s: Pair.Adjacency with index -1 = %v, want nil", name, adj)
+				}
+				if bv := p.View(idx); bv.Valid() {
+					t.Errorf("%s: Pair.View with index -1 is valid", name)
 				}
 			}
 		}

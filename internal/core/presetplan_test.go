@@ -104,9 +104,10 @@ func digestPlan(h hash.Hash64, p *Plan) {
 					continue
 				}
 				put(1)
+				pair := s.Pair(uu, up)
 				for ci := range s.Candidates(uu) {
-					putSet(s.Adjacency(uu, up, ci))
-					v := s.AdjacencyView(uu, up, ci)
+					putSet(pair.Adjacency(ci))
+					v := pair.View(ci)
 					putSet(v.Keys)
 					for _, w := range v.Words {
 						put(w)

@@ -42,11 +42,11 @@ var layerSurface = map[string][]string{
 	},
 	"../candspace": {
 		"Build", "BuildFull", "EstimateSpanningTreeEmbeddings",
-		"Space.Adjacency", "Space.AdjacencyView", "Space.AdjacencyWithView",
+		"Pair.Adjacency", "Pair.View", "Space.Adjacency",
 		"Space.AllCandidates", "Space.BlockMemoryBytes", "Space.BlockStats",
 		"Space.CandidateIndex", "Space.Candidates", "Space.HasBlocks",
 		"Space.HasPair", "Space.MaterializeBlocks", "Space.MeanCandidates",
-		"Space.MemoryBytes", "Space.PairSize", "Space.Query", "Space.TotalCandidates",
+		"Space.MemoryBytes", "Space.Pair", "Space.PairSize", "Space.Query", "Space.TotalCandidates",
 	},
 	"../order": {
 		"BuildDPWeights", "Compute", "ComputeCECI", "ComputeCFL", "ComputeDPIso",

@@ -81,15 +81,17 @@ func (e *engine) activate(u graph.Vertex) {
 		if a.parentsLeft[w] > 0 {
 			continue
 		}
-		bwd := a.bwdDelta[w]
+		// delta is phi, so w's backward neighbours are bwd[pos[w]] in the
+		// same order, and their pairs are the static path's.
+		bwd, pairs := a.bwdDelta[w], e.bwdPairs[e.pos[w]]
 		var lc []uint32
 		if len(bwd) == 1 {
-			lc = append(a.lcOf[w][:0], e.space.Adjacency(bwd[0], w, e.candIdx[bwd[0]])...)
+			lc = append(a.lcOf[w][:0], pairs[0].Adjacency(e.candIdx[bwd[0]])...)
 		} else {
 			// Same selector dispatch as the static path (lcIntersect), so
 			// the adaptive engine honors the kernel policy and the block
 			// layout instead of always intersecting plain slices.
-			lc = e.intersectBackward(a.lcOf[w][:0], bwd, w)
+			lc = e.intersectBackward(a.lcOf[w][:0], bwd, pairs)
 		}
 		a.lcOf[w] = lc
 		a.weightOf[w] = e.activationWeight(w, lc)

@@ -340,6 +340,12 @@ type engine struct {
 	bwd    [][]graph.Vertex // per depth: backward neighbors of phi[depth]
 	parent []graph.Vertex   // per depth: designated parent (NoVertex at roots)
 
+	// The 𝒜 pairs the search reads, resolved once: per depth,
+	// (bwd[depth][i] → phi[depth]) for each i (nil without a space), and
+	// for the tree-edge method (parent[depth] → phi[depth]).
+	bwdPairs    [][]candspace.Pair
+	parentPairs []candspace.Pair
+
 	// VF2++ cutoff requirements: per depth, the labels (with counts)
 	// among the forward neighbors of phi[depth].
 	fwdReq  [][]labelNeed
@@ -407,6 +413,29 @@ func (e *engine) prepare() error {
 		}
 		if e.parent[depth] == graph.NoVertex && len(e.bwd[depth]) > 0 {
 			e.parent[depth] = e.bwd[depth][0]
+		}
+	}
+	if e.space != nil {
+		total := 0
+		for _, bwd := range e.bwd {
+			total += len(bwd)
+		}
+		all := make([]candspace.Pair, total) // every depth's pairs, in one array
+		e.bwdPairs = make([][]candspace.Pair, n)
+		for depth, u := range e.phi {
+			k := len(e.bwd[depth])
+			e.bwdPairs[depth], all = all[:k:k], all[k:]
+			for i, un := range e.bwd[depth] {
+				e.bwdPairs[depth][i] = e.space.Pair(un, u)
+			}
+		}
+	}
+	if e.opts.Local == TreeEdge {
+		e.parentPairs = make([]candspace.Pair, n)
+		for depth, p := range e.parent {
+			if p != graph.NoVertex {
+				e.parentPairs[depth] = e.space.Pair(p, e.phi[depth])
+			}
 		}
 	}
 	if e.opts.VF2PPRules {

@@ -1,6 +1,7 @@
 package enumerate
 
 import (
+	"subgraphmatching/internal/candspace"
 	"subgraphmatching/internal/graph"
 )
 
@@ -73,7 +74,7 @@ func (e *engine) lcTreeEdge(depth int, u graph.Vertex) []uint32 {
 		return e.cand[u]
 	}
 	p := e.parent[depth]
-	fromTree := e.space.Adjacency(p, u, e.candIdx[p])
+	fromTree := e.parentPairs[depth].Adjacency(e.candIdx[p])
 	if len(e.bwd[depth]) == 1 {
 		return fromTree
 	}
@@ -97,31 +98,31 @@ func (e *engine) lcIntersect(depth int, u graph.Vertex) []uint32 {
 	}
 	bwd := e.bwd[depth]
 	if len(bwd) == 1 {
-		return e.space.Adjacency(bwd[0], u, e.candIdx[bwd[0]])
+		return e.bwdPairs[depth][0].Adjacency(e.candIdx[bwd[0]])
 	}
-	e.lcBuf[depth] = e.intersectBackward(e.lcBuf[depth][:0], bwd, u)
+	e.lcBuf[depth] = e.intersectBackward(e.lcBuf[depth][:0], bwd, e.bwdPairs[depth])
 	return e.lcBuf[depth]
 }
 
-// intersectBackward gathers the auxiliary adjacency lists of bwd
-// against u — paired with their block views when the space has a
-// materialized layout — and intersects them through the kernel
-// selector, appending to dst. Shared by the static-order path and the
-// adaptive (DP-iso) activation.
-func (e *engine) intersectBackward(dst []uint32, bwd []graph.Vertex, u graph.Vertex) []uint32 {
+// intersectBackward gathers the auxiliary adjacency lists pairs[i]
+// holds for the mapping of bwd[i] — with their block views when the
+// space has a materialized layout — and intersects them through the
+// kernel selector, appending to dst. Shared by the static-order path and
+// the adaptive (DP-iso) activation.
+func (e *engine) intersectBackward(dst []uint32, bwd []graph.Vertex, pairs []candspace.Pair) []uint32 {
 	sets := e.setsBuf[:0]
 	if e.useViews {
 		views := e.viewsBuf[:0]
-		for _, un := range bwd {
-			adj, v := e.space.AdjacencyWithView(un, u, e.candIdx[un])
-			sets = append(sets, adj)
-			views = append(views, v)
+		for i, un := range bwd {
+			ci := e.candIdx[un]
+			sets = append(sets, pairs[i].Adjacency(ci))
+			views = append(views, pairs[i].View(ci))
 		}
 		e.setsBuf, e.viewsBuf = sets, views
 		return e.sel.Many(dst, sets, views)
 	}
-	for _, un := range bwd {
-		sets = append(sets, e.space.Adjacency(un, u, e.candIdx[un]))
+	for i, un := range bwd {
+		sets = append(sets, pairs[i].Adjacency(e.candIdx[un]))
 	}
 	e.setsBuf = sets
 	return e.sel.Many(dst, sets, nil)

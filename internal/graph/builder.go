@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates vertices and edges and produces an immutable Graph.
@@ -14,11 +14,16 @@ type Builder struct {
 	edges  [][2]Vertex
 }
 
+// maxSizeHint caps what NewBuilder preallocates. The counts are hints,
+// and Parse takes them from its input, where a 24-byte t line can claim
+// two billion vertices.
+const maxSizeHint = 1 << 14
+
 // NewBuilder returns a Builder expecting roughly n vertices and m edges.
 func NewBuilder(n, m int) *Builder {
 	return &Builder{
-		labels: make([]Label, 0, n),
-		edges:  make([][2]Vertex, 0, m),
+		labels: make([]Label, 0, min(n, maxSizeHint)),
+		edges:  make([][2]Vertex, 0, min(m, maxSizeHint)),
 	}
 }
 
@@ -53,40 +58,27 @@ func (b *Builder) Build() (*Graph, error) {
 		}
 	}
 
-	// Normalize to u < v, sort, dedupe.
-	norm := make([][2]Vertex, len(b.edges))
+	// Normalize to u < v, sort, dedupe: an edge is the key u<<32 | v,
+	// whose numeric order is the lexicographic order of (u, v).
+	norm := make([]uint64, len(b.edges))
 	for i, e := range b.edges {
-		if e[0] > e[1] {
-			e[0], e[1] = e[1], e[0]
-		}
-		norm[i] = e
+		norm[i] = uint64(min(e[0], e[1]))<<32 | uint64(max(e[0], e[1]))
 	}
-	sort.Slice(norm, func(i, j int) bool {
-		if norm[i][0] != norm[j][0] {
-			return norm[i][0] < norm[j][0]
-		}
-		return norm[i][1] < norm[j][1]
-	})
-	dedup := norm[:0]
-	for i, e := range norm {
-		if i > 0 && e == norm[i-1] {
-			continue
-		}
-		dedup = append(dedup, e)
-	}
+	slices.Sort(norm)
+	norm = slices.Compact(norm)
 
 	g := &Graph{
 		offsets:        make([]int64, n+1),
-		adj:            make([]Vertex, 2*len(dedup)),
+		adj:            make([]Vertex, 2*len(norm)),
 		labels:         append([]Label(nil), b.labels...),
 		byLabel:        make(map[Label][]Vertex),
 		labelPairEdges: make(map[uint64]int64),
 	}
 
 	deg := make([]int64, n)
-	for _, e := range dedup {
-		deg[e[0]]++
-		deg[e[1]]++
+	for _, k := range norm {
+		deg[k>>32]++
+		deg[uint32(k)]++
 	}
 	for v := 0; v < n; v++ {
 		g.offsets[v+1] = g.offsets[v] + deg[v]
@@ -96,16 +88,16 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	cursor := make([]int64, n)
 	copy(cursor, g.offsets[:n])
-	for _, e := range dedup {
-		g.adj[cursor[e[0]]] = e[1]
-		cursor[e[0]]++
-		g.adj[cursor[e[1]]] = e[0]
-		cursor[e[1]]++
-		g.labelPairEdges[labelPairKey(g.labels[e[0]], g.labels[e[1]])]++
-	}
-	for v := 0; v < n; v++ {
-		ns := g.adj[g.offsets[v]:g.offsets[v+1]]
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
+	// In (u, v) order every list comes out sorted: w first receives its
+	// smaller neighbours u from the edges (u, w), ascending, then its
+	// larger ones v from the edges (w, v), ascending.
+	for _, k := range norm {
+		u, v := Vertex(k>>32), Vertex(k)
+		g.adj[cursor[u]] = v
+		cursor[u]++
+		g.adj[cursor[v]] = u
+		cursor[v]++
+		g.labelPairEdges[labelPairKey(g.labels[u], g.labels[v])]++
 	}
 	for v := 0; v < n; v++ {
 		l := g.labels[v]

@@ -1,13 +1,11 @@
 package graph
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"strconv"
-	"strings"
 )
 
 // Edge-list ingestion for SNAP-style datasets: one "u v" pair per line,
@@ -24,9 +22,7 @@ func ParseEdgeList(r io.Reader, numLabels int, seed int64) (*Graph, error) {
 	if numLabels <= 0 {
 		return nil, fmt.Errorf("graph: edge list needs at least 1 label")
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-
+	s := newLineScanner(r)
 	idOf := map[uint64]Vertex{}
 	b := NewBuilder(0, 0)
 	intern := func(raw uint64) Vertex {
@@ -37,28 +33,21 @@ func ParseEdgeList(r io.Reader, numLabels int, seed int64) (*Graph, error) {
 		idOf[raw] = v
 		return v
 	}
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "%") {
-			continue
+	for s.next() {
+		if s.n < 2 {
+			return nil, fmt.Errorf("graph: edge list line %d: want two vertex ids, got %q", s.no, s.line)
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("graph: edge list line %d: want two vertex ids, got %q", lineNo, line)
-		}
-		u, err1 := strconv.ParseUint(fields[0], 10, 64)
-		v, err2 := strconv.ParseUint(fields[1], 10, 64)
+		u, err1 := strconv.ParseUint(string(s.fields[0]), 10, 64)
+		v, err2 := strconv.ParseUint(string(s.fields[1]), 10, 64)
 		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("graph: edge list line %d: malformed ids in %q", lineNo, line)
+			return nil, fmt.Errorf("graph: edge list line %d: malformed ids in %q", s.no, s.line)
 		}
 		if u == v {
 			continue // drop self-loops silently; SNAP files contain them
 		}
 		b.AddEdge(intern(u), intern(v))
 	}
-	if err := sc.Err(); err != nil {
+	if err := s.sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: reading edge list: %w", err)
 	}
 	if b.NumVertices() == 0 {

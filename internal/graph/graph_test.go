@@ -181,10 +181,10 @@ func TestParseSkipsComments(t *testing.T) {
 	}
 }
 
-// TestParseLineLimit pins the line limit of both text formats, so a
-// change of the scanner's buffering (today 1 MiB allocated per call)
-// cannot move it: a 100 kB line parses, a line over 1 MiB fails with
-// bufio.ErrTooLong under the format's own prefix.
+// TestParseLineLimit pins the line limit of both text formats, so the
+// scanner's buffering (grown on demand up to maxLine) cannot move it: a
+// 100 kB line parses, a line over 1 MiB fails with bufio.ErrTooLong
+// under the format's own prefix.
 func TestParseLineLimit(t *testing.T) {
 	const tail = "t 2 1\nv 0 0\nv 1 0\ne 0 1\n"
 	long := "# " + strings.Repeat("x", 100_000) + "\n" + tail

@@ -26,71 +26,73 @@ func Parse(r io.Reader) (*Graph, error) {
 	if r == nil {
 		return nil, fmt.Errorf("graph: nil reader")
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-
+	s := newLineScanner(r)
 	var b *Builder
-	declaredDegrees := map[Vertex]int{}
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "%") {
-			continue
-		}
-		fields := strings.Fields(line)
-		switch fields[0] {
+	// declared[v] is the degree column of vertex v where hasDegree[v].
+	// The list outlives a second t line: an id keeps the last degree any
+	// section declared for it.
+	var declared []int
+	var hasDegree []bool
+	for s.next() {
+		f := &s.fields
+		switch string(f[0]) {
 		case "t":
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("graph: line %d: t line needs 2 arguments", lineNo)
+			if s.n != 3 {
+				return nil, fmt.Errorf("graph: line %d: t line needs 2 arguments", s.no)
 			}
-			n, err1 := strconv.Atoi(fields[1])
-			m, err2 := strconv.Atoi(fields[2])
+			n, err1 := strconv.Atoi(string(f[1]))
+			m, err2 := strconv.Atoi(string(f[2]))
 			if err1 != nil || err2 != nil || n < 0 || m < 0 {
-				return nil, fmt.Errorf("graph: line %d: malformed t line %q", lineNo, line)
+				return nil, fmt.Errorf("graph: line %d: malformed t line %q", s.no, s.line)
 			}
 			b = NewBuilder(n, m)
+			if declared == nil {
+				declared, hasDegree = make([]int, 0, cap(b.labels)), make([]bool, 0, cap(b.labels))
+			}
 		case "v":
 			if b == nil {
-				return nil, fmt.Errorf("graph: line %d: v line before t line", lineNo)
+				return nil, fmt.Errorf("graph: line %d: v line before t line", s.no)
 			}
-			if len(fields) < 3 {
-				return nil, fmt.Errorf("graph: line %d: v line needs id and label", lineNo)
+			if s.n < 3 {
+				return nil, fmt.Errorf("graph: line %d: v line needs id and label", s.no)
 			}
-			id, err1 := strconv.ParseUint(fields[1], 10, 32)
-			l, err2 := strconv.ParseUint(fields[2], 10, 32)
+			id, err1 := strconv.ParseUint(string(f[1]), 10, 32)
+			l, err2 := strconv.ParseUint(string(f[2]), 10, 32)
 			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("graph: line %d: malformed v line %q", lineNo, line)
+				return nil, fmt.Errorf("graph: line %d: malformed v line %q", s.no, s.line)
 			}
 			if int(id) != b.NumVertices() {
-				return nil, fmt.Errorf("graph: line %d: vertex ids must be consecutive from 0, got %d want %d", lineNo, id, b.NumVertices())
+				return nil, fmt.Errorf("graph: line %d: vertex ids must be consecutive from 0, got %d want %d", s.no, id, b.NumVertices())
 			}
 			b.AddVertex(Label(l))
-			if len(fields) >= 4 {
-				d, err := strconv.Atoi(fields[3])
+			if int(id) == len(declared) {
+				declared, hasDegree = append(declared, 0), append(hasDegree, false)
+			}
+			if s.n >= 4 {
+				d, err := strconv.Atoi(string(f[3]))
 				if err != nil {
-					return nil, fmt.Errorf("graph: line %d: malformed degree in %q", lineNo, line)
+					return nil, fmt.Errorf("graph: line %d: malformed degree in %q", s.no, s.line)
 				}
-				declaredDegrees[Vertex(id)] = d
+				declared[id], hasDegree[id] = d, true
 			}
 		case "e":
 			if b == nil {
-				return nil, fmt.Errorf("graph: line %d: e line before t line", lineNo)
+				return nil, fmt.Errorf("graph: line %d: e line before t line", s.no)
 			}
-			if len(fields) < 3 {
-				return nil, fmt.Errorf("graph: line %d: e line needs two endpoints", lineNo)
+			if s.n < 3 {
+				return nil, fmt.Errorf("graph: line %d: e line needs two endpoints", s.no)
 			}
-			u, err1 := strconv.ParseUint(fields[1], 10, 32)
-			v, err2 := strconv.ParseUint(fields[2], 10, 32)
+			u, err1 := strconv.ParseUint(string(f[1]), 10, 32)
+			v, err2 := strconv.ParseUint(string(f[2]), 10, 32)
 			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("graph: line %d: malformed e line %q", lineNo, line)
+				return nil, fmt.Errorf("graph: line %d: malformed e line %q", s.no, s.line)
 			}
 			b.AddEdge(Vertex(u), Vertex(v))
 		default:
-			return nil, fmt.Errorf("graph: line %d: unknown record type %q", lineNo, fields[0])
+			return nil, fmt.Errorf("graph: line %d: unknown record type %q", s.no, f[0])
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err := s.sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: reading input: %w", err)
 	}
 	if b == nil {
@@ -100,8 +102,14 @@ func Parse(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	for v, want := range declaredDegrees {
-		if got := g.Degree(v); got != want {
+	for v, want := range declared {
+		if !hasDegree[v] {
+			continue
+		}
+		if v >= g.NumVertices() {
+			return nil, fmt.Errorf("graph: vertex %d declares degree %d but the graph has %d vertices", v, want, g.NumVertices())
+		}
+		if got := g.Degree(Vertex(v)); got != want {
 			return nil, fmt.Errorf("graph: vertex %d declares degree %d but has %d", v, want, got)
 		}
 	}
