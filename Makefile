@@ -37,7 +37,9 @@ race:
 # register/replace/unregister through the durable manager (and the
 # HTTP surface) and verifies a restart reconstructs the exact state.
 # The graph stress is the concurrent first use of the lazily built NLF
-# index (8 goroutines racing into one sync.Once). The core cap test
+# index (8 goroutines racing into one sync.Once); the core lazy-arena
+# stress is 32 searches of one fresh adaptive plan racing to encode the
+# same block arenas on their first pick. The core cap test
 # (TestParallelCapExactUnderContention) races 1–8 workers to a cap that
 # lands inside leaf runs, with and without a sink whose calls must never
 # overlap.
@@ -63,10 +65,13 @@ race-stress:
 # mappings, exactly what encoding/json writes; so does the stream after
 # every run through the run sink, whose lines past the first are spliced),
 # and the text parsers (Parse and ParseEdgeList return the graph or the
-# error text of verbatim copies of their pre-tokenizer versions).
+# error text of verbatim copies of their pre-tokenizer versions), and
+# the NLF index's label runs (each is N(v) filtered by label, on label
+# alphabets below and above 64, and nlfOK is the counting reference).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFilterSoundness -fuzztime 5s ./internal/filter
 	$(GO) test -run '^$$' -fuzz FuzzSemiPerfectClasses -fuzztime 5s ./internal/filter
+	$(GO) test -run '^$$' -fuzz FuzzNLFLabelRuns -fuzztime 5s ./internal/filter
 	$(GO) test -run '^$$' -fuzz FuzzSplitEstimates -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzIntersectKernels -fuzztime 5s ./internal/intersect
 	$(GO) test -run '^$$' -fuzz FuzzBatchGrouping -fuzztime 5s ./internal/service
@@ -117,9 +122,11 @@ bench-parallel:
 # GOMAXPROCS), 4 and 8 workers (proj-speedup); and
 # BenchmarkPreprocessColdMix, serve-cold's plan mix in-process at 1 and
 # 2 workers (ns, B, allocs and the per-stage split per plan), behind
-# "Cold path II".
+# "Cold path II"; and BenchmarkNLFIndex, the build time and bytes of the
+# g20 graph's NLF index, which the first filter against a registered
+# graph pays (behind "Cold path III").
 bench-preprocess:
-	$(GO) test -run '^$$' -bench BenchmarkPreprocess -benchmem -benchtime 5x .
+	$(GO) test -run '^$$' -bench 'BenchmarkPreprocess|BenchmarkNLFIndex' -benchmem -benchtime 5x .
 
 # The task-splitting measurement behind EXPERIMENTS.md's "Cost-model
 # splitting" section: the cost-model splitter (the only one) at 1/4/8
@@ -156,6 +163,9 @@ bench-store:
 # The intersection-kernel measurements behind EXPERIMENTS.md's
 # "Adaptive kernels" section: the raw kernel grid over the
 # density/skew fixtures, end-to-end enumeration under each kernel
-# policy, and the flat block-layout footprint.
+# policy, the flat block-layout footprint, and the audit of the
+# adaptive block arm on the benchmark's four corpora (its stand-in half
+# is `go run ./cmd/experiments kernels`).
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'BenchmarkIntersectKernels|BenchmarkEnumerateKernelPolicy|BenchmarkCandSpaceBlockLayout' -benchmem .
+	$(GO) test -run '^$$' -bench BenchmarkKernelAudit -benchtime 1x .

@@ -15,6 +15,7 @@ import (
 	"subgraphmatching/internal/compress"
 	"subgraphmatching/internal/core"
 	"subgraphmatching/internal/enumerate"
+	"subgraphmatching/internal/experiments"
 	"subgraphmatching/internal/filter"
 	"subgraphmatching/internal/graph"
 	"subgraphmatching/internal/intersect"
@@ -847,11 +848,13 @@ func BenchmarkIntersectKernels(b *testing.B) {
 		{"sparse-skewed", kernelBenchSet(1024, 97, 97*32768), kernelBenchSet(65536, 97, 0)},
 	}
 	for _, sh := range shapes {
-		counts := []int32{int32(intersect.CountBlocks(sh.a)), int32(intersect.CountBlocks(sh.c))}
-		fl := intersect.NewFlatBlocks(counts)
+		ba, bc := int32(intersect.CountBlocks(sh.a)), int32(intersect.CountBlocks(sh.c))
+		fl := intersect.NewFlatBlocks([]int32{0, ba, ba + bc})
 		fl.EncodeSet(0, sh.a)
 		fl.EncodeSet(1, sh.c)
 		av, cv := fl.View(0), fl.View(1)
+		al := intersect.Layout{Blocks: int(ba), Arena: fl, Index: 0}
+		cl := intersect.Layout{Blocks: int(bc), Arena: fl, Index: 1}
 		dst := make([]uint32, 0, len(sh.a))
 		size := len(intersect.Merge(dst[:0], sh.a, sh.c))
 		kernels := []struct {
@@ -867,7 +870,7 @@ func BenchmarkIntersectKernels(b *testing.B) {
 		kernels = append(kernels, struct {
 			name string
 			fn   func() int
-		}{"adaptive", func() int { dst = sel.Pair(dst[:0], sh.a, sh.c, av, cv); return len(dst) }})
+		}{"adaptive", func() int { dst = sel.Pair(dst[:0], sh.a, sh.c, al, cl); return len(dst) }})
 		for _, k := range kernels {
 			b.Run(sh.name+"/"+k.name, func(b *testing.B) {
 				got := 0
@@ -979,53 +982,152 @@ func BenchmarkPreprocessColdMix(b *testing.B) {
 	}
 }
 
-// BenchmarkEnumerateHeavyMix is the in-process twin of the repository
-// benchmark's enum-heavy workload, one class at a time: the same R-MAT
-// graph, and per query size the harness's 16 sparse queries (same
-// seeds, same rule: the first 16 of 32 whose capped run reaches 250 000
-// embeddings), each planned once under the Optimized preset; one
-// iteration is one sequential core.MatchPlan, the plans cycled. ns/node
-// is what a search node costs in the recursion the class runs — the
-// 8-vertex class searches without failing sets, the larger two with
-// them — which BenchmarkEngineLeafLevel (14 of 15 nodes are leaves)
-// cannot see. EXPERIMENTS.md "One enumeration path" reads it at
-// -benchtime 2s -count 3.
-func BenchmarkEnumerateHeavyMix(b *testing.B) {
-	const limit, perSize = 250000, 16
+// BenchmarkNLFIndex measures building the neighbour-label-frequency
+// index of the repository benchmark's data graph (g20: R-MAT, 20 000 v /
+// 200 000 e / 20 labels) — label lists, signatures and the label runs
+// of N(v) — one fresh graph over the same CSR per iteration. The first
+// filter run against every registered graph pays it, and so does the
+// benchmark's setup_s. Reports build-ms and the index's resident bytes
+// (index-MB, what GraphInfo.IndexBytes says).
+func BenchmarkNLFIndex(b *testing.B) {
 	g, err := rmat.Generate(rmat.Config{NumVertices: 20000, NumEdges: 200000, NumLabels: 20, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, size := range []int{8, 12, 16} {
-		qs, err := querygen.Generate(g, querygen.Config{NumVertices: size, Count: 2 * perSize,
-			Density: querygen.Sparse, Seed: 1000 + int64(size)*2 + int64(querygen.Sparse)})
+	offsets, adj, labels := g.CSR()
+	keys, counts := g.LabelPairCounts()
+	var bytes int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fresh, err := graph.FromCSR(offsets, adj, labels, keys, counts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		var plans []*core.Plan
-		seen := map[graph.Fingerprint]bool{}
+		b.StartTimer()
+		bytes = fresh.NLF().Bytes()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e6, "build-ms")
+	b.ReportMetric(float64(bytes)/(1<<20), "index-MB")
+}
+
+// harnessCorpus is the repository benchmark's input, regenerated
+// in-process by cmd/smatchbench's rules (corpus.go): the g20 graph, the
+// 256-query mixed list — sizes 8/12/16, dense and sparse, interleaved,
+// fingerprint-deduplicated; serve-warm sends its first 64, serve-cold
+// all of it — and the 48 sparse queries whose Optimized run reaches
+// 250 000 embeddings (per size, the first 16 of 32), which enum-heavy
+// and stream-embeddings send.
+type harnessCorpus struct {
+	g            *graph.Graph
+	mixed, heavy []*graph.Graph
+}
+
+const heavyLimit, heavyPerSize = 250000, 16
+
+var (
+	harnessOnce sync.Once
+	harness     harnessCorpus
+	harnessErr  error
+)
+
+func getHarnessCorpus(b *testing.B) *harnessCorpus {
+	b.Helper()
+	harnessOnce.Do(func() { harness, harnessErr = buildHarnessCorpus() })
+	if harnessErr != nil {
+		b.Fatal(harnessErr)
+	}
+	return &harness
+}
+
+func buildHarnessCorpus() (harnessCorpus, error) {
+	const seed, mixedQueries = 1, 256
+	g, err := rmat.Generate(rmat.Config{NumVertices: 20000, NumEdges: 200000, NumLabels: 20, Seed: seed})
+	if err != nil {
+		return harnessCorpus{}, err
+	}
+	class := func(size int, d querygen.Density, n int) ([]*graph.Graph, error) {
+		return querygen.Generate(g, querygen.Config{NumVertices: size, Count: n, Density: d,
+			Seed: seed*1000 + int64(size)*2 + int64(d)})
+	}
+	seen := map[graph.Fingerprint]bool{}
+	fresh := func(q *graph.Graph) bool {
+		fp := graph.FingerprintOf(q)
+		if seen[fp] {
+			return false
+		}
+		seen[fp] = true
+		return true
+	}
+	c := harnessCorpus{g: g}
+	per := (mixedQueries+5)/6 + 8
+	var classes [][]*graph.Graph
+	for _, size := range []int{8, 12, 16} {
+		for _, d := range []querygen.Density{querygen.Dense, querygen.Sparse} {
+			qs, err := class(size, d, per)
+			if err != nil {
+				return c, err
+			}
+			classes = append(classes, qs)
+		}
+	}
+	for i := 0; i < per; i++ {
+		for _, qs := range classes {
+			if fresh(qs[i]) && len(c.mixed) < mixedQueries {
+				c.mixed = append(c.mixed, qs[i])
+			}
+		}
+	}
+	clear(seen)
+	for _, size := range []int{8, 12, 16} {
+		qs, err := class(size, querygen.Sparse, 2*heavyPerSize)
+		if err != nil {
+			return c, err
+		}
+		kept := 0
 		for _, q := range qs {
-			fp := graph.FingerprintOf(q)
-			if seen[fp] || len(plans) == perSize {
+			if !fresh(q) || kept == heavyPerSize {
 				continue
 			}
-			seen[fp] = true
-			plan, err := core.Preprocess(q, g, core.PresetConfig(core.Optimized, q, g), 1)
+			res, err := core.Match(q, g, core.PresetConfig(core.Optimized, q, g), core.Limits{MaxEmbeddings: heavyLimit})
+			if err != nil {
+				return c, err
+			}
+			if res.LimitHit {
+				c.heavy = append(c.heavy, q)
+				kept++
+			}
+		}
+	}
+	return c, nil
+}
+
+// BenchmarkEnumerateHeavyMix is the in-process twin of the repository
+// benchmark's enum-heavy workload, one class at a time: the harness's
+// 16 sparse queries per size (harnessCorpus), each planned once under
+// the Optimized preset; one iteration is one sequential core.MatchPlan
+// capped at 250 000 embeddings, the plans cycled. ns/node is what a
+// search node costs in the recursion the class runs — the 8-vertex
+// class searches without failing sets, the larger two with them — which
+// BenchmarkEngineLeafLevel (14 of 15 nodes are leaves) cannot see.
+// EXPERIMENTS.md "One enumeration path" reads it at -benchtime 2s
+// -count 3.
+func BenchmarkEnumerateHeavyMix(b *testing.B) {
+	c := getHarnessCorpus(b)
+	for i, size := range []int{8, 12, 16} {
+		var plans []*core.Plan
+		for _, q := range c.heavy[i*heavyPerSize : (i+1)*heavyPerSize] {
+			plan, err := core.Preprocess(q, c.g, core.PresetConfig(core.Optimized, q, c.g), 1)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if res, err := core.MatchPlan(plan, core.Limits{MaxEmbeddings: limit}); err != nil {
-				b.Fatal(err)
-			} else if res.LimitHit {
-				plans = append(plans, plan)
-			}
+			plans = append(plans, plan)
 		}
 		b.Run(fmt.Sprintf("%d-sparse", size), func(b *testing.B) {
 			var nodes uint64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := core.MatchPlan(plans[i%len(plans)], core.Limits{MaxEmbeddings: limit})
+				res, err := core.MatchPlan(plans[i%len(plans)], core.Limits{MaxEmbeddings: heavyLimit})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1033,6 +1135,52 @@ func BenchmarkEnumerateHeavyMix(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
 			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+		})
+	}
+}
+
+// BenchmarkKernelAudit is ROADMAP item 10's audit on the repository
+// benchmark's four corpora (harnessCorpus), in-process, sequential, at
+// each workload's cap, under the Optimized preset: the adaptive
+// selector's kernel calls, the plans and pairs whose block arena the
+// first pick encodes, the arena bytes encoded against the eager build,
+// and the enumeration time under the adaptive policy and under
+// PolicyMerge, per pass over the corpus. cmd/experiments kernels is
+// the stand-ins' half; EXPERIMENTS.md "Adaptive kernels" records both.
+func BenchmarkKernelAudit(b *testing.B) {
+	c := getHarnessCorpus(b)
+	for _, w := range []struct {
+		name  string
+		qs    []*graph.Graph
+		limit uint64
+	}{
+		{"serve-warm", c.mixed[:64], 1000},
+		{"serve-cold", c.mixed, 1000},
+		{"enum-heavy", c.heavy, heavyLimit},
+		{"stream-embeddings", c.heavy, 20000},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			var a experiments.KernelAudit
+			for i := 0; i < b.N; i++ {
+				var err error
+				a, err = experiments.AuditKernels(w.qs, c.g, func(q *graph.Graph) core.Config {
+					return core.PresetConfig(core.Optimized, q, c.g)
+				}, core.Limits{MaxEmbeddings: w.limit})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(a.Kernels[intersect.KernelMerge]), "merge-calls")
+			b.ReportMetric(float64(a.Kernels[intersect.KernelGallop]), "gallop-calls")
+			b.ReportMetric(float64(a.Kernels[intersect.KernelBlock]), "block-calls")
+			b.ReportMetric(float64(a.Encoding), "plans-encoding")
+			b.ReportMetric(float64(a.Plans), "plans")
+			b.ReportMetric(float64(a.Encoded), "pairs-encoded")
+			b.ReportMetric(float64(a.Pairs), "pairs")
+			b.ReportMetric(float64(a.LazyBytes)/1024, "lazy-KB")
+			b.ReportMetric(float64(a.EagerBytes)/1024, "eager-KB")
+			b.ReportMetric(float64(a.Adaptive.Microseconds())/1e3, "adaptive-ms")
+			b.ReportMetric(float64(a.Merge.Microseconds())/1e3, "merge-ms")
 		})
 	}
 }

@@ -11,10 +11,11 @@ import (
 )
 
 // buildCase draws a data graph with isolated vertices, a connected
-// query, and arbitrary sorted candidate sets — random subsets of V(g)
-// that ignore labels, include degree-0 vertices and are sometimes
-// empty — so the build is exercised on its own contract rather than on
-// what a filter happens to produce.
+// query, and arbitrary sorted candidate sets — random subsets of each
+// query vertex's label pool that ignore degree and structure, include
+// degree-0 vertices and are sometimes empty — so the build is exercised
+// on its own contract (C(u) holds vertices labelled L(u), nothing more)
+// rather than on what a filter happens to produce.
 func buildCase(rng *rand.Rand) (q, g *graph.Graph, cand [][]uint32) {
 	n := 10 + rng.Intn(60)
 	b := graph.NewBuilder(n, 4*n)
@@ -38,9 +39,9 @@ func buildCase(rng *rand.Rand) (q, g *graph.Graph, cand [][]uint32) {
 			continue // empty set
 		}
 		keep := 1 + rng.Intn(3)
-		for v := 0; v < n; v++ {
+		for _, v := range g.VerticesWithLabel(q.Label(graph.Vertex(u))) {
 			if rng.Intn(keep+1) > 0 {
-				cand[u] = append(cand[u], uint32(v))
+				cand[u] = append(cand[u], v)
 			}
 		}
 	}

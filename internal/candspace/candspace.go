@@ -18,6 +18,7 @@ package candspace
 import (
 	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"subgraphmatching/internal/bitset"
 	"subgraphmatching/internal/graph"
@@ -37,15 +38,25 @@ type Space struct {
 	// not materialized (tree variant).
 	edges [][]*edgeCSR
 
-	// flat mirrors edges with one flat QFilter-style block arena per
-	// directed query edge (per-candidate layouts are offset windows into
-	// it); nil until MaterializeBlocks runs.
-	flat [][]*intersect.FlatBlocks
+	// arenas mirrors edges with one QFilter-style block arena per
+	// materialized pair (per-candidate layouts are offset windows into
+	// it), each encoded on first use; nil until PlanBlocks or
+	// MaterializeBlocks offers the block layout (blocks.go).
+	arenas [][]*pairArena
+	// encodedArenas and encodedBytes count the arenas encoded so far and
+	// their bytes (EncodedBlocks).
+	encodedArenas, encodedBytes atomic.Int64
 }
 
 type edgeCSR struct {
 	offsets []int32
 	targets []uint32
+	// blocks holds the running count of the 64-wide blocks the sets
+	// occupy — set i's are blocks[i]:blocks[i+1] — recorded by Build
+	// once the pair's sets are complete. It is what the adaptive
+	// selector's density test reads, and the offsets of the pair's
+	// block arena.
+	blocks []int32
 }
 
 // BuildFull materializes 𝒜 for every query edge (CECI/DP-iso style) on
@@ -63,11 +74,12 @@ func materialized(parent []graph.Vertex, u, up graph.Vertex) bool {
 	return parent == nil || parent[u] == up || parent[up] == u
 }
 
-// appendMembers appends to dst the vertices of nv (sorted) that member
-// contains: 𝒜[u->u'](v) = N(v) ∩ C(u') as one scan of N(v) against the
-// membership bitmap of C(u'), in N(v)'s order and so sorted.
-func appendMembers(dst []uint32, nv []uint32, member *bitset.Set) []uint32 {
-	for _, w := range nv {
+// appendMembers appends to dst the vertices of run (sorted) that member
+// contains: 𝒜[u->u'](v) = N(v) ∩ C(u') as one scan of the L(u′) run of
+// N(v) against the membership bitmap of C(u'), in the run's order and so
+// sorted.
+func appendMembers(dst []uint32, run []uint32, member *bitset.Set) []uint32 {
+	for _, w := range run {
 		if member.Contains(w) {
 			dst = append(dst, w)
 		}
@@ -104,23 +116,29 @@ type buildPair struct {
 // input to par.MakespanBound. With parent == nil every query edge is
 // materialized; otherwise only the spanning-tree edges given by parent
 // (CFL style): pairs (parent[u], u) and (u, parent[u]). candidates[u]
-// must be sorted; the slice is retained.
+// must be sorted, and every vertex in it must carry label L(u), as
+// every filter's sets do; the slice is retained.
 //
 // 𝒜[u→u′] and 𝒜[u′→u] are one edge set E(C(u), C(u′)) read from its
 // two ends, so each query edge is found once and transposed. It is
 // scanned from the end whose candidates have the smaller Σ d(v) (ties:
 // the smaller vertex id — a property of the input, never of the worker
-// count), the N(v) of each candidate against a bitmap of the other
-// end's set. Scanned pairs are visited grouped by their target u′, so
-// one bitmap of C(u′) is set once, serves every u that scans towards
-// u′, and is cleared by walking C(u′) again (never a full reset). Inside
+// count): for each candidate v, the neighbours of v labelled L(u′)
+// (the label run graph.NLF.Run hands out — by the precondition no other
+// neighbour can be in C(u′)) against a bitmap of the other end's set.
+// Scanned pairs are visited grouped by their target u′, so one bitmap
+// of C(u′) is set once, serves every u that scans towards u′, and is
+// cleared by walking C(u′) again (never a full reset). Inside
 // a group the candidates of each u are cut into chunks that fan out as
 // tasks reading the shared bitmap; the group's pairs are then
 // transposed, one task per pair, with a target's index in C(u′) taken
 // from popcount prefix sums over the same bitmap. Every adjacency list
 // is a set that does not depend on how it was found, so the CSRs are
 // byte-identical for every worker count and scan direction. On one
-// worker a scan task is a pair's whole candidate list.
+// worker a scan task is a pair's whole candidate list. The transposing
+// task also records the block count of every set of both directions
+// (edgeCSR.blocks), which is all a block layout needs before an arena
+// is encoded (blocks.go).
 func Build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex, workers int) (*Space, []uint64) {
 	if workers < 1 {
 		workers = 1
@@ -138,6 +156,7 @@ func Build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex, work
 		}
 	}
 	tally := make([]uint64, workers)
+	gx := g.NLF()
 	member := bitset.New(g.NumVertices())
 	words := member.Words()
 	before := make([]int32, len(words))  // members of the bitmap below each word
@@ -175,6 +194,7 @@ func Build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex, work
 		}
 		// A task fills its slice of the pair's offsets with chunk-local
 		// running totals and leaves an exact-length copy of its targets.
+		label := q.Label(up)
 		chunks = slices.Grow(chunks[:0], len(tasks))[:len(tasks)]
 		work := par.Run(workers, len(tasks), func(w, t int) uint64 {
 			task := tasks[t]
@@ -182,7 +202,7 @@ func Build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex, work
 			offsets := p.csr.offsets[task.lo+1 : task.hi+1]
 			buf := scratch[w][:0]
 			for i, v := range candidates[p.u][task.lo:task.hi] {
-				buf = appendMembers(buf, g.Neighbors(v), member)
+				buf = appendMembers(buf, gx.Run(v, label), member)
 				offsets[i] = int32(len(buf))
 			}
 			scratch[w] = buf
@@ -224,6 +244,8 @@ func Build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex, work
 		work = par.Run(workers, len(pairs), func(_, i int) uint64 {
 			p := pairs[i]
 			rev := transpose(p.csr, candidates[p.u], len(candidates[up]), words, before)
+			p.csr.countBlocks()
+			rev.countBlocks()
 			s.edges[up][s.neighborPos(up, p.u)] = rev
 			return uint64(len(rev.targets))
 		})
@@ -266,6 +288,15 @@ func transpose(fwd *edgeCSR, src []uint32, nt int, words []uint64, before []int3
 	return rev
 }
 
+// countBlocks records how many 64-wide blocks each of the CSR's sets
+// occupies, as running totals (edgeCSR.blocks).
+func (c *edgeCSR) countBlocks() {
+	c.blocks = make([]int32, len(c.offsets))
+	for i := 0; i+1 < len(c.offsets); i++ {
+		c.blocks[i+1] = c.blocks[i] + int32(intersect.CountBlocks(c.targets[c.offsets[i]:c.offsets[i+1]]))
+	}
+}
+
 // Query returns the query graph the space was built for.
 func (s *Space) Query() *graph.Graph { return s.q }
 
@@ -293,13 +324,14 @@ func (s *Space) neighborPos(u, up graph.Vertex) int {
 }
 
 // Pair is the directed pair (u, u') of 𝒜 resolved once: its CSR and,
-// when MaterializeBlocks ran before Space.Pair, its block arena. The
-// zero Pair is a pair that is not materialized. Enumeration resolves the
-// pairs it reads when an engine is built, so a search node indexes its
-// candidate straight into them.
+// when the block layout was offered (PlanBlocks or MaterializeBlocks)
+// before Space.Pair, its block arena. The zero Pair is a pair that is
+// not materialized. Enumeration resolves the pairs it reads when an
+// engine is built, so a search node indexes its candidate straight into
+// them.
 type Pair struct {
-	csr  *edgeCSR
-	flat *intersect.FlatBlocks
+	csr   *edgeCSR
+	arena *pairArena
 }
 
 // Pair returns the directed pair (u, u'): the zero Pair when u' is not
@@ -310,8 +342,8 @@ func (s *Space) Pair(u, up graph.Vertex) Pair {
 		return Pair{}
 	}
 	p := Pair{csr: s.edges[u][pos]}
-	if p.csr != nil && s.flat != nil {
-		p.flat = s.flat[u][pos]
+	if p.csr != nil && s.arenas != nil {
+		p.arena = s.arenas[u][pos]
 	}
 	return p
 }
@@ -328,13 +360,24 @@ func (p Pair) Adjacency(ci int) []uint32 {
 	return p.csr.targets[p.csr.offsets[ci]:p.csr.offsets[ci+1]]
 }
 
-// View returns the block view of Adjacency(ci): the zero view when the
-// pair has no block arena or ci is out of range.
-func (p Pair) View(ci int) intersect.BlockView {
-	if p.flat == nil || ci < 0 || ci >= p.flat.NumSets() {
-		return intersect.BlockView{}
+// Layout returns the block layout of Adjacency(ci) — its block count
+// and where its view comes from, without encoding anything: the zero
+// Layout when the pair has no block arena or ci is out of range.
+func (p Pair) Layout(ci int) intersect.Layout {
+	if p.arena == nil || ci < 0 || ci+1 >= len(p.csr.blocks) {
+		return intersect.Layout{}
 	}
-	return p.flat.View(ci)
+	return intersect.Layout{Blocks: int(p.csr.blocks[ci+1] - p.csr.blocks[ci]), Arena: p.arena, Index: ci}
+}
+
+// View returns the block view of Adjacency(ci), encoding the pair's
+// arena if this is its first use: the zero view when the pair has no
+// block arena or ci is out of range.
+func (p Pair) View(ci int) intersect.BlockView {
+	if l := p.Layout(ci); l.Valid() {
+		return l.View()
+	}
+	return intersect.BlockView{}
 }
 
 // Adjacency returns 𝒜[u->u'](v) where candIdx is v's index in C(u): the

@@ -125,10 +125,10 @@ func digestCSR(h hash.Hash64, s *Space) {
 	}
 }
 
-// digestBlocks folds every flat arena, set by set (block count, keys,
-// words), into h.
+// digestBlocks folds every encoded flat arena, set by set (block count,
+// keys, words), into h.
 func digestBlocks(h hash.Hash64, s *Space) {
-	for _, row := range s.flat {
+	for _, row := range encodedArenas(s) {
 		for _, fb := range row {
 			if fb == nil {
 				put32(h, 0)

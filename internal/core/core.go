@@ -346,6 +346,15 @@ type Plan struct {
 // the caller's goroutine) — and never changes the plan. Configurations
 // routed to the external engines have no plan; Preprocess reports
 // ErrNoPlan for them.
+//
+// Under the adaptive kernel policy the plan's QFilter block arenas are
+// not built here: the candidate-space build records every set's block
+// count, which is all the selector's density test reads, and a pair's
+// arena is encoded on the selector's first block pick for it, once per
+// plan (candspace.Space.PlanBlocks). Kernel decisions are those an
+// eager build would give, and Plan.SizeBytes charges the arenas at
+// their planned size either way. The pinned-block policy encodes every
+// arena up front (MaterializeBlocks).
 func Preprocess(q, g *graph.Graph, cfg Config, workers int) (*Plan, error) {
 	if q == nil || g == nil {
 		return nil, fmt.Errorf("core: %w", ErrNilGraph)
@@ -421,12 +430,17 @@ func Preprocess(q, g *graph.Graph, cfg Config, workers int) (*Plan, error) {
 	case enumerate.Intersect:
 		structure = "full"
 		plan.Space, _ = candspace.Build(q, g, cand, nil, workers)
-		// Materialize the flat block layout whenever the enumeration may
-		// run the word-parallel kernel: under the adaptive or
-		// pinned-block policy. The flat build is O(targets) time and
-		// O(edges) allocations, so the adaptive default pays it
-		// unconditionally.
-		if cfg.Kernel == intersect.PolicyAdaptive || cfg.Kernel == intersect.PolicyBlock {
+		// Offer the flat block layout whenever the enumeration may run
+		// the word-parallel kernel. Under the adaptive default a pair's
+		// arena is encoded on the selector's first block pick for it —
+		// the build recorded the block counts its density test reads —
+		// so a plan pays only for the arenas its searches use, and most
+		// pay for none. The pinned-block policy reads every arena it
+		// meets and encodes them all now.
+		switch cfg.Kernel {
+		case intersect.PolicyAdaptive:
+			plan.Space.PlanBlocks()
+		case intersect.PolicyBlock:
 			plan.Space.MaterializeBlocks(workers)
 		}
 	}
@@ -491,8 +505,11 @@ func (p *Plan) PreprocessTime() time.Duration {
 const planBaseBytes = 512
 
 // SizeBytes estimates the plan's resident heap footprint: the filtered
-// candidate sets, the candidate-space CSR, the flat block arena, and the
-// order/weight/symmetry slices, plus a fixed struct-and-span overhead.
+// candidate sets, the candidate-space CSR, the flat block arenas, and
+// the order/weight/symmetry slices, plus a fixed struct-and-span
+// overhead. Arenas are charged at their planned size whether or not a
+// search has encoded them yet, so the figure never changes once the
+// plan is built (the cache charges it once, at insert).
 // Plans are CSR-dominated and wildly uneven across workloads — a
 // 4-vertex query over a small graph costs kilobytes while a dense
 // candidate space costs tens of megabytes — so the serving layer's plan

@@ -361,12 +361,12 @@ type engine struct {
 	symPeers [][]graph.Vertex
 	symPos   []int
 
-	lcBuf    [][]uint32            // per depth local-candidate buffer
-	run      []uint32              // leafLevel's scratch run (at most timeCheckInterval long)
-	sel      intersect.Selector    // kernel dispatcher (owns k-way scratch)
-	setsBuf  [][]uint32            // transient argument buffer for Selector.Many
-	viewsBuf []intersect.BlockView // transient block views paralleling setsBuf
-	useViews bool                  // space has a materialized block layout
+	lcBuf      [][]uint32         // per depth local-candidate buffer
+	run        []uint32           // leafLevel's scratch run (at most timeCheckInterval long)
+	sel        intersect.Selector // kernel dispatcher (owns k-way scratch)
+	setsBuf    [][]uint32         // transient argument buffer for Selector.Many
+	layoutsBuf []intersect.Layout // transient block layouts paralleling setsBuf
+	useLayouts bool               // space offers a block layout
 
 	deadline    time.Time
 	clockTicker int
@@ -476,11 +476,11 @@ func (e *engine) prepare() error {
 	if e.opts.Adaptive {
 		e.initAdaptive()
 	}
-	// Kernel dispatch follows the configured policy. Without a
-	// materialized block layout the adaptive policy degrades to exactly
-	// the Hybrid merge/gallop switch.
+	// Kernel dispatch follows the configured policy. Without a block
+	// layout the adaptive policy degrades to exactly the Hybrid
+	// merge/gallop switch.
 	e.sel.SetPolicy(e.opts.Kernel)
-	e.useViews = e.space != nil && e.space.HasBlocks()
+	e.useLayouts = e.space != nil && e.space.HasBlocks()
 	return nil
 }
 

@@ -105,21 +105,21 @@ func (e *engine) lcIntersect(depth int, u graph.Vertex) []uint32 {
 }
 
 // intersectBackward gathers the auxiliary adjacency lists pairs[i]
-// holds for the mapping of bwd[i] — with their block views when the
-// space has a materialized layout — and intersects them through the
-// kernel selector, appending to dst. Shared by the static-order path and
-// the adaptive (DP-iso) activation.
+// holds for the mapping of bwd[i] — with their block layouts when the
+// space offers them — and intersects them through the kernel selector,
+// appending to dst. Shared by the static-order path and the adaptive
+// (DP-iso) activation.
 func (e *engine) intersectBackward(dst []uint32, bwd []graph.Vertex, pairs []candspace.Pair) []uint32 {
 	sets := e.setsBuf[:0]
-	if e.useViews {
-		views := e.viewsBuf[:0]
+	if e.useLayouts {
+		layouts := e.layoutsBuf[:0]
 		for i, un := range bwd {
 			ci := e.candIdx[un]
 			sets = append(sets, pairs[i].Adjacency(ci))
-			views = append(views, pairs[i].View(ci))
+			layouts = append(layouts, pairs[i].Layout(ci))
 		}
-		e.setsBuf, e.viewsBuf = sets, views
-		return e.sel.Many(dst, sets, views)
+		e.setsBuf, e.layoutsBuf = sets, layouts
+		return e.sel.Many(dst, sets, layouts)
 	}
 	for i, un := range bwd {
 		sets = append(sets, pairs[i].Adjacency(e.candIdx[un]))

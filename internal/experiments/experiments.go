@@ -104,6 +104,7 @@ func Registry() []struct {
 		{"fig8", "candidate-set sizes vs LDF and STEADY baselines", Fig8},
 		{"fig9", "speedup from set-intersection local candidates", Fig9},
 		{"fig10", "hybrid vs QFilter-style set intersection", Fig10},
+		{"kernels", "adaptive kernel mix and first-pick block arenas (Figures 9, 10, 16)", Kernels},
 		{"fig11", "enumeration time of the ordering methods", Fig11},
 		{"fig12", "std-dev of enumeration time by query size", Fig12},
 		{"fig13", "query time categories per ordering method", Fig13},

@@ -142,7 +142,7 @@ func RunLabelOnly(q, g *graph.Graph) [][]uint32 {
 // run dispatches a known method over a validated (or, for RunLDF,
 // deliberately unvalidated) query.
 func run(m Method, q, g *graph.Graph, o Options) ([][]uint32, []uint64) {
-	s := newState(q, g, o.Workers, m != LDF && m != NLF)
+	s := newState(q, g, o.Workers, m)
 	tr := o.Trace
 	start := time.Now()
 	switch m {

@@ -82,12 +82,12 @@ func labelClasses(q *graph.Graph, qn []graph.Vertex) [][]graph.Vertex {
 // a distinct data neighbor of v that is one of its candidates, label
 // class by label class (see runGraphQL). A class of one needs only some
 // neighbor of v in its candidate set; a larger class builds the
-// bipartite graph between its members and N(v) — a data neighbor's
-// right id is its position in N(v), dense, so the matcher's per-right
-// state stays d(v) long — and a member with no candidate in N(v) ends
-// the test at once.
+// bipartite graph between its members and the neighbours of v carrying
+// the class's label — the only ones its members' candidate sets can
+// hold. A data neighbor's right id is its position in that label run of
+// N(v), dense, so the matcher's per-right state stays as long as the
+// run — and a member with no candidate in the run ends the test at once.
 func (s *state) semiPerfect(m *bipartite.Matcher, classes [][]graph.Vertex, v uint32) bool {
-	nv := s.g.Neighbors(v)
 	for _, class := range classes {
 		if len(class) == 1 {
 			if !s.hasNeighborIn(v, class[0]) {
@@ -95,11 +95,12 @@ func (s *state) semiPerfect(m *bipartite.Matcher, classes [][]graph.Vertex, v ui
 			}
 			continue
 		}
+		run := s.gx.Run(v, s.q.Label(class[0]))
 		m.Reset(len(class))
 		for i, up := range class {
 			mem := s.member[up]
 			edges := 0
-			for pos, w := range nv {
+			for pos, w := range run {
 				if mem.Contains(w) {
 					m.AddEdge(i, int32(pos))
 					edges++

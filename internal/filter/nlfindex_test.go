@@ -274,7 +274,7 @@ func checkAgainstCounting(t *testing.T, seed int64, q, g *graph.Graph, tally *nl
 	for u := 0; u < q.NumVertices(); u++ {
 		need, _ := q.NLF().Of(graph.Vertex(u))
 		for v := 0; v < g.NumVertices(); v++ {
-			got, want := nlfOK(q, g, graph.Vertex(u), uint32(v)), ref.nlfOK(graph.Vertex(u), uint32(v))
+			got, want := nlfOK(q.NLF(), g.NLF(), graph.Vertex(u), uint32(v)), ref.nlfOK(graph.Vertex(u), uint32(v))
 			if got != want {
 				t.Fatalf("seed %d: nlfOK(u%d, v%d) = %v, counting says %v", seed, u, v, got, want)
 			}
@@ -358,11 +358,103 @@ func TestNLFIndexRequirementBoundary(t *testing.T) {
 	// Query: a hub with two label-7 leaves.
 	q := graph.MustFromEdges([]graph.Label{9, 7, 7}, [][2]graph.Vertex{{0, 1}, {0, 2}})
 	for v, want := range []bool{false, true, true} {
-		if got := nlfOK(q, g, 0, uint32(v)); got != want {
+		if got := nlfOK(q.NLF(), g.NLF(), 0, uint32(v)); got != want {
 			t.Errorf("nlfOK(hub, v%d) = %v, want %v", v, got, want)
 		}
 	}
 	if got, want := mustRun(t, NLF, q, g, Options{})[0], []uint32{1, 2}; !reflect.DeepEqual(got, want) {
 		t.Errorf("C(hub) = %v, want %v", got, want)
 	}
+}
+
+// labelRunGraph grows a graph for FuzzNLFLabelRuns from raw bytes: the
+// first byte sizes the vertex set (1–48), the next ones label the
+// vertices, and the rest are edges, consumed pairwise. Vertices whose id
+// is a multiple of 7 stay isolated. mode picks the label alphabet:
+// gapped labels below 64 ({0, 3, …, 21}), every label below 64, or
+// labels up to 199, which collide mod 64.
+func labelRunGraph(mode uint8, data []byte) *graph.Graph {
+	if len(data) == 0 {
+		return nil
+	}
+	n := 1 + int(data[0])%48
+	data = data[1:]
+	b := graph.NewBuilder(n, len(data)/2)
+	for i := 0; i < n; i++ {
+		var raw byte
+		if i < len(data) {
+			raw = data[i]
+		}
+		switch mode % 3 {
+		case 0:
+			b.AddVertex(graph.Label(raw%8) * 3)
+		case 1:
+			b.AddVertex(graph.Label(raw % 64))
+		default:
+			b.AddVertex(graph.Label(raw % 200))
+		}
+	}
+	for i := n; i+1 < len(data); i += 2 {
+		u, v := graph.Vertex(data[i])%graph.Vertex(n), graph.Vertex(data[i+1])%graph.Vertex(n)
+		if u != v && u%7 != 0 && v%7 != 0 {
+			b.AddEdge(u, v)
+		}
+	}
+	return b.MustBuild()
+}
+
+// checkLabelRuns holds every label run of g's index to N(v) filtered by
+// label, for each label the graph has, the gaps between them, one past
+// the largest, and each of them plus 64 (a label sharing its signature
+// bit).
+func checkLabelRuns(t *testing.T, g *graph.Graph) {
+	t.Helper()
+	x := g.NLF()
+	maxLabel := graph.MaxLabelOf(g)
+	for v := 0; v < g.NumVertices(); v++ {
+		for l := graph.Label(0); l <= maxLabel+1; l++ {
+			for _, probe := range []graph.Label{l, l + 64} {
+				var want []graph.Vertex
+				for _, w := range g.Neighbors(graph.Vertex(v)) {
+					if g.Label(w) == probe {
+						want = append(want, w)
+					}
+				}
+				if got := x.Run(graph.Vertex(v), probe); !slices.Equal(got, want) {
+					t.Fatalf("Run(v%d, label %d) = %v, N(v) filtered by label is %v", v, probe, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzNLFLabelRuns: the label runs of both graphs' indexes are their
+// neighbourhoods filtered by label, and nlfOK — with its signature-only
+// shortcut for presence-only requirements between exact indexes — is the
+// LabelCounter reference for every (u, v).
+func FuzzNLFLabelRuns(f *testing.F) {
+	f.Add(uint8(0), []byte{12, 0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 8, 9, 9, 10, 1, 3, 2, 4}, []byte{3, 0, 1, 2, 1, 2, 2, 3, 1, 3})
+	f.Add(uint8(1), []byte{20, 63, 0, 1, 62, 63, 0, 5, 5, 9, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 1, 13}, []byte{2, 63, 0, 1, 2})
+	f.Add(uint8(2), []byte{30, 5, 69, 133, 6, 70, 134, 199, 0, 64, 128, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 15, 16, 2, 16, 3, 15, 4, 13}, []byte{4, 5, 69, 133, 6, 1, 2, 2, 3, 1, 3})
+	f.Add(uint8(1), []byte{11, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 1, 3, 1, 4, 1, 5, 1, 6, 1, 8, 1, 9, 1, 10, 1, 11}, []byte{3, 0, 0, 0, 0, 1, 2, 1, 3, 2, 3})
+	f.Add(uint8(0), []byte{0}, []byte{0})
+	f.Fuzz(func(t *testing.T, mode uint8, gRaw, qRaw []byte) {
+		if len(gRaw) > 512 || len(qRaw) > 64 {
+			t.Skip()
+		}
+		g, q := labelRunGraph(mode, gRaw), labelRunGraph(mode, qRaw)
+		if g == nil || q == nil {
+			t.Skip()
+		}
+		checkLabelRuns(t, g)
+		checkLabelRuns(t, q)
+		ref := newRefFilter(q, g)
+		for u := 0; u < q.NumVertices(); u++ {
+			for v := 0; v < g.NumVertices(); v++ {
+				if got, want := nlfOK(q.NLF(), g.NLF(), graph.Vertex(u), uint32(v)), ref.nlfOK(graph.Vertex(u), uint32(v)); got != want {
+					t.Fatalf("nlfOK(u%d, v%d) = %v, counting says %v", u, v, got, want)
+				}
+			}
+		}
+	})
 }

@@ -302,7 +302,7 @@ func (s *state) scanChunk(sc *scratch, o op, lo, hi int) []uint32 {
 			if !sc.gProf.covers(g, v, want) {
 				continue
 			}
-		} else if o.nlf && !nlfOK(q, g, u, v) {
+		} else if o.nlf && !nlfOK(s.qx, s.gx, u, v) {
 			continue
 		}
 		out = append(out, v)
@@ -311,18 +311,21 @@ func (s *state) scanChunk(sc *scratch, o op, lo, hi int) []uint32 {
 }
 
 // genChunk runs one generation task: Generation Rule 3.1 over a chunk
-// of C(parent) — the LDF+NLF-passing neighbors of the chunk's
-// candidates. The seen bitset dedups within the chunk; only the
-// accepted vertices were marked, so clearing them restores the scratch
-// for the next task.
+// of C(parent) — the degree- and NLF-passing neighbors of the chunk's
+// candidates that carry L(u), read as that label's run of each
+// candidate's neighbourhood. The seen bitset dedups within the chunk;
+// only the accepted vertices were marked, so clearing them restores the
+// scratch for the next task.
 func (s *state) genChunk(sc *scratch, o op, lo, hi int) []uint32 {
 	if sc.seen == nil {
 		sc.seen = bitset.New(s.g.NumVertices())
 	}
+	q, g, u := s.q, s.g, o.u
+	l := q.Label(u)
 	var out []uint32
 	for _, vp := range s.cand[o.src[0]][lo:hi] {
-		for _, v := range s.g.Neighbors(vp) {
-			if !sc.seen.Contains(v) && ldfOK(s.q, s.g, o.u, v) && nlfOK(s.q, s.g, o.u, v) {
+		for _, v := range s.gx.Run(vp, l) {
+			if !sc.seen.Contains(v) && g.Degree(v) >= q.Degree(u) && nlfOK(s.qx, s.gx, u, v) {
 				sc.seen.Set(v)
 				out = append(out, v)
 			}
@@ -357,7 +360,7 @@ func (s *state) keeps(sc *scratch, o op, v uint32) bool {
 	if o.kind == opMatch {
 		return s.semiPerfect(sc.matcher, o.classes, v)
 	}
-	if o.nlf && !nlfOK(s.q, s.g, o.u, v) {
+	if o.nlf && !nlfOK(s.qx, s.gx, o.u, v) {
 		return false
 	}
 	for _, up := range o.src {

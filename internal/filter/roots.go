@@ -85,9 +85,13 @@ func cflRoot(q, g *graph.Graph, workers int) graph.Vertex {
 
 // poolSize is |C_LDF(u)|, or |C_NLF(u)| when nlf is set.
 func poolSize(q, g *graph.Graph, u graph.Vertex, nlf bool) int {
+	var qx, gx *graph.NLF
+	if nlf {
+		qx, gx = q.NLF(), g.NLF()
+	}
 	n := 0
 	for _, v := range g.VerticesWithLabel(q.Label(u)) {
-		if g.Degree(v) >= q.Degree(u) && (!nlf || nlfOK(q, g, u, v)) {
+		if g.Degree(v) >= q.Degree(u) && (!nlf || nlfOK(qx, gx, u, v)) {
 			n++
 		}
 	}

@@ -8,10 +8,12 @@ import (
 
 // state is the shared machinery of the filters: current candidate sets,
 // a membership bitmap per query vertex kept in sync with them so that
-// "does v have a neighbor in C(u')" checks are O(d(v)) scans, and the
-// worker pool every operation fans out over (parallel.go).
+// "does v have a neighbor in C(u')" checks are scans of the neighbours
+// of v labelled L(u') (graph.NLF.Run), and the worker pool every
+// operation fans out over (parallel.go).
 type state struct {
 	q, g   *graph.Graph
+	qx, gx *graph.NLF // the graphs' NLF indexes; nil for LDF, which never reads them
 	cand   [][]uint32
 	member []*bitset.Set // member[u].Contains(v) iff v in cand[u]; nil for LDF/NLF, which never read it
 	radius int           // > 1: label-pool scans test radius-r profiles instead of NLF (GraphQL)
@@ -19,18 +21,22 @@ type state struct {
 	tasks  []task // runWave's task list, reused across waves
 }
 
-// newState allocates the candidate state over a pool of `workers`
-// workers (clamped to at least 1; one worker runs every task inline on
-// the caller's goroutine). withMember allocates the membership bitmaps
-// the structural filters read.
-func newState(q, g *graph.Graph, workers int, withMember bool) *state {
+// newState allocates method m's candidate state over a pool of
+// `workers` workers (clamped to at least 1; one worker runs every task
+// inline on the caller's goroutine): the graphs' NLF indexes for every
+// method but LDF, and the membership bitmaps the structural filters
+// read.
+func newState(q, g *graph.Graph, workers int, m Method) *state {
 	s := &state{
 		q:    q,
 		g:    g,
 		cand: make([][]uint32, q.NumVertices()),
 		fr:   par.NewFrontier(workers, func(int) *scratch { return &scratch{} }),
 	}
-	if withMember {
+	if m != LDF {
+		s.qx, s.gx = q.NLF(), g.NLF()
+	}
+	if m != LDF && m != NLF {
 		s.member = make([]*bitset.Set, q.NumVertices())
 		for u := range s.member {
 			s.member[u] = bitset.New(g.NumVertices())
@@ -39,25 +45,25 @@ func newState(q, g *graph.Graph, workers int, withMember bool) *state {
 	return s
 }
 
-// ldfOK is the label-and-degree check.
-func ldfOK(q, g *graph.Graph, u graph.Vertex, v uint32) bool {
-	return g.Label(v) == q.Label(u) && g.Degree(v) >= q.Degree(u)
-}
-
 // nlfOK checks the neighbor label frequency condition: for every label l
 // among u's neighbors, v must have at least as many l-labeled neighbors.
-// Both sides come from the graphs' NLF indexes (built once per graph, on
-// first use). The label-presence signatures decide first: a label u
-// needs whose bit v's signature lacks is a label v has no neighbor of,
-// and most rejections end there, on one word per side. Otherwise the
-// check is a merge of two sorted label lists (a signature is exact only
-// up to labels that collide mod 64, so the merge always has the last
-// word). It reads only immutable data — every worker and the root
-// selectors call it concurrently.
-func nlfOK(q, g *graph.Graph, u graph.Vertex, v uint32) bool {
-	qx, gx := q.NLF(), g.NLF()
+// Both sides come from the graphs' NLF indexes, qx of the query and gx
+// of the data graph (built once per graph, on first use; callers look
+// them up once, not per check). The label-presence signatures decide
+// first: a label u needs whose bit v's signature lacks is a label v has
+// no neighbor of, and most rejections end there, on one word per side.
+// When both signatures are exact and u needs each of its labels once,
+// passing that test is the whole condition. Otherwise the check is a
+// merge of two sorted label lists (a signature is exact only up to
+// labels that collide mod 64, and it cannot count). It reads only
+// immutable data — every worker and the root selectors call it
+// concurrently.
+func nlfOK(qx, gx *graph.NLF, u graph.Vertex, v uint32) bool {
 	if qx.Signature(u)&^gx.Signature(v) != 0 {
 		return false
+	}
+	if qx.PresenceOnly(u) && qx.Exact() && gx.Exact() {
+		return true
 	}
 	need, needCnt := qx.Of(u)
 	have, haveCnt := gx.Of(v)
@@ -88,9 +94,11 @@ func (s *state) setCandidates(u graph.Vertex, c []uint32) {
 }
 
 // hasNeighborIn reports whether data vertex v has some neighbor in C(u').
+// Every member of C(u') carries L(u'), so only that label's run of N(v)
+// is scanned.
 func (s *state) hasNeighborIn(v uint32, up graph.Vertex) bool {
 	m := s.member[up]
-	for _, w := range s.g.Neighbors(v) {
+	for _, w := range s.gx.Run(v, s.q.Label(up)) {
 		if m.Contains(w) {
 			return true
 		}

@@ -59,7 +59,11 @@ func TestNLFMatchesLabelCounter(t *testing.T) {
 			}
 			entries += len(labels)
 		}
-		want := int64(g.NumVertices()+1)*4 + int64(entries)*8 + int64(g.NumVertices())*8
+		n, e := int64(g.NumVertices()), int64(entries)
+		if e > 0 {
+			e++ // the run positions' closing sentinel
+		}
+		want := (n+1)*4 + int64(entries)*8 + e*8 + n*8 + int64(2*g.NumEdges())*4 + (n+63)/64*8
 		if x.Bytes() != want || g.IndexBytes() != want {
 			t.Fatalf("seed %d: Bytes = %d, IndexBytes = %d, want %d", seed, x.Bytes(), g.IndexBytes(), want)
 		}

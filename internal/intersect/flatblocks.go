@@ -63,6 +63,30 @@ func (v BlockView) Elements(dst []uint32) []uint32 {
 	return dst
 }
 
+// Arena hands out the block views of the sets it holds, by index. An
+// arena may encode its sets on the first View, so one that no kernel
+// reads is never encoded.
+type Arena interface {
+	View(i int) BlockView
+}
+
+// Layout is one set's block layout as the kernel selector sees it:
+// Blocks, the number of 64-wide blocks the set occupies — all the
+// density test reads, known before any arena is encoded — and set Index
+// of Arena, which only the block kernel reads. The zero Layout is "no
+// block layout".
+type Layout struct {
+	Blocks int
+	Arena  Arena
+	Index  int
+}
+
+// Valid reports whether the set has a block layout.
+func (l Layout) Valid() bool { return l.Arena != nil }
+
+// View returns the set's block view from its arena.
+func (l Layout) View() BlockView { return l.Arena.View(l.Index) }
+
 // CountBlocks returns how many 64-wide blocks a sorted strictly-
 // increasing slice occupies — the pass-1 sizing primitive for the
 // two-phase build.
@@ -78,16 +102,13 @@ func CountBlocks(sorted []uint32) int {
 	return n
 }
 
-// NewFlatBlocks allocates the arena for the given per-set block counts.
-// Every set's range starts empty-but-reserved; fill with EncodeSet.
-func NewFlatBlocks(blockCounts []int32) *FlatBlocks {
-	offsets := make([]int32, len(blockCounts)+1)
-	var total int32
-	for i, c := range blockCounts {
-		offsets[i] = total
-		total += c
-	}
-	offsets[len(blockCounts)] = total
+// NewFlatBlocks allocates the arena for sets whose block counts are
+// known: offsets holds their running totals (len numSets+1, starting at
+// 0; set i occupies blocks offsets[i]:offsets[i+1]) and is retained as
+// the arena's own. Every set's range starts empty-but-reserved; fill
+// with EncodeSet.
+func NewFlatBlocks(offsets []int32) *FlatBlocks {
+	total := offsets[len(offsets)-1]
 	return &FlatBlocks{
 		offsets: offsets,
 		keys:    make([]uint32, total),

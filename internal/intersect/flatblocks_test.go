@@ -8,15 +8,21 @@ import (
 // buildFlat materializes every set into one FlatBlocks arena via the
 // two-phase build, the way candspace does it.
 func buildFlat(sets [][]uint32) *FlatBlocks {
-	counts := make([]int32, len(sets))
+	offsets := make([]int32, len(sets)+1)
 	for i, s := range sets {
-		counts[i] = int32(CountBlocks(s))
+		offsets[i+1] = offsets[i] + int32(CountBlocks(s))
 	}
-	f := NewFlatBlocks(counts)
+	f := NewFlatBlocks(offsets)
 	for i, s := range sets {
 		f.EncodeSet(i, s)
 	}
 	return f
+}
+
+// layoutOf is set i's block layout over arena f, as the selector takes
+// it.
+func layoutOf(f *FlatBlocks, i int) Layout {
+	return Layout{Blocks: f.View(i).NumBlocks(), Arena: f, Index: i}
 }
 
 func TestFlatBlocksRoundTrip(t *testing.T) {

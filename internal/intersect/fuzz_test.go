@@ -63,10 +63,11 @@ func FuzzIntersectKernels(f *testing.F) {
 		for _, p := range policies() {
 			var s Selector
 			s.SetPolicy(p)
-			if got := s.Pair(nil, a, b, av, bv); !equal(got, want) {
+			al, bl := layoutOf(fl, 0), layoutOf(fl, 1)
+			if got := s.Pair(nil, a, b, al, bl); !equal(got, want) {
 				t.Fatalf("Selector(%v).Pair = %v, want %v", p, got, want)
 			}
-			if got := s.Many(nil, [][]uint32{a, b, a}, []BlockView{av, bv, av}); !equal(got, want) {
+			if got := s.Many(nil, [][]uint32{a, b, a}, []Layout{al, bl, al}); !equal(got, want) {
 				t.Fatalf("Selector(%v).Many = %v, want %v", p, got, want)
 			}
 			if len(a) > 0 && len(b) > 0 && s.Stats().Total() == 0 {

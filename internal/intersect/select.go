@@ -5,7 +5,7 @@ import "fmt"
 // Policy selects how the per-call intersection kernel is chosen.
 // PolicyAdaptive (the zero value and the default) picks merge, gallop,
 // or the word-parallel block kernel per call from the input sizes, the
-// size ratio, and the block density recorded at materialization time.
+// size ratio, and the block density recorded when the sets were built.
 // The static policies pin one kernel for the whole run — they exist for
 // the Figure 10 reproduction and for isolating kernels in benchmarks.
 type Policy uint8
@@ -133,8 +133,9 @@ func (s *Selector) Stats() KernelStats { return s.stats }
 // ResetStats clears the kernel tally (run boundaries).
 func (s *Selector) ResetStats() { s.stats = KernelStats{} }
 
-// chooseAdaptive picks the kernel for a pair under PolicyAdaptive.
-// a must be the smaller input. The density test runs first: when both
+// chooseAdaptive picks the kernel for a pair under PolicyAdaptive from
+// the input sizes and block counts alone. a must be the smaller input.
+// The density test runs first: when both
 // inputs are dense enough to amortize the per-block overhead, the
 // word-parallel kernel wins even under heavy skew, because
 // IntersectViews gallops its block-key merge — O(blocks(a)·log
@@ -152,17 +153,17 @@ func chooseAdaptive(la, lb, ba, bb int, haveViews bool) Kernel {
 }
 
 // Pair intersects two sorted slices under the selector's policy,
-// appending to dst. av/bv are the inputs' block views when materialized
-// (zero BlockView = unavailable); the slices and views must describe
-// the same sets.
-func (s *Selector) Pair(dst, a, b []uint32, av, bv BlockView) []uint32 {
+// appending to dst. al/bl are the inputs' block layouts (zero Layout =
+// unavailable); the slices and layouts must describe the same sets. A
+// view is read from its arena only when the block kernel is picked.
+func (s *Selector) Pair(dst, a, b []uint32, al, bl Layout) []uint32 {
 	la, lb := len(a), len(b)
 	if la == 0 || lb == 0 {
 		return dst
 	}
 	if la > lb {
 		a, b = b, a
-		av, bv = bv, av
+		al, bl = bl, al
 		la, lb = lb, la
 	}
 	switch s.policy {
@@ -180,9 +181,9 @@ func (s *Selector) Pair(dst, a, b []uint32, av, bv BlockView) []uint32 {
 		s.stats[KernelMerge]++
 		return Merge(dst, a, b)
 	case PolicyBlock:
-		if av.Valid() && bv.Valid() {
+		if al.Valid() && bl.Valid() {
 			s.stats[KernelBlock]++
-			return IntersectViews(dst, av, bv)
+			return IntersectViews(dst, al.View(), bl.View())
 		}
 		if lb/la >= GallopThreshold {
 			s.stats[KernelGallop]++
@@ -191,24 +192,24 @@ func (s *Selector) Pair(dst, a, b []uint32, av, bv BlockView) []uint32 {
 		s.stats[KernelMerge]++
 		return Merge(dst, a, b)
 	default: // PolicyAdaptive
-		k := chooseAdaptive(la, lb, len(av.Keys), len(bv.Keys), av.Valid() && bv.Valid())
+		k := chooseAdaptive(la, lb, al.Blocks, bl.Blocks, al.Valid() && bl.Valid())
 		s.stats[k]++
 		switch k {
 		case KernelGallop:
 			return Galloping(dst, a, b)
 		case KernelBlock:
-			return IntersectViews(dst, av, bv)
+			return IntersectViews(dst, al.View(), bl.View())
 		default:
 			return Merge(dst, a, b)
 		}
 	}
 }
 
-// pairWithSorted intersects a plain running intersection `a` (no view)
-// with input `b` whose optional view is bv — the mid-k-way step where
-// only one side still has a layout. The block kernel probes bv with a's
-// elements, so its density test looks at b alone.
-func (s *Selector) pairWithSorted(dst, a, b []uint32, bv BlockView) []uint32 {
+// pairWithSorted intersects a plain running intersection `a` (no
+// layout) with input `b` whose optional layout is bl — the mid-k-way
+// step where only one side still has a layout. The block kernel probes
+// b's view with a's elements, so its density test looks at b alone.
+func (s *Selector) pairWithSorted(dst, a, b []uint32, bl Layout) []uint32 {
 	la, lb := len(a), len(b)
 	if la == 0 || lb == 0 {
 		return dst
@@ -232,9 +233,9 @@ func (s *Selector) pairWithSorted(dst, a, b []uint32, bv BlockView) []uint32 {
 		s.stats[KernelMerge]++
 		return Merge(dst, a, b)
 	case PolicyBlock:
-		if bv.Valid() {
+		if bl.Valid() {
 			s.stats[KernelBlock]++
-			return IntersectViewWithSorted(dst, bv, a)
+			return IntersectViewWithSorted(dst, bl.View(), a)
 		}
 		if lmax/lmin >= GallopThreshold {
 			s.stats[KernelGallop]++
@@ -247,9 +248,9 @@ func (s *Selector) pairWithSorted(dst, a, b []uint32, bv BlockView) []uint32 {
 			s.stats[KernelGallop]++
 			return Galloping(dst, a, b)
 		}
-		if bv.Valid() && len(bv.Keys)*DenseFactor <= lb {
+		if bl.Valid() && bl.Blocks*DenseFactor <= lb {
 			s.stats[KernelBlock]++
-			return IntersectViewWithSorted(dst, bv, a)
+			return IntersectViewWithSorted(dst, bl.View(), a)
 		}
 		s.stats[KernelMerge]++
 		return Merge(dst, a, b)
@@ -258,21 +259,21 @@ func (s *Selector) pairWithSorted(dst, a, b []uint32, bv BlockView) []uint32 {
 
 // Many intersects k ≥ 0 sorted slices under the selector's policy,
 // appending to dst — the selector-dispatched analogue of
-// Scratch.IntersectMany. views, when non-nil, must parallel sets
-// (views[i] is sets[i]'s block view, zero when unavailable). Both
+// Scratch.IntersectMany. layouts, when non-nil, must parallel sets
+// (layouts[i] is sets[i]'s block layout, zero when unavailable). Both
 // slices may be reordered in place (smallest set moved first).
-func (s *Selector) Many(dst []uint32, sets [][]uint32, views []BlockView) []uint32 {
-	var v0, v1 BlockView
+func (s *Selector) Many(dst []uint32, sets [][]uint32, layouts []Layout) []uint32 {
+	var l0, l1 Layout
 	switch len(sets) {
 	case 0:
 		return dst
 	case 1:
 		return append(dst, sets[0]...)
 	case 2:
-		if views != nil {
-			v0, v1 = views[0], views[1]
+		if layouts != nil {
+			l0, l1 = layouts[0], layouts[1]
 		}
-		return s.Pair(dst, sets[0], sets[1], v0, v1)
+		return s.Pair(dst, sets[0], sets[1], l0, l1)
 	}
 	minIdx := 0
 	for i, set := range sets {
@@ -281,21 +282,21 @@ func (s *Selector) Many(dst []uint32, sets [][]uint32, views []BlockView) []uint
 		}
 	}
 	sets[0], sets[minIdx] = sets[minIdx], sets[0]
-	if views != nil {
-		views[0], views[minIdx] = views[minIdx], views[0]
-		v0, v1 = views[0], views[1]
+	if layouts != nil {
+		layouts[0], layouts[minIdx] = layouts[minIdx], layouts[0]
+		l0, l1 = layouts[0], layouts[1]
 	}
-	cur := s.Pair(s.ix.a[:0], sets[0], sets[1], v0, v1)
+	cur := s.Pair(s.ix.a[:0], sets[0], sets[1], l0, l1)
 	tmp := s.ix.b[:0]
 	for i := 2; i < len(sets); i++ {
 		if len(cur) == 0 {
 			break
 		}
-		var bv BlockView
-		if views != nil {
-			bv = views[i]
+		var bl Layout
+		if layouts != nil {
+			bl = layouts[i]
 		}
-		tmp = s.pairWithSorted(tmp[:0], cur, sets[i], bv)
+		tmp = s.pairWithSorted(tmp[:0], cur, sets[i], bl)
 		cur, tmp = tmp, cur
 	}
 	dst = append(dst, cur...)

@@ -51,7 +51,7 @@ func policies() []Policy {
 }
 
 // TestSelectorPairAgreesAcrossPolicies is the core output invariant:
-// every policy, with and without block views, produces the identical
+// every policy, with and without block layouts, produces the identical
 // intersection — policies change speed, never results.
 func TestSelectorPairAgreesAcrossPolicies(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
@@ -65,16 +65,16 @@ func TestSelectorPairAgreesAcrossPolicies(t *testing.T) {
 		a := randomSorted(rng, na, max+na*2)
 		b := randomSorted(rng, nb, max+nb*4)
 		f := buildFlat([][]uint32{a, b})
-		av, bv := f.View(0), f.View(1)
+		al, bl := layoutOf(f, 0), layoutOf(f, 1)
 		want := naive(a, b)
 		for _, p := range policies() {
 			var s Selector
 			s.SetPolicy(p)
-			if got := s.Pair(nil, a, b, av, bv); !equal(got, want) {
-				t.Fatalf("seed %d policy %v (views): got %v, want %v", seed, p, got, want)
+			if got := s.Pair(nil, a, b, al, bl); !equal(got, want) {
+				t.Fatalf("seed %d policy %v (layouts): got %v, want %v", seed, p, got, want)
 			}
-			if got := s.Pair(nil, a, b, BlockView{}, BlockView{}); !equal(got, want) {
-				t.Fatalf("seed %d policy %v (no views): got %v, want %v", seed, p, got, want)
+			if got := s.Pair(nil, a, b, Layout{}, Layout{}); !equal(got, want) {
+				t.Fatalf("seed %d policy %v (no layouts): got %v, want %v", seed, p, got, want)
 			}
 			if len(a) > 0 && len(b) > 0 && s.Stats().Total() != 2 {
 				t.Fatalf("seed %d policy %v: %d kernel executions tallied, want 2", seed, p, s.Stats().Total())
@@ -97,12 +97,12 @@ func TestSelectorStaticPolicyKernels(t *testing.T) {
 	}
 	skewSmall := dense[:4]
 	f := buildFlat([][]uint32{dense, sparse, skewSmall})
-	dv, sv, kv := f.View(0), f.View(1), f.View(2)
+	dv, sv, kv := layoutOf(f, 0), layoutOf(f, 1), layoutOf(f, 2)
 
-	run := func(p Policy, a, b []uint32, av, bv BlockView) KernelStats {
+	run := func(p Policy, a, b []uint32, al, bl Layout) KernelStats {
 		var s Selector
 		s.SetPolicy(p)
-		s.Pair(nil, a, b, av, bv)
+		s.Pair(nil, a, b, al, bl)
 		return s.Stats()
 	}
 	if st := run(PolicyMerge, dense, sparse, dv, sv); st[KernelMerge] != 1 {
@@ -114,9 +114,9 @@ func TestSelectorStaticPolicyKernels(t *testing.T) {
 	if st := run(PolicyBlock, dense, sparse, dv, sv); st[KernelBlock] != 1 {
 		t.Errorf("block policy tallied %v", st)
 	}
-	// Block policy without views falls back to the hybrid switch.
-	if st := run(PolicyBlock, dense, sparse, BlockView{}, BlockView{}); st[KernelBlock] != 0 || st.Total() != 1 {
-		t.Errorf("block policy without views tallied %v", st)
+	// Block policy without layouts falls back to the hybrid switch.
+	if st := run(PolicyBlock, dense, sparse, Layout{}, Layout{}); st[KernelBlock] != 0 || st.Total() != 1 {
+		t.Errorf("block policy without layouts tallied %v", st)
 	}
 	// Hybrid: balanced sizes merge, GallopThreshold-skewed sizes gallop.
 	if st := run(PolicyHybrid, dense, sparse, dv, sv); st[KernelMerge] != 1 {
@@ -128,7 +128,7 @@ func TestSelectorStaticPolicyKernels(t *testing.T) {
 	// Adaptive: density beats skew — a dense skewed pair takes the block
 	// kernel (its block-key merge gallops), a sparse skewed pair fails
 	// the density test and gallops, dense balanced inputs take the block
-	// kernel, and without views it degrades to the hybrid choice.
+	// kernel, and without layouts it degrades to the hybrid choice.
 	if st := run(PolicyAdaptive, skewSmall, dense, kv, dv); st[KernelBlock] != 1 {
 		t.Errorf("adaptive on dense skewed sizes tallied %v", st)
 	}
@@ -141,18 +141,18 @@ func TestSelectorStaticPolicyKernels(t *testing.T) {
 	if st := run(PolicyAdaptive, dense, sparse, dv, sv); st[KernelMerge] != 1 {
 		t.Errorf("adaptive on sparse balanced inputs tallied %v", st)
 	}
-	if st := run(PolicyAdaptive, dense, dense, BlockView{}, BlockView{}); st[KernelMerge] != 1 {
-		t.Errorf("adaptive without views tallied %v", st)
+	if st := run(PolicyAdaptive, dense, dense, Layout{}, Layout{}); st[KernelMerge] != 1 {
+		t.Errorf("adaptive without layouts tallied %v", st)
 	}
 	// Empty inputs execute no kernel at all.
-	if st := run(PolicyAdaptive, nil, dense, BlockView{}, dv); st.Total() != 0 {
+	if st := run(PolicyAdaptive, nil, dense, Layout{}, dv); st.Total() != 0 {
 		t.Errorf("empty input tallied %v", st)
 	}
 }
 
 // TestSelectorManyAgreesWithScratch checks the k-way dispatcher against
 // the established Scratch.IntersectMany on random inputs, for every
-// policy, with and without views.
+// policy, with and without layouts.
 func TestSelectorManyAgreesWithScratch(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -175,16 +175,16 @@ func TestSelectorManyAgreesWithScratch(t *testing.T) {
 			s.SetPolicy(p)
 			in := make([][]uint32, k)
 			copy(in, sets)
-			views := make([]BlockView, k)
-			for i := range views {
-				views[i] = f.View(i)
+			layouts := make([]Layout, k)
+			for i := range layouts {
+				layouts[i] = layoutOf(f, i)
 			}
-			if got := s.Many(nil, in, views); !equal(got, want) {
-				t.Fatalf("seed %d policy %v (views): got %v, want %v", seed, p, got, want)
+			if got := s.Many(nil, in, layouts); !equal(got, want) {
+				t.Fatalf("seed %d policy %v (layouts): got %v, want %v", seed, p, got, want)
 			}
 			copy(in, sets)
 			if got := s.Many(nil, in, nil); !equal(got, want) {
-				t.Fatalf("seed %d policy %v (no views): got %v, want %v", seed, p, got, want)
+				t.Fatalf("seed %d policy %v (no layouts): got %v, want %v", seed, p, got, want)
 			}
 		}
 	}
@@ -200,14 +200,14 @@ func TestSelectorManySteadyStateAllocFree(t *testing.T) {
 		randomSorted(rng, 200, 1000),
 	}
 	f := buildFlat(sets)
-	views := []BlockView{f.View(0), f.View(1), f.View(2)}
+	layouts := []Layout{layoutOf(f, 0), layoutOf(f, 1), layoutOf(f, 2)}
 	var s Selector
 	dst := make([]uint32, 0, 256)
-	s.Many(dst, sets, views) // warm the scratch buffers
+	s.Many(dst, sets, layouts) // warm the scratch buffers
 	for _, p := range policies() {
 		s.SetPolicy(p)
 		if n := testing.AllocsPerRun(100, func() {
-			dst = s.Many(dst[:0], sets, views)
+			dst = s.Many(dst[:0], sets, layouts)
 		}); n != 0 {
 			t.Errorf("policy %v: %.1f allocs per k-way call, want 0", p, n)
 		}
