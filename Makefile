@@ -37,9 +37,7 @@ race:
 # register/replace/unregister through the durable manager (and the
 # HTTP surface) and verifies a restart reconstructs the exact state.
 # The graph stress is the concurrent first use of the lazily built NLF
-# index (8 goroutines racing into one sync.Once); the core lazy-arena
-# stress is 32 searches of one fresh adaptive plan racing to encode the
-# same block arenas on their first pick. The core cap test
+# index (8 goroutines racing into one sync.Once). The core cap test
 # (TestParallelCapExactUnderContention) races 1–8 workers to a cap that
 # lands inside leaf runs, with and without a sink whose calls must never
 # overlap.
@@ -51,7 +49,8 @@ race-stress:
 # per-label-class matching test (the same verdict as one matching over
 # all of N(u), for every (u, v) in every refinement state),
 # intersection-kernel equivalence (every kernel — merge, gallop, hybrid,
-# block, flat views, selector policies — produces identical output), and
+# block over flat views, every selector policy — produces identical
+# output), and
 # batch grouping (SubmitBatch over arbitrary item mixes stays index-
 # aligned, isolates per-item failures, matches sequential embeddings,
 # and builds exactly one plan per group), and snapshot round-trip
@@ -163,9 +162,6 @@ bench-store:
 # The intersection-kernel measurements behind EXPERIMENTS.md's
 # "Adaptive kernels" section: the raw kernel grid over the
 # density/skew fixtures, end-to-end enumeration under each kernel
-# policy, the flat block-layout footprint, and the audit of the
-# adaptive block arm on the benchmark's four corpora (its stand-in half
-# is `go run ./cmd/experiments kernels`).
+# policy, and the flat block-layout footprint.
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'BenchmarkIntersectKernels|BenchmarkEnumerateKernelPolicy|BenchmarkCandSpaceBlockLayout' -benchmem .
-	$(GO) test -run '^$$' -bench BenchmarkKernelAudit -benchtime 1x .

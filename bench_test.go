@@ -15,7 +15,6 @@ import (
 	"subgraphmatching/internal/compress"
 	"subgraphmatching/internal/core"
 	"subgraphmatching/internal/enumerate"
-	"subgraphmatching/internal/experiments"
 	"subgraphmatching/internal/filter"
 	"subgraphmatching/internal/graph"
 	"subgraphmatching/internal/intersect"
@@ -131,13 +130,13 @@ func BenchmarkFig9EnumOptimization(b *testing.B) {
 		cfg  core.Config
 	}{
 		{"QSI-direct", core.Config{Filter: filter.LDF, Order: order.QSI, Local: enumerate.Direct}},
-		{"QSI-intersect", core.Config{Filter: filter.LDF, Order: order.QSI, Local: enumerate.Intersect, Kernel: intersect.PolicyHybrid}},
+		{"QSI-intersect", core.Config{Filter: filter.LDF, Order: order.QSI, Local: enumerate.Intersect}},
 		{"GQL-scan", core.Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Scan}},
-		{"GQL-intersect", core.Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect, Kernel: intersect.PolicyHybrid}},
+		{"GQL-intersect", core.Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect}},
 		{"CFL-treeedge", core.Config{Filter: filter.CFL, Order: order.CFL, Local: enumerate.TreeEdge}},
-		{"CFL-intersect", core.Config{Filter: filter.CFL, Order: order.CFL, Local: enumerate.Intersect, Kernel: intersect.PolicyHybrid}},
+		{"CFL-intersect", core.Config{Filter: filter.CFL, Order: order.CFL, Local: enumerate.Intersect}},
 		{"2PP-direct", core.Config{Filter: filter.LDF, Order: order.VF2PP, Local: enumerate.Direct, VF2PPRules: true}},
-		{"2PP-intersect", core.Config{Filter: filter.LDF, Order: order.VF2PP, Local: enumerate.Intersect, Kernel: intersect.PolicyHybrid}},
+		{"2PP-intersect", core.Config{Filter: filter.LDF, Order: order.VF2PP, Local: enumerate.Intersect}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) { runSet(b, f.dense16, f.g, c.cfg) })
@@ -152,9 +151,9 @@ func BenchmarkFig10Intersection(b *testing.B) {
 		name   string
 		kernel intersect.Policy
 	}{
-		// Both arms pin their kernel so the figure keeps comparing the
-		// paper's two methods even now that adaptive is the default.
-		{"Hybrid", intersect.PolicyHybrid},
+		// Hybrid is the default policy, the paper's merge/galloping
+		// switch; QFilter pins the block kernel.
+		{"Hybrid", intersect.PolicyAdaptive},
 		{"QFilter", intersect.PolicyBlock},
 	} {
 		cfg := core.Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect, Kernel: c.kernel}
@@ -834,9 +833,9 @@ func kernelBenchSet(n, stride, start int) []uint32 {
 
 // BenchmarkIntersectKernels is the kernel-selection design space: size
 // ratio (balanced vs 1:64 skew) × block density (dense vs sparse) ×
-// kernel (merge, gallop, hybrid, block, adaptive). The adaptive row
-// should track the best static kernel in every cell; EXPERIMENTS.md
-// records the measured grid.
+// kernel (merge, gallop, hybrid, block, and the selector's adaptive
+// default, which is hybrid behind the dispatch); EXPERIMENTS.md records
+// the measured grid.
 func BenchmarkIntersectKernels(b *testing.B) {
 	shapes := []struct {
 		name string
@@ -853,8 +852,6 @@ func BenchmarkIntersectKernels(b *testing.B) {
 		fl.EncodeSet(0, sh.a)
 		fl.EncodeSet(1, sh.c)
 		av, cv := fl.View(0), fl.View(1)
-		al := intersect.Layout{Blocks: int(ba), Arena: fl, Index: 0}
-		cl := intersect.Layout{Blocks: int(bc), Arena: fl, Index: 1}
 		dst := make([]uint32, 0, len(sh.a))
 		size := len(intersect.Merge(dst[:0], sh.a, sh.c))
 		kernels := []struct {
@@ -870,7 +867,7 @@ func BenchmarkIntersectKernels(b *testing.B) {
 		kernels = append(kernels, struct {
 			name string
 			fn   func() int
-		}{"adaptive", func() int { dst = sel.Pair(dst[:0], sh.a, sh.c, al, cl); return len(dst) }})
+		}{"adaptive", func() int { dst = sel.Pair(dst[:0], sh.a, sh.c, av, cv); return len(dst) }})
 		for _, k := range kernels {
 			b.Run(sh.name+"/"+k.name, func(b *testing.B) {
 				got := 0
@@ -892,8 +889,8 @@ func BenchmarkIntersectKernels(b *testing.B) {
 func BenchmarkEnumerateKernelPolicy(b *testing.B) {
 	f := getFixture(b)
 	for _, p := range []intersect.Policy{
-		intersect.PolicyHybrid, intersect.PolicyMerge, intersect.PolicyGallop,
-		intersect.PolicyBlock, intersect.PolicyAdaptive,
+		intersect.PolicyMerge, intersect.PolicyGallop, intersect.PolicyBlock,
+		intersect.PolicyAdaptive,
 	} {
 		cfg := core.Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect, Kernel: p}
 		b.Run(p.String()+"/dense", func(b *testing.B) { runSet(b, f.dense16, f.g, cfg) })
@@ -1010,16 +1007,14 @@ func BenchmarkNLFIndex(b *testing.B) {
 	b.ReportMetric(float64(bytes)/(1<<20), "index-MB")
 }
 
-// harnessCorpus is the repository benchmark's input, regenerated
-// in-process by cmd/smatchbench's rules (corpus.go): the g20 graph, the
-// 256-query mixed list — sizes 8/12/16, dense and sparse, interleaved,
-// fingerprint-deduplicated; serve-warm sends its first 64, serve-cold
-// all of it — and the 48 sparse queries whose Optimized run reaches
-// 250 000 embeddings (per size, the first 16 of 32), which enum-heavy
-// and stream-embeddings send.
+// harnessCorpus is the enum-heavy input of the repository benchmark,
+// regenerated in-process by cmd/smatchbench's rules (corpus.go): the g20
+// graph and the 48 fingerprint-deduplicated sparse queries whose
+// Optimized run reaches 250 000 embeddings (per size, the first 16 of
+// 32), which enum-heavy and stream-embeddings send.
 type harnessCorpus struct {
-	g            *graph.Graph
-	mixed, heavy []*graph.Graph
+	g     *graph.Graph
+	heavy []*graph.Graph
 }
 
 const heavyLimit, heavyPerSize = 250000, 16
@@ -1040,7 +1035,7 @@ func getHarnessCorpus(b *testing.B) *harnessCorpus {
 }
 
 func buildHarnessCorpus() (harnessCorpus, error) {
-	const seed, mixedQueries = 1, 256
+	const seed = 1
 	g, err := rmat.Generate(rmat.Config{NumVertices: 20000, NumEdges: 200000, NumLabels: 20, Seed: seed})
 	if err != nil {
 		return harnessCorpus{}, err
@@ -1059,25 +1054,6 @@ func buildHarnessCorpus() (harnessCorpus, error) {
 		return true
 	}
 	c := harnessCorpus{g: g}
-	per := (mixedQueries+5)/6 + 8
-	var classes [][]*graph.Graph
-	for _, size := range []int{8, 12, 16} {
-		for _, d := range []querygen.Density{querygen.Dense, querygen.Sparse} {
-			qs, err := class(size, d, per)
-			if err != nil {
-				return c, err
-			}
-			classes = append(classes, qs)
-		}
-	}
-	for i := 0; i < per; i++ {
-		for _, qs := range classes {
-			if fresh(qs[i]) && len(c.mixed) < mixedQueries {
-				c.mixed = append(c.mixed, qs[i])
-			}
-		}
-	}
-	clear(seen)
 	for _, size := range []int{8, 12, 16} {
 		qs, err := class(size, querygen.Sparse, 2*heavyPerSize)
 		if err != nil {
@@ -1135,52 +1111,6 @@ func BenchmarkEnumerateHeavyMix(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
 			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
-		})
-	}
-}
-
-// BenchmarkKernelAudit is ROADMAP item 10's audit on the repository
-// benchmark's four corpora (harnessCorpus), in-process, sequential, at
-// each workload's cap, under the Optimized preset: the adaptive
-// selector's kernel calls, the plans and pairs whose block arena the
-// first pick encodes, the arena bytes encoded against the eager build,
-// and the enumeration time under the adaptive policy and under
-// PolicyMerge, per pass over the corpus. cmd/experiments kernels is
-// the stand-ins' half; EXPERIMENTS.md "Adaptive kernels" records both.
-func BenchmarkKernelAudit(b *testing.B) {
-	c := getHarnessCorpus(b)
-	for _, w := range []struct {
-		name  string
-		qs    []*graph.Graph
-		limit uint64
-	}{
-		{"serve-warm", c.mixed[:64], 1000},
-		{"serve-cold", c.mixed, 1000},
-		{"enum-heavy", c.heavy, heavyLimit},
-		{"stream-embeddings", c.heavy, 20000},
-	} {
-		b.Run(w.name, func(b *testing.B) {
-			var a experiments.KernelAudit
-			for i := 0; i < b.N; i++ {
-				var err error
-				a, err = experiments.AuditKernels(w.qs, c.g, func(q *graph.Graph) core.Config {
-					return core.PresetConfig(core.Optimized, q, c.g)
-				}, core.Limits{MaxEmbeddings: w.limit})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(a.Kernels[intersect.KernelMerge]), "merge-calls")
-			b.ReportMetric(float64(a.Kernels[intersect.KernelGallop]), "gallop-calls")
-			b.ReportMetric(float64(a.Kernels[intersect.KernelBlock]), "block-calls")
-			b.ReportMetric(float64(a.Encoding), "plans-encoding")
-			b.ReportMetric(float64(a.Plans), "plans")
-			b.ReportMetric(float64(a.Encoded), "pairs-encoded")
-			b.ReportMetric(float64(a.Pairs), "pairs")
-			b.ReportMetric(float64(a.LazyBytes)/1024, "lazy-KB")
-			b.ReportMetric(float64(a.EagerBytes)/1024, "eager-KB")
-			b.ReportMetric(float64(a.Adaptive.Microseconds())/1e3, "adaptive-ms")
-			b.ReportMetric(float64(a.Merge.Microseconds())/1e3, "merge-ms")
 		})
 	}
 }

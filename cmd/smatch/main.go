@@ -48,7 +48,7 @@ func main() {
 		timeout   = flag.Duration("timeout", 5*time.Minute, "per-query time limit (0 = none)")
 		printN    = flag.Int("print", 0, "print up to N embeddings")
 		parallel  = flag.Int("parallel", 1, "worker goroutines for enumeration and preprocessing (filter, candidate space, order)")
-		kernel    = flag.String("kernel", "adaptive", "intersection-kernel policy: adaptive merge gallop hybrid block")
+		kernel    = flag.String("kernel", "adaptive", "intersection-kernel policy: adaptive merge gallop block")
 		profile   = flag.Bool("profile", false, "print a per-depth search profile")
 		trace     = flag.Bool("trace", false, "print the phase-span trace (filter stages, build, order, per-worker enumeration)")
 		explain   = flag.Bool("explain", false, "print the EXPLAIN/ANALYZE breakdown: filter-stage reduction, matching order, per-depth enumeration heat")

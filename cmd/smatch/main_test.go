@@ -68,25 +68,32 @@ func TestRunErrors(t *testing.T) {
 // TestRemovedFlagsRejected: -schedule and -split selected baselines that
 // left with their code paths, and -workers a preprocessing degree apart
 // from -parallel; the flag package must refuse them rather than smatch
-// accept and ignore them. The test re-executes its own
-// binary as smatch, since flag.Parse exits the process.
+// accept and ignore them. -kernel hybrid named the size-ratio switch
+// that is now the adaptive default, and is refused as an unknown
+// policy. The test re-executes its own binary as smatch, since
+// flag.Parse and a failed run exit the process.
 func TestRemovedFlagsRejected(t *testing.T) {
 	if args := os.Getenv("SMATCH_TEST_ARGS"); args != "" {
 		os.Args = append([]string{"smatch"}, strings.Fields(args)...)
 		main()
 		return
 	}
-	for _, args := range []string{"-schedule steal", "-split cost", "-workers 2"} {
+	qPath, gPath := writeGraphs(t)
+	for _, c := range []struct{ args, want string }{
+		{"-schedule steal", "flag provided but not defined: -schedule"},
+		{"-split cost", "flag provided but not defined: -split"},
+		{"-workers 2", "flag provided but not defined: -workers"},
+		{"-q " + qPath + " -d " + gPath + " -kernel hybrid", `unknown kernel policy "hybrid"`},
+	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestRemovedFlagsRejected$")
-		cmd.Env = append(os.Environ(), "SMATCH_TEST_ARGS="+args)
+		cmd.Env = append(os.Environ(), "SMATCH_TEST_ARGS="+c.args)
 		out, err := cmd.CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) {
-			t.Errorf("smatch %s: err = %v, want a non-zero exit\n%s", args, err, out)
+			t.Errorf("smatch %s: err = %v, want a non-zero exit\n%s", c.args, err, out)
 		}
-		want := "flag provided but not defined: " + strings.Fields(args)[0]
-		if !strings.Contains(string(out), want) {
-			t.Errorf("smatch %s: output lacks %q:\n%s", args, want, out)
+		if !strings.Contains(string(out), c.want) {
+			t.Errorf("smatch %s: output lacks %q:\n%s", c.args, c.want, out)
 		}
 	}
 }

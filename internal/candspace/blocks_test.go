@@ -7,30 +7,14 @@ import (
 
 	"subgraphmatching/internal/filter"
 	"subgraphmatching/internal/graph"
-	"subgraphmatching/internal/intersect"
 	"subgraphmatching/internal/testutil"
 )
-
-// encodedArenas lists a space's block arenas pair by pair, nil for a
-// pair without one or not yet encoded.
-func encodedArenas(s *Space) [][]*intersect.FlatBlocks {
-	out := make([][]*intersect.FlatBlocks, len(s.arenas))
-	for u, row := range s.arenas {
-		out[u] = make([]*intersect.FlatBlocks, len(row))
-		for i, a := range row {
-			if a != nil {
-				out[u][i] = a.flat
-			}
-		}
-	}
-	return out
-}
 
 // flatBlocksEqual compares the block materializations of two spaces
 // arena-by-arena — byte-identical layouts, not just equal decoded sets.
 func flatBlocksEqual(t *testing.T, a, b *Space) {
 	t.Helper()
-	if !reflect.DeepEqual(encodedArenas(a), encodedArenas(b)) {
+	if !reflect.DeepEqual(a.flat, b.flat) {
 		t.Fatal("flat block arenas differ between builds")
 	}
 }
@@ -106,9 +90,9 @@ func TestMaterializeBlocksAllocsScaleWithEdges(t *testing.T) {
 		BuildFull(q, g, cand)
 	})
 	blockAllocs := allocs - base
-	// Per materialized pair: counts slice, FlatBlocks struct, offsets,
-	// keys, words (5), plus the two outer rows per query vertex and
-	// slack for the runtime.
+	// Per materialized pair: FlatBlocks struct, offsets, keys, words (4),
+	// plus the pair list, the two outer rows per query vertex and slack
+	// for the runtime.
 	bound := float64(6*pairs + 4*q.NumVertices() + 16)
 	if blockAllocs > bound {
 		t.Errorf("block materialization allocated %.0f objects for %d pairs (%d sets); bound %.0f — layout is not O(edges)",
@@ -256,76 +240,4 @@ func TestParallelMaterializeStress(t *testing.T) {
 		s.MaterializeBlocks(8)
 		flatBlocksEqual(t, seq, s)
 	}
-}
-
-// TestPlanBlocksEncodesOnFirstView: PlanBlocks offers every pair's
-// layout — the block counts the eager arenas hold — and encodes nothing;
-// the first view of a pair encodes that pair's arena and no other, the
-// arena the eager build makes; and the planned bytes and stats are the
-// eager build's before any arena is encoded and after all of them are.
-func TestPlanBlocksEncodesOnFirstView(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	g := testutil.RandomGraph(rng, 60, 240, 3)
-	var q *graph.Graph
-	for q == nil {
-		q = testutil.RandomConnectedQuery(rng, g, 5)
-	}
-	cand, _ := filter.Run(filter.NLF, q, g)
-	lazy, eager := BuildFull(q, g, cand), BuildFull(q, g, cand)
-	lazy.PlanBlocks()
-	eager.MaterializeBlocks()
-	if !lazy.HasBlocks() {
-		t.Fatal("HasBlocks false after PlanBlocks")
-	}
-	arenas, bytes := eager.EncodedBlocks()
-	if arenas == 0 || bytes != eager.BlockMemoryBytes() {
-		t.Fatalf("eager build encoded %d arenas of %d bytes, planned %d", arenas, bytes, eager.BlockMemoryBytes())
-	}
-	planned := func() {
-		t.Helper()
-		if lazy.BlockMemoryBytes() != eager.BlockMemoryBytes() {
-			t.Fatalf("planned %d block bytes, eager build %d", lazy.BlockMemoryBytes(), eager.BlockMemoryBytes())
-		}
-		ls, lb, le := lazy.BlockStats()
-		es, eb, ee := eager.BlockStats()
-		if ls != es || lb != eb || le != ee {
-			t.Fatalf("BlockStats %d/%d/%d, eager build %d/%d/%d", ls, lb, le, es, eb, ee)
-		}
-	}
-	planned()
-	if n, b := lazy.EncodedBlocks(); n != 0 || b != 0 {
-		t.Fatalf("PlanBlocks encoded %d arenas (%d bytes)", n, b)
-	}
-	encoded := 0
-	for u := 0; u < q.NumVertices(); u++ {
-		uu := graph.Vertex(u)
-		for _, up := range q.Neighbors(uu) {
-			p, e := lazy.Pair(uu, up), eager.Pair(uu, up)
-			for ci := range lazy.Candidates(uu) {
-				if got, want := p.Layout(ci).Blocks, e.View(ci).NumBlocks(); got != want {
-					t.Fatalf("(%d->%d)[%d]: layout counts %d blocks, eager view %d", uu, up, ci, got, want)
-				}
-			}
-			if n, _ := lazy.EncodedBlocks(); n != encoded {
-				t.Fatalf("(%d->%d): reading block counts encoded an arena", uu, up)
-			}
-			if len(lazy.Candidates(uu)) == 0 {
-				continue
-			}
-			for ci := range lazy.Candidates(uu) {
-				if got, want := p.View(ci), e.View(ci); !reflect.DeepEqual(got, want) {
-					t.Fatalf("(%d->%d)[%d]: view %v, eager build %v", uu, up, ci, got, want)
-				}
-			}
-			encoded++
-			if n, _ := lazy.EncodedBlocks(); n != encoded {
-				t.Fatalf("(%d->%d): %d arenas encoded after views of %d pairs", uu, up, n, encoded)
-			}
-		}
-	}
-	if n, b := lazy.EncodedBlocks(); n != arenas || b != bytes {
-		t.Fatalf("every pair viewed: %d arenas of %d bytes encoded, eager build %d of %d", n, b, arenas, bytes)
-	}
-	flatBlocksEqual(t, lazy, eager)
-	planned()
 }

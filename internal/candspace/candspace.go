@@ -18,7 +18,6 @@ package candspace
 import (
 	"math/bits"
 	"slices"
-	"sync/atomic"
 
 	"subgraphmatching/internal/bitset"
 	"subgraphmatching/internal/graph"
@@ -38,25 +37,15 @@ type Space struct {
 	// not materialized (tree variant).
 	edges [][]*edgeCSR
 
-	// arenas mirrors edges with one QFilter-style block arena per
+	// flat mirrors edges with one flat QFilter-style block arena per
 	// materialized pair (per-candidate layouts are offset windows into
-	// it), each encoded on first use; nil until PlanBlocks or
-	// MaterializeBlocks offers the block layout (blocks.go).
-	arenas [][]*pairArena
-	// encodedArenas and encodedBytes count the arenas encoded so far and
-	// their bytes (EncodedBlocks).
-	encodedArenas, encodedBytes atomic.Int64
+	// it); nil until MaterializeBlocks runs (blocks.go).
+	flat [][]*intersect.FlatBlocks
 }
 
 type edgeCSR struct {
 	offsets []int32
 	targets []uint32
-	// blocks holds the running count of the 64-wide blocks the sets
-	// occupy — set i's are blocks[i]:blocks[i+1] — recorded by Build
-	// once the pair's sets are complete. It is what the adaptive
-	// selector's density test reads, and the offsets of the pair's
-	// block arena.
-	blocks []int32
 }
 
 // BuildFull materializes 𝒜 for every query edge (CECI/DP-iso style) on
@@ -135,10 +124,7 @@ type buildPair struct {
 // from popcount prefix sums over the same bitmap. Every adjacency list
 // is a set that does not depend on how it was found, so the CSRs are
 // byte-identical for every worker count and scan direction. On one
-// worker a scan task is a pair's whole candidate list. The transposing
-// task also records the block count of every set of both directions
-// (edgeCSR.blocks), which is all a block layout needs before an arena
-// is encoded (blocks.go).
+// worker a scan task is a pair's whole candidate list.
 func Build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex, workers int) (*Space, []uint64) {
 	if workers < 1 {
 		workers = 1
@@ -244,8 +230,6 @@ func Build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex, work
 		work = par.Run(workers, len(pairs), func(_, i int) uint64 {
 			p := pairs[i]
 			rev := transpose(p.csr, candidates[p.u], len(candidates[up]), words, before)
-			p.csr.countBlocks()
-			rev.countBlocks()
 			s.edges[up][s.neighborPos(up, p.u)] = rev
 			return uint64(len(rev.targets))
 		})
@@ -288,15 +272,6 @@ func transpose(fwd *edgeCSR, src []uint32, nt int, words []uint64, before []int3
 	return rev
 }
 
-// countBlocks records how many 64-wide blocks each of the CSR's sets
-// occupies, as running totals (edgeCSR.blocks).
-func (c *edgeCSR) countBlocks() {
-	c.blocks = make([]int32, len(c.offsets))
-	for i := 0; i+1 < len(c.offsets); i++ {
-		c.blocks[i+1] = c.blocks[i] + int32(intersect.CountBlocks(c.targets[c.offsets[i]:c.offsets[i+1]]))
-	}
-}
-
 // Query returns the query graph the space was built for.
 func (s *Space) Query() *graph.Graph { return s.q }
 
@@ -324,14 +299,13 @@ func (s *Space) neighborPos(u, up graph.Vertex) int {
 }
 
 // Pair is the directed pair (u, u') of 𝒜 resolved once: its CSR and,
-// when the block layout was offered (PlanBlocks or MaterializeBlocks)
-// before Space.Pair, its block arena. The zero Pair is a pair that is
-// not materialized. Enumeration resolves the pairs it reads when an
-// engine is built, so a search node indexes its candidate straight into
-// them.
+// when MaterializeBlocks ran before Space.Pair, its block arena. The
+// zero Pair is a pair that is not materialized. Enumeration resolves the
+// pairs it reads when an engine is built, so a search node indexes its
+// candidate straight into them.
 type Pair struct {
-	csr   *edgeCSR
-	arena *pairArena
+	csr  *edgeCSR
+	flat *intersect.FlatBlocks
 }
 
 // Pair returns the directed pair (u, u'): the zero Pair when u' is not
@@ -342,8 +316,8 @@ func (s *Space) Pair(u, up graph.Vertex) Pair {
 		return Pair{}
 	}
 	p := Pair{csr: s.edges[u][pos]}
-	if p.csr != nil && s.arenas != nil {
-		p.arena = s.arenas[u][pos]
+	if p.csr != nil && s.flat != nil {
+		p.flat = s.flat[u][pos]
 	}
 	return p
 }
@@ -360,24 +334,13 @@ func (p Pair) Adjacency(ci int) []uint32 {
 	return p.csr.targets[p.csr.offsets[ci]:p.csr.offsets[ci+1]]
 }
 
-// Layout returns the block layout of Adjacency(ci) — its block count
-// and where its view comes from, without encoding anything: the zero
-// Layout when the pair has no block arena or ci is out of range.
-func (p Pair) Layout(ci int) intersect.Layout {
-	if p.arena == nil || ci < 0 || ci+1 >= len(p.csr.blocks) {
-		return intersect.Layout{}
-	}
-	return intersect.Layout{Blocks: int(p.csr.blocks[ci+1] - p.csr.blocks[ci]), Arena: p.arena, Index: ci}
-}
-
-// View returns the block view of Adjacency(ci), encoding the pair's
-// arena if this is its first use: the zero view when the pair has no
-// block arena or ci is out of range.
+// View returns the block view of Adjacency(ci): the zero view when the
+// pair has no block arena or ci is out of range.
 func (p Pair) View(ci int) intersect.BlockView {
-	if l := p.Layout(ci); l.Valid() {
-		return l.View()
+	if p.flat == nil || ci < 0 || ci >= p.flat.NumSets() {
+		return intersect.BlockView{}
 	}
-	return intersect.BlockView{}
+	return p.flat.View(ci)
 }
 
 // Adjacency returns 𝒜[u->u'](v) where candIdx is v's index in C(u): the

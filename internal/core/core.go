@@ -48,11 +48,10 @@ type Config struct {
 	// every query edge.
 	Local enumerate.LocalCandidates
 	// Kernel selects the pairwise intersection-kernel policy for the
-	// Intersect local method: adaptive per-call selection (the zero
-	// value) or one pinned static kernel (merge/gallop/hybrid/block,
-	// the Figure 10 arms — PolicyBlock is the QFilter arm).
-	// PolicyAdaptive and PolicyBlock materialize the flat block layout
-	// at build time.
+	// Intersect local method: the paper's size-ratio merge/gallop switch
+	// (the zero value) or one pinned static kernel (merge/gallop/block —
+	// PolicyBlock is Figure 10's QFilter arm, and the only policy that
+	// materializes the flat block layout at build time).
 	Kernel intersect.Policy
 	// FailingSets enables the failing-sets pruning.
 	FailingSets bool
@@ -345,16 +344,8 @@ type Plan struct {
 // candidate-space build and ordering each take it once (≤ 1 = inline on
 // the caller's goroutine) — and never changes the plan. Configurations
 // routed to the external engines have no plan; Preprocess reports
-// ErrNoPlan for them.
-//
-// Under the adaptive kernel policy the plan's QFilter block arenas are
-// not built here: the candidate-space build records every set's block
-// count, which is all the selector's density test reads, and a pair's
-// arena is encoded on the selector's first block pick for it, once per
-// plan (candspace.Space.PlanBlocks). Kernel decisions are those an
-// eager build would give, and Plan.SizeBytes charges the arenas at
-// their planned size either way. The pinned-block policy encodes every
-// arena up front (MaterializeBlocks).
+// ErrNoPlan for them. The QFilter block layout is built only under the
+// pinned-block policy, the one policy that reads it.
 func Preprocess(q, g *graph.Graph, cfg Config, workers int) (*Plan, error) {
 	if q == nil || g == nil {
 		return nil, fmt.Errorf("core: %w", ErrNilGraph)
@@ -430,17 +421,7 @@ func Preprocess(q, g *graph.Graph, cfg Config, workers int) (*Plan, error) {
 	case enumerate.Intersect:
 		structure = "full"
 		plan.Space, _ = candspace.Build(q, g, cand, nil, workers)
-		// Offer the flat block layout whenever the enumeration may run
-		// the word-parallel kernel. Under the adaptive default a pair's
-		// arena is encoded on the selector's first block pick for it —
-		// the build recorded the block counts its density test reads —
-		// so a plan pays only for the arenas its searches use, and most
-		// pay for none. The pinned-block policy reads every arena it
-		// meets and encodes them all now.
-		switch cfg.Kernel {
-		case intersect.PolicyAdaptive:
-			plan.Space.PlanBlocks()
-		case intersect.PolicyBlock:
+		if cfg.Kernel == intersect.PolicyBlock {
 			plan.Space.MaterializeBlocks(workers)
 		}
 	}
@@ -505,11 +486,9 @@ func (p *Plan) PreprocessTime() time.Duration {
 const planBaseBytes = 512
 
 // SizeBytes estimates the plan's resident heap footprint: the filtered
-// candidate sets, the candidate-space CSR, the flat block arenas, and
-// the order/weight/symmetry slices, plus a fixed struct-and-span
-// overhead. Arenas are charged at their planned size whether or not a
-// search has encoded them yet, so the figure never changes once the
-// plan is built (the cache charges it once, at insert).
+// candidate sets, the candidate-space CSR, the flat block arenas (a
+// pinned-block plan's only), and the order/weight/symmetry slices, plus
+// a fixed struct-and-span overhead.
 // Plans are CSR-dominated and wildly uneven across workloads — a
 // 4-vertex query over a small graph costs kilobytes while a dense
 // candidate space costs tens of megabytes — so the serving layer's plan

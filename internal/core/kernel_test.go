@@ -2,12 +2,10 @@ package core
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"subgraphmatching/internal/enumerate"
 	"subgraphmatching/internal/filter"
-	"subgraphmatching/internal/graph"
 	"subgraphmatching/internal/intersect"
 	"subgraphmatching/internal/order"
 	"subgraphmatching/internal/testutil"
@@ -16,7 +14,7 @@ import (
 func kernelPolicies() []intersect.Policy {
 	return []intersect.Policy{
 		intersect.PolicyAdaptive, intersect.PolicyMerge, intersect.PolicyGallop,
-		intersect.PolicyHybrid, intersect.PolicyBlock,
+		intersect.PolicyBlock,
 	}
 }
 
@@ -56,7 +54,7 @@ func TestKernelPolicyGridAgrees(t *testing.T) {
 }
 
 // TestKernelMixSurfaced pins the plan-level accounting: an adaptive run
-// over a block-materialized space reports its kernel mix on the Result,
+// reports its kernel mix on the Result,
 // and the trace span carries the same tallies, in both the sequential
 // and the parallel paths.
 func TestKernelMixSurfaced(t *testing.T) {
@@ -88,17 +86,17 @@ func TestKernelMixSurfaced(t *testing.T) {
 }
 
 // TestAdaptiveDefaultMaterializesBlocks checks Preprocess's policy:
-// the adaptive default (and PolicyBlock) build the flat block layout;
-// pinned slice-only policies skip it.
+// only PolicyBlock builds the flat block layout, charges it to the plan
+// and reports it on the build span; the adaptive default and the other
+// pinned policies, which never read it, plan none.
 func TestAdaptiveDefaultMaterializesBlocks(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
 	cases := []struct {
 		kernel intersect.Policy
 		want   bool
 	}{
-		{intersect.PolicyAdaptive, true},
+		{intersect.PolicyAdaptive, false},
 		{intersect.PolicyBlock, true},
-		{intersect.PolicyHybrid, false},
 		{intersect.PolicyMerge, false},
 		{intersect.PolicyGallop, false},
 	}
@@ -112,77 +110,12 @@ func TestAdaptiveDefaultMaterializesBlocks(t *testing.T) {
 			if got := plan.Space.HasBlocks(); got != c.want {
 				t.Errorf("kernel %v workers %d: HasBlocks = %v, want %v", c.kernel, workers, got, c.want)
 			}
-		}
-	}
-}
-
-// TestLazyBlockArenaStress is the race-detector gate for arenas encoded
-// on first pick (`make race-stress`): 32 goroutines search one fresh
-// adaptive plan at once, racing to the block kernel's first pick on the
-// same pairs. Every search must tally the kernel mix of an eagerly
-// materialised twin, each arena must be encoded once — as many as one
-// search alone encodes — and the plan's charge must not move.
-func TestLazyBlockArenaStress(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	g := testutil.RandomGraph(rng, 150, 1800, 2)
-	var q *graph.Graph
-	for q == nil {
-		q = testutil.RandomConnectedQuery(rng, g, 5)
-	}
-	cfg := Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect}
-	preprocess := func() *Plan {
-		t.Helper()
-		p, err := Preprocess(q, g, cfg, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	twin := preprocess()
-	twin.Space.MaterializeBlocks()
-	want, err := MatchPlan(twin, Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Kernels[intersect.KernelBlock] == 0 {
-		t.Fatalf("fixture never picks the block kernel: %v", want.Kernels)
-	}
-	alone := preprocess()
-	if _, err := MatchPlan(alone, Limits{}); err != nil {
-		t.Fatal(err)
-	}
-	wantArenas, wantBytes := alone.Space.EncodedBlocks()
-
-	plan := preprocess()
-	size := plan.SizeBytes()
-	if size != twin.SizeBytes() {
-		t.Fatalf("plan charged %d bytes, its eager twin %d", size, twin.SizeBytes())
-	}
-	if n, _ := plan.Space.EncodedBlocks(); n != 0 {
-		t.Fatalf("a fresh adaptive plan holds %d encoded arenas", n)
-	}
-	const searches = 32
-	var wg sync.WaitGroup
-	for i := 0; i < searches; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := MatchPlan(plan, Limits{})
-			if err != nil {
-				t.Error(err)
-				return
+			if got := plan.Space.BlockMemoryBytes() > 0; got != c.want {
+				t.Errorf("kernel %v workers %d: %d block bytes charged", c.kernel, workers, plan.Space.BlockMemoryBytes())
 			}
-			if res.Embeddings != want.Embeddings || res.Kernels != want.Kernels {
-				t.Errorf("%d embeddings, kernels %v; eager twin %d, %v", res.Embeddings, res.Kernels, want.Embeddings, want.Kernels)
+			if got := plan.Span.Child("build").Attr("block_sets") != nil; got != c.want {
+				t.Errorf("kernel %v workers %d: build span block attributes present = %v", c.kernel, workers, got)
 			}
-		}()
-	}
-	wg.Wait()
-	if n, b := plan.Space.EncodedBlocks(); n != wantArenas || b != wantBytes {
-		t.Errorf("%d searches encoded %d arenas (%d bytes); one search alone encodes %d (%d bytes)",
-			searches, n, b, wantArenas, wantBytes)
-	}
-	if got := plan.SizeBytes(); got != size {
-		t.Errorf("SizeBytes moved from %d to %d as arenas were encoded", size, got)
+		}
 	}
 }

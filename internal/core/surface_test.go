@@ -42,11 +42,11 @@ var layerSurface = map[string][]string{
 	},
 	"../candspace": {
 		"Build", "BuildFull", "EstimateSpanningTreeEmbeddings",
-		"Pair.Adjacency", "Pair.Layout", "Pair.View", "Space.Adjacency",
+		"Pair.Adjacency", "Pair.View", "Space.Adjacency",
 		"Space.AllCandidates", "Space.BlockMemoryBytes", "Space.BlockStats",
-		"Space.CandidateIndex", "Space.Candidates", "Space.EncodedBlocks", "Space.HasBlocks",
+		"Space.CandidateIndex", "Space.Candidates", "Space.HasBlocks",
 		"Space.HasPair", "Space.MaterializeBlocks", "Space.MeanCandidates",
-		"Space.MemoryBytes", "Space.Pair", "Space.PairSize", "Space.PlanBlocks", "Space.Query",
+		"Space.MemoryBytes", "Space.Pair", "Space.PairSize", "Space.Query",
 		"Space.TotalCandidates",
 	},
 	"../order": {

@@ -89,8 +89,8 @@ func (e *engine) activate(u graph.Vertex) {
 			lc = append(a.lcOf[w][:0], pairs[0].Adjacency(e.candIdx[bwd[0]])...)
 		} else {
 			// Same selector dispatch as the static path (lcIntersect), so
-			// the adaptive engine honors the kernel policy and the block
-			// layout instead of always intersecting plain slices.
+			// the adaptive engine honors the kernel policy, the block
+			// policy's views included.
 			lc = e.intersectBackward(a.lcOf[w][:0], bwd, pairs)
 		}
 		a.lcOf[w] = lc

@@ -17,7 +17,7 @@ import (
 func kernelPolicies() []intersect.Policy {
 	return []intersect.Policy{
 		intersect.PolicyAdaptive, intersect.PolicyMerge, intersect.PolicyGallop,
-		intersect.PolicyHybrid, intersect.PolicyBlock,
+		intersect.PolicyBlock,
 	}
 }
 
@@ -45,10 +45,12 @@ func collectEmbeddings(t *testing.T, q, g *graph.Graph, cand [][]uint32, space *
 	return out, st
 }
 
-// TestKernelPolicyGridIdenticalEmbeddings is the tentpole's correctness
+// TestKernelPolicyGridIdenticalEmbeddings is the kernels' correctness
 // invariant: every kernel policy — with and without the block layout
 // materialized, static and DP-iso adaptive engines — enumerates exactly
-// the same embeddings. Policies change kernel dispatch, never results.
+// the same embeddings. Policies change kernel dispatch, never results;
+// and only the block policy reads a layout, so every other policy runs
+// the same kernels over either space.
 func TestKernelPolicyGridIdenticalEmbeddings(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	tested := 0
@@ -85,17 +87,24 @@ func TestKernelPolicyGridIdenticalEmbeddings(t *testing.T) {
 			}
 		}
 
-		want, _ := collectEmbeddings(t, q, g, cand, plain, phi, Options{Local: Intersect, Kernel: intersect.PolicyHybrid})
+		want, _ := collectEmbeddings(t, q, g, cand, plain, phi, Options{Local: Intersect})
 		if len(want) == 0 || !hasKWay {
 			continue
 		}
 		tested++
 
 		for _, dpiso := range []bool{false, true} {
+			plainMix := map[intersect.Policy]intersect.KernelStats{}
 			for _, space := range []*candspace.Space{plain, blocks} {
 				for _, p := range kernelPolicies() {
 					opts := Options{Local: Intersect, Kernel: p, Adaptive: dpiso}
 					got, st := collectEmbeddings(t, q, g, cand, space, phi, opts)
+					if space == plain {
+						plainMix[p] = st.Kernels
+					} else if p != intersect.PolicyBlock && st.Kernels != plainMix[p] {
+						t.Errorf("trial %d policy %v dpiso=%v: kernels %v over the block layout, %v without",
+							trial, p, dpiso, st.Kernels, plainMix[p])
+					}
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("trial %d policy %v dpiso=%v blocks=%v: %d embeddings differ from reference %d",
 							trial, p, dpiso, space.HasBlocks(), len(got), len(want))
@@ -103,11 +112,11 @@ func TestKernelPolicyGridIdenticalEmbeddings(t *testing.T) {
 					if st.Kernels.Total() == 0 {
 						t.Errorf("trial %d policy %v dpiso=%v: no kernel executions tallied", trial, p, dpiso)
 					}
-					// The block kernel can only run where a layout exists,
-					// and the QFilter arm (PolicyBlock over a layout) runs
-					// it in both the static and the DP-iso adaptive engine.
-					if !space.HasBlocks() && st.Kernels[intersect.KernelBlock] != 0 {
-						t.Errorf("trial %d policy %v dpiso=%v: block kernel ran without a layout", trial, p, dpiso)
+					// The block kernel runs only in the QFilter arm (PolicyBlock
+					// over a layout), and there in both the static and the
+					// DP-iso adaptive engine.
+					if (p != intersect.PolicyBlock || !space.HasBlocks()) && st.Kernels[intersect.KernelBlock] != 0 {
+						t.Errorf("trial %d policy %v dpiso=%v blocks=%v: block kernel ran", trial, p, dpiso, space.HasBlocks())
 					}
 					if p == intersect.PolicyBlock && space.HasBlocks() && st.Kernels[intersect.KernelBlock] == 0 {
 						t.Errorf("trial %d dpiso=%v: block policy over a layout never ran the block kernel", trial, dpiso)
@@ -118,33 +127,6 @@ func TestKernelPolicyGridIdenticalEmbeddings(t *testing.T) {
 	}
 	if tested == 0 {
 		t.Fatal("no trial produced embeddings; fixture generation is broken")
-	}
-}
-
-// TestAdaptiveWithoutBlocksMatchesHybrid pins the degradation contract:
-// when no block layout was materialized, the adaptive policy makes
-// exactly the Hybrid kernel choices (same per-kernel tallies), so
-// enabling it can never regress a blockless run.
-func TestAdaptiveWithoutBlocksMatchesHybrid(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	g := testutil.RandomGraph(rng, 40, 160, 2)
-	var q *graph.Graph
-	for q == nil {
-		q = testutil.RandomConnectedQuery(rng, g, 5)
-	}
-	cand, err := filter.Run(filter.GQL, q, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	phi := graph.NewBFSTree(q, 0).Order
-	space := candspace.BuildFull(q, g, cand)
-	_, hybrid := collectEmbeddings(t, q, g, cand, space, phi, Options{Local: Intersect, Kernel: intersect.PolicyHybrid})
-	_, adaptive := collectEmbeddings(t, q, g, cand, space, phi, Options{Local: Intersect, Kernel: intersect.PolicyAdaptive})
-	if adaptive.Kernels != hybrid.Kernels {
-		t.Errorf("adaptive without blocks tallied %v, hybrid %v — choices must coincide", adaptive.Kernels, hybrid.Kernels)
-	}
-	if adaptive.Kernels[intersect.KernelBlock] != 0 {
-		t.Errorf("block kernel ran without a layout: %v", adaptive.Kernels)
 	}
 }
 

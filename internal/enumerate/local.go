@@ -90,8 +90,8 @@ func (e *engine) lcTreeEdge(depth int, u graph.Vertex) []uint32 {
 
 // lcIntersect is Algorithm 5 (CECI/DP-iso): intersect the auxiliary
 // adjacency lists of all backward neighbors, with the pairwise kernel
-// (merge/gallop/word-parallel block) chosen per call by the engine's
-// selector under Options.Kernel.
+// (merge/gallop, or the word-parallel block kernel under PolicyBlock)
+// chosen per call by the engine's selector under Options.Kernel.
 func (e *engine) lcIntersect(depth int, u graph.Vertex) []uint32 {
 	if depth == 0 {
 		return e.cand[u]
@@ -105,21 +105,21 @@ func (e *engine) lcIntersect(depth int, u graph.Vertex) []uint32 {
 }
 
 // intersectBackward gathers the auxiliary adjacency lists pairs[i]
-// holds for the mapping of bwd[i] — with their block layouts when the
-// space offers them — and intersects them through the kernel selector,
-// appending to dst. Shared by the static-order path and the adaptive
-// (DP-iso) activation.
+// holds for the mapping of bwd[i] — with their block views when the
+// block policy runs over a space that has them — and intersects them
+// through the kernel selector, appending to dst. Shared by the
+// static-order path and the adaptive (DP-iso) activation.
 func (e *engine) intersectBackward(dst []uint32, bwd []graph.Vertex, pairs []candspace.Pair) []uint32 {
 	sets := e.setsBuf[:0]
-	if e.useLayouts {
-		layouts := e.layoutsBuf[:0]
+	if e.useViews {
+		views := e.viewsBuf[:0]
 		for i, un := range bwd {
 			ci := e.candIdx[un]
 			sets = append(sets, pairs[i].Adjacency(ci))
-			layouts = append(layouts, pairs[i].Layout(ci))
+			views = append(views, pairs[i].View(ci))
 		}
-		e.setsBuf, e.layoutsBuf = sets, layouts
-		return e.sel.Many(dst, sets, layouts)
+		e.setsBuf, e.viewsBuf = sets, views
+		return e.sel.Many(dst, sets, views)
 	}
 	for i, un := range bwd {
 		sets = append(sets, pairs[i].Adjacency(e.candIdx[un]))

@@ -51,7 +51,7 @@ type Options struct {
 	Local LocalCandidates
 
 	// Kernel selects how the pairwise intersection kernel is chosen in
-	// the Intersect local-candidate method: adaptively per call (the
+	// the Intersect local-candidate method: by the size-ratio switch (the
 	// zero value) or pinned to one static kernel.
 	Kernel intersect.Policy
 

@@ -19,9 +19,8 @@ import (
 
 // fig9Pair is an algorithm's original local-candidate setup and its
 // optimized counterpart. RI is omitted as in the paper (it shares
-// QuickSI's computation). The optimized arms pin the Hybrid kernel:
-// the paper's Figure 9/10 numbers use Hybrid merge/galloping, so the
-// reproduction must not silently pick up the adaptive selector.
+// QuickSI's computation). The optimized arms run the default kernel
+// policy, the paper's Hybrid merge/galloping switch.
 type fig9Pair struct {
 	name string
 	base core.Config
@@ -33,22 +32,22 @@ func fig9Pairs() []fig9Pair {
 		{
 			name: "QSI",
 			base: core.Config{Filter: filter.LDF, Order: order.QSI, Local: enumerate.Direct},
-			opt:  core.Config{Filter: filter.LDF, Order: order.QSI, Local: enumerate.Intersect, Kernel: intersect.PolicyHybrid},
+			opt:  core.Config{Filter: filter.LDF, Order: order.QSI, Local: enumerate.Intersect},
 		},
 		{
 			name: "GQL",
 			base: core.Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Scan},
-			opt:  core.Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect, Kernel: intersect.PolicyHybrid},
+			opt:  core.Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect},
 		},
 		{
 			name: "CFL",
 			base: core.Config{Filter: filter.CFL, Order: order.CFL, Local: enumerate.TreeEdge},
-			opt:  core.Config{Filter: filter.CFL, Order: order.CFL, Local: enumerate.Intersect, Kernel: intersect.PolicyHybrid},
+			opt:  core.Config{Filter: filter.CFL, Order: order.CFL, Local: enumerate.Intersect},
 		},
 		{
 			name: "2PP",
 			base: core.Config{Filter: filter.LDF, Order: order.VF2PP, Local: enumerate.Direct, VF2PPRules: true},
-			opt:  core.Config{Filter: filter.LDF, Order: order.VF2PP, Local: enumerate.Intersect, Kernel: intersect.PolicyHybrid},
+			opt:  core.Config{Filter: filter.LDF, Order: order.VF2PP, Local: enumerate.Intersect},
 		},
 	}
 }
@@ -105,7 +104,7 @@ func Fig9(env Env) error {
 func Fig10(env Env) error {
 	env = env.WithDefaults()
 	section(env.Out, "Figure 10: set intersection methods (enumeration ms)", "Figure 10(a-b)")
-	hybrid := core.Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect, Kernel: intersect.PolicyHybrid}
+	hybrid := core.Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect}
 	qfilter := core.Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect, Kernel: intersect.PolicyBlock}
 
 	ta := workload.Table{Title: "(a) by dataset (default dense query set)",

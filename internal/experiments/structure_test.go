@@ -19,7 +19,6 @@ func TestExperimentOutputStructure(t *testing.T) {
 		{"fig8", Fig8, []string{"LDF", "STEADY", "(a) by dataset"}},
 		{"fig9", Fig9, []string{"QSI", "GQL", "CFL", "2PP", "speedup"}},
 		{"fig10", Fig10, []string{"Hybrid", "QFilter"}},
-		{"kernels", Kernels, []string{"fig9", "fig10", "fig16", "block", "pairs enc", "arena eager", "merge-only"}},
 		{"fig11", Fig11, []string{"QSI", "GQL", "CFL", "CECI", "DPiso", "RI", "VF2PP"}},
 		{"fig12", Fig12, []string{"standard deviation"}},
 		{"fig13", Fig13, []string{"short", "median", "long", "unsolved"}},

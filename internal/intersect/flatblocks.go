@@ -63,30 +63,6 @@ func (v BlockView) Elements(dst []uint32) []uint32 {
 	return dst
 }
 
-// Arena hands out the block views of the sets it holds, by index. An
-// arena may encode its sets on the first View, so one that no kernel
-// reads is never encoded.
-type Arena interface {
-	View(i int) BlockView
-}
-
-// Layout is one set's block layout as the kernel selector sees it:
-// Blocks, the number of 64-wide blocks the set occupies — all the
-// density test reads, known before any arena is encoded — and set Index
-// of Arena, which only the block kernel reads. The zero Layout is "no
-// block layout".
-type Layout struct {
-	Blocks int
-	Arena  Arena
-	Index  int
-}
-
-// Valid reports whether the set has a block layout.
-func (l Layout) Valid() bool { return l.Arena != nil }
-
-// View returns the set's block view from its arena.
-func (l Layout) View() BlockView { return l.Arena.View(l.Index) }
-
 // CountBlocks returns how many 64-wide blocks a sorted strictly-
 // increasing slice occupies — the pass-1 sizing primitive for the
 // two-phase build.
@@ -217,46 +193,6 @@ func appendBlock(dst []uint32, key uint32, w uint64) []uint32 {
 		w &= w - 1
 	}
 	return dst
-}
-
-// CountViews returns the intersection cardinality of two block views
-// without decoding, with the same skew switch as IntersectViews.
-func CountViews(a, b BlockView) int {
-	if len(a.Keys) > len(b.Keys) {
-		a, b = b, a
-	}
-	if len(a.Keys) == 0 {
-		return 0
-	}
-	n := 0
-	if len(b.Keys)/len(a.Keys) >= GallopThreshold {
-		pos := 0
-		for i, key := range a.Keys {
-			pos = gallopSearch(b.Keys, pos, key)
-			if pos == len(b.Keys) {
-				break
-			}
-			if b.Keys[pos] == key {
-				n += bits.OnesCount64(a.Words[i] & b.Words[pos])
-				pos++
-			}
-		}
-		return n
-	}
-	i, j := 0, 0
-	for i < len(a.Keys) && j < len(b.Keys) {
-		switch {
-		case a.Keys[i] < b.Keys[j]:
-			i++
-		case a.Keys[i] > b.Keys[j]:
-			j++
-		default:
-			n += bits.OnesCount64(a.Words[i] & b.Words[j])
-			i++
-			j++
-		}
-	}
-	return n
 }
 
 // IntersectViewWithSorted intersects a block view with a plain sorted

@@ -19,12 +19,6 @@ func buildFlat(sets [][]uint32) *FlatBlocks {
 	return f
 }
 
-// layoutOf is set i's block layout over arena f, as the selector takes
-// it.
-func layoutOf(f *FlatBlocks, i int) Layout {
-	return Layout{Blocks: f.View(i).NumBlocks(), Arena: f, Index: i}
-}
-
 func TestFlatBlocksRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -111,9 +105,6 @@ func TestIntersectViewsAgreesWithNaive(t *testing.T) {
 		if got := IntersectViews(nil, av, bv); !equal(got, want) {
 			t.Fatalf("seed %d: IntersectViews = %v, want %v", seed, got, want)
 		}
-		if got := CountViews(av, bv); got != len(want) {
-			t.Fatalf("seed %d: CountViews = %d, want %d", seed, got, len(want))
-		}
 		if got := IntersectViewWithSorted(nil, av, b); !equal(got, want) {
 			t.Fatalf("seed %d: IntersectViewWithSorted = %v, want %v", seed, got, want)
 		}
@@ -141,9 +132,6 @@ func TestIntersectViewsGallopPath(t *testing.T) {
 	}
 	if got := IntersectViews(nil, av, bv); !equal(got, want) {
 		t.Fatalf("IntersectViews (gallop) = %v, want %v", got, want)
-	}
-	if got := CountViews(av, bv); got != len(want) {
-		t.Fatalf("CountViews (gallop) = %d, want %d", got, len(want))
 	}
 }
 

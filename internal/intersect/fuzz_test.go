@@ -53,9 +53,6 @@ func FuzzIntersectKernels(f *testing.F) {
 		if got := IntersectViews(nil, av, bv); !equal(got, want) {
 			t.Fatalf("IntersectViews = %v, want %v", got, want)
 		}
-		if got := CountViews(av, bv); got != len(want) {
-			t.Fatalf("CountViews = %d, want %d", got, len(want))
-		}
 		if got := IntersectViewWithSorted(nil, av, b); !equal(got, want) {
 			t.Fatalf("IntersectViewWithSorted = %v, want %v", got, want)
 		}
@@ -63,11 +60,10 @@ func FuzzIntersectKernels(f *testing.F) {
 		for _, p := range policies() {
 			var s Selector
 			s.SetPolicy(p)
-			al, bl := layoutOf(fl, 0), layoutOf(fl, 1)
-			if got := s.Pair(nil, a, b, al, bl); !equal(got, want) {
+			if got := s.Pair(nil, a, b, av, bv); !equal(got, want) {
 				t.Fatalf("Selector(%v).Pair = %v, want %v", p, got, want)
 			}
-			if got := s.Many(nil, [][]uint32{a, b, a}, []Layout{al, bl, al}); !equal(got, want) {
+			if got := s.Many(nil, [][]uint32{a, b, a}, []BlockView{av, bv, av}); !equal(got, want) {
 				t.Fatalf("Selector(%v).Many = %v, want %v", p, got, want)
 			}
 			if len(a) > 0 && len(b) > 0 && s.Stats().Total() == 0 {

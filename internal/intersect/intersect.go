@@ -10,11 +10,11 @@
 //     of the smaller one, best when sizes are highly skewed (the
 //     EmptyHeaded heuristic).
 //   - Hybrid: picks Merge or Galloping based on the size ratio; this is
-//     the paper's default.
+//     the paper's default, and what the Selector's default policy runs.
 //
 // A fourth, the QFilter-style block layout (see FlatBlocks), trades
 // preprocessing and memory for word-parallel intersection and is compared
-// against Hybrid in the Figure 10 reproduction.
+// against Hybrid in the Figure 10 reproduction (PolicyBlock).
 //
 // All kernels require strictly-increasing sorted inputs and produce sorted
 // outputs.
@@ -164,59 +164,11 @@ func Contains(s []uint32, x uint32) bool {
 	return lo < len(s) && s[lo] == x
 }
 
-// Scratch holds the reusable intermediate buffers for k-way
-// intersections. A Scratch owned by a single goroutine amortizes the
-// intermediate storage across calls, so steady-state IntersectMany is
-// allocation-free (the buffers grow to the largest intermediate seen and
-// stay there).
+// Scratch holds the two reusable intermediate buffers of a k-way
+// intersection: the running intersection ping-pongs between them. The
+// Selector that owns one amortizes the intermediate storage across
+// calls, so its steady-state k-way calls are allocation-free (the
+// buffers grow to the largest intermediate seen and stay there).
 type Scratch struct {
 	a, b []uint32
-}
-
-// IntersectMany intersects k >= 0 sorted slices, smallest first, and
-// returns the result appended to dst. With two inputs the intersection
-// is written straight into dst; with more, the running intersection
-// ping-pongs between the Scratch buffers. Inputs start from the smallest
-// set so the running intersection stays as small as possible.
-func (s *Scratch) IntersectMany(dst []uint32, sets ...[]uint32) []uint32 {
-	switch len(sets) {
-	case 0:
-		return dst
-	case 1:
-		return append(dst, sets[0]...)
-	case 2:
-		return Hybrid(dst, sets[0], sets[1])
-	}
-	// Move the smallest set first; a full sort is overkill for the tiny k
-	// seen in practice (k = number of backward neighbors).
-	minIdx := 0
-	for i, set := range sets {
-		if len(set) < len(sets[minIdx]) {
-			minIdx = i
-		}
-	}
-	sets[0], sets[minIdx] = sets[minIdx], sets[0]
-	cur := append(s.a[:0], sets[0]...)
-	tmp := s.b[:0]
-	for _, set := range sets[1:] {
-		tmp = Hybrid(tmp[:0], cur, set)
-		cur, tmp = tmp, cur
-		if len(cur) == 0 {
-			break
-		}
-	}
-	dst = append(dst, cur...)
-	s.a, s.b = cur[:0], tmp[:0]
-	return dst
-}
-
-// IntersectMany intersects k >= 1 sorted slices, reusing scratch for one
-// of the intermediates. It returns the final intersection appended to
-// dst. Callers on a hot path should hold a Scratch and use its method
-// instead, which reuses both intermediate buffers.
-func IntersectMany(dst []uint32, scratch *[]uint32, sets ...[]uint32) []uint32 {
-	s := Scratch{a: *scratch}
-	dst = s.IntersectMany(dst, sets...)
-	*scratch = s.a[:0]
-	return dst
 }

@@ -117,117 +117,22 @@ func TestContains(t *testing.T) {
 	}
 }
 
-func TestIntersectMany(t *testing.T) {
-	a := []uint32{1, 2, 3, 4, 5, 6}
-	b := []uint32{2, 4, 6, 8}
-	c := []uint32{4, 5, 6, 7}
-	var scratch []uint32
-	got := IntersectMany(nil, &scratch, a, b, c)
-	if want := []uint32{4, 6}; !reflect.DeepEqual(got, want) {
-		t.Errorf("IntersectMany = %v, want %v", got, want)
-	}
-	// Single set copies through.
-	got = IntersectMany(nil, &scratch, a)
-	if !reflect.DeepEqual(got, a) {
-		t.Errorf("IntersectMany single = %v", got)
-	}
-	// No sets.
-	if got := IntersectMany(nil, &scratch); len(got) != 0 {
-		t.Errorf("IntersectMany() = %v", got)
-	}
-	// Early exit on empty intermediate.
-	got = IntersectMany(nil, &scratch, []uint32{1}, []uint32{2}, a)
-	if len(got) != 0 {
-		t.Errorf("IntersectMany disjoint = %v", got)
-	}
-}
-
-func TestIntersectManyProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		k := 2 + rng.Intn(4)
-		sets := make([][]uint32, k)
-		for i := range sets {
-			sets[i] = randomSorted(rng, 1+rng.Intn(60), 200)
-		}
-		want := append([]uint32(nil), sets[0]...)
-		for _, s := range sets[1:] {
-			want = naive(want, s)
-		}
-		var scratch []uint32
-		arg := make([][]uint32, k)
-		copy(arg, sets)
-		got := IntersectMany(nil, &scratch, arg...)
-		if len(got) == 0 && len(want) == 0 {
-			return true
-		}
-		return reflect.DeepEqual(got, want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestScratchIntersectMany(t *testing.T) {
-	a := []uint32{1, 2, 3, 4, 5, 6}
-	b := []uint32{2, 4, 6, 8}
-	c := []uint32{4, 5, 6, 7}
-	var s Scratch
-	if got, want := s.IntersectMany(nil, a, b, c), []uint32{4, 6}; !reflect.DeepEqual(got, want) {
-		t.Errorf("Scratch.IntersectMany = %v, want %v", got, want)
-	}
-	// Two sets go straight into dst.
-	if got, want := s.IntersectMany(nil, a, b), []uint32{2, 4, 6}; !reflect.DeepEqual(got, want) {
-		t.Errorf("two sets = %v, want %v", got, want)
-	}
-	if got := s.IntersectMany(nil); len(got) != 0 {
-		t.Errorf("no sets = %v", got)
-	}
-	if got := s.IntersectMany(nil, a); !reflect.DeepEqual(got, a) {
-		t.Errorf("one set = %v", got)
-	}
-}
-
-func TestScratchIntersectManyProperty(t *testing.T) {
-	var s Scratch // deliberately shared across trials: buffers must not leak state
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		k := 2 + rng.Intn(4)
-		sets := make([][]uint32, k)
-		for i := range sets {
-			sets[i] = randomSorted(rng, 1+rng.Intn(60), 200)
-		}
-		want := append([]uint32(nil), sets[0]...)
-		for _, set := range sets[1:] {
-			want = naive(want, set)
-		}
-		arg := make([][]uint32, k)
-		copy(arg, sets)
-		got := s.IntersectMany(nil, arg...)
-		if len(got) == 0 && len(want) == 0 {
-			return true
-		}
-		return reflect.DeepEqual(got, want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestScratchSteadyStateAllocFree: after warmup, k-way intersection with
-// a retained Scratch and pre-grown dst performs no allocations.
+// TestScratchSteadyStateAllocFree: after warmup, k-way intersection
+// through a selector — its running intersection in the retained
+// Scratch — with plain slices and a pre-grown dst performs no
+// allocations.
 func TestScratchSteadyStateAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	sets := make([][]uint32, 4)
 	for i := range sets {
 		sets[i] = randomSorted(rng, 200, 1000)
 	}
-	var s Scratch
+	var s Selector
 	dst := make([]uint32, 0, 1024)
-	dst = s.IntersectMany(dst[:0], sets...) // warm
+	dst = s.Many(dst[:0], sets, nil) // warm
 	if allocs := testing.AllocsPerRun(50, func() {
-		dst = s.IntersectMany(dst[:0], sets...)
+		dst = s.Many(dst[:0], sets, nil)
 	}); allocs > 0 {
-		t.Errorf("%.1f allocs per warmed IntersectMany, want 0", allocs)
+		t.Errorf("%.1f allocs per warmed Many, want 0", allocs)
 	}
 }

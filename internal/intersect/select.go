@@ -3,29 +3,28 @@ package intersect
 import "fmt"
 
 // Policy selects how the per-call intersection kernel is chosen.
-// PolicyAdaptive (the zero value and the default) picks merge, gallop,
-// or the word-parallel block kernel per call from the input sizes, the
-// size ratio, and the block density recorded when the sets were built.
-// The static policies pin one kernel for the whole run — they exist for
-// the Figure 10 reproduction and for isolating kernels in benchmarks.
+// PolicyAdaptive (the zero value and the default) is the paper's
+// size-ratio switch: merge for inputs of similar size, galloping once
+// the larger is GallopThreshold times the smaller. The static policies
+// pin one kernel for the whole run — they exist for the Figure 10
+// reproduction and for isolating kernels in benchmarks.
 type Policy uint8
 
 const (
-	// PolicyAdaptive chooses merge/gallop/block per call.
+	// PolicyAdaptive chooses merge or gallop per call from the size
+	// ratio.
 	PolicyAdaptive Policy = iota
 	// PolicyMerge always uses the two-pointer merge.
 	PolicyMerge
 	// PolicyGallop always uses galloping search.
 	PolicyGallop
-	// PolicyHybrid applies the paper's size-ratio switch between merge
-	// and gallop (the pre-adaptive default), never the block kernel.
-	PolicyHybrid
 	// PolicyBlock always uses the word-parallel block kernel when a
-	// block layout is available, falling back to Hybrid otherwise.
+	// block layout is available, falling back to the size-ratio switch
+	// otherwise — Figure 10's QFilter arm.
 	PolicyBlock
 )
 
-var policyNames = [...]string{"adaptive", "merge", "gallop", "hybrid", "block"}
+var policyNames = [...]string{"adaptive", "merge", "gallop", "block"}
 
 func (p Policy) String() string {
 	if int(p) < len(policyNames) {
@@ -34,15 +33,15 @@ func (p Policy) String() string {
 	return fmt.Sprintf("Policy(%d)", uint8(p))
 }
 
-// ParsePolicy maps a policy name (adaptive, merge, gallop, hybrid,
-// block) to its Policy.
+// ParsePolicy maps a policy name (adaptive, merge, gallop, block) to
+// its Policy.
 func ParsePolicy(s string) (Policy, error) {
 	for i, name := range policyNames {
 		if s == name {
 			return Policy(i), nil
 		}
 	}
-	return PolicyAdaptive, fmt.Errorf("unknown kernel policy %q (want adaptive, merge, gallop, hybrid, or block)", s)
+	return PolicyAdaptive, fmt.Errorf("unknown kernel policy %q (want adaptive, merge, gallop, or block)", s)
 }
 
 // Kernel identifies one executed pairwise kernel, for accounting.
@@ -104,16 +103,9 @@ func (s KernelStats) Map() map[string]uint64 {
 	return m
 }
 
-// DenseFactor gates the adaptive block-kernel choice: the block kernel
-// is picked only when the inputs average at least DenseFactor elements
-// per occupied 64-wide block (blocks(a)+blocks(b) ≤ (|a|+|b|)/
-// DenseFactor). Below that density the per-block overhead exceeds the
-// word-parallel gain — the QFilter trade-off Figure 10 measures.
-const DenseFactor = 2
-
-// Selector is the per-engine adaptive kernel dispatcher. It owns the
-// k-way scratch buffers (so steady-state calls stay allocation-free)
-// and tallies every pairwise kernel execution for the run's kernel-mix
+// Selector is the per-engine kernel dispatcher. It owns the k-way
+// scratch buffers (so steady-state calls stay allocation-free) and
+// tallies every pairwise kernel execution for the run's kernel-mix
 // stats. Not safe for concurrent use; each worker engine holds its own.
 type Selector struct {
 	policy Policy
@@ -133,91 +125,29 @@ func (s *Selector) Stats() KernelStats { return s.stats }
 // ResetStats clears the kernel tally (run boundaries).
 func (s *Selector) ResetStats() { s.stats = KernelStats{} }
 
-// chooseAdaptive picks the kernel for a pair under PolicyAdaptive from
-// the input sizes and block counts alone. a must be the smaller input.
-// The density test runs first: when both
-// inputs are dense enough to amortize the per-block overhead, the
-// word-parallel kernel wins even under heavy skew, because
-// IntersectViews gallops its block-key merge — O(blocks(a)·log
-// blocks(b)) key steps, a 64× coarser walk than element galloping.
-// Sparse inputs fail the density test; those gallop at a
-// GallopThreshold size ratio and merge otherwise.
-func chooseAdaptive(la, lb, ba, bb int, haveViews bool) Kernel {
-	if haveViews && (ba+bb)*DenseFactor <= la+lb {
-		return KernelBlock
-	}
-	if lb/la >= GallopThreshold {
-		return KernelGallop
-	}
-	return KernelMerge
-}
-
-// Pair intersects two sorted slices under the selector's policy,
-// appending to dst. al/bl are the inputs' block layouts (zero Layout =
-// unavailable); the slices and layouts must describe the same sets. A
-// view is read from its arena only when the block kernel is picked.
-func (s *Selector) Pair(dst, a, b []uint32, al, bl Layout) []uint32 {
-	la, lb := len(a), len(b)
-	if la == 0 || lb == 0 {
-		return dst
-	}
-	if la > lb {
-		a, b = b, a
-		al, bl = bl, al
-		la, lb = lb, la
-	}
-	switch s.policy {
-	case PolicyMerge:
-		s.stats[KernelMerge]++
-		return Merge(dst, a, b)
-	case PolicyGallop:
-		s.stats[KernelGallop]++
-		return Galloping(dst, a, b)
-	case PolicyHybrid:
-		if lb/la >= GallopThreshold {
-			s.stats[KernelGallop]++
-			return Galloping(dst, a, b)
-		}
-		s.stats[KernelMerge]++
-		return Merge(dst, a, b)
-	case PolicyBlock:
-		if al.Valid() && bl.Valid() {
-			s.stats[KernelBlock]++
-			return IntersectViews(dst, al.View(), bl.View())
-		}
-		if lb/la >= GallopThreshold {
-			s.stats[KernelGallop]++
-			return Galloping(dst, a, b)
-		}
-		s.stats[KernelMerge]++
-		return Merge(dst, a, b)
-	default: // PolicyAdaptive
-		k := chooseAdaptive(la, lb, al.Blocks, bl.Blocks, al.Valid() && bl.Valid())
-		s.stats[k]++
-		switch k {
-		case KernelGallop:
-			return Galloping(dst, a, b)
-		case KernelBlock:
-			return IntersectViews(dst, al.View(), bl.View())
-		default:
-			return Merge(dst, a, b)
-		}
-	}
-}
-
-// pairWithSorted intersects a plain running intersection `a` (no
-// layout) with input `b` whose optional layout is bl — the mid-k-way
-// step where only one side still has a layout. The block kernel probes
-// b's view with a's elements, so its density test looks at b alone.
-func (s *Selector) pairWithSorted(dst, a, b []uint32, bl Layout) []uint32 {
-	la, lb := len(a), len(b)
-	if la == 0 || lb == 0 {
-		return dst
-	}
-	lmin, lmax := la, lb
+// bySize is the size-ratio switch on two nonempty inputs: galloping
+// when the larger is GallopThreshold times the smaller, merge otherwise.
+func (s *Selector) bySize(dst, a, b []uint32) []uint32 {
+	lmin, lmax := len(a), len(b)
 	if lmin > lmax {
 		lmin, lmax = lmax, lmin
 	}
+	if lmax/lmin >= GallopThreshold {
+		s.stats[KernelGallop]++
+		return Galloping(dst, a, b)
+	}
+	s.stats[KernelMerge]++
+	return Merge(dst, a, b)
+}
+
+// Pair intersects two sorted slices under the selector's policy,
+// appending to dst. av/bv are the inputs' block views (zero BlockView =
+// unavailable), which only PolicyBlock reads; the slices and views must
+// describe the same sets.
+func (s *Selector) Pair(dst, a, b []uint32, av, bv BlockView) []uint32 {
+	if len(a) == 0 || len(b) == 0 {
+		return dst
+	}
 	switch s.policy {
 	case PolicyMerge:
 		s.stats[KernelMerge]++
@@ -225,56 +155,61 @@ func (s *Selector) pairWithSorted(dst, a, b []uint32, bl Layout) []uint32 {
 	case PolicyGallop:
 		s.stats[KernelGallop]++
 		return Galloping(dst, a, b)
-	case PolicyHybrid:
-		if lmax/lmin >= GallopThreshold {
-			s.stats[KernelGallop]++
-			return Galloping(dst, a, b)
-		}
-		s.stats[KernelMerge]++
-		return Merge(dst, a, b)
 	case PolicyBlock:
-		if bl.Valid() {
+		if av.Valid() && bv.Valid() {
 			s.stats[KernelBlock]++
-			return IntersectViewWithSorted(dst, bl.View(), a)
+			return IntersectViews(dst, av, bv)
 		}
-		if lmax/lmin >= GallopThreshold {
-			s.stats[KernelGallop]++
-			return Galloping(dst, a, b)
-		}
-		s.stats[KernelMerge]++
-		return Merge(dst, a, b)
-	default: // PolicyAdaptive
-		if lmax/lmin >= GallopThreshold {
-			s.stats[KernelGallop]++
-			return Galloping(dst, a, b)
-		}
-		if bl.Valid() && bl.Blocks*DenseFactor <= lb {
-			s.stats[KernelBlock]++
-			return IntersectViewWithSorted(dst, bl.View(), a)
-		}
-		s.stats[KernelMerge]++
-		return Merge(dst, a, b)
 	}
+	return s.bySize(dst, a, b)
+}
+
+// pairWithSorted intersects a plain running intersection `a` (no view)
+// with input `b` whose optional view is bv — the mid-k-way step where
+// only one side still has a layout. The block kernel probes bv with a's
+// elements.
+func (s *Selector) pairWithSorted(dst, a, b []uint32, bv BlockView) []uint32 {
+	if len(a) == 0 || len(b) == 0 {
+		return dst
+	}
+	switch s.policy {
+	case PolicyMerge:
+		s.stats[KernelMerge]++
+		return Merge(dst, a, b)
+	case PolicyGallop:
+		s.stats[KernelGallop]++
+		return Galloping(dst, a, b)
+	case PolicyBlock:
+		if bv.Valid() {
+			s.stats[KernelBlock]++
+			return IntersectViewWithSorted(dst, bv, a)
+		}
+	}
+	return s.bySize(dst, a, b)
 }
 
 // Many intersects k ≥ 0 sorted slices under the selector's policy,
-// appending to dst — the selector-dispatched analogue of
-// Scratch.IntersectMany. layouts, when non-nil, must parallel sets
-// (layouts[i] is sets[i]'s block layout, zero when unavailable). Both
-// slices may be reordered in place (smallest set moved first).
-func (s *Selector) Many(dst []uint32, sets [][]uint32, layouts []Layout) []uint32 {
-	var l0, l1 Layout
+// smallest first, appending to dst. With two inputs the intersection is
+// written straight into dst; with more, the running intersection
+// ping-pongs between the selector's Scratch buffers. views, when
+// non-nil, must parallel sets (views[i] is sets[i]'s block view, zero
+// when unavailable). Both slices may be reordered in place (smallest set
+// moved first).
+func (s *Selector) Many(dst []uint32, sets [][]uint32, views []BlockView) []uint32 {
+	var v0, v1 BlockView
 	switch len(sets) {
 	case 0:
 		return dst
 	case 1:
 		return append(dst, sets[0]...)
 	case 2:
-		if layouts != nil {
-			l0, l1 = layouts[0], layouts[1]
+		if views != nil {
+			v0, v1 = views[0], views[1]
 		}
-		return s.Pair(dst, sets[0], sets[1], l0, l1)
+		return s.Pair(dst, sets[0], sets[1], v0, v1)
 	}
+	// Move the smallest set first; a full sort is overkill for the tiny k
+	// seen in practice (k = number of backward neighbors).
 	minIdx := 0
 	for i, set := range sets {
 		if len(set) < len(sets[minIdx]) {
@@ -282,21 +217,21 @@ func (s *Selector) Many(dst []uint32, sets [][]uint32, layouts []Layout) []uint3
 		}
 	}
 	sets[0], sets[minIdx] = sets[minIdx], sets[0]
-	if layouts != nil {
-		layouts[0], layouts[minIdx] = layouts[minIdx], layouts[0]
-		l0, l1 = layouts[0], layouts[1]
+	if views != nil {
+		views[0], views[minIdx] = views[minIdx], views[0]
+		v0, v1 = views[0], views[1]
 	}
-	cur := s.Pair(s.ix.a[:0], sets[0], sets[1], l0, l1)
+	cur := s.Pair(s.ix.a[:0], sets[0], sets[1], v0, v1)
 	tmp := s.ix.b[:0]
 	for i := 2; i < len(sets); i++ {
 		if len(cur) == 0 {
 			break
 		}
-		var bl Layout
-		if layouts != nil {
-			bl = layouts[i]
+		var bv BlockView
+		if views != nil {
+			bv = views[i]
 		}
-		tmp = s.pairWithSorted(tmp[:0], cur, sets[i], bl)
+		tmp = s.pairWithSorted(tmp[:0], cur, sets[i], bv)
 		cur, tmp = tmp, cur
 	}
 	dst = append(dst, cur...)

@@ -13,14 +13,14 @@ import (
 
 // TestConfigHashSeparatesKernelPolicies: plans built under different
 // kernel policies must not share cache entries — PolicyBlock plans carry
-// a block layout that a pinned-merge request would drag along, and vice
-// versa a merge-built plan lacks the layout an adaptive run wants.
+// a block layout that any other request would drag along, and vice
+// versa any other plan lacks the layout a block run reads.
 func TestConfigHashSeparatesKernelPolicies(t *testing.T) {
 	base := core.Config{}
 	seen := map[uint64]intersect.Policy{}
 	for _, p := range []intersect.Policy{
 		intersect.PolicyAdaptive, intersect.PolicyMerge, intersect.PolicyGallop,
-		intersect.PolicyHybrid, intersect.PolicyBlock,
+		intersect.PolicyBlock,
 	} {
 		cfg := base
 		cfg.Kernel = p
@@ -55,7 +55,7 @@ func TestRequestKernelOverride(t *testing.T) {
 	}
 
 	var want uint64
-	for i, kern := range []intersect.Policy{intersect.PolicyAdaptive, intersect.PolicyMerge, intersect.PolicyHybrid} {
+	for i, kern := range []intersect.Policy{intersect.PolicyAdaptive, intersect.PolicyMerge, intersect.PolicyGallop} {
 		resp, err := s.Submit(ctx, pinned(kern))
 		if err != nil {
 			t.Fatalf("kernel %v: %v", kern, err)

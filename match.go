@@ -105,21 +105,21 @@ const (
 // changes speed only — embeddings are identical under every policy.
 type KernelPolicy = intersect.Policy
 
-// Kernel policies. KernelAdaptive (the zero value and the default)
-// picks merge, galloping, or the block-layout word-parallel kernel per
-// call from the operand sizes and block density; the static policies
-// pin one kernel and exist to reproduce the paper's Figure 10 style
-// comparisons (KernelBlock is its QFilter arm).
+// Kernel policies. KernelAdaptive (the zero value and the default) is
+// the paper's size-ratio switch: merge for operands of similar size,
+// galloping once one is 32 times the other. The static policies pin
+// one kernel and exist to reproduce the paper's Figure 10 style
+// comparisons: KernelBlock is its QFilter arm, the only policy that
+// builds and reads the word-parallel block layout.
 const (
 	KernelAdaptive = intersect.PolicyAdaptive
 	KernelMerge    = intersect.PolicyMerge
 	KernelGallop   = intersect.PolicyGallop
-	KernelHybrid   = intersect.PolicyHybrid
 	KernelBlock    = intersect.PolicyBlock
 )
 
-// ParseKernelPolicy maps a policy name (adaptive, merge, gallop,
-// hybrid, block) to its KernelPolicy.
+// ParseKernelPolicy maps a policy name (adaptive, merge, gallop, block)
+// to its KernelPolicy.
 func ParseKernelPolicy(s string) (KernelPolicy, error) { return intersect.ParsePolicy(s) }
 
 // Result reports one query's execution: embedding count, search-tree
