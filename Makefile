@@ -1,8 +1,9 @@
 # Development targets. `make ci` is the gate every change must pass:
-# gofmt, vet, build, the full test suite under the race detector, a stress
-# pass over multi-worker preprocessing, a short fuzz run of the
-# filter-soundness invariant, and a one-iteration benchmark smoke pass
-# to catch bit-rotted bench code.
+# gofmt, vet, build, the full test suite under the race detector, a
+# stress pass over the concurrent serving, metrics, store and parallel
+# enumeration paths, a short fuzz run of the filter-soundness invariant,
+# and a one-iteration benchmark smoke pass to catch bit-rotted bench
+# code.
 
 GO ?= go
 
@@ -26,11 +27,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Hammer the filter executor and the candidate-space build under the
-# race detector (100 iterations at 8 workers each, diffed against the
-# same code at one worker — there is no separate sequential path; what
-# the one-worker run must produce is pinned by the parent-commit
-# digests in the ordinary tests), plus the serving layer's 100-goroutine
+# Under the race detector: the serving layer's 100-goroutine
 # concurrent-Submit stress over shared cached plans, plus the metrics
 # registry's concurrent counter/gauge/histogram hammering. Any
 # cross-worker state leak trips -race here. The store stress churns
@@ -42,7 +39,7 @@ race:
 # lands inside leaf runs, with and without a sink whose calls must never
 # overlap.
 race-stress:
-	$(GO) test -race -run 'Stress|CapExactUnderContention' -count 1 ./internal/graph ./internal/core ./internal/filter ./internal/candspace ./internal/service ./internal/obs ./internal/obs/flight ./internal/store ./cmd/smatchd
+	$(GO) test -race -run 'Stress|CapExactUnderContention' -count 1 ./internal/graph ./internal/core ./internal/service ./internal/obs ./internal/obs/flight ./internal/store ./cmd/smatchd
 
 # Short corpus-plus-mutation runs of the fuzz targets: filter soundness
 # (candidate sets never drop a ground-truth embedding vertex), GraphQL's
@@ -115,12 +112,10 @@ bench-json:
 bench-parallel:
 	$(GO) test -run '^$$' -bench BenchmarkParallelSkew -benchmem -benchtime 5x .
 
-# The preprocessing measurement behind EXPERIMENTS.md's "Parallel
-# preprocessing" section: every phase at 1 (ns/op, allocs/op — the cost
-# of the one code path run inline), 2 (wall clock at this box's
-# GOMAXPROCS), 4 and 8 workers (proj-speedup); and
-# BenchmarkPreprocessColdMix, serve-cold's plan mix in-process at 1 and
-# 2 workers (ns, B, allocs and the per-stage split per plan), behind
+# The preprocessing measurement behind EXPERIMENTS.md's "Preprocessing
+# phases" section: every phase on the request's goroutine (ns/op,
+# allocs/op); and BenchmarkPreprocessColdMix, serve-cold's plan mix
+# in-process (ns, B, allocs and the per-stage split per plan), behind
 # "Cold path II"; and BenchmarkNLFIndex, the build time and bytes of the
 # g20 graph's NLF index, which the first filter against a registered
 # graph pays (behind "Cold path III").

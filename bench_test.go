@@ -19,7 +19,6 @@ import (
 	"subgraphmatching/internal/graph"
 	"subgraphmatching/internal/intersect"
 	"subgraphmatching/internal/order"
-	"subgraphmatching/internal/par"
 	"subgraphmatching/internal/querygen"
 	"subgraphmatching/internal/rmat"
 )
@@ -329,7 +328,7 @@ func getSkewFixture(b *testing.B) *skewFixture {
 }
 
 // workerNodes extracts the per-worker search-node counts of a parallel
-// run, the input of par.MakespanBound.
+// run, the input of reportMakespan.
 func workerNodes(res *core.Result) []uint64 {
 	nodes := make([]uint64, len(res.Workers))
 	for w, ws := range res.Workers {
@@ -341,7 +340,7 @@ func workerNodes(res *core.Result) []uint64 {
 // stridedNodes is the baseline BenchmarkParallelSkew compares the
 // runner against: worker w explores root candidates w, w+P, w+2P, ...
 // with no rebalancing (the static partition the paper mentions for
-// CECI's multi-threaded execution; par.Run is that partition). It lives
+// CECI's multi-threaded execution), one goroutine per worker. It lives
 // here, not in core: nothing but this benchmark runs it. Returns the
 // embedding count and each worker's search nodes.
 func stridedNodes(b *testing.B, plan *core.Plan, workers int) (uint64, []uint64) {
@@ -355,11 +354,20 @@ func stridedNodes(b *testing.B, plan *core.Plan, workers int) (uint64, []uint64)
 			b.Fatal(err)
 		}
 	}
-	nodes := par.Run(workers, len(roots), func(w, i int) uint64 {
-		before := engines[w].Stats().Nodes
-		engines[w].RunPrefix(roots[i : i+1])
-		return engines[w].Stats().Nodes - before
-	})
+	nodes := make([]uint64, workers)
+	var wg sync.WaitGroup
+	for w := range engines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(roots); i += workers {
+				before := engines[w].Stats().Nodes
+				engines[w].RunPrefix(roots[i : i+1])
+				nodes[w] += engines[w].Stats().Nodes - before
+			}
+		}()
+	}
+	wg.Wait()
 	var emb uint64
 	for _, eng := range engines {
 		emb += eng.Stats().Embeddings
@@ -400,7 +408,7 @@ func BenchmarkParallelSkew(b *testing.B) {
 			var nodes []uint64
 			for i := 0; i < b.N; i++ {
 				if c.strided {
-					plan, err := core.Preprocess(f.q, f.g, cfg, c.workers)
+					plan, err := core.Preprocess(f.q, f.g, cfg, 1)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -621,10 +629,10 @@ func BenchmarkAblationCandSpace(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tree := graph.NewBFSTree(q, filter.Root(filter.CFL, q, f.g, 1))
+	tree := graph.NewBFSTree(q, filter.Root(filter.CFL, q, f.g))
 	b.Run("tree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			candspace.Build(q, f.g, cand, tree.Parent, 1)
+			candspace.Build(q, f.g, cand, tree.Parent)
 		}
 	})
 	b.Run("full", func(b *testing.B) {
@@ -663,7 +671,7 @@ func BenchmarkAblationGQLRounds(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			mean := 0.0
 			for i := 0; i < b.N; i++ {
-				cand, _, err := filter.RunOpts(filter.GQL, q, f.g, filter.Options{GQLRounds: rounds})
+				cand, err := filter.RunOpts(filter.GQL, q, f.g, filter.Options{GQLRounds: rounds})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -719,42 +727,33 @@ func BenchmarkAblationCompression(b *testing.B) {
 	})
 }
 
-// BenchmarkPreprocess measures the preprocessing pipeline on the skewed
-// R-MAT fixture, one sub-benchmark per phase × worker count. The
-// workers-1 rows are the cost of the one code path run inline (ns/op,
-// allocs/op). On CPU-constrained runners wall-clock understates the
-// parallelism, so each multi-worker run also reports
-// proj-speedup = Σ(worker work)/max(worker work) — the makespan bound
-// the task partition admits on unconstrained cores, from the per-worker
-// work-unit tallies (candidates examined for the filters, candidates
-// scanned + adjacency targets emitted for the CSR build, elements
-// scanned for the block layout). This is the same metric the
-// enumeration benchmarks derive from Result.Workers[w].Nodes; see
-// EXPERIMENTS.md "Parallel preprocessing".
+// BenchmarkPreprocess* measure the preprocessing pipeline on the skewed
+// R-MAT fixture, one benchmark per phase (ns/op, allocs/op); see
+// EXPERIMENTS.md "Preprocessing phases".
 
-var preprocessWorkers = []int{1, 2, 4, 8}
-
+// reportMakespan reports proj-speedup = Σ(worker work)/max(worker work)
+// — the makespan bound a parallel run's partition admits on
+// unconstrained cores — when it exceeds 1.
 func reportMakespan(b *testing.B, work []uint64) {
 	b.Helper()
-	if bound := par.MakespanBound(work); bound > 1 {
-		b.ReportMetric(bound, "proj-speedup")
+	var total, most uint64
+	for _, w := range work {
+		total += w
+		most = max(most, w)
+	}
+	if most > 0 && total > most {
+		b.ReportMetric(float64(total)/float64(most), "proj-speedup")
 	}
 }
 
 func benchPreprocessFilter(b *testing.B, m filter.Method) {
 	f := getSkewFixture(b)
-	for _, workers := range preprocessWorkers {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			var work []uint64
-			for i := 0; i < b.N; i++ {
-				var err error
-				_, work, err = filter.RunOpts(m, f.q, f.g, filter.Options{Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportMakespan(b, work)
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := filter.Run(m, f.q, f.g); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -769,14 +768,10 @@ func BenchmarkPreprocessBuildFull(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, workers := range preprocessWorkers {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			var work []uint64
-			for i := 0; i < b.N; i++ {
-				_, work = candspace.Build(f.q, f.g, cand, nil, workers)
-			}
-			reportMakespan(b, work)
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		candspace.BuildFull(f.q, f.g, cand)
 	}
 }
 
@@ -786,17 +781,13 @@ func BenchmarkPreprocessBlocks(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, workers := range preprocessWorkers {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			var work []uint64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				s := candspace.BuildFull(f.q, f.g, cand)
-				b.StartTimer()
-				work = s.MaterializeBlocks(workers)
-			}
-			reportMakespan(b, work)
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := candspace.BuildFull(f.q, f.g, cand)
+		b.StartTimer()
+		s.MaterializeBlocks()
 	}
 }
 
@@ -806,14 +797,12 @@ func BenchmarkPreprocessOrder(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, workers := range preprocessWorkers {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := order.Compute(order.DPIso, f.q, f.g, cand, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := order.Compute(order.DPIso, f.q, f.g, cand); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -900,7 +889,7 @@ func BenchmarkEnumerateKernelPolicy(b *testing.B) {
 
 // BenchmarkCandSpaceBlockLayout measures materializing the flat
 // CSR-of-blocks arena over a candidate space (allocations and layout
-// bytes; run with -benchmem), inline and on four workers. The boxed
+// bytes; run with -benchmem). The boxed
 // per-set layout it replaced was last measured at commit 20164a0
 // (EXPERIMENTS.md "Adaptive kernels").
 func BenchmarkCandSpaceBlockLayout(b *testing.B) {
@@ -920,13 +909,6 @@ func BenchmarkCandSpaceBlockLayout(b *testing.B) {
 		}
 		b.ReportMetric(float64(bytes), "layout-bytes")
 	})
-	b.Run("flat-parallel-4", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := candspace.BuildFull(q, f.g, cand)
-			s.MaterializeBlocks(4)
-		}
-	})
 }
 
 // BenchmarkPreprocessColdMix is the in-process twin of the repository
@@ -934,9 +916,7 @@ func BenchmarkCandSpaceBlockLayout(b *testing.B) {
 // 200 000 e / 20 labels), a mix of 4–20-vertex dense and sparse
 // queries, the Optimized preset, one core.Preprocess per iteration with
 // the queries cycled — so ns/op, B/op and allocs/op (-benchmem) read
-// per plan — on one worker (what serve-cold's parallel-less requests
-// get) and on two (the box's GOMAXPROCS: wall clock, not a makespan
-// bound; EXPERIMENTS.md "Parallel preprocessing"). The extra metrics
+// per plan (EXPERIMENTS.md "Preprocessing phases"). The extra metrics
 // split the plan's time by stage: the filter's own StageTrace
 // (GraphQL's local pruning and refinement rounds), the candidate-space
 // build (CSR + blocks) and the order.
@@ -956,26 +936,23 @@ func BenchmarkPreprocessColdMix(b *testing.B) {
 		}
 	}
 	g.NLF() // resident per graph, not per plan
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			stage := map[string]time.Duration{}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				q := queries[i%len(queries)]
-				plan, err := core.Preprocess(q, g, core.PresetConfig(core.Optimized, q, g), workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, st := range plan.Stages {
-					stage[st.Name] += st.Duration
-				}
-				stage["build"] += plan.BuildTime
-				stage["order"] += plan.OrderTime
-			}
-			for name, d := range stage {
-				b.ReportMetric(float64(d.Microseconds())/float64(b.N), name+"-us/plan")
-			}
-		})
+	stage := map[string]time.Duration{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := queries[i%len(queries)]
+		plan, err := core.Preprocess(q, g, core.PresetConfig(core.Optimized, q, g), 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, st := range plan.Stages {
+			stage[st.Name] += st.Duration
+		}
+		stage["build"] += plan.BuildTime
+		stage["order"] += plan.OrderTime
+	}
+	for name, d := range stage {
+		b.ReportMetric(float64(d.Microseconds())/float64(b.N), name+"-us/plan")
 	}
 }
 

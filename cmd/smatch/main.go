@@ -47,7 +47,7 @@ func main() {
 		limit     = flag.Uint64("limit", 100_000, "stop after this many embeddings (0 = all)")
 		timeout   = flag.Duration("timeout", 5*time.Minute, "per-query time limit (0 = none)")
 		printN    = flag.Int("print", 0, "print up to N embeddings")
-		parallel  = flag.Int("parallel", 1, "worker goroutines for enumeration and preprocessing (filter, candidate space, order)")
+		parallel  = flag.Int("parallel", 1, "worker goroutines for enumeration")
 		kernel    = flag.String("kernel", "adaptive", "intersection-kernel policy: adaptive merge gallop block")
 		profile   = flag.Bool("profile", false, "print a per-depth search profile")
 		trace     = flag.Bool("trace", false, "print the phase-span trace (filter stages, build, order, per-worker enumeration)")

@@ -36,7 +36,7 @@ type batchResponse struct {
 // fail records the item's error with the status code the same request
 // would have gotten from /match.
 func (it *batchResultItem) fail(err error) {
-	it.Error = err.Error()
+	it.Error = errorText(err)
 	it.Status = statusFor(err)
 }
 

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"subgraphmatching/internal/core"
 	"subgraphmatching/internal/obs"
 	"subgraphmatching/internal/service"
 	"subgraphmatching/internal/testutil"
@@ -216,6 +217,23 @@ func TestTenantSaturatedMapsTo503RetryAfter(t *testing.T) {
 	}
 }
 
+// TestInternalErrorMapsTo500: a recovered panic is a 500 whose body is
+// the error's first line; its stack stays on the flight recorder.
+func TestInternalErrorMapsTo500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	httpError(rec, fmt.Errorf("service: %w: boom\ngoroutine 1 [running]:", core.ErrInternal))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", rec.Code)
+	}
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if want := "service: internal error: boom"; body["error"] != want {
+		t.Errorf("body error %q, want %q", body["error"], want)
+	}
+}
+
 // TestBatcherFlagCoalescesMatchRequests mounts the server with the
 // -batch-window batcher enabled and checks that concurrent singleton
 // /match requests still produce correct, independent responses while
@@ -374,11 +392,10 @@ func TestMatchAndBatchItemDecodeAlike(t *testing.T) {
 	}
 }
 
-// TestPreprocessingBoundedByAdmission: a request preprocesses on the
-// weight admission granted it. The workers= parameter and the batch
-// item's workers field are ignored, so parallel=1 builds its plan on one
-// worker — its filter span has no worker-N child — though four admission
-// units are free.
+// TestPreprocessingBoundedByAdmission: the workers= parameter and the
+// batch item's workers field are ignored, and a plan builds on the
+// request's goroutine — its filter span has no worker-N child — though
+// four admission units are free.
 func TestPreprocessingBoundedByAdmission(t *testing.T) {
 	g := testutil.RandomGraph(rand.New(rand.NewSource(7)), 200, 600, 3)
 	q := graphText(t, testutil.RandomConnectedQuery(rand.New(rand.NewSource(5)), g, 4))
@@ -432,7 +449,7 @@ func TestPreprocessingBoundedByAdmission(t *testing.T) {
 		}
 		for _, ch := range filter.Children {
 			if strings.HasPrefix(ch.Name, "worker-") {
-				t.Errorf("%s: filter span has a %s child: the plan was built on more workers than admitted", c.name, ch.Name)
+				t.Errorf("%s: filter span has a %s child: the plan was built on more than one goroutine", c.name, ch.Name)
 			}
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http/pprof"
 	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"subgraphmatching/internal/core"
@@ -153,6 +154,9 @@ func statusFor(err error) int {
 		return 499
 	case errors.Is(err, service.ErrDuplicateGraph):
 		return http.StatusConflict
+	case errors.Is(err, core.ErrInternal):
+		// A recovered panic: the server's fault, not the request's.
+		return http.StatusInternalServerError
 	default:
 		// Validation errors: nil/empty/disconnected/oversized queries,
 		// unknown labels, bad graph text, bad parameters.
@@ -168,7 +172,15 @@ func httpError(w http.ResponseWriter, err error) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+	json.NewEncoder(w).Encode(map[string]string{"error": errorText(err)})
+}
+
+// errorText is the error as a client sees it: its first line. An
+// internal error's lines after that hold a stack, which stays on the
+// flight recorder's error ring.
+func errorText(err error) string {
+	text, _, _ := strings.Cut(err.Error(), "\n")
+	return text
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -437,7 +449,7 @@ func (s *server) matchStream(w http.ResponseWriter, r *http.Request, req service
 		httpError(w, err)
 		return
 	default:
-		out.writeJSON(map[string]string{"error": err.Error()})
+		out.writeJSON(map[string]string{"error": errorText(err)})
 	}
 	out.finish()
 }

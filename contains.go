@@ -61,6 +61,6 @@ func EstimateEmbeddings(q, g *Graph) (float64, error) {
 		return 0, nil
 	}
 	space := candspace.BuildFull(q, g, cand)
-	delta := order.ComputeDPIso(q, g, 1)
+	delta := order.ComputeDPIso(q, g)
 	return candspace.EstimateSpanningTreeEmbeddings(space, delta), nil
 }

@@ -3,7 +3,6 @@ package candspace
 import (
 	"subgraphmatching/internal/graph"
 	"subgraphmatching/internal/intersect"
-	"subgraphmatching/internal/par"
 )
 
 // MaterializeBlocks builds the flat QFilter-style block layout that
@@ -13,40 +12,20 @@ import (
 // objects, not O(candidates). A pair's arena is built in two passes over
 // its targets — count each set's blocks, then encode every set into its
 // exact range. A Pair resolved before it ran carries no views.
-//
-// The optional argument is the worker count (absent or ≤ 1 = inline on
-// the caller's goroutine), one pair per task; the return value is the
-// per-worker work tallies (elements scanned, both passes) for
-// par.MakespanBound. Arenas are byte-identical at every worker count.
-// Idempotent (a repeat returns nil); not safe to run concurrently with
-// readers of the space.
-func (s *Space) MaterializeBlocks(workers ...int) []uint64 {
+// Idempotent; not safe to run concurrently with readers of the space.
+func (s *Space) MaterializeBlocks() {
 	if s.flat != nil {
-		return nil
+		return
 	}
-	w := 1
-	if len(workers) > 0 && workers[0] > 1 {
-		w = workers[0]
-	}
-	type pairRef struct{ u, pos int }
-	var pairs []pairRef
 	s.flat = make([][]*intersect.FlatBlocks, len(s.edges))
 	for u, row := range s.edges {
 		s.flat[u] = make([]*intersect.FlatBlocks, len(row))
 		for i, csr := range row {
 			if csr != nil {
-				pairs = append(pairs, pairRef{u, i})
+				s.flat[u][i] = csr.encodeBlocks()
 			}
 		}
 	}
-	tally := make([]uint64, w)
-	par.Accumulate(tally, par.Run(w, len(pairs), func(_, t int) uint64 {
-		p := pairs[t]
-		csr := s.edges[p.u][p.pos]
-		s.flat[p.u][p.pos] = csr.encodeBlocks()
-		return 2 * uint64(len(csr.targets))
-	}))
-	return tally
 }
 
 // encodeBlocks counts the blocks of each of the CSR's sets and encodes

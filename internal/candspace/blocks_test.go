@@ -10,51 +10,6 @@ import (
 	"subgraphmatching/internal/testutil"
 )
 
-// flatBlocksEqual compares the block materializations of two spaces
-// arena-by-arena — byte-identical layouts, not just equal decoded sets.
-func flatBlocksEqual(t *testing.T, a, b *Space) {
-	t.Helper()
-	if !reflect.DeepEqual(a.flat, b.flat) {
-		t.Fatal("flat block arenas differ between builds")
-	}
-}
-
-// TestMaterializeBlocksParallelIdentical pins the two-phase build's
-// determinism claim: the materialization produces arenas byte-identical
-// to the one-worker ones at every worker count, and one tally per
-// worker.
-func TestMaterializeBlocksParallelIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 10; trial++ {
-		g := testutil.RandomGraph(rng, 30+rng.Intn(30), 150, 3)
-		q := testutil.RandomConnectedQuery(rng, g, 4)
-		if q == nil {
-			continue
-		}
-		cand, _ := filter.Run(filter.NLF, q, g)
-		seq := BuildFull(q, g, cand)
-		seq.MaterializeBlocks()
-		for _, workers := range []int{1, 2, 4, 8} {
-			par := BuildFull(q, g, cand)
-			work := par.MaterializeBlocks(workers)
-			if !par.HasBlocks() {
-				t.Fatalf("workers=%d: HasBlocks false after materialization", workers)
-			}
-			flatBlocksEqual(t, seq, par)
-			if len(work) != workers {
-				t.Fatalf("workers=%d: tally %v, want one entry per worker", workers, work)
-			}
-			var total uint64
-			for _, w := range work {
-				total += w
-			}
-			if total == 0 && seq.BlockMemoryBytes() > 0 {
-				t.Errorf("workers=%d: zero work tallied for nonempty layout", workers)
-			}
-		}
-	}
-}
-
 // TestMaterializeBlocksAllocsScaleWithEdges is the flat layout's reason
 // to exist: materialization allocates O(query edges) objects — a few
 // allocations per directed pair for the shared arenas — not O(candidate
@@ -218,26 +173,5 @@ func TestBlockStats(t *testing.T) {
 	}
 	if elems > 0 && s.BlockMemoryBytes() <= 0 {
 		t.Errorf("BlockMemoryBytes = %d with %d elements", s.BlockMemoryBytes(), elems)
-	}
-}
-
-// TestParallelMaterializeStress is the race-detector gate for the
-// parallel block build (`make race-stress`): repeated 8-worker
-// materializations, each compared arena-by-arena to the sequential
-// reference.
-func TestParallelMaterializeStress(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	g := testutil.RandomGraph(rng, 60, 240, 3)
-	var q *graph.Graph
-	for q == nil {
-		q = testutil.RandomConnectedQuery(rng, g, 5)
-	}
-	cand, _ := filter.Run(filter.NLF, q, g)
-	seq := BuildFull(q, g, cand)
-	seq.MaterializeBlocks()
-	for i := 0; i < 50; i++ {
-		s := BuildFull(q, g, cand)
-		s.MaterializeBlocks(8)
-		flatBlocksEqual(t, seq, s)
 	}
 }

@@ -48,19 +48,11 @@ func buildCase(rng *rand.Rand) (q, g *graph.Graph, cand [][]uint32) {
 	return q, g, cand
 }
 
-// buildAt is Build without the tally.
-func buildAt(q, g *graph.Graph, cand [][]uint32, parent []graph.Vertex, workers int) *Space {
-	s, _ := Build(q, g, cand, parent, workers)
-	return s
-}
-
-// allBuilds runs both structure shapes at 1 and 4 workers.
+// allBuilds runs both structure shapes.
 func allBuilds(q, g *graph.Graph, cand [][]uint32, parent []graph.Vertex) map[string]*Space {
 	return map[string]*Space{
-		"full/1": BuildFull(q, g, cand),
-		"full/4": buildAt(q, g, cand, nil, 4),
-		"tree/1": buildAt(q, g, cand, parent, 1),
-		"tree/4": buildAt(q, g, cand, parent, 4),
+		"full": BuildFull(q, g, cand),
+		"tree": Build(q, g, cand, parent),
 	}
 }
 
@@ -101,8 +93,7 @@ func TestBuildMatchesIntersectReference(t *testing.T) {
 }
 
 // MemoryBytes — what the plan cache charges — counts len(targets), so a
-// materialised CSR must hold no capacity beyond its length, at any
-// worker count.
+// materialised CSR must hold no capacity beyond its length.
 func TestTargetsHoldNoSpareCapacity(t *testing.T) {
 	cases := 0
 	for seed := int64(0); cases < 50; seed++ {
@@ -175,7 +166,7 @@ func assertTransposes(t *testing.T, name string, s *Space, cand [][]uint32) {
 
 // Each query edge is scanned from one end and transposed for the other,
 // so the two directions must be the same edge set — whichever end was
-// scanned, for the full and the tree variant, at one and four workers.
+// scanned, for the full and the tree variant.
 func TestBuildDirectionsAreTransposes(t *testing.T) {
 	cases, withEmpty := 0, 0
 	for seed := int64(0); cases < 150; seed++ {

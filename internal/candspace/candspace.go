@@ -22,7 +22,6 @@ import (
 	"subgraphmatching/internal/bitset"
 	"subgraphmatching/internal/graph"
 	"subgraphmatching/internal/intersect"
-	"subgraphmatching/internal/par"
 )
 
 // Space is the auxiliary structure 𝒜 over a query graph and candidate
@@ -48,12 +47,11 @@ type edgeCSR struct {
 	targets []uint32
 }
 
-// BuildFull materializes 𝒜 for every query edge (CECI/DP-iso style) on
-// one worker: Build with no parent array. candidates[u] must be sorted;
-// the slice is retained.
+// BuildFull materializes 𝒜 for every query edge (CECI/DP-iso style):
+// Build with no parent array. candidates[u] must be sorted; the slice is
+// retained.
 func BuildFull(q *graph.Graph, g *graph.Graph, candidates [][]uint32) *Space {
-	s, _ := Build(q, g, candidates, nil, 1)
-	return s
+	return Build(q, g, candidates, nil)
 }
 
 // materialized reports whether the directed pair (u, up) gets a CSR:
@@ -76,59 +74,27 @@ func appendMembers(dst []uint32, run []uint32, member *bitset.Set) []uint32 {
 	return dst
 }
 
-// buildChunk is the number of candidates of u one build task
-// intersects on a multi-worker run. Chunking below the per-edge grain
-// matters under label skew, where a single (u, u′) pair over a hub
-// label's candidates can hold most of the total intersection work. 64
-// is finer than the filter's scan chunks because per-candidate cost
-// varies more here (a hub's adjacency list can be orders of magnitude
-// longer than a leaf's).
-const buildChunk = 64
-
-// buildTask covers candidates[lo:hi] of one directed pair: the index of
-// the pair in the task list's pair slice, and its candidate range.
-type buildTask struct {
-	pair   int
-	lo, hi int
-}
-
-// buildPair is one scanned directed pair (u, u′) of the target group
-// being built: its source vertex and the CSR under construction.
-type buildPair struct {
-	u   graph.Vertex
-	csr *edgeCSR
-}
-
-// Build materializes 𝒜 across `workers` goroutines (≤ 1 = inline on
-// the caller's goroutine) and returns it beside the per-worker work
-// tallies (candidates scanned plus targets emitted or transposed), the
-// input to par.MakespanBound. With parent == nil every query edge is
-// materialized; otherwise only the spanning-tree edges given by parent
-// (CFL style): pairs (parent[u], u) and (u, parent[u]). candidates[u]
-// must be sorted, and every vertex in it must carry label L(u), as
-// every filter's sets do; the slice is retained.
+// Build materializes 𝒜 on the caller's goroutine. With parent == nil
+// every query edge is materialized; otherwise only the spanning-tree
+// edges given by parent (CFL style): pairs (parent[u], u) and
+// (u, parent[u]). candidates[u] must be sorted, and every vertex in it
+// must carry label L(u), as every filter's sets do; the slice is
+// retained.
 //
 // 𝒜[u→u′] and 𝒜[u′→u] are one edge set E(C(u), C(u′)) read from its
 // two ends, so each query edge is found once and transposed. It is
 // scanned from the end whose candidates have the smaller Σ d(v) (ties:
-// the smaller vertex id — a property of the input, never of the worker
-// count): for each candidate v, the neighbours of v labelled L(u′)
-// (the label run graph.NLF.Run hands out — by the precondition no other
-// neighbour can be in C(u′)) against a bitmap of the other end's set.
-// Scanned pairs are visited grouped by their target u′, so one bitmap
-// of C(u′) is set once, serves every u that scans towards u′, and is
-// cleared by walking C(u′) again (never a full reset). Inside
-// a group the candidates of each u are cut into chunks that fan out as
-// tasks reading the shared bitmap; the group's pairs are then
-// transposed, one task per pair, with a target's index in C(u′) taken
-// from popcount prefix sums over the same bitmap. Every adjacency list
-// is a set that does not depend on how it was found, so the CSRs are
-// byte-identical for every worker count and scan direction. On one
-// worker a scan task is a pair's whole candidate list.
-func Build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex, workers int) (*Space, []uint64) {
-	if workers < 1 {
-		workers = 1
-	}
+// the smaller vertex id): for each candidate v, the neighbours of v
+// labelled L(u′) (the label run graph.NLF.Run hands out — by the
+// precondition no other neighbour can be in C(u′)) against a bitmap of
+// the other end's set. Scanned pairs are visited grouped by their
+// target u′, so one bitmap of C(u′) is set once, serves every u that
+// scans towards u′, and is cleared by walking C(u′) again (never a full
+// reset). Each of the group's pairs is then transposed, with a target's
+// index in C(u′) taken from popcount prefix sums over the same bitmap.
+// Every adjacency list is a set that does not depend on how it was
+// found, so the CSRs are byte-identical for either scan direction.
+func Build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex) *Space {
 	s := &Space{
 		q:          q,
 		candidates: candidates,
@@ -141,18 +107,15 @@ func Build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex, work
 			scanCost[u] += uint64(g.Degree(v))
 		}
 	}
-	tally := make([]uint64, workers)
 	gx := g.NLF()
 	member := bitset.New(g.NumVertices())
 	words := member.Words()
-	before := make([]int32, len(words))  // members of the bitmap below each word
-	scratch := make([][]uint32, workers) // per-worker target buffer, reused across tasks
-	var pairs []buildPair
-	var tasks []buildTask
-	var chunks [][]uint32
+	before := make([]int32, len(words)) // members of the bitmap below each word
+	var buf []uint32                    // the scanned pair's targets, reused across pairs
 	for t := 0; t < q.NumVertices(); t++ {
 		up := graph.Vertex(t)
-		pairs, tasks = pairs[:0], tasks[:0]
+		label := q.Label(up)
+		ranked := false // the bitmap holds C(up) and before its prefix sums
 		for _, u := range q.Neighbors(up) {
 			if !materialized(parent, u, up) {
 				continue
@@ -160,85 +123,37 @@ func Build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex, work
 			if scanCost[u] > scanCost[up] || (scanCost[u] == scanCost[up] && u > up) {
 				continue // up's group scans this edge the other way
 			}
-			n := len(candidates[u])
-			csr := &edgeCSR{offsets: make([]int32, n+1)}
-			s.edges[u][s.neighborPos(u, up)] = csr
-			chunk := n
-			if workers > 1 {
-				chunk = buildChunk
-			}
-			for lo := 0; lo < n; lo += chunk {
-				tasks = append(tasks, buildTask{pair: len(pairs), lo: lo, hi: min(lo+chunk, n)})
-			}
-			pairs = append(pairs, buildPair{u: u, csr: csr})
-		}
-		if len(pairs) == 0 {
-			continue
-		}
-		for _, v := range candidates[up] {
-			member.Set(v)
-		}
-		// A task fills its slice of the pair's offsets with chunk-local
-		// running totals and leaves an exact-length copy of its targets.
-		label := q.Label(up)
-		chunks = slices.Grow(chunks[:0], len(tasks))[:len(tasks)]
-		work := par.Run(workers, len(tasks), func(w, t int) uint64 {
-			task := tasks[t]
-			p := pairs[task.pair]
-			offsets := p.csr.offsets[task.lo+1 : task.hi+1]
-			buf := scratch[w][:0]
-			for i, v := range candidates[p.u][task.lo:task.hi] {
-				buf = appendMembers(buf, gx.Run(v, label), member)
-				offsets[i] = int32(len(buf))
-			}
-			scratch[w] = buf
-			chunks[t] = append(make([]uint32, 0, len(buf)), buf...)
-			return uint64(task.hi - task.lo + len(buf))
-		})
-		par.Accumulate(tally, work)
-		// Stitch: tasks of one pair are contiguous and in candidate
-		// order. targets is exact-length either way — a cached plan is
-		// charged len(targets) (MemoryBytes), so it must not hold spare
-		// capacity.
-		for t := 0; t < len(tasks); {
-			pair := tasks[t].pair
-			csr := pairs[pair].csr
-			first := t
-			total := 0
-			for ; t < len(tasks) && tasks[t].pair == pair; t++ {
-				if total > 0 {
-					for ci := tasks[t].lo; ci < tasks[t].hi; ci++ {
-						csr.offsets[ci+1] += int32(total)
-					}
+			if !ranked {
+				for _, v := range candidates[up] {
+					member.Set(v)
 				}
-				total += len(chunks[t])
+				below := int32(0)
+				for i, w := range words {
+					before[i] = below
+					below += int32(bits.OnesCount64(w))
+				}
+				ranked = true
 			}
-			if t-first == 1 {
-				csr.targets = chunks[first]
-				continue
+			fwd := &edgeCSR{offsets: make([]int32, len(candidates[u])+1)}
+			buf = buf[:0]
+			for i, v := range candidates[u] {
+				buf = appendMembers(buf, gx.Run(v, label), member)
+				fwd.offsets[i+1] = int32(len(buf))
 			}
-			csr.targets = make([]uint32, 0, total)
-			for _, c := range chunks[first:t] {
-				csr.targets = append(csr.targets, c...)
-			}
+			// targets is exact-length: a cached plan is charged
+			// len(targets) (MemoryBytes), so it must not hold spare
+			// capacity.
+			fwd.targets = append(make([]uint32, 0, len(buf)), buf...)
+			s.edges[u][s.neighborPos(u, up)] = fwd
+			s.edges[up][s.neighborPos(up, u)] = transpose(fwd, candidates[u], len(candidates[up]), words, before)
 		}
-		below := int32(0)
-		for i, w := range words {
-			before[i] = below
-			below += int32(bits.OnesCount64(w))
-		}
-		work = par.Run(workers, len(pairs), func(_, i int) uint64 {
-			p := pairs[i]
-			rev := transpose(p.csr, candidates[p.u], len(candidates[up]), words, before)
-			s.edges[up][s.neighborPos(up, p.u)] = rev
-			return uint64(len(rev.targets))
-		})
-		par.Accumulate(tally, work)
-		for _, v := range candidates[up] {
-			member.Clear(v)
+		if ranked {
+			for _, v := range candidates[up] {
+				member.Clear(v)
+			}
 		}
 	}
-	return s, tally
+	return s
 }
 
 // transpose turns fwd = 𝒜[u→u′] over src = C(u) into 𝒜[u′→u] over the

@@ -4,45 +4,14 @@ import (
 	"encoding/binary"
 	"hash"
 	"hash/fnv"
-	"math/rand"
-	"reflect"
 	"testing"
 
 	"subgraphmatching/internal/filter"
 	"subgraphmatching/internal/graph"
-	"subgraphmatching/internal/par"
 	"subgraphmatching/internal/querygen"
 	"subgraphmatching/internal/rmat"
 	"subgraphmatching/internal/testutil"
 )
-
-// spacesEqual compares two Spaces observably: candidate sets, pair
-// materialization, and every adjacency list.
-func spacesEqual(t *testing.T, a, b *Space) {
-	t.Helper()
-	q := a.Query()
-	if !reflect.DeepEqual(a.AllCandidates(), b.AllCandidates()) {
-		t.Fatalf("candidate sets differ")
-	}
-	for u := 0; u < q.NumVertices(); u++ {
-		uu := graph.Vertex(u)
-		for _, up := range q.Neighbors(uu) {
-			if a.HasPair(uu, up) != b.HasPair(uu, up) {
-				t.Fatalf("pair (%d,%d) materialization differs", uu, up)
-			}
-			for ci := range a.Candidates(uu) {
-				ga, gb := a.Adjacency(uu, up, ci), b.Adjacency(uu, up, ci)
-				if !reflect.DeepEqual(ga, gb) {
-					t.Fatalf("adjacency (%d->%d)[%d]: %v vs %v", uu, up, ci, ga, gb)
-				}
-			}
-		}
-	}
-	if a.TotalCandidates() != b.TotalCandidates() || a.MemoryBytes() != b.MemoryBytes() {
-		t.Fatalf("aggregate metrics differ: %d/%d bytes vs %d/%d",
-			a.TotalCandidates(), a.MemoryBytes(), b.TotalCandidates(), b.MemoryBytes())
-	}
-}
 
 // digestFixture is one (data graph, queries) cell of the digest grid —
 // the same four cells as the filter package's equivalenceGrid.
@@ -166,9 +135,9 @@ var parentDigests = map[string]struct{ full, fullBlocks, tree, treeBlocks uint64
 	"paper/CFL":           {0xa30ff124d73708fd, 0x1f32e215b3e24409, 0xf9ca5ff1ab4e9c9d, 0x4912a3eb81e82651},
 }
 
-// assertParentDigests builds the structure of every grid query at 1, 2,
-// 4 and 8 workers — with tree parents when tree is set — and holds the
-// CSR and block-arena digests to the parent's.
+// assertParentDigests builds the structure of every grid query — with
+// tree parents when tree is set — and holds the CSR and block-arena
+// digests to the parent's.
 func assertParentDigests(t *testing.T, tree bool) {
 	for _, f := range digestGrid(t) {
 		for _, m := range []filter.Method{filter.GQL, filter.CFL} {
@@ -181,28 +150,26 @@ func assertParentDigests(t *testing.T, tree bool) {
 			if tree {
 				wantCSR, wantBlocks = want.tree, want.treeBlocks
 			}
-			for _, workers := range []int{1, 2, 4, 8} {
-				csr, blocks := fnv.New64a(), fnv.New64a()
-				for _, q := range f.queries {
-					cand, _, err := filter.RunOpts(m, q, f.g, filter.Options{Workers: workers})
-					if err != nil {
-						t.Fatal(err)
-					}
-					var parent []graph.Vertex
-					if tree {
-						parent = graph.NewBFSTree(q, filter.Root(filter.CFL, q, f.g, workers)).Parent
-					}
-					s := buildAt(q, f.g, cand, parent, workers)
-					digestCSR(csr, s)
-					s.MaterializeBlocks(workers)
-					digestBlocks(blocks, s)
+			csr, blocks := fnv.New64a(), fnv.New64a()
+			for _, q := range f.queries {
+				cand, err := filter.Run(m, q, f.g)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if got := csr.Sum64(); got != wantCSR {
-					t.Errorf("%s workers=%d: CSR digest %#016x, parent's sequential build %#016x", name, workers, got, wantCSR)
+				var parent []graph.Vertex
+				if tree {
+					parent = graph.NewBFSTree(q, filter.Root(filter.CFL, q, f.g)).Parent
 				}
-				if got := blocks.Sum64(); got != wantBlocks {
-					t.Errorf("%s workers=%d: block digest %#016x, parent's sequential build %#016x", name, workers, got, wantBlocks)
-				}
+				s := Build(q, f.g, cand, parent)
+				digestCSR(csr, s)
+				s.MaterializeBlocks()
+				digestBlocks(blocks, s)
+			}
+			if got := csr.Sum64(); got != wantCSR {
+				t.Errorf("%s: CSR digest %#016x, parent's sequential build %#016x", name, got, wantCSR)
+			}
+			if got := blocks.Sum64(); got != wantBlocks {
+				t.Errorf("%s: block digest %#016x, parent's sequential build %#016x", name, got, wantBlocks)
 			}
 		}
 	}
@@ -230,8 +197,8 @@ func degenerateCandidates(q *graph.Graph) [][]uint32 {
 }
 
 // TestDegenerateCandidateSets pins that every Space accessor and metric
-// survives empty and nil candidate sets: full and tree builds (one and
-// four workers), the aggregate metrics, block materialization, and the
+// survives empty and nil candidate sets: full and tree builds, the
+// aggregate metrics, block materialization, and the
 // Adjacency lookups fed the -1 index CandidateIndex reports for a
 // vertex missing from an empty set.
 func TestDegenerateCandidateSets(t *testing.T) {
@@ -239,10 +206,8 @@ func TestDegenerateCandidateSets(t *testing.T) {
 	cand := degenerateCandidates(q)
 	tree := graph.NewBFSTree(q, 0)
 	spaces := map[string]*Space{
-		"full":          BuildFull(q, g, cand),
-		"full-parallel": buildAt(q, g, cand, nil, 4),
-		"tree":          buildAt(q, g, cand, tree.Parent, 1),
-		"tree-parallel": buildAt(q, g, cand, tree.Parent, 4),
+		"full": BuildFull(q, g, cand),
+		"tree": Build(q, g, cand, tree.Parent),
 	}
 	for name, s := range spaces {
 		// The 4-vertex paper query leaves exactly one singleton set
@@ -287,42 +252,5 @@ func TestEstimateSurvivesEmptySets(t *testing.T) {
 	delta := []graph.Vertex{0, 1, 2, 3}
 	if est := EstimateSpanningTreeEmbeddings(s, delta); est != 0 {
 		t.Errorf("estimate over empty root set = %v, want 0", est)
-	}
-}
-
-// TestParallelBuildStress is the race-detector gate for the
-// candidate-space construction (`make race-stress` / `make ci`): 100
-// builds at 8 workers on a small graph, each checked against the
-// one-worker build.
-func TestParallelBuildStress(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	g := testutil.RandomGraph(rng, 60, 240, 3)
-	var q *graph.Graph
-	for q == nil {
-		q = testutil.RandomConnectedQuery(rng, g, 5)
-	}
-	cand, _ := filter.Run(filter.NLF, q, g)
-	seq := BuildFull(q, g, cand)
-	for i := 0; i < 100; i++ {
-		spacesEqual(t, seq, buildAt(q, g, cand, nil, 8))
-	}
-}
-
-func TestBuildFullParallelStatsTalliesWork(t *testing.T) {
-	q, g := testutil.PaperQuery(), testutil.PaperData()
-	cand, _ := filter.Run(filter.NLF, q, g)
-	_, work := Build(q, g, cand, nil, 4)
-	if len(work) != 4 {
-		t.Fatalf("tally %v, want one entry per worker", work)
-	}
-	if par.MakespanBound(work) < 1 {
-		t.Fatalf("makespan bound below 1: %v", work)
-	}
-	var total uint64
-	for _, w := range work {
-		total += w
-	}
-	if total == 0 {
-		t.Errorf("zero work tallied: %v", work)
 	}
 }

@@ -127,9 +127,8 @@ type Limits struct {
 	// Parallel runs the enumeration across this many worker goroutines
 	// (0 or 1 = sequential). Embedding counts remain exact. Not
 	// supported for the VF2/Ullmann engines; Glasgow has its own
-	// parallel splitter.
-	// Match's preprocessing fans out on the same max(Parallel, 1)
-	// workers; the plan is identical at every worker count.
+	// parallel splitter. Preprocessing always runs on the caller's
+	// goroutine.
 	Parallel int
 	// Trace attaches the phase-span breakdown to Result.Trace. Spans
 	// are built only at phase boundaries (a handful of allocations per
@@ -328,9 +327,8 @@ type Plan struct {
 	MemoryBytes    int64
 
 	// Span is the preprocessing phase breakdown: a "preprocess" root
-	// with "filter" (and its per-stage children, plus one tally child
-	// per worker when the plan was built by more than one), "build" and
-	// "order" children. Always populated — span assembly
+	// with "filter" (and its per-stage children), "build" and "order"
+	// children. Always populated — span assembly
 	// happens once per plan at phase boundaries and is dwarfed by the
 	// phases themselves. Immutable once the plan is built: cached plans
 	// share it across requests.
@@ -340,13 +338,14 @@ type Plan struct {
 // Preprocess runs the preprocessing half of the pipeline — filtering
 // (paper Algorithm 1 line 1), auxiliary-structure construction, ordering
 // (line 2) and the symmetry-class setup — and returns the resulting
-// Plan. workers is handed to every layer — filtering, the
-// candidate-space build and ordering each take it once (≤ 1 = inline on
-// the caller's goroutine) — and never changes the plan. Configurations
-// routed to the external engines have no plan; Preprocess reports
-// ErrNoPlan for them. The QFilter block layout is built only under the
-// pinned-block policy, the one policy that reads it.
-func Preprocess(q, g *graph.Graph, cfg Config, workers int) (*Plan, error) {
+// Plan. Every layer runs on the caller's goroutine, so a panic in one
+// reaches the caller. The int is ignored: the form predates the
+// one-goroutine build, and cmd/smatchbench still calls it.
+// Configurations routed to the external engines have no plan;
+// Preprocess reports ErrNoPlan for them. The QFilter block layout is
+// built only under the pinned-block policy, the one policy that reads
+// it.
+func Preprocess(q, g *graph.Graph, cfg Config, _ int) (*Plan, error) {
 	if q == nil || g == nil {
 		return nil, fmt.Errorf("core: %w", ErrNilGraph)
 	}
@@ -362,21 +361,15 @@ func Preprocess(q, g *graph.Graph, cfg Config, workers int) (*Plan, error) {
 	if cfg.Homomorphism && (cfg.SymmetryBreaking || cfg.VF2PPRules) {
 		return nil, fmt.Errorf("core: homomorphism mode is incompatible with symmetry breaking and VF2++ rules")
 	}
-	if workers < 1 {
-		workers = 1
-	}
 	plan := &Plan{Query: q, Data: g, Cfg: cfg, Orbit: 1}
 	plan.Span = obs.StartSpan("preprocess")
 
 	// Step 1: filtering. The method's internal stages (e.g. GQL's local
 	// pruning and refinement rounds, CFL's generate/refine phases)
-	// become children of the filter span. Multi-worker runs
-	// additionally attach one zero-duration child per worker carrying
-	// its work tally (candidate vertices examined), the preprocessing
-	// analogue of the enumerate span's worker children.
+	// become children of the filter span.
 	t0 := time.Now()
 	stages := filter.StageTrace{PerVertex: true}
-	cand, filterTally, err := runFilter(q, g, cfg, workers, &stages)
+	cand, err := runFilter(q, g, cfg, &stages)
 	if err != nil {
 		return nil, err
 	}
@@ -394,12 +387,6 @@ func Preprocess(q, g *graph.Graph, cfg Config, workers int) (*Plan, error) {
 		fs.AddChild(obs.NewSpan(st.Name, time.Time{}, st.Duration).
 			SetAttr("candidates", st.Candidates))
 	}
-	if workers > 1 {
-		for w, work := range filterTally {
-			fs.AddChild(obs.NewSpan(fmt.Sprintf("worker-%d", w), time.Time{}, 0).
-				SetAttr("work", work))
-		}
-	}
 	plan.Span.AddChild(fs)
 	plan.Stages = stages.Stages
 	if filter.AnyEmpty(cand) {
@@ -416,13 +403,13 @@ func Preprocess(q, g *graph.Graph, cfg Config, workers int) (*Plan, error) {
 	switch cfg.Local {
 	case enumerate.TreeEdge:
 		structure = "tree"
-		tree := graph.NewBFSTree(q, filter.Root(filter.CFL, q, g, workers))
-		plan.Space, _ = candspace.Build(q, g, cand, tree.Parent, workers)
+		tree := graph.NewBFSTree(q, filter.Root(filter.CFL, q, g))
+		plan.Space = candspace.Build(q, g, cand, tree.Parent)
 	case enumerate.Intersect:
 		structure = "full"
-		plan.Space, _ = candspace.Build(q, g, cand, nil, workers)
+		plan.Space = candspace.Build(q, g, cand, nil)
 		if cfg.Kernel == intersect.PolicyBlock {
-			plan.Space.MaterializeBlocks(workers)
+			plan.Space.MaterializeBlocks()
 		}
 	}
 	plan.BuildTime = time.Since(t0)
@@ -453,13 +440,13 @@ func Preprocess(q, g *graph.Graph, cfg Config, workers int) (*Plan, error) {
 	phi := cfg.FixedOrder
 	orderMethod := "fixed"
 	if phi == nil {
-		if phi, err = order.Compute(cfg.Order, q, g, cand, workers); err != nil {
+		if phi, err = order.Compute(cfg.Order, q, g, cand); err != nil {
 			return nil, err
 		}
 		orderMethod = cfg.Order.String()
 	}
 	if cfg.Adaptive && plan.Space != nil {
-		plan.Weights = order.BuildDPWeights(q, plan.Space, phi, workers)
+		plan.Weights = order.BuildDPWeights(q, plan.Space, phi)
 	}
 	plan.OrderTime = time.Since(t0)
 	plan.Order = phi
@@ -672,7 +659,7 @@ func Match(q, g *graph.Graph, cfg Config, limits Limits) (*Result, error) {
 		}
 		return res, nil
 	}
-	plan, err := Preprocess(q, g, cfg, limits.Parallel)
+	plan, err := Preprocess(q, g, cfg, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -701,15 +688,15 @@ func MatchFresh(plan *Plan, limits Limits, start time.Time) (*Result, error) {
 }
 
 // runFilter runs the configured filtering method once, recording its
-// internal stages into tr and returning the per-worker work tallies.
-func runFilter(q, g *graph.Graph, cfg Config, workers int, tr *filter.StageTrace) ([][]uint32, []uint64, error) {
+// internal stages into tr.
+func runFilter(q, g *graph.Graph, cfg Config, tr *filter.StageTrace) ([][]uint32, error) {
 	if cfg.Homomorphism {
 		// Structural filters assume injectivity (even LDF's degree
 		// condition); only label candidates are sound for
 		// homomorphisms.
-		return filter.RunLabelOnly(q, g), nil, nil
+		return filter.RunLabelOnly(q, g), nil
 	}
-	return filter.RunOpts(cfg.Filter, q, g, filter.Options{Workers: workers, Trace: tr})
+	return filter.RunOpts(cfg.Filter, q, g, filter.Options{Trace: tr})
 }
 
 func matchVF2(q, g *graph.Graph, limits Limits) (*Result, error) {

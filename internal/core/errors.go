@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"runtime/debug"
 
 	"subgraphmatching/internal/graph"
 )
@@ -33,7 +35,20 @@ var (
 	// ErrTwoSinks reports Limits with both OnRun and OnMatch set: a run
 	// delivers its embeddings to one sink.
 	ErrTwoSinks = errors.New("both OnRun and OnMatch are set")
+	// ErrInternal reports a panic recovered on the way — in a parallel
+	// enumeration worker, or in the serving layer's plan and run steps: a
+	// bug, never a property of the input. The error's first line names
+	// the panic; the lines after it hold the stack of the goroutine that
+	// panicked.
+	ErrInternal = errors.New("internal error")
 )
+
+// recovered is the ErrInternal error a recovered panic value r becomes.
+// Call it in the deferred function that recovered r, so the stack is the
+// panicking goroutine's.
+func recovered(r any) error {
+	return fmt.Errorf("core: %w: %v\n%s", ErrInternal, r, debug.Stack())
+}
 
 // Validate checks a (query, data) pair for degenerate inputs, returning
 // the first applicable typed error. It is strict: conditions Match

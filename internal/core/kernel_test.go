@@ -101,21 +101,19 @@ func TestAdaptiveDefaultMaterializesBlocks(t *testing.T) {
 		{intersect.PolicyGallop, false},
 	}
 	for _, c := range cases {
-		for _, workers := range []int{1, 4} {
-			cfg := Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect, Kernel: c.kernel}
-			plan, err := Preprocess(q, g, cfg, workers)
-			if err != nil {
-				t.Fatalf("kernel %v workers %d: %v", c.kernel, workers, err)
-			}
-			if got := plan.Space.HasBlocks(); got != c.want {
-				t.Errorf("kernel %v workers %d: HasBlocks = %v, want %v", c.kernel, workers, got, c.want)
-			}
-			if got := plan.Space.BlockMemoryBytes() > 0; got != c.want {
-				t.Errorf("kernel %v workers %d: %d block bytes charged", c.kernel, workers, plan.Space.BlockMemoryBytes())
-			}
-			if got := plan.Span.Child("build").Attr("block_sets") != nil; got != c.want {
-				t.Errorf("kernel %v workers %d: build span block attributes present = %v", c.kernel, workers, got)
-			}
+		cfg := Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect, Kernel: c.kernel}
+		plan, err := Preprocess(q, g, cfg, 1)
+		if err != nil {
+			t.Fatalf("kernel %v: %v", c.kernel, err)
+		}
+		if got := plan.Space.HasBlocks(); got != c.want {
+			t.Errorf("kernel %v: HasBlocks = %v, want %v", c.kernel, got, c.want)
+		}
+		if got := plan.Space.BlockMemoryBytes() > 0; got != c.want {
+			t.Errorf("kernel %v: %d block bytes charged", c.kernel, plan.Space.BlockMemoryBytes())
+		}
+		if got := plan.Span.Child("build").Attr("block_sets") != nil; got != c.want {
+			t.Errorf("kernel %v: build span block attributes present = %v", c.kernel, got)
 		}
 	}
 }

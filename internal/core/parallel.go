@@ -93,12 +93,21 @@ func matchParallel(plan *Plan, opts enumerate.Options, limits Limits, res *Resul
 	// counts after the join.
 	countLocally := limits.MaxEmbeddings == 0 && limits.OnRun == nil
 
+	// deliver hands a run to the caller's sink, one call at a time. The
+	// deferred unlock lets a worker whose sink panics leave the lock to
+	// the others on its way to the recover below.
+	deliver := func(m []uint32, u graph.Vertex, vs []uint32) int {
+		matchLock.Lock()
+		defer matchLock.Unlock()
+		return limits.OnRun(m, u, vs)
+	}
+
 	// onRun is every worker engine's sink. It reserves the run's share of
 	// the cap one embedding at a time, exactly as the per-embedding hook
 	// did: a worker that reserved the remaining cap as a block would
 	// touch the contended counter once per run, which is ROADMAP item 2
 	// and waits for Benchmark v2 (item 1a) with the rest of it. What it
-	// reserved goes to the caller's sink in one call under matchLock.
+	// reserved goes to the caller's sink in one deliver call.
 	onRun := func(m []uint32, u graph.Vertex, vs []uint32) int {
 		if stop.Load() {
 			return 0
@@ -116,9 +125,7 @@ func matchParallel(plan *Plan, opts enumerate.Options, limits Limits, res *Resul
 			// blocked in this call and the sink must not keep them (the
 			// Limits.OnRun contract, same as sequentially), so they go
 			// through as they are; the lock only serializes the calls.
-			matchLock.Lock()
-			taken := limits.OnRun(m, u, vs[:n])
-			matchLock.Unlock()
+			taken := deliver(m, u, vs[:n])
 			if taken < n {
 				// What the sink declined was not delivered: give it back, so
 				// the count is of embeddings taken. The cap stays exact —
@@ -191,6 +198,14 @@ func matchParallel(plan *Plan, opts enumerate.Options, limits Limits, res *Resul
 		d := deques[i%workers]
 		d.tasks = append(d.tasks, t)
 	}
+	// A panic in a worker — in the engine or in the caller's sink — would
+	// kill the process from a goroutine no caller can recover on. The
+	// worker recovers it and stops the others; the run returns the first
+	// as ErrInternal.
+	var (
+		panicOnce sync.Once
+		panicErr  error
+	)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -200,6 +215,12 @@ func matchParallel(plan *Plan, opts enumerate.Options, limits Limits, res *Resul
 			var tasks, steals, failed uint64
 			defer func() {
 				res.Workers[w] = WorkerStats{Tasks: tasks, Steals: steals, FailedSteals: failed}
+			}()
+			defer func() {
+				if r := recover(); r != nil {
+					panicOnce.Do(func() { panicErr = recovered(r) })
+					stop.Store(true)
+				}
 			}()
 			for {
 				// Task-granular cancellation: the engines poll the flag
@@ -227,6 +248,9 @@ func matchParallel(plan *Plan, opts enumerate.Options, limits Limits, res *Resul
 		}(w)
 	}
 	wg.Wait()
+	if panicErr != nil {
+		return panicErr
+	}
 
 	if opts.Profile {
 		res.Profile = enumerate.NewSearchProfile(plan.Query.NumVertices())

@@ -12,9 +12,9 @@ import (
 
 // layerSurface is every exported function and method of the three
 // preprocessing layers, of enumeration, of this package and of the
-// serving layer. Each layer has one entry point per job, and the worker
-// count, the trace and the method parameters are arguments of that entry
-// point — a new RunXParallelStatsTraced must show up here as a reviewed
+// serving layer. Each layer has one entry point per job, and the trace
+// and the method parameters are arguments of that entry point — a new
+// RunXParallelStatsTraced must show up here as a reviewed
 // line; so must a second way to pin a task (RunPrefix and ExpandPrefix
 // take a prefix of any length, under static and adaptive orders alike),
 // a scheduler or split policy to parse (there is one parallel runner),
@@ -23,11 +23,11 @@ import (
 // cmd/smatchbench pins the call forms filter.Run(m,q,g),
 // filter.RunLDF(q,g), candspace.BuildFull(q,g,cand),
 // (*Space).MaterializeBlocks() and order.Compute(m,q,g,cand): those stay
-// thin forwards (or take their extras as a trailing variadic). Of this
-// package it pins core.Config{UseGlasgow: true} and core.Config{UseVF2:
-// true} run through core.Match, the core.Plan{…} literal, and
-// core.Preprocess(q, g, cfg, 1) — which is why the external-engine
-// switches are still Config fields.
+// thin forwards. Of this package it pins core.Config{UseGlasgow: true}
+// and core.Config{UseVF2: true} run through core.Match, the core.Plan{…}
+// literal, and core.Preprocess(q, g, cfg, 1) — which is why the
+// external-engine switches are still Config fields, and why Preprocess
+// keeps an int it ignores (plans build on the caller's goroutine).
 var layerSurface = map[string][]string{
 	".": {
 		"Algorithm.String", "Algorithms", "Config.External", "ExplainPlan", "Match",
@@ -71,16 +71,18 @@ var layerSurface = map[string][]string{
 }
 
 // knobSurface is every field of the structs a caller configures a run
-// with: core.Config, core.Limits, the public package's Options and
-// service.Request. A field here is a settable value every test grid and
+// with: core.Config, core.Limits, the public package's Options,
+// filter.Options and service.Request. A field here is a settable value every test grid and
 // benchmark has to cover, so the next one must show up as a reviewed
 // line with the two callers that need different values of it —
 // Schedule, Split and the split factor left because nothing outside a
 // benchmark ever set them; the tree-space and DP-weights flags because
 // Local and Adaptive imply them; the auto-order flag and the
 // filter-tuning counts because nothing outside a test set them (the
-// ablations tune filter.Options); Workers because a preprocessing degree apart from Parallel carried no
-// knowledge the caller has (EXPERIMENTS.md "Parallel preprocessing").
+// ablations tune filter.Options); Workers, in the public Options and in
+// filter.Options, because a plan builds on one goroutine: a
+// preprocessing fan-out paid at no size the service sees (EXPERIMENTS.md
+// "Preprocessing phases").
 //
 // core.Config is the paper's tuple plus the external-engine switches,
 // which cmd/smatchbench/corpus.go constructs; they leave with ROADMAP
@@ -109,6 +111,7 @@ var knobSurface = map[[2]string][]string{
 		"Algorithm", "Custom", "MaxEmbeddings", "TimeLimit", "OnMatch",
 		"Parallel", "Trace", "Explain",
 	},
+	{"../filter", "Options"}: {"Trace", "GQLRounds", "GQLRadius", "DPIsoPasses"},
 	{"../service", "Request"}: {
 		"Graph", "Query", "Algorithm", "Custom", "MaxEmbeddings", "TimeLimit",
 		"Parallel", "OnRun", "OnMatch", "NoCache", "Profile",

@@ -89,7 +89,7 @@ func TestTreeEdgeModeWithTreeSpace(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
 	cand, _ := filter.Run(filter.CFL, q, g)
 	tree := graph.NewBFSTree(q, 0)
-	space, _ := candspace.Build(q, g, cand, tree.Parent, 1)
+	space := candspace.Build(q, g, cand, tree.Parent)
 	st, err := Run(q, g, cand, space, tree.Order, Options{Local: TreeEdge})
 	if err != nil {
 		t.Fatal(err)
@@ -187,8 +187,8 @@ func TestAdaptiveWithWeights(t *testing.T) {
 		}
 		cand, _ := filter.Run(filter.DPIso, q, g)
 		space := candspace.BuildFull(q, g, cand)
-		delta := order.ComputeDPIso(q, g, 1)
-		weights := order.BuildDPWeights(q, space, delta, 1)
+		delta := order.ComputeDPIso(q, g)
+		weights := order.BuildDPWeights(q, space, delta)
 		want := testutil.BruteForceCount(q, g, 0)
 		st, err := Run(q, g, cand, space, delta, Options{
 			Local: Intersect, Adaptive: true, AdaptiveWeights: weights, FailingSets: true,

@@ -42,7 +42,7 @@ func Ablation(env Env) error {
 		var sumTime time.Duration
 		for _, q := range set.Queries {
 			t0 := time.Now()
-			cand, _, err := filter.RunOpts(filter.GQL, q, g, filter.Options{GQLRounds: rounds})
+			cand, err := filter.RunOpts(filter.GQL, q, g, filter.Options{GQLRounds: rounds})
 			if err != nil {
 				return err
 			}
@@ -65,7 +65,7 @@ func Ablation(env Env) error {
 		var sumTime time.Duration
 		for _, q := range set.Queries {
 			t0 := time.Now()
-			cand, _, err := filter.RunOpts(filter.GQL, q, g, filter.Options{GQLRadius: radius})
+			cand, err := filter.RunOpts(filter.GQL, q, g, filter.Options{GQLRadius: radius})
 			if err != nil {
 				return err
 			}

@@ -22,7 +22,7 @@ import (
 func (s *state) runCECI(tr *StageTrace) {
 	stageStart := time.Now()
 	q := s.q
-	t := graph.NewBFSTree(q, Root(CECI, q, s.g, s.fr.Workers()))
+	t := graph.NewBFSTree(q, Root(CECI, q, s.g))
 	pos := make([]int, q.NumVertices())
 	for i, u := range t.Order {
 		pos[u] = i

@@ -23,7 +23,7 @@ import (
 func (s *state) runCFL(tr *StageTrace) {
 	stageStart := time.Now()
 	q := s.q
-	root := Root(CFL, q, s.g, s.fr.Workers())
+	root := Root(CFL, q, s.g)
 	t := graph.NewBFSTree(q, root)
 
 	// Phase 1: top-down generation with backward pruning.
@@ -48,8 +48,8 @@ func (s *state) runCFL(tr *StageTrace) {
 	stageStart = tr.add("generate", stageStart, s.cand)
 
 	// Phase 2: bottom-up refinement. Each vertex's prunes against its
-	// deeper neighbors are one op; a level only reads strictly deeper
-	// (earlier-refined) sets, so each level is one wave.
+	// deeper neighbors are one op, which reads only strictly deeper
+	// (earlier-refined) sets.
 	ops = ops[:0]
 	for i := len(t.Order) - 1; i >= 0; i-- {
 		u := t.Order[i]

@@ -73,7 +73,7 @@ func FuzzSemiPerfectClasses(f *testing.F) {
 		if q == nil {
 			t.Skip()
 		}
-		s := newState(q, g, 1, GQL)
+		s := newState(q, g, GQL)
 		m := bipartite.NewMatcher(q.MaxDegree())
 		refine := make([]op, q.NumVertices())
 		for u := range refine {

@@ -15,18 +15,13 @@ import (
 	"subgraphmatching/internal/testutil"
 )
 
-// The differential harness for the preprocessing pipeline: on a grid of
-// R-MAT/querygen fixtures it pins down that a worker count never changes
-// a result, and that the results are the ones the sequential runners
-// produced before the two paths were made one.
-//
-//   - For every filter, every parameter variant and every worker count,
-//     the candidate sets hash to the digest recorded from the parent
-//     commit's sequential code (parentDigests).
-//   - GQL is held to that like every other method: its refinement is
-//     Gauss–Seidel at query-vertex granularity at every worker count.
-
-var equivalenceWorkers = []int{1, 2, 4, 8}
+// The differential harness for the filters: on a grid of R-MAT/querygen
+// fixtures it pins down that the results are the ones the sequential
+// runners produced before the methods became operation sequences. For
+// every filter and every parameter variant the candidate sets hash to
+// the digest recorded from that commit's sequential code
+// (parentDigests); GQL's refinement is Gauss–Seidel at query-vertex
+// granularity, as it was there.
 
 // equivFixture is one (data graph, queries) grid cell.
 type equivFixture struct {
@@ -194,28 +189,23 @@ func TestParallelFiltersMatchOneWorkerExactly(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: no parent digest recorded", name)
 			}
-			for _, w := range equivalenceWorkers {
-				o := v.o
-				o.Workers = w
-				h := fnv.New64a()
-				for _, q := range f.queries {
-					cand := mustRun(t, v.m, q, f.g, o)
-					assertSortedDeduped(t, name, cand)
-					digestCandidates(h, cand)
-				}
-				if got := h.Sum64(); got != want {
-					t.Errorf("%s workers=%d: digest %#016x, parent's sequential run %#016x", name, w, got, want)
-				}
+			h := fnv.New64a()
+			for _, q := range f.queries {
+				cand := mustRun(t, v.m, q, f.g, v.o)
+				assertSortedDeduped(t, name, cand)
+				digestCandidates(h, cand)
+			}
+			if got := h.Sum64(); got != want {
+				t.Errorf("%s: digest %#016x, parent's sequential run %#016x", name, got, want)
 			}
 		}
 	}
 }
 
 // TestSteadyParallelReachesSameFixPoint checks the strongest filter
-// separately and without reference to a recorded run: at every worker
-// count the STEADY sets are the one-worker sets, and they are a fix
-// point of Filtering Rule 3.1 — every remaining candidate of u has a
-// neighbor among the candidates of every neighbor of u.
+// separately and without reference to a recorded run: the STEADY sets
+// are a fix point of Filtering Rule 3.1 — every remaining candidate of u
+// has a neighbor among the candidates of every neighbor of u.
 func TestSteadyParallelReachesSameFixPoint(t *testing.T) {
 	for _, f := range equivalenceGrid(t) {
 		for qi, q := range f.queries {
@@ -229,12 +219,6 @@ func TestSteadyParallelReachesSameFixPoint(t *testing.T) {
 					}
 				}
 			}
-			for _, w := range equivalenceWorkers[1:] {
-				got := mustRun(t, Steady, q, f.g, Options{Workers: w})
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s/q%d workers=%d: steady fix points differ", f.name, qi, w)
-				}
-			}
 		}
 	}
 }
@@ -242,37 +226,44 @@ func TestSteadyParallelReachesSameFixPoint(t *testing.T) {
 // TestDPIsoParallelMatchesSequential covers the pass counts the parent
 // digests do not (the digests pin passes 1, 3 and 4 to the sequential
 // runner that asked DPIsoRoot for its root; the filter now derives the
-// root from the LDF sets it has just built): every pass count and
-// worker count returns the one-worker sets, and Root(DPIso, …) — what
-// the ordering asks — is the same vertex at every worker count.
+// root from the LDF sets it has just built): at every pass count the
+// filter's sets are complete, sorted and deduplicated, more passes never
+// grow a set, and the BFS root the filter derives is Root(DPIso, …), the
+// one the ordering asks for.
 func TestDPIsoParallelMatchesSequential(t *testing.T) {
 	for _, f := range equivalenceGrid(t) {
 		for qi, q := range f.queries {
-			root := Root(DPIso, q, f.g, 1)
+			root := Root(DPIso, q, f.g)
+			ldf := mustRun(t, LDF, q, f.g, Options{})
+			scores := make([]float64, q.NumVertices())
+			for u := range scores {
+				scores[u] = float64(len(ldf[u])) / float64(q.Degree(graph.Vertex(u)))
+			}
+			if got := argminRoot(scores); got != root {
+				t.Fatalf("%s/q%d: the filter's root u%d, Root(DPIso) u%d", f.name, qi, got, root)
+			}
+			var prev [][]uint32
 			for _, passes := range []int{1, 3, 5} {
-				want := mustRun(t, DPIso, q, f.g, Options{DPIsoPasses: passes})
-				for _, w := range equivalenceWorkers[1:] {
-					if got := Root(DPIso, q, f.g, w); got != root {
-						t.Fatalf("%s/q%d workers=%d: Root(DPIso) = u%d, one worker says u%d", f.name, qi, w, got, root)
-					}
-					got := mustRun(t, DPIso, q, f.g, Options{DPIsoPasses: passes, Workers: w})
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s/q%d passes=%d workers=%d: differs", f.name, qi, passes, w)
+				got := mustRun(t, DPIso, q, f.g, Options{DPIsoPasses: passes})
+				assertSortedDeduped(t, f.name, got)
+				for u := range prev {
+					if len(got[u]) > len(prev[u]) {
+						t.Fatalf("%s/q%d passes=%d: C(u%d) grew from %d to %d", f.name, qi, passes, u, len(prev[u]), len(got[u]))
 					}
 				}
+				prev = got
 			}
 		}
 	}
 }
 
-// TestTreeFiltersEmptyMidLevel pins the degenerate wave shape: a
-// generation step mid-tree prunes C(u) to empty, so every deeper wave
-// fans out over an empty frontier and the backward cascade empties the
-// ancestors. Query: path u0(A)-u1(B)-u2(C)-u3(A); data: path
+// TestTreeFiltersEmptyMidLevel pins a degenerate shape: a generation
+// step mid-tree prunes C(u) to empty, so every deeper generation runs
+// over an empty set and the backward cascade empties the ancestors. Query: path u0(A)-u1(B)-u2(C)-u3(A); data: path
 // v0(A)-v1(B)-v2(C), where v2's degree is too small for u2, so C(u2)
-// dies during generation with a whole level still below it. Every
-// worker count must agree with the reference filter bit for bit and
-// must not panic on the empty waves.
+// dies during generation with a whole level still below it. The filter
+// must agree with the reference filter bit for bit and must not panic on
+// the empty sets.
 func TestTreeFiltersEmptyMidLevel(t *testing.T) {
 	mk := func(labels []graph.Label, edges [][2]graph.Vertex) *graph.Graph {
 		b := graph.NewBuilder(len(labels), len(edges))
@@ -291,9 +282,9 @@ func TestTreeFiltersEmptyMidLevel(t *testing.T) {
 	q := mk([]graph.Label{0, 1, 2, 0}, [][2]graph.Vertex{{0, 1}, {1, 2}, {2, 3}})
 	g := mk([]graph.Label{0, 1, 2}, [][2]graph.Vertex{{0, 1}, {1, 2}})
 	for _, m := range []Method{CFL, CECI} {
-		seq := newRefFilter(q, g).cfl(Root(CFL, q, g, 1))
+		seq := newRefFilter(q, g).cfl(Root(CFL, q, g))
 		if m == CECI {
-			seq = newRefFilter(q, g).ceci(Root(CECI, q, g, 1))
+			seq = newRefFilter(q, g).ceci(Root(CECI, q, g))
 		}
 		empty := 0
 		for u := range seq {
@@ -304,38 +295,9 @@ func TestTreeFiltersEmptyMidLevel(t *testing.T) {
 		if empty == 0 {
 			t.Fatalf("%v: fixture did not produce an empty candidate set: %v", m, seq)
 		}
-		for _, w := range equivalenceWorkers {
-			got := mustRun(t, m, q, g, Options{Workers: w})
-			if !reflect.DeepEqual(emptyNotNil(got), emptyNotNil(seq)) {
-				t.Fatalf("%v workers=%d: differs from the reference on empty-level fixture:\n got %v\nwant %v",
-					m, w, got, seq)
-			}
-		}
-	}
-}
-
-// TestRunParallelStatsTalliesWork sanity-checks the makespan
-// instrumentation: every method reports one tally per worker (one entry
-// on a one-worker run) and a non-zero total.
-func TestRunParallelStatsTalliesWork(t *testing.T) {
-	f := equivalenceGrid(t)[0]
-	q := f.queries[0]
-	for _, m := range Methods() {
-		for _, w := range []int{0, 1, 4} {
-			_, work, err := RunOpts(m, q, f.g, Options{Workers: w})
-			if err != nil {
-				t.Fatalf("%v: %v", m, err)
-			}
-			if len(work) != max(w, 1) {
-				t.Fatalf("%v workers=%d: tally %v, want one entry per worker", m, w, work)
-			}
-			var total uint64
-			for _, n := range work {
-				total += n
-			}
-			if total == 0 {
-				t.Errorf("%v workers=%d: zero work tallied", m, w)
-			}
+		got := mustRun(t, m, q, g, Options{})
+		if !reflect.DeepEqual(emptyNotNil(got), emptyNotNil(seq)) {
+			t.Fatalf("%v: differs from the reference on empty-level fixture:\n got %v\nwant %v", m, got, seq)
 		}
 	}
 }

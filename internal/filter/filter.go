@@ -74,13 +74,9 @@ const DefaultGQLRounds = 2
 // passes in DP-iso, following the original paper.
 const DefaultDPIsoPasses = 3
 
-// Options parameterises one filtering run. The zero value is a
-// one-worker, untraced run with every method at its default parameters.
+// Options parameterises one filtering run. The zero value is an
+// untraced run with every method at its default parameters.
 type Options struct {
-	// Workers is the number of goroutines the run fans its tasks out
-	// over; ≤ 1 runs everything inline on the caller's goroutine. The
-	// candidate sets are identical for every value.
-	Workers int
 	// Trace, when non-nil, receives the method's internal stages
 	// (single-stage methods record one entry).
 	Trace *StageTrace
@@ -97,33 +93,28 @@ type Options struct {
 // sets, sorted per query vertex. An error is returned for invalid input
 // (empty or disconnected query).
 func Run(m Method, q, g *graph.Graph) ([][]uint32, error) {
-	cand, _, err := RunOpts(m, q, g, Options{})
-	return cand, err
+	return RunOpts(m, q, g, Options{})
 }
 
-// RunOpts is the filtering entry point: it executes method m under o
-// and returns the candidate sets beside the per-worker work tallies
-// (candidate vertices examined; length max(o.Workers, 1)), the input to
-// par.MakespanBound.
-func RunOpts(m Method, q, g *graph.Graph, o Options) ([][]uint32, []uint64, error) {
+// RunOpts is the filtering entry point: it executes method m under o on
+// the caller's goroutine and returns the candidate sets.
+func RunOpts(m Method, q, g *graph.Graph, o Options) ([][]uint32, error) {
 	if q.NumVertices() == 0 {
-		return nil, nil, fmt.Errorf("filter: empty query graph")
+		return nil, fmt.Errorf("filter: empty query graph")
 	}
 	if !q.IsConnected() {
-		return nil, nil, fmt.Errorf("filter: query graph must be connected")
+		return nil, fmt.Errorf("filter: query graph must be connected")
 	}
 	if _, ok := methodNames[m]; !ok {
-		return nil, nil, fmt.Errorf("filter: unknown method %v", m)
+		return nil, fmt.Errorf("filter: unknown method %v", m)
 	}
-	cand, tally := run(m, q, g, o)
-	return cand, tally, nil
+	return run(m, q, g, o), nil
 }
 
-// RunLDF computes the LDF candidate sets on one worker. Unlike Run it
-// accepts any query, connected or not.
+// RunLDF computes the LDF candidate sets. Unlike Run it accepts any
+// query, connected or not.
 func RunLDF(q, g *graph.Graph) [][]uint32 {
-	cand, _ := run(LDF, q, g, Options{})
-	return cand
+	return run(LDF, q, g, Options{})
 }
 
 // RunLabelOnly computes label-only candidate sets: C(u) = {v : L(v) =
@@ -141,8 +132,8 @@ func RunLabelOnly(q, g *graph.Graph) [][]uint32 {
 
 // run dispatches a known method over a validated (or, for RunLDF,
 // deliberately unvalidated) query.
-func run(m Method, q, g *graph.Graph, o Options) ([][]uint32, []uint64) {
-	s := newState(q, g, o.Workers, m)
+func run(m Method, q, g *graph.Graph, o Options) [][]uint32 {
+	s := newState(q, g, m)
 	tr := o.Trace
 	start := time.Now()
 	switch m {

@@ -14,10 +14,10 @@ import (
 // for the strong structural filters.
 var paperRefined = [][]uint32{{0}, {2, 4}, {3, 5}, {10, 12}}
 
-// mustRun is RunOpts without the tally, failing the test on an error.
+// mustRun is RunOpts, failing the test on an error.
 func mustRun(t testing.TB, m Method, q, g *graph.Graph, o Options) [][]uint32 {
 	t.Helper()
-	cand, _, err := RunOpts(m, q, g, o)
+	cand, err := RunOpts(m, q, g, o)
 	if err != nil {
 		t.Fatalf("RunOpts(%v, %+v): %v", m, o, err)
 	}
@@ -56,7 +56,7 @@ func TestGraphQLOnPaperExample(t *testing.T) {
 
 func TestCFLOnPaperExample(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
-	if root := Root(CFL, q, g, 1); root != 0 {
+	if root := Root(CFL, q, g); root != 0 {
 		t.Fatalf("Root(CFL) = u%d, want u0 (as in Example 3.2)", root)
 	}
 	got := mustRun(t, CFL, q, g, Options{})
@@ -69,7 +69,7 @@ func TestCFLOnPaperExample(t *testing.T) {
 
 func TestCECIOnPaperExample(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
-	if root := Root(CECI, q, g, 1); root != 0 {
+	if root := Root(CECI, q, g); root != 0 {
 		t.Fatalf("Root(CECI) = u%d, want u0 (as in Example 3.3)", root)
 	}
 	got := mustRun(t, CECI, q, g, Options{})
@@ -80,7 +80,7 @@ func TestCECIOnPaperExample(t *testing.T) {
 
 func TestDPIsoOnPaperExample(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
-	if root := Root(DPIso, q, g, 1); root != 0 {
+	if root := Root(DPIso, q, g); root != 0 {
 		t.Fatalf("Root(DPIso) = u%d, want u0 (as in Example 3.4)", root)
 	}
 	got := mustRun(t, DPIso, q, g, Options{})

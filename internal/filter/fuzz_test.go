@@ -2,7 +2,6 @@ package filter
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"subgraphmatching/internal/graph"
@@ -42,9 +41,9 @@ func decodeFuzzGraph(data []byte) *graph.Graph {
 }
 
 // FuzzFilterSoundness is the no-false-negative invariant of Section 3.1
-// under fuzzed inputs: for every filtering method, sequential and
-// parallel, every ground-truth embedding must survive filtering — each
-// mapped data vertex M(u) stays in the candidate set C(u). A filter
+// under fuzzed inputs: for every filtering method, every ground-truth
+// embedding must survive filtering — each mapped data vertex M(u) stays
+// in the candidate set C(u). A filter
 // that drops a matched vertex silently loses embeddings downstream,
 // which no amount of enumeration testing on fixed fixtures would
 // attribute back to the filter.
@@ -66,28 +65,16 @@ func FuzzFilterSoundness(f *testing.F) {
 		if len(truth) == 0 {
 			t.Skip()
 		}
-		workers := 2 + int(qsize)%7
 		for _, m := range Methods() {
-			seq, err := Run(m, q, g)
+			cand, err := Run(m, q, g)
 			if err != nil {
 				t.Fatalf("%v: Run: %v", m, err)
 			}
-			par := mustRun(t, m, q, g, Options{Workers: workers})
-			// Beyond soundness: every method must reproduce the
-			// one-worker sets exactly at any worker count.
-			if !reflect.DeepEqual(par, seq) {
-				t.Fatalf("%v: workers=%d differs from one worker:\n got %v\nwant %v",
-					m, workers, par, seq)
-			}
 			for _, emb := range truth {
 				for u, v := range emb {
-					if !containsVertex(seq[u], uint32(v)) {
-						t.Fatalf("%v: one-worker C(u%d)=%v drops matched vertex %d (embedding %v)",
-							m, u, seq[u], v, emb)
-					}
-					if !containsVertex(par[u], uint32(v)) {
-						t.Fatalf("%v: multi-worker C(u%d)=%v drops matched vertex %d (embedding %v)",
-							m, u, par[u], v, emb)
+					if !containsVertex(cand[u], uint32(v)) {
+						t.Fatalf("%v: C(u%d)=%v drops matched vertex %d (embedding %v)",
+							m, u, cand[u], v, emb)
 					}
 				}
 			}

@@ -33,8 +33,7 @@ import (
 // two or more same-label neighbors need a matching at all. The query
 // vertices are refined in id order and the removals from C(u) take
 // effect before the next vertex is refined, strengthening later checks
-// within the same round; the candidates of one vertex never read each
-// other's membership, so they are checked concurrently.
+// within the same round.
 //
 // Trace stages: "local" for the profile-based pruning, then one
 // "refine-<k>" per global-refinement round actually executed.

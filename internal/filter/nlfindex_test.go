@@ -306,8 +306,8 @@ func checkAgainstCounting(t *testing.T, seed int64, q, g *graph.Graph, tally *nl
 	}
 	check("Run(NLF)", run(NLF), newRefFilter(q, g).nlf())
 	check("Run(GQL)", run(GQL), newRefFilter(q, g).gql(DefaultGQLRounds))
-	check("Run(CFL)", run(CFL), newRefFilter(q, g).cfl(Root(CFL, q, g, 1)))
-	check("Run(CECI)", run(CECI), newRefFilter(q, g).ceci(Root(CECI, q, g, 1)))
+	check("Run(CFL)", run(CFL), newRefFilter(q, g).cfl(Root(CFL, q, g)))
+	check("Run(CECI)", run(CECI), newRefFilter(q, g).ceci(Root(CECI, q, g)))
 }
 
 // The index-backed nlfOK is the counting check, pair by pair, and every

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"subgraphmatching/internal/graph"
-	"subgraphmatching/internal/par"
 )
 
 // Root returns the BFS root the tree-based filter m (CFL, CECI or
@@ -19,29 +18,24 @@ import (
 //   - DPIso: argmin |C_LDF(u)| / d(u).
 //
 // The dominant cost of every rule is sizing NLF/LDF candidate sets — one
-// scan of a label pool per query vertex — which fans out over `workers`
-// goroutines (≤ 1 = inline) and reduces with a sequential argmin. The
-// result is identical for every worker count: the sizes are written per
-// task index and the tie-break (lowest vertex id wins) lives entirely in
-// the reduction. Root panics for a method that has no root rule.
-func Root(m Method, q, g *graph.Graph, workers int) graph.Vertex {
+// scan of a label pool per query vertex. Ties go to the lowest vertex
+// id. Root panics for a method that has no root rule.
+func Root(m Method, q, g *graph.Graph) graph.Vertex {
 	switch m {
 	case CFL:
-		return cflRoot(q, g, workers)
+		return cflRoot(q, g)
 	case CECI, DPIso:
 		scores := make([]float64, q.NumVertices())
-		par.Run(workers, len(scores), func(_, t int) uint64 {
-			uu := graph.Vertex(t)
-			size := poolSize(q, g, uu, m == CECI)
-			scores[t] = float64(size) / float64(q.Degree(uu))
-			return uint64(size) + 1
-		})
+		for u := range scores {
+			uu := graph.Vertex(u)
+			scores[u] = float64(poolSize(q, g, uu, m == CECI)) / float64(q.Degree(uu))
+		}
 		return argminRoot(scores)
 	}
 	panic(fmt.Sprintf("filter: method %v has no root rule", m))
 }
 
-func cflRoot(q, g *graph.Graph, workers int) graph.Vertex {
+func cflRoot(q, g *graph.Graph) graph.Vertex {
 	core := q.TwoCore()
 	pool := make([]graph.Vertex, 0, q.NumVertices())
 	for u := 0; u < q.NumVertices(); u++ {
@@ -68,16 +62,11 @@ func cflRoot(q, g *graph.Graph, workers int) graph.Vertex {
 			top = top[:3]
 		}
 	}
-	sizes := make([]int, len(top))
-	par.Run(workers, len(top), func(_, t int) uint64 {
-		sizes[t] = poolSize(q, g, top[t], true)
-		return uint64(sizes[t]) + 1
-	})
 	best := top[0]
 	bestSize := -1
-	for i, u := range top {
-		if bestSize < 0 || sizes[i] < bestSize {
-			best, bestSize = u, sizes[i]
+	for _, u := range top {
+		if size := poolSize(q, g, u, true); bestSize < 0 || size < bestSize {
+			best, bestSize = u, size
 		}
 	}
 	return best

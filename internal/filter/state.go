@@ -1,37 +1,38 @@
 package filter
 
 import (
+	"subgraphmatching/internal/bipartite"
 	"subgraphmatching/internal/bitset"
 	"subgraphmatching/internal/graph"
-	"subgraphmatching/internal/par"
 )
 
 // state is the shared machinery of the filters: current candidate sets,
 // a membership bitmap per query vertex kept in sync with them so that
 // "does v have a neighbor in C(u')" checks are scans of the neighbours
-// of v labelled L(u') (graph.NLF.Run), and the worker pool every
-// operation fans out over (parallel.go).
+// of v labelled L(u') (graph.NLF.Run), and the scratch the operations
+// (ops.go) allocate on first use: a dedup bitset for generation, the
+// matcher of the semi-perfect matching test, and the radius-r profilers
+// of GraphQL's wide local pruning.
 type state struct {
 	q, g   *graph.Graph
 	qx, gx *graph.NLF // the graphs' NLF indexes; nil for LDF, which never reads them
 	cand   [][]uint32
 	member []*bitset.Set // member[u].Contains(v) iff v in cand[u]; nil for LDF/NLF, which never read it
 	radius int           // > 1: label-pool scans test radius-r profiles instead of NLF (GraphQL)
-	fr     *par.Frontier[*scratch]
-	tasks  []task // runWave's task list, reused across waves
+
+	seen         *bitset.Set
+	matcher      *bipartite.Matcher
+	gProf, qProf *profiler
 }
 
-// newState allocates method m's candidate state over a pool of
-// `workers` workers (clamped to at least 1; one worker runs every task
-// inline on the caller's goroutine): the graphs' NLF indexes for every
-// method but LDF, and the membership bitmaps the structural filters
-// read.
-func newState(q, g *graph.Graph, workers int, m Method) *state {
+// newState allocates method m's candidate state: the graphs' NLF indexes
+// for every method but LDF, and the membership bitmaps the structural
+// filters read.
+func newState(q, g *graph.Graph, m Method) *state {
 	s := &state{
 		q:    q,
 		g:    g,
 		cand: make([][]uint32, q.NumVertices()),
-		fr:   par.NewFrontier(workers, func(int) *scratch { return &scratch{} }),
 	}
 	if m != LDF {
 		s.qx, s.gx = q.NLF(), g.NLF()
@@ -56,8 +57,7 @@ func newState(q, g *graph.Graph, workers int, m Method) *state {
 // passing that test is the whole condition. Otherwise the check is a
 // merge of two sorted label lists (a signature is exact only up to
 // labels that collide mod 64, and it cannot count). It reads only
-// immutable data — every worker and the root selectors call it
-// concurrently.
+// immutable data, so concurrent filter runs share the indexes.
 func nlfOK(qx, gx *graph.NLF, u graph.Vertex, v uint32) bool {
 	if qx.Signature(u)&^gx.Signature(v) != 0 {
 		return false
@@ -107,12 +107,11 @@ func (s *state) hasNeighborIn(v uint32, up graph.Vertex) bool {
 }
 
 // result deep-copies the candidate sets out of the state (the state's
-// backing arrays are scratch space with spare capacity) and returns the
-// per-worker work tallies beside them.
-func (s *state) result() ([][]uint32, []uint64) {
+// backing arrays are scratch space with spare capacity).
+func (s *state) result() [][]uint32 {
 	out := make([][]uint32, len(s.cand))
 	for i, c := range s.cand {
 		out[i] = append([]uint32(nil), c...)
 	}
-	return out, s.fr.Tally()
+	return out
 }

@@ -68,64 +68,6 @@ func TestRunTracedStages(t *testing.T) {
 	}
 }
 
-// TestRunParallelTracedStages pins stage-trace parity across worker
-// counts: every filter method reports its stages and a per-worker tally
-// under Workers > 1, and the stages match the one-worker trace name for
-// name and count for count (stage boundaries are the run's barriers).
-func TestRunParallelTracedStages(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := testutil.RandomGraph(rng, 120, 480, 3)
-	q := testutil.RandomConnectedQuery(rng, g, 6)
-
-	wantStages := map[Method][]string{
-		LDF:    {"ldf"},
-		NLF:    {"nlf"},
-		GQL:    {"local", "refine-1"}, // later rounds only if round 1 changed something
-		CFL:    {"generate", "refine"},
-		CECI:   {"construct", "refine"},
-		DPIso:  {"init", "pass-1", "pass-2", "pass-3"},
-		Steady: {"fixpoint"},
-	}
-	for _, m := range Methods() {
-		var tr StageTrace
-		got, work, err := RunOpts(m, q, g, Options{Workers: 4, Trace: &tr})
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if len(work) != 4 {
-			t.Fatalf("%v: tally %v, want one entry per worker", m, work)
-		}
-		want := wantStages[m]
-		if len(tr.Stages) < len(want) {
-			t.Fatalf("%v: got %d stages %v, want at least %v", m, len(tr.Stages), tr.Stages, want)
-		}
-		for i, name := range want {
-			if tr.Stages[i].Name != name {
-				t.Errorf("%v: stage %d = %q, want %q", m, i, tr.Stages[i].Name, name)
-			}
-		}
-		last := tr.Stages[len(tr.Stages)-1]
-		if last.Candidates != TotalCandidates(got) {
-			t.Errorf("%v: final stage candidates %d != returned total %d", m, last.Candidates, TotalCandidates(got))
-		}
-		// Every method matches the one-worker trace stage for stage —
-		// same names, same candidate counts after each.
-		var seq StageTrace
-		mustRun(t, m, q, g, Options{Trace: &seq})
-		if len(tr.Stages) != len(seq.Stages) {
-			t.Fatalf("%v: 4 workers %d stages, one worker %d", m, len(tr.Stages), len(seq.Stages))
-		}
-		for i := range tr.Stages {
-			if tr.Stages[i].Name != seq.Stages[i].Name ||
-				tr.Stages[i].Candidates != seq.Stages[i].Candidates {
-				t.Errorf("%v: stage %d at 4 workers (%s, %d) != at one worker (%s, %d)", m, i,
-					tr.Stages[i].Name, tr.Stages[i].Candidates,
-					seq.Stages[i].Name, seq.Stages[i].Candidates)
-			}
-		}
-	}
-}
-
 // TestRunTracedNil confirms the nil-trace path is exactly Run.
 func TestRunTracedNil(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))

@@ -52,10 +52,9 @@ func ComputeGQL(q *graph.Graph, cand [][]uint32) []graph.Vertex {
 }
 
 // ComputeCECI returns CECI's matching order: the BFS traversal of q from
-// CECI's root (argmin |C_NLF(u)|/d(u)), whose NLF sizing fans out over
-// `workers` goroutines (same order at every count).
-func ComputeCECI(q, g *graph.Graph, workers int) []graph.Vertex {
-	root := filter.Root(filter.CECI, q, g, workers)
+// CECI's root (argmin |C_NLF(u)|/d(u)).
+func ComputeCECI(q, g *graph.Graph) []graph.Vertex {
+	root := filter.Root(filter.CECI, q, g)
 	t := graph.NewBFSTree(q, root)
 	return append([]graph.Vertex(nil), t.Order...)
 }
@@ -73,11 +72,8 @@ func ComputeCECI(q, g *graph.Graph, workers int) []graph.Vertex {
 // parent), so removing non-root degree-one vertices from the BFS order
 // keeps every remaining parent in the prefix, and each postponed leaf's
 // single neighbor precedes it.
-//
-// The root selection's LDF sizing fans out over `workers` goroutines
-// (same order at every count).
-func ComputeDPIso(q, g *graph.Graph, workers int) []graph.Vertex {
-	root := filter.Root(filter.DPIso, q, g, workers)
+func ComputeDPIso(q, g *graph.Graph) []graph.Vertex {
+	root := filter.Root(filter.DPIso, q, g)
 	t := graph.NewBFSTree(q, root)
 	if q.NumVertices() < 3 {
 		return append([]graph.Vertex(nil), t.Order...)

@@ -43,7 +43,7 @@ func TestDPIsoPostponesDegreeOneVertices(t *testing.T) {
 		if q == nil {
 			continue
 		}
-		phi := ComputeDPIso(q, g, 1)
+		phi := ComputeDPIso(q, g)
 		if err := Validate(q, phi); err != nil {
 			t.Fatalf("invalid DPiso order: %v", err)
 		}

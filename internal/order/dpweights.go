@@ -3,13 +3,7 @@ package order
 import (
 	"subgraphmatching/internal/candspace"
 	"subgraphmatching/internal/graph"
-	"subgraphmatching/internal/par"
 )
-
-// dpWeightsMinFanout gates the per-level fan-out: levels with fewer
-// candidates than this run inline, because spawning goroutines per BFS
-// level costs more than the weight sums they would compute.
-const dpWeightsMinFanout = 64
 
 // BuildDPWeights builds DP-iso's weight array over the candidate space:
 // for each query vertex u and candidate v, an estimate of the number of
@@ -24,15 +18,7 @@ const dpWeightsMinFanout = 64
 // evaluated bottom-up along the reverse of delta. Leaves (no tree-like
 // children) have weight 1. The result indexes [queryVertex][candIdx] and
 // plugs into enumerate.Options.AdaptiveWeights.
-//
-// Each level's per-candidate weight sums fan out over `workers`
-// goroutines (≤ 1 = inline). The levels themselves stay sequential
-// (level i reads the weights of every deeper level), but within a level
-// each candidate's weight depends only on already-finished levels, so
-// the output is byte-identical for every worker count: w[ci] is a
-// fixed-order product of fixed-order sums regardless of which worker
-// computes it.
-func BuildDPWeights(q *graph.Graph, space *candspace.Space, delta []graph.Vertex, workers int) [][]float64 {
+func BuildDPWeights(q *graph.Graph, space *candspace.Space, delta []graph.Vertex) [][]float64 {
 	n := q.NumVertices()
 	pos := make([]int, n)
 	for i, u := range delta {
@@ -63,27 +49,13 @@ func BuildDPWeights(q *graph.Graph, space *candspace.Space, delta []graph.Vertex
 		u := delta[i]
 		c := space.Candidates(u)
 		w := make([]float64, len(c))
-		if len(treeChildren[u]) == 0 {
-			// Leaf of the tree-like decomposition: every candidate has
-			// weight 1, no adjacency walks to fan out.
-			for ci := range w {
-				w[ci] = 1
-			}
-			weights[u] = w
-			continue
-		}
-		pw := workers
-		if len(c) < dpWeightsMinFanout {
-			pw = 1
-		}
-		par.Run(pw, len(c), func(_, ci int) uint64 {
+		for ci := range w {
+			// A leaf of the tree-like decomposition has weight 1: the
+			// empty product.
 			prod := 1.0
-			var walked uint64
 			for _, child := range treeChildren[u] {
 				sum := 0.0
-				adj := space.Adjacency(u, child, ci)
-				walked += uint64(len(adj))
-				for _, v := range adj {
+				for _, v := range space.Adjacency(u, child, ci) {
 					if j := space.CandidateIndex(child, v); j >= 0 {
 						sum += weights[child][j]
 					}
@@ -91,8 +63,7 @@ func BuildDPWeights(q *graph.Graph, space *candspace.Space, delta []graph.Vertex
 				prod *= sum
 			}
 			w[ci] = prod
-			return walked + 1
-		})
+		}
 		weights[u] = w
 	}
 	return weights

@@ -63,18 +63,7 @@ func Methods() []Method { return []Method{QSI, GQL, CFL, CECI, DPIso, RI, VF2PP}
 // cand are consulted by the candidate-size-driven methods (GQL, CFL,
 // CECI, DPIso); the structure-only methods (QSI, RI, VF2PP) ignore them
 // and may receive nil.
-//
-// The optional trailing argument is a worker count (absent or ≤ 1 =
-// inline on the caller's goroutine): the root-selection scans of the
-// BFS-rooted methods (CFL, CECI, DPIso) fan out over that many
-// goroutines, and the orders are identical for every value. The
-// remaining methods are inherently sequential (greedy extensions) and
-// ignore it.
-func Compute(m Method, q, g *graph.Graph, cand [][]uint32, workers ...int) ([]graph.Vertex, error) {
-	w := 1
-	if len(workers) > 0 {
-		w = workers[0]
-	}
+func Compute(m Method, q, g *graph.Graph, cand [][]uint32) ([]graph.Vertex, error) {
 	if q.NumVertices() == 0 {
 		return nil, fmt.Errorf("order: empty query graph")
 	}
@@ -88,11 +77,11 @@ func Compute(m Method, q, g *graph.Graph, cand [][]uint32, workers ...int) ([]gr
 	case GQL:
 		return ComputeGQL(q, cand), nil
 	case CFL:
-		return ComputeCFL(q, g, cand, w), nil
+		return ComputeCFL(q, g, cand), nil
 	case CECI:
-		return ComputeCECI(q, g, w), nil
+		return ComputeCECI(q, g), nil
 	case DPIso:
-		return ComputeDPIso(q, g, w), nil
+		return ComputeDPIso(q, g), nil
 	case RI:
 		return ComputeRI(q), nil
 	case VF2PP:

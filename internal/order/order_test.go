@@ -126,8 +126,8 @@ func TestQSIPicksInfrequentEdgeFirst(t *testing.T) {
 func TestCECIAndDPIsoAreBFSOrders(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
 	for name, phi := range map[string][]graph.Vertex{
-		"CECI":  ComputeCECI(q, g, 1),
-		"DPiso": ComputeDPIso(q, g, 1),
+		"CECI":  ComputeCECI(q, g),
+		"DPiso": ComputeDPIso(q, g),
 	} {
 		// Example 3.3/3.4: delta = (u0, u1, u2, u3).
 		want := []graph.Vertex{0, 1, 2, 3}
@@ -143,7 +143,7 @@ func TestCECIAndDPIsoAreBFSOrders(t *testing.T) {
 func TestCFLOrderStartsWithCoreRoot(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
 	cand, _ := filter.Run(filter.CFL, q, g)
-	phi := ComputeCFL(q, g, cand, 1)
+	phi := ComputeCFL(q, g, cand)
 	if phi[0] != 0 {
 		t.Errorf("CFL order = %v, expected root u0 first", phi)
 	}
@@ -155,7 +155,7 @@ func TestCFLOrderStartsWithCoreRoot(t *testing.T) {
 func TestCFLOrderSingleVertex(t *testing.T) {
 	q := graph.MustFromEdges([]graph.Label{0}, nil)
 	g := testutil.PaperData()
-	phi := ComputeCFL(q, g, [][]uint32{{0}}, 1)
+	phi := ComputeCFL(q, g, [][]uint32{{0}})
 	if len(phi) != 1 || phi[0] != 0 {
 		t.Errorf("CFL single-vertex order = %v", phi)
 	}

@@ -48,7 +48,6 @@ func (s *Service) Explain(ctx context.Context, req Request) (_ *ExplainResponse,
 		return nil, err
 	}
 	defer s.sem.release(weight)
-	req.clampTo(weight)
 
 	fl.SetPhase("plan")
 	p, err := s.plan(ctx, &t, &req, 1)

@@ -149,6 +149,56 @@ func TestBuildGroupWaiterHonorsContext(t *testing.T) {
 	}
 }
 
+// TestBuildGroupPanicClosesFlight: a build that panics still closes its
+// flight. A follower parked on it gets ErrInternal instead of waiting out
+// its context, the panic itself reaches the leader, and the next do on
+// the key runs a build of its own.
+func TestBuildGroupPanicClosesFlight(t *testing.T) {
+	var bg buildGroup
+	key := planKey{graph: "g"}
+	built := make(chan struct{})
+	release := make(chan struct{})
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		bg.do(context.Background(), key, func() (*core.Plan, error) {
+			close(built)
+			<-release
+			panic("build failed")
+		})
+	}()
+	<-built
+
+	follower := make(chan error, 1)
+	go func() {
+		_, _, err := bg.do(context.Background(), key, func() (*core.Plan, error) {
+			t.Error("a second build ran while the flight was open")
+			return nil, nil
+		})
+		follower <- err
+	}()
+	// Give the follower a moment to park on the flight, then release.
+	time.Sleep(10 * time.Millisecond)
+	close(release)
+	if r := <-leader; r != "build failed" {
+		t.Errorf("leader recovered %v, want the build's panic", r)
+	}
+	select {
+	case err := <-follower:
+		if !errors.Is(err, core.ErrInternal) {
+			t.Errorf("follower err = %v, want ErrInternal", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("follower still waiting on a flight whose build panicked")
+	}
+
+	want := &core.Plan{}
+	p, led, err := bg.do(context.Background(), key, func() (*core.Plan, error) { return want, nil })
+	if err != nil || !led || p != want {
+		t.Errorf("next do = %p, leader %v, err %v; want a fresh build", p, led, err)
+	}
+}
+
 // TestSubmitTraceShapes checks the request span on the three plan
 // paths: fresh build, cache hit, and the nesting invariant everywhere.
 func TestSubmitTraceShapes(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"time"
 
@@ -18,10 +19,9 @@ import (
 // New; a negative PlanCacheSize disables plan caching entirely.
 type Config struct {
 	// MaxInFlight caps the total workers running at once across all
-	// requests (a request with Parallel=4 holds 4 units, and
-	// preprocesses and enumerates on 4). Requests asking for more are
-	// clamped to it — admission weight and actual worker count always
-	// agree. Default: 2×GOMAXPROCS.
+	// requests (a request with Parallel=4 holds 4 units and enumerates
+	// on 4). Requests asking for more are clamped to it — admission
+	// weight and actual worker count always agree. Default: 2×GOMAXPROCS.
 	MaxInFlight int
 	// MaxQueue bounds how many requests may wait for admission; one
 	// more arrival is rejected with ErrQueueFull. Default: 64.
@@ -108,8 +108,8 @@ type Request struct {
 	Custom    *core.Config
 	// MaxEmbeddings, TimeLimit and Parallel carry the meanings of
 	// core.Limits. TimeLimit 0 inherits the service default; Parallel is
-	// also the request's admission weight, and so bounds both its
-	// enumeration workers and its preprocessing fan-out.
+	// also the request's admission weight. A plan builds on the
+	// request's own goroutine whatever Parallel says.
 	MaxEmbeddings uint64
 	TimeLimit     time.Duration
 	Parallel      int
@@ -361,9 +361,9 @@ func (s *Service) admit(ctx context.Context, t *target, began time.Time, paralle
 
 // clampTo holds the request to what admission granted. The admitted
 // weight IS the request's goroutine budget, so an oversized ?parallel=
-// cannot hold MaxInFlight units yet spawn an engine per root candidate,
-// nor preprocess on more workers than it was admitted for. Entry points
-// call it on their private copy of the request, never on a caller's.
+// cannot hold MaxInFlight units yet spawn an engine per root candidate.
+// Entry points call it on their private copy of the request, never on a
+// caller's.
 func (r *Request) clampTo(weight int64) {
 	if r.Parallel > int(weight) {
 		r.Parallel = int(weight)
@@ -382,13 +382,19 @@ type planned struct {
 
 // plan obtains the preprocessing plan an admitted request — or the n
 // items of a batch group — enumerates over. This is the one place the
-// serving path asks whether the configuration has a plan at all.
-func (s *Service) plan(ctx context.Context, t *target, req *Request, n int) (planned, error) {
-	p := planned{start: time.Now()}
+// serving path asks whether the configuration has a plan at all. A
+// plan builds on the calling goroutine, so a panic in any
+// preprocessing layer ends here, as ErrInternal against all n.
+func (s *Service) plan(ctx context.Context, t *target, req *Request, n int) (p planned, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = s.recovered(t, n, r)
+		}
+	}()
+	p = planned{start: time.Now()}
 	if t.cfg.External() {
 		return p, nil
 	}
-	var err error
 	p.plan, p.src, err = s.planFor(ctx, t, req)
 	if err != nil {
 		// A preprocessing failure is a property of the (query, config)
@@ -421,8 +427,16 @@ func (s *Service) plan(ctx context.Context, t *target, req *Request, n int) (pla
 func (r *Request) hasSink() bool { return r.OnRun != nil || r.OnMatch != nil }
 
 func (s *Service) run(ctx context.Context, t *target, req *Request, p planned,
-	began time.Time, queueWait time.Duration) (*Response, error) {
+	began time.Time, queueWait time.Duration) (_ *Response, err error) {
 
+	// A panic on this goroutine — in enumeration, or in the caller's sink
+	// on a sequential run — is the request's error, not its connection's
+	// (the parallel workers recover their own: core.ErrInternal).
+	defer func() {
+		if r := recover(); r != nil {
+			err = s.recovered(t, 1, r)
+		}
+	}()
 	timeLimit := req.TimeLimit
 	if timeLimit <= 0 {
 		timeLimit = s.cfg.DefaultTimeLimit
@@ -457,7 +471,6 @@ func (s *Service) run(ctx context.Context, t *target, req *Request, p planned,
 
 	var (
 		res      *core.Result
-		err      error
 		cacheHit bool
 	)
 	switch {
@@ -614,7 +627,7 @@ func (s *Service) planFor(ctx context.Context, t *target, req *Request) (*core.P
 	entry, q := t.entry, req.Query
 	if s.cache == nil || req.NoCache {
 		s.metrics.planBuilds.Inc()
-		plan, err := core.Preprocess(q, entry.g, t.cfg, req.Parallel)
+		plan, err := core.Preprocess(q, entry.g, t.cfg, 1)
 		if err != nil {
 			return nil, planBuilt, fmt.Errorf("preprocess %q: %w", entry.name, err)
 		}
@@ -636,7 +649,7 @@ func (s *Service) planFor(ctx context.Context, t *target, req *Request) (*core.P
 			return p, nil
 		}
 		s.metrics.planBuilds.Inc()
-		p, err := core.Preprocess(q, entry.g, t.cfg, req.Parallel)
+		p, err := core.Preprocess(q, entry.g, t.cfg, 1)
 		if err != nil {
 			return nil, fmt.Errorf("preprocess %q: %w", entry.name, err)
 		}
@@ -654,6 +667,16 @@ func (s *Service) planFor(ctx context.Context, t *target, req *Request) (*core.P
 	default:
 		return plan, planBuilt, nil
 	}
+}
+
+// recovered is the ErrInternal error a panic r recovered in a spine step
+// becomes, counted against the step's n requests. Call it in the
+// deferred function that recovered r, so the stack — which the flight
+// recorder's error ring keeps with the error — is the panicking
+// goroutine's.
+func (s *Service) recovered(t *target, n int, r any) error {
+	s.metrics.recordError(t.entry.name, t.algo, n)
+	return fmt.Errorf("service: %w: %v\n%s", core.ErrInternal, r, debug.Stack())
 }
 
 // Stream is Submit with a mandatory sink, in the run form. The sink runs

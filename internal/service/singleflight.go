@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"subgraphmatching/internal/core"
@@ -53,11 +54,24 @@ func (g *buildGroup) do(ctx context.Context, k planKey, fn func() (*core.Plan, e
 	g.calls[k] = c
 	g.mu.Unlock()
 
+	// The flight closes however fn ends. A panicking fn fails the
+	// waiters with errBuildPanicked and keeps unwinding into the
+	// leader's recover; the next request for the key builds afresh.
+	returned := false
+	defer func() {
+		if !returned {
+			c.plan, c.err = nil, errBuildPanicked
+		}
+		g.mu.Lock()
+		delete(g.calls, k)
+		g.mu.Unlock()
+		close(c.done)
+	}()
 	c.plan, c.err = fn()
-
-	g.mu.Lock()
-	delete(g.calls, k)
-	g.mu.Unlock()
-	close(c.done)
+	returned = true
 	return c.plan, true, c.err
 }
+
+// errBuildPanicked is what the waiters on a flight whose build panicked
+// get; the leader gets the panic itself.
+var errBuildPanicked = fmt.Errorf("service: %w: the plan build this request waited for panicked", core.ErrInternal)

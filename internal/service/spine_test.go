@@ -14,33 +14,9 @@ import (
 	"subgraphmatching/internal/testutil"
 )
 
-// filterWorkers counts the per-worker tally children of the filter span
-// under root (a request, group, match or preprocess span): how many
-// preprocessing workers built the plan. 0 means the build ran inline.
-func filterWorkers(root *obs.Span) int {
-	if root == nil {
-		return -1
-	}
-	if root.Name == "filter" {
-		n := 0
-		for _, c := range root.Children {
-			if strings.HasPrefix(c.Name, "worker-") {
-				n++
-			}
-		}
-		return n
-	}
-	for _, c := range root.Children {
-		if n := filterWorkers(c); n >= 0 {
-			return n
-		}
-	}
-	return -1
-}
-
 // TestSubmitBatchLeavesCallerSliceUntouched: the clamp to the admitted
 // budget happens on the spine's private copy of each item. The run
-// itself is still held to MaxInFlight, preprocessing included.
+// itself is still held to MaxInFlight.
 func TestSubmitBatchLeavesCallerSliceUntouched(t *testing.T) {
 	s, g := newTestService(t, Config{MaxInFlight: 2})
 	q := testutil.RandomConnectedQuery(rand.New(rand.NewSource(4)), g, 3)
@@ -55,9 +31,6 @@ func TestSubmitBatchLeavesCallerSliceUntouched(t *testing.T) {
 	res := results[0].Resp.Result
 	if n := len(res.Workers); n < 1 || n > 2 {
 		t.Errorf("enumeration ran on %d workers, want 1..2", n)
-	}
-	if n := filterWorkers(res.Trace); n < 0 || n > 2 {
-		t.Errorf("preprocessing ran on %d workers (-1 = no filter span), want ≤ 2", n)
 	}
 }
 
@@ -84,19 +57,35 @@ func explainRecord(t *testing.T, s *Service, failed bool) (span *obs.Span, errTe
 	return nil, ""
 }
 
-// TestExplainClampsWorkers: a dry run holds one admission unit, so it
-// preprocesses inline whatever Parallel asks for — the admitted weight
-// bounds preprocessing at every entry point.
-func TestExplainClampsWorkers(t *testing.T) {
-	s, g := newTestService(t, Config{MaxInFlight: 2})
-	q := testutil.RandomConnectedQuery(rand.New(rand.NewSource(4)), g, 3)
-	if _, err := s.Explain(context.Background(), Request{Graph: "main", Query: q,
-		Algorithm: core.GraphQL, Parallel: 64}); err != nil {
-		t.Fatal(err)
-	}
-	span, _ := explainRecord(t, s, false)
-	if n := filterWorkers(span); n != 0 {
-		t.Errorf("explain preprocessed on %d workers (-1 = no filter span), want 0 (inline)", n)
+// TestSubmitContainsPanics: a sink that panics — on the request's
+// goroutine at Parallel 1, on an enumeration worker at Parallel 2 — fails
+// the request with core.ErrInternal instead of the process or the
+// connection: the error is counted, the error ring holds the panic and
+// its stack, admission is back at 0 in use, and the next request
+// succeeds.
+func TestSubmitContainsPanics(t *testing.T) {
+	for _, parallel := range []int{1, 2} {
+		s, g := newTestService(t, Config{MaxInFlight: 2})
+		q := testutil.RandomConnectedQuery(rand.New(rand.NewSource(4)), g, 3)
+		req := Request{Graph: "main", Query: q, Algorithm: core.GraphQL, Parallel: parallel,
+			OnRun: func([]uint32, graph.Vertex, []uint32) int { panic("sink failed") }}
+		if _, err := s.Submit(context.Background(), req); !errors.Is(err, core.ErrInternal) {
+			t.Fatalf("parallel=%d: err = %v, want ErrInternal", parallel, err)
+		}
+		if n := s.metrics.errors.Value("main", req.algoName()); n != 1 {
+			t.Errorf("parallel=%d: request errors = %d, want 1", parallel, n)
+		}
+		recs := s.Flights().Errors()
+		if len(recs) != 1 || !strings.Contains(recs[0].Err, "sink failed") || !strings.Contains(recs[0].Err, "goroutine ") {
+			t.Errorf("parallel=%d: error ring %+v, want the panic with its stack", parallel, recs)
+		}
+		if n := s.Stats().Admission.InUse; n != 0 {
+			t.Errorf("parallel=%d: %d admission units still in use", parallel, n)
+		}
+		req.OnRun = nil
+		if resp, err := s.Submit(context.Background(), req); err != nil || resp.Result.Embeddings == 0 {
+			t.Errorf("parallel=%d: next request: %v", parallel, err)
+		}
 	}
 }
 

@@ -162,7 +162,7 @@ type Options struct {
 	// stealing, reported in Result.Split and Result.Workers. Embedding
 	// counts remain exact; not supported with AlgoVF2 and AlgoUllmann.
 	// Preprocessing (filtering, candidate-space construction, ordering)
-	// fans out on the same number of goroutines.
+	// runs on the calling goroutine whatever Parallel says.
 	Parallel int
 	// Trace attaches a phase-span tree to Result.Trace: filtering (with
 	// per-stage candidate counts), candidate-space construction,
