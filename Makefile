@@ -63,7 +63,10 @@ race-stress:
 # and the text parsers (Parse and ParseEdgeList return the graph or the
 # error text of verbatim copies of their pre-tokenizer versions), and
 # the NLF index's label runs (each is N(v) filtered by label, on label
-# alphabets below and above 64, and nlfOK is the counting reference).
+# alphabets below and above 64, and nlfOK is the counting reference),
+# and the candidate space (every list is the ascending positions in
+# C(u′) of N(v) ∩ C(u′), the two directions are transposes, and every
+# block view decodes to its list, for the full and the tree variant).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFilterSoundness -fuzztime 5s ./internal/filter
 	$(GO) test -run '^$$' -fuzz FuzzSemiPerfectClasses -fuzztime 5s ./internal/filter
@@ -76,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLineEncoder -fuzztime 5s ./cmd/smatchd
 	$(GO) test -run '^$$' -fuzz FuzzRunSink -fuzztime 5s ./cmd/smatchd
 	$(GO) test -run '^$$' -fuzz FuzzParseMatchesReference -fuzztime 5s ./internal/graph
+	$(GO) test -run '^$$' -fuzz FuzzBuildPositions -fuzztime 5s ./internal/candspace
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

@@ -66,7 +66,7 @@
 // (written with backpressure — a slow reader slows the search), then a
 // final {"result":{...}} summary line. Both streaming endpoints share
 // one writer (stream.go) and one flush rule: the first line is flushed
-// at once, after that a flush happens when 32 KiB are buffered or 5 ms
+// at once, after that a flush happens when 128 KiB are buffered or 5 ms
 // have passed since the last one (the clock is read every 16 lines),
 // and the final flush carries the summary line. Every flush runs under
 // a 30 s write deadline: a reader that stops draining fails the write,

@@ -441,15 +441,14 @@ func (s *server) match(w http.ResponseWriter, r *http.Request) {
 // {"error": ...} line.
 func (s *server) matchStream(w http.ResponseWriter, r *http.Request, req service.Request, withTrace bool) {
 	out := newNDJSONStream(w)
+	defer out.finish()
 	resp, err := s.svc.Stream(r.Context(), req, out.runSink([]byte(embeddingHead)))
 	switch {
 	case err == nil:
 		out.writeJSON(map[string]matchResult{"result": toMatchResult(resp, withTrace)})
 	case !out.committed():
 		httpError(w, err)
-		return
 	default:
 		out.writeJSON(map[string]string{"error": errorText(err)})
 	}
-	out.finish()
 }

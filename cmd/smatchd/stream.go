@@ -18,11 +18,29 @@ import (
 // streamFlushEvery has passed since the last flush. The clock is read
 // once per streamClockStride lines, so a trickling search never leaves
 // more than that many lines unflushed without having looked at it.
+// streamFlushBytes is the knee of a 64/128/256 KiB sweep on the
+// stream-embeddings workload (EXPERIMENTS.md "Stream flush size"): at
+// 32 KiB the writes and flushes were a fifth of the daemon's CPU, 128
+// KiB took most of that back, and 256 KiB gained no more than the noise
+// while every concurrent stream holds one buffer of the size.
 const (
-	streamFlushBytes  = 32 << 10
+	streamFlushBytes  = 128 << 10
 	streamFlushEvery  = 5 * time.Millisecond
 	streamClockStride = 16
 )
+
+// streamBufPool holds the stream buffers: a response takes one in
+// newNDJSONStream and puts it back in finish, so a streamed response
+// does not allocate its buffer. A buffer has room for the line that
+// crosses the threshold, so steady-state appends never grow it.
+var streamBufPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, streamFlushBytes+(4<<10))
+	return &b
+}}
+
+// errStreamFinished is the sticky error of a stream whose buffer went
+// back to the pool.
+var errStreamFinished = errors.New("stream finished")
 
 // streamWriteTimeout bounds one flush. A reader that stops draining
 // fails the write once the socket buffers fill, the sink reports false,
@@ -146,20 +164,16 @@ type ndjsonStream struct {
 
 	mu        sync.Mutex
 	buf       []byte
-	started   bool // header committed, first line flushed
-	sinceTick int  // lines appended since the clock was last read
+	pooled    *[]byte // where buf came from, until finish returns it
+	started   bool    // header committed, first line flushed
+	sinceTick int     // lines appended since the clock was last read
 	lastFlush time.Time
 	err       error
 }
 
 func newNDJSONStream(w http.ResponseWriter) *ndjsonStream {
-	return &ndjsonStream{
-		w:  w,
-		rc: http.NewResponseController(w),
-		// Room for the line that crosses the threshold, so steady-state
-		// appends never grow the buffer.
-		buf: make([]byte, 0, streamFlushBytes+(4<<10)),
-	}
+	p := streamBufPool.Get().(*[]byte)
+	return &ndjsonStream{w: w, rc: http.NewResponseController(w), buf: (*p)[:0], pooled: p}
 }
 
 // writeLine appends one complete line (trailing newline included) and
@@ -252,9 +266,10 @@ func (s *ndjsonStream) committed() bool {
 	return s.started
 }
 
-// finish flushes what is buffered and lifts the write deadline, which
+// finish flushes what is buffered, lifts the write deadline, which
 // would otherwise outlive the handler on a keep-alive connection and
-// fail a later response.
+// fail a later response, and returns the buffer to the pool. The stream
+// takes no line after it.
 func (s *ndjsonStream) finish() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -262,6 +277,14 @@ func (s *ndjsonStream) finish() {
 		s.flushLocked()
 	}
 	_ = s.rc.SetWriteDeadline(time.Time{}) // unsupported or already broken: nothing to lift
+	if s.pooled != nil {
+		*s.pooled = s.buf[:0]
+		streamBufPool.Put(s.pooled)
+		s.pooled, s.buf = nil, nil
+	}
+	if s.err == nil {
+		s.err = errStreamFinished
+	}
 }
 
 func (s *ndjsonStream) flushLocked() {

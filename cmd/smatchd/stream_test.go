@@ -12,6 +12,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -345,7 +346,7 @@ func TestStreamByteTrigger(t *testing.T) {
 	w := newRecordingWriter()
 	s := newNDJSONStream(w)
 	line := append(bytes.Repeat([]byte("x"), 1023), '\n')
-	const lines = 1024 // 1 MiB, written far faster than one flush interval per chunk
+	lines := 4 * streamFlushBytes / len(line) // four triggers' worth, written far faster than one flush interval per chunk
 	for i := 0; i < lines; i++ {
 		if !s.writeLine(line) {
 			t.Fatal("writeLine failed")
@@ -434,7 +435,7 @@ func TestStreamWriteFailureIsSticky(t *testing.T) {
 	}
 	ok := true
 	n := 0
-	for ; ok && n < 100; n++ {
+	for ; ok && n < 2*streamFlushBytes/len(line); n++ {
 		ok = s.writeLine(line)
 	}
 	if ok || n > streamFlushBytes/len(line) {
@@ -467,21 +468,21 @@ func benchMapping() []uint32 {
 	return m
 }
 
+// TestStreamSinkSteadyStateAllocs: once a response's sink is running,
+// lines and flushes allocate nothing; and a second response streams on
+// the buffer the first one returned to the pool.
 func TestStreamSinkSteadyStateAllocs(t *testing.T) {
-	w := discardWriter{}
-	// Already started: the one-off header commit is not steady state.
-	s := &ndjsonStream{w: w, rc: http.NewResponseController(w), started: true,
-		buf: make([]byte, 0, streamFlushBytes+(4<<10))}
-	sink := s.runSink([]byte(embeddingHead))
+	w := discardWriter{hdr: http.Header{}}
 	m := benchMapping()
-	sink(m, 11, []uint32{math.MaxUint32}) // sizes the line buffer at its widest
-	// 400 runs of 5 lines cross the byte trigger several times, so the
-	// flush path is inside the measurement; the open position walks
-	// through every digit width inside each run and another position
-	// moves between runs, so the encoder's shifts and the splice are too.
+	// Runs of 5 lines, enough of them to cross the byte trigger three
+	// times, so the flush path is inside the measurement; the open
+	// position walks through every digit width inside each run and
+	// another position moves between runs, so the encoder's shifts and
+	// the splice are too.
 	vs := make([]uint32, 5)
-	allocs := testing.AllocsPerRun(20, func() {
-		for i := 0; i < 400; i++ {
+	runs := 1 + 3*streamFlushBytes/(len(vs)*len(appendEmbeddingLine(nil, m)))
+	feed := func(sink func([]uint32, graph.Vertex, []uint32) int) {
+		for i := 0; i < runs; i++ {
 			for j := range vs {
 				vs[j] = math.MaxUint32 >> uint((5*i+j)%32)
 			}
@@ -490,9 +491,26 @@ func TestStreamSinkSteadyStateAllocs(t *testing.T) {
 				t.Fatal("sink failed")
 			}
 		}
-	})
+	}
+	s := newNDJSONStream(w)
+	sink := s.runSink([]byte(embeddingHead))
+	sink(m, 11, []uint32{math.MaxUint32}) // commits the header and sizes the line buffer at its widest
+	allocs := testing.AllocsPerRun(20, func() { feed(sink) })
 	if allocs != 0 {
-		t.Fatalf("steady-state sink allocates %.1f times per 400 runs (2000 embeddings), want 0", allocs)
+		t.Fatalf("steady-state sink allocates %.1f times per %d runs (%d embeddings), want 0", allocs, runs, runs*len(vs))
+	}
+	s.finish()
+	if raceEnabled {
+		return // the race detector drops a quarter of sync.Pool puts on purpose
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s = newNDJSONStream(w)
+	feed(s.runSink([]byte(embeddingHead)))
+	s.finish()
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= streamFlushBytes/2 {
+		t.Fatalf("a second response allocated %d bytes across three flush triggers: its buffer did not come from the pool", grew)
 	}
 }
 
@@ -506,7 +524,7 @@ func TestRunSinkBreaksMidRun(t *testing.T) {
 	s := newNDJSONStream(w)
 	sink := s.runSink([]byte(embeddingHead))
 	m := benchMapping()
-	vs := make([]uint32, 4096)
+	vs := make([]uint32, 1+streamFlushBytes/len(embeddingHead)) // every line is longer than its head: the run crosses the trigger
 	for i := range vs {
 		vs[i] = uint32(7 * i)
 	}
@@ -609,11 +627,12 @@ func manyMatchServer(t *testing.T) *httptest.Server {
 	return ts
 }
 
-// hubServer serves a star: one hub and 3000 leaves, every label 0. The
-// 3-vertex path has 3000 × 2999 embeddings there, in leaf runs of 2999
-// lines — a hundred KiB each, so every flush but one in three thousand
-// falls inside a run.
-const hubLeaves = 3000
+// hubServer serves a star: one hub and hubLeaves leaves, every label 0.
+// The 3-vertex path has hubLeaves × (hubLeaves-1) embeddings there, in
+// leaf runs of hubLeaves-1 lines. A line is at least 22 bytes, so a run
+// carries more than streamFlushBytes and nearly every flush falls
+// inside one.
+const hubLeaves = streamFlushBytes / 16
 
 func hubServer(t *testing.T) *httptest.Server {
 	t.Helper()

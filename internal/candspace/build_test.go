@@ -48,6 +48,16 @@ func buildCase(rng *rand.Rand) (q, g *graph.Graph, cand [][]uint32) {
 	return q, g, cand
 }
 
+// dataIDs translates adj, positions in the candidate set c, to the data
+// vertices they stand for.
+func dataIDs(c, adj []uint32) []uint32 {
+	out := make([]uint32, len(adj))
+	for i, x := range adj {
+		out[i] = c[x]
+	}
+	return out
+}
+
 // allBuilds runs both structure shapes.
 func allBuilds(q, g *graph.Graph, cand [][]uint32, parent []graph.Vertex) map[string]*Space {
 	return map[string]*Space{
@@ -58,7 +68,8 @@ func allBuilds(q, g *graph.Graph, cand [][]uint32, parent []graph.Vertex) map[st
 
 // The bitmap-scan build is held to the definition 𝒜[u→u′](v) = N(v) ∩
 // C(u′), computed by the sorted-list intersection the build used to
-// call per candidate.
+// call per candidate: the positions it stores, translated through
+// C(u′), are that set in ascending order.
 func TestBuildMatchesIntersectReference(t *testing.T) {
 	cases := 0
 	for seed := int64(0); cases < 150; seed++ {
@@ -82,7 +93,7 @@ func TestBuildMatchesIntersectReference(t *testing.T) {
 					}
 					for ci, v := range cand[u] {
 						ref := intersect.Hybrid(nil, g.Neighbors(v), cand[up])
-						if got := s.Adjacency(uu, up, ci); !slices.Equal(got, ref) {
+						if got := dataIDs(cand[up], s.Adjacency(uu, up, ci)); !slices.Equal(got, ref) {
 							t.Fatalf("seed %d %s: A[%d->%d](v%d) = %v, want %v", seed, name, uu, up, v, got, ref)
 						}
 					}
@@ -140,7 +151,7 @@ func assertTransposes(t *testing.T, name string, s *Space, cand [][]uint32) {
 			}
 			fwd := map[edge]bool{}
 			for ci, v := range cand[uu] {
-				adj := s.Adjacency(uu, up, ci)
+				adj := dataIDs(cand[up], s.Adjacency(uu, up, ci))
 				assertSet(uu, up, v, adj)
 				for _, w := range adj {
 					fwd[edge{v, w}] = true
@@ -148,7 +159,7 @@ func assertTransposes(t *testing.T, name string, s *Space, cand [][]uint32) {
 			}
 			back := 0
 			for ci, w := range cand[up] {
-				adj := s.Adjacency(up, uu, ci)
+				adj := dataIDs(cand[uu], s.Adjacency(up, uu, ci))
 				assertSet(up, uu, w, adj)
 				for _, v := range adj {
 					if !fwd[edge{v, w}] {
@@ -211,10 +222,10 @@ func TestBuildDirectionsAreTransposes(t *testing.T) {
 		assertTransposes(t, "ties/"+name, s, cand)
 		for ci, v := range all {
 			ref := intersect.Hybrid(nil, g.Neighbors(v), all)
-			if got := s.Adjacency(0, 1, ci); !slices.Equal(got, ref) {
+			if got := dataIDs(all, s.Adjacency(0, 1, ci)); !slices.Equal(got, ref) {
 				t.Fatalf("ties/%s: A[0->1](v%d) = %v, want %v", name, v, got, ref)
 			}
-			if got := s.Adjacency(1, 0, ci); !slices.Equal(got, ref) {
+			if got := dataIDs(all, s.Adjacency(1, 0, ci)); !slices.Equal(got, ref) {
 				t.Fatalf("ties/%s: A[1->0](v%d) = %v, want %v", name, v, got, ref)
 			}
 		}

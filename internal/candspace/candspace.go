@@ -1,11 +1,15 @@
 // Package candspace implements the auxiliary data structure 𝒜 of the
 // paper: for candidate vertex sets C(u), it maintains the edges between
-// candidates of adjacent query vertices, so that
+// candidates of adjacent query vertices. For the candidate at position
+// i of C(u), with v = C(u)[i],
 //
-//	𝒜[u->u'](v) = N(v) ∩ C(u')
+//	𝒜[u->u'](i) = { j : C(u')[j] ∈ N(v) }
 //
-// can be retrieved in O(1) during enumeration. Two variants exist,
-// distinguished by which query edges are materialized:
+// — the positions in C(u') of N(v) ∩ C(u'), ascending because C(u') is
+// sorted — can be retrieved in O(1) during enumeration. A search that
+// has mapped u' to its candidate at position j reads every pair from u'
+// at j without looking j up, and C(u')[j] is the data vertex. Two
+// variants exist, distinguished by which query edges are materialized:
 //
 //   - Full: every edge of E(q), as in CECI's compact embedding cluster
 //     index and DP-iso's candidate space. Enables the set-intersection
@@ -31,9 +35,9 @@ type Space struct {
 	candidates [][]uint32 // per query vertex, sorted data vertices
 
 	// For each directed adjacent pair (u, i) where i indexes u's
-	// neighbor list, a CSR mapping candidate index of u to the sorted
-	// data vertices of C(neighbor) adjacent to it. nil when the pair is
-	// not materialized (tree variant).
+	// neighbor list, a CSR mapping a position in C(u) to the ascending
+	// positions in C(neighbor) of the candidates adjacent to it. nil when
+	// the pair is not materialized (tree variant).
 	edges [][]*edgeCSR
 
 	// flat mirrors edges with one flat QFilter-style block arena per
@@ -61,14 +65,16 @@ func materialized(parent []graph.Vertex, u, up graph.Vertex) bool {
 	return parent == nil || parent[u] == up || parent[up] == u
 }
 
-// appendMembers appends to dst the vertices of run (sorted) that member
-// contains: 𝒜[u->u'](v) = N(v) ∩ C(u') as one scan of the L(u′) run of
-// N(v) against the membership bitmap of C(u'), in the run's order and so
-// sorted.
-func appendMembers(dst []uint32, run []uint32, member *bitset.Set) []uint32 {
+// appendRanks appends to dst the position in C(u′) of every vertex of
+// run (sorted) that C(u′) holds: 𝒜[u->u'] of one candidate as one scan
+// of the L(u′) run of its neighbours against words, the bitmap of C(u′),
+// whose rank is the popcount prefix before[w/64] plus the bits below w
+// in its word. Ascending, since run is sorted and so is C(u′).
+func appendRanks(dst []uint32, run []uint32, words []uint64, before []int32) []uint32 {
 	for _, w := range run {
-		if member.Contains(w) {
-			dst = append(dst, w)
+		word, bit := words[w/64], uint64(1)<<(w%64)
+		if word&bit != 0 {
+			dst = append(dst, uint32(before[w/64])+uint32(bits.OnesCount64(word&(bit-1))))
 		}
 	}
 	return dst
@@ -90,10 +96,11 @@ func appendMembers(dst []uint32, run []uint32, member *bitset.Set) []uint32 {
 // the other end's set. Scanned pairs are visited grouped by their
 // target u′, so one bitmap of C(u′) is set once, serves every u that
 // scans towards u′, and is cleared by walking C(u′) again (never a full
-// reset). Each of the group's pairs is then transposed, with a target's
-// index in C(u′) taken from popcount prefix sums over the same bitmap.
-// Every adjacency list is a set that does not depend on how it was
-// found, so the CSRs are byte-identical for either scan direction.
+// reset). A target is stored as its position in C(u′), the popcount
+// prefix sums over the same bitmap give it, and each of the group's
+// pairs is then transposed by those positions. Every adjacency list is
+// a set that does not depend on how it was found, so the CSRs are
+// byte-identical for either scan direction.
 func Build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex) *Space {
 	s := &Space{
 		q:          q,
@@ -137,7 +144,7 @@ func Build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex) *Spa
 			fwd := &edgeCSR{offsets: make([]int32, len(candidates[u])+1)}
 			buf = buf[:0]
 			for i, v := range candidates[u] {
-				buf = appendMembers(buf, gx.Run(v, label), member)
+				buf = appendRanks(buf, gx.Run(v, label), words, before)
 				fwd.offsets[i+1] = int32(len(buf))
 			}
 			// targets is exact-length: a cached plan is charged
@@ -145,7 +152,7 @@ func Build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex) *Spa
 			// capacity.
 			fwd.targets = append(make([]uint32, 0, len(buf)), buf...)
 			s.edges[u][s.neighborPos(u, up)] = fwd
-			s.edges[up][s.neighborPos(up, u)] = transpose(fwd, candidates[u], len(candidates[up]), words, before)
+			s.edges[up][s.neighborPos(up, u)] = transpose(fwd, len(candidates[up]))
 		}
 		if ranked {
 			for _, v := range candidates[up] {
@@ -156,18 +163,14 @@ func Build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex) *Spa
 	return s
 }
 
-// transpose turns fwd = 𝒜[u→u′] over src = C(u) into 𝒜[u′→u] over the
-// nt candidates of u′ by a counting sort on the target's index in
-// C(u′): the number of set bits of words (the bitmap of C(u′)) below
-// it, from the per-word running counts in before. Sources are visited
-// in ascending order, so every transposed list comes out sorted.
-func transpose(fwd *edgeCSR, src []uint32, nt int, words []uint64, before []int32) *edgeCSR {
-	rank := func(w uint32) int32 {
-		return before[w/64] + int32(bits.OnesCount64(words[w/64]&(1<<(w%64)-1)))
-	}
+// transpose turns fwd = 𝒜[u→u′] into 𝒜[u′→u] over the nt candidates of
+// u′ by a counting sort on the target positions, filling each list with
+// the source positions. Sources are visited in ascending order, so every
+// transposed list comes out sorted.
+func transpose(fwd *edgeCSR, nt int) *edgeCSR {
 	rev := &edgeCSR{offsets: make([]int32, nt+1), targets: make([]uint32, len(fwd.targets))}
-	for _, w := range fwd.targets {
-		rev.offsets[rank(w)+1]++
+	for _, r := range fwd.targets {
+		rev.offsets[r+1]++
 	}
 	for r := 0; r < nt; r++ {
 		rev.offsets[r+1] += rev.offsets[r]
@@ -175,10 +178,9 @@ func transpose(fwd *edgeCSR, src []uint32, nt int, words []uint64, before []int3
 	// Fill with offsets[r] as the write cursor of list r: afterwards it
 	// has advanced to the start of list r+1, so shifting the array up by
 	// one restores the offsets.
-	for i, v := range src {
-		for _, w := range fwd.targets[fwd.offsets[i]:fwd.offsets[i+1]] {
-			r := rank(w)
-			rev.targets[rev.offsets[r]] = v
+	for i := 0; i+1 < len(fwd.offsets); i++ {
+		for _, r := range fwd.targets[fwd.offsets[i]:fwd.offsets[i+1]] {
+			rev.targets[rev.offsets[r]] = uint32(i)
 			rev.offsets[r]++
 		}
 	}
@@ -195,15 +197,6 @@ func (s *Space) Candidates(u graph.Vertex) []uint32 { return s.candidates[u] }
 
 // AllCandidates returns the per-vertex candidate sets.
 func (s *Space) AllCandidates() [][]uint32 { return s.candidates }
-
-// CandidateIndex returns the index of data vertex v within C(u), or -1 if
-// v is not a candidate of u.
-func (s *Space) CandidateIndex(u graph.Vertex, v uint32) int {
-	if i, ok := slices.BinarySearch(s.candidates[u], v); ok {
-		return i
-	}
-	return -1
-}
 
 // neighborPos returns the position of up within u's neighbor list, or -1.
 func (s *Space) neighborPos(u, up graph.Vertex) int {
@@ -237,11 +230,9 @@ func (s *Space) Pair(u, up graph.Vertex) Pair {
 	return p
 }
 
-// Adjacency returns 𝒜[u->u'](v) — the sorted data vertices of C(u')
-// adjacent to candidate v of u — where ci is v's index in C(u). It
-// returns nil for the zero Pair, or if ci is out of range — in
-// particular the -1 CandidateIndex reports when an over-pruning filter
-// left C(u) empty.
+// Adjacency returns 𝒜[u->u'](ci): the ascending positions in C(u') of
+// the candidates adjacent to the candidate at position ci of C(u). It
+// returns nil for the zero Pair, or if ci is out of range.
 func (p Pair) Adjacency(ci int) []uint32 {
 	if p.csr == nil || ci < 0 || ci+1 >= len(p.csr.offsets) {
 		return nil
@@ -258,9 +249,9 @@ func (p Pair) View(ci int) intersect.BlockView {
 	return p.flat.View(ci)
 }
 
-// Adjacency returns 𝒜[u->u'](v) where candIdx is v's index in C(u): the
-// pair lookup and Pair.Adjacency in one call, for callers that read a
-// pair once.
+// Adjacency returns 𝒜[u->u'](candIdx), positions in C(u'): the pair
+// lookup and Pair.Adjacency in one call, for callers that read a pair
+// once.
 func (s *Space) Adjacency(u, up graph.Vertex, candIdx int) []uint32 {
 	return s.Pair(u, up).Adjacency(candIdx)
 }

@@ -3,6 +3,7 @@ package candspace
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"subgraphmatching/internal/filter"
@@ -23,33 +24,27 @@ func paperSpace(t *testing.T) (*graph.Graph, *graph.Graph, *Space) {
 func TestFullSpacePaperExample(t *testing.T) {
 	_, _, s := paperSpace(t)
 	// Example 3.2: A[u1->u3](v4) = {v10, v12}. C(u1) = {2, 4}, so v4 has
-	// candidate index 1.
-	idx := s.CandidateIndex(1, 4)
+	// candidate index 1; 𝒜 holds the targets as positions in C(u3).
+	idx := slices.Index(s.Candidates(1), 4)
 	if idx != 1 {
-		t.Fatalf("CandidateIndex(u1, v4) = %d, want 1", idx)
+		t.Fatalf("v4 is at %d in C(u1) = %v, want 1", idx, s.Candidates(1))
 	}
-	got := s.Adjacency(1, 3, idx)
+	got := dataIDs(s.Candidates(3), s.Adjacency(1, 3, idx))
 	if want := []uint32{10, 12}; !reflect.DeepEqual(got, want) {
 		t.Errorf("A[u1->u3](v4) = %v, want %v", got, want)
 	}
 	// Reverse direction: A[u3->u1](v12) = {v2, v4}.
-	idx12 := s.CandidateIndex(3, 12)
-	got = s.Adjacency(3, 1, idx12)
+	idx12 := slices.Index(s.Candidates(3), 12)
+	got = dataIDs(s.Candidates(1), s.Adjacency(3, 1, idx12))
 	if want := []uint32{2, 4}; !reflect.DeepEqual(got, want) {
 		t.Errorf("A[u3->u1](v12) = %v, want %v", got, want)
 	}
 }
 
-func TestCandidateIndexMissing(t *testing.T) {
-	_, _, s := paperSpace(t)
-	if got := s.CandidateIndex(1, 6); got != -1 {
-		t.Errorf("CandidateIndex(u1, v6) = %d, want -1 (v6 was pruned)", got)
-	}
-}
-
 func TestAdjacencyConsistency(t *testing.T) {
-	// Property: on random inputs, A[u->u'](v) must equal N(v) ∩ C(u')
-	// computed naively, for every materialized pair.
+	// Property: on random inputs, A[u->u'](v), translated through C(u'),
+	// must equal N(v) ∩ C(u') computed naively, for every materialized
+	// pair.
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
 		g := testutil.RandomGraph(rng, 20+rng.Intn(20), 60, 3)
@@ -71,7 +66,7 @@ func TestAdjacencyConsistency(t *testing.T) {
 							}
 						}
 					}
-					got := s.Adjacency(uu, up, ci)
+					got := dataIDs(cand[up], s.Adjacency(uu, up, ci))
 					if len(got) == 0 && len(want) == 0 {
 						continue
 					}

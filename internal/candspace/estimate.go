@@ -44,10 +44,8 @@ func EstimateSpanningTreeEmbeddings(s *Space, delta []graph.Vertex) float64 {
 			prod := 1.0
 			for _, ch := range children[u] {
 				sum := 0.0
-				for _, v := range s.Adjacency(u, ch, ci) {
-					if j := s.CandidateIndex(ch, v); j >= 0 {
-						sum += weights[ch][j]
-					}
+				for _, j := range s.Adjacency(u, ch, ci) {
+					sum += weights[ch][j]
 				}
 				prod *= sum
 				if prod == 0 {

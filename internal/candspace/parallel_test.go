@@ -4,10 +4,12 @@ import (
 	"encoding/binary"
 	"hash"
 	"hash/fnv"
+	"slices"
 	"testing"
 
 	"subgraphmatching/internal/filter"
 	"subgraphmatching/internal/graph"
+	"subgraphmatching/internal/intersect"
 	"subgraphmatching/internal/querygen"
 	"subgraphmatching/internal/rmat"
 	"subgraphmatching/internal/testutil"
@@ -75,10 +77,12 @@ func put64(h hash.Hash64, v uint64) {
 }
 
 // digestCSR folds every directed pair's CSR (a 0 marker for an
-// unmaterialized pair, else 1, offsets, targets) into h.
+// unmaterialized pair, else 1, offsets, targets) into h. A target is
+// folded as the data vertex C(u′)[t] its position t stands for, so the
+// digest is the one the parent's CSR of data vertices gave.
 func digestCSR(h hash.Hash64, s *Space) {
-	for _, row := range s.edges {
-		for _, csr := range row {
+	for u, row := range s.edges {
+		for i, csr := range row {
 			if csr == nil {
 				put32(h, 0)
 				continue
@@ -87,25 +91,38 @@ func digestCSR(h hash.Hash64, s *Space) {
 			for _, o := range csr.offsets {
 				put32(h, uint32(o))
 			}
-			for _, v := range csr.targets {
-				put32(h, v)
+			c := s.candidates[s.q.Neighbors(graph.Vertex(u))[i]]
+			for _, t := range csr.targets {
+				put32(h, c[t])
 			}
 		}
 	}
 }
 
-// digestBlocks folds every flat arena, set by set (block count,
-// keys, words), into h.
-func digestBlocks(h hash.Hash64, s *Space) {
-	for _, row := range s.flat {
-		for _, fb := range row {
+// digestBlocks folds every flat arena, set by set (block count, keys,
+// words), into h. Each view must decode to its CSR list of positions;
+// what is folded is the block encoding of the data vertices that list
+// stands for — the sets the parent's arenas of data vertices encoded.
+func digestBlocks(t *testing.T, h hash.Hash64, s *Space) {
+	t.Helper()
+	for u, row := range s.flat {
+		for i, fb := range row {
 			if fb == nil {
 				put32(h, 0)
 				continue
 			}
 			put32(h, 1)
+			uu, up := graph.Vertex(u), s.q.Neighbors(graph.Vertex(u))[i]
+			p := s.Pair(uu, up)
 			for ci := 0; ci < fb.NumSets(); ci++ {
-				v := fb.View(ci)
+				adj := p.Adjacency(ci)
+				if got := fb.View(ci).Elements(nil); !slices.Equal(got, adj) {
+					t.Fatalf("(%d->%d)[%d]: view decodes %v, CSR holds %v", uu, up, ci, got, adj)
+				}
+				ids := dataIDs(s.candidates[up], adj)
+				enc := intersect.NewFlatBlocks([]int32{0, int32(intersect.CountBlocks(ids))})
+				enc.EncodeSet(0, ids)
+				v := enc.View(0)
 				put32(h, uint32(len(v.Keys)))
 				for _, k := range v.Keys {
 					put32(h, k)
@@ -123,7 +140,8 @@ func digestBlocks(h hash.Hash64, s *Space) {
 // 8bbdf91 produced over the fixture's queries (candidate sets from that
 // commit's sequential GQL and CFL filters, tree parents from the BFS
 // tree at CFL's root): the full CSR, its block arenas, the tree CSR and
-// its block arenas.
+// its block arenas. Both fold data vertices (digestCSR, digestBlocks),
+// so they hold now that 𝒜 stores positions.
 var parentDigests = map[string]struct{ full, fullBlocks, tree, treeBlocks uint64 }{
 	"skew85-dense6/GQL":   {0xa35b543b74f8b492, 0xebbfff0ef4f4e6da, 0x5edae56d2c7b3fec, 0x5bd4e0639bf806b3},
 	"skew85-dense6/CFL":   {0x3345f32653dba542, 0x310eb95d640cc46a, 0x23780c9f22876746, 0x9c604733818131d5},
@@ -163,7 +181,7 @@ func assertParentDigests(t *testing.T, tree bool) {
 				s := Build(q, f.g, cand, parent)
 				digestCSR(csr, s)
 				s.MaterializeBlocks()
-				digestBlocks(blocks, s)
+				digestBlocks(t, blocks, s)
 			}
 			if got := csr.Sum64(); got != wantCSR {
 				t.Errorf("%s: CSR digest %#016x, parent's sequential build %#016x", name, got, wantCSR)
@@ -198,9 +216,8 @@ func degenerateCandidates(q *graph.Graph) [][]uint32 {
 
 // TestDegenerateCandidateSets pins that every Space accessor and metric
 // survives empty and nil candidate sets: full and tree builds, the
-// aggregate metrics, block materialization, and the
-// Adjacency lookups fed the -1 index CandidateIndex reports for a
-// vertex missing from an empty set.
+// aggregate metrics, block materialization, and Adjacency lookups fed
+// an index of -1, which no empty set has.
 func TestDegenerateCandidateSets(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
 	cand := degenerateCandidates(q)
@@ -225,10 +242,7 @@ func TestDegenerateCandidateSets(t *testing.T) {
 		for u := 0; u < q.NumVertices(); u++ {
 			uu := graph.Vertex(u)
 			for _, up := range q.Neighbors(uu) {
-				idx := s.CandidateIndex(uu, 99) // not a candidate anywhere
-				if idx != -1 {
-					t.Fatalf("%s: CandidateIndex returned %d for missing vertex", name, idx)
-				}
+				idx := -1
 				if adj := s.Adjacency(uu, up, idx); adj != nil {
 					t.Errorf("%s: Adjacency with index -1 = %v, want nil", name, adj)
 				}

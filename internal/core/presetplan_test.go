@@ -6,6 +6,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
 	"subgraphmatching/internal/enumerate"
@@ -79,8 +80,12 @@ func presetPlanConfigs(q, g *graph.Graph) map[string]Config {
 // candidate sets, the candidate space (pair materialization, every
 // adjacency list and, under the pinned-block policy — the only one that
 // reads them — its block view), the order, DP-iso's weights, the orbit,
-// the order method and the build span's structure attribute.
-func digestPlan(h hash.Hash64, p *Plan) {
+// the order method and the build span's structure attribute. An
+// adjacency list is folded as the data vertices C(u′)[t] its positions
+// t stand for; a block view, which encodes the positions themselves, is
+// folded as it is, once it has been checked to decode to its list.
+func digestPlan(t *testing.T, h hash.Hash64, p *Plan) {
+	t.Helper()
 	var b [8]byte
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(b[:], v)
@@ -105,12 +110,19 @@ func digestPlan(h hash.Hash64, p *Plan) {
 					continue
 				}
 				put(1)
-				pair := s.Pair(uu, up)
+				pair, c := s.Pair(uu, up), s.Candidates(up)
 				for ci := range s.Candidates(uu) {
-					putSet(pair.Adjacency(ci))
+					adj := pair.Adjacency(ci)
+					put(uint64(len(adj)))
+					for _, x := range adj {
+						put(uint64(c[x]))
+					}
 					var v intersect.BlockView
 					if p.Cfg.Kernel == intersect.PolicyBlock {
 						v = pair.View(ci)
+						if got := v.Elements(nil); !slices.Equal(got, adj) {
+							t.Fatalf("(%d->%d)[%d]: block view decodes %v, Adjacency %v", uu, up, ci, got, adj)
+						}
 					}
 					putSet(v.Keys)
 					for _, w := range v.Words {
@@ -140,7 +152,11 @@ func digestPlan(h hash.Hash64, p *Plan) {
 // configurations that intersect under the adaptive policy, were
 // recorded at commit d2c132f with this digest, which folds no block
 // view for them: their CSRs, orders, weights and candidate sets are
-// the ones that commit built, and they carry no block layout now.
+// the ones that commit built, and they carry no block layout now. The
+// three fig10-QFilter digests were re-recorded when 𝒜 began storing
+// positions in C(u′): their block views encode positions since (and
+// digestPlan checks each decodes to its adjacency list), while their
+// adjacency lists, folded as data vertices, are unchanged.
 var parentPresetPlans = map[string]uint64{
 	"paper/CECI":                           0x7c5f33f2aa6b3614,
 	"paper/CFL":                            0xca8c104a9609e57c,
@@ -150,7 +166,7 @@ var parentPresetPlans = map[string]uint64{
 	"paper/QSI":                            0xb79adbf39ee2e5b7,
 	"paper/RI":                             0x8a6820a0eb8e1811,
 	"paper/VF2PP":                          0xf2435dd9a84ff062,
-	"paper/fig10-QFilter":                  0xb3bfc472f85e1e6e,
+	"paper/fig10-QFilter":                  0xcbe3fcc8f0ecfef2,
 	"paper/fig9-CFL-tree-edge":             0xca8c104a9609e57c,
 	"paper/ordering-study-DPiso":           0x813adea5c4335292,
 	"skew85-dense6/CECI":                   0x9389d49d4f53682b,
@@ -161,7 +177,7 @@ var parentPresetPlans = map[string]uint64{
 	"skew85-dense6/QSI":                    0xb5c22ef0d1ced689,
 	"skew85-dense6/RI":                     0x20ad75da8ef23c59,
 	"skew85-dense6/VF2PP":                  0x86d4868eb427a3e6,
-	"skew85-dense6/fig10-QFilter":          0x9908d7480d8f26f7,
+	"skew85-dense6/fig10-QFilter":          0x7808c53f44c35275,
 	"skew85-dense6/fig9-CFL-tree-edge":     0x0aa9329ded02f870,
 	"skew85-dense6/ordering-study-DPiso":   0x1d35462eefc97b1e,
 	"uniform-sparse8/CECI":                 0x9c8a70c998b3aec8,
@@ -172,7 +188,7 @@ var parentPresetPlans = map[string]uint64{
 	"uniform-sparse8/QSI":                  0xe5b78265e8c2ac46,
 	"uniform-sparse8/RI":                   0x439f91add32f169a,
 	"uniform-sparse8/VF2PP":                0xd6a2a14eb0b67249,
-	"uniform-sparse8/fig10-QFilter":        0xe2d9cbd26b50139e,
+	"uniform-sparse8/fig10-QFilter":        0x6cf3d46045fe8d28,
 	"uniform-sparse8/fig9-CFL-tree-edge":   0x5d7698f1a7ba8bc6,
 	"uniform-sparse8/ordering-study-DPiso": 0x7809c2a78399dabf,
 }
@@ -193,7 +209,7 @@ func TestPresetPlansUnchanged(t *testing.T) {
 				if digests[name] == nil {
 					digests[name] = fnv.New64a()
 				}
-				digestPlan(digests[name], plan)
+				digestPlan(t, digests[name], plan)
 			}
 		}
 		for name, h := range digests {

@@ -44,7 +44,7 @@ var layerSurface = map[string][]string{
 		"Build", "BuildFull", "EstimateSpanningTreeEmbeddings",
 		"Pair.Adjacency", "Pair.View", "Space.Adjacency",
 		"Space.AllCandidates", "Space.BlockMemoryBytes", "Space.BlockStats",
-		"Space.CandidateIndex", "Space.Candidates", "Space.HasBlocks",
+		"Space.Candidates", "Space.HasBlocks",
 		"Space.HasPair", "Space.MaterializeBlocks", "Space.MeanCandidates",
 		"Space.MemoryBytes", "Space.Pair", "Space.PairSize", "Space.Query",
 		"Space.TotalCandidates",

@@ -20,7 +20,7 @@ type adaptiveState struct {
 	fwdDelta    [][]graph.Vertex // forward neighbors w.r.t. delta
 	parentsLeft []int            // unmapped DAG parents per query vertex
 	pool        []graph.Vertex   // currently extendable vertices
-	lcOf        [][]uint32       // local candidates, computed at activation
+	lcOf        [][]uint32       // local candidates (positions in C(u)), computed at activation
 	weightOf    []float64        // selection weight, computed at activation
 	pinned      []graph.Vertex   // per prefix position: the vertex pin selected
 }
@@ -48,25 +48,16 @@ func (e *engine) initAdaptive() {
 }
 
 // activationWeight estimates the cost of extending u with the given
-// local candidates.
+// local candidates (positions in C(u)).
 func (e *engine) activationWeight(u graph.Vertex, lc []uint32) float64 {
 	w := e.opts.AdaptiveWeights
 	if w == nil || w[u] == nil {
 		return float64(len(lc))
 	}
-	// lc and cand[u] are both sorted; a merge walk recovers candidate
-	// indices without per-element binary searches.
+	// lc holds positions in C(u), which is how the weights are indexed.
 	total := 0.0
-	c := e.cand[u]
-	ci := 0
-	for _, v := range lc {
-		for ci < len(c) && c[ci] < v {
-			ci++
-		}
-		if ci < len(c) && c[ci] == v {
-			total += w[u][ci]
-			ci++
-		}
+	for _, i := range lc {
+		total += w[u][i]
 	}
 	return total
 }
@@ -137,24 +128,24 @@ func (e *engine) selectExtendable() graph.Vertex {
 	return u
 }
 
-// peekExtendable returns the local candidates of the vertex
-// selectExtendable maps next, leaving the pool as it was (nil when
+// peekExtendable returns the vertex selectExtendable maps next and its
+// local candidates, leaving the pool as it was (no candidates when
 // nothing is extendable).
-func (e *engine) peekExtendable() []uint32 {
+func (e *engine) peekExtendable() (graph.Vertex, []uint32) {
 	a := &e.adaptive
 	if len(a.pool) == 0 {
-		return nil
+		return e.phi[0], nil
 	}
 	u := e.selectExtendable()
 	a.pool = append(a.pool, u)
-	return a.lcOf[u]
+	return u, a.lcOf[u]
 }
 
 func (e *engine) runAdaptive() {
 	root := e.phi[0]
 	a := &e.adaptive
 	a.pool = a.pool[:0]
-	a.lcOf[root] = append(a.lcOf[root][:0], e.cand[root]...)
+	a.lcOf[root] = append(a.lcOf[root][:0], e.rootLC...)
 	a.weightOf[root] = e.activationWeight(root, a.lcOf[root])
 	a.pool = append(a.pool, root)
 	e.adaptiveRec(0)
@@ -194,8 +185,10 @@ func (e *engine) adaptiveRec(depth int) bitset.Mask64 {
 		a.pool = append(a.pool, u)
 		return nodeMask(accum, u, a.bwdDelta[u])
 	}
+	ids := e.ids[u]
 	var accum bitset.Mask64
-	for _, v := range lc {
+	for _, x := range lc {
+		v := ids[x] // adaptive mode intersects: local candidates are positions
 		var child bitset.Mask64
 		if e.visited[v] {
 			child = bitset.Mask64(0).With(uint32(u)).With(uint32(e.ownerOf(v)))
@@ -213,7 +206,7 @@ func (e *engine) adaptiveRec(depth int) bitset.Mask64 {
 				e.prof.Extended[depth]++
 				kpre = e.sel.Stats()
 			}
-			e.assign(u, v)
+			e.assign(u, x, v)
 			e.activate(u)
 			if e.prof != nil {
 				// Kernel executions during activation computed the local

@@ -2,6 +2,7 @@ package enumerate
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"subgraphmatching/internal/bitset"
@@ -51,7 +52,8 @@ type Engine struct {
 
 // NewEngine validates the inputs and builds a reusable engine. The
 // candidate sets, space, and order are captured by reference and must
-// stay unmodified (they may be shared, read-only, across engines).
+// stay unmodified (they may be shared, read-only, across engines); a
+// space must have been built over cand, whose positions it holds.
 func NewEngine(q, g *graph.Graph, cand [][]uint32, space *candspace.Space, phi []graph.Vertex, opts Options) (*Engine, error) {
 	n := q.NumVertices()
 	if len(phi) != n {
@@ -81,6 +83,7 @@ func NewEngine(q, g *graph.Graph, cand [][]uint32, space *candspace.Space, phi [
 		pos:       make([]int, n),
 		embedding: make([]uint32, n),
 		candIdx:   make([]int, n),
+		ids:       make([][]uint32, n),
 		mapped:    make([]bool, n),
 		visited:   make([]bool, g.NumVertices()),
 		lcBuf:     make([][]uint32, n),
@@ -94,6 +97,13 @@ func NewEngine(q, g *graph.Graph, cand [][]uint32, space *candspace.Space, phi [
 		}
 		seen[u] = true
 		e.pos[u] = i
+	}
+	if opts.Local != Direct && n > 0 {
+		copy(e.ids, cand)
+		e.rootLC = make([]uint32, len(cand[phi[0]]))
+		for i := range e.rootLC {
+			e.rootLC[i] = uint32(i)
+		}
 	}
 	if err := e.prepare(); err != nil {
 		return nil, err
@@ -205,7 +215,8 @@ func (e *engine) pollHalt() bool {
 // does). pin reports false, leaving the engine as it found it, when v
 // conflicts with an earlier position or breaks the symmetry order —
 // ExpandPrefix filters the former, so only a caller fabricating prefixes
-// sees it.
+// sees it, or a v that is not a candidate of the vertex. Finding v's
+// position in C(u) is the one binary search a pinned position costs.
 func (e *engine) pin(i int, v uint32) bool {
 	u := e.phi[i]
 	a := &e.adaptive
@@ -220,13 +231,19 @@ func (e *engine) pin(i int, v uint32) bool {
 		}
 		u = e.selectExtendable()
 	}
-	if e.visited[v] || (e.symPeers != nil && e.symViolator(u, v) != graph.NoVertex) {
+	x, ok := v, true
+	if ids := e.ids[u]; ids != nil {
+		var ci int
+		ci, ok = slices.BinarySearch(ids, v)
+		x = uint32(ci)
+	}
+	if !ok || e.visited[v] || (e.symPeers != nil && e.symViolator(u, v) != graph.NoVertex) {
 		if e.opts.Adaptive {
 			a.pool = append(a.pool, u)
 		}
 		return false
 	}
-	e.assign(u, v)
+	e.assign(u, x, v)
 	if e.opts.Adaptive {
 		a.pinned[i] = u
 		var kpre intersect.KernelStats
@@ -286,13 +303,22 @@ func (E *Engine) ExpandPrefix(prefix, dst []uint32) []uint32 {
 	}
 	k := e.pinPrefix(prefix)
 	if k == L {
-		var lc []uint32
+		var (
+			u  graph.Vertex
+			lc []uint32
+		)
 		if e.opts.Adaptive {
-			lc = e.peekExtendable()
+			u, lc = e.peekExtendable()
 		} else {
-			lc = e.computeLC(L, e.phi[L])
+			u = e.phi[L]
+			lc = e.computeLC(L, u)
 		}
-		for _, w := range lc {
+		ids := e.ids[u]
+		for _, x := range lc {
+			w := x
+			if ids != nil {
+				w = ids[x]
+			}
 			if !e.visited[w] {
 				dst = append(dst, w)
 			}
@@ -352,9 +378,18 @@ type engine struct {
 	counter *graph.LabelCounter
 
 	embedding []uint32 // per query vertex
-	candIdx   []int    // per query vertex: index of embedding in cand[u]
+	candIdx   []int    // per query vertex: position of embedding in cand[u]
 	mapped    []bool   // per query vertex
 	visited   []bool   // per data vertex
+
+	// ids[u] translates u's local candidates to data vertices: cand[u]
+	// for the methods whose local candidates are positions in C(u)
+	// (Scan, TreeEdge, Intersect), nil for Direct, whose local
+	// candidates are data vertices already.
+	ids [][]uint32
+	// rootLC is the root level's local candidates under those methods:
+	// every position of C(phi[0]).
+	rootLC []uint32
 
 	// symPeers[u] lists u's co-class members under symmetry breaking;
 	// symPos[u] is u's position within its class (-1 when unclassed).
@@ -548,17 +583,16 @@ func (e *engine) emitPinned() {
 	e.handOver(u, e.embedding[u:u+1])
 }
 
-// assign maps query vertex u to data vertex v, recording the candidate
-// index when the auxiliary structure is in use. Homomorphism mode skips
-// the injectivity bookkeeping.
-func (e *engine) assign(u graph.Vertex, v uint32) {
+// assign maps query vertex u to the local candidate x, data vertex v,
+// recording x as the position that 𝒜 lookups from u read (meaningless,
+// and unread, under Direct). Homomorphism mode skips the injectivity
+// bookkeeping.
+func (e *engine) assign(u graph.Vertex, x, v uint32) {
 	e.embedding[u] = v
+	e.candIdx[u] = int(x)
 	e.mapped[u] = true
 	if !e.opts.Homomorphism {
 		e.visited[v] = true
-	}
-	if e.space != nil {
-		e.candIdx[u] = e.space.CandidateIndex(u, v)
 	}
 }
 
@@ -610,8 +644,13 @@ func (e *engine) runFS(depth int) bitset.Mask64 {
 		return nodeMask(e.leafLevel(depth, u, lc), u, e.bwd[depth])
 	}
 	fs := e.opts.FailingSets
+	ids := e.ids[u]
 	var accum bitset.Mask64
-	for _, v := range lc {
+	for _, x := range lc {
+		v := x
+		if ids != nil {
+			v = ids[x]
+		}
 		var child bitset.Mask64
 		if e.visited[v] {
 			// Conflict class: u collides with the vertex already mapped
@@ -633,7 +672,7 @@ func (e *engine) runFS(depth int) bitset.Mask64 {
 			if e.prof != nil {
 				e.prof.Extended[depth]++
 			}
-			e.assign(u, v)
+			e.assign(u, x, v)
 			child = e.runFS(depth + 1)
 			e.unassign(u, v)
 			if e.aborted {
@@ -677,7 +716,8 @@ func nodeMask(accum bitset.Mask64, u graph.Vertex, bwd []graph.Vertex) bitset.Ma
 // level reads visited, mapped, candIdx or the adaptive pool. It filters
 // lc by the conflict and symmetry checks of a full level (same profile
 // counters, same failing-set masks) into a run of admissible data
-// vertices, and hands the run over as soon as it is full: when it holds
+// vertices — translated, so the sink only ever sees data vertices — and
+// hands the run over as soon as it is full: when it holds
 // what the embedding cap has left — so no candidate past the last
 // embedding is looked at, exactly where a per-embedding loop would have
 // stopped — or timeCheckInterval vertices, and at the end of lc.
@@ -689,7 +729,12 @@ func nodeMask(accum bitset.Mask64, u graph.Vertex, bwd []graph.Vertex) bitset.Ma
 func (e *engine) leafLevel(depth int, u graph.Vertex, lc []uint32) bitset.Mask64 {
 	var accum bitset.Mask64
 	run, room := e.run[:0], e.runRoom()
-	for _, v := range lc {
+	ids := e.ids[u]
+	for _, x := range lc {
+		v := x
+		if ids != nil {
+			v = ids[x]
+		}
 		if e.visited[v] {
 			if e.prof != nil {
 				e.prof.Conflicts[depth]++

@@ -7,8 +7,9 @@ import (
 
 // computeLC computes the local candidate set LC(u, M) for the query
 // vertex u at the given search depth, dispatching on the configured
-// method. The result lives in a per-depth buffer and is valid until the
-// next computeLC call at the same depth.
+// method: positions in C(u), except under Direct, which yields data
+// vertices (e.ids says which). The result lives in a per-depth buffer
+// and is valid until the next computeLC call at the same depth.
 func (e *engine) computeLC(depth int, u graph.Vertex) []uint32 {
 	switch e.opts.Local {
 	case Direct:
@@ -54,12 +55,12 @@ func (e *engine) lcDirect(depth int, u graph.Vertex) []uint32 {
 // lcScan is Algorithm 3 (GraphQL): iterate the whole candidate set.
 func (e *engine) lcScan(depth int, u graph.Vertex) []uint32 {
 	if depth == 0 {
-		return e.cand[u]
+		return e.rootLC
 	}
 	out := e.lcBuf[depth][:0]
-	for _, v := range e.cand[u] {
+	for i, v := range e.cand[u] {
 		if e.backwardEdgesOK(depth, v, graph.NoVertex) {
-			out = append(out, v)
+			out = append(out, uint32(i))
 		}
 	}
 	e.lcBuf[depth] = out
@@ -71,7 +72,7 @@ func (e *engine) lcScan(depth int, u graph.Vertex) []uint32 {
 // edges are verified with binary searches.
 func (e *engine) lcTreeEdge(depth int, u graph.Vertex) []uint32 {
 	if depth == 0 {
-		return e.cand[u]
+		return e.rootLC
 	}
 	p := e.parent[depth]
 	fromTree := e.parentPairs[depth].Adjacency(e.candIdx[p])
@@ -79,9 +80,10 @@ func (e *engine) lcTreeEdge(depth int, u graph.Vertex) []uint32 {
 		return fromTree
 	}
 	out := e.lcBuf[depth][:0]
-	for _, v := range fromTree {
-		if e.backwardEdgesOK(depth, v, p) {
-			out = append(out, v)
+	c := e.cand[u]
+	for _, x := range fromTree {
+		if e.backwardEdgesOK(depth, c[x], p) {
+			out = append(out, x)
 		}
 	}
 	e.lcBuf[depth] = out
@@ -94,7 +96,7 @@ func (e *engine) lcTreeEdge(depth int, u graph.Vertex) []uint32 {
 // chosen per call by the engine's selector under Options.Kernel.
 func (e *engine) lcIntersect(depth int, u graph.Vertex) []uint32 {
 	if depth == 0 {
-		return e.cand[u]
+		return e.rootLC
 	}
 	bwd := e.bwd[depth]
 	if len(bwd) == 1 {
@@ -107,8 +109,10 @@ func (e *engine) lcIntersect(depth int, u graph.Vertex) []uint32 {
 // intersectBackward gathers the auxiliary adjacency lists pairs[i]
 // holds for the mapping of bwd[i] — with their block views when the
 // block policy runs over a space that has them — and intersects them
-// through the kernel selector, appending to dst. Shared by the
-// static-order path and the adaptive (DP-iso) activation.
+// through the kernel selector, appending to dst. The lists are
+// positions in the same C(u), so their intersection is u's local
+// candidates. Shared by the static-order path and the adaptive (DP-iso)
+// activation.
 func (e *engine) intersectBackward(dst []uint32, bwd []graph.Vertex, pairs []candspace.Pair) []uint32 {
 	sets := e.setsBuf[:0]
 	if e.useViews {

@@ -15,6 +15,8 @@ import (
 //
 //	W(u, v) = product over such children c of sum_{v' in A[u->c](v)} W(c, v')
 //
+// (𝒜 holds v' as its position in C(c), which is where W(c, ·) keeps it)
+//
 // evaluated bottom-up along the reverse of delta. Leaves (no tree-like
 // children) have weight 1. The result indexes [queryVertex][candIdx] and
 // plugs into enumerate.Options.AdaptiveWeights.
@@ -55,10 +57,8 @@ func BuildDPWeights(q *graph.Graph, space *candspace.Space, delta []graph.Vertex
 			prod := 1.0
 			for _, child := range treeChildren[u] {
 				sum := 0.0
-				for _, v := range space.Adjacency(u, child, ci) {
-					if j := space.CandidateIndex(child, v); j >= 0 {
-						sum += weights[child][j]
-					}
+				for _, j := range space.Adjacency(u, child, ci) {
+					sum += weights[child][j]
 				}
 				prod *= sum
 			}

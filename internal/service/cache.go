@@ -70,7 +70,8 @@ func configHash(cfg core.Config) uint64 {
 // CacheStats is a point-in-time snapshot of the plan cache's accounting.
 // Every successful insert is eventually accounted for exactly once:
 // it is either still resident (Size), was evicted by the LRU
-// (Evictions), or was removed by a hot-swap/unregister purge (Purged).
+// (Evictions), or was removed by a hot-swap/unregister purge or after a
+// run on it failed internally (Purged).
 // SizeBytes is the resident plans' summed Plan.SizeBytes and never
 // exceeds BudgetBytes when a budget is set.
 type CacheStats struct {
@@ -233,14 +234,30 @@ func (c *planCache) purgeGraph(name string, before uint64) {
 	var next *list.Element
 	for e := c.ll.Front(); e != nil; e = next {
 		next = e.Next()
-		ent := e.Value.(*cacheEntry)
-		if ent.key.graph == name && ent.key.gen < before {
-			c.ll.Remove(e)
-			delete(c.entries, ent.key)
-			c.bytes -= ent.size
-			c.purged.Inc()
+		if ent := e.Value.(*cacheEntry); ent.key.graph == name && ent.key.gen < before {
+			c.purgeLocked(e)
 		}
 	}
+}
+
+// remove purges the entry for k if it still holds p; a concurrent
+// rebuild under the same key is left alone.
+func (c *planCache) remove(k planKey, p *core.Plan) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[k]; ok && e.Value.(*cacheEntry).plan == p {
+		c.purgeLocked(e)
+	}
+}
+
+// purgeLocked drops a resident entry, counting it into the purged
+// counter.
+func (c *planCache) purgeLocked(e *list.Element) {
+	ent := e.Value.(*cacheEntry)
+	c.ll.Remove(e)
+	delete(c.entries, ent.key)
+	c.bytes -= ent.size
+	c.purged.Inc()
 }
 
 // sizeBytes reports the resident byte total (for the gauge).

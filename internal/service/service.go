@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -431,10 +432,15 @@ func (s *Service) run(ctx context.Context, t *target, req *Request, p planned,
 
 	// A panic on this goroutine — in enumeration, or in the caller's sink
 	// on a sequential run — is the request's error, not its connection's
-	// (the parallel workers recover their own: core.ErrInternal).
+	// (the parallel workers recover their own: core.ErrInternal). Either
+	// way the plan it ran on leaves the cache, so the next request for
+	// the key rebuilds it instead of re-entering the same state.
 	defer func() {
 		if r := recover(); r != nil {
 			err = s.recovered(t, 1, r)
+		}
+		if errors.Is(err, core.ErrInternal) {
+			s.forgetPlan(t, req, p.plan)
 		}
 	}()
 	timeLimit := req.TimeLimit
@@ -633,12 +639,7 @@ func (s *Service) planFor(ctx context.Context, t *target, req *Request) (*core.P
 		}
 		return plan, planBuilt, nil
 	}
-	key := planKey{
-		graph:   entry.name,
-		gen:     entry.gen,
-		queryFP: graph.FingerprintOf(q),
-		cfgHash: configHash(t.cfg),
-	}
+	key := planKeyOf(t, q)
 	if plan, ok := s.cache.get(key); ok {
 		return plan, planHit, nil
 	}
@@ -667,6 +668,25 @@ func (s *Service) planFor(ctx context.Context, t *target, req *Request) (*core.P
 	default:
 		return plan, planBuilt, nil
 	}
+}
+
+// planKeyOf is the plan-cache key of query q against its target.
+func planKeyOf(t *target, q *graph.Graph) planKey {
+	return planKey{
+		graph:   t.entry.name,
+		gen:     t.entry.gen,
+		queryFP: graph.FingerprintOf(q),
+		cfgHash: configHash(t.cfg),
+	}
+}
+
+// forgetPlan removes plan from the cache if it is still resident under
+// the request's key: a run on it failed with ErrInternal.
+func (s *Service) forgetPlan(t *target, req *Request, plan *core.Plan) {
+	if s.cache == nil || req.NoCache || plan == nil {
+		return
+	}
+	s.cache.remove(planKeyOf(t, req.Query), plan)
 }
 
 // recovered is the ErrInternal error a panic r recovered in a spine step

@@ -89,6 +89,43 @@ func TestSubmitContainsPanics(t *testing.T) {
 	}
 }
 
+// TestPanickingRunEvictsItsPlan: a run that panics on a cached plan —
+// in the sink on the request's goroutine at Parallel 1, on a worker at
+// Parallel 2 — takes the plan out of the cache, so the next request for
+// the key is a miss that rebuilds it, and every insert is still
+// accounted for exactly once.
+func TestPanickingRunEvictsItsPlan(t *testing.T) {
+	for _, parallel := range []int{1, 2} {
+		s, g := newTestService(t, Config{MaxInFlight: 2})
+		q := testutil.RandomConnectedQuery(rand.New(rand.NewSource(4)), g, 3)
+		req := Request{Graph: "main", Query: q, Algorithm: core.GraphQL, Parallel: parallel}
+		if _, err := s.Submit(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := s.Submit(context.Background(), req); err != nil || !resp.CacheHit {
+			t.Fatalf("parallel=%d: second request hit=%v err=%v, want a cache hit", parallel, resp != nil && resp.CacheHit, err)
+		}
+		req.OnRun = func([]uint32, graph.Vertex, []uint32) int { panic("sink failed") }
+		if _, err := s.Submit(context.Background(), req); !errors.Is(err, core.ErrInternal) {
+			t.Fatalf("parallel=%d: err = %v, want ErrInternal", parallel, err)
+		}
+		req.OnRun = nil
+		misses := s.Stats().Cache.Misses
+		resp, err := s.Submit(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats().Cache; resp.CacheHit || st.Misses != misses+1 {
+			t.Errorf("parallel=%d: request after the panic hit=%v, misses %d → %d: want a miss", parallel, resp.CacheHit, misses, st.Misses)
+		}
+		st, inserts := s.Stats().Cache, s.metrics.planBuilds.Value()
+		if inserts != 2 || uint64(st.Size)+st.Evictions+st.Purged != inserts {
+			t.Errorf("parallel=%d: size %d + evictions %d + purged %d, %d inserts: want 2 inserts, each accounted once",
+				parallel, st.Size, st.Evictions, st.Purged, inserts)
+		}
+	}
+}
+
 // TestExplainInvalidQueryCountedAndRecorded: a dry run that fails
 // validation moves smatch_request_errors_total and reaches the flight
 // recorder's error ring, as the same Submit would.
