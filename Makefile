@@ -37,7 +37,8 @@ race:
 # index (8 goroutines racing into one sync.Once). The core cap test
 # (TestParallelCapExactUnderContention) races 1–8 workers to a cap that
 # lands inside leaf runs, with and without a sink whose calls must never
-# overlap.
+# overlap; the donation stress (TestStressDonation) repeats 8-worker runs
+# whose running searches feed sleeping workers donated prefixes.
 race-stress:
 	$(GO) test -race -run 'Stress|CapExactUnderContention' -count 1 ./internal/graph ./internal/core ./internal/service ./internal/obs ./internal/obs/flight ./internal/store ./cmd/smatchd
 
@@ -54,9 +55,11 @@ race-stress:
 # (Decode of arbitrary bytes never panics, fails typed, or yields the
 # fingerprint-verified graph; valid snapshots round-trip exactly), and
 # profile rendering (Render/Chrome export never panic on arbitrary
-# span trees and always emit parseable output), and split estimation
-# (the cost model stays finite and forced recursive splits enumerate
-# exactly the sequential embedding multiset), and the NDJSON wire format
+# span trees and always emit parseable output), and donation (a search
+# that hands the rest of its shallowest open level to an idle worker,
+# whether each offer is taken or refused, enumerates with the tasks it
+# donated exactly the sequential embedding multiset, for every local
+# method, failing sets, adaptive order and VF2++), and the NDJSON wire format
 # (the delta line encoder reads, after every step of a sequence of
 # mappings, exactly what encoding/json writes; so does the stream after
 # every run through the run sink, whose lines past the first are spliced),
@@ -71,7 +74,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFilterSoundness -fuzztime 5s ./internal/filter
 	$(GO) test -run '^$$' -fuzz FuzzSemiPerfectClasses -fuzztime 5s ./internal/filter
 	$(GO) test -run '^$$' -fuzz FuzzNLFLabelRuns -fuzztime 5s ./internal/filter
-	$(GO) test -run '^$$' -fuzz FuzzSplitEstimates -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzDonation -fuzztime 5s ./internal/enumerate
 	$(GO) test -run '^$$' -fuzz FuzzIntersectKernels -fuzztime 5s ./internal/intersect
 	$(GO) test -run '^$$' -fuzz FuzzBatchGrouping -fuzztime 5s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 5s ./internal/store
@@ -126,10 +129,9 @@ bench-parallel:
 bench-preprocess:
 	$(GO) test -run '^$$' -bench 'BenchmarkPreprocess|BenchmarkNLFIndex' -benchmem -benchtime 5x .
 
-# The task-splitting measurement behind EXPERIMENTS.md's "Cost-model
-# splitting" section: the cost-model splitter (the only one) at 1/4/8
-# workers on the skew fixture, reporting proj-speedup and probe-nodes.
-# The section's static-* rows were last reproducible at commit 3ad1bc6.
+# The scheduler measurement behind EXPERIMENTS.md's "Donation" section:
+# the parallel runner at 1/2/4/8 workers on the skew fixture, reporting
+# proj-speedup and the tasks running searches donated.
 bench-sched:
 	$(GO) test -run '^$$' -bench BenchmarkSplitSkew -benchmem -benchtime 5x .
 

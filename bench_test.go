@@ -319,9 +319,8 @@ func getSkewFixture(b *testing.B) *skewFixture {
 		if err != nil {
 			panic(err)
 		}
-		// Query 2 of this set has 86 root candidates (under the depth-1
-		// split threshold at 4+ workers) with heavily skewed subtree
-		// costs; see EXPERIMENTS.md "Parallel scaling".
+		// Query 2 of this set has 86 root candidates with heavily skewed
+		// subtree costs; see EXPERIMENTS.md "Parallel scaling".
 		skew = skewFixture{g: g, q: qs[2]}
 	})
 	return &skew
@@ -461,24 +460,23 @@ func BenchmarkParallelSkew(b *testing.B) {
 	})
 }
 
-// BenchmarkSplitSkew measures the cost-model splitter on the skew
-// fixture at 1/4/8 workers. The headline metric is proj-speedup =
-// Σ nodes / max worker nodes (the makespan bound the task partition
-// admits on unconstrained cores); probe-nodes reports the splitter's own
-// expansion overhead so the balance gain can be weighed against what the
-// probes cost. `make bench-sched` runs this grid; see EXPERIMENTS.md
-// "Cost-model splitting" (its static-* rows are the expand-everything
-// baseline, last reproducible at commit 3ad1bc6).
+// BenchmarkSplitSkew measures donation on the skew fixture at 1/2/4/8
+// workers. The headline metric is proj-speedup = Σ nodes / max worker
+// nodes (the makespan bound the task partition admits on unconstrained
+// cores); donated reports the tasks running searches handed to idle
+// workers. `make bench-sched` runs this grid; see EXPERIMENTS.md
+// "Donation".
 func BenchmarkSplitSkew(b *testing.B) {
 	f := getSkewFixture(b)
 	cfg := core.Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect}
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("cost-%d", workers), func(b *testing.B) {
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("donate-%d", workers), func(b *testing.B) {
 			// Uncapped, like BenchmarkParallelSkew: an embedding cap
 			// stops the run as soon as one worker races ahead, which
 			// is exactly the imbalance the metric must observe.
 			limits := core.Limits{Parallel: workers}
-			var emb, probes uint64
+			var emb uint64
+			var donated int
 			var nodes []uint64
 			for i := 0; i < b.N; i++ {
 				res, err := core.Match(f.q, f.g, cfg, limits)
@@ -487,11 +485,11 @@ func BenchmarkSplitSkew(b *testing.B) {
 				}
 				emb, nodes = res.Embeddings, workerNodes(res)
 				if res.Split != nil {
-					probes = res.Split.Probes
+					donated = res.Split.SplitTasks
 				}
 			}
 			b.ReportMetric(float64(emb), "embeddings")
-			b.ReportMetric(float64(probes), "probe-nodes")
+			b.ReportMetric(float64(donated), "donated")
 			reportMakespan(b, nodes)
 		})
 	}

@@ -232,11 +232,7 @@ func run(ctx context.Context, queryPath, dataPath, algoName string, limit uint64
 	fmt.Println()
 	fmt.Printf("search nodes:  %d\n", res.Nodes)
 	if s := res.Split; s != nil {
-		fmt.Printf("split:         tasks=%d refined=%d probes=%d", s.Tasks, s.SplitTasks, s.Probes)
-		if s.PredictedNodes > 0 {
-			fmt.Printf(" predicted-nodes=%d", s.PredictedNodes)
-		}
-		fmt.Println()
+		fmt.Printf("split:         tasks=%d donated=%d\n", s.Tasks, s.SplitTasks)
 	}
 	fmt.Printf("preprocessing: %v (filter %v, build %v, order %v)\n",
 		res.PreprocessTime(), res.FilterTime, res.BuildTime, res.OrderTime)

@@ -232,10 +232,8 @@ type Result struct {
 	// unconstrained cores (the makespan bound), independent of how many
 	// CPUs this process actually got.
 	Workers []WorkerStats
-	// Split, set on parallel runs, reports how the scheduler built its
-	// task pool: pool shape, probe work (already folded into
-	// Nodes/Kernels), and the cost model's predicted node count —
-	// compare PredictedNodes against Nodes-Probes for model accuracy.
+	// Split, set on parallel runs, reports the scheduler's task pool:
+	// the root tasks and the ones running searches donated.
 	Split *SplitInfo
 	// Trace is the phase-span breakdown, set when Limits.Trace was on.
 	// For Match the root span is "match" with "preprocess" and
@@ -247,8 +245,8 @@ type Result struct {
 
 // WorkerStats is one parallel worker's scheduler tally.
 type WorkerStats struct {
-	// Tasks is the number of task units (root candidates or depth-1
-	// pairs) the worker executed.
+	// Tasks is the number of task units (root candidates or donated
+	// prefixes) the worker executed.
 	Tasks uint64
 	// Steals counts successful chunk steals; FailedSteals counts empty
 	// victims probed during steal sweeps. A high failed/successful
@@ -590,11 +588,7 @@ func enumerateSpan(start time.Time, res *Result) *obs.Span {
 		es.SetAttr("limit_hit", true)
 	}
 	if s := res.Split; s != nil {
-		es.SetAttr("split_tasks", uint64(s.Tasks)).
-			SetAttr("split_probes", s.Probes)
-		if s.PredictedNodes > 0 {
-			es.SetAttr("split_predicted_nodes", s.PredictedNodes)
-		}
+		es.SetAttr("split_tasks", uint64(s.Tasks))
 	}
 	for i, n := range res.Kernels {
 		if n != 0 {

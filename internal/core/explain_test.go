@@ -145,11 +145,6 @@ func TestExplainReconcilesAcrossPresetsAndWorkers(t *testing.T) {
 						wsum += nn
 					}
 				}
-				if res.Split != nil {
-					// Splitter probe expansions count toward Nodes but
-					// ran before any worker existed.
-					wsum += res.Split.Probes
-				}
 				if wsum != res.Nodes {
 					t.Errorf("%v/w%d: worker heat sum %d != nodes %d", a, workers, wsum, res.Nodes)
 				}

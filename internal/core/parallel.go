@@ -12,13 +12,15 @@ import (
 // Parallel enumeration. Each worker owns one reusable enumerate.Engine
 // over the shared (read-only) candidate sets and auxiliary structure, so
 // per-task scratch is allocated once per worker, not per subtree. The
-// search space is divided into task units — pinned prefixes: root
-// candidates, or longer ones where the cost model refined them because
-// the root's candidate list is short for the worker count — dealt
-// round-robin into per-worker deques and rebalanced by work stealing, so
-// wall-clock time tracks total work instead of the heaviest static
-// partition: on power-law data graphs one root candidate can own orders
-// of magnitude more search tree than the rest.
+// search space starts as one task per root candidate, dealt round-robin
+// into per-worker deques and rebalanced by work stealing. No task size
+// is guessed up front: on power-law data graphs one root candidate can
+// own orders of magnitude more search tree than the rest, and which one
+// shows only at run time. So a worker that finds every deque empty
+// sleeps, and while any does, the running searches donate the untried
+// candidates of their shallowest open level as prefix tasks
+// (enumerate.Donor) — the heavy subtree is split while it runs, as
+// often as idle workers need.
 //
 // The embedding cap is enforced with a shared CAS loop: a worker
 // reserves a sequence number only while the count is below the cap, so
@@ -42,10 +44,10 @@ const cappedCountRun = 3
 
 // matchParallel runs the enumeration step across limits.Parallel
 // goroutines. opts is the run's engine configuration as MatchPlan built
-// it from (plan, limits); the worker and probe engines are made from it
-// with the cap, deadline, cancel flag and sink swapped for their shared
-// forms. The hooks below read the cap and the caller's sink (limits.OnRun
-// — MatchPlan has resolved OnMatch into it) from limits, captured whole
+// it from (plan, limits); the worker engines are made from it with the
+// cap, deadline, cancel flag and sink swapped for their shared forms.
+// The hooks below read the cap and the caller's sink (limits.OnRun —
+// MatchPlan has resolved OnMatch into it) from limits, captured whole
 // as they always were: the cap counter's cache line is contended on
 // every embedding and enum-heavy read 3 % slower with the two values
 // copied into locals (EXPERIMENTS.md "One parallel runner").
@@ -142,10 +144,9 @@ func matchParallel(plan *Plan, opts enumerate.Options, limits Limits, res *Resul
 		return n
 	}
 
-	// The deadline is armed before any search work — including the
-	// splitter's probe expansions — and is one for the whole run, set on
-	// each engine, not a per-task TimeLimit; the cap is the shared one
-	// above, not a per-engine MaxEmbeddings.
+	// The deadline is one for the whole run, set on each engine, not a
+	// per-task TimeLimit; the cap is the shared one above, not a
+	// per-engine MaxEmbeddings.
 	start := time.Now()
 	var deadline time.Time
 	if opts.TimeLimit > 0 {
@@ -160,44 +161,50 @@ func matchParallel(plan *Plan, opts enumerate.Options, limits Limits, res *Resul
 			opts.MaxRun = cappedCountRun
 		}
 	}
-	newEngine := func(o enumerate.Options) (*enumerate.Engine, error) {
-		eng, err := enumerate.NewEngine(plan.Query, plan.Data, plan.Cand, plan.Space, plan.Order, o)
-		if err != nil {
-			return nil, err
-		}
-		eng.SetDeadline(deadline)
-		return eng, nil
+
+	roots := plan.Cand[plan.Order[0]]
+	tasks := make([]enumTask, len(roots))
+	for i := range roots {
+		tasks[i] = roots[i : i+1 : i+1]
+	}
+	res.Split = &SplitInfo{Tasks: len(tasks), MaxPrefix: 1}
+	// A run stopped before it starts does no search: the engines poll
+	// the flag and the clock only every few thousand nodes.
+	if stop.Load() {
+		return nil
+	}
+	if !deadline.IsZero() && time.Now().After(deadline) {
+		res.TimedOut = true
+		return nil
 	}
 
-	tasks, err := buildTaskPool(plan, opts, newEngine, workers, res)
-	if err != nil {
-		return err
-	}
-	workers = max(1, min(workers, len(tasks)))
-
+	p := newPool(tasks, workers)
+	// Per-worker tallies. Each goroutine accumulates into its own slice
+	// elements — its engine's Give runs on it too — and they are read
+	// after the join: no shared atomics on the task loop.
+	res.Workers = make([]WorkerStats, workers)
+	donated := make([]int, workers)
+	deepest := make([]int, workers)
 	engines := make([]*enumerate.Engine, workers)
 	for w := range engines {
-		if engines[w], err = newEngine(opts); err != nil {
+		o := opts
+		o.Donor = &enumerate.Donor{Idle: &p.idle, Give: func(prefix, rest []uint32) bool {
+			if !p.deques[w].donate(prefix, rest) {
+				return false
+			}
+			p.arrived()
+			donated[w] += len(rest)
+			deepest[w] = max(deepest[w], len(prefix)+1)
+			return true
+		}}
+		eng, err := enumerate.NewEngine(plan.Query, plan.Data, plan.Cand, plan.Space, plan.Order, o)
+		if err != nil {
 			return err
 		}
+		eng.SetDeadline(deadline)
+		engines[w] = eng
 	}
 
-	// Per-worker scheduler tallies. Each goroutine accumulates into
-	// locals and writes its own slice element once before exiting — no
-	// shared atomics on the task loop.
-	res.Workers = make([]WorkerStats, workers)
-
-	// Tasks are dealt round-robin so heavy neighbors spread out, then
-	// idle workers rebalance by stealing half of a victim's remaining
-	// deque.
-	deques := make([]*taskDeque, workers)
-	for w := range deques {
-		deques[w] = &taskDeque{tasks: make([]enumTask, 0, len(tasks)/workers+1)}
-	}
-	for i, t := range tasks {
-		d := deques[i%workers]
-		d.tasks = append(d.tasks, t)
-	}
 	// A panic in a worker — in the engine or in the caller's sink — would
 	// kill the process from a goroutine no caller can recover on. The
 	// worker recovers it and stops the others; the run returns the first
@@ -211,11 +218,12 @@ func matchParallel(plan *Plan, opts enumerate.Options, limits Limits, res *Resul
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			eng, self := engines[w], deques[w]
+			eng, self := engines[w], p.deques[w]
 			var tasks, steals, failed uint64
 			defer func() {
 				res.Workers[w] = WorkerStats{Tasks: tasks, Steals: steals, FailedSteals: failed}
 			}()
+			defer p.leave()
 			defer func() {
 				if r := recover(); r != nil {
 					panicOnce.Do(func() { panicErr = recovered(r) })
@@ -232,12 +240,14 @@ func matchParallel(plan *Plan, opts enumerate.Options, limits Limits, res *Resul
 				}
 				t, ok := self.pop()
 				if !ok {
-					stolen, probes := stealInto(self, deques, w)
+					seen := p.seen()
+					stolen, probes := p.steal(w)
 					failed += uint64(probes)
-					if !stolen {
+					if stolen {
+						steals++
+					} else if !p.park(seen, stop) {
 						return
 					}
-					steals++
 					continue
 				}
 				tasks++
@@ -251,13 +261,16 @@ func matchParallel(plan *Plan, opts enumerate.Options, limits Limits, res *Resul
 	if panicErr != nil {
 		return panicErr
 	}
+	for w := range donated {
+		res.Split.Tasks += donated[w]
+		res.Split.SplitTasks += donated[w]
+		res.Split.MaxPrefix = max(res.Split.MaxPrefix, deepest[w])
+	}
 
 	if opts.Profile {
 		res.Profile = enumerate.NewSearchProfile(plan.Query.NumVertices())
 		res.WorkerProfiles = make([]*enumerate.SearchProfile, workers)
 	}
-	// buildTaskPool already folded the probe's nodes, kernels and timeout
-	// into res; the workers' add to them.
 	var localEmb uint64
 	for w, eng := range engines {
 		st := eng.Stats()

@@ -66,9 +66,9 @@ func TestParallelEquivalenceAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestParallelForcedDepthOneSplit drives the fine-grained (root, second)
-// task path: at most 50 data vertices against 4×32 puts every trial in
-// the split regime.
+// TestParallelForcedDepthOneSplit: small fixtures at 4 workers, where
+// the root tasks run out early and the running searches donate finer
+// ones, count what the sequential run counts.
 func TestParallelForcedDepthOneSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 6; trial++ {

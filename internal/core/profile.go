@@ -33,13 +33,9 @@ type Profile struct {
 	// Adaptive marks runs with no static order.
 	Adaptive bool `json:"adaptive,omitempty"`
 	// Heat is the per-depth enumeration heat table (nil on dry runs).
-	// Parallel runs that probed the search space while splitting tasks
-	// carry the probe work as a leading row with Depth == -1, so the
-	// table's node and kernel sums still reconcile with the totals.
 	Heat []DepthHeat `json:"heat,omitempty"`
-	// Split reports the parallel scheduler's task-splitting: pool shape,
-	// probe cost, and the cost model's node prediction next to the
-	// measured count (nil on sequential runs).
+	// Split reports the parallel scheduler's task pool: root tasks and
+	// the ones running searches donated (nil on sequential runs).
 	Split *SplitProfile `json:"split,omitempty"`
 	// Workers attributes search nodes per depth to each parallel worker
 	// (nil on sequential runs).
@@ -103,18 +99,11 @@ type WorkerHeat struct {
 }
 
 // SplitProfile is the EXPLAIN view of the parallel scheduler's task
-// splitting — Result.Split with the prediction comparison made explicit.
-// MeasuredNodes is the enumeration node count the workers actually
-// expanded (the run's Nodes total minus the probe row), the number
-// PredictedNodes claims to forecast.
+// pool, Result.Split's shape fields.
 type SplitProfile struct {
-	Tasks           int    `json:"tasks"`
-	SplitTasks      int    `json:"split_tasks"`
-	MaxPrefix       int    `json:"max_prefix"`
-	Probes          uint64 `json:"probes"`
-	ProbeCandidates uint64 `json:"probe_candidates"`
-	PredictedNodes  uint64 `json:"predicted_nodes,omitempty"`
-	MeasuredNodes   uint64 `json:"measured_nodes"`
+	Tasks      int `json:"tasks"`
+	SplitTasks int `json:"split_tasks"`
+	MaxPrefix  int `json:"max_prefix"`
 }
 
 // ExplainPlan builds the dry-run EXPLAIN for a plan: filter-stage
@@ -166,27 +155,7 @@ func explainResult(plan *Plan, res *Result) *Profile {
 	p.Nodes = res.Nodes
 	p.Kernels = res.Kernels.Map()
 	if s := res.Split; s != nil {
-		p.Split = &SplitProfile{
-			Tasks:           s.Tasks,
-			SplitTasks:      s.SplitTasks,
-			MaxPrefix:       s.MaxPrefix,
-			Probes:          s.Probes,
-			ProbeCandidates: s.ProbeCandidates,
-			PredictedNodes:  s.PredictedNodes,
-			MeasuredNodes:   res.Nodes - s.Probes,
-		}
-		if s.Probes > 0 {
-			// The probe row keeps sum(Heat.Nodes) == Nodes and the heat
-			// kernel sums == Kernels exact: probe work is in the totals,
-			// so the table must carry it too.
-			p.Heat = append(p.Heat, DepthHeat{
-				Depth:      -1,
-				Vertex:     -1,
-				Nodes:      s.Probes,
-				Candidates: s.ProbeCandidates,
-				Kernels:    s.ProbeKernels.Map(),
-			})
-		}
+		p.Split = &SplitProfile{Tasks: s.Tasks, SplitTasks: s.SplitTasks, MaxPrefix: s.MaxPrefix}
 	}
 	if prof := res.Profile; prof != nil {
 		n := prof.MaxDepth()
@@ -259,28 +228,14 @@ func (p *Profile) Render(w io.Writer) {
 			if h.Vertex >= 0 {
 				v = fmt.Sprintf("u%d", h.Vertex)
 			}
-			d := fmt.Sprintf("%d", h.Depth)
-			if h.Depth < 0 {
-				d = "probe"
-			}
-			fmt.Fprintf(w, "  %5s %6s %12d %12d %12d %10d %8d %8d %8d  %s\n",
-				d, v, h.Nodes, h.Candidates, h.Extended,
+			fmt.Fprintf(w, "  %5d %6s %12d %12d %12d %10d %8d %8d %8d  %s\n",
+				h.Depth, v, h.Nodes, h.Candidates, h.Extended,
 				h.Conflicts, h.EmptyLC, h.SymmetrySkips, h.FailingSetSkips,
 				kernelMix(h.Kernels))
 		}
 	}
 	if s := p.Split; s != nil {
-		fmt.Fprintf(w, "split: tasks=%d split=%d max-prefix=%d probes=%d",
-			s.Tasks, s.SplitTasks, s.MaxPrefix, s.Probes)
-		if s.PredictedNodes > 0 && s.MeasuredNodes > 0 {
-			fmt.Fprintf(w, " predicted-nodes=%d measured-nodes=%d (x%.2f)",
-				s.PredictedNodes, s.MeasuredNodes,
-				float64(s.PredictedNodes)/float64(s.MeasuredNodes))
-		} else if s.PredictedNodes > 0 {
-			fmt.Fprintf(w, " predicted-nodes=%d measured-nodes=%d",
-				s.PredictedNodes, s.MeasuredNodes)
-		}
-		fmt.Fprintf(w, "\n")
+		fmt.Fprintf(w, "split: tasks=%d donated=%d max-prefix=%d\n", s.Tasks, s.SplitTasks, s.MaxPrefix)
 	}
 	if len(p.Workers) > 0 {
 		fmt.Fprintf(w, "workers:\n")

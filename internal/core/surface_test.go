@@ -15,8 +15,8 @@ import (
 // serving layer. Each layer has one entry point per job, and the trace
 // and the method parameters are arguments of that entry point — a new
 // RunXParallelStatsTraced must show up here as a reviewed
-// line; so must a second way to pin a task (RunPrefix and ExpandPrefix
-// take a prefix of any length, under static and adaptive orders alike),
+// line; so must a second way to pin a task (RunPrefix takes a prefix of
+// any length, under static and adaptive orders alike),
 // a scheduler or split policy to parse (there is one parallel runner),
 // and a fourth way to run a request (Submit, SubmitBatch and Explain are
 // one spine; Stream and the Batcher forward to the first two).
@@ -55,8 +55,8 @@ var layerSurface = map[string][]string{
 		"Methods", "ParseMethod", "Random", "Validate",
 	},
 	"../enumerate": {
-		"Engine.ExpandPrefix", "Engine.ResetStats", "Engine.Run", "Engine.RunPrefix",
-		"Engine.SetDeadline", "Engine.Stats", "Engine.Stopped", "LocalCandidates.String",
+		"Engine.ResetStats", "Engine.Run", "Engine.RunPrefix",
+		"Engine.SetDeadline", "Engine.Stats", "LocalCandidates.String",
 		"NewEngine", "NewSearchProfile", "Run", "SearchProfile.BranchingSummary",
 		"SearchProfile.MaxDepth", "SearchProfile.Merge", "SearchProfile.Render",
 		"SearchProfile.TotalNodes", "Stats.Solved",

@@ -22,7 +22,7 @@ type adaptiveState struct {
 	pool        []graph.Vertex   // currently extendable vertices
 	lcOf        [][]uint32       // local candidates (positions in C(u)), computed at activation
 	weightOf    []float64        // selection weight, computed at activation
-	pinned      []graph.Vertex   // per prefix position: the vertex pin selected
+	at          []graph.Vertex   // per depth on the current path: the vertex pinned or selected there
 }
 
 func (e *engine) initAdaptive() {
@@ -33,7 +33,7 @@ func (e *engine) initAdaptive() {
 	a.parentsLeft = make([]int, n)
 	a.lcOf = make([][]uint32, n)
 	a.weightOf = make([]float64, n)
-	a.pinned = make([]graph.Vertex, n)
+	a.at = make([]graph.Vertex, n)
 	for u := 0; u < n; u++ {
 		uu := graph.Vertex(u)
 		for _, un := range e.q.Neighbors(uu) {
@@ -128,19 +128,6 @@ func (e *engine) selectExtendable() graph.Vertex {
 	return u
 }
 
-// peekExtendable returns the vertex selectExtendable maps next and its
-// local candidates, leaving the pool as it was (no candidates when
-// nothing is extendable).
-func (e *engine) peekExtendable() (graph.Vertex, []uint32) {
-	a := &e.adaptive
-	if len(a.pool) == 0 {
-		return e.phi[0], nil
-	}
-	u := e.selectExtendable()
-	a.pool = append(a.pool, u)
-	return u, a.lcOf[u]
-}
-
 func (e *engine) runAdaptive() {
 	root := e.phi[0]
 	a := &e.adaptive
@@ -153,7 +140,8 @@ func (e *engine) runAdaptive() {
 
 // adaptiveRec is the adaptive-order recursion; failing-set masks are
 // maintained throughout and acted upon only when the optimization is
-// enabled.
+// enabled, which also spares the plain search the owner scan on a
+// conflict, as in runFS.
 func (e *engine) adaptiveRec(depth int) bitset.Mask64 {
 	if !e.enterNode() {
 		return e.fullMask
@@ -186,12 +174,22 @@ func (e *engine) adaptiveRec(depth int) bitset.Mask64 {
 		return nodeMask(accum, u, a.bwdDelta[u])
 	}
 	ids := e.ids[u]
+	if d := e.opts.Donor; d != nil {
+		a.at[depth] = u
+		e.levels[depth] = lc
+		if d.Idle.Load() > 0 {
+			e.donate(depth)
+			lc = e.levels[depth]
+		}
+	}
 	var accum bitset.Mask64
 	for _, x := range lc {
 		v := ids[x] // adaptive mode intersects: local candidates are positions
 		var child bitset.Mask64
 		if e.visited[v] {
-			child = bitset.Mask64(0).With(uint32(u)).With(uint32(e.ownerOf(v)))
+			if e.opts.FailingSets {
+				child = bitset.Mask64(0).With(uint32(u)).With(uint32(e.ownerOf(v)))
+			}
 			if e.prof != nil {
 				e.prof.Conflicts[depth]++
 			}
@@ -221,6 +219,11 @@ func (e *engine) adaptiveRec(depth int) bitset.Mask64 {
 			if e.aborted {
 				a.pool = append(a.pool, u)
 				return e.fullMask
+			}
+			if e.cuts > 0 && len(e.levels[depth]) < len(lc) {
+				e.cuts-- // the rest of the level was donated
+				a.pool = append(a.pool, u)
+				return nodeMask(accum.Union(child), u, a.bwdDelta[u])
 			}
 		}
 		if e.opts.FailingSets && child != e.fullMask && !child.Has(uint32(u)) {

@@ -42,7 +42,7 @@ func Run(q, g *graph.Graph, cand [][]uint32, space *candspace.Space, phi []graph
 // the partial embedding, visited marks, per-depth local-candidate
 // buffers, intersection intermediates, failing-set masks — is allocated
 // once at construction and re-seeded on each run, so repeated runs and
-// per-task calls (RunPrefix, ExpandPrefix) allocate nothing.
+// per-task calls (RunPrefix) allocate nothing.
 //
 // An Engine is not safe for concurrent use; parallel callers hold one
 // engine per worker over shared read-only inputs.
@@ -87,6 +87,7 @@ func NewEngine(q, g *graph.Graph, cand [][]uint32, space *candspace.Space, phi [
 		mapped:    make([]bool, n),
 		visited:   make([]bool, g.NumVertices()),
 		lcBuf:     make([][]uint32, n),
+		levels:    make([][]uint32, n),
 		fullMask:  bitset.Mask64All(n),
 	}}
 	e := &E.engine
@@ -129,6 +130,7 @@ func (E *Engine) Run() *Stats {
 	if e.opts.TimeLimit > 0 {
 		e.deadline = start.Add(e.opts.TimeLimit)
 	}
+	e.first = 0
 	if e.opts.Adaptive {
 		e.runAdaptive()
 	} else {
@@ -150,6 +152,7 @@ func (e *engine) resetRun() {
 		e.stats.Profile = prof
 	}
 	e.aborted = false
+	e.cuts = 0
 	e.clockTicker = 0
 	e.deadline = time.Time{}
 	e.sel.ResetStats()
@@ -168,12 +171,6 @@ func (E *Engine) Stats() *Stats {
 	return &E.engine.stats
 }
 
-// Stopped reports whether the engine has aborted — cancellation,
-// deadline, a sink that declined, or the embedding cap. Schedulers
-// probing through ExpandPrefix check it to tell an empty expansion from
-// a halted one.
-func (E *Engine) Stopped() bool { return E.engine.aborted }
-
 // ResetStats clears the cumulative statistics and the abort flag without
 // touching the armed deadline. Schedulers call it once per worker before
 // the task loop.
@@ -185,10 +182,6 @@ func (E *Engine) ResetStats() {
 
 // pollHalt polls the cancellation flag and deadline once. The search
 // calls it when clockTicker comes round (enterNode, leafLevel).
-// ExpandPrefix expands no search nodes, so the ticker never fires for
-// it; each probe call polls directly instead — a degenerate root
-// expansion must respond to ctx cancellation and Limits.TimeLimit like
-// any other search work.
 func (e *engine) pollHalt() bool {
 	if e.aborted {
 		return true
@@ -208,15 +201,16 @@ func (e *engine) pollHalt() bool {
 // pin maps position i of a pinned prefix to the data vertex v. The
 // query vertex at position i is phi[i] under a static order; under
 // DP-iso's runtime order it is the vertex selectExtendable picks once
-// prefix[:i] is mapped — a function of the prefix alone, so a probe and
-// the task it produced re-derive the same vertex. A pinned position is
+// prefix[:i] is mapped — a function of the prefix alone, so a donor and
+// the task it donated re-derive the same vertex. A pinned position is
 // not a search node: nothing is counted except, when profiling, the
 // kernels its activation ran (attributed to depth i, as adaptiveRec
 // does). pin reports false, leaving the engine as it found it, when v
-// conflicts with an earlier position or breaks the symmetry order —
-// ExpandPrefix filters the former, so only a caller fabricating prefixes
-// sees it, or a v that is not a candidate of the vertex. Finding v's
-// position in C(u) is the one binary search a pinned position costs.
+// conflicts with an earlier position or breaks the symmetry order — a
+// donated candidate is not checked against the prefix, so the search
+// skips such a task here as it would have skipped the candidate — or
+// when v is not a candidate of the vertex. Finding v's position in C(u)
+// is the one binary search a pinned position costs.
 func (e *engine) pin(i int, v uint32) bool {
 	u := e.phi[i]
 	a := &e.adaptive
@@ -245,7 +239,7 @@ func (e *engine) pin(i int, v uint32) bool {
 	}
 	e.assign(u, x, v)
 	if e.opts.Adaptive {
-		a.pinned[i] = u
+		a.at[i] = u
 		var kpre intersect.KernelStats
 		if e.prof != nil {
 			kpre = e.sel.Stats()
@@ -263,7 +257,7 @@ func (e *engine) unpin(i int, v uint32) {
 	u := e.phi[i]
 	if e.opts.Adaptive {
 		a := &e.adaptive
-		u = a.pinned[i]
+		u = a.at[i]
 		e.deactivate(u)
 		a.pool = append(a.pool, u)
 	}
@@ -287,47 +281,6 @@ func (e *engine) unpinPrefix(prefix []uint32) {
 	}
 }
 
-// ExpandPrefix is the task-splitting probe: with the search's first
-// len(prefix) positions mapped to prefix (see pin for which query vertex
-// a position is), it appends to dst the local candidates of the next
-// position, those conflicting with the prefix already filtered out —
-// the children a scheduler pins to split one heavy task into finer
-// RunPrefix units. A conflicting prefix, or one that leaves no next
-// position, yields nothing; once cancelled or past the deadline
-// ExpandPrefix returns dst unchanged immediately.
-func (E *Engine) ExpandPrefix(prefix, dst []uint32) []uint32 {
-	e := &E.engine
-	L := len(prefix)
-	if L == 0 || L >= e.q.NumVertices() || e.pollHalt() {
-		return dst
-	}
-	k := e.pinPrefix(prefix)
-	if k == L {
-		var (
-			u  graph.Vertex
-			lc []uint32
-		)
-		if e.opts.Adaptive {
-			u, lc = e.peekExtendable()
-		} else {
-			u = e.phi[L]
-			lc = e.computeLC(L, u)
-		}
-		ids := e.ids[u]
-		for _, x := range lc {
-			w := x
-			if ids != nil {
-				w = ids[x]
-			}
-			if !e.visited[w] {
-				dst = append(dst, w)
-			}
-		}
-	}
-	e.unpinPrefix(prefix[:k])
-	return dst
-}
-
 // RunPrefix enumerates the search subtree below a pinned prefix — one
 // scheduler task unit, at any length from a root candidate to the whole
 // embedding. Results accumulate into Stats; the pinned positions are not
@@ -345,6 +298,7 @@ func (E *Engine) RunPrefix(prefix []uint32) bool {
 	}
 	k := e.pinPrefix(prefix)
 	if k == L {
+		e.first = L
 		if e.opts.Adaptive {
 			e.adaptiveRec(L)
 		} else {
@@ -402,6 +356,19 @@ type engine struct {
 	setsBuf  [][]uint32            // transient argument buffer for Selector.Many
 	viewsBuf []intersect.BlockView // transient block views paralleling setsBuf
 	useViews bool                  // the block policy over a space with a block layout
+
+	// Under a Donor, levels holds per interior depth on the current path
+	// the local candidates the node there iterates — cut by donate to
+	// what the node keeps once the rest went to another worker. cuts
+	// counts the cut levels above the current node whose nodes have not
+	// yet seen it, so a run that never donates tests one integer per
+	// child. first is the running task's first free depth: the shallowest
+	// level donate may cut.
+	levels    [][]uint32
+	cuts      int
+	first     int
+	donPrefix []uint32 // donate's scratch arguments to Donor.Give
+	donRest   []uint32
 
 	deadline    time.Time
 	clockTicker int
@@ -645,6 +612,13 @@ func (e *engine) runFS(depth int) bitset.Mask64 {
 	}
 	fs := e.opts.FailingSets
 	ids := e.ids[u]
+	if d := e.opts.Donor; d != nil {
+		e.levels[depth] = lc
+		if d.Idle.Load() > 0 {
+			e.donate(depth)
+			lc = e.levels[depth]
+		}
+	}
 	var accum bitset.Mask64
 	for _, x := range lc {
 		v := x
@@ -678,6 +652,12 @@ func (e *engine) runFS(depth int) bitset.Mask64 {
 			if e.aborted {
 				return e.fullMask
 			}
+			if e.cuts > 0 && len(e.levels[depth]) < len(lc) {
+				// The rest of the level was donated (see donate for why
+				// the partial mask is sound).
+				e.cuts--
+				return nodeMask(accum.Union(child), u, e.bwd[depth])
+			}
 		}
 		if fs && child != e.fullMask && !child.Has(uint32(u)) {
 			// The failure below does not involve u: every sibling
@@ -700,6 +680,59 @@ func (e *engine) runFS(depth int) bitset.Mask64 {
 	// failing set therefore always includes u and its backward
 	// neighbors. (A full accum — match found — stays full.)
 	return nodeMask(accum, u, e.bwd[depth])
+}
+
+// donate offers the unexplored candidates of the shallowest open level —
+// from the task's first free depth down to depth, the current node,
+// which keeps its first candidate — to the Donor, and cuts the level at
+// what it keeps if Give takes them. A level above depth is open while
+// its mapped candidate is not its last; the engine keeps no cursor, so
+// the candidate's place is a binary search of candIdx in the level's
+// ascending local candidates.
+//
+// The cut level's node returns the failing set of the children it
+// explored, which prunes nothing: every level above it was on its last
+// candidate when it was cut, so no ancestor has a sibling left to skip,
+// and RunPrefix discards the mask at the top.
+func (e *engine) donate(depth int) {
+	for k := e.first; k <= depth; k++ {
+		lc, u := e.levels[k], e.vertexAt(k)
+		keep := 1
+		if k < depth {
+			i, _ := slices.BinarySearch(lc, uint32(e.candIdx[u]))
+			keep = i + 1
+		}
+		if keep >= len(lc) {
+			continue
+		}
+		prefix, rest := e.donPrefix[:0], e.donRest[:0]
+		for i := 0; i < k; i++ {
+			prefix = append(prefix, e.embedding[e.vertexAt(i)])
+		}
+		ids := e.ids[u]
+		for _, x := range lc[keep:] {
+			if ids != nil {
+				x = ids[x]
+			}
+			rest = append(rest, x)
+		}
+		e.donPrefix, e.donRest = prefix, rest
+		if e.opts.Donor.Give(prefix, rest) {
+			e.levels[k] = lc[:keep]
+			if k < depth {
+				e.cuts++ // the node at depth iterates what it keeps already
+			}
+		}
+		return
+	}
+}
+
+// vertexAt is the query vertex mapped at depth on the current path.
+func (e *engine) vertexAt(depth int) graph.Vertex {
+	if e.opts.Adaptive {
+		return e.adaptive.at[depth]
+	}
+	return e.phi[depth]
 }
 
 // nodeMask adds u and its backward neighbors to a node's failing set.

@@ -2,6 +2,7 @@ package enumerate
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"subgraphmatching/internal/filter"
@@ -97,7 +98,7 @@ func TestEngineRootPairPartitionsTheSearch(t *testing.T) {
 			}
 			var buf []uint32
 			for _, v := range f.cand[f.phi[0]] {
-				buf = e.ExpandPrefix([]uint32{v}, buf[:0])
+				buf = children(e, []uint32{v}, buf[:0])
 				for _, w := range buf {
 					if !e.RunPrefix([]uint32{v, w}) {
 						t.Fatalf("RunPrefix(%d,%d) stopped unexpectedly", v, w)
@@ -143,7 +144,8 @@ func TestEngineRunRootAccumulatesAcrossTasks(t *testing.T) {
 
 // TestEngineSteadyStateAllocationFree is the zero-alloc contract behind
 // the engine-reuse API: once buffers are warm, a full enumeration run
-// performs no heap allocations, and neither do the task entries.
+// performs no heap allocations, and neither do the task entries nor a
+// search that donates.
 func TestEngineSteadyStateAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := testutil.RandomGraph(rng, 60, 240, 2)
@@ -164,15 +166,15 @@ func TestEngineSteadyStateAllocationFree(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, func() { e.Run() }); allocs > 0 {
 			t.Errorf("opts %+v: %.1f allocs per warmed run, want 0", opts, allocs)
 		}
-		// The task entries — what a scheduler worker and its splitter
-		// call per task — pin and probe out of the same buffers.
+		// The task entry — what a scheduler worker calls per task — pins
+		// out of the same buffers, at any prefix length.
 		pair := make([]uint32, 2)
-		var children []uint32
+		var kids []uint32
 		tasks := func() {
 			for i := range roots {
 				e.RunPrefix(roots[i : i+1])
-				children = e.ExpandPrefix(roots[i:i+1], children[:0])
-				for _, w := range children {
+				kids = children(e, roots[i:i+1], kids[:0])
+				for _, w := range kids {
 					pair[0], pair[1] = roots[i], w
 					e.RunPrefix(pair)
 				}
@@ -181,6 +183,32 @@ func TestEngineSteadyStateAllocationFree(t *testing.T) {
 		tasks()
 		if allocs := testing.AllocsPerRun(20, tasks); allocs > 0 {
 			t.Errorf("opts %+v: %.1f allocs per warmed pass over the task entries, want 0", opts, allocs)
+		}
+
+		// A search with an idle worker to feed offers work at every
+		// interior node; donate builds Give's arguments in engine scratch.
+		var idle atomic.Int32
+		idle.Store(1)
+		calls := 0
+		opts.Donor = &Donor{Idle: &idle, Give: func(_, _ []uint32) bool {
+			calls++
+			return calls%2 == 0
+		}}
+		d, err := NewEngine(f.q, f.g, f.cand, f.space, f.phi, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		donating := func() {
+			for i := range roots {
+				d.RunPrefix(roots[i : i+1])
+			}
+		}
+		donating()
+		if calls == 0 {
+			t.Fatalf("opts %+v: the search never offered work", opts)
+		}
+		if allocs := testing.AllocsPerRun(20, donating); allocs > 0 {
+			t.Errorf("opts %+v: %.1f allocs per warmed donating pass, want 0", opts, allocs)
 		}
 	}
 }

@@ -293,7 +293,7 @@ func TestLeafLevelEntryPoints(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				// As in the scheduler, probing is a second engine's work.
+				// Listing a prefix's children is a second engine's work.
 				probe, err := NewEngine(f.q, f.g, f.cand, f.space, f.phi, c.opts)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -348,15 +348,15 @@ func TestLeafLevelEntryPoints(t *testing.T) {
 							e.RunPrefix(prefix)
 							return
 						}
-						for _, w := range probe.ExpandPrefix(prefix, nil) {
+						for _, w := range children(probe, prefix, nil) {
 							expand(append(prefix[:len(prefix):len(prefix)], w))
 						}
 					}
 					for _, r := range roots {
 						expand([]uint32{r})
 					}
-					// ExpandPrefix does not order its children by the symmetry
-					// classes; pinning rejects the out-of-order prefixes.
+					// children does not order by the symmetry classes;
+					// pinning rejects the out-of-order prefixes.
 					check(fmt.Sprintf("RunPrefix(len %d)", L))
 				}
 			}

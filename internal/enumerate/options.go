@@ -119,6 +119,24 @@ type Options struct {
 	// Profile collects per-depth search statistics into Stats.Profile.
 	// Adds a small constant overhead per node.
 	Profile bool
+
+	// Donor, when non-nil, lets a parallel scheduler split the running
+	// search to feed its idle workers (see Donor). Nil on sequential runs.
+	Donor *Donor
+}
+
+// Donor is how a running search hands work to idle workers. While *Idle
+// is positive, each interior search node offers Give the unexplored
+// candidates of the shallowest open level of the search — below the
+// positions the task pinned, down to the node itself, which keeps its
+// first candidate: prefix is the data vertices mapped above that level
+// in position order, rest the level's remaining candidates as data
+// vertices. Both slices are the engine's and valid only during the call.
+// If Give reports true the engine leaves rest to whoever runs the
+// prefixes prefix+c; if false it carries on as if it had not asked.
+type Donor struct {
+	Idle *atomic.Int32
+	Give func(prefix, rest []uint32) bool
 }
 
 // Stats reports the outcome of an enumeration run.

@@ -37,14 +37,10 @@ type serviceMetrics struct {
 
 	kernels *obs.CounterVec // service-wide intersection-kernel mix
 
-	// Scheduler splitting: task/split/probe volumes across parallel
-	// requests, plus the cost model's predicted-over-measured node ratio
-	// so a drifting estimator shows up on a dashboard before it shows up
-	// as load imbalance.
+	// Scheduler task volumes across parallel requests: every task, and
+	// the ones running searches donated to idle workers.
 	splitTasks      *obs.Counter
 	splitSplitTasks *obs.Counter
-	splitProbes     *obs.Counter
-	splitAccuracy   *obs.Histogram
 
 	admissionWait *obs.Histogram
 	depthNodes    *obs.Histogram // per-depth search-node counts of profiled requests
@@ -81,11 +77,6 @@ var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 // single node up to the hundred-million range deep recursion reaches on
 // dense graphs.
 var depthNodesBuckets = []float64{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
-
-// splitAccuracyBuckets cover the predicted/measured node ratio: 1.0 is a
-// perfect cost model, the decades either side catch systematic under-
-// and over-estimation.
-var splitAccuracyBuckets = []float64{0.01, 0.1, 0.25, 0.5, 0.75, 1, 1.5, 2, 4, 10, 100}
 
 // newServiceMetrics registers the service's metric families. The gauge
 // functions close over the service's live structures, so a scrape always
@@ -124,12 +115,7 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 		splitTasks: r.Counter("smatch_split_tasks_total",
 			"Enumeration tasks scheduled across parallel requests."),
 		splitSplitTasks: r.Counter("smatch_split_refined_tasks_total",
-			"Tasks pinned below depth 1 by the recursive splitter."),
-		splitProbes: r.Counter("smatch_split_probe_nodes_total",
-			"Splitter probe expansions across parallel requests."),
-		splitAccuracy: r.Histogram("smatch_split_prediction_ratio",
-			"Cost-model predicted over measured search nodes per parallel request.",
-			splitAccuracyBuckets),
+			"Tasks running searches donated to idle workers."),
 
 		admissionWait: r.Histogram("smatch_admission_wait_seconds",
 			"Time requests spent waiting for admission.", obs.DefaultDurationBuckets),
@@ -289,21 +275,15 @@ func (m *serviceMetrics) recordKernels(ks intersect.KernelStats) {
 	}
 }
 
-// recordSplit folds one request's scheduler-splitting outcome into the
+// recordSplit folds one request's scheduler task pool into the
 // service-wide families. Sequential requests carry no SplitInfo and
-// contribute nothing; the accuracy ratio is observed only when the cost
-// model actually predicted (a root-grained pool has no prediction to
-// check).
-func (m *serviceMetrics) recordSplit(info *core.SplitInfo, resultNodes uint64) {
+// contribute nothing.
+func (m *serviceMetrics) recordSplit(info *core.SplitInfo) {
 	if info == nil {
 		return
 	}
 	m.splitTasks.Add(uint64(info.Tasks))
 	m.splitSplitTasks.Add(uint64(info.SplitTasks))
-	m.splitProbes.Add(info.Probes)
-	if measured := resultNodes - info.Probes; info.PredictedNodes > 0 && measured > 0 {
-		m.splitAccuracy.Observe(float64(info.PredictedNodes) / float64(measured))
-	}
 }
 
 // observeDepthNodes feeds the per-depth enumeration-heat histogram:

@@ -515,7 +515,7 @@ func (s *Service) run(ctx context.Context, t *target, req *Request, p planned,
 	s.metrics.recordSuccess(t.entry.name, t.algo, res.Embeddings, cacheHit,
 		res.TimedOut, res.LimitHit, time.Since(began))
 	s.metrics.recordKernels(res.Kernels)
-	s.metrics.recordSplit(res.Split, res.Nodes)
+	s.metrics.recordSplit(res.Split)
 	s.metrics.observeDepthNodes(res.Profile)
 	s.metrics.observePhases(res.FilterTime, res.BuildTime, res.OrderTime,
 		res.EnumTime, !cacheHit)

@@ -158,8 +158,9 @@ type Options struct {
 	// execution calls are serialized and arrive in no particular order.
 	OnMatch func(mapping []Vertex) bool
 	// Parallel runs the enumeration across this many worker goroutines
-	// (0 or 1 = sequential): cost-model-sized tasks rebalanced by work
-	// stealing, reported in Result.Split and Result.Workers. Embedding
+	// (0 or 1 = sequential): one task per root candidate, rebalanced by
+	// work stealing and by running searches donating work to idle
+	// workers, reported in Result.Split and Result.Workers. Embedding
 	// counts remain exact; not supported with AlgoVF2 and AlgoUllmann.
 	// Preprocessing (filtering, candidate-space construction, ordering)
 	// runs on the calling goroutine whatever Parallel says.
