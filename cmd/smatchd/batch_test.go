@@ -10,9 +10,7 @@ import (
 	"net/url"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"subgraphmatching/internal/core"
 	"subgraphmatching/internal/obs"
@@ -231,61 +229,6 @@ func TestInternalErrorMapsTo500(t *testing.T) {
 	}
 	if want := "service: internal error: boom"; body["error"] != want {
 		t.Errorf("body error %q, want %q", body["error"], want)
-	}
-}
-
-// TestBatcherFlagCoalescesMatchRequests mounts the server with the
-// -batch-window batcher enabled and checks that concurrent singleton
-// /match requests still produce correct, independent responses while
-// the service records fewer batches than requests.
-func TestBatcherFlagCoalescesMatchRequests(t *testing.T) {
-	svc := service.New(service.Config{})
-	g := testutil.RandomGraph(rand.New(rand.NewSource(7)), 200, 600, 3)
-	if _, err := svc.RegisterGraph("main", g, false); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(newServer(svc, serverOptions{
-		batchWindow: 10 * time.Millisecond, batchMax: 32,
-	}))
-	defer ts.Close()
-	q := graphText(t, testutil.RandomConnectedQuery(rand.New(rand.NewSource(5)), g, 4))
-
-	const n = 24
-	var wg sync.WaitGroup
-	codes := make([]int, n)
-	counts := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/match?graph=main&algo=CFL", "text/plain", strings.NewReader(q))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer resp.Body.Close()
-			codes[i] = resp.StatusCode
-			var mr matchResult
-			if json.NewDecoder(resp.Body).Decode(&mr) == nil {
-				counts[i] = mr.Embeddings
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		if codes[i] != http.StatusOK {
-			t.Fatalf("request %d: status %d", i, codes[i])
-		}
-		if counts[i] != counts[0] {
-			t.Fatalf("request %d: %d embeddings, first got %d", i, counts[i], counts[0])
-		}
-	}
-	st := svc.Stats()
-	if st.Batches.Items != n {
-		t.Fatalf("batcher carried %d items, want %d", st.Batches.Items, n)
-	}
-	if st.Batches.Batches >= n {
-		t.Fatalf("%d batches for %d concurrent requests: nothing coalesced", st.Batches.Batches, n)
 	}
 }
 

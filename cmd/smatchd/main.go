@@ -8,8 +8,7 @@
 //	smatchd [-addr :7733] [-graph name=path]... [-max-inflight 2*P]
 //	        [-max-queue 64] [-max-queue-wait 5s] [-plan-cache 256]
 //	        [-plan-cache-bytes 268435456] [-max-graph-share 0.5]
-//	        [-batch-window 0] [-batch-max 32]
-//	        [-data-dir path] [-mmap] [-no-persist] [-verify-snapshots]
+//	        [-data-dir path] [-mmap] [-verify-snapshots]
 //	        [-timeout 5m] [-pprof] [-slowlog path] [-slow-threshold 1s]
 //	        [-slowlog-max-bytes 0]
 //
@@ -77,6 +76,8 @@
 // overload 503 (with Retry-After), deadline 504. Streamed requests get
 // the same codes for failures that occur before the first embedding is
 // written; afterwards the stream ends with an {"error":...} line.
+// Every /match runs under its own request's context: a client that
+// disconnects stops its search (499) and frees its admission units.
 //
 // With -data-dir, smatchd runs a durable graph store (internal/store):
 // every registration is snapshotted to a checksummed CSR file and
@@ -86,7 +87,7 @@
 // -mmap maps recovered snapshots instead of copying them into the heap
 // (near-instant restart, page-cache-resident working set);
 // -verify-snapshots additionally recomputes each snapshot's sha256
-// fingerprint at startup; -no-persist ignores -data-dir entirely.
+// fingerprint at startup. Without -data-dir, graphs live only in memory.
 // /healthz gains a "store" section with recovery and occupancy state,
 // and /metrics gains smatch_store_* families.
 package main
@@ -123,8 +124,6 @@ func main() {
 		cacheSize  = flag.Int("plan-cache", 0, "plan cache entries (0 = 256, negative disables)")
 		cacheBytes = flag.Int64("plan-cache-bytes", 0, "plan cache byte budget (0 = 256 MiB, negative unbounded)")
 		graphShare = flag.Float64("max-graph-share", 0, "max fraction of the admission queue one graph may hold (0 = 0.5, negative disables)")
-		batchWin   = flag.Duration("batch-window", 0, "coalesce non-streaming /match requests into batches flushed every window (0 disables)")
-		batchMax   = flag.Int("batch-max", 0, "max items per coalesced batch (0 = 32; needs -batch-window)")
 		timeout    = flag.Duration("timeout", 0, "default per-query time limit (0 = 5m)")
 		pprofOn    = flag.Bool("pprof", false, "mount /debug/pprof (exposes runtime internals; keep off unless needed)")
 		slowLog    = flag.String("slowlog", "", "append slow-query NDJSON records to this file")
@@ -132,7 +131,6 @@ func main() {
 		slowBytes  = flag.Int64("slowlog-max-bytes", 0, "rotate the slowlog (path -> path.1) when it would exceed this size (0 = unbounded; needs -slowlog)")
 		dataDir    = flag.String("data-dir", "", "durable store directory: snapshot + WAL every registration, recover on restart")
 		mmapSnaps  = flag.Bool("mmap", false, "serve recovered snapshots from mmap instead of copying into the heap (needs -data-dir)")
-		noPersist  = flag.Bool("no-persist", false, "ignore -data-dir and run purely in memory")
 		verifySnap = flag.Bool("verify-snapshots", false, "recompute each snapshot's sha256 fingerprint during recovery (needs -data-dir)")
 		graphs     graphFlags
 	)
@@ -165,7 +163,7 @@ func main() {
 	svc := service.New(cfg)
 
 	var mgr *store.Manager
-	if *dataDir != "" && !*noPersist {
+	if *dataDir != "" {
 		var err error
 		mgr, err = store.Open(svc, store.Options{
 			Dir:               *dataDir,
@@ -215,12 +213,7 @@ func main() {
 			info.Name, info.Vertices, info.Edges, info.Labels)
 	}
 
-	srv := newHTTPServer(*addr, newServer(svc, serverOptions{
-		pprof:       *pprofOn,
-		batchWindow: *batchWin,
-		batchMax:    *batchMax,
-		store:       mgr,
-	}))
+	srv := newHTTPServer(*addr, newServer(svc, serverOptions{pprof: *pprofOn, store: mgr}))
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

@@ -325,3 +325,63 @@ func TestMatchStreamNDJSON(t *testing.T) {
 		t.Fatal("expected at least one embedding in the stream")
 	}
 }
+
+// TestMatchClientDisconnectReleasesAdmission cancels a JSON /match
+// mid-search, as a client that disconnects or gives up does: the search
+// runs on the request's own context, so it stops at the engines' next
+// poll, the handler answers 499 long before the full search could have
+// finished, and the admission units come back.
+func TestMatchClientDisconnectReleasesAdmission(t *testing.T) {
+	ts, q := manyMatchServer(t), pathQuery(t, 5)
+	// The full search, which also caches the plan: tens of millions of
+	// embeddings.
+	_, body := do(t, "POST", ts.URL+"/match?graph=main&limit=0", q)
+	var full matchResult
+	if err := json.Unmarshal([]byte(body), &full); err != nil {
+		t.Fatal(err)
+	}
+	if full.Nodes < 10_000_000 {
+		t.Fatalf("fixture too small: %d nodes", full.Nodes)
+	}
+	for _, parallel := range []string{"1", "2"} {
+		ctx, cancel := context.WithCancel(context.Background())
+		req := httptest.NewRequest("POST", "/match?graph=main&limit=0&parallel="+parallel, strings.NewReader(q)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		start := time.Now()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			ts.Config.Handler.ServeHTTP(rec, req)
+		}()
+		enumerating := func() bool {
+			_, out := do(t, "GET", ts.URL+"/debug/requests", "")
+			var dr struct {
+				Inflight []struct {
+					Phase string `json:"phase"`
+				} `json:"inflight"`
+			}
+			if err := json.Unmarshal([]byte(out), &dr); err != nil {
+				t.Fatal(err)
+			}
+			return len(dr.Inflight) == 1 && dr.Inflight[0].Phase == "enumerate"
+		}
+		for !enumerating() {
+			select {
+			case <-done:
+				t.Fatalf("parallel=%s: finished before it was cancelled: %d %q", parallel, rec.Code, rec.Body)
+			case <-time.After(time.Millisecond):
+			}
+		}
+		cancel()
+		<-done
+		if elapsed := time.Since(start); elapsed > full.Enumerate/4 {
+			t.Errorf("parallel=%s: cancelled search took %v, the full one %v", parallel, elapsed, full.Enumerate)
+		}
+		if rec.Code != 499 {
+			t.Errorf("parallel=%s: status %d %q, want 499", parallel, rec.Code, rec.Body)
+		}
+		if got := inUse(t, ts); got != 0 {
+			t.Errorf("parallel=%s: in_use = %d after the cancelled request, want 0", parallel, got)
+		}
+	}
+}

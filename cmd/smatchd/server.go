@@ -73,9 +73,6 @@ type server struct {
 	// store, when non-nil, is the durable graph store behind admin;
 	// /healthz reports its recovery and occupancy state.
 	store *store.Manager
-	// batcher, when non-nil, coalesces non-streaming /match requests
-	// into SubmitBatch calls (the -batch-window/-batch-max flags).
-	batcher *service.Batcher
 }
 
 // serverOptions selects the optional diagnostic surfaces.
@@ -84,12 +81,6 @@ type serverOptions struct {
 	// endpoints expose goroutine stacks and allow CPU captures, which
 	// is an operator decision, not a default.
 	pprof bool
-	// batchWindow, when positive, routes non-streaming /match requests
-	// through a coalescing batcher that flushes every batchWindow (or at
-	// batchMax items). Off by default: it adds up to batchWindow of
-	// latency to every singleton request.
-	batchWindow time.Duration
-	batchMax    int
 	// store routes graph registration through the durable store
 	// (snapshots + WAL) and surfaces its state on /healthz.
 	store *store.Manager
@@ -103,12 +94,6 @@ func newServer(svc *service.Service, opts serverOptions) http.Handler {
 		s.admin = opts.store
 	} else {
 		s.admin = serviceAdmin{svc: svc}
-	}
-	if opts.batchWindow > 0 {
-		s.batcher = svc.NewBatcher(service.BatcherConfig{
-			MaxWait:  opts.batchWindow,
-			MaxBatch: opts.batchMax,
-		})
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.healthz)
@@ -414,15 +399,7 @@ func (s *server) match(w http.ResponseWriter, r *http.Request) {
 		s.matchStream(w, r, req, withTrace)
 		return
 	}
-	var resp *service.Response
-	if s.batcher != nil {
-		// Coalesce singleton requests: concurrent arrivals of the
-		// same hot query share one admission grant, plan lookup, and
-		// execution.
-		resp, err = s.batcher.Submit(r.Context(), req)
-	} else {
-		resp, err = s.svc.Submit(r.Context(), req)
-	}
+	resp, err := s.svc.Submit(r.Context(), req)
 	if err != nil {
 		httpError(w, err)
 		return

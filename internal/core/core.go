@@ -12,6 +12,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -106,7 +107,8 @@ type Limits struct {
 	// uses the same flag as its internal stop signal, so it may itself
 	// store true when the embedding cap is reached or the sink declines
 	// — callers must hand each run its own flag, not a shared long-lived
-	// one. This is how context cancellation reaches the engines.
+	// one. RunContext sets it when its context ends: this is how a
+	// cancel reaches the engines.
 	Cancel *atomic.Bool
 	// OnRun optionally receives every embedding, a leaf run at a time —
 	// the engine's own contract (enumerate.Options.OnRun): mapping with
@@ -537,9 +539,6 @@ func MatchPlan(plan *Plan, limits Limits) (*Result, error) {
 			Profile:         limits.Profile,
 		}
 		if limits.Parallel > 1 {
-			if cfg.SymmetryBreaking || cfg.Homomorphism {
-				return nil, fmt.Errorf("core: parallel execution does not yet compose with symmetry breaking or homomorphism mode")
-			}
 			if err := matchParallel(plan, opts, limits, res); err != nil {
 				return nil, err
 			}
@@ -658,6 +657,48 @@ func Match(q, g *graph.Graph, cfg Config, limits Limits) (*Result, error) {
 		return nil, err
 	}
 	return MatchFresh(plan, limits, start)
+}
+
+// RunContext runs one search under ctx. run receives limits with the ctx
+// deadline folded into TimeLimit, so the engines' own deadline checks
+// enforce it, and with a Cancel flag that ctx's end sets, so a cancel
+// stops the search cooperatively. When ctx ends before the search
+// completes, ctx's error is returned; a TimeLimit expiry that is not the
+// ctx deadline still reports a Result with TimedOut set, the paper's
+// unsolved-query accounting.
+func RunContext(ctx context.Context, limits Limits, run func(Limits) (*Result, error)) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	deadline, hasDeadline := ctx.Deadline()
+	if hasDeadline {
+		remain := time.Until(deadline)
+		if remain <= 0 {
+			return nil, context.DeadlineExceeded
+		}
+		if limits.TimeLimit <= 0 || remain < limits.TimeLimit {
+			limits.TimeLimit = remain
+		}
+	}
+	var flag atomic.Bool
+	stop := context.AfterFunc(ctx, func() { flag.Store(true) })
+	defer stop()
+	limits.Cancel = &flag
+	res, err := run(limits)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	// The engine's own clock can expire a folded ctx deadline a
+	// scheduler tick before the context's timer fires (ctx.Err() still
+	// nil on a busy machine): resolve that race by the wall clock, so a
+	// deadline-driven timeout deterministically reports as such.
+	if hasDeadline && res.TimedOut && !time.Now().Before(deadline) {
+		return nil, context.DeadlineExceeded
+	}
+	return res, nil
 }
 
 // MatchFresh is MatchPlan for the caller that built plan for this very

@@ -284,10 +284,12 @@ func matchParallel(plan *Plan, opts enumerate.Options, limits Limits, res *Resul
 			res.WorkerProfiles[w] = st.Profile
 		}
 	}
+	// The cap and the sink count canonical embeddings; the orbit
+	// multiplies them out, as on the sequential path.
 	if countLocally {
-		res.Embeddings = localEmb
+		res.Embeddings = localEmb * plan.Orbit
 	} else {
-		res.Embeddings = accepted.Load()
+		res.Embeddings = accepted.Load() * plan.Orbit
 	}
 	res.LimitHit = limitHit.Load()
 	res.EnumTime = time.Since(start)

@@ -102,6 +102,53 @@ func TestSplitEquivalence(t *testing.T) {
 	if donated == 0 {
 		t.Error("no run in the grid donated")
 	}
+
+	// Symmetry breaking and homomorphism: the sink sees canonical
+	// embeddings and the count is theirs times the orbit, so these rows
+	// compare counts with the sequential run, capped and uncapped. The
+	// 4-cycle on a one-label graph has two twin pairs (orbit 4).
+	cg := testutil.RandomGraph(rng, 30, 120, 1)
+	cycle := graph.MustFromEdges(make([]graph.Label, 4), [][2]graph.Vertex{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
+	workloads = append(workloads, workload{"cycle4", cycle, cg})
+	symmetric := false
+	for _, wl := range workloads {
+		for _, cfg := range []Config{
+			{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect, SymmetryBreaking: true},
+			{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect, SymmetryBreaking: true, FailingSets: true},
+			{Local: enumerate.Intersect, Order: order.GQL, Homomorphism: true},
+			{Local: enumerate.Direct, Order: order.RI, Homomorphism: true},
+		} {
+			plan, err := Preprocess(wl.q, wl.g, cfg, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			symmetric = symmetric || plan.Orbit > 1
+			for _, cap := range []uint64{0, 5} {
+				want, err := Match(wl.q, wl.g, cfg, Limits{MaxEmbeddings: cap})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cap > 0 && want.LimitHit && want.Embeddings != cap*plan.Orbit {
+					t.Fatalf("%s sym=%v hom=%v: sequential cap run found %d, want %d×%d",
+						wl.name, cfg.SymmetryBreaking, cfg.Homomorphism, want.Embeddings, cap, plan.Orbit)
+				}
+				for _, workers := range []int{2, 4} {
+					got, err := Match(wl.q, wl.g, cfg, Limits{Parallel: workers, MaxEmbeddings: cap})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Embeddings != want.Embeddings || got.LimitHit != want.LimitHit {
+						t.Errorf("%s sym=%v hom=%v cap=%d w%d: %d embeddings (limit hit %v), sequential %d (%v)",
+							wl.name, cfg.SymmetryBreaking, cfg.Homomorphism, cap, workers,
+							got.Embeddings, got.LimitHit, want.Embeddings, want.LimitHit)
+					}
+				}
+			}
+		}
+	}
+	if !symmetric {
+		t.Error("no workload in the grid has a symmetry orbit above 1")
+	}
 }
 
 // TestParallelCancelDuringProbe: a parallel run stopped before it

@@ -19,7 +19,7 @@ import (
 // any length, under static and adaptive orders alike),
 // a scheduler or split policy to parse (there is one parallel runner),
 // and a fourth way to run a request (Submit, SubmitBatch and Explain are
-// one spine; Stream and the Batcher forward to the first two).
+// one spine; Stream forwards to Submit).
 // cmd/smatchbench pins the call forms filter.Run(m,q,g),
 // filter.RunLDF(q,g), candspace.BuildFull(q,g,cand),
 // (*Space).MaterializeBlocks() and order.Compute(m,q,g,cand): those stay
@@ -34,7 +34,7 @@ var layerSurface = map[string][]string{
 		"MatchFresh", "MatchPlan", "NeighborhoodEquivalenceClasses", "OrbitMultiplier",
 		"OrderingStudyConfig", "ParseAlgorithm", "Plan.PreprocessTime", "Plan.SizeBytes",
 		"Preprocess", "PresetConfig", "Profile.Render", "Result.PreprocessTime",
-		"Result.Solved", "Result.TotalTime", "Validate",
+		"Result.Solved", "Result.TotalTime", "RunContext", "Validate",
 	},
 	"../filter": {
 		"AnyEmpty", "MeanCandidates", "Method.String", "Methods", "ParseMethod",
@@ -62,8 +62,8 @@ var layerSurface = map[string][]string{
 		"SearchProfile.TotalNodes", "Stats.Solved",
 	},
 	"../service": {
-		"Batcher.Close", "Batcher.Submit", "New", "Service.Close", "Service.Explain",
-		"Service.Flights", "Service.Graphs", "Service.Metrics", "Service.NewBatcher",
+		"New", "Service.Close", "Service.Explain",
+		"Service.Flights", "Service.Graphs", "Service.Metrics",
 		"Service.RegisterGraph", "Service.RestoreGraph", "Service.SetGenerationFloor",
 		"Service.Stats", "Service.Stream", "Service.Submit", "Service.SubmitBatch",
 		"Service.UnregisterGraph",
@@ -97,6 +97,13 @@ var layerSurface = map[string][]string{
 // ForEachMatch, FindAll). OnMatch leaves core.Limits and service.Request
 // when Benchmark v2 (ROADMAP item 1) stops constructing it; the public
 // adapter then moves to match.go.
+//
+// service.Config and store.Options are the operator's knobs. smatchd
+// sets each field from one flag (the flags are pinned by cmd/smatchd's
+// TestFlagSurface), except store.Options.Logf, which it points at
+// stderr, and CompactEvery, which only the store tests set, to force and
+// to suppress WAL compaction. The coalescing batcher's window and size
+// left because no caller but a test set them.
 var knobSurface = map[[2]string][]string{
 	{".", "Config"}: {
 		"Filter", "Order", "FixedOrder", "Local", "Kernel", "FailingSets", "Adaptive",
@@ -116,6 +123,11 @@ var knobSurface = map[[2]string][]string{
 		"Graph", "Query", "Algorithm", "Custom", "MaxEmbeddings", "TimeLimit",
 		"Parallel", "OnRun", "OnMatch", "NoCache", "Profile",
 	},
+	{"../service", "Config"}: {
+		"MaxInFlight", "MaxQueue", "MaxQueueWait", "PlanCacheSize", "PlanCacheBytes",
+		"MaxGraphShare", "DefaultTimeLimit", "SlowQueryLog", "SlowQueryThreshold",
+	},
+	{"../store", "Options"}: {"Dir", "MMap", "VerifyFingerprint", "CompactEvery", "Logf"},
 }
 
 // parseNonTest parses the non-test files of the package in dir.

@@ -161,7 +161,15 @@ func TestHomomorphismIncompatibilities(t *testing.T) {
 		t.Error("expected error for symmetry breaking + homomorphism")
 	}
 	cfg = Config{Local: enumerate.Intersect, Order: order.GQL, Homomorphism: true}
-	if _, err := Match(q, g, cfg, Limits{Parallel: 4}); err == nil {
-		t.Error("expected error for parallel + homomorphism")
+	seq, err := Match(q, g, cfg, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := Match(q, g, cfg, Limits{Parallel: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if par.Embeddings != seq.Embeddings {
+		t.Errorf("parallel homomorphisms = %d, sequential %d", par.Embeddings, seq.Embeddings)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"subgraphmatching/internal/core"
 	"subgraphmatching/internal/graph"
@@ -338,102 +337,10 @@ func FuzzBatchGrouping(f *testing.F) {
 	})
 }
 
-// TestBatcherCoalescesConcurrentSubmits pins the batcher's purpose:
-// concurrent singleton submissions of one hot query coalesce into far
-// fewer SubmitBatch calls, all delivering the correct result.
-func TestBatcherCoalescesConcurrentSubmits(t *testing.T) {
-	s, g := newTestService(t, Config{})
-	q := testutil.RandomConnectedQuery(rand.New(rand.NewSource(31)), g, 4)
-	ref, err := s.Submit(context.Background(), Request{Graph: "main", Query: q, Algorithm: core.CFL})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	b := s.NewBatcher(BatcherConfig{MaxBatch: 16, MaxWait: 20 * time.Millisecond})
-	defer b.Close()
-	const n = 48
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	resps := make([]*Response, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resps[i], errs[i] = b.Submit(context.Background(),
-				Request{Graph: "main", Query: q, Algorithm: core.CFL})
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("submit %d: %v", i, errs[i])
-		}
-		if resps[i].Result.Embeddings != ref.Result.Embeddings {
-			t.Fatalf("submit %d: %d embeddings, want %d",
-				i, resps[i].Result.Embeddings, ref.Result.Embeddings)
-		}
-	}
-	st := s.Stats()
-	if st.Batches.Batches >= n {
-		t.Fatalf("%d batches for %d submits: nothing coalesced", st.Batches.Batches, n)
-	}
-	if st.Batches.Items != n {
-		t.Fatalf("batches carried %d items, want %d", st.Batches.Items, n)
-	}
-	if st.Batches.Deduped == 0 {
-		t.Fatal("identical coalesced submissions should have deduplicated")
-	}
-}
-
-// TestBatcherSingletonFlushesOnDeadline: one lone request must not wait
-// for a full batch — the MaxWait deadline flushes it.
-func TestBatcherSingletonFlushesOnDeadline(t *testing.T) {
-	s, g := newTestService(t, Config{})
-	q := testutil.RandomConnectedQuery(rand.New(rand.NewSource(31)), g, 4)
-	b := s.NewBatcher(BatcherConfig{MaxBatch: 1024, MaxWait: 5 * time.Millisecond})
-	defer b.Close()
-	done := make(chan error, 1)
-	go func() {
-		_, err := b.Submit(context.Background(), Request{Graph: "main", Query: q})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("singleton request never flushed")
-	}
-}
-
-// TestBatcherClose drains pending work and fails later submits typed.
-func TestBatcherClose(t *testing.T) {
-	s, g := newTestService(t, Config{})
-	q := testutil.RandomConnectedQuery(rand.New(rand.NewSource(31)), g, 4)
-	b := s.NewBatcher(BatcherConfig{MaxBatch: 64, MaxWait: time.Hour})
-	done := make(chan error, 1)
-	go func() {
-		_, err := b.Submit(context.Background(), Request{Graph: "main", Query: q})
-		done <- err
-	}()
-	// Wait until the item is enqueued, then close: the close flush must
-	// still run it.
-	time.Sleep(20 * time.Millisecond)
-	b.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("pending item at Close: %v", err)
-	}
-	if _, err := b.Submit(context.Background(), Request{Graph: "main", Query: q}); !errors.Is(err, ErrBatcherClosed) {
-		t.Fatalf("submit after Close: got %v", err)
-	}
-	b.Close() // idempotent
-}
-
-// TestConcurrentBatchStress hammers SubmitBatch and a batcher from many
-// goroutines over shared plans while graphs hot-swap underneath — the
-// race-stress surface for the batched path ('Stress' puts it in `make
-// race-stress`).
+// TestConcurrentBatchStress hammers SubmitBatch and singleton Submits
+// from many goroutines over shared plans while graphs hot-swap
+// underneath — the race-stress surface for the batched path ('Stress'
+// puts it in `make race-stress`).
 func TestConcurrentBatchStress(t *testing.T) {
 	s, g := newTestService(t, Config{MaxInFlight: 8, MaxQueue: 256, PlanCacheBytes: 1 << 20})
 	rng := rand.New(rand.NewSource(41))
@@ -441,8 +348,6 @@ func TestConcurrentBatchStress(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		queries = append(queries, testutil.RandomConnectedQuery(rng, g, 3+i%3))
 	}
-	b := s.NewBatcher(BatcherConfig{MaxBatch: 8, MaxWait: time.Millisecond})
-	defer b.Close()
 
 	const goroutines = 32
 	var wg sync.WaitGroup
@@ -470,8 +375,8 @@ func TestConcurrentBatchStress(t *testing.T) {
 							return
 						}
 					}
-				case 1: // coalesced singletons
-					_, err := b.Submit(context.Background(), Request{Graph: "main",
+				case 1: // singletons racing the batches
+					_, err := s.Submit(context.Background(), Request{Graph: "main",
 						Query: queries[lrng.Intn(len(queries))], Algorithm: core.CFL})
 					if err != nil && !errors.Is(err, ErrOverloaded) {
 						t.Error(err)

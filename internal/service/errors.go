@@ -51,8 +51,6 @@ var (
 	ErrTenantSaturated = fmt.Errorf("graph's admission-queue share exhausted: %w", ErrOverloaded)
 	// ErrEmptyBatch reports SubmitBatch with no items.
 	ErrEmptyBatch = errors.New("service: empty batch")
-	// ErrBatcherClosed reports a batcher submit after its Close.
-	ErrBatcherClosed = errors.New("service: batcher closed")
 	// ErrNilCallback reports Stream with a nil sink.
 	ErrNilCallback = errors.New("service: nil embedding sink")
 	// ErrNilQuery reports a request without a query graph.

@@ -407,13 +407,19 @@ func (s *Service) plan(ctx context.Context, t *target, req *Request, n int) (p p
 	return p, nil
 }
 
+// hasSink reports whether the request delivers its embeddings
+// somewhere, in either form. Such a request is executed on its own: its
+// result cannot stand in for another item's, nor another's for it.
+func (r *Request) hasSink() bool { return r.OnRun != nil || r.OnMatch != nil }
+
 // run enumerates one admitted request over its plan and accounts for
 // the outcome; began is the origin of the latency it records (the
 // request's arrival, or its batch's). It is the one place a request
-// becomes a core.Limits: the ctx deadline is folded into the time limit
-// here, after the queue wait and the plan acquisition — both consume
-// the caller's budget — and cancelling ctx stops the search
-// cooperatively.
+// becomes a core.Limits, run by core.RunContext: the ctx deadline is
+// folded into the time limit there, after the queue wait and the plan
+// acquisition — both consume the caller's budget — and cancelling ctx
+// stops the search cooperatively. A ctx deadline counts as a timeout,
+// every other failure as an error.
 //
 // The "match" span distinguishes the three ways a plan can arrive. A
 // fresh build attaches the plan's full "preprocess" span; a cache hit
@@ -422,11 +428,6 @@ func (s *Service) plan(ctx context.Context, t *target, req *Request, n int) (p p
 // "plan" span covering its wait on the leader's build. The latter two
 // report CacheHit — the request did not pay preprocessing — and keep
 // the Result's preprocessing times zero for the same reason.
-// hasSink reports whether the request delivers its embeddings
-// somewhere, in either form. Such a request is executed on its own: its
-// result cannot stand in for another item's, nor another's for it.
-func (r *Request) hasSink() bool { return r.OnRun != nil || r.OnMatch != nil }
-
 func (s *Service) run(ctx context.Context, t *target, req *Request, p planned,
 	began time.Time, queueWait time.Duration) (_ *Response, err error) {
 
@@ -447,24 +448,9 @@ func (s *Service) run(ctx context.Context, t *target, req *Request, p planned,
 	if timeLimit <= 0 {
 		timeLimit = s.cfg.DefaultTimeLimit
 	}
-	deadline, hasDeadline := ctx.Deadline()
-	if hasDeadline {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			s.metrics.recordTimeout(t.entry.name, t.algo)
-			return nil, context.DeadlineExceeded
-		}
-		if remain < timeLimit {
-			timeLimit = remain
-		}
-	}
-	var flag atomic.Bool
-	stop := context.AfterFunc(ctx, func() { flag.Store(true) })
-	defer stop()
 	limits := core.Limits{
 		MaxEmbeddings: req.MaxEmbeddings,
 		TimeLimit:     timeLimit,
-		Cancel:        &flag,
 		OnRun:         req.OnRun,
 		OnMatch:       req.OnMatch,
 		Parallel:      req.Parallel,
@@ -474,42 +460,28 @@ func (s *Service) run(ctx context.Context, t *target, req *Request, p planned,
 		// get the breakdown for free on Result.Trace.
 		Trace: true,
 	}
-
-	var (
-		res      *core.Result
-		cacheHit bool
-	)
-	switch {
-	case p.plan == nil:
-		res, err = core.Match(req.Query, t.entry.g, t.cfg, limits)
-	case p.src == planBuilt:
-		res, err = core.MatchFresh(p.plan, limits, p.start)
-	default:
-		cacheHit = true
-		if res, err = core.MatchPlan(p.plan, limits); err == nil {
-			res.Trace = obs.NewSpan("match", p.start, time.Since(p.start)).
-				AddChild(planSpan(p.src, p.plan, p.start, p.arrived)).
-				AddChild(res.Trace)
+	cacheHit := p.plan != nil && p.src != planBuilt
+	res, err := core.RunContext(ctx, limits, func(limits core.Limits) (*core.Result, error) {
+		switch {
+		case p.plan == nil:
+			return core.Match(req.Query, t.entry.g, t.cfg, limits)
+		case cacheHit:
+			return core.MatchPlan(p.plan, limits)
 		}
-	}
+		return core.MatchFresh(p.plan, limits, p.start)
+	})
 	if err != nil {
-		s.metrics.recordError(t.entry.name, t.algo, 1)
-		return nil, err
-	}
-	cerr := ctx.Err()
-	// An engine timeout driven by the folded ctx deadline can land a
-	// scheduler tick before the context's own timer fires — resolve by
-	// the wall clock so it deterministically reports DeadlineExceeded.
-	if cerr == nil && hasDeadline && res.TimedOut && !time.Now().Before(deadline) {
-		cerr = context.DeadlineExceeded
-	}
-	if cerr != nil {
-		if cerr == context.DeadlineExceeded {
+		if errors.Is(err, context.DeadlineExceeded) {
 			s.metrics.recordTimeout(t.entry.name, t.algo)
 		} else {
 			s.metrics.recordError(t.entry.name, t.algo, 1)
 		}
-		return nil, cerr
+		return nil, err
+	}
+	if cacheHit {
+		res.Trace = obs.NewSpan("match", p.start, time.Since(p.start)).
+			AddChild(planSpan(p.src, p.plan, p.start, p.arrived)).
+			AddChild(res.Trace)
 	}
 
 	s.metrics.recordSuccess(t.entry.name, t.algo, res.Embeddings, cacheHit,

@@ -217,37 +217,10 @@ func match(q, g *Graph, opts Options, cancel *atomic.Bool) (*Result, error) {
 // Result with TimedOut set, preserving the paper's unsolved-query
 // accounting.
 func MatchContext(ctx context.Context, q, g *Graph, opts Options) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	deadline, hasDeadline := ctx.Deadline()
-	if hasDeadline {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return nil, context.DeadlineExceeded
-		}
-		if opts.TimeLimit == 0 || remain < opts.TimeLimit {
-			opts.TimeLimit = remain
-		}
-	}
-	var flag atomic.Bool
-	stop := context.AfterFunc(ctx, func() { flag.Store(true) })
-	defer stop()
-	res, err := match(q, g, opts, &flag)
-	if err != nil {
-		return nil, err
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, cerr
-	}
-	// The engine's own clock can expire a folded ctx deadline a
-	// scheduler tick before the context's timer fires (ctx.Err() still
-	// nil on a busy machine) — resolve that race by the wall clock, so
-	// a deadline-driven timeout deterministically reports as such.
-	if hasDeadline && res.TimedOut && !time.Now().Before(deadline) {
-		return nil, context.DeadlineExceeded
-	}
-	return res, nil
+	return core.RunContext(ctx, core.Limits{TimeLimit: opts.TimeLimit}, func(l core.Limits) (*Result, error) {
+		opts.TimeLimit = l.TimeLimit
+		return match(q, g, opts, l.Cancel)
+	})
 }
 
 // ForEachMatch streams every embedding to fn under a context, combining
