@@ -38,7 +38,10 @@ race:
 # (TestParallelCapExactUnderContention) races 1–8 workers to a cap that
 # lands inside leaf runs, with and without a sink whose calls must never
 # overlap; the donation stress (TestStressDonation) repeats 8-worker runs
-# whose running searches feed sleeping workers donated prefixes.
+# whose running searches feed sleeping workers donated prefixes; the
+# plan-engine stress (TestStressPlanEngines) sends mixed sequential,
+# parallel and cancelled requests from 8 goroutines to one plan, whose
+# free list hands each run its engines and takes them back.
 race-stress:
 	$(GO) test -race -run 'Stress|CapExactUnderContention' -count 1 ./internal/graph ./internal/core ./internal/service ./internal/obs ./internal/obs/flight ./internal/store ./cmd/smatchd
 

@@ -426,8 +426,8 @@ func BenchmarkParallelSkew(b *testing.B) {
 	}
 
 	// Allocation comparison for repeated enumeration of one prepared
-	// query: a fresh enumerate.Run per iteration versus one reusable
-	// engine seeded once.
+	// query: a fresh engine per iteration versus one reusable engine
+	// seeded once.
 	cand, err := filter.Run(filter.GQL, f.q, f.g)
 	if err != nil {
 		b.Fatal(err)
@@ -441,9 +441,11 @@ func BenchmarkParallelSkew(b *testing.B) {
 	b.Run("enum-fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := enumerate.Run(f.q, f.g, cand, space, phi, opts); err != nil {
+			eng, err := enumerate.NewEngine(f.q, f.g, cand, space, phi, opts)
+			if err != nil {
 				b.Fatal(err)
 			}
+			eng.Run()
 		}
 	})
 	b.Run("enum-reused", func(b *testing.B) {

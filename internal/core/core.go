@@ -14,6 +14,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -281,7 +282,9 @@ func (r *Result) Solved() bool { return !r.TimedOut }
 // A Plan is immutable once built. MatchPlan runs enumerate over it
 // without mutating any field, so one Plan may serve many concurrent
 // MatchPlan calls — this is the contract the serving layer's plan cache
-// is built on.
+// is built on. The one exception is the plan's free list of idle
+// engines, unexported and behind its own lock: the zero value is an
+// empty list, and the list goes with the plan when the plan is dropped.
 type Plan struct {
 	// Query and Data are the graphs the plan was preprocessed for.
 	Query, Data *graph.Graph
@@ -333,6 +336,11 @@ type Plan struct {
 	// phases themselves. Immutable once the plan is built: cached plans
 	// share it across requests.
 	Span *obs.Span
+
+	// idle is the free list of engines over this plan that no run holds,
+	// at most maxIdleEngines long (takeEngine, parkEngine).
+	engineMu sync.Mutex
+	idle     []*enumerate.Engine
 }
 
 // Preprocess runs the preprocessing half of the pipeline — filtering
@@ -507,11 +515,21 @@ func (p *Plan) SizeBytes() int64 {
 
 // MatchPlan runs the enumeration step (paper Algorithm 1 line 3) over a
 // previously built plan. The plan is read-only: concurrent MatchPlan
-// calls over one shared plan are safe, each allocating its own engines.
-// The returned Result carries only enumeration-side fields; the
-// preprocessing times live on the plan (a caller reusing a cached plan
-// did not pay them).
+// calls over one shared plan are safe. Each takes one engine per worker
+// from the plan's free list, or builds one; a sequential run parks its
+// engine there again when it is over, so a sequential request on a plan
+// that served one before builds no engine. The returned Result carries
+// only enumeration-side fields; the preprocessing times live on the plan
+// (a caller reusing a cached plan did not pay them).
 func MatchPlan(plan *Plan, limits Limits) (*Result, error) {
+	return matchPlan(plan, limits, true)
+}
+
+// matchPlan is MatchPlan; park says whether a sequential run's engine
+// goes back on the plan's free list afterwards. A plan built for one
+// request (MatchFresh) does not keep it: most such plans never serve
+// another.
+func matchPlan(plan *Plan, limits Limits, park bool) (*Result, error) {
 	// From here down there is one sink contract, the run form.
 	sink, err := limits.runSink()
 	if err != nil {
@@ -545,9 +563,16 @@ func MatchPlan(plan *Plan, limits Limits) (*Result, error) {
 		} else {
 			// Sequential is the engine called directly: no task pool, deque
 			// or goroutine stands between a request and its search.
-			stats, err := enumerate.Run(plan.Query, plan.Data, plan.Cand, plan.Space, plan.Order, opts)
+			eng, err := plan.takeEngine(opts)
 			if err != nil {
 				return nil, err
+			}
+			// A panic in the search or the sink unwinds past Release: the
+			// engine and its marks, some perhaps still set, are dropped.
+			stats := *eng.Run()
+			eng.Release()
+			if park {
+				plan.parkEngine(eng)
 			}
 			res.Embeddings = stats.Embeddings * plan.Orbit
 			res.Nodes = stats.Nodes
@@ -569,6 +594,39 @@ func MatchPlan(plan *Plan, limits Limits) (*Result, error) {
 		res.Explain = explainResult(plan, res)
 	}
 	return res, nil
+}
+
+// maxIdleEngines bounds a plan's free list: four concurrent sequential
+// requests on one hot plan find an engine each; a plan serving more than
+// that at once builds the rest, as every plan did before it kept any.
+const maxIdleEngines = 4
+
+// takeEngine returns an engine over the plan armed with opts' request
+// fields: an idle one from the free list, or a new one. The plan-scoped
+// fields of opts are the plan's, so a parked engine already has them.
+func (p *Plan) takeEngine(opts enumerate.Options) (*enumerate.Engine, error) {
+	var e *enumerate.Engine
+	p.engineMu.Lock()
+	if n := len(p.idle); n > 0 {
+		e, p.idle[n-1] = p.idle[n-1], nil
+		p.idle = p.idle[:n-1]
+	}
+	p.engineMu.Unlock()
+	if e == nil {
+		return enumerate.NewEngine(p.Query, p.Data, p.Cand, p.Space, p.Order, opts)
+	}
+	e.Rearm(opts)
+	return e, nil
+}
+
+// parkEngine puts a released engine on the plan's free list, if there
+// is room.
+func (p *Plan) parkEngine(e *enumerate.Engine) {
+	p.engineMu.Lock()
+	if len(p.idle) < maxIdleEngines {
+		p.idle = append(p.idle, e)
+	}
+	p.engineMu.Unlock()
 }
 
 // enumerateSpan builds the "enumerate" span from a finished result:
@@ -705,9 +763,10 @@ func RunContext(ctx context.Context, limits Limits, run func(Limits) (*Result, e
 // query, at start: the result is charged the plan's preprocessing times
 // and, when tracing, its "match" span holds the plan's preprocess span
 // beside the enumerate span. A caller that reuses a plan did not pay
-// those phases and calls MatchPlan.
+// those phases and calls MatchPlan. The run's engines are not parked on
+// the plan: a plan that serves again builds its engines then.
 func MatchFresh(plan *Plan, limits Limits, start time.Time) (*Result, error) {
-	res, err := MatchPlan(plan, limits)
+	res, err := matchPlan(plan, limits, false)
 	if err != nil {
 		return nil, err
 	}

@@ -44,8 +44,12 @@ const cappedCountRun = 3
 
 // matchParallel runs the enumeration step across limits.Parallel
 // goroutines. opts is the run's engine configuration as MatchPlan built
-// it from (plan, limits); the worker engines are made from it with the
-// cap, deadline, cancel flag and sink swapped for their shared forms.
+// it from (plan, limits); the worker engines are taken from the plan
+// with the cap, deadline, cancel flag and sink swapped for their shared
+// forms. They are not parked afterwards: a parallel request's search
+// dwarfs building its engines, and two parked engines on each of
+// enum-heavy's 48 plans read +1.0–1.5 MB rss_peak_mb (+3 %) for a qps
+// change inside the noise (EXPERIMENTS.md "Warm hit builds nothing").
 // The hooks below read the cap and the caller's sink (limits.OnRun —
 // MatchPlan has resolved OnMatch into it) from limits, captured whole
 // as they always were: the cap counter's cache line is contended on
@@ -197,7 +201,7 @@ func matchParallel(plan *Plan, opts enumerate.Options, limits Limits, res *Resul
 			deepest[w] = max(deepest[w], len(prefix)+1)
 			return true
 		}}
-		eng, err := enumerate.NewEngine(plan.Query, plan.Data, plan.Cand, plan.Space, plan.Order, o)
+		eng, err := plan.takeEngine(o)
 		if err != nil {
 			return err
 		}
@@ -208,7 +212,8 @@ func matchParallel(plan *Plan, opts enumerate.Options, limits Limits, res *Resul
 	// A panic in a worker — in the engine or in the caller's sink — would
 	// kill the process from a goroutine no caller can recover on. The
 	// worker recovers it and stops the others; the run returns the first
-	// as ErrInternal.
+	// as ErrInternal, and its engines are not released: the one that
+	// panicked may have left visited marks set.
 	var (
 		panicOnce sync.Once
 		panicErr  error
@@ -283,6 +288,7 @@ func matchParallel(plan *Plan, opts enumerate.Options, limits Limits, res *Resul
 			res.Profile.Merge(st.Profile)
 			res.WorkerProfiles[w] = st.Profile
 		}
+		eng.Release()
 	}
 	// The cap and the sink count canonical embeddings; the orbit
 	// multiplies them out, as on the sequential path.

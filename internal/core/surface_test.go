@@ -55,9 +55,9 @@ var layerSurface = map[string][]string{
 		"Methods", "ParseMethod", "Random", "Validate",
 	},
 	"../enumerate": {
-		"Engine.ResetStats", "Engine.Run", "Engine.RunPrefix",
+		"Engine.Rearm", "Engine.Release", "Engine.Run", "Engine.RunPrefix",
 		"Engine.SetDeadline", "Engine.Stats", "LocalCandidates.String",
-		"NewEngine", "NewSearchProfile", "Run", "SearchProfile.BranchingSummary",
+		"NewEngine", "NewSearchProfile", "SearchProfile.BranchingSummary",
 		"SearchProfile.MaxDepth", "SearchProfile.Merge", "SearchProfile.Render",
 		"SearchProfile.TotalNodes", "Stats.Solved",
 	},

@@ -26,7 +26,7 @@ func TestCancelStopsSearch(t *testing.T) {
 	var cancel atomic.Bool
 	done := make(chan *Stats, 1)
 	go func() {
-		st, err := Run(q, g, cand, space, phi, Options{Local: Intersect, Cancel: &cancel})
+		st, err := runFresh(q, g, cand, space, phi, Options{Local: Intersect, Cancel: &cancel})
 		if err != nil {
 			t.Error(err)
 		}
@@ -57,7 +57,7 @@ func TestCancelPreArmed(t *testing.T) {
 	var cancel atomic.Bool
 	cancel.Store(true)
 	start := time.Now()
-	st, err := Run(q, g, cand, space, phi, Options{Local: Intersect, Cancel: &cancel})
+	st, err := runFresh(q, g, cand, space, phi, Options{Local: Intersect, Cancel: &cancel})
 	if err != nil {
 		t.Fatal(err)
 	}

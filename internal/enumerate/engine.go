@@ -15,34 +15,20 @@ import (
 // checks; checking the clock at every node would dominate small queries.
 const timeCheckInterval = 1 << 12
 
-// Run enumerates all subgraph isomorphisms from q to g following the
-// matching order phi (a permutation of V(q) whose every prefix is
-// connected), using the candidate sets cand and, for the auxiliary-
-// structure-based local candidate methods, the candidate space.
-//
-// In adaptive mode (opts.Adaptive), phi is interpreted as the BFS order
-// delta that defines the query DAG and the actual mapping order is chosen
-// dynamically per search node, as DP-iso does.
-//
-// Run allocates a fresh Engine per call; callers that enumerate the same
-// (query, data, candidates, order) tuple repeatedly — parallel workers
-// running many tasks, benchmark loops — should construct an Engine once
-// with NewEngine and reuse it, which makes the steady-state search
-// allocation-free.
-func Run(q, g *graph.Graph, cand [][]uint32, space *candspace.Space, phi []graph.Vertex, opts Options) (*Stats, error) {
-	e, err := NewEngine(q, g, cand, space, phi, opts)
-	if err != nil {
-		return nil, err
-	}
-	return e.Run(), nil
-}
-
 // Engine is a reusable enumeration engine bound to one (query, data,
-// candidates, space, order, options) tuple. All per-run scratch state —
-// the partial embedding, visited marks, per-depth local-candidate
-// buffers, intersection intermediates, failing-set masks — is allocated
-// once at construction and re-seeded on each run, so repeated runs and
-// per-task calls (RunPrefix) allocate nothing.
+// candidates, space, order) tuple and its plan-scoped options (local
+// candidates, kernel policy, failing sets, adaptive order and weights,
+// VF2++ rules, homomorphism, symmetry classes). All per-run scratch
+// state — the partial embedding, per-depth local-candidate buffers,
+// intersection intermediates, failing-set masks — is allocated once at
+// construction and re-seeded on each run, so repeated runs and per-task
+// calls (RunPrefix) allocate nothing. The visited marks, one per data
+// vertex, are the data graph's (graph.Graph.Marks): an engine holds
+// them from construction or Rearm until Release. Callers that enumerate
+// the same tuple repeatedly — parallel workers running many tasks, a
+// cached plan serving many requests — construct an Engine once and
+// reuse it, readying it for each request with Rearm and releasing it
+// after.
 //
 // An Engine is not safe for concurrent use; parallel callers hold one
 // engine per worker over shared read-only inputs.
@@ -50,10 +36,17 @@ type Engine struct {
 	engine
 }
 
-// NewEngine validates the inputs and builds a reusable engine. The
-// candidate sets, space, and order are captured by reference and must
-// stay unmodified (they may be shared, read-only, across engines); a
-// space must have been built over cand, whose positions it holds.
+// NewEngine validates the inputs and builds a reusable engine; its Run
+// enumerates every subgraph isomorphism from q to g following the
+// matching order phi (a permutation of V(q) whose every prefix is
+// connected), using the candidate sets cand and, for the auxiliary-
+// structure-based local candidate methods, the candidate space. In
+// adaptive mode (opts.Adaptive), phi is the BFS order delta that defines
+// the query DAG and the mapping order is chosen per search node, as
+// DP-iso does. The candidate sets, space, and order are captured by
+// reference and must stay unmodified (they may be shared, read-only,
+// across engines); a space must have been built over cand, whose
+// positions it holds.
 func NewEngine(q, g *graph.Graph, cand [][]uint32, space *candspace.Space, phi []graph.Vertex, opts Options) (*Engine, error) {
 	n := q.NumVertices()
 	if len(phi) != n {
@@ -85,7 +78,7 @@ func NewEngine(q, g *graph.Graph, cand [][]uint32, space *candspace.Space, phi [
 		candIdx:   make([]int, n),
 		ids:       make([][]uint32, n),
 		mapped:    make([]bool, n),
-		visited:   make([]bool, g.NumVertices()),
+		visited:   g.Marks(),
 		lcBuf:     make([][]uint32, n),
 		levels:    make([][]uint32, n),
 		fullMask:  bitset.Mask64All(n),
@@ -117,9 +110,8 @@ func NewEngine(q, g *graph.Graph, cand [][]uint32, space *candspace.Space, phi [
 }
 
 // Run resets the per-run statistics and enumerates over all root
-// candidates — the same complete search the package-level Run performs.
-// The returned Stats are owned by the engine and overwritten by the next
-// Run call.
+// candidates. The returned Stats are owned by the engine and overwritten
+// by the next Run or Rearm call.
 func (E *Engine) Run() *Stats {
 	e := &E.engine
 	e.resetRun()
@@ -171,13 +163,46 @@ func (E *Engine) Stats() *Stats {
 	return &E.engine.stats
 }
 
-// ResetStats clears the cumulative statistics and the abort flag without
-// touching the armed deadline. Schedulers call it once per worker before
-// the task loop.
-func (E *Engine) ResetStats() {
-	deadline := E.engine.deadline
-	E.engine.resetRun()
-	E.engine.deadline = deadline
+// Rearm readies the engine for a new request over the same tuple: it
+// swaps in opts' request-scoped fields — MaxEmbeddings, TimeLimit,
+// Cancel, OnRun, MaxRun, Donor and Profile — clears the statistics, the
+// abort state and the task deadline, and takes visited marks from the
+// data graph if Release gave them back. The plan-scoped fields of opts
+// are ignored: they are the engine's for life. A profiled request gets
+// a profile of its own, so the previous request's Stats.Profile stays
+// with whoever holds it. The search state needs no clearing: every
+// search path unwinds its marks, even on abort.
+func (E *Engine) Rearm(opts Options) {
+	e := &E.engine
+	o := &e.opts
+	o.MaxEmbeddings, o.TimeLimit, o.Cancel = opts.MaxEmbeddings, opts.TimeLimit, opts.Cancel
+	o.OnRun, o.MaxRun, o.Donor, o.Profile = opts.OnRun, opts.MaxRun, opts.Donor, opts.Profile
+	e.prof = nil
+	if opts.Profile {
+		e.prof = newSearchProfile(e.q.NumVertices())
+	}
+	if e.visited == nil {
+		e.visited = e.g.Marks()
+	}
+	e.resetRun()
+}
+
+// Release ends a request on the engine: its visited marks go back to
+// the data graph for the next search to reuse, and the request's sink,
+// cancel flag, donor and profile are dropped, which an idle engine must
+// not keep alive. Read the statistics first. Release only after a run
+// that returned: a search that panicked may have left marks set. The
+// engine stays bound to its tuple; Rearm readies it for another
+// request.
+func (E *Engine) Release() {
+	e := &E.engine
+	o := &e.opts
+	o.OnRun, o.Cancel, o.Donor = nil, nil, nil
+	e.prof, e.stats.Profile = nil, nil
+	if e.visited != nil {
+		e.g.PutMarks(e.visited)
+		e.visited = nil
+	}
 }
 
 // pollHalt polls the cancellation flag and deadline once. The search
@@ -334,7 +359,7 @@ type engine struct {
 	embedding []uint32 // per query vertex
 	candIdx   []int    // per query vertex: position of embedding in cand[u]
 	mapped    []bool   // per query vertex
-	visited   []bool   // per data vertex
+	visited   []bool   // per data vertex: the data graph's Marks, nil once released
 
 	// ids[u] translates u's local candidates to data vertices: cand[u]
 	// for the methods whose local candidates are positions in C(u)

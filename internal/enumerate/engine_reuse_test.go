@@ -2,6 +2,7 @@ package enumerate
 
 import (
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -114,7 +115,7 @@ func TestEngineRootPairPartitionsTheSearch(t *testing.T) {
 }
 
 // TestEngineRunRootAccumulatesAcrossTasks pins the scheduler contract:
-// the per-task entry point accumulates into Stats until ResetStats.
+// the per-task entry point accumulates into Stats until Rearm.
 func TestEngineRunRootAccumulatesAcrossTasks(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
 	f := newFixture(t, q, g, filter.GQL)
@@ -136,9 +137,9 @@ func TestEngineRunRootAccumulatesAcrossTasks(t *testing.T) {
 	if got := e.Stats().Nodes; got != 2*firstNodes {
 		t.Errorf("accumulated nodes = %d, want %d", got, 2*firstNodes)
 	}
-	e.ResetStats()
+	e.Rearm(Options{})
 	if got := e.Stats().Nodes; got != 0 {
-		t.Errorf("nodes after ResetStats = %d", got)
+		t.Errorf("nodes after Rearm = %d", got)
 	}
 }
 
@@ -252,5 +253,80 @@ func TestProfileOffAllocationFree(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, func() { e.Run() }); allocs > 0 {
 			t.Errorf("opts %+v: %.1f allocs per warmed profiled run, want 0", opts, allocs)
 		}
+	}
+}
+
+// TestRearmSwapsRequestOptions pins Rearm's contract: the request-scoped
+// options are replaced, the plan-scoped ones are the engine's for life,
+// and a profiled run's profile stays with its reader after the engine
+// moves on.
+func TestRearmSwapsRequestOptions(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	g := testutil.RandomGraph(rng, 60, 240, 2)
+	var q *graph.Graph
+	for q == nil {
+		q = testutil.RandomConnectedQuery(rng, g, 5)
+	}
+	f := newFixture(t, q, g, filter.GQL)
+	ref := f.run(t, Options{Local: Intersect})
+	if ref.Embeddings < 2 {
+		t.Fatalf("fixture has %d embeddings, want at least 2", ref.Embeddings)
+	}
+	e, err := NewEngine(f.q, f.g, f.cand, f.space, f.phi, Options{Local: Intersect, MaxEmbeddings: 1, Profile: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := e.Run()
+	if first.Embeddings != 1 || !first.LimitHit || first.Profile == nil {
+		t.Fatalf("capped run: %d embeddings, LimitHit %v, profile %v", first.Embeddings, first.LimitHit, first.Profile != nil)
+	}
+	prof, profNodes := first.Profile, first.Profile.TotalNodes()
+
+	// Local is plan-scoped: Direct here is ignored, and the intersection
+	// kernels still run.
+	e.Rearm(Options{Local: Direct})
+	st := e.Run()
+	if st.Embeddings != ref.Embeddings || st.Nodes != ref.Nodes || st.LimitHit || st.Profile != nil {
+		t.Errorf("rearmed uncapped run: %d embeddings, %d nodes, LimitHit %v, profile %v; want %d, %d",
+			st.Embeddings, st.Nodes, st.LimitHit, st.Profile != nil, ref.Embeddings, ref.Nodes)
+	}
+	if st.Kernels != ref.Kernels {
+		t.Errorf("rearmed run kernels %v, want %v", st.Kernels, ref.Kernels)
+	}
+
+	e.Rearm(Options{Profile: true})
+	if st := e.Run(); st.Profile == nil || st.Profile == prof {
+		t.Errorf("a profiled request reused the previous request's profile")
+	}
+	if prof.TotalNodes() != profNodes {
+		t.Errorf("the first request's profile changed under its reader: %d nodes, was %d", prof.TotalNodes(), profNodes)
+	}
+}
+
+// TestReleaseReturnsMarks: Release hands the engine's visited marks back
+// to the data graph, cleared, and an engine rearmed after it takes marks
+// again and answers as before.
+func TestReleaseReturnsMarks(t *testing.T) {
+	q, g := testutil.PaperQuery(), testutil.PaperData()
+	f := newFixture(t, q, g, filter.GQL)
+	ref := f.run(t, Options{Local: Intersect})
+	e, err := NewEngine(f.q, f.g, f.cand, f.space, f.phi, Options{Local: Intersect})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run()
+	marks := e.visited
+	e.Release()
+	if e.visited != nil {
+		t.Fatal("a released engine still holds its marks")
+	}
+	got := g.Marks()
+	if &got[0] != &marks[0] || slices.Contains(got, true) {
+		t.Errorf("the data graph's next marks are not the released, cleared array")
+	}
+	g.PutMarks(got)
+	e.Rearm(Options{})
+	if st := e.Run(); st.Embeddings != ref.Embeddings || st.Nodes != ref.Nodes {
+		t.Errorf("rearmed after Release: %d embeddings, %d nodes; want %d, %d", st.Embeddings, st.Nodes, ref.Embeddings, ref.Nodes)
 	}
 }

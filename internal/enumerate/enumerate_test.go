@@ -36,9 +36,18 @@ func newFixture(t testing.TB, q, g *graph.Graph, fm filter.Method) *fixture {
 	return &fixture{q: q, g: g, cand: cand, space: space, phi: graph.NewBFSTree(q, 0).Order}
 }
 
+// runFresh builds an engine over the tuple and runs it once.
+func runFresh(q, g *graph.Graph, cand [][]uint32, space *candspace.Space, phi []graph.Vertex, opts Options) (*Stats, error) {
+	e, err := NewEngine(q, g, cand, space, phi, opts)
+	if err != nil {
+		return nil, err
+	}
+	return e.Run(), nil
+}
+
 func (f *fixture) run(t testing.TB, opts Options) *Stats {
 	t.Helper()
-	st, err := Run(f.q, f.g, f.cand, f.space, f.phi, opts)
+	st, err := runFresh(f.q, f.g, f.cand, f.space, f.phi, opts)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -90,7 +99,7 @@ func TestTreeEdgeModeWithTreeSpace(t *testing.T) {
 	cand, _ := filter.Run(filter.CFL, q, g)
 	tree := graph.NewBFSTree(q, 0)
 	space := candspace.Build(q, g, cand, tree.Parent)
-	st, err := Run(q, g, cand, space, tree.Order, Options{Local: TreeEdge})
+	st, err := runFresh(q, g, cand, space, tree.Order, Options{Local: TreeEdge})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +162,7 @@ func TestAgreementProperty(t *testing.T) {
 						}
 						return true
 					})
-					st, err := Run(q, g, cand, space, phi, opts)
+					st, err := runFresh(q, g, cand, space, phi, opts)
 					if err != nil {
 						t.Logf("run %s: %v", cfg.name, err)
 						return false
@@ -190,7 +199,7 @@ func TestAdaptiveWithWeights(t *testing.T) {
 		delta := order.ComputeDPIso(q, g)
 		weights := order.BuildDPWeights(q, space, delta)
 		want := testutil.BruteForceCount(q, g, 0)
-		st, err := Run(q, g, cand, space, delta, Options{
+		st, err := runFresh(q, g, cand, space, delta, Options{
 			Local: Intersect, Adaptive: true, AdaptiveWeights: weights, FailingSets: true,
 		})
 		if err != nil {
@@ -256,7 +265,7 @@ func TestTimeLimit(t *testing.T) {
 	cand := filter.RunLDF(q, g)
 	space := candspace.BuildFull(q, g, cand)
 	phi := graph.NewBFSTree(q, 0).Order
-	st, err := Run(q, g, cand, space, phi, Options{Local: Intersect, TimeLimit: time.Millisecond})
+	st, err := runFresh(q, g, cand, space, phi, Options{Local: Intersect, TimeLimit: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,8 +285,8 @@ func TestFailingSetsNeverChangeCounts(t *testing.T) {
 		cand, _ := filter.Run(filter.GQL, q, g)
 		space := candspace.BuildFull(q, g, cand)
 		phi, _ := order.Compute(order.GQL, q, g, cand)
-		a, err1 := Run(q, g, cand, space, phi, Options{Local: Intersect})
-		b, err2 := Run(q, g, cand, space, phi, Options{Local: Intersect, FailingSets: true})
+		a, err1 := runFresh(q, g, cand, space, phi, Options{Local: Intersect})
+		b, err2 := runFresh(q, g, cand, space, phi, Options{Local: Intersect, FailingSets: true})
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -303,27 +312,27 @@ func TestValidationErrors(t *testing.T) {
 		fn   func() error
 	}{
 		{"short order", func() error {
-			_, err := Run(q, g, cand, space, phi[:2], Options{})
+			_, err := runFresh(q, g, cand, space, phi[:2], Options{})
 			return err
 		}},
 		{"bad candidates", func() error {
-			_, err := Run(q, g, cand[:1], space, phi, Options{})
+			_, err := runFresh(q, g, cand[:1], space, phi, Options{})
 			return err
 		}},
 		{"missing space", func() error {
-			_, err := Run(q, g, cand, nil, phi, Options{Local: Intersect})
+			_, err := runFresh(q, g, cand, nil, phi, Options{Local: Intersect})
 			return err
 		}},
 		{"adaptive without intersect", func() error {
-			_, err := Run(q, g, cand, space, phi, Options{Local: Scan, Adaptive: true})
+			_, err := runFresh(q, g, cand, space, phi, Options{Local: Scan, Adaptive: true})
 			return err
 		}},
 		{"not a permutation", func() error {
-			_, err := Run(q, g, cand, space, []graph.Vertex{0, 0, 1, 2}, Options{})
+			_, err := runFresh(q, g, cand, space, []graph.Vertex{0, 0, 1, 2}, Options{})
 			return err
 		}},
 		{"disconnected prefix", func() error {
-			_, err := Run(q, g, cand, space, []graph.Vertex{0, 3, 1, 2}, Options{})
+			_, err := runFresh(q, g, cand, space, []graph.Vertex{0, 3, 1, 2}, Options{})
 			return err
 		}},
 	}
@@ -343,14 +352,14 @@ func TestValidationErrors(t *testing.T) {
 	bq := big.MustBuild()
 	bcand := filter.RunLDF(bq, bq)
 	bphi := graph.NewBFSTree(bq, 0).Order
-	if _, err := Run(bq, bq, bcand, nil, bphi, Options{Local: Direct, FailingSets: true}); err == nil {
+	if _, err := runFresh(bq, bq, bcand, nil, bphi, Options{Local: Direct, FailingSets: true}); err == nil {
 		t.Error("expected error for failing sets with >64 query vertices")
 	}
 }
 
 func TestEmptyQuery(t *testing.T) {
 	q := graph.MustFromEdges(nil, nil)
-	st, err := Run(q, testutil.PaperData(), nil, nil, nil, Options{})
+	st, err := runFresh(q, testutil.PaperData(), nil, nil, nil, Options{})
 	if err != nil || st.Embeddings != 0 {
 		t.Errorf("empty query: %v, %+v", err, st)
 	}

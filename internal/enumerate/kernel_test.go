@@ -30,9 +30,9 @@ func collectEmbeddings(t *testing.T, q, g *graph.Graph, cand [][]uint32, space *
 		out = append(out, append([]uint32(nil), m...))
 		return true
 	})
-	st, err := Run(q, g, cand, space, phi, opts)
+	st, err := runFresh(q, g, cand, space, phi, opts)
 	if err != nil {
-		t.Fatalf("Run(%+v): %v", opts, err)
+		t.Fatalf("runFresh(%+v): %v", opts, err)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		for k := range out[i] {

@@ -326,7 +326,7 @@ func TestLeafLevelEntryPoints(t *testing.T) {
 							name, entry, kernels, st.Profile.TotalNodes(), st.Kernels, st.Nodes)
 					}
 					got = got[:0]
-					e.ResetStats()
+					e.Rearm(opts)
 				}
 
 				roots := f.cand[f.phi[0]]
@@ -539,7 +539,7 @@ func TestLeafLevelHonorsCancelAndDeadline(t *testing.T) {
 		}
 
 		cancel.Store(false)
-		e.ResetStats()
+		e.Rearm(opts)
 		e.SetDeadline(time.Now().Add(-time.Second))
 		for _, r := range f.cand[f.phi[0]] {
 			if !e.RunPrefix([]uint32{r}) {

@@ -18,7 +18,7 @@ func profiledRun(t *testing.T, opts Options) *Stats {
 	space := candspace.BuildFull(q, g, cand)
 	phi := graph.NewBFSTree(q, 0).Order
 	opts.Profile = true
-	st, err := Run(q, g, cand, space, phi, opts)
+	st, err := runFresh(q, g, cand, space, phi, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestProfileConflictsRecorded(t *testing.T) {
 	cand := filter.RunLDF(q, g)
 	space := candspace.BuildFull(q, g, cand)
 	phi := graph.NewBFSTree(q, 0).Order
-	st, err := Run(q, g, cand, space, phi, Options{Local: Intersect, Profile: true})
+	st, err := runFresh(q, g, cand, space, phi, Options{Local: Intersect, Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestProfileDisabledByDefault(t *testing.T) {
 	cand := filter.RunLDF(q, g)
 	space := candspace.BuildFull(q, g, cand)
 	phi := graph.NewBFSTree(q, 0).Order
-	st, err := Run(q, g, cand, space, phi, Options{Local: Intersect})
+	st, err := runFresh(q, g, cand, space, phi, Options{Local: Intersect})
 	if err != nil {
 		t.Fatal(err)
 	}

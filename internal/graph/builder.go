@@ -46,7 +46,8 @@ func (b *Builder) AddEdge(u, v Vertex) {
 
 // Build validates the accumulated input and returns the immutable Graph.
 // Duplicate edges are deduplicated silently (generators may emit them);
-// self-loops and out-of-range endpoints are errors.
+// self-loops and out-of-range endpoints are errors. Build fills the CSR
+// arrays only; the label indexes are built when first read.
 func (b *Builder) Build() (*Graph, error) {
 	n := len(b.labels)
 	for _, e := range b.edges {
@@ -68,11 +69,9 @@ func (b *Builder) Build() (*Graph, error) {
 	norm = slices.Compact(norm)
 
 	g := &Graph{
-		offsets:        make([]int64, n+1),
-		adj:            make([]Vertex, 2*len(norm)),
-		labels:         append([]Label(nil), b.labels...),
-		byLabel:        make(map[Label][]Vertex),
-		labelPairEdges: make(map[uint64]int64),
+		offsets: make([]int64, n+1),
+		adj:     make([]Vertex, 2*len(norm)),
+		labels:  append([]Label(nil), b.labels...),
 	}
 
 	deg := make([]int64, n)
@@ -97,11 +96,6 @@ func (b *Builder) Build() (*Graph, error) {
 		cursor[u]++
 		g.adj[cursor[v]] = u
 		cursor[v]++
-		g.labelPairEdges[labelPairKey(g.labels[u], g.labels[v])]++
-	}
-	for v := 0; v < n; v++ {
-		l := g.labels[v]
-		g.byLabel[l] = append(g.byLabel[l], Vertex(v))
 	}
 	return g, nil
 }

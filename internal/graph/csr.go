@@ -20,14 +20,15 @@ func (g *Graph) CSR() (offsets []int64, adj []Vertex, labels []Label) {
 // ordering reads these counts; persisting them alongside the CSR lets a
 // snapshot load skip the O(|E|) recount.
 func (g *Graph) LabelPairCounts() (keys []uint64, counts []int64) {
-	keys = make([]uint64, 0, len(g.labelPairEdges))
-	for k := range g.labelPairEdges {
+	pairs := g.labelPairs()
+	keys = make([]uint64, 0, len(pairs))
+	for k := range pairs {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
 	counts = make([]int64, len(keys))
 	for i, k := range keys {
-		counts[i] = g.labelPairEdges[k]
+		counts[i] = pairs[k]
 	}
 	return keys, counts
 }
@@ -41,7 +42,8 @@ func (g *Graph) LabelPairCounts() (keys []uint64, counts []int64) {
 //
 // pairKeys/pairCounts, when non-nil, supply the label-pair edge
 // statistics (as produced by LabelPairCounts) and are cross-checked
-// against the edge count; nil recomputes them from the adjacency.
+// against the edge count; nil leaves them to be counted from the
+// adjacency on first use, as for a built graph.
 func FromCSR(offsets []int64, adj []Vertex, labels []Label, pairKeys []uint64, pairCounts []int64) (*Graph, error) {
 	n := len(labels)
 	if len(offsets) != n+1 {
@@ -57,11 +59,9 @@ func FromCSR(offsets []int64, adj []Vertex, labels []Label, pairKeys []uint64, p
 		return nil, fmt.Errorf("graph: csr: odd adjacency length %d", len(adj))
 	}
 	g := &Graph{
-		offsets:        offsets,
-		adj:            adj,
-		labels:         labels,
-		byLabel:        make(map[Label][]Vertex),
-		labelPairEdges: make(map[uint64]int64),
+		offsets: offsets,
+		adj:     adj,
+		labels:  labels,
 	}
 	for v := 0; v < n; v++ {
 		d := offsets[v+1] - offsets[v]
@@ -84,15 +84,12 @@ func FromCSR(offsets []int64, adj []Vertex, labels []Label, pairKeys []uint64, p
 			}
 		}
 	}
-	for v := 0; v < n; v++ {
-		l := labels[v]
-		g.byLabel[l] = append(g.byLabel[l], Vertex(v))
-	}
 	if pairKeys != nil || pairCounts != nil {
 		if len(pairKeys) != len(pairCounts) {
 			return nil, fmt.Errorf("graph: csr: %d pair keys vs %d counts", len(pairKeys), len(pairCounts))
 		}
 		var total int64
+		pairs := make(map[uint64]int64, len(pairKeys))
 		for i, k := range pairKeys {
 			if i > 0 && pairKeys[i-1] >= k {
 				return nil, fmt.Errorf("graph: csr: label-pair keys not strictly sorted at %d", i)
@@ -104,17 +101,13 @@ func FromCSR(offsets []int64, adj []Vertex, labels []Label, pairKeys []uint64, p
 			if pairCounts[i] <= 0 {
 				return nil, fmt.Errorf("graph: csr: non-positive label-pair count at %d", i)
 			}
-			g.labelPairEdges[k] = pairCounts[i]
+			pairs[k] = pairCounts[i]
 			total += pairCounts[i]
 		}
 		if total != int64(g.NumEdges()) {
 			return nil, fmt.Errorf("graph: csr: label-pair counts sum to %d, want |E| = %d", total, g.NumEdges())
 		}
-	} else {
-		g.EachEdge(func(u, v Vertex) bool {
-			g.labelPairEdges[labelPairKey(labels[u], labels[v])]++
-			return true
-		})
+		g.labelPairOnce.Do(func() { g.labelPairEdges = pairs })
 	}
 	return g, nil
 }

@@ -3,11 +3,12 @@
 //
 // Graphs are stored in compressed sparse row (CSR) form with sorted
 // adjacency lists, which makes edge existence checks O(log d) via binary
-// search and set intersections over neighbor lists linear-time merges. A
-// label index (label -> sorted vertex list) and label-pair edge statistics
-// are computed at build time; they back the LDF filter and the QuickSI
-// ordering method respectively. The neighbour-label-frequency index
-// behind the NLF filter (nlf.go) is built lazily, on first use.
+// search and set intersections over neighbor lists linear-time merges.
+// The indexes over it are built lazily, on first use: the label index
+// (label -> sorted vertex list) behind the LDF filter, the label-pair
+// edge statistics behind the QuickSI ordering method, and the
+// neighbour-label-frequency index behind the NLF filter (nlf.go). A
+// query graph that only looks up a cached plan builds none of them.
 package graph
 
 import (
@@ -28,25 +29,39 @@ type Label = uint32
 const NoVertex = ^Vertex(0)
 
 // Graph is an immutable undirected vertex-labeled graph in CSR form.
+// Its three indexes — by label, by label pair and NLF — are built on
+// first use, each once, safely under concurrent readers.
 // The zero value is an empty graph; use a Builder or the io helpers to
 // construct non-trivial instances. A Graph must not be copied after
-// first use (it carries the sync.Once guarding its lazy indexes).
+// first use (it carries the sync.Onces guarding its lazy indexes and
+// the lock of its free list of visited marks).
 type Graph struct {
 	offsets   []int64  // len n+1; adj[offsets[v]:offsets[v+1]] are v's neighbors
 	adj       []Vertex // sorted within each vertex's slice
 	labels    []Label  // len n
-	byLabel   map[Label][]Vertex
 	maxDegree int
+
+	// byLabel lists each label's vertices in ascending order, built on
+	// first use (see labelIndex).
+	byLabelOnce sync.Once
+	byLabel     map[Label][]Vertex
 
 	// labelPairEdges counts, for each unordered label pair (l1<=l2), the
 	// number of edges whose endpoint labels are {l1,l2}. Used by the
-	// QuickSI infrequent-edge-first ordering.
+	// QuickSI infrequent-edge-first ordering. Built on first use (see
+	// labelPairs), or supplied by FromCSR.
+	labelPairOnce  sync.Once
 	labelPairEdges map[uint64]int64
 
 	// nlf is the neighbour-label-frequency index, built on first use
 	// (see NLF); nil until then.
 	nlfOnce sync.Once
 	nlf     atomic.Pointer[NLF]
+
+	// idleMarks is the free list of searches' visited marks over this
+	// graph (see Marks).
+	marksMu   sync.Mutex
+	idleMarks [][]bool
 }
 
 // NumVertices returns |V|.
@@ -85,14 +100,41 @@ func (g *Graph) Label(v Vertex) Label { return g.labels[v] }
 func (g *Graph) Labels() []Label { return g.labels }
 
 // NumLabels returns the number of distinct labels present in the graph.
-func (g *Graph) NumLabels() int { return len(g.byLabel) }
+func (g *Graph) NumLabels() int { return len(g.labelIndex()) }
 
 // VerticesWithLabel returns the sorted list of vertices carrying label l.
 // The returned slice aliases internal storage and must not be modified.
-func (g *Graph) VerticesWithLabel(l Label) []Vertex { return g.byLabel[l] }
+func (g *Graph) VerticesWithLabel(l Label) []Vertex { return g.labelIndex()[l] }
 
 // LabelFrequency returns the number of vertices carrying label l.
-func (g *Graph) LabelFrequency(l Label) int { return len(g.byLabel[l]) }
+func (g *Graph) LabelFrequency(l Label) int { return len(g.labelIndex()[l]) }
+
+// labelIndex returns the label index, building it on first use. Safe
+// for concurrent use.
+func (g *Graph) labelIndex() map[Label][]Vertex {
+	g.byLabelOnce.Do(func() {
+		byLabel := make(map[Label][]Vertex)
+		for v, l := range g.labels {
+			byLabel[l] = append(byLabel[l], Vertex(v))
+		}
+		g.byLabel = byLabel
+	})
+	return g.byLabel
+}
+
+// labelPairs returns the label-pair edge counts, counting them on first
+// use. Safe for concurrent use.
+func (g *Graph) labelPairs() map[uint64]int64 {
+	g.labelPairOnce.Do(func() {
+		pairs := make(map[uint64]int64)
+		g.EachEdge(func(u, v Vertex) bool {
+			pairs[labelPairKey(g.labels[u], g.labels[v])]++
+			return true
+		})
+		g.labelPairEdges = pairs
+	})
+	return g.labelPairEdges
+}
 
 // HasEdge reports whether the undirected edge (u, v) exists. It binary
 // searches the smaller adjacency list.
@@ -108,7 +150,7 @@ func (g *Graph) HasEdge(u, v Vertex) bool {
 // LabelPairEdgeCount returns the number of edges whose endpoint labels are
 // {l1, l2} (unordered).
 func (g *Graph) LabelPairEdgeCount(l1, l2 Label) int64 {
-	return g.labelPairEdges[labelPairKey(l1, l2)]
+	return g.labelPairs()[labelPairKey(l1, l2)]
 }
 
 // EachEdge calls fn once per undirected edge with u < v. Iteration stops

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -382,5 +383,30 @@ func TestLoadDir(t *testing.T) {
 	empty := t.TempDir()
 	if _, err := LoadDir(empty); err == nil {
 		t.Error("expected error for dir without graphs")
+	}
+}
+
+// TestMarksFreeList: Marks hands out |V| cleared booleans, an array
+// handed back is the next one handed out, and the free list keeps at
+// most maxIdleMarks arrays.
+func TestMarksFreeList(t *testing.T) {
+	g := MustFromEdges([]Label{0, 1, 0}, [][2]Vertex{{0, 1}, {1, 2}})
+	m := g.Marks()
+	if len(m) != g.NumVertices() || slices.Contains(m, true) {
+		t.Fatalf("Marks() = %v, want %d cleared entries", m, g.NumVertices())
+	}
+	g.PutMarks(m)
+	if again := g.Marks(); &again[0] != &m[0] {
+		t.Error("Marks did not reuse the array handed back")
+	}
+	held := make([][]bool, maxIdleMarks+2)
+	for i := range held {
+		held[i] = g.Marks()
+	}
+	for _, m := range held {
+		g.PutMarks(m)
+	}
+	if n := len(g.idleMarks); n != maxIdleMarks {
+		t.Errorf("free list holds %d arrays after %d were handed back, want %d", n, len(held), maxIdleMarks)
 	}
 }

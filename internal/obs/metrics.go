@@ -262,7 +262,7 @@ type family struct {
 
 	counter    *Counter
 	gauge      *Gauge
-	gaugeFn    func() float64
+	valueFn    func() float64 // a gauge or counter read at scrape time
 	gaugeVecFn func() []LabeledValue
 	histogram  *Histogram
 	counterVec *CounterVec
@@ -335,7 +335,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // the natural fit for occupancy read from another structure (admission
 // in-use, cache size) instead of double-booking it.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.register(&family{name: name, help: help, typ: TypeGauge, gaugeFn: fn})
+	r.register(&family{name: name, help: help, typ: TypeGauge, valueFn: fn})
 }
 
 // LabeledValue is one child of a GaugeVecFunc family.
@@ -485,8 +485,8 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "%s %d\n", f.name, f.counter.Value())
 		case f.gauge != nil:
 			fmt.Fprintf(w, "%s %d\n", f.name, f.gauge.Value())
-		case f.gaugeFn != nil:
-			fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(f.gaugeFn()))
+		case f.valueFn != nil:
+			fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(f.valueFn()))
 		case f.gaugeVecFn != nil:
 			children := f.gaugeVecFn()
 			sort.Slice(children, func(i, j int) bool { return children[i].Label < children[j].Label })

@@ -205,6 +205,7 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 		"Seconds since the service started.", func() float64 {
 			return time.Since(s.start).Seconds()
 		})
+	obs.RegisterRuntime(r)
 	return m
 }
 
