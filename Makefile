@@ -41,14 +41,19 @@ race:
 # whose running searches feed sleeping workers donated prefixes; the
 # plan-engine stress (TestStressPlanEngines) sends mixed sequential,
 # parallel and cancelled requests from 8 goroutines to one plan, whose
-# free list hands each run its engines and takes them back.
+# free list hands each run its engines and takes them back; the
+# cold-scratch stress (TestStressColdScratch) builds GraphQL, CFL and
+# DP-iso plans from 8 goroutines against two data graphs, whose free
+# lists hand every filter and candidate-space build its bitmaps and
+# row buffers and take them back clear.
 race-stress:
 	$(GO) test -race -run 'Stress|CapExactUnderContention' -count 1 ./internal/graph ./internal/core ./internal/service ./internal/obs ./internal/obs/flight ./internal/store ./cmd/smatchd
 
 # Short corpus-plus-mutation runs of the fuzz targets: filter soundness
 # (candidate sets never drop a ground-truth embedding vertex), GraphQL's
 # per-label-class matching test (the same verdict as one matching over
-# all of N(u), for every (u, v) in every refinement state),
+# all of N(u), for every (u, v) in every refinement state, resumed from
+# the witnesses the rounds recorded, below and above 64 labels),
 # intersection-kernel equivalence (every kernel — merge, gallop, hybrid,
 # block over flat views, every selector policy — produces identical
 # output), and

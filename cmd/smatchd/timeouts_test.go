@@ -67,12 +67,15 @@ func readResponse(t *testing.T, br *bufio.Reader) *http.Response {
 func TestHalfHeaderConnectionIsClosed(t *testing.T) {
 	const header = 150 * time.Millisecond
 	addr := serveScaled(t, header, time.Minute)
+	// The server's header timer may start at accept, before Dial
+	// returns, so the wait is measured from before the dial: a start
+	// taken after it could read a close on time as early.
+	start := time.Now()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	start := time.Now()
 	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: sma"); err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,11 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
+// Over returns a Set with capacity n over the caller's words, which
+// must number (n+63)/64: the set aliases them, so a bitmap taken from a
+// free list is a Set without a copy.
+func Over(words []uint64, n int) Set { return Set{words: words, n: n} }
+
 // Len returns the capacity of the set.
 func (s *Set) Len() int { return s.n }
 

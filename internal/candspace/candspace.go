@@ -23,7 +23,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"subgraphmatching/internal/bitset"
 	"subgraphmatching/internal/graph"
 	"subgraphmatching/internal/intersect"
 )
@@ -70,11 +69,11 @@ func materialized(parent []graph.Vertex, u, up graph.Vertex) bool {
 // of the L(u′) run of its neighbours against words, the bitmap of C(u′),
 // whose rank is the popcount prefix before[w/64] plus the bits below w
 // in its word. Ascending, since run is sorted and so is C(u′).
-func appendRanks(dst []uint32, run []uint32, words []uint64, before []int32) []uint32 {
+func appendRanks(dst []uint32, run []uint32, words []uint64, before []uint32) []uint32 {
 	for _, w := range run {
 		word, bit := words[w/64], uint64(1)<<(w%64)
 		if word&bit != 0 {
-			dst = append(dst, uint32(before[w/64])+uint32(bits.OnesCount64(word&(bit-1))))
+			dst = append(dst, before[w/64]+uint32(bits.OnesCount64(word&(bit-1))))
 		}
 	}
 	return dst
@@ -96,7 +95,9 @@ func appendRanks(dst []uint32, run []uint32, words []uint64, before []int32) []u
 // the other end's set. Scanned pairs are visited grouped by their
 // target u′, so one bitmap of C(u′) is set once, serves every u that
 // scans towards u′, and is cleared by walking C(u′) again (never a full
-// reset). A target is stored as its position in C(u′), the popcount
+// reset), so it goes back to g's free list clear, with the prefix sums
+// and the row buffer (graph.Bitmap, graph.Buffer). A target is stored
+// as its position in C(u′), the popcount
 // prefix sums over the same bitmap give it, and each of the group's
 // pairs is then transposed by those positions. Every adjacency list is
 // a set that does not depend on how it was found, so the CSRs are
@@ -115,10 +116,14 @@ func Build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex) *Spa
 		}
 	}
 	gx := g.NLF()
-	member := bitset.New(g.NumVertices())
-	words := member.Words()
-	before := make([]int32, len(words)) // members of the bitmap below each word
-	var buf []uint32                    // the scanned pair's targets, reused across pairs
+	// The bitmap, its prefix sums (members below each word) and the
+	// scanned pair's targets are per-build scratch from g's free lists;
+	// the prefix sums and the targets share one buffer, the targets
+	// after the sums (reused across pairs, and grown apart from them
+	// when a pair needs more room).
+	words := g.Bitmap()
+	scratch := slices.Grow(g.Buffer(), len(words))
+	before, buf := scratch[:len(words)], scratch[len(words):len(words)]
 	for t := 0; t < q.NumVertices(); t++ {
 		up := graph.Vertex(t)
 		label := q.Label(up)
@@ -132,12 +137,12 @@ func Build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex) *Spa
 			}
 			if !ranked {
 				for _, v := range candidates[up] {
-					member.Set(v)
+					words[v/64] |= 1 << (v % 64)
 				}
-				below := int32(0)
+				below := uint32(0)
 				for i, w := range words {
 					before[i] = below
-					below += int32(bits.OnesCount64(w))
+					below += uint32(bits.OnesCount64(w))
 				}
 				ranked = true
 			}
@@ -156,10 +161,15 @@ func Build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex) *Spa
 		}
 		if ranked {
 			for _, v := range candidates[up] {
-				member.Clear(v)
+				words[v/64] &^= 1 << (v % 64)
 			}
 		}
 	}
+	g.PutBitmap(words)
+	if cap(buf) > cap(scratch) {
+		scratch = buf
+	}
+	g.PutBuffer(scratch)
 	return s
 }
 

@@ -3,6 +3,7 @@ package filter
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"subgraphmatching/internal/bipartite"
@@ -51,29 +52,74 @@ func TestLabelClasses(t *testing.T) {
 	}
 }
 
-// FuzzSemiPerfectClasses: the per-label-class test answers exactly what
-// the one-matching test over all of N(u) answers, for every query
-// vertex u and every data vertex v, in every candidate state the
-// refinement passes through. Labels are drawn from 1–4 values, so a
-// neighbourhood is one shared-label class, several classes of 2–4, all
-// singletons, or (2-vertex queries) a single neighbour; the states are
-// the one after local pruning, the one after each refinement round, and
-// randomly thinned sets between them (what a round looks like part-way
-// through).
+// wideLabels relabels g with label l as 64·l: every label but 0 is at
+// least 64 and all of them share signature bit 0, so the NLF index is
+// not exact and its label runs are found by binary search.
+func wideLabels(g *graph.Graph) *graph.Graph {
+	labels := make([]graph.Label, g.NumVertices())
+	for v, l := range g.Labels() {
+		labels[v] = 64 * l
+	}
+	return graph.MustFromEdges(labels, g.Edges())
+}
+
+// thin removes the candidates of C(u) that keep rejects the way a
+// refinement does (state.filter): in place, the membership bitmap
+// cleared, and u's witness record compacted along with the set.
+func thin(s *state, u graph.Vertex, k int, keep func(uint32) bool) {
+	c, wit := s.cand[u], s.wit[u]
+	n := 0
+	for i, v := range c {
+		if !keep(v) {
+			s.member[u].Clear(v)
+			continue
+		}
+		c[n] = v
+		if wit != nil {
+			copy(wit[n*k:(n+1)*k], wit[i*k:(i+1)*k])
+		}
+		n++
+	}
+	s.cand[u] = c[:n]
+	if wit != nil {
+		s.wit[u] = wit[:n*k]
+	}
+}
+
+// FuzzSemiPerfectClasses: the per-label-class test, resumed from the
+// witnesses the refinement recorded, answers exactly what the
+// one-matching test over all of N(u) answers, for every query vertex u
+// and every data vertex v, in every candidate state the refinement
+// passes through. Labels are drawn from 1–4 values, so a neighbourhood
+// is one shared-label class, several classes of 2–4, all singletons, or
+// (2-vertex queries) a single neighbour; bit 2 of labels moves the
+// alphabet above 64 (wideLabels). The states are the one after local
+// pruning, the one after each refinement round, and randomly thinned
+// sets between them (what a round looks like part-way through: some
+// witnesses removed, others not). A candidate of u is checked from a
+// copy of its recorded witnesses, every other v from none, and every
+// recorded witness must be a neighbour of its candidate carrying its
+// class's label.
 func FuzzSemiPerfectClasses(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(3)) // one label: N(u) is one class
 	f.Add(int64(2), uint8(1), uint8(4)) // two labels: classes of 2-4
 	f.Add(int64(3), uint8(3), uint8(2)) // four labels: mostly singletons
 	f.Add(int64(4), uint8(2), uint8(0)) // one query edge: d(u) = 1
+	f.Add(int64(5), uint8(7), uint8(4)) // four labels above 64
+	f.Add(int64(6), uint8(5), uint8(3)) // two labels above 64
 	f.Fuzz(func(t *testing.T, seed int64, labels, qsize uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 6 + rng.Intn(18)
 		g := testutil.RandomGraph(rng, n, 3*n, 1+int(labels)%4)
+		if labels&4 != 0 {
+			g = wideLabels(g)
+		}
 		q := testutil.RandomConnectedQuery(rng, g, 2+int(qsize)%5)
 		if q == nil {
 			t.Skip()
 		}
 		s := newState(q, g, GQL)
+		defer s.release()
 		m := bipartite.NewMatcher(q.MaxDegree())
 		refine := make([]op, q.NumVertices())
 		for u := range refine {
@@ -83,8 +129,21 @@ func FuzzSemiPerfectClasses(f *testing.F) {
 		compare := func(state string) {
 			t.Helper()
 			for _, o := range refine {
+				k := singles(o.classes)
 				for v := 0; v < n; v++ {
-					got, want := s.semiPerfect(m, o.classes, uint32(v)), semiPerfectAll(s, m, o.src, uint32(v))
+					wit := make([]uint32, k)
+					for j := range wit {
+						wit[j] = graph.NoVertex
+					}
+					if i, ok := slices.BinarySearch(s.cand[o.u], uint32(v)); ok && s.wit[o.u] != nil {
+						copy(wit, s.wit[o.u][i*k:(i+1)*k])
+					}
+					for j, w := range wit {
+						if w != graph.NoVertex && (!g.HasEdge(uint32(v), w) || g.Label(w) != q.Label(o.classes[j][0])) {
+							t.Fatalf("%s: u%d's witness of v%d for class %v is v%d, not a neighbour in its label", state, o.u, v, o.classes[j], w)
+						}
+					}
+					got, want := s.semiPerfect(m, o.classes, uint32(v), wit), semiPerfectAll(s, m, o.src, uint32(v))
 					if got != want {
 						t.Fatalf("%s: semiPerfect(u%d, v%d) = %v by label class %v, %v over all of N(u) = %v\nC = %v",
 							state, o.u, v, got, o.classes, want, o.src, s.cand)
@@ -98,14 +157,8 @@ func FuzzSemiPerfectClasses(f *testing.F) {
 			// Part-way through a round some sets have lost candidates
 			// and others not yet: drop a random few, compare, then let
 			// the real round run from there.
-			for u, c := range s.cand {
-				kept := c[:0:0]
-				for _, v := range c {
-					if rng.Intn(4) > 0 {
-						kept = append(kept, v)
-					}
-				}
-				s.setCandidates(graph.Vertex(u), kept)
+			for _, o := range refine {
+				thin(s, o.u, singles(o.classes), func(uint32) bool { return rng.Intn(4) > 0 })
 			}
 			compare("thinned")
 			s.run(refine)

@@ -172,7 +172,9 @@ func run(m Method, q, g *graph.Graph, o Options) [][]uint32 {
 		}
 		tr.add("fixpoint", start, s.cand)
 	}
-	return s.result()
+	out := s.result()
+	s.release()
+	return out
 }
 
 // MeanCandidates returns (1/|V(q)|) * sum |C(u)|, the paper's

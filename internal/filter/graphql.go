@@ -77,6 +77,16 @@ func labelClasses(q *graph.Graph, qn []graph.Vertex) [][]graph.Vertex {
 	return classes
 }
 
+// singles counts the one-member classes of a labelClasses cut, which
+// come first.
+func singles(classes [][]graph.Vertex) int {
+	k := 0
+	for k < len(classes) && len(classes[k]) == 1 {
+		k++
+	}
+	return k
+}
+
 // semiPerfect tests whether every query neighbor of u can be matched to
 // a distinct data neighbor of v that is one of its candidates, label
 // class by label class (see runGraphQL). A class of one needs only some
@@ -86,12 +96,27 @@ func labelClasses(q *graph.Graph, qn []graph.Vertex) [][]graph.Vertex {
 // hold. A data neighbor's right id is its position in that label run of
 // N(v), dense, so the matcher's per-right state stays as long as the
 // run — and a member with no candidate in the run ends the test at once.
-func (s *state) semiPerfect(m *bipartite.Matcher, classes [][]graph.Vertex, v uint32) bool {
-	for _, class := range classes {
+//
+// wit holds v's witnesses, one slot per one-member class (singles): a
+// neighbour of v that was in the class member's set when last checked,
+// or graph.NoVertex. A class whose witness is still in the set passes
+// without reading N(v) — it is a neighbour of v in that set, which is
+// all the class asks — so a refinement round after the first rescans a
+// label run only for a candidate whose witness was removed, and records
+// the new one it finds. The verdict is the one a scan of every run
+// gives, whatever witnesses wit holds, provided each is a neighbour of v
+// with the class's label.
+func (s *state) semiPerfect(m *bipartite.Matcher, classes [][]graph.Vertex, v uint32, wit []uint32) bool {
+	for j, class := range classes {
 		if len(class) == 1 {
-			if !s.hasNeighborIn(v, class[0]) {
+			if w := wit[j]; w != graph.NoVertex && s.member[class[0]].Contains(w) {
+				continue
+			}
+			w, ok := s.witness(v, class[0])
+			if !ok {
 				return false
 			}
+			wit[j] = w
 			continue
 		}
 		run := s.gx.Run(v, s.q.Label(class[0]))

@@ -327,6 +327,51 @@ func TestNLFIndexMatchesCounting(t *testing.T) {
 	}
 }
 
+// TestNLFImpliesDegree: a data vertex that passes nlfOK for u has at
+// least u's degree — why a label-pool scan under NLF runs no degree
+// test — for every (u, v), on exact indexes (labels below 64, where the
+// signature alone may decide) and on indexes whose labels collide mod
+// 64, where the merge decides.
+func TestNLFImpliesDegree(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		draw  func(*rand.Rand) (q, g *graph.Graph)
+		exact bool
+	}{{"labels below 64", nlfCase, true}, {"labels above 64", wideNLFCase, false}} {
+		var passed, bySignature, exact int
+		for seed, cases := int64(0), 0; cases < 300; seed++ {
+			q, g := c.draw(rand.New(rand.NewSource(seed)))
+			if q == nil {
+				continue
+			}
+			cases++
+			qx, gx := q.NLF(), g.NLF()
+			if gx.Exact() {
+				exact++
+			}
+			for u := 0; u < q.NumVertices(); u++ {
+				for v := 0; v < g.NumVertices(); v++ {
+					if !nlfOK(qx, gx, graph.Vertex(u), uint32(v)) {
+						continue
+					}
+					passed++
+					if signatureDecides(qx, gx, graph.Vertex(u)) {
+						bySignature++
+					}
+					if g.Degree(uint32(v)) < q.Degree(graph.Vertex(u)) {
+						t.Fatalf("%s, seed %d: nlfOK(u%d, v%d) with d(v) = %d < d(u) = %d",
+							c.name, seed, u, v, g.Degree(uint32(v)), q.Degree(graph.Vertex(u)))
+					}
+				}
+			}
+		}
+		if passed == 0 || c.exact && (bySignature == 0 || exact < 300) || !c.exact && exact == 300 {
+			t.Fatalf("%s: degenerate corpus: %d passes, %d decided by the signature, %d of 300 data indexes exact",
+				c.name, passed, bySignature, exact)
+		}
+	}
+}
+
 // With more than 64 labels the signature's bits collide, and a collision
 // may only hand the decision to the merge: on a 200-label corpus built
 // to collide, every verdict and every candidate set is still the

@@ -77,50 +77,63 @@ func (s *state) run(ops []op) bool {
 }
 
 // scan returns the vertices of u's label pool (sorted, so the result is
-// the sorted candidate set) that pass the operation's checks.
+// the sorted candidate set) that pass the operation's checks. The NLF
+// check streams the pool: it reads the pool's signatures in pool order
+// (graph.PoolSignatures), not one scattered signature per vertex, and
+// only the vertices they pass reach the count merge. It needs no degree
+// test, because passing NLF implies d(v) ≥ d(u) (nlfOK); the LDF scan
+// and the radius-r profile test keep theirs.
 func (s *state) scan(o op) []uint32 {
 	q, g, u := s.q, s.g, o.u
-	wide := o.nlf && s.radius > 1
-	var want labelProfile
-	if wide {
+	l := q.Label(u)
+	pool := g.VerticesWithLabel(l)
+	out := s.reserve(len(pool))
+	switch {
+	case o.nlf && s.radius > 1:
 		if s.gProf == nil {
 			s.gProf = newProfiler(g, s.radius)
 			s.qProf = newProfiler(q, s.radius)
 		}
-		want = s.qProf.profile(q, u)
-	}
-	var out []uint32
-	for _, v := range g.VerticesWithLabel(q.Label(u)) {
-		if g.Degree(v) < q.Degree(u) {
-			continue
-		}
-		if wide {
-			if !s.gProf.covers(g, v, want) {
-				continue
+		want := s.qProf.profile(q, u)
+		for _, v := range pool {
+			if g.Degree(v) >= q.Degree(u) && s.gProf.covers(g, v, want) {
+				out = append(out, v)
 			}
-		} else if o.nlf && !nlfOK(s.qx, s.gx, u, v) {
-			continue
 		}
-		out = append(out, v)
+	case o.nlf:
+		need, decides := s.qx.Signature(u), signatureDecides(s.qx, s.gx, u)
+		for i, sig := range g.PoolSignatures(l) {
+			if need&^sig == 0 && (decides || nlfCounts(s.qx, s.gx, u, pool[i])) {
+				out = append(out, pool[i])
+			}
+		}
+	default:
+		for _, v := range pool {
+			if g.Degree(v) >= q.Degree(u) {
+				out = append(out, v)
+			}
+		}
 	}
-	return out
+	return s.commit(out)
 }
 
-// generate applies Generation Rule 3.1 over C(parent): the degree- and
-// NLF-passing neighbors of its candidates that carry L(u), read as that
-// label's run of each candidate's neighbourhood, sorted. The seen bitset
-// dedups; only the accepted vertices were marked, so clearing them
-// restores it for the next generation.
+// generate applies Generation Rule 3.1 over C(parent): the NLF-passing
+// (so degree-passing, see nlfOK) neighbors of its candidates that carry
+// L(u), read as that label's run of each candidate's neighbourhood,
+// sorted. They are distinct vertices of u's label pool, so the pool's
+// size bounds the row. The seen bitmap dedups; only the accepted
+// vertices were marked, so clearing them restores it for the next
+// generation.
 func (s *state) generate(o op) []uint32 {
-	if s.seen == nil {
-		s.seen = bitset.New(s.g.NumVertices())
+	if s.seen.Words() == nil {
+		s.seen = bitset.Over(s.g.Bitmap(), s.g.NumVertices())
 	}
-	q, g, u := s.q, s.g, o.u
-	l := q.Label(u)
-	var out []uint32
+	u := o.u
+	l := s.q.Label(u)
+	out := s.reserve(s.g.LabelFrequency(l))
 	for _, vp := range s.cand[o.src[0]] {
 		for _, v := range s.gx.Run(vp, l) {
-			if !s.seen.Contains(v) && g.Degree(v) >= q.Degree(u) && nlfOK(s.qx, s.gx, u, v) {
+			if !s.seen.Contains(v) && nlfOK(s.qx, s.gx, u, v) {
 				s.seen.Set(v)
 				out = append(out, v)
 			}
@@ -130,40 +143,58 @@ func (s *state) generate(o op) []uint32 {
 		s.seen.Clear(v)
 	}
 	slices.Sort(out)
-	return out
+	return s.commit(out)
 }
 
 // filter runs a prune or refinement over C(u) in place and reports
 // whether it removed a candidate. A candidate's check reads the sets of
-// u's neighbours, never member[u], so removals take effect at once.
+// u's neighbours, never member[u], so removals take effect at once. A
+// refinement keeps u's witness record aligned with C(u): the slots of a
+// kept candidate move with it.
 func (s *state) filter(o op) bool {
-	if o.kind == opMatch && s.matcher == nil {
-		s.matcher = bipartite.NewMatcher(s.q.MaxDegree())
+	var wit []uint32
+	k := 0
+	if o.kind == opMatch {
+		if s.matcher == nil {
+			s.matcher = bipartite.NewMatcher(s.q.MaxDegree())
+		}
+		if k = singles(o.classes); k > 0 {
+			wit = s.witnesses(o.u, k)
+		}
 	}
 	c := s.cand[o.u]
-	k := 0
-	for _, v := range c {
-		if s.keeps(o, v) {
-			c[k] = v
-			k++
+	n := 0
+	for i, v := range c {
+		var keep bool
+		if o.kind == opMatch {
+			keep = s.semiPerfect(s.matcher, o.classes, v, wit[i*k:(i+1)*k])
+		} else {
+			keep = s.keeps(o, v)
+		}
+		if keep {
+			c[n] = v
+			if n < i {
+				copy(wit[n*k:(n+1)*k], wit[i*k:(i+1)*k])
+			}
+			n++
 		} else {
 			s.member[o.u].Clear(v)
 		}
 	}
-	s.cand[o.u] = c[:k]
-	return k < len(c)
+	s.cand[o.u] = c[:n]
+	if k > 0 {
+		s.wit[o.u] = wit[:n*k]
+	}
+	return n < len(c)
 }
 
-// keeps is the survival check of a filter operation for one candidate.
+// keeps is the survival check of a prune for one candidate.
 func (s *state) keeps(o op, v uint32) bool {
-	if o.kind == opMatch {
-		return s.semiPerfect(s.matcher, o.classes, v)
-	}
 	if o.nlf && !nlfOK(s.qx, s.gx, o.u, v) {
 		return false
 	}
 	for _, up := range o.src {
-		if !s.hasNeighborIn(v, up) {
+		if _, ok := s.witness(v, up); !ok {
 			return false
 		}
 	}

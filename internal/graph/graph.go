@@ -7,8 +7,11 @@
 // The indexes over it are built lazily, on first use: the label index
 // (label -> sorted vertex list) behind the LDF filter, the label-pair
 // edge statistics behind the QuickSI ordering method, and the
-// neighbour-label-frequency index behind the NLF filter (nlf.go). A
-// query graph that only looks up a cached plan builds none of them.
+// neighbour-label-frequency index behind the NLF filter with its
+// signatures in label-pool order (nlf.go). A query graph that only
+// looks up a cached plan builds none of them. A graph also keeps free
+// lists of the per-request scratch sized by its vertex count
+// (scratch.go).
 package graph
 
 import (
@@ -34,7 +37,7 @@ const NoVertex = ^Vertex(0)
 // The zero value is an empty graph; use a Builder or the io helpers to
 // construct non-trivial instances. A Graph must not be copied after
 // first use (it carries the sync.Onces guarding its lazy indexes and
-// the lock of its free list of visited marks).
+// the lock of its free lists of scratch).
 type Graph struct {
 	offsets   []int64  // len n+1; adj[offsets[v]:offsets[v+1]] are v's neighbors
 	adj       []Vertex // sorted within each vertex's slice
@@ -58,10 +61,17 @@ type Graph struct {
 	nlfOnce sync.Once
 	nlf     atomic.Pointer[NLF]
 
-	// idleMarks is the free list of searches' visited marks over this
-	// graph (see Marks).
-	marksMu   sync.Mutex
-	idleMarks [][]bool
+	// poolSigs maps each label to the NLF signatures of its pool, in
+	// pool order, built on first use (see PoolSignatures); nil until
+	// then.
+	poolSigOnce sync.Once
+	poolSigs    atomic.Pointer[map[Label][]uint64]
+
+	// The free lists of per-request scratch over this graph (scratch.go).
+	scratchMu   sync.Mutex
+	idleMarks   [][]bool
+	idleBitmaps [][]uint64
+	idleBuffers [][]uint32
 }
 
 // NumVertices returns |V|.

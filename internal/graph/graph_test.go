@@ -410,3 +410,44 @@ func TestMarksFreeList(t *testing.T) {
 		t.Errorf("free list holds %d arrays after %d were handed back, want %d", n, len(held), maxIdleMarks)
 	}
 }
+
+// TestBitmapAndBufferFreeLists: Bitmap hands out a clear bitmap over
+// |V| bits and Buffer an empty buffer; what is handed back is handed out
+// next (a buffer with the capacity it was grown to), and each list keeps
+// at most its bound.
+func TestBitmapAndBufferFreeLists(t *testing.T) {
+	g := MustFromEdges(make([]Label, 130), [][2]Vertex{{0, 129}})
+	b := g.Bitmap()
+	if len(b) != 3 || slices.ContainsFunc(b, func(w uint64) bool { return w != 0 }) {
+		t.Fatalf("Bitmap() = %#x, want 3 clear words", b)
+	}
+	g.PutBitmap(b)
+	if again := g.Bitmap(); &again[0] != &b[0] {
+		t.Error("Bitmap did not reuse the bitmap handed back")
+	}
+	if buf := g.Buffer(); len(buf) != 0 || cap(buf) != 0 {
+		t.Fatalf("first Buffer() = len %d cap %d, want an empty one", len(buf), cap(buf))
+	}
+	grown := append(g.Buffer(), 1, 2, 3)
+	g.PutBuffer(grown)
+	if again := g.Buffer(); len(again) != 0 || cap(again) != cap(grown) || &again[:1][0] != &grown[0] {
+		t.Errorf("Buffer() after PutBuffer = len %d cap %d, want the buffer handed back, emptied", len(again), cap(again))
+	}
+	bitmaps := make([][]uint64, maxIdleBitmaps+2)
+	buffers := make([][]uint32, maxIdleBuffers+2)
+	for i := range bitmaps {
+		bitmaps[i] = g.Bitmap()
+	}
+	for i := range buffers {
+		buffers[i] = append(g.Buffer(), 0)
+	}
+	for _, b := range bitmaps {
+		g.PutBitmap(b)
+	}
+	for _, b := range buffers {
+		g.PutBuffer(b)
+	}
+	if n, m := len(g.idleBitmaps), len(g.idleBuffers); n != maxIdleBitmaps || m != maxIdleBuffers {
+		t.Errorf("free lists hold %d bitmaps and %d buffers, want %d and %d", n, m, maxIdleBitmaps, maxIdleBuffers)
+	}
+}

@@ -113,12 +113,41 @@ func (g *Graph) NLF() *NLF {
 }
 
 // IndexBytes returns the memory held by the indexes built lazily on
-// this graph (today the NLF index): 0 until first use.
+// this graph — the NLF index and the pool-ordered signatures: 0 until
+// first use.
 func (g *Graph) IndexBytes() int64 {
+	var b int64
 	if x := g.nlf.Load(); x != nil {
-		return x.Bytes()
+		b += x.Bytes()
 	}
-	return 0
+	if g.poolSigs.Load() != nil {
+		b += int64(g.NumVertices()) * 8
+	}
+	return b
+}
+
+// PoolSignatures returns the NLF signatures (NLF.Signature) of the
+// vertices labelled l, aligned with VerticesWithLabel(l), so a filter
+// that tests every vertex of a label pool reads them in one sequential
+// pass instead of one random load per vertex. Built for all pools on
+// first use — 8 bytes per vertex, counted in IndexBytes — and only on
+// graphs that are asked, which a query graph never is. The slice
+// aliases the index and must not be modified. Safe for concurrent use.
+func (g *Graph) PoolSignatures(l Label) []uint64 {
+	g.poolSigOnce.Do(func() {
+		x := g.NLF()
+		flat := make([]uint64, 0, g.NumVertices())
+		byLabel := map[Label][]uint64{}
+		for l, pool := range g.labelIndex() {
+			lo := len(flat)
+			for _, v := range pool {
+				flat = append(flat, x.sig[v])
+			}
+			byLabel[l] = flat[lo:len(flat):len(flat)]
+		}
+		g.poolSigs.Store(&byLabel)
+	})
+	return (*g.poolSigs.Load())[l]
 }
 
 // buildNLF sorts each neighbourhood by (label, id) and run-length

@@ -93,19 +93,25 @@ func TestNLFEmptyGraph(t *testing.T) {
 }
 
 // First use from several goroutines at once builds one index that all
-// of them see (run under -race by `make race-stress`).
+// of them see, and one set of pool signatures (run under -race by
+// `make race-stress`).
 func TestNLFFirstUseStress(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		g := randomSparseGraph(rand.New(rand.NewSource(int64(round))))
 		const callers = 8
 		got := make([]*NLF, callers)
+		sigs := make([][]uint64, callers)
 		var wg sync.WaitGroup
 		for i := 0; i < callers; i++ {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
+				if i%2 == 0 {
+					sigs[i] = g.PoolSignatures(0)
+				}
 				got[i] = g.NLF()
 				_ = g.IndexBytes()
+				sigs[i] = g.PoolSignatures(0)
 			}(i)
 		}
 		wg.Wait()
@@ -113,6 +119,36 @@ func TestNLFFirstUseStress(t *testing.T) {
 			if got[i] != got[0] {
 				t.Fatalf("round %d: caller %d got a different index", round, i)
 			}
+			if len(sigs[i]) > 0 && &sigs[i][0] != &sigs[0][0] {
+				t.Fatalf("round %d: caller %d got different pool signatures", round, i)
+			}
+		}
+	}
+}
+
+// PoolSignatures(l) is NLF.Signature over VerticesWithLabel(l), in pool
+// order, for every label; it is counted in IndexBytes (8 bytes a
+// vertex) from its first use, and a label the graph lacks has none.
+func TestPoolSignatures(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		g := randomSparseGraph(rand.New(rand.NewSource(seed)))
+		x := g.NLF()
+		if g.IndexBytes() != x.Bytes() {
+			t.Fatalf("seed %d: IndexBytes = %d before PoolSignatures, NLF %d", seed, g.IndexBytes(), x.Bytes())
+		}
+		for l := Label(0); l <= MaxLabelOf(g)+1; l++ {
+			pool, sigs := g.VerticesWithLabel(l), g.PoolSignatures(l)
+			if len(sigs) != len(pool) {
+				t.Fatalf("seed %d: label %d: %d signatures for %d vertices", seed, l, len(sigs), len(pool))
+			}
+			for i, v := range pool {
+				if sigs[i] != x.Signature(v) {
+					t.Fatalf("seed %d: label %d: signature %d is %#x, Signature(%d) = %#x", seed, l, i, sigs[i], v, x.Signature(v))
+				}
+			}
+		}
+		if want := x.Bytes() + int64(g.NumVertices())*8; g.IndexBytes() != want {
+			t.Fatalf("seed %d: IndexBytes = %d, want %d", seed, g.IndexBytes(), want)
 		}
 	}
 }
