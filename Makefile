@@ -77,7 +77,11 @@ race-stress:
 # alphabets below and above 64, and nlfOK is the counting reference),
 # and the candidate space (every list is the ascending positions in
 # C(u′) of N(v) ∩ C(u′), the two directions are transposes, and every
-# block view decodes to its list, for the full and the tree variant).
+# block view decodes to its list, for the full and the tree variant), and
+# the differential oracle (every preset and any legal configuration
+# tuple, fresh and over a cached plan, at 1 and 4 workers, through every
+# sink form, capped and uncapped, returns the brute-force embedding
+# multiset).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFilterSoundness -fuzztime 5s ./internal/filter
 	$(GO) test -run '^$$' -fuzz FuzzSemiPerfectClasses -fuzztime 5s ./internal/filter
@@ -91,6 +95,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRunSink -fuzztime 5s ./cmd/smatchd
 	$(GO) test -run '^$$' -fuzz FuzzParseMatchesReference -fuzztime 5s ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzBuildPositions -fuzztime 5s ./internal/candspace
+	$(GO) test -run '^$$' -fuzz FuzzDifferential -fuzztime 10s ./internal/core
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

@@ -193,9 +193,9 @@ func assertParentDigests(t *testing.T, tree bool) {
 	}
 }
 
-func TestBuildFullParallelMatchesSequential(t *testing.T) { assertParentDigests(t, false) }
+func TestBuildFullMatchesParentDigests(t *testing.T) { assertParentDigests(t, false) }
 
-func TestBuildTreeParallelMatchesSequential(t *testing.T) { assertParentDigests(t, true) }
+func TestBuildTreeMatchesParentDigests(t *testing.T) { assertParentDigests(t, true) }
 
 // degenerateCandidates builds candidate sets where some C(u) are empty
 // and some nil — the shape an over-pruning filter hands downstream.

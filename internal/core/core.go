@@ -14,6 +14,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,12 +56,14 @@ type Config struct {
 	// PolicyBlock is Figure 10's QFilter arm, and the only policy that
 	// materializes the flat block layout at build time).
 	Kernel intersect.Policy
-	// FailingSets enables the failing-sets pruning.
+	// FailingSets enables the failing-sets pruning. It prunes nothing
+	// under VF2PPRules, whose cutoff no failing set accounts for.
 	FailingSets bool
 	// Adaptive enables DP-iso's dynamic vertex selection, weighted by
 	// its path-count weight array; requires the Intersect local method.
 	Adaptive bool
 	// VF2PPRules enables VF2++'s extra cutoff rules (Direct mode only).
+	// It turns FailingSets off: the cutoff reads every mapped vertex.
 	VF2PPRules bool
 	// Homomorphism finds subgraph homomorphisms instead of isomorphisms
 	// (injectivity dropped — the WCOJ systems' default semantics, paper
@@ -406,13 +409,14 @@ func Preprocess(q, g *graph.Graph, cfg Config, _ int) (*Plan, error) {
 
 	// Step 1b: auxiliary structure — CFL's tree-edge index for TreeEdge,
 	// every query edge for Intersect.
-	t0 = time.Now()
+	tb := time.Now()
 	structure := "none"
+	var tree []graph.Vertex
 	switch cfg.Local {
 	case enumerate.TreeEdge:
 		structure = "tree"
-		tree := graph.NewBFSTree(q, filter.Root(filter.CFL, q, g))
-		plan.Space = candspace.Build(q, g, cand, tree.Parent)
+		tree = graph.NewBFSTree(q, filter.Root(filter.CFL, q, g)).Parent
+		plan.Space = candspace.Build(q, g, cand, tree)
 	case enumerate.Intersect:
 		structure = "full"
 		plan.Space = candspace.Build(q, g, cand, nil)
@@ -420,28 +424,7 @@ func Preprocess(q, g *graph.Graph, cfg Config, _ int) (*Plan, error) {
 			plan.Space.MaterializeBlocks()
 		}
 	}
-	plan.BuildTime = time.Since(t0)
-	if plan.Space != nil {
-		plan.MemoryBytes = plan.Space.MemoryBytes()
-	} else {
-		for _, c := range cand {
-			plan.MemoryBytes += int64(len(c)) * 4
-		}
-	}
-	bs := obs.NewSpan("build", t0, plan.BuildTime).
-		SetAttr("structure", structure).
-		SetAttr("memory_bytes", plan.MemoryBytes)
-	if plan.Space != nil && plan.Space.HasBlocks() {
-		sets, blocks, elems := plan.Space.BlockStats()
-		density := 0.0
-		if blocks > 0 {
-			density = float64(elems) / float64(blocks)
-		}
-		bs.SetAttr("block_sets", sets).
-			SetAttr("block_density", density).
-			SetAttr("block_memory_bytes", plan.Space.BlockMemoryBytes())
-	}
-	plan.Span.AddChild(bs)
+	plan.BuildTime = time.Since(tb)
 
 	// Step 2: ordering.
 	t0 = time.Now()
@@ -459,6 +442,37 @@ func Preprocess(q, g *graph.Graph, cfg Config, _ int) (*Plan, error) {
 	plan.OrderTime = time.Since(t0)
 	plan.Order = phi
 	plan.OrderMethod = orderMethod
+
+	// The tree-edge engine reads a vertex's candidates off the pair with
+	// its tree parent, so the parent must be mapped first. CFL's order
+	// respects CFL's tree; under any other order that maps a vertex
+	// before its parent, rebuild over phi's own tree.
+	if tree != nil && !respectsTree(tree, phi) {
+		t1 := time.Now()
+		plan.Space = candspace.Build(q, g, cand, orderTree(q, phi))
+		plan.BuildTime += time.Since(t1)
+	}
+	if plan.Space != nil {
+		plan.MemoryBytes = plan.Space.MemoryBytes()
+	} else {
+		for _, c := range cand {
+			plan.MemoryBytes += int64(len(c)) * 4
+		}
+	}
+	bs := obs.NewSpan("build", tb, plan.BuildTime).
+		SetAttr("structure", structure).
+		SetAttr("memory_bytes", plan.MemoryBytes)
+	if plan.Space != nil && plan.Space.HasBlocks() {
+		sets, blocks, elems := plan.Space.BlockStats()
+		density := 0.0
+		if blocks > 0 {
+			density = float64(elems) / float64(blocks)
+		}
+		bs.SetAttr("block_sets", sets).
+			SetAttr("block_density", density).
+			SetAttr("block_memory_bytes", plan.Space.BlockMemoryBytes())
+	}
+	plan.Span.AddChild(bs)
 	plan.Span.AddChild(obs.NewSpan("order", t0, plan.OrderTime).
 		SetAttr("method", orderMethod))
 
@@ -468,6 +482,33 @@ func Preprocess(q, g *graph.Graph, cfg Config, _ int) (*Plan, error) {
 	}
 	plan.Span.End()
 	return plan, nil
+}
+
+// respectsTree reports whether phi maps every vertex after its parent
+// in tree.
+func respectsTree(tree, phi []graph.Vertex) bool {
+	for i, u := range phi {
+		if p := tree[u]; p != graph.NoVertex && !slices.Contains(phi[:i], p) {
+			return false
+		}
+	}
+	return true
+}
+
+// orderTree is phi's own spanning tree: each vertex's parent is its
+// earliest-positioned neighbour.
+func orderTree(q *graph.Graph, phi []graph.Vertex) []graph.Vertex {
+	tree := make([]graph.Vertex, len(phi))
+	for i, u := range phi {
+		tree[u] = graph.NoVertex
+		for _, p := range phi[:i] {
+			if q.HasEdge(p, u) {
+				tree[u] = p
+				break
+			}
+		}
+	}
+	return tree
 }
 
 // PreprocessTime is the plan's FilterTime + BuildTime + OrderTime — the

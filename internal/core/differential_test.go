@@ -1,0 +1,333 @@
+package core
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+
+	"subgraphmatching/internal/enumerate"
+	"subgraphmatching/internal/filter"
+	"subgraphmatching/internal/graph"
+	"subgraphmatching/internal/intersect"
+	"subgraphmatching/internal/order"
+	"subgraphmatching/internal/testutil"
+)
+
+// diffInput is one oracle input, as the fuzz arguments carry it.
+type diffInput struct {
+	seed                 int64
+	gsize, qsize, labels uint8
+	cfg                  uint32
+	cap                  uint8
+}
+
+// maxHomomorphisms bounds the reference: an input with more
+// homomorphisms is skipped, so no fuzz input runs for long.
+const maxHomomorphisms = 4096
+
+// differentialSeeds is the deterministic seed corpus.
+func differentialSeeds() []diffInput {
+	in := make([]diffInput, 40)
+	for i := range in {
+		in[i] = diffInput{seed: int64(i), gsize: uint8(i * 7), qsize: uint8(i * 29), labels: uint8(i),
+			cfg: uint32(i) * 2654435761, cap: uint8(i * 5)}
+	}
+	return in
+}
+
+// FuzzDifferential is the differential oracle. Every way the pipeline
+// can answer a small (q, g) — every preset, and one fuzz-decoded point
+// of the whole (filter, order, local candidates, kernel, optimisations)
+// tuple; fresh and over a cached plan, whose later requests re-arm a
+// parked engine; at 1 and 4 workers; counting and through both sink
+// forms; capped and uncapped — must return the embedding multiset of
+// one brute-force reference.
+func FuzzDifferential(f *testing.F) {
+	for _, in := range differentialSeeds() {
+		f.Add(in.seed, in.gsize, in.qsize, in.labels, in.cfg, in.cap)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, gsize, qsize, labels uint8, cfg uint32, cap uint8) {
+		checkDifferential(t, diffInput{seed, gsize, qsize, labels, cfg, cap})
+	})
+}
+
+// What an input reached, as the bits checkDifferential reports.
+const (
+	covOrbit       = 1 << iota // a symmetry orbit above 1
+	covDonated                 // a parallel run that donated
+	covHomAboveIso             // more homomorphisms than isomorphisms
+	covEmpty                   // an empty result
+	covCutRun                  // a cap that cuts a leaf run
+	covAll         = 1<<iota - 1
+)
+
+// TestDifferentialCorpusCoverage: the seed corpus still reaches every
+// case the oracle exists to check.
+func TestDifferentialCorpusCoverage(t *testing.T) {
+	cov := 0
+	if runtime.GOMAXPROCS(0) == 1 {
+		cov = covDonated // donation needs a worker idle while another searches
+	}
+	for _, in := range differentialSeeds() {
+		cov |= checkDifferential(t, in)
+	}
+	if cov != covAll {
+		t.Errorf("the seed corpus covers %05b of %05b", cov, covAll)
+	}
+}
+
+// decodeConfig maps c onto one point of the tuple: filter × order ×
+// local candidates × kernel policy, then one bit each for failing sets,
+// adaptive order, VF2++ rules, symmetry breaking and homomorphism. Only
+// the pairs Preprocess and NewEngine refuse are normalised away.
+func decodeConfig(c uint32) Config {
+	pick := func(n int) int {
+		v := int(c % uint32(n))
+		c /= uint32(n)
+		return v
+	}
+	cfg := Config{
+		Filter: filter.Methods()[pick(len(filter.Methods()))],
+		Order:  order.Methods()[pick(len(order.Methods()))],
+		Local:  enumerate.LocalCandidates(pick(4)),
+		Kernel: intersect.Policy(pick(4)),
+	}
+	cfg.FailingSets = pick(2) == 1
+	cfg.Adaptive = pick(2) == 1
+	cfg.VF2PPRules = pick(2) == 1
+	cfg.SymmetryBreaking = pick(2) == 1
+	cfg.Homomorphism = pick(2) == 1
+	if cfg.Homomorphism {
+		cfg.SymmetryBreaking, cfg.VF2PPRules = false, false
+	}
+	if cfg.VF2PPRules {
+		cfg.Local, cfg.Adaptive = enumerate.Direct, false
+	}
+	if cfg.Adaptive {
+		cfg.Local = enumerate.Intersect
+	}
+	return cfg
+}
+
+// bruteForce returns the sorted keys of q's embeddings in g, or false
+// past limit of them.
+func bruteForce(q, g *graph.Graph, hom bool, limit int) ([]string, bool) {
+	var keys []string
+	testutil.BruteForce(q, g, hom, func(m []graph.Vertex) bool {
+		keys = append(keys, string(uint32SliceBytes(m)))
+		return len(keys) <= limit
+	})
+	slices.Sort(keys)
+	return keys, len(keys) <= limit
+}
+
+// canonical is what symmetry breaking enumerates of keys: the
+// embeddings increasing inside every class.
+func canonical(keys []string, classes [][]graph.Vertex) []string {
+	at := func(k string, u graph.Vertex) uint32 { return binary.LittleEndian.Uint32([]byte(k[4*u:])) }
+	return slices.DeleteFunc(slices.Clone(keys), func(k string) bool {
+		for _, c := range classes {
+			for i := 1; i < len(c); i++ {
+				if at(k, c[i-1]) >= at(k, c[i]) {
+					return true
+				}
+			}
+		}
+		return false
+	})
+}
+
+// checkDifferential builds the input's (q, g), checks every
+// configuration against the brute-force reference and reports what it
+// covered.
+func checkDifferential(t *testing.T, in diffInput) (cov int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(in.seed))
+	n, labels := 2+int(in.gsize)%27, 1+int(in.labels)%3
+	g := testutil.RandomGraph(rng, n, rng.Intn(3*n+1), labels)
+	src := g
+	if in.qsize >= 128 {
+		// A query drawn from another graph may not embed in g at all.
+		src = testutil.RandomGraph(rng, n, rng.Intn(3*n+1), labels)
+	}
+	q := testutil.RandomConnectedQuery(rng, src, 2+int(in.qsize)%5)
+	if q == nil {
+		return 0
+	}
+	hom, ok := bruteForce(q, g, true, maxHomomorphisms)
+	if !ok {
+		return 0
+	}
+	iso, _ := bruteForce(q, g, false, maxHomomorphisms)
+	cfgs := []Config{decodeConfig(in.cfg)}
+	for _, a := range Algorithms() {
+		cfgs = append(cfgs, PresetConfig(a, q, g))
+	}
+	for _, cfg := range cfgs {
+		ref := iso
+		if cfg.Homomorphism {
+			ref = hom
+			if len(hom) > len(iso) {
+				cov |= covHomAboveIso
+			}
+		}
+		if len(ref) == 0 {
+			cov |= covEmpty
+		}
+		cov |= checkConfig(t, fmt.Sprintf("%+v on %+v", cfg, in), q, g, cfg, ref, in.cap)
+	}
+	return cov
+}
+
+// Sink forms a run delivers through.
+const (
+	countOnly = iota
+	runSink
+	matchSink
+)
+
+// step is one request of a configuration's sequence.
+type step struct {
+	do   func(Limits) (*Result, error)
+	sink int
+	cap  uint64
+}
+
+// checkConfig runs one configuration. An external engine runs fresh
+// counting, through both sinks and capped: Glasgow at 1 and 4 workers,
+// VF2 and Ullmann sequentially. A framework configuration runs fresh and
+// then over one cached plan at 1 and 4 workers; the cached requests
+// differ in cap and sink, so each re-arms an engine a previous one
+// parked with other request state. Uncapped, a sink takes exactly the
+// reference (its canonical part under symmetry breaking); capped at k,
+// k distinct reference embeddings; and the count is what it took times
+// the orbit. Sequential node counts must not rise when failing sets or
+// symmetry breaking are turned on.
+func checkConfig(t *testing.T, name string, q, g *graph.Graph, cfg Config, ref []string, capSeed uint8) (cov int) {
+	t.Helper()
+	canon, orbit := ref, uint64(1)
+	var plan *Plan
+	if !cfg.External() {
+		var err error
+		if plan, err = Preprocess(q, g, cfg, 1); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if orbit = plan.Orbit; orbit > 1 {
+			cov |= covOrbit
+		}
+		if canon = canonical(ref, plan.SymClasses); uint64(len(canon))*orbit != uint64(len(ref)) {
+			t.Fatalf("%s: %d canonical embeddings × orbit %d, brute force %d", name, len(canon), orbit, len(ref))
+		}
+	}
+	capBelow := func(seed uint8) uint64 {
+		if len(canon) < 2 {
+			return 0
+		}
+		return 1 + uint64(seed)%uint64(len(canon)-1)
+	}
+	k := capBelow(capSeed)
+	fresh := func(l Limits) (*Result, error) { return Match(q, g, cfg, l) }
+	cached := func(l Limits) (*Result, error) { return MatchPlan(plan, l) }
+	steps := []step{{fresh, countOnly, 0}, {fresh, matchSink, 0}, {fresh, runSink, k}}
+	workers := []int{1}
+	if cfg.UseGlasgow {
+		workers = append(workers, 4)
+	}
+	if plan != nil {
+		steps = []step{{fresh, runSink, 0}, {cached, countOnly, k}, {cached, matchSink, 0},
+			{cached, runSink, capBelow(capSeed / 2)}, {cached, countOnly, 0}}
+		workers = []int{1, 4}
+	}
+	for _, w := range workers {
+		for _, s := range steps {
+			at := fmt.Sprintf("%s: workers %d, sink %d, cap %d", name, w, s.sink, s.cap)
+			res, keys, calls := deliver(t, at, s, Limits{Parallel: w, MaxEmbeddings: s.cap})
+			want := uint64(len(canon))
+			if s.cap > 0 {
+				want = s.cap
+			}
+			if res.Embeddings != want*orbit {
+				t.Fatalf("%s: %d embeddings, want %d × orbit %d", at, res.Embeddings, want, orbit)
+			}
+			slices.Sort(keys)
+			if s.sink != countOnly && uint64(len(keys)) != want {
+				t.Fatalf("%s: the sink took %d embeddings, want %d", at, len(keys), want)
+			}
+			for i, key := range keys {
+				if _, ok := slices.BinarySearch(canon, key); !ok || i > 0 && keys[i-1] == key {
+					t.Fatalf("%s: the sink took an embedding brute force does not have, or took one twice", at)
+				}
+			}
+			if res.Split != nil && res.Split.SplitTasks > 0 {
+				cov |= covDonated
+			}
+			// Sequential delivery order is deterministic: the cap cuts a
+			// leaf run where embeddings k and k+1 arrive in one call.
+			if w == 1 && s.sink == runSink && s.cap == 0 && k > 0 && calls[k-1] == calls[k] {
+				cov |= covCutRun
+			}
+		}
+		_, err := steps[0].do(Limits{Parallel: w,
+			OnMatch: func([]uint32) bool { return true },
+			OnRun:   func(_ []uint32, _ graph.Vertex, vs []uint32) int { return len(vs) }})
+		if !errors.Is(err, ErrTwoSinks) {
+			t.Fatalf("%s: workers %d, both sinks set: err = %v, want ErrTwoSinks", name, w, err)
+		}
+	}
+	if plan != nil {
+		nodes := func(fs, sym bool) uint64 {
+			c := cfg
+			c.FailingSets, c.SymmetryBreaking = fs, sym
+			res, err := Match(q, g, c, Limits{})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return res.Nodes
+		}
+		if off, on := nodes(false, cfg.SymmetryBreaking), nodes(true, cfg.SymmetryBreaking); on > off {
+			t.Fatalf("%s: %d nodes with failing sets, %d without", name, on, off)
+		}
+		if !cfg.Homomorphism {
+			if off, on := nodes(false, false), nodes(false, true); on > off {
+				t.Fatalf("%s: %d nodes with symmetry breaking, %d without", name, on, off)
+			}
+		}
+	}
+	return cov
+}
+
+// deliver runs s under limits with a sink of s's form and returns the
+// result, the keys of the embeddings the sink took in delivery order
+// and, per embedding, which call delivered it (named by the index of
+// the call's first embedding).
+func deliver(t *testing.T, at string, s step, limits Limits) (*Result, []string, []int) {
+	t.Helper()
+	var keys []string
+	var calls []int
+	switch s.sink {
+	case runSink:
+		limits.OnRun = func(m []uint32, u graph.Vertex, vs []uint32) int {
+			call := len(keys)
+			for _, v := range vs {
+				m[u] = v
+				keys = append(keys, string(uint32SliceBytes(m)))
+				calls = append(calls, call)
+			}
+			return len(vs)
+		}
+	case matchSink:
+		limits.OnMatch = func(m []uint32) bool {
+			keys = append(keys, string(uint32SliceBytes(m)))
+			return true
+		}
+	}
+	res, err := s.do(limits)
+	if err != nil {
+		t.Fatalf("%s: %v", at, err)
+	}
+	return res, keys, calls
+}

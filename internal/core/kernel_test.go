@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"subgraphmatching/internal/enumerate"
@@ -10,48 +9,6 @@ import (
 	"subgraphmatching/internal/order"
 	"subgraphmatching/internal/testutil"
 )
-
-func kernelPolicies() []intersect.Policy {
-	return []intersect.Policy{
-		intersect.PolicyAdaptive, intersect.PolicyMerge, intersect.PolicyGallop,
-		intersect.PolicyBlock,
-	}
-}
-
-// TestKernelPolicyGridAgrees runs the full pipeline under every kernel
-// policy, sequential and parallel, and demands identical embedding
-// counts plus a populated kernel mix on the intersection locals.
-func TestKernelPolicyGridAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	checked := 0
-	for trial := 0; trial < 12 && checked < 6; trial++ {
-		g := testutil.RandomGraph(rng, 20+rng.Intn(20), 70+rng.Intn(50), 2)
-		q := testutil.RandomConnectedQuery(rng, g, 4+rng.Intn(3))
-		if q == nil {
-			continue
-		}
-		want := testutil.BruteForceCount(q, g, 0)
-		if want == 0 {
-			continue
-		}
-		checked++
-		for _, p := range kernelPolicies() {
-			for _, parallel := range []int{0, 3} {
-				cfg := Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect, Kernel: p}
-				res, err := Match(q, g, cfg, Limits{Parallel: parallel})
-				if err != nil {
-					t.Fatalf("policy %v parallel %d: %v", p, parallel, err)
-				}
-				if res.Embeddings != want {
-					t.Errorf("policy %v parallel %d: %d embeddings, want %d", p, parallel, res.Embeddings, want)
-				}
-			}
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no trial produced embeddings")
-	}
-}
 
 // TestKernelMixSurfaced pins the plan-level accounting: an adaptive run
 // reports its kernel mix on the Result,

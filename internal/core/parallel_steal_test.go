@@ -12,60 +12,6 @@ import (
 	"subgraphmatching/internal/testutil"
 )
 
-// equivalenceConfigs are the engine variants the scheduler must agree
-// with sequential execution on: intersection candidates with failing
-// sets on and off, plus the direct (auxiliary-free) path.
-func equivalenceConfigs() []Config {
-	return []Config{
-		{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect},
-		{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect, FailingSets: true},
-		{Filter: filter.LDF, Order: order.RI, Local: enumerate.Direct},
-	}
-}
-
-// TestParallelEquivalenceAcrossWorkers is the property the issue pins:
-// workers ∈ {1,2,4,8} × failing sets on/off × with and without
-// MaxEmbeddings all report identical counts.
-func TestParallelEquivalenceAcrossWorkers(t *testing.T) {
-	type workload struct {
-		name string
-		q, g *graph.Graph
-	}
-	workloads := []workload{{"paper", testutil.PaperQuery(), testutil.PaperData()}}
-	rng := rand.New(rand.NewSource(99))
-	for len(workloads) < 4 {
-		g := testutil.RandomGraph(rng, 30+rng.Intn(20), 90+rng.Intn(60), 2)
-		q := testutil.RandomConnectedQuery(rng, g, 4+rng.Intn(3))
-		if q != nil {
-			workloads = append(workloads, workload{"rand", q, g})
-		}
-	}
-	for _, wl := range workloads {
-		for _, cfg := range equivalenceConfigs() {
-			seq, err := Match(wl.q, wl.g, cfg, Limits{})
-			if err != nil {
-				t.Fatalf("%s sequential: %v", wl.name, err)
-			}
-			for _, cap := range []uint64{0, 7} {
-				want := seq.Embeddings
-				if cap > 0 && want > cap {
-					want = cap
-				}
-				for _, workers := range []int{1, 2, 4, 8} {
-					par, err := Match(wl.q, wl.g, cfg, Limits{Parallel: workers, MaxEmbeddings: cap})
-					if err != nil {
-						t.Fatalf("%s workers=%d: %v", wl.name, workers, err)
-					}
-					if par.Embeddings != want {
-						t.Errorf("%s cfg %+v workers=%d cap=%d: %d embeddings, want %d",
-							wl.name, cfg, workers, cap, par.Embeddings, want)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestParallelForcedDepthOneSplit: small fixtures at 4 workers, where
 // the root tasks run out early and the running searches donate finer
 // ones, count what the sequential run counts.
@@ -77,7 +23,11 @@ func TestParallelForcedDepthOneSplit(t *testing.T) {
 		if q == nil {
 			continue
 		}
-		for _, cfg := range equivalenceConfigs() {
+		for _, cfg := range []Config{
+			{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect},
+			{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect, FailingSets: true},
+			{Filter: filter.LDF, Order: order.RI, Local: enumerate.Direct},
+		} {
 			seq, err := Match(q, g, cfg, Limits{})
 			if err != nil {
 				t.Fatal(err)

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"subgraphmatching/internal/enumerate"
 	"subgraphmatching/internal/filter"
@@ -12,45 +10,6 @@ import (
 	"subgraphmatching/internal/order"
 	"subgraphmatching/internal/testutil"
 )
-
-func TestParallelAgreesWithSequential(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := testutil.RandomGraph(rng, 20+rng.Intn(20), 60+rng.Intn(60), 2)
-		q := testutil.RandomConnectedQuery(rng, g, 4+rng.Intn(3))
-		if q == nil {
-			return true
-		}
-		for _, cfg := range []Config{
-			{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect},
-			{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect, FailingSets: true},
-			{Filter: filter.DPIso, Order: order.DPIso, Local: enumerate.Intersect, Adaptive: true},
-			{Filter: filter.LDF, Order: order.RI, Local: enumerate.Direct},
-		} {
-			seq, err := Match(q, g, cfg, Limits{})
-			if err != nil {
-				t.Logf("sequential: %v", err)
-				return false
-			}
-			for _, workers := range []int{2, 4, 9} {
-				par, err := Match(q, g, cfg, Limits{Parallel: workers})
-				if err != nil {
-					t.Logf("parallel(%d): %v", workers, err)
-					return false
-				}
-				if par.Embeddings != seq.Embeddings {
-					t.Logf("parallel(%d): %d embeddings, sequential %d (seed %d)",
-						workers, par.Embeddings, seq.Embeddings, seed)
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestParallelRespectsCapExactly(t *testing.T) {
 	// Unlabeled triangle in K9: 9*8*7 = 504 embeddings.

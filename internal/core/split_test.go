@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,143 +12,6 @@ import (
 	"subgraphmatching/internal/order"
 	"subgraphmatching/internal/testutil"
 )
-
-// collectSorted runs Match with an embedding collector and returns the
-// byte-serialized embeddings in sorted order — the canonical form for
-// comparing the exact embedding *sets* two schedules produce, not just
-// their counts.
-func collectSorted(t *testing.T, q, g *graph.Graph, cfg Config, limits Limits) ([]string, *Result) {
-	t.Helper()
-	var out []string
-	limits.OnMatch = func(m []uint32) bool {
-		out = append(out, string(uint32SliceBytes(m)))
-		return true
-	}
-	res, err := Match(q, g, cfg, limits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uint64(len(out)) != res.Embeddings {
-		t.Fatalf("collected %d embeddings, result reports %d", len(out), res.Embeddings)
-	}
-	sort.Strings(out)
-	return out, res
-}
-
-// TestSplitEquivalence is the acceptance grid for donation: across
-// engine configs (static orders and DP-iso's adaptive ordering) ×
-// workers {1,2,4,8}, the runs must produce byte-identical embedding sets
-// to the sequential run, and MaxEmbeddings caps must stay exact. Every
-// fixture's root has few candidates for 8 workers, so idle workers meet
-// running searches and the grid donates.
-func TestSplitEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	type workload struct {
-		name string
-		q, g *graph.Graph
-	}
-	workloads := []workload{{"paper", testutil.PaperQuery(), testutil.PaperData()}}
-	for len(workloads) < 3 {
-		g := testutil.RandomGraph(rng, 40+rng.Intn(20), 140+rng.Intn(60), 2)
-		q := testutil.RandomConnectedQuery(rng, g, 4+rng.Intn(2))
-		if q != nil {
-			workloads = append(workloads, workload{"rand", q, g})
-		}
-	}
-	donated := 0
-	for _, wl := range workloads {
-		configs := equivalenceConfigs()
-		// DP-iso's adaptive ordering exercises the second-vertex split.
-		adaptive := PresetConfig(DPIso, wl.q, wl.g)
-		configs = append(configs, adaptive)
-		for _, cfg := range configs {
-			want, seq := collectSorted(t, wl.q, wl.g, cfg, Limits{})
-			for _, workers := range []int{1, 2, 4, 8} {
-				limits := Limits{Parallel: workers}
-				got, res := collectSorted(t, wl.q, wl.g, cfg, limits)
-				if len(got) != len(want) {
-					t.Fatalf("%s adaptive=%v w%d: %d embeddings, want %d",
-						wl.name, cfg.Adaptive, workers, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s adaptive=%v w%d: embedding sets differ at %d",
-							wl.name, cfg.Adaptive, workers, i)
-					}
-				}
-				if workers > 1 && seq.Nodes > 0 {
-					if res.Split == nil {
-						t.Fatalf("%s w%d: parallel run has no SplitInfo", wl.name, workers)
-					}
-					donated += res.Split.SplitTasks
-				}
-				// Exact cap under the same scheduler.
-				cap := uint64(5)
-				if uint64(len(want)) > cap {
-					limits.MaxEmbeddings = cap
-					capped, err := Match(wl.q, wl.g, cfg, limits)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if capped.Embeddings != cap {
-						t.Errorf("%s adaptive=%v w%d: cap run found %d, want exactly %d",
-							wl.name, cfg.Adaptive, workers, capped.Embeddings, cap)
-					}
-				}
-			}
-		}
-	}
-	if donated == 0 {
-		t.Error("no run in the grid donated")
-	}
-
-	// Symmetry breaking and homomorphism: the sink sees canonical
-	// embeddings and the count is theirs times the orbit, so these rows
-	// compare counts with the sequential run, capped and uncapped. The
-	// 4-cycle on a one-label graph has two twin pairs (orbit 4).
-	cg := testutil.RandomGraph(rng, 30, 120, 1)
-	cycle := graph.MustFromEdges(make([]graph.Label, 4), [][2]graph.Vertex{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
-	workloads = append(workloads, workload{"cycle4", cycle, cg})
-	symmetric := false
-	for _, wl := range workloads {
-		for _, cfg := range []Config{
-			{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect, SymmetryBreaking: true},
-			{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect, SymmetryBreaking: true, FailingSets: true},
-			{Local: enumerate.Intersect, Order: order.GQL, Homomorphism: true},
-			{Local: enumerate.Direct, Order: order.RI, Homomorphism: true},
-		} {
-			plan, err := Preprocess(wl.q, wl.g, cfg, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			symmetric = symmetric || plan.Orbit > 1
-			for _, cap := range []uint64{0, 5} {
-				want, err := Match(wl.q, wl.g, cfg, Limits{MaxEmbeddings: cap})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cap > 0 && want.LimitHit && want.Embeddings != cap*plan.Orbit {
-					t.Fatalf("%s sym=%v hom=%v: sequential cap run found %d, want %d×%d",
-						wl.name, cfg.SymmetryBreaking, cfg.Homomorphism, want.Embeddings, cap, plan.Orbit)
-				}
-				for _, workers := range []int{2, 4} {
-					got, err := Match(wl.q, wl.g, cfg, Limits{Parallel: workers, MaxEmbeddings: cap})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.Embeddings != want.Embeddings || got.LimitHit != want.LimitHit {
-						t.Errorf("%s sym=%v hom=%v cap=%d w%d: %d embeddings (limit hit %v), sequential %d (%v)",
-							wl.name, cfg.SymmetryBreaking, cfg.Homomorphism, cap, workers,
-							got.Embeddings, got.LimitHit, want.Embeddings, want.LimitHit)
-					}
-				}
-			}
-		}
-	}
-	if !symmetric {
-		t.Error("no workload in the grid has a symmetry orbit above 1")
-	}
-}
 
 // TestParallelCancelDuringProbe: a parallel run stopped before it
 // starts does no search — a cancel flag set before submission means 0

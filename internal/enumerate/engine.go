@@ -635,7 +635,9 @@ func (e *engine) runFS(depth int) bitset.Mask64 {
 	if depth == e.q.NumVertices()-1 {
 		return nodeMask(e.leafLevel(depth, u, lc), u, e.bwd[depth])
 	}
-	fs := e.opts.FailingSets
+	// VF2++'s cutoff makes LC depend on every mapped vertex, not only on
+	// u's backward neighbours, so no failing set is sound under it.
+	fs := e.opts.FailingSets && !e.opts.VF2PPRules
 	ids := e.ids[u]
 	if d := e.opts.Donor; d != nil {
 		e.levels[depth] = lc

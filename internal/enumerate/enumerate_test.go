@@ -3,14 +3,11 @@ package enumerate
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"subgraphmatching/internal/candspace"
 	"subgraphmatching/internal/filter"
 	"subgraphmatching/internal/graph"
-	"subgraphmatching/internal/intersect"
-	"subgraphmatching/internal/order"
 	"subgraphmatching/internal/testutil"
 )
 
@@ -108,109 +105,6 @@ func TestTreeEdgeModeWithTreeSpace(t *testing.T) {
 	}
 }
 
-// TestAgreementProperty is the central end-to-end invariant: every
-// combination of local-candidate method, failing sets, and adaptive
-// ordering must count exactly the same embeddings as brute force, on
-// randomized graphs and queries, with every match valid.
-func TestAgreementProperty(t *testing.T) {
-	type config struct {
-		name string
-		opts Options
-	}
-	configs := []config{
-		{"direct", Options{Local: Direct}},
-		{"direct+vf2pp", Options{Local: Direct, VF2PPRules: true}},
-		{"scan", Options{Local: Scan}},
-		{"tree-edge", Options{Local: TreeEdge}},
-		{"intersect", Options{Local: Intersect}},
-		{"intersect-block", Options{Local: Intersect, Kernel: intersect.PolicyBlock}},
-		{"intersect+fs", Options{Local: Intersect, FailingSets: true}},
-		{"scan+fs", Options{Local: Scan, FailingSets: true}},
-		{"direct+fs", Options{Local: Direct, FailingSets: true}},
-		{"adaptive", Options{Local: Intersect, Adaptive: true}},
-		{"adaptive+fs", Options{Local: Intersect, Adaptive: true, FailingSets: true}},
-	}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := testutil.RandomGraph(rng, 12+rng.Intn(18), 30+rng.Intn(40), 2+rng.Intn(3))
-		q := testutil.RandomConnectedQuery(rng, g, 3+rng.Intn(4))
-		if q == nil {
-			return true
-		}
-		want := testutil.BruteForceCount(q, g, 0)
-		for _, fm := range []filter.Method{filter.LDF, filter.GQL, filter.CECI, filter.DPIso} {
-			cand, err := filter.Run(fm, q, g)
-			if err != nil {
-				t.Logf("filter %v: %v", fm, err)
-				return false
-			}
-			space := candspace.BuildFull(q, g, cand)
-			space.MaterializeBlocks()
-			for _, om := range []order.Method{order.GQL, order.RI, order.CFL} {
-				phi, err := order.Compute(om, q, g, cand)
-				if err != nil {
-					t.Logf("order %v: %v", om, err)
-					return false
-				}
-				for _, cfg := range configs {
-					opts := cfg.opts
-					valid := true
-					opts.OnRun = eachEmbedding(func(m []uint32) bool {
-						if !testutil.IsValidEmbedding(q, g, m) {
-							valid = false
-							return false
-						}
-						return true
-					})
-					st, err := runFresh(q, g, cand, space, phi, opts)
-					if err != nil {
-						t.Logf("run %s: %v", cfg.name, err)
-						return false
-					}
-					if !valid {
-						t.Logf("%s with filter %v order %v produced an invalid embedding", cfg.name, fm, om)
-						return false
-					}
-					if st.Embeddings != want {
-						t.Logf("%s with filter %v order %v: %d embeddings, brute force %d (seed %d)",
-							cfg.name, fm, om, st.Embeddings, want, seed)
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAdaptiveWithWeights(t *testing.T) {
-	rng := rand.New(rand.NewSource(123))
-	for trial := 0; trial < 15; trial++ {
-		g := testutil.RandomGraph(rng, 20, 60, 3)
-		q := testutil.RandomConnectedQuery(rng, g, 5)
-		if q == nil {
-			continue
-		}
-		cand, _ := filter.Run(filter.DPIso, q, g)
-		space := candspace.BuildFull(q, g, cand)
-		delta := order.ComputeDPIso(q, g)
-		weights := order.BuildDPWeights(q, space, delta)
-		want := testutil.BruteForceCount(q, g, 0)
-		st, err := runFresh(q, g, cand, space, delta, Options{
-			Local: Intersect, Adaptive: true, AdaptiveWeights: weights, FailingSets: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Embeddings != want {
-			t.Fatalf("adaptive+weights: %d embeddings, want %d", st.Embeddings, want)
-		}
-	}
-}
-
 func TestMaxEmbeddingsCap(t *testing.T) {
 	// A clique-ish labeled graph with many automorphic matches.
 	labels := make([]graph.Label, 8)
@@ -271,33 +165,6 @@ func TestTimeLimit(t *testing.T) {
 	}
 	if !st.TimedOut || st.Solved() {
 		t.Errorf("expected timeout, got %+v", st)
-	}
-}
-
-func TestFailingSetsNeverChangeCounts(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := testutil.RandomGraph(rng, 15+rng.Intn(15), 40+rng.Intn(40), 2)
-		q := testutil.RandomConnectedQuery(rng, g, 4+rng.Intn(3))
-		if q == nil {
-			return true
-		}
-		cand, _ := filter.Run(filter.GQL, q, g)
-		space := candspace.BuildFull(q, g, cand)
-		phi, _ := order.Compute(order.GQL, q, g, cand)
-		a, err1 := runFresh(q, g, cand, space, phi, Options{Local: Intersect})
-		b, err2 := runFresh(q, g, cand, space, phi, Options{Local: Intersect, FailingSets: true})
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		if a.Embeddings != b.Embeddings {
-			t.Logf("failing sets changed count: %d vs %d (seed %d)", a.Embeddings, b.Embeddings, seed)
-			return false
-		}
-		return b.Nodes <= a.Nodes // pruning must never explore more nodes
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 

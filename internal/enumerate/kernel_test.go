@@ -2,8 +2,6 @@ package enumerate
 
 import (
 	"math/rand"
-	"reflect"
-	"sort"
 	"testing"
 
 	"subgraphmatching/internal/candspace"
@@ -21,36 +19,12 @@ func kernelPolicies() []intersect.Policy {
 	}
 }
 
-// collectEmbeddings runs opts over a space and returns the sorted full
-// embedding list — byte-level agreement, not just counts.
-func collectEmbeddings(t *testing.T, q, g *graph.Graph, cand [][]uint32, space *candspace.Space, phi []graph.Vertex, opts Options) ([][]uint32, *Stats) {
-	t.Helper()
-	var out [][]uint32
-	opts.OnRun = eachEmbedding(func(m []uint32) bool {
-		out = append(out, append([]uint32(nil), m...))
-		return true
-	})
-	st, err := runFresh(q, g, cand, space, phi, opts)
-	if err != nil {
-		t.Fatalf("runFresh(%+v): %v", opts, err)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		for k := range out[i] {
-			if out[i][k] != out[j][k] {
-				return out[i][k] < out[j][k]
-			}
-		}
-		return false
-	})
-	return out, st
-}
-
-// TestKernelPolicyGridIdenticalEmbeddings is the kernels' correctness
-// invariant: every kernel policy — with and without the block layout
-// materialized, static and DP-iso adaptive engines — enumerates exactly
-// the same embeddings. Policies change kernel dispatch, never results;
-// and only the block policy reads a layout, so every other policy runs
-// the same kernels over either space.
+// TestKernelPolicyGridIdenticalEmbeddings pins the kernel mix of every
+// kernel policy, static and DP-iso adaptive, with and without the block
+// layout materialized (that every policy enumerates the same embeddings
+// is core's FuzzDifferential): only the block policy reads a layout, so
+// every other policy tallies the same kernels over either space, and the
+// block kernel runs exactly when the block policy has a layout to read.
 func TestKernelPolicyGridIdenticalEmbeddings(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	tested := 0
@@ -86,9 +60,11 @@ func TestKernelPolicyGridIdenticalEmbeddings(t *testing.T) {
 				hasKWay = true
 			}
 		}
-
-		want, _ := collectEmbeddings(t, q, g, cand, plain, phi, Options{Local: Intersect})
-		if len(want) == 0 || !hasKWay {
+		st, err := runFresh(q, g, cand, plain, phi, Options{Local: Intersect})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Embeddings == 0 || !hasKWay {
 			continue
 		}
 		tested++
@@ -98,16 +74,15 @@ func TestKernelPolicyGridIdenticalEmbeddings(t *testing.T) {
 			for _, space := range []*candspace.Space{plain, blocks} {
 				for _, p := range kernelPolicies() {
 					opts := Options{Local: Intersect, Kernel: p, Adaptive: dpiso}
-					got, st := collectEmbeddings(t, q, g, cand, space, phi, opts)
+					st, err := runFresh(q, g, cand, space, phi, opts)
+					if err != nil {
+						t.Fatalf("runFresh(%+v): %v", opts, err)
+					}
 					if space == plain {
 						plainMix[p] = st.Kernels
 					} else if p != intersect.PolicyBlock && st.Kernels != plainMix[p] {
 						t.Errorf("trial %d policy %v dpiso=%v: kernels %v over the block layout, %v without",
 							trial, p, dpiso, st.Kernels, plainMix[p])
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("trial %d policy %v dpiso=%v blocks=%v: %d embeddings differ from reference %d",
-							trial, p, dpiso, space.HasBlocks(), len(got), len(want))
 					}
 					if st.Kernels.Total() == 0 {
 						t.Errorf("trial %d policy %v dpiso=%v: no kernel executions tallied", trial, p, dpiso)

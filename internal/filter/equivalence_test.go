@@ -181,7 +181,7 @@ func digestCandidates(h hash.Hash64, cand [][]uint32) {
 	}
 }
 
-func TestParallelFiltersMatchOneWorkerExactly(t *testing.T) {
+func TestFiltersMatchParentDigests(t *testing.T) {
 	for _, f := range equivalenceGrid(t) {
 		for _, v := range digestVariants {
 			name := f.name + "/" + v.name
@@ -202,11 +202,11 @@ func TestParallelFiltersMatchOneWorkerExactly(t *testing.T) {
 	}
 }
 
-// TestSteadyParallelReachesSameFixPoint checks the strongest filter
+// TestSteadyReachesFixPoint checks the strongest filter
 // separately and without reference to a recorded run: the STEADY sets
 // are a fix point of Filtering Rule 3.1 — every remaining candidate of u
 // has a neighbor among the candidates of every neighbor of u.
-func TestSteadyParallelReachesSameFixPoint(t *testing.T) {
+func TestSteadyReachesFixPoint(t *testing.T) {
 	for _, f := range equivalenceGrid(t) {
 		for qi, q := range f.queries {
 			want := mustRun(t, Steady, q, f.g, Options{})
@@ -223,14 +223,14 @@ func TestSteadyParallelReachesSameFixPoint(t *testing.T) {
 	}
 }
 
-// TestDPIsoParallelMatchesSequential covers the pass counts the parent
+// TestDPIsoRootAndPasses covers the pass counts the parent
 // digests do not (the digests pin passes 1, 3 and 4 to the sequential
 // runner that asked DPIsoRoot for its root; the filter now derives the
 // root from the LDF sets it has just built): at every pass count the
 // filter's sets are complete, sorted and deduplicated, more passes never
 // grow a set, and the BFS root the filter derives is Root(DPIso, …), the
 // one the ordering asks for.
-func TestDPIsoParallelMatchesSequential(t *testing.T) {
+func TestDPIsoRootAndPasses(t *testing.T) {
 	for _, f := range equivalenceGrid(t) {
 		for qi, q := range f.queries {
 			root := Root(DPIso, q, f.g)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"subgraphmatching/internal/graph"
@@ -32,42 +31,6 @@ func TestPaperExample(t *testing.T) {
 	}
 	if st.MemoryBytes <= 0 {
 		t.Error("MemoryBytes should be positive")
-	}
-}
-
-func TestAgreementWithBruteForce(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := testutil.RandomGraph(rng, 12+rng.Intn(15), 30+rng.Intn(40), 2+rng.Intn(3))
-		q := testutil.RandomConnectedQuery(rng, g, 3+rng.Intn(4))
-		if q == nil {
-			return true
-		}
-		want := testutil.BruteForceCount(q, g, 0)
-		valid := true
-		st, err := Solve(q, g, Options{OnMatch: func(m []uint32) bool {
-			if !testutil.IsValidEmbedding(q, g, m) {
-				valid = false
-				return false
-			}
-			return true
-		}})
-		if err != nil {
-			t.Logf("Solve: %v", err)
-			return false
-		}
-		if !valid {
-			t.Logf("invalid embedding (seed %d)", seed)
-			return false
-		}
-		if st.Embeddings != want {
-			t.Logf("Embeddings = %d, brute force %d (seed %d)", st.Embeddings, want, seed)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -160,37 +123,6 @@ func TestDominates(t *testing.T) {
 		if got := dominates(c.a, c.b); got != c.want {
 			t.Errorf("dominates(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
 		}
-	}
-}
-
-func TestParallelAgreesWithSequential(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := testutil.RandomGraph(rng, 15+rng.Intn(15), 40+rng.Intn(40), 2)
-		q := testutil.RandomConnectedQuery(rng, g, 3+rng.Intn(3))
-		if q == nil {
-			return true
-		}
-		seq, err := Solve(q, g, Options{})
-		if err != nil {
-			return false
-		}
-		for _, workers := range []int{2, 5} {
-			par, err := Solve(q, g, Options{Parallel: workers})
-			if err != nil {
-				t.Logf("parallel: %v", err)
-				return false
-			}
-			if par.Embeddings != seq.Embeddings {
-				t.Logf("parallel(%d) = %d, sequential = %d (seed %d)",
-					workers, par.Embeddings, seq.Embeddings, seed)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package testutil provides shared fixtures for the test suites: the
 // paper's Figure 1 running-example graphs, deterministic random graph
 // generators, and a brute-force reference matcher that anchors the
-// cross-algorithm agreement tests.
+// differential tests.
 package testutil
 
 import (
@@ -121,25 +121,27 @@ func RandomConnectedQuery(rng *rand.Rand, g *graph.Graph, k int) *graph.Graph {
 	return q
 }
 
-// BruteForceCount counts all subgraph isomorphisms from q to g by naive
-// backtracking with no pruning beyond label/degree and adjacency checks.
-// It is the ground truth for agreement tests; only call it on small
-// inputs. The limit caps the number of embeddings counted (0 = unlimited).
-func BruteForceCount(q, g *graph.Graph, limit uint64) uint64 {
+// BruteForce enumerates every embedding of q in g by naive
+// backtracking over the query vertices in id order, with no pruning
+// beyond label (and, for isomorphisms, degree) and adjacency checks:
+// subgraph isomorphisms, or homomorphisms (label- and edge-preserving,
+// injectivity not required) when hom is set. visit receives each
+// mapping, indexed by query vertex and valid only during the call, and
+// returns false to stop the enumeration. It is the ground truth the
+// agreement tests compare against; small inputs only.
+func BruteForce(q, g *graph.Graph, hom bool, visit func(m []graph.Vertex) bool) {
 	n := q.NumVertices()
 	mapping := make([]graph.Vertex, n)
 	used := make([]bool, g.NumVertices())
-	var count uint64
 	var rec func(i int) bool // returns false to stop early
 	rec = func(i int) bool {
 		if i == n {
-			count++
-			return limit == 0 || count < limit
+			return visit(mapping)
 		}
 		u := graph.Vertex(i)
 		for v := 0; v < g.NumVertices(); v++ {
 			dv := graph.Vertex(v)
-			if used[v] || g.Label(dv) != q.Label(u) || g.Degree(dv) < q.Degree(u) {
+			if g.Label(dv) != q.Label(u) || !hom && (used[v] || g.Degree(dv) < q.Degree(u)) {
 				continue
 			}
 			ok := true
@@ -163,82 +165,27 @@ func BruteForceCount(q, g *graph.Graph, limit uint64) uint64 {
 		return true
 	}
 	rec(0)
-	return count
 }
 
-// BruteForceHomomorphismCount counts all subgraph homomorphisms from q
-// to g (label- and edge-preserving, injectivity not required) by naive
-// backtracking. Small inputs only.
-func BruteForceHomomorphismCount(q, g *graph.Graph) uint64 {
-	n := q.NumVertices()
-	mapping := make([]graph.Vertex, n)
+// BruteForceCount counts the subgraph isomorphisms from q to g with
+// BruteForce, stopping at limit (0 = unlimited).
+func BruteForceCount(q, g *graph.Graph, limit uint64) uint64 {
 	var count uint64
-	var rec func(i int)
-	rec = func(i int) {
-		if i == n {
-			count++
-			return
-		}
-		u := graph.Vertex(i)
-		for v := 0; v < g.NumVertices(); v++ {
-			dv := graph.Vertex(v)
-			if g.Label(dv) != q.Label(u) {
-				continue
-			}
-			ok := true
-			for _, un := range q.Neighbors(u) {
-				if un < u && !g.HasEdge(mapping[un], dv) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			mapping[i] = dv
-			rec(i + 1)
-		}
-	}
-	rec(0)
+	BruteForce(q, g, false, func([]graph.Vertex) bool {
+		count++
+		return limit == 0 || count < limit
+	})
 	return count
 }
 
-// BruteForceMatches returns all embeddings (indexed by query vertex) from
-// q to g; small inputs only.
+// BruteForceMatches returns all subgraph isomorphisms (indexed by query
+// vertex) from q to g; small inputs only.
 func BruteForceMatches(q, g *graph.Graph) [][]graph.Vertex {
-	n := q.NumVertices()
-	mapping := make([]graph.Vertex, n)
-	used := make([]bool, g.NumVertices())
 	var out [][]graph.Vertex
-	var rec func(i int)
-	rec = func(i int) {
-		if i == n {
-			out = append(out, append([]graph.Vertex(nil), mapping...))
-			return
-		}
-		u := graph.Vertex(i)
-		for v := 0; v < g.NumVertices(); v++ {
-			dv := graph.Vertex(v)
-			if used[v] || g.Label(dv) != q.Label(u) || g.Degree(dv) < q.Degree(u) {
-				continue
-			}
-			ok := true
-			for _, un := range q.Neighbors(u) {
-				if un < u && !g.HasEdge(mapping[un], dv) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			mapping[i] = dv
-			used[v] = true
-			rec(i + 1)
-			used[v] = false
-		}
-	}
-	rec(0)
+	BruteForce(q, g, false, func(m []graph.Vertex) bool {
+		out = append(out, append([]graph.Vertex(nil), m...))
+		return true
+	})
 	return out
 }
 

@@ -3,7 +3,6 @@ package vf2
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"subgraphmatching/internal/graph"
@@ -28,38 +27,6 @@ func TestPaperExample(t *testing.T) {
 		if got[u] != v {
 			t.Fatalf("match = %v, want %v", got, want)
 		}
-	}
-}
-
-func TestAgreementWithBruteForce(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := testutil.RandomGraph(rng, 12+rng.Intn(15), 30+rng.Intn(40), 1+rng.Intn(3))
-		q := testutil.RandomConnectedQuery(rng, g, 3+rng.Intn(4))
-		if q == nil {
-			return true
-		}
-		want := testutil.BruteForceCount(q, g, 0)
-		valid := true
-		st, err := Solve(q, g, Options{OnMatch: func(m []uint32) bool {
-			if !testutil.IsValidEmbedding(q, g, m) {
-				valid = false
-				return false
-			}
-			return true
-		}})
-		if err != nil || !valid {
-			t.Logf("err=%v valid=%v (seed %d)", err, valid, seed)
-			return false
-		}
-		if st.Embeddings != want {
-			t.Logf("Embeddings = %d, brute force %d (seed %d)", st.Embeddings, want, seed)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
 	}
 }
 
