@@ -76,8 +76,9 @@ race-stress:
 # the NLF index's label runs (each is N(v) filtered by label, on label
 # alphabets below and above 64, and nlfOK is the counting reference),
 # and the candidate space (every list is the ascending positions in
-# C(u′) of N(v) ∩ C(u′), the two directions are transposes, and every
-# block view decodes to its list, for the full and the tree variant), and
+# C(u′) of N(v) ∩ C(u′) and every block view decodes to its list, for
+# the full and the tree variant; built along a random order, every kept
+# pair is the full build's, no other pair exists), and
 # the differential oracle (every preset and any legal configuration
 # tuple, fresh and over a cached plan, at 1 and 4 workers, through every
 # sink form, capped and uncapped, returns the brute-force embedding

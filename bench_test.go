@@ -632,7 +632,7 @@ func BenchmarkAblationCandSpace(b *testing.B) {
 	tree := graph.NewBFSTree(q, filter.Root(filter.CFL, q, f.g))
 	b.Run("tree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			candspace.Build(q, f.g, cand, tree.Parent)
+			candspace.Build(q, f.g, cand, tree.Parent, nil)
 		}
 	})
 	b.Run("full", func(b *testing.B) {
@@ -919,11 +919,13 @@ func BenchmarkCandSpaceBlockLayout(b *testing.B) {
 // per plan (EXPERIMENTS.md "Preprocessing phases"). The extra metrics
 // split the plan's time by stage: the filter's own StageTrace
 // (GraphQL's local pruning and refinement rounds), the candidate-space
-// build (CSR + blocks) and the order. A plan allocates ≈ 64 KB in ≈ 265
-// objects (from ≈ 135 KB and ≈ 410 before the filter's and the build's
-// |V(G)|-sized scratch moved to the data graph's free lists; EXPERIMENTS.md
-// "Cold plan scratch"); what remains is the plan itself — its candidate
-// slab, CSRs, spans and order.
+// build (CSR + blocks) and the order. A plan allocates ≈ 40 KB in ≈ 117
+// objects: from ≈ 64 KB and ≈ 268 before the candidate space kept only
+// the direction the order reads, in one slab (EXPERIMENTS.md
+// "One-direction 𝒜"), and ≈ 135 KB and ≈ 410 before the filter's and
+// the build's |V(G)|-sized scratch moved to the data graph's free lists
+// ("Cold plan scratch"). What remains is the plan itself — its
+// candidate slab, the space's slabs, spans and order.
 func BenchmarkPreprocessColdMix(b *testing.B) {
 	g, err := rmat.Generate(rmat.Config{NumVertices: 20000, NumEdges: 200000, NumLabels: 20, Seed: 1})
 	if err != nil {

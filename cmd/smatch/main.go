@@ -50,7 +50,7 @@ func main() {
 		parallel  = flag.Int("parallel", 1, "worker goroutines for enumeration")
 		kernel    = flag.String("kernel", "adaptive", "intersection-kernel policy: adaptive merge gallop block")
 		profile   = flag.Bool("profile", false, "print a per-depth search profile")
-		trace     = flag.Bool("trace", false, "print the phase-span trace (filter stages, build, order, per-worker enumeration)")
+		trace     = flag.Bool("trace", false, "print the phase-span trace (filter stages, order, build, per-worker enumeration)")
 		explain   = flag.Bool("explain", false, "print the EXPLAIN/ANALYZE breakdown: filter-stage reduction, matching order, per-depth enumeration heat")
 		hom       = flag.Bool("hom", false, "count homomorphisms instead of isomorphisms")
 		sym       = flag.Bool("sym", false, "enable symmetry breaking (NEC orbit counting)")

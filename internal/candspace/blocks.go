@@ -1,7 +1,6 @@
 package candspace
 
 import (
-	"subgraphmatching/internal/graph"
 	"subgraphmatching/internal/intersect"
 )
 
@@ -45,22 +44,6 @@ func (c *edgeCSR) encodeBlocks() *intersect.FlatBlocks {
 
 // HasBlocks reports whether MaterializeBlocks has run.
 func (s *Space) HasBlocks() bool { return s.flat != nil }
-
-// PairSize returns the total adjacency size of the directed pair
-// (u, u') — sum over v∈C(u) of |𝒜[u->u'](v)| — in O(1) from the CSR,
-// or 0 when the pair is not materialized. This is the per-edge size
-// stat the planner's selectivity model reads.
-func (s *Space) PairSize(u, up graph.Vertex) int {
-	pos := s.neighborPos(u, up)
-	if pos < 0 {
-		return 0
-	}
-	csr := s.edges[u][pos]
-	if csr == nil {
-		return 0
-	}
-	return len(csr.targets)
-}
 
 // BlockStats aggregates the flat block layout: materialized adjacency
 // sets, total 64-wide blocks, and total encoded elements; all zeros

@@ -114,30 +114,6 @@ func TestPairConsistent(t *testing.T) {
 	}
 }
 
-// TestPairSize checks the planner's O(1) per-edge size stat against the
-// explicit per-candidate sum.
-func TestPairSize(t *testing.T) {
-	q, g := testutil.PaperQuery(), testutil.PaperData()
-	cand, _ := filter.Run(filter.NLF, q, g)
-	s := BuildFull(q, g, cand)
-	for u := 0; u < q.NumVertices(); u++ {
-		uu := graph.Vertex(u)
-		for _, up := range q.Neighbors(uu) {
-			want := 0
-			for ci := range s.Candidates(uu) {
-				want += len(s.Adjacency(uu, up, ci))
-			}
-			if got := s.PairSize(uu, up); got != want {
-				t.Errorf("PairSize(%d,%d) = %d, want %d", uu, up, got, want)
-			}
-		}
-		// Non-adjacent pairs (including u itself) report 0.
-		if got := s.PairSize(uu, uu); got != 0 {
-			t.Errorf("PairSize(%d,%d) = %d, want 0", uu, uu, got)
-		}
-	}
-}
-
 // TestBlockStats cross-checks the aggregate layout stats against the
 // per-view sums.
 func TestBlockStats(t *testing.T) {

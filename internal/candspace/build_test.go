@@ -62,7 +62,7 @@ func dataIDs(c, adj []uint32) []uint32 {
 func allBuilds(q, g *graph.Graph, cand [][]uint32, parent []graph.Vertex) map[string]*Space {
 	return map[string]*Space{
 		"full": BuildFull(q, g, cand),
-		"tree": Build(q, g, cand, parent),
+		"tree": Build(q, g, cand, parent, nil),
 	}
 }
 

@@ -17,6 +17,10 @@
 //   - Tree: only the spanning-tree edges, as in CFL's compressed path
 //     index. Non-tree edges are verified with binary searches during
 //     enumeration (paper Algorithm 4).
+//
+// Given a matching order, either variant keeps one direction per edge,
+// earlier vertex to later, which is the only one a search along that
+// order reads; without one it keeps both.
 package candspace
 
 import (
@@ -36,7 +40,9 @@ type Space struct {
 	// For each directed adjacent pair (u, i) where i indexes u's
 	// neighbor list, a CSR mapping a position in C(u) to the ascending
 	// positions in C(neighbor) of the candidates adjacent to it. nil when
-	// the pair is not materialized (tree variant).
+	// the pair is not materialized (a non-tree edge of the tree variant,
+	// or the direction the build's order does not read). The headers,
+	// the offsets and the targets are each one slab (Build).
 	edges [][]*edgeCSR
 
 	// flat mirrors edges with one flat QFilter-style block arena per
@@ -50,14 +56,14 @@ type edgeCSR struct {
 	targets []uint32
 }
 
-// BuildFull materializes 𝒜 for every query edge (CECI/DP-iso style):
-// Build with no parent array. candidates[u] must be sorted; the slice is
-// retained.
+// BuildFull materializes both directions of every query edge
+// (CECI/DP-iso style): Build with no parent array and no order.
+// candidates[u] must be sorted; the slice is retained.
 func BuildFull(q *graph.Graph, g *graph.Graph, candidates [][]uint32) *Space {
-	return Build(q, g, candidates, nil)
+	return Build(q, g, candidates, nil, nil)
 }
 
-// materialized reports whether the directed pair (u, up) gets a CSR:
+// materialized reports whether the query edge {u, up} gets a CSR:
 // always for the full variant (parent == nil), only along tree edges
 // otherwise.
 func materialized(parent []graph.Vertex, u, up graph.Vertex) bool {
@@ -81,58 +87,101 @@ func appendRanks(dst []uint32, run []uint32, words []uint64, before []uint32) []
 
 // Build materializes 𝒜 on the caller's goroutine. With parent == nil
 // every query edge is materialized; otherwise only the spanning-tree
-// edges given by parent (CFL style): pairs (parent[u], u) and
-// (u, parent[u]). candidates[u] must be sorted, and every vertex in it
-// must carry label L(u), as every filter's sets do; the slice is
-// retained.
+// edges given by parent (CFL style). With phi == nil both directions of
+// each such edge are kept; with a matching order phi (a permutation of
+// V(q)) only 𝒜[u→u′] with u before u′ in phi — the one direction a
+// search along phi reads, backward neighbour to later vertex, and under
+// a tree that phi respects the parent→child pairs of CFL's CPI.
+// candidates[u] must be sorted, and every vertex in it must carry label
+// L(u), as every filter's sets do; the slice is retained.
 //
-// 𝒜[u→u′] and 𝒜[u′→u] are one edge set E(C(u), C(u′)) read from its
-// two ends, so each query edge is found once and transposed. It is
-// scanned from the end whose candidates have the smaller Σ d(v) (ties:
-// the smaller vertex id): for each candidate v, the neighbours of v
-// labelled L(u′) (the label run graph.NLF.Run hands out — by the
-// precondition no other neighbour can be in C(u′)) against a bitmap of
-// the other end's set. Scanned pairs are visited grouped by their
-// target u′, so one bitmap of C(u′) is set once, serves every u that
-// scans towards u′, and is cleared by walking C(u′) again (never a full
+// A pair 𝒜[u→u′] is scanned from u: for each candidate v, the
+// neighbours of v labelled L(u′) (the label run graph.NLF.Run hands out
+// — by the precondition no other neighbour can be in C(u′)) against a
+// bitmap of C(u′), whose popcount prefix sums give each target its
+// position in C(u′). Scanned pairs are visited grouped by their target
+// u′, so one bitmap of C(u′) is set once, serves every u that scans
+// towards u′, and is cleared by walking C(u′) again (never a full
 // reset), so it goes back to g's free list clear, with the prefix sums
-// and the row buffer (graph.Bitmap, graph.Buffer). A target is stored
-// as its position in C(u′), the popcount
-// prefix sums over the same bitmap give it, and each of the group's
-// pairs is then transposed by those positions. Every adjacency list is
-// a set that does not depend on how it was found, so the CSRs are
-// byte-identical for either scan direction.
-func Build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex) *Space {
-	s := &Space{
-		q:          q,
-		candidates: candidates,
-		edges:      make([][]*edgeCSR, q.NumVertices()),
+// and the row buffer (graph.Bitmap, graph.Buffer). Without an order,
+// 𝒜[u→u′] and 𝒜[u′→u] are one edge set E(C(u), C(u′)) read from its two
+// ends, so each edge is scanned once, from the end whose candidates have
+// the smaller Σ d(v) (ties: the smaller vertex id), and transposed.
+// Every adjacency list is a set that does not depend on how it was
+// found, so the CSRs are byte-identical for either scan direction.
+//
+// The space is allocated at its exact size: every kept pair's offsets
+// are windows of one []int32, whose length Σ (|C(u)|+1) over kept pairs
+// is known before the scan; the targets accumulate in the row buffer
+// and are copied once into one []uint32; the CSR headers are one
+// []edgeCSR. A pair's targets window has no capacity beyond its length,
+// so MemoryBytes counts both slabs exactly.
+func Build(q, g *graph.Graph, candidates [][]uint32, parent, phi []graph.Vertex) *Space {
+	n := q.NumVertices()
+	both := phi == nil // keep both directions: scan one, transpose into the other
+	var pos []int      // position in phi
+	if !both {
+		pos = make([]int, n)
+		for i, u := range phi {
+			pos[u] = i
+		}
 	}
-	scanCost := make([]uint64, q.NumVertices()) // Σ d(v) over C(u): what scanning from u reads
+	keep := func(u, up graph.Vertex) bool {
+		return materialized(parent, u, up) && (both || pos[u] < pos[up])
+	}
+	pairs, offsets := 0, 0
+	for u := range n {
+		for _, up := range q.Neighbors(graph.Vertex(u)) {
+			if keep(graph.Vertex(u), up) {
+				pairs++
+				offsets += len(candidates[u]) + 1
+			}
+		}
+	}
+	s := &Space{q: q, candidates: candidates, edges: make([][]*edgeCSR, n)}
+	slots := make([]*edgeCSR, 2*q.NumEdges())
 	for u := range s.edges {
-		s.edges[u] = make([]*edgeCSR, q.Degree(graph.Vertex(u)))
-		for _, v := range candidates[u] {
-			scanCost[u] += uint64(g.Degree(v))
+		d := q.Degree(graph.Vertex(u))
+		s.edges[u], slots = slots[:d:d], slots[d:]
+	}
+	// Headers are handed out in scan order; without phi each scanned
+	// pair's header is followed by its transpose's.
+	csrs, offs := make([]edgeCSR, pairs), make([]int32, offsets)
+	free := csrs
+	window := func(u graph.Vertex) *edgeCSR {
+		c := &free[0]
+		free = free[1:]
+		k := len(candidates[u]) + 1
+		c.offsets, offs = offs[:k:k], offs[k:]
+		return c
+	}
+	var scanCost []uint64 // Σ d(v) over C(u): what scanning from u reads
+	if both {
+		scanCost = make([]uint64, n)
+		for u := range scanCost {
+			for _, v := range candidates[u] {
+				scanCost[u] += uint64(g.Degree(v))
+			}
 		}
 	}
 	gx := g.NLF()
 	// The bitmap, its prefix sums (members below each word) and the
-	// scanned pair's targets are per-build scratch from g's free lists;
-	// the prefix sums and the targets share one buffer, the targets
-	// after the sums (reused across pairs, and grown apart from them
-	// when a pair needs more room).
+	// scanned targets are per-build scratch from g's free lists; the
+	// prefix sums and the targets share one buffer, the targets after
+	// the sums (grown apart from them when the plan needs more room).
+	// While the scan runs, a scanned pair's offsets index this buffer.
 	words := g.Bitmap()
 	scratch := slices.Grow(g.Buffer(), len(words))
 	before, buf := scratch[:len(words)], scratch[len(words):len(words)]
-	for t := 0; t < q.NumVertices(); t++ {
+	for t := range n {
 		up := graph.Vertex(t)
 		label := q.Label(up)
 		ranked := false // the bitmap holds C(up) and before its prefix sums
 		for _, u := range q.Neighbors(up) {
-			if !materialized(parent, u, up) {
+			if !keep(u, up) {
 				continue
 			}
-			if scanCost[u] > scanCost[up] || (scanCost[u] == scanCost[up] && u > up) {
+			if both && (scanCost[u] > scanCost[up] || (scanCost[u] == scanCost[up] && u > up)) {
 				continue // up's group scans this edge the other way
 			}
 			if !ranked {
@@ -146,23 +195,41 @@ func Build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex) *Spa
 				}
 				ranked = true
 			}
-			fwd := &edgeCSR{offsets: make([]int32, len(candidates[u])+1)}
-			buf = buf[:0]
+			fwd := window(u)
+			fwd.offsets[0] = int32(len(buf))
 			for i, v := range candidates[u] {
 				buf = appendRanks(buf, gx.Run(v, label), words, before)
 				fwd.offsets[i+1] = int32(len(buf))
 			}
-			// targets is exact-length: a cached plan is charged
-			// len(targets) (MemoryBytes), so it must not hold spare
-			// capacity.
-			fwd.targets = append(make([]uint32, 0, len(buf)), buf...)
 			s.edges[u][s.neighborPos(u, up)] = fwd
-			s.edges[up][s.neighborPos(up, u)] = transpose(fwd, len(candidates[up]))
+			if both {
+				s.edges[up][s.neighborPos(up, u)] = window(up)
+			}
 		}
 		if ranked {
 			for _, v := range candidates[up] {
 				words[v/64] &^= 1 << (v % 64)
 			}
+		}
+	}
+	total := len(buf)
+	step := 1
+	if both {
+		step = 2 // the transposes fill a second half of the slab
+	}
+	targets := make([]uint32, step*total)
+	copy(targets, buf)
+	for i := 0; i < len(csrs); i += step {
+		fwd := &csrs[i]
+		lo, hi := fwd.offsets[0], fwd.offsets[len(fwd.offsets)-1]
+		fwd.targets = targets[lo:hi:hi]
+		for j := range fwd.offsets {
+			fwd.offsets[j] -= lo
+		}
+		if step == 2 {
+			rev := &csrs[i+1]
+			rev.targets = targets[int32(total)+lo : int32(total)+hi : int32(total)+hi]
+			transpose(fwd, rev)
 		}
 	}
 	g.PutBitmap(words)
@@ -173,12 +240,13 @@ func Build(q, g *graph.Graph, candidates [][]uint32, parent []graph.Vertex) *Spa
 	return s
 }
 
-// transpose turns fwd = 𝒜[u→u′] into 𝒜[u′→u] over the nt candidates of
-// u′ by a counting sort on the target positions, filling each list with
-// the source positions. Sources are visited in ascending order, so every
-// transposed list comes out sorted.
-func transpose(fwd *edgeCSR, nt int) *edgeCSR {
-	rev := &edgeCSR{offsets: make([]int32, nt+1), targets: make([]uint32, len(fwd.targets))}
+// transpose fills rev = 𝒜[u′→u], whose offsets (zero) and targets are
+// already sized, from fwd = 𝒜[u→u′] by a counting sort on the target
+// positions, filling each list with the source positions. Sources are
+// visited in ascending order, so every transposed list comes out
+// sorted.
+func transpose(fwd, rev *edgeCSR) {
+	nt := len(rev.offsets) - 1
 	for _, r := range fwd.targets {
 		rev.offsets[r+1]++
 	}
@@ -196,7 +264,6 @@ func transpose(fwd *edgeCSR, nt int) *edgeCSR {
 	}
 	copy(rev.offsets[1:], rev.offsets[:nt])
 	rev.offsets[0] = 0
-	return rev
 }
 
 // Query returns the query graph the space was built for.
@@ -289,8 +356,10 @@ func (s *Space) MeanCandidates() float64 {
 	return float64(s.TotalCandidates()) / float64(len(s.candidates))
 }
 
-// MemoryBytes estimates the heap footprint of the candidate sets and the
-// materialized candidate edges, the paper's memory-cost metric.
+// MemoryBytes is the heap footprint of the candidate sets and the
+// materialized candidate edges, the paper's memory-cost metric: the
+// pairs' offsets and targets windows tile the build's two slabs, so it
+// counts both exactly (the CSR headers are not counted).
 func (s *Space) MemoryBytes() int64 {
 	var b int64
 	for _, c := range s.candidates {

@@ -83,7 +83,7 @@ func TestTreeSpaceOnlyMaterializesTreeEdges(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
 	cand, _ := filter.Run(filter.CFL, q, g)
 	tree := graph.NewBFSTree(q, 0)
-	s := Build(q, g, cand, tree.Parent)
+	s := Build(q, g, cand, tree.Parent, nil)
 	// Tree edges: (u0,u1), (u0,u2), (u1,u3). Non-tree: (u1,u2), (u2,u3).
 	treePairs := [][2]graph.Vertex{{0, 1}, {1, 0}, {0, 2}, {2, 0}, {1, 3}, {3, 1}}
 	for _, p := range treePairs {

@@ -178,7 +178,7 @@ func assertParentDigests(t *testing.T, tree bool) {
 				if tree {
 					parent = graph.NewBFSTree(q, filter.Root(filter.CFL, q, f.g)).Parent
 				}
-				s := Build(q, f.g, cand, parent)
+				s := Build(q, f.g, cand, parent, nil)
 				digestCSR(csr, s)
 				s.MaterializeBlocks()
 				digestBlocks(t, blocks, s)
@@ -224,7 +224,7 @@ func TestDegenerateCandidateSets(t *testing.T) {
 	tree := graph.NewBFSTree(q, 0)
 	spaces := map[string]*Space{
 		"full": BuildFull(q, g, cand),
-		"tree": Build(q, g, cand, tree.Parent),
+		"tree": Build(q, g, cand, tree.Parent, nil),
 	}
 	for name, s := range spaces {
 		// The 4-vertex paper query leaves exactly one singleton set

@@ -59,11 +59,14 @@ func decodeFuzzSpace(data []byte, seed int64) (q, g *graph.Graph, cand [][]uint3
 }
 
 // FuzzBuildPositions holds the candidate space to its definition on
-// fuzzed (q, g, C), for the full and the tree variant: every
-// materialised list is ascending positions in C(u′) that translate to
-// exactly N(C(u)[i]) ∩ C(u′); the two directions of a query edge are
-// transposes of each other; and after MaterializeBlocks every block
-// view decodes to its list.
+// fuzzed (q, g, C) and a random order φ, for the full and the tree
+// variant. Without φ: every materialised list is ascending positions in
+// C(u′) that translate to exactly N(C(u)[i]) ∩ C(u′); the two
+// directions of a query edge are transposes of each other; and after
+// MaterializeBlocks every block view decodes to its list. With φ: every
+// kept pair — a materialised one from earlier to later in φ — is the
+// full build's, no other pair exists, and no targets window holds
+// spare capacity.
 func FuzzBuildPositions(f *testing.F) {
 	f.Add([]byte{1, 2, 0, 1, 0, 1, 1, 0, 1, 2, 2, 3, 3, 0, 0, 2}, int64(1))
 	f.Add([]byte{7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 0, 0, 3}, int64(7))
@@ -79,10 +82,16 @@ func FuzzBuildPositions(f *testing.F) {
 		if q == nil {
 			t.Skip()
 		}
-		parent := graph.NewBFSTree(q, graph.Vertex(uint64(seed)%uint64(q.NumVertices()))).Parent
-		for name, s := range allBuilds(q, g, cand, parent) {
+		n := q.NumVertices()
+		parent := graph.NewBFSTree(q, graph.Vertex(uint64(seed)%uint64(n))).Parent
+		phi, pos := make([]graph.Vertex, n), make([]int, n)
+		for i, u := range rand.New(rand.NewSource(^seed)).Perm(n) {
+			phi[i], pos[u] = graph.Vertex(u), i
+		}
+		builds := allBuilds(q, g, cand, parent)
+		for name, s := range builds {
 			s.MaterializeBlocks()
-			for u := 0; u < q.NumVertices(); u++ {
+			for u := 0; u < n; u++ {
 				uu := graph.Vertex(u)
 				for _, up := range q.Neighbors(uu) {
 					want := name == "full" || parent[uu] == up || parent[up] == uu
@@ -115,8 +124,46 @@ func FuzzBuildPositions(f *testing.F) {
 						}
 						edges += len(adj)
 					}
-					if s.PairSize(up, uu) != edges {
-						t.Fatalf("%s: A[%d->%d] holds %d edges, A[%d->%d] %d", name, uu, up, edges, up, uu, s.PairSize(up, uu))
+					for cj := range cand[up] {
+						edges -= len(back.Adjacency(cj))
+					}
+					if edges != 0 {
+						t.Fatalf("%s: A[%d->%d] and A[%d->%d] hold different edge counts", name, uu, up, up, uu)
+					}
+				}
+			}
+		}
+		for name, s := range map[string]*Space{
+			"full/phi": Build(q, g, cand, nil, phi),
+			"tree/phi": Build(q, g, cand, parent, phi),
+		} {
+			s.MaterializeBlocks()
+			for u := 0; u < n; u++ {
+				uu := graph.Vertex(u)
+				for _, up := range q.Neighbors(uu) {
+					want := pos[uu] < pos[up] && (name == "full/phi" || parent[uu] == up || parent[up] == uu)
+					if s.HasPair(uu, up) != want {
+						t.Fatalf("%s: HasPair(%d,%d) = %v, want %v (φ = %v)", name, uu, up, !want, want, phi)
+					}
+					if !want {
+						continue
+					}
+					p, ref := s.Pair(uu, up), builds["full"].Pair(uu, up)
+					for ci := range cand[uu] {
+						adj := p.Adjacency(ci)
+						if !slices.Equal(adj, ref.Adjacency(ci)) {
+							t.Fatalf("%s: A[%d->%d](%d) = %v, the full build's %v", name, uu, up, ci, adj, ref.Adjacency(ci))
+						}
+						if got := p.View(ci).Elements(nil); !slices.Equal(got, adj) {
+							t.Fatalf("%s: (%d->%d)[%d]: view decodes %v, list %v", name, uu, up, ci, got, adj)
+						}
+					}
+				}
+			}
+			for u, row := range s.edges {
+				for i, csr := range row {
+					if csr != nil && cap(csr.targets) != len(csr.targets) {
+						t.Fatalf("%s: edges[%d][%d].targets has len %d, cap %d", name, u, i, len(csr.targets), cap(csr.targets))
 					}
 				}
 			}

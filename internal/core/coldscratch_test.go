@@ -15,12 +15,13 @@ import (
 // coldPlanAllocBudget is what one cold Preprocess of the Optimized
 // preset allocates on a fixed 12-vertex query once the data graph's
 // free lists are stocked: the plan, its spans, the filter's candidate
-// slab and label classes, the candidate space's CSRs and blocks, and
-// the order. The filter's membership bitmaps, candidate rows and
-// witness records and the build's bitmap, prefix sums and row buffer
-// come from the free lists; a change that puts one of them back on
-// this path moves this number, on purpose or not.
-const coldPlanAllocBudget = 275
+// slab and label classes, the order, and the candidate space's three
+// slabs (headers, offsets, targets) over the one direction the order
+// reads. The filter's membership bitmaps, candidate rows and witness
+// records and the build's bitmap, prefix sums and row buffer come from
+// the free lists; a change that puts one of them back on this path
+// moves this number, on purpose or not.
+const coldPlanAllocBudget = 129
 
 // coldFixture draws an R-MAT data graph and querygen queries over it;
 // the same arguments give the same graphs.

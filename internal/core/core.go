@@ -333,8 +333,8 @@ type Plan struct {
 	MemoryBytes    int64
 
 	// Span is the preprocessing phase breakdown: a "preprocess" root
-	// with "filter" (and its per-stage children), "build" and "order"
-	// children. Always populated — span assembly
+	// with "filter" (and its per-stage children), "order" and "build"
+	// children, in the order they run. Always populated — span assembly
 	// happens once per plan at phase boundaries and is dwarfed by the
 	// phases themselves. Immutable once the plan is built: cached plans
 	// share it across requests.
@@ -347,10 +347,11 @@ type Plan struct {
 }
 
 // Preprocess runs the preprocessing half of the pipeline — filtering
-// (paper Algorithm 1 line 1), auxiliary-structure construction, ordering
-// (line 2) and the symmetry-class setup — and returns the resulting
-// Plan. Every layer runs on the caller's goroutine, so a panic in one
-// reaches the caller. The int is ignored: the form predates the
+// (paper Algorithm 1 line 1), ordering (line 2), auxiliary-structure
+// construction over the direction of each query edge that order reads,
+// and the symmetry-class setup — and returns the resulting Plan. Every
+// layer runs on the caller's goroutine, so a panic in one reaches the
+// caller. The int is ignored: the form predates the
 // one-goroutine build, and cmd/smatchbench still calls it.
 // Configurations routed to the external engines have no plan;
 // Preprocess reports ErrNoPlan for them. The QFilter block layout is
@@ -407,26 +408,9 @@ func Preprocess(q, g *graph.Graph, cfg Config, _ int) (*Plan, error) {
 		return plan, nil
 	}
 
-	// Step 1b: auxiliary structure — CFL's tree-edge index for TreeEdge,
-	// every query edge for Intersect.
-	tb := time.Now()
-	structure := "none"
-	var tree []graph.Vertex
-	switch cfg.Local {
-	case enumerate.TreeEdge:
-		structure = "tree"
-		tree = graph.NewBFSTree(q, filter.Root(filter.CFL, q, g)).Parent
-		plan.Space = candspace.Build(q, g, cand, tree)
-	case enumerate.Intersect:
-		structure = "full"
-		plan.Space = candspace.Build(q, g, cand, nil)
-		if cfg.Kernel == intersect.PolicyBlock {
-			plan.Space.MaterializeBlocks()
-		}
-	}
-	plan.BuildTime = time.Since(tb)
-
-	// Step 2: ordering.
+	// Step 2: ordering. Every order method reads only the candidate
+	// sets, so the order comes before the candidate space, which then
+	// holds only the direction of each pair a search along it reads.
 	t0 = time.Now()
 	phi := cfg.FixedOrder
 	orderMethod := "fixed"
@@ -435,22 +419,43 @@ func Preprocess(q, g *graph.Graph, cfg Config, _ int) (*Plan, error) {
 			return nil, err
 		}
 		orderMethod = cfg.Order.String()
-	}
-	if cfg.Adaptive && plan.Space != nil {
-		plan.Weights = order.BuildDPWeights(q, plan.Space, phi)
+	} else if err := order.Validate(q, phi); err != nil {
+		return nil, fmt.Errorf("core: fixed order: %w", err)
 	}
 	plan.OrderTime = time.Since(t0)
 	plan.Order = phi
 	plan.OrderMethod = orderMethod
 
-	// The tree-edge engine reads a vertex's candidates off the pair with
-	// its tree parent, so the parent must be mapped first. CFL's order
-	// respects CFL's tree; under any other order that maps a vertex
-	// before its parent, rebuild over phi's own tree.
-	if tree != nil && !respectsTree(tree, phi) {
-		t1 := time.Now()
-		plan.Space = candspace.Build(q, g, cand, orderTree(q, phi))
-		plan.BuildTime += time.Since(t1)
+	// Step 3: auxiliary structure — CFL's tree-edge index for TreeEdge,
+	// every query edge for Intersect. The tree-edge engine reads a
+	// vertex's candidates off the pair from its tree parent, so the
+	// parent must come first in phi: CFL's order respects CFL's tree,
+	// and under an order that maps a vertex before its CFL parent the
+	// space is built over phi's own tree.
+	tb := time.Now()
+	structure := "none"
+	switch cfg.Local {
+	case enumerate.TreeEdge:
+		structure = "tree"
+		tree := graph.NewBFSTree(q, filter.Root(filter.CFL, q, g)).Parent
+		if !respectsTree(tree, phi) {
+			tree = orderTree(q, phi)
+		}
+		plan.Space = candspace.Build(q, g, cand, tree, phi)
+	case enumerate.Intersect:
+		structure = "full"
+		plan.Space = candspace.Build(q, g, cand, nil, phi)
+		if cfg.Kernel == intersect.PolicyBlock {
+			plan.Space.MaterializeBlocks()
+		}
+	}
+	plan.BuildTime = time.Since(tb)
+	// DP-iso's weights read 𝒜, so they follow the build; they are part
+	// of the order and charged to it.
+	if cfg.Adaptive && plan.Space != nil {
+		tw := time.Now()
+		plan.Weights = order.BuildDPWeights(q, plan.Space, phi)
+		plan.OrderTime += time.Since(tw)
 	}
 	if plan.Space != nil {
 		plan.MemoryBytes = plan.Space.MemoryBytes()
@@ -459,6 +464,8 @@ func Preprocess(q, g *graph.Graph, cfg Config, _ int) (*Plan, error) {
 			plan.MemoryBytes += int64(len(c)) * 4
 		}
 	}
+	plan.Span.AddChild(obs.NewSpan("order", t0, plan.OrderTime).
+		SetAttr("method", orderMethod))
 	bs := obs.NewSpan("build", tb, plan.BuildTime).
 		SetAttr("structure", structure).
 		SetAttr("memory_bytes", plan.MemoryBytes)
@@ -473,8 +480,6 @@ func Preprocess(q, g *graph.Graph, cfg Config, _ int) (*Plan, error) {
 			SetAttr("block_memory_bytes", plan.Space.BlockMemoryBytes())
 	}
 	plan.Span.AddChild(bs)
-	plan.Span.AddChild(obs.NewSpan("order", t0, plan.OrderTime).
-		SetAttr("method", orderMethod))
 
 	if cfg.SymmetryBreaking {
 		plan.SymClasses = NeighborhoodEquivalenceClasses(q)

@@ -43,6 +43,14 @@ func TestFixedOrder(t *testing.T) {
 	if len(res.Order) != 4 || res.Order[1] != 2 {
 		t.Errorf("Result.Order = %v", res.Order)
 	}
+	// The space is built along the order, so a fixed order that is no
+	// matching order is refused before the build reads it.
+	for _, phi := range [][]graph.Vertex{{0, 0, 1, 2}, {0, 1, 2, 9}, {0, 1}} {
+		cfg.FixedOrder = phi
+		if _, err := Preprocess(q, g, cfg, 1); err == nil {
+			t.Errorf("fixed order %v: Preprocess succeeded", phi)
+		}
+	}
 }
 
 func TestLimitsPropagate(t *testing.T) {

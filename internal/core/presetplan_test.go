@@ -77,13 +77,16 @@ func presetPlanConfigs(q, g *graph.Graph) map[string]Config {
 }
 
 // digestPlan folds everything a plan hands enumeration into h: the
-// candidate sets, the candidate space (pair materialization, every
+// candidate sets, the candidate space in the direction its order reads
+// (pair materialization from each vertex to its later neighbours, every
 // adjacency list and, under the pinned-block policy — the only one that
 // reads them — its block view), the order, DP-iso's weights, the orbit,
 // the order method and the build span's structure attribute. An
 // adjacency list is folded as the data vertices C(u′)[t] its positions
 // t stand for; a block view, which encodes the positions themselves, is
-// folded as it is, once it has been checked to decode to its list.
+// folded as it is, once it has been checked to decode to its list. The
+// other direction is not folded: TestPlanHoldsOnlyReadPairs checks that
+// the space holds none of it.
 func digestPlan(t *testing.T, h hash.Hash64, p *Plan) {
 	t.Helper()
 	var b [8]byte
@@ -102,9 +105,16 @@ func digestPlan(t *testing.T, h hash.Hash64, p *Plan) {
 		putSet(c)
 	}
 	if s := p.Space; s != nil {
+		pos := make([]int, len(p.Order))
+		for i, u := range p.Order {
+			pos[u] = i
+		}
 		for u := range p.Query.NumVertices() {
 			uu := graph.Vertex(u)
 			for _, up := range p.Query.Neighbors(uu) {
+				if pos[up] < pos[uu] {
+					continue
+				}
 				if !s.HasPair(uu, up) {
 					put(0)
 					continue
@@ -156,41 +166,45 @@ func digestPlan(t *testing.T, h hash.Hash64, p *Plan) {
 // three fig10-QFilter digests were re-recorded when 𝒜 began storing
 // positions in C(u′): their block views encode positions since (and
 // digestPlan checks each decodes to its adjacency list), while their
-// adjacency lists, folded as data vertices, are unchanged.
+// adjacency lists, folded as data vertices, are unchanged. Every value
+// was re-recorded at commit 3ab6505, the last to build both directions
+// of every pair, with this digest, which folds only the direction the
+// plan's order reads: the plans of that commit and of the one-direction
+// build digest alike.
 var parentPresetPlans = map[string]uint64{
-	"paper/CECI":                           0x7c5f33f2aa6b3614,
-	"paper/CFL":                            0xca8c104a9609e57c,
-	"paper/DPiso":                          0x813adea5c4335292,
+	"paper/CECI":                           0xf5792aa574668c54,
+	"paper/CFL":                            0x30920e1bced01e9c,
+	"paper/DPiso":                          0x3c6741ce22d48a52,
 	"paper/GQL":                            0xfd2940bac29c53b1,
-	"paper/Optimized":                      0xb3c8f75bfc3cc77d,
+	"paper/Optimized":                      0xacd57bfe4f9306f1,
 	"paper/QSI":                            0xb79adbf39ee2e5b7,
 	"paper/RI":                             0x8a6820a0eb8e1811,
 	"paper/VF2PP":                          0xf2435dd9a84ff062,
-	"paper/fig10-QFilter":                  0xcbe3fcc8f0ecfef2,
-	"paper/fig9-CFL-tree-edge":             0xca8c104a9609e57c,
-	"paper/ordering-study-DPiso":           0x813adea5c4335292,
-	"skew85-dense6/CECI":                   0x9389d49d4f53682b,
-	"skew85-dense6/CFL":                    0x0aa9329ded02f870,
-	"skew85-dense6/DPiso":                  0xe6c8aa56bc46b5e1,
+	"paper/fig10-QFilter":                  0x1a650c27c6bf50dd,
+	"paper/fig9-CFL-tree-edge":             0x30920e1bced01e9c,
+	"paper/ordering-study-DPiso":           0x3c6741ce22d48a52,
+	"skew85-dense6/CECI":                   0x96c1772501a685e4,
+	"skew85-dense6/CFL":                    0xc632128294f235c6,
+	"skew85-dense6/DPiso":                  0x10b1ab8858241366,
 	"skew85-dense6/GQL":                    0x551b83eb1db279cc,
-	"skew85-dense6/Optimized":              0x44eda4288170096a,
+	"skew85-dense6/Optimized":              0x2eed7d83e26a1d4f,
 	"skew85-dense6/QSI":                    0xb5c22ef0d1ced689,
 	"skew85-dense6/RI":                     0x20ad75da8ef23c59,
 	"skew85-dense6/VF2PP":                  0x86d4868eb427a3e6,
-	"skew85-dense6/fig10-QFilter":          0x7808c53f44c35275,
-	"skew85-dense6/fig9-CFL-tree-edge":     0x0aa9329ded02f870,
-	"skew85-dense6/ordering-study-DPiso":   0x1d35462eefc97b1e,
-	"uniform-sparse8/CECI":                 0x9c8a70c998b3aec8,
-	"uniform-sparse8/CFL":                  0x5d7698f1a7ba8bc6,
-	"uniform-sparse8/DPiso":                0xd531d488feba8874,
+	"skew85-dense6/fig10-QFilter":          0xb97301ebedc53ade,
+	"skew85-dense6/fig9-CFL-tree-edge":     0xc632128294f235c6,
+	"skew85-dense6/ordering-study-DPiso":   0xa8e9ea6927cac42b,
+	"uniform-sparse8/CECI":                 0xaadbc5c2d54e09a3,
+	"uniform-sparse8/CFL":                  0xb6ef9f377900ca3c,
+	"uniform-sparse8/DPiso":                0x41cbb831e1b8c61a,
 	"uniform-sparse8/GQL":                  0x940a0f17d539f297,
-	"uniform-sparse8/Optimized":            0xcb385bfad8744e2f,
+	"uniform-sparse8/Optimized":            0x4e6cff8e58feb71b,
 	"uniform-sparse8/QSI":                  0xe5b78265e8c2ac46,
 	"uniform-sparse8/RI":                   0x439f91add32f169a,
 	"uniform-sparse8/VF2PP":                0xd6a2a14eb0b67249,
-	"uniform-sparse8/fig10-QFilter":        0x6cf3d46045fe8d28,
-	"uniform-sparse8/fig9-CFL-tree-edge":   0x5d7698f1a7ba8bc6,
-	"uniform-sparse8/ordering-study-DPiso": 0x7809c2a78399dabf,
+	"uniform-sparse8/fig10-QFilter":        0xe73b9cd6dc0eb723,
+	"uniform-sparse8/fig9-CFL-tree-edge":   0xb6ef9f377900ca3c,
+	"uniform-sparse8/ordering-study-DPiso": 0x44e461a2a960e43f,
 }
 
 // TestPresetPlansUnchanged: deriving the tree-edge structure from Local
@@ -218,6 +232,50 @@ func TestPresetPlansUnchanged(t *testing.T) {
 				t.Errorf("%s: no parent digest recorded", key)
 			} else if got := h.Sum64(); got != want {
 				t.Errorf("%s: plan digest %#016x, parent's %#016x", key, got, want)
+			}
+		}
+	}
+}
+
+// TestPlanHoldsOnlyReadPairs: a plan's candidate space holds (a, b)
+// exactly when (a, b) ∈ E(q) and a comes before b in the plan's order —
+// under tree-edge, only when a is also b's parent in the tree the plan
+// was built over (CFL's, or φ's own when φ does not respect it) — and
+// an engine over the plan resolves every pair it reads.
+func TestPlanHoldsOnlyReadPairs(t *testing.T) {
+	for _, f := range presetPlanFixtures(t) {
+		for qi, q := range f.queries {
+			for name, cfg := range presetPlanConfigs(q, f.g) {
+				key := fmt.Sprintf("%s/%d/%s", f.name, qi, name)
+				plan, err := Preprocess(q, f.g, cfg, 1)
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				s := plan.Space
+				if s == nil {
+					continue
+				}
+				pos := make([]int, q.NumVertices())
+				for i, u := range plan.Order {
+					pos[u] = i
+				}
+				var tree []graph.Vertex
+				if cfg.Local == enumerate.TreeEdge {
+					if tree = graph.NewBFSTree(q, filter.Root(filter.CFL, q, f.g)).Parent; !respectsTree(tree, plan.Order) {
+						tree = orderTree(q, plan.Order)
+					}
+				}
+				for a := range graph.Vertex(q.NumVertices()) {
+					for b := range graph.Vertex(q.NumVertices()) {
+						want := q.HasEdge(a, b) && pos[a] < pos[b] && (tree == nil || tree[b] == a)
+						if s.HasPair(a, b) != want {
+							t.Errorf("%s: HasPair(%d, %d) = %v, want %v (order %v)", key, a, b, !want, want, plan.Order)
+						}
+					}
+				}
+				if _, err := MatchPlan(plan, Limits{MaxEmbeddings: 1}); err != nil {
+					t.Errorf("%s: %v", key, err)
+				}
 			}
 		}
 	}

@@ -46,7 +46,7 @@ var layerSurface = map[string][]string{
 		"Space.AllCandidates", "Space.BlockMemoryBytes", "Space.BlockStats",
 		"Space.Candidates", "Space.HasBlocks",
 		"Space.HasPair", "Space.MaterializeBlocks", "Space.MeanCandidates",
-		"Space.MemoryBytes", "Space.Pair", "Space.PairSize", "Space.Query",
+		"Space.MemoryBytes", "Space.Pair", "Space.Query",
 		"Space.TotalCandidates",
 	},
 	"../order": {

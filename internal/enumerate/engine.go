@@ -453,15 +453,22 @@ func (e *engine) prepare() error {
 			k := len(e.bwd[depth])
 			e.bwdPairs[depth], all = all[:k:k], all[k:]
 			for i, un := range e.bwd[depth] {
-				e.bwdPairs[depth][i] = e.space.Pair(un, u)
+				p := e.space.Pair(un, u)
+				if p == (candspace.Pair{}) && e.opts.Local == Intersect {
+					return fmt.Errorf("enumerate: the candidate space holds no pair (u%d, u%d) for depth %d to intersect", un, u, depth)
+				}
+				e.bwdPairs[depth][i] = p
 			}
 		}
 	}
 	if e.opts.Local == TreeEdge {
 		e.parentPairs = make([]candspace.Pair, n)
 		for depth, p := range e.parent {
-			if p != graph.NoVertex {
-				e.parentPairs[depth] = e.space.Pair(p, e.phi[depth])
+			if p == graph.NoVertex {
+				continue
+			}
+			if e.parentPairs[depth] = e.space.Pair(p, e.phi[depth]); e.parentPairs[depth] == (candspace.Pair{}) {
+				return fmt.Errorf("enumerate: the candidate space holds no pair (u%d, u%d) from depth %d's tree parent", p, e.phi[depth], depth)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package enumerate
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -95,13 +96,41 @@ func TestTreeEdgeModeWithTreeSpace(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
 	cand, _ := filter.Run(filter.CFL, q, g)
 	tree := graph.NewBFSTree(q, 0)
-	space := candspace.Build(q, g, cand, tree.Parent)
+	space := candspace.Build(q, g, cand, tree.Parent, nil)
 	st, err := runFresh(q, g, cand, space, tree.Order, Options{Local: TreeEdge})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Embeddings != 1 {
 		t.Errorf("tree-edge with tree space found %d embeddings, want 1", st.Embeddings)
+	}
+}
+
+// An engine never reads a pair the space does not hold. A space built
+// along φ keeps only its earlier→later pairs, so under the reversed
+// order every backward pair (and every tree parent's pair) is absent:
+// NewEngine must name one rather than search an empty adjacency and
+// report 0 embeddings.
+func TestEngineRejectsMissingPair(t *testing.T) {
+	q, g := testutil.PaperQuery(), testutil.PaperData()
+	cand, err := filter.Run(filter.CFL, q, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phi, reversed := []graph.Vertex{0, 1, 2, 3}, []graph.Vertex{3, 2, 1, 0}
+	tree := graph.NewBFSTree(q, 0).Parent // 1 and 2 under 0, 3 under 1: phi respects it
+	for local, space := range map[LocalCandidates]*candspace.Space{
+		Intersect: candspace.Build(q, g, cand, nil, phi),
+		TreeEdge:  candspace.Build(q, g, cand, tree, phi),
+	} {
+		st, err := runFresh(q, g, cand, space, phi, Options{Local: local})
+		if err != nil || st.Embeddings != 1 {
+			t.Fatalf("%v along the build's order: %v embeddings, error %v; want 1, nil", local, st, err)
+		}
+		_, err = runFresh(q, g, cand, space, reversed, Options{Local: local})
+		if err == nil || !strings.Contains(err.Error(), "holds no pair") {
+			t.Errorf("%v along the reversed order: error %v, want one naming a missing pair", local, err)
+		}
 	}
 }
 

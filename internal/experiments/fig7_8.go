@@ -36,7 +36,7 @@ func runFilterOnce(m filter.Method, q, g *graph.Graph) (filterOutcome, error) {
 	case filter.CFL:
 		if !filter.AnyEmpty(cand) {
 			tree := graph.NewBFSTree(q, filter.Root(filter.CFL, q, g))
-			candspace.Build(q, g, cand, tree.Parent)
+			candspace.Build(q, g, cand, tree.Parent, nil)
 		}
 	case filter.CECI, filter.DPIso:
 		if !filter.AnyEmpty(cand) {

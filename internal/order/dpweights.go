@@ -19,7 +19,9 @@ import (
 //
 // evaluated bottom-up along the reverse of delta. Leaves (no tree-like
 // children) have weight 1. The result indexes [queryVertex][candIdx] and
-// plugs into enumerate.Options.AdaptiveWeights.
+// plugs into enumerate.Options.AdaptiveWeights. It reads 𝒜 only from
+// earlier to later in delta, so a space built along delta holds every
+// pair it reads.
 func BuildDPWeights(q *graph.Graph, space *candspace.Space, delta []graph.Vertex) [][]float64 {
 	n := q.NumVertices()
 	pos := make([]int, n)
