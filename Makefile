@@ -7,9 +7,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race race-stress fuzz-smoke bench-smoke bench-json bench-parallel bench-preprocess bench-sched bench-serve bench-obs bench-kernels bench-batch bench-store
+.PHONY: ci fmt vet build test race race-stress isolated fuzz-smoke bench-smoke bench-json bench-parallel bench-preprocess bench-sched bench-serve bench-obs bench-kernels bench-batch bench-store
 
-ci: fmt vet build race race-stress fuzz-smoke bench-smoke
+ci: fmt vet build race race-stress isolated fuzz-smoke bench-smoke
 
 # Every .go file is gofmt-clean; the offenders are printed.
 fmt:
@@ -49,6 +49,21 @@ race:
 race-stress:
 	$(GO) test -race -run 'Stress|CapExactUnderContention' -count 1 ./internal/graph ./internal/core ./internal/service ./internal/obs ./internal/obs/flight ./internal/store ./cmd/smatchd
 
+# The tests that read the runtime's own counters (allocation budgets,
+# the /metrics runtime families), each alone in its process, five times:
+# in a package run they share a heap with the tests before them, whose
+# garbage collections can hide a test that needs one, or an allocation
+# a test should not count.
+ISOLATED_PKGS = ./internal/graph ./internal/service ./internal/core ./internal/enumerate ./cmd/smatchd
+
+isolated:
+	@set -e; for p in $(ISOLATED_PKGS); do \
+	  tests=$$($(GO) test -list 'Alloc|RuntimeFamilies' $$p); \
+	  for t in $$(echo "$$tests" | grep '^Test'); do \
+	    echo "isolated: $$p $$t" >&2; $(GO) test -run "^$$t\$$" -count 5 $$p; \
+	  done; \
+	done
+
 # Short corpus-plus-mutation runs of the fuzz targets: filter soundness
 # (candidate sets never drop a ground-truth embedding vertex), GraphQL's
 # per-label-class matching test (the same verdict as one matching over
@@ -73,8 +88,9 @@ race-stress:
 # every run through the run sink, whose lines past the first are spliced),
 # and the text parsers (Parse and ParseEdgeList return the graph or the
 # error text of verbatim copies of their pre-tokenizer versions), and
-# the NLF index's label runs (each is N(v) filtered by label, on label
-# alphabets below and above 64, and nlfOK is the counting reference),
+# the NLF index's label runs and counts (each run is N(v) filtered by
+# label and each Count its length, on label alphabets below and above
+# 64, and CoveredBy and nlfOK are the counting reference),
 # and the candidate space (every list is the ascending positions in
 # C(u′) of N(v) ∩ C(u′) and every block view decodes to its list, for
 # the full and the tree variant; built along a random order, every kept

@@ -272,7 +272,10 @@ func checkAgainstCounting(t *testing.T, seed int64, q, g *graph.Graph, tally *nl
 	t.Helper()
 	ref := newRefFilter(q, g)
 	for u := 0; u < q.NumVertices(); u++ {
-		need, _ := q.NLF().Of(graph.Vertex(u))
+		var need []graph.Label
+		for _, w := range q.Neighbors(graph.Vertex(u)) {
+			need = append(need, q.Label(w))
+		}
 		for v := 0; v < g.NumVertices(); v++ {
 			got, want := nlfOK(q.NLF(), g.NLF(), graph.Vertex(u), uint32(v)), ref.nlfOK(graph.Vertex(u), uint32(v))
 			if got != want {
@@ -283,8 +286,7 @@ func checkAgainstCounting(t *testing.T, seed int64, q, g *graph.Graph, tally *nl
 				continue
 			}
 			tally.rejected++
-			have, _ := g.NLF().Of(uint32(v))
-			missing := slices.ContainsFunc(need, func(l graph.Label) bool { return !slices.Contains(have, l) })
+			missing := slices.ContainsFunc(need, func(l graph.Label) bool { return g.NLF().Count(uint32(v), l) == 0 })
 			if missing && q.NLF().Signature(graph.Vertex(u))&^g.NLF().Signature(uint32(v)) == 0 {
 				tally.collided++
 			}
@@ -448,10 +450,10 @@ func labelRunGraph(mode uint8, data []byte) *graph.Graph {
 	return b.MustBuild()
 }
 
-// checkLabelRuns holds every label run of g's index to N(v) filtered by
-// label, for each label the graph has, the gaps between them, one past
-// the largest, and each of them plus 64 (a label sharing its signature
-// bit).
+// checkLabelRuns holds every label run of g's index, and every count,
+// to N(v) filtered by label, for each label the graph has, the gaps
+// between them, one past the largest, and each of them plus 64 (a label
+// sharing its signature bit).
 func checkLabelRuns(t *testing.T, g *graph.Graph) {
 	t.Helper()
 	x := g.NLF()
@@ -468,14 +470,18 @@ func checkLabelRuns(t *testing.T, g *graph.Graph) {
 				if got := x.Run(graph.Vertex(v), probe); !slices.Equal(got, want) {
 					t.Fatalf("Run(v%d, label %d) = %v, N(v) filtered by label is %v", v, probe, got, want)
 				}
+				if got := x.Count(graph.Vertex(v), probe); got != len(want) {
+					t.Fatalf("Count(v%d, label %d) = %d, N(v) has %d", v, probe, got, len(want))
+				}
 			}
 		}
 	}
 }
 
-// FuzzNLFLabelRuns: the label runs of both graphs' indexes are their
-// neighbourhoods filtered by label, and nlfOK — with its signature-only
-// shortcut for presence-only requirements between exact indexes — is the
+// FuzzNLFLabelRuns: the label runs and counts of both graphs' indexes
+// are their neighbourhoods filtered by label, and both CoveredBy — the
+// count check alone — and nlfOK — with its signature-only shortcut for
+// presence-only requirements between exact indexes — are the
 // LabelCounter reference for every (u, v).
 func FuzzNLFLabelRuns(f *testing.F) {
 	f.Add(uint8(0), []byte{12, 0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 8, 9, 9, 10, 1, 3, 2, 4}, []byte{3, 0, 1, 2, 1, 2, 2, 3, 1, 3})
@@ -496,8 +502,12 @@ func FuzzNLFLabelRuns(f *testing.F) {
 		ref := newRefFilter(q, g)
 		for u := 0; u < q.NumVertices(); u++ {
 			for v := 0; v < g.NumVertices(); v++ {
-				if got, want := nlfOK(q.NLF(), g.NLF(), graph.Vertex(u), uint32(v)), ref.nlfOK(graph.Vertex(u), uint32(v)); got != want {
+				want := ref.nlfOK(graph.Vertex(u), uint32(v))
+				if got := nlfOK(q.NLF(), g.NLF(), graph.Vertex(u), uint32(v)); got != want {
 					t.Fatalf("nlfOK(u%d, v%d) = %v, counting says %v", u, v, got, want)
+				}
+				if got := q.NLF().CoveredBy(graph.Vertex(u), g.NLF(), uint32(v)); got != want {
+					t.Fatalf("CoveredBy(u%d, v%d) = %v, counting says %v", u, v, got, want)
 				}
 			}
 		}

@@ -80,7 +80,7 @@ func (s *state) run(ops []op) bool {
 // the sorted candidate set) that pass the operation's checks. The NLF
 // check streams the pool: it reads the pool's signatures in pool order
 // (graph.PoolSignatures), not one scattered signature per vertex, and
-// only the vertices they pass reach the count merge. It needs no degree
+// only the vertices they pass reach the count check. It needs no degree
 // test, because passing NLF implies d(v) ≥ d(u) (nlfOK); the LDF scan
 // and the radius-r profile test keep theirs.
 func (s *state) scan(o op) []uint32 {
@@ -103,7 +103,7 @@ func (s *state) scan(o op) []uint32 {
 	case o.nlf:
 		need, decides := s.qx.Signature(u), signatureDecides(s.qx, s.gx, u)
 		for i, sig := range g.PoolSignatures(l) {
-			if need&^sig == 0 && (decides || nlfCounts(s.qx, s.gx, u, pool[i])) {
+			if need&^sig == 0 && (decides || s.qx.CoveredBy(u, s.gx, pool[i])) {
 				out = append(out, pool[i])
 			}
 		}

@@ -116,11 +116,11 @@ func (s *state) commit(row []uint32) []uint32 {
 // first: a label u needs whose bit v's signature lacks is a label v has
 // no neighbor of, and most rejections end there, on one word per side.
 // When both signatures are exact and u needs each of its labels once,
-// passing that test is the whole condition. Otherwise the check is a
-// merge of two sorted label lists (nlfCounts). It reads only immutable
-// data, so concurrent filter runs share the indexes.
+// passing that test is the whole condition. Otherwise the index's count
+// check decides (graph.NLF.CoveredBy). It reads only immutable data, so
+// concurrent filter runs share the indexes.
 //
-// Passing implies d(v) ≥ d(u) on simple graphs: the merge demands
+// Passing implies d(v) ≥ d(u) on simple graphs: the count check demands
 // cnt_v(l) ≥ cnt_u(l) for every label of N(u), and those counts sum to
 // d(u); the signature alone decides only when each label of N(u)
 // occurs once and a signature bit is one label, so v has at least d(u)
@@ -129,7 +129,7 @@ func nlfOK(qx, gx *graph.NLF, u graph.Vertex, v uint32) bool {
 	if qx.Signature(u)&^gx.Signature(v) != 0 {
 		return false
 	}
-	return signatureDecides(qx, gx, u) || nlfCounts(qx, gx, u, v)
+	return signatureDecides(qx, gx, u) || qx.CoveredBy(u, gx, v)
 }
 
 // signatureDecides reports whether passing the signature test is the
@@ -137,25 +137,6 @@ func nlfOK(qx, gx *graph.NLF, u graph.Vertex, v uint32) bool {
 // of its labels once.
 func signatureDecides(qx, gx *graph.NLF, u graph.Vertex) bool {
 	return qx.PresenceOnly(u) && qx.Exact() && gx.Exact()
-}
-
-// nlfCounts is the NLF condition as a merge of u's and v's sorted label
-// lists (a signature is exact only up to labels that collide mod 64,
-// and it cannot count).
-func nlfCounts(qx, gx *graph.NLF, u graph.Vertex, v uint32) bool {
-	need, needCnt := qx.Of(u)
-	have, haveCnt := gx.Of(v)
-	j := 0
-	for i, l := range need {
-		for j < len(have) && have[j] < l {
-			j++
-		}
-		if j == len(have) || have[j] != l || haveCnt[j] < needCnt[i] {
-			return false
-		}
-		j++
-	}
-	return true
 }
 
 // setCandidates installs a sorted candidate list for u, which must not

@@ -8,49 +8,48 @@ import (
 
 // NLF is the neighbour-label-frequency index of a graph: for every
 // vertex v the distinct labels of N(v) in ascending order, each with
-// the number of neighbours carrying it. It is one flat CSR — vertex v
-// owns entries off[v]:off[v+1] of lab and cnt — so the NLF filter's
-// "does v have at least k neighbours labelled l" is a merge of two
-// short sorted lists instead of a recount of L(N(v)) per check.
+// the number of neighbours carrying it. Vertex v owns entries
+// off[v]:off[v+1], so the NLF filter's "does v have at least k
+// neighbours labelled l" (CoveredBy) is a walk over two short sorted
+// lists instead of a recount of L(N(v)) per check.
 //
 // Beside the lists sits a 64-bit label-presence signature per vertex:
 // bit l%64 is set iff some neighbour carries label l. A vertex whose
-// signature misses a bit of the requirement's cannot pass the merge, so
-// most rejections are one AND-NOT on a dense array and never touch the
-// lists; labels that collide mod 64 only make the signature say "maybe".
-// When every neighbour label of the graph is below 64 nothing collides
-// and the signature is exact (Exact).
+// signature misses a bit of the requirement's cannot pass the count
+// check, so most rejections are one AND-NOT on a dense array and never
+// touch the lists; labels that collide mod 64 only make the signature
+// say "maybe". When every neighbour label of the graph is below 64
+// nothing collides and the signature is exact (Exact).
 //
 // The index also holds N(v) grouped by label — the label runs: the
-// neighbours carrying entry e's label are nbr[pos[e]:pos[e+1]], in
-// ascending order. Every structural filter rule and the candidate-space
-// build ask for "the neighbours of v that carry label l" (the only ones
-// that can be candidates of a query vertex labelled l), and Run answers
-// without reading the rest of N(v). v's runs fill exactly the slot its
-// sorted adjacency list fills in the graph, so the runs of all vertices
-// tile nbr in entry order and one position per entry bounds two runs.
+// neighbours carrying entry e's label, in ascending order. Every
+// structural filter rule and the candidate-space build ask for "the
+// neighbours of v that carry label l" (the only ones that can be
+// candidates of a query vertex labelled l), and Run answers without
+// reading the rest of N(v). v's runs fill exactly the slot its sorted
+// adjacency list fills in the graph, base[v]:base[v+1] of nbr, where
+// base is the graph's own offsets. So an entry holds only where its run
+// ends, relative to that slot: entry e's run is
+// nbr[base[v]+start : base[v]+end[e]], start being end[e-1], or 0 for
+// v's first entry, and its count is end[e] − start. On an exact index
+// the entries hold no labels either: they ascend, and label l is
+// signature bit l, so entry k of v is the k-th set bit of sig[v].
+// Otherwise lab holds each entry's label, binary-searched by Run.
 //
-// Size: Σ_v min(d(v), |Σ|) entries of 16 bytes, 2|E| grouped neighbours
-// of 4 bytes, and 12 bytes plus one bit per vertex. Entry offsets are
-// int32, so the index holds at most 2³¹−1 entries (the build enforces
-// it); run positions are int64, like the graph's own offsets.
+// Size: Σ_v min(d(v), |Σ|) entries of 4 bytes (8 with their labels on
+// an index that is not exact), 2|E| grouped neighbours of 4 bytes, and
+// 12 bytes plus one bit per vertex; base is shared with the graph and
+// not counted. Entry offsets are int32, so the index holds at most
+// 2³¹−1 entries, and run ends are uint32, so no degree may exceed
+// 2³²−1; the build enforces both.
 type NLF struct {
 	off    []int32
-	lab    []Label
-	cnt    []int32
-	pos    []int64 // entry e's run is nbr[pos[e]:pos[e+1]]; empty without entries
+	end    []uint32 // entry e's run ends at nbr[base[v]+end[e]]
+	lab    []Label  // entry e's label; nil on an exact index
 	sig    []uint64
 	nbr    []Vertex
+	base   []int64  // the graph's offsets: v's slot of nbr starts at base[v]
 	single []uint64 // bit v: each label of N(v) occurs once
-	exact  bool     // every neighbour label is below 64
-}
-
-// Of returns v's neighbour labels in ascending order and, aligned with
-// them, how many neighbours carry each. The slices alias the index and
-// must not be modified.
-func (x *NLF) Of(v Vertex) ([]Label, []int32) {
-	lo, hi := x.off[v], x.off[v+1]
-	return x.lab[lo:hi], x.cnt[lo:hi]
 }
 
 // Signature returns v's label-presence signature: bit l%64 is set iff
@@ -60,46 +59,118 @@ func (x *NLF) Of(v Vertex) ([]Label, []int32) {
 func (x *NLF) Signature(v Vertex) uint64 { return x.sig[v] }
 
 // Exact reports whether every neighbour label of the graph is below 64:
-// then a signature bit stands for one label, and a label's run is found
-// from the signature alone.
-func (x *NLF) Exact() bool { return x.exact }
+// then a signature bit stands for one label, and a label's entry is
+// found from the signature alone.
+func (x *NLF) Exact() bool { return x.lab == nil }
 
 // PresenceOnly reports whether each label of N(v) occurs once. As a
 // requirement such a vertex asks only that its labels be present, so
 // between two exact indexes its NLF check is the signature test.
 func (x *NLF) PresenceOnly(v Vertex) bool { return x.single[v/64]&(1<<(v%64)) != 0 }
 
-// Run returns the neighbours of v that carry label l, in ascending
-// order (nil when there are none). On an exact index the run's entry is
-// the rank of bit l among the signature's set bits, one popcount;
-// otherwise it is binary-searched among v's labels. The slice aliases
-// the index and must not be modified.
-func (x *NLF) Run(v Vertex, l Label) []Vertex {
-	lo, hi := x.off[v], x.off[v+1]
-	var e int32
-	if x.exact {
+// entry returns v's entry for label l, and whether v has a neighbour
+// labelled l. On an exact index the entry is the rank of bit l among
+// the signature's set bits, one popcount; otherwise it is
+// binary-searched among v's labels.
+func (x *NLF) entry(v Vertex, l Label) (int32, bool) {
+	lo := x.off[v]
+	if x.lab == nil {
 		if l >= 64 {
-			return nil
+			return 0, false
 		}
 		bit := uint64(1) << l
-		if x.sig[v]&bit == 0 {
-			return nil
-		}
-		e = lo + int32(bits.OnesCount64(x.sig[v]&(bit-1)))
-	} else {
-		i, ok := slices.BinarySearch(x.lab[lo:hi], l)
-		if !ok {
-			return nil
-		}
-		e = lo + int32(i)
+		return lo + int32(bits.OnesCount64(x.sig[v]&(bit-1))), x.sig[v]&bit != 0
 	}
-	return x.nbr[x.pos[e]:x.pos[e+1]]
+	i, ok := slices.BinarySearch(x.lab[lo:x.off[v+1]], l)
+	return lo + int32(i), ok
+}
+
+// start returns where the run of v's entry e starts in v's slot.
+func (x *NLF) start(v Vertex, e int32) uint32 {
+	if e == x.off[v] {
+		return 0
+	}
+	return x.end[e-1]
+}
+
+// Run returns the neighbours of v that carry label l, in ascending
+// order (nil when there are none). The slice aliases the index and must
+// not be modified.
+func (x *NLF) Run(v Vertex, l Label) []Vertex {
+	e, ok := x.entry(v, l)
+	if !ok {
+		return nil
+	}
+	b := x.base[v]
+	return x.nbr[b+int64(x.start(v, e)) : b+int64(x.end[e])]
+}
+
+// Count returns how many neighbours of v carry label l.
+func (x *NLF) Count(v Vertex, l Label) int {
+	e, ok := x.entry(v, l)
+	if !ok {
+		return 0
+	}
+	return int(x.end[e] - x.start(v, e))
+}
+
+// CoveredBy reports whether v, a vertex of the graph y indexes, has for
+// every label of N(u) at least as many neighbours carrying it as u has:
+// the NLF filter's count condition. u's labels come from its entries
+// (from its signature's set bits when x is exact); each is looked up in
+// y by a popcount rank when y is exact, and otherwise by a merge with
+// v's sorted labels.
+func (x *NLF) CoveredBy(u Vertex, y *NLF, v Vertex) bool {
+	ulo, uhi, vlo, vhi := x.off[u], x.off[u+1], y.off[v], y.off[v+1]
+	needs, haves := x.end[ulo:uhi], y.end[vlo:vhi]
+	var needLabs, haveLabs []Label
+	if x.lab != nil {
+		needLabs = x.lab[ulo:uhi]
+	}
+	if y.lab != nil {
+		haveLabs = y.lab[vlo:vhi]
+	}
+	need, have := x.sig[u], y.sig[v]
+	var from uint32 // where u's current run starts
+	j := 0
+	for i, end := range needs {
+		var l Label
+		if x.lab == nil {
+			l = Label(bits.TrailingZeros64(need))
+			need &= need - 1
+		} else {
+			l = needLabs[i]
+		}
+		var f int
+		if y.lab == nil {
+			if l >= 64 || have&(1<<l) == 0 {
+				return false
+			}
+			f = bits.OnesCount64(have & (1<<l - 1))
+		} else {
+			for j < len(haveLabs) && haveLabs[j] < l {
+				j++
+			}
+			if j == len(haveLabs) || haveLabs[j] != l {
+				return false
+			}
+			f, j = j, j+1
+		}
+		got := haves[f]
+		if f > 0 {
+			got -= haves[f-1]
+		}
+		if got < end-from {
+			return false
+		}
+		from = end
+	}
+	return true
 }
 
 // Bytes returns the heap footprint of the index arrays.
 func (x *NLF) Bytes() int64 {
-	return int64(len(x.off))*4 + int64(len(x.lab))*8 + int64(len(x.pos))*8 +
-		int64(len(x.sig))*8 + int64(len(x.nbr))*4 + int64(len(x.single))*8
+	return int64(len(x.off)+len(x.end)+len(x.lab)+len(x.nbr))*4 + int64(len(x.sig)+len(x.single))*8
 }
 
 // NLF returns the graph's neighbour-label-frequency index, building it
@@ -150,54 +221,68 @@ func (g *Graph) PoolSignatures(l Label) []uint64 {
 	return (*g.poolSigs.Load())[l]
 }
 
-// buildNLF sorts each neighbourhood by (label, id) and run-length
-// encodes the labels. The index stays resident for the graph's
-// lifetime, so the entry arrays grown while building are copied to
-// their exact length at the end.
+// buildNLF sorts each neighbourhood by (label, id) and counts its
+// distinct labels, then records where each label's run ends. The index
+// stays resident for the graph's lifetime, so the entry arrays are
+// allocated at their exact length once the first pass has counted them.
 func buildNLF(g *Graph) *NLF {
 	n := g.NumVertices()
 	x := &NLF{
 		off:    make([]int32, n+1),
 		sig:    make([]uint64, n),
 		nbr:    make([]Vertex, len(g.adj)),
+		base:   g.offsets,
 		single: make([]uint64, (n+63)/64),
-		exact:  true,
 	}
+	exact := true
+	entries := 0
 	var keys []uint64 // label<<32 | neighbour
 	for v := 0; v < n; v++ {
+		slot := x.nbr[g.offsets[v]:g.offsets[v+1]]
+		if uint64(len(slot)) > math.MaxUint32 {
+			panic("graph: NLF index over a vertex of degree 2³² or more")
+		}
 		keys = keys[:0]
 		for _, w := range g.Neighbors(Vertex(v)) {
 			keys = append(keys, uint64(g.labels[w])<<32|uint64(w))
 		}
 		slices.Sort(keys)
-		slot := x.nbr[g.offsets[v]:g.offsets[v+1]]
 		single := true
 		for i, k := range keys {
 			l := Label(k >> 32)
 			slot[i] = Vertex(k)
 			if i > 0 && Label(keys[i-1]>>32) == l {
-				x.cnt[len(x.cnt)-1]++
 				single = false
 				continue
 			}
-			x.lab = append(x.lab, l)
-			x.cnt = append(x.cnt, 1)
-			x.pos = append(x.pos, g.offsets[v]+int64(i))
+			entries++
 			x.sig[v] |= 1 << (l % 64)
-			x.exact = x.exact && l < 64
+			exact = exact && l < 64
 		}
 		if single {
 			x.single[v/64] |= 1 << (v % 64)
 		}
-		if len(x.lab) > math.MaxInt32 {
+		if entries > math.MaxInt32 {
 			panic("graph: NLF index over 2³¹−1 (vertex, neighbour label) entries")
 		}
-		x.off[v+1] = int32(len(x.lab))
+		x.off[v+1] = int32(entries)
 	}
-	x.lab = append(make([]Label, 0, len(x.lab)), x.lab...)
-	x.cnt = append(make([]int32, 0, len(x.cnt)), x.cnt...)
-	if len(x.pos) > 0 {
-		x.pos = append(append(make([]int64, 0, len(x.pos)+1), x.pos...), int64(len(x.nbr)))
+	x.end = make([]uint32, entries)
+	if !exact {
+		x.lab = make([]Label, entries)
+	}
+	for v := 0; v < n; v++ {
+		slot := x.nbr[g.offsets[v]:g.offsets[v+1]]
+		e := x.off[v]
+		for i, w := range slot {
+			if l := g.labels[w]; i+1 == len(slot) || g.labels[slot[i+1]] != l {
+				x.end[e] = uint32(i + 1)
+				if !exact {
+					x.lab[e] = l
+				}
+				e++
+			}
+		}
 	}
 	return x
 }

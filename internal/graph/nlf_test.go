@@ -25,48 +25,116 @@ func randomSparseGraph(rng *rand.Rand) *Graph {
 	return b.MustBuild()
 }
 
-// The index must say exactly what counting L(N(v)) says: the same
-// labels, in ascending order, with the same counts — and nothing for an
-// isolated vertex. The signature is those labels folded to bits mod 64.
+// withLabels returns g's topology with every label l replaced by f(l).
+func withLabels(g *Graph, f func(Label) Label) *Graph {
+	b := NewBuilder(g.NumVertices(), g.NumEdges())
+	for v := 0; v < g.NumVertices(); v++ {
+		b.AddVertex(f(g.Label(Vertex(v))))
+	}
+	for v := 0; v < g.NumVertices(); v++ {
+		for _, w := range g.Neighbors(Vertex(v)) {
+			if Vertex(v) < w {
+				b.AddEdge(Vertex(v), w)
+			}
+		}
+	}
+	return b.MustBuild()
+}
+
+// The index must say exactly what counting L(N(v)) says: one entry per
+// distinct neighbour label, the same count for every label (0 for the
+// labels v does not see, and nothing for an isolated vertex), with and
+// without the labels stored. The signature is those labels folded to
+// bits mod 64, and Bytes is 4 bytes an entry, 8 when the index is not
+// exact.
 func TestNLFMatchesLabelCounter(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		g := randomSparseGraph(rand.New(rand.NewSource(seed)))
+		if seed%2 == 1 {
+			g = withLabels(g, func(l Label) Label { return l * 22 }) // up to 264
+		}
 		if g.IndexBytes() != 0 {
 			t.Fatalf("seed %d: IndexBytes = %d before first use", seed, g.IndexBytes())
 		}
 		x := g.NLF()
-		c := NewLabelCounter(MaxLabelOf(g))
-		entries := 0
+		maxLabel := MaxLabelOf(g)
+		c := NewLabelCounter(maxLabel)
+		entries, exact := 0, true
 		for v := 0; v < g.NumVertices(); v++ {
-			labels, counts := x.Of(Vertex(v))
 			c.CountNeighbors(g, Vertex(v))
-			want := slices.Clone(c.Touched())
-			slices.Sort(want)
-			if !slices.Equal(labels, want) {
-				t.Fatalf("seed %d: labels of N(%d) = %v, want %v", seed, v, labels, want)
+			labels := c.Touched()
+			if got := int(x.off[v+1] - x.off[v]); got != len(labels) {
+				t.Fatalf("seed %d: N(%d) has %d entries, want %d", seed, v, got, len(labels))
 			}
-			for i, l := range labels {
-				if counts[i] != c.Count(l) {
-					t.Fatalf("seed %d: vertex %d label %d: count %d, want %d", seed, v, l, counts[i], c.Count(l))
+			for l := Label(0); l <= maxLabel+1; l++ {
+				want := 0
+				if l <= maxLabel {
+					want = int(c.Count(l))
+				}
+				if got := x.Count(Vertex(v), l); got != want {
+					t.Fatalf("seed %d: vertex %d label %d: count %d, want %d", seed, v, l, got, want)
 				}
 			}
 			var sig uint64
 			for _, l := range labels {
 				sig |= 1 << (l % 64)
+				exact = exact && l < 64
 			}
 			if x.Signature(Vertex(v)) != sig {
 				t.Fatalf("seed %d: signature of N(%d) = %#x, want %#x", seed, v, x.Signature(Vertex(v)), sig)
 			}
 			entries += len(labels)
 		}
-		n, e := int64(g.NumVertices()), int64(entries)
-		if e > 0 {
-			e++ // the run positions' closing sentinel
+		if x.Exact() != exact {
+			t.Fatalf("seed %d: Exact = %v, want %v", seed, x.Exact(), exact)
 		}
-		want := (n+1)*4 + int64(entries)*8 + e*8 + n*8 + int64(2*g.NumEdges())*4 + (n+63)/64*8
+		n, e := int64(g.NumVertices()), int64(entries)
+		if !exact {
+			e *= 2 // each entry's label beside its run end
+		}
+		want := (n+1)*4 + e*4 + n*8 + int64(2*g.NumEdges())*4 + (n+63)/64*8
 		if x.Bytes() != want || g.IndexBytes() != want {
 			t.Fatalf("seed %d: Bytes = %d, IndexBytes = %d, want %d", seed, x.Bytes(), g.IndexBytes(), want)
 		}
+	}
+}
+
+// An exact index stores no labels: moving every label from l to l+64
+// keeps the signatures, the runs and the counts, and costs the 4 bytes
+// of a stored label per entry.
+func TestNLFExactStoresNoLabels(t *testing.T) {
+	var wide int
+	for seed := int64(0); seed < 100; seed++ {
+		g := randomSparseGraph(rand.New(rand.NewSource(seed)))
+		h := withLabels(g, func(l Label) Label { return l + 64 })
+		gx, hx := g.NLF(), h.NLF()
+		entries := int64(gx.off[g.NumVertices()])
+		if !gx.Exact() || hx.Exact() != (entries == 0) {
+			t.Fatalf("seed %d: Exact = %v / %v with %d entries", seed, gx.Exact(), hx.Exact(), entries)
+		}
+		if entries > 0 {
+			wide++
+		}
+		if hx.Bytes() != gx.Bytes()+4*entries {
+			t.Fatalf("seed %d: Bytes = %d exact, %d with labels, want a difference of %d", seed, gx.Bytes(), hx.Bytes(), 4*entries)
+		}
+		for v := 0; v < g.NumVertices(); v++ {
+			if gx.Signature(Vertex(v)) != hx.Signature(Vertex(v)) {
+				t.Fatalf("seed %d: signature of N(%d) = %#x exact, %#x with labels", seed, v, gx.Signature(Vertex(v)), hx.Signature(Vertex(v)))
+			}
+			for l := Label(0); l <= MaxLabelOf(g)+1; l++ {
+				if !slices.Equal(gx.Run(Vertex(v), l), hx.Run(Vertex(v), l+64)) || gx.Count(Vertex(v), l) != hx.Count(Vertex(v), l+64) {
+					t.Fatalf("seed %d: vertex %d: label %d runs %v (count %d), label %d runs %v (count %d)", seed, v,
+						l, gx.Run(Vertex(v), l), gx.Count(Vertex(v), l), l+64, hx.Run(Vertex(v), l+64), hx.Count(Vertex(v), l+64))
+				}
+				if hx.Count(Vertex(v), l) != 0 || hx.Run(Vertex(v), l) != nil {
+					t.Fatalf("seed %d: vertex %d: label %d found on the shifted index", seed, v, l)
+				}
+			}
+		}
+	}
+	if wide == 0 {
+		t.Fatal("degenerate corpus: no graph has an edge")
 	}
 }
 

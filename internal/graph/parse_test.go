@@ -5,9 +5,11 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"regexp"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strconv"
 	"strings"
@@ -276,17 +278,25 @@ func queryText16(t testing.TB) []byte {
 }
 
 // allocated returns the bytes and objects f allocates per call, averaged
-// over runs.
+// over runs: the least of three windows, each run with the collector
+// off. A GC cycle that ends inside a window, or the runtime starting a
+// thread there, allocates objects f never asked for; every window holds
+// all of f's own.
 func allocated(runs int, f func()) (bytes, objects float64) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	f() // warm up
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		f()
+	bytes, objects = math.Inf(1), math.Inf(1)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/float64(runs))
+		objects = min(objects, float64(after.Mallocs-before.Mallocs)/float64(runs))
 	}
-	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs),
-		float64(after.Mallocs-before.Mallocs) / float64(runs)
+	return bytes, objects
 }
 
 // TestParseQueryAllocs is the allocation budget of a query parse: a

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -82,6 +83,7 @@ func TestRuntimeFamiliesMove(t *testing.T) {
 	if g := scrapeValue(t, s, "go_goroutines"); g < 1 {
 		t.Errorf("go_goroutines = %v", g)
 	}
+	runtime.GC() // the live-heap gauge reads 0 until a GC cycle has ended
 	if b := scrapeValue(t, s, "go_heap_live_bytes"); b <= 0 {
 		t.Errorf("go_heap_live_bytes = %v", b)
 	}
