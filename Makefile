@@ -38,7 +38,9 @@ race:
 # (TestParallelCapExactUnderContention) races 1–8 workers to a cap that
 # lands inside leaf runs, with and without a sink whose calls must never
 # overlap; the donation stress (TestStressDonation) repeats 8-worker runs
-# whose running searches feed sleeping workers donated prefixes; the
+# whose running searches feed sleeping workers donated prefixes, under a
+# static GQL order and under the DP-iso preset, whose tasks re-derive
+# the adaptive pool from their prefixes; the
 # plan-engine stress (TestStressPlanEngines) sends mixed sequential,
 # parallel and cancelled requests from 8 goroutines to one plan, whose
 # free list hands each run its engines and takes them back; the
@@ -82,7 +84,9 @@ isolated:
 # that hands the rest of its shallowest open level to an idle worker,
 # whether each offer is taken or refused, enumerates with the tasks it
 # donated exactly the sequential embedding multiset, for every local
-# method, failing sets, adaptive order and VF2++), and the NDJSON wire format
+# method, failing sets, adaptive order and VF2++; 10 s, as it is the one
+# target that drives DP-iso's pool, re-derived from each task's prefix,
+# through donated prefixes at every depth), and the NDJSON wire format
 # (the delta line encoder reads, after every step of a sequence of
 # mappings, exactly what encoding/json writes; so does the stream after
 # every run through the run sink, whose lines past the first are spliced),
@@ -103,7 +107,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFilterSoundness -fuzztime 5s ./internal/filter
 	$(GO) test -run '^$$' -fuzz FuzzSemiPerfectClasses -fuzztime 5s ./internal/filter
 	$(GO) test -run '^$$' -fuzz FuzzNLFLabelRuns -fuzztime 5s ./internal/filter
-	$(GO) test -run '^$$' -fuzz FuzzDonation -fuzztime 5s ./internal/enumerate
+	$(GO) test -run '^$$' -fuzz FuzzDonation -fuzztime 10s ./internal/enumerate
 	$(GO) test -run '^$$' -fuzz FuzzIntersectKernels -fuzztime 5s ./internal/intersect
 	$(GO) test -run '^$$' -fuzz FuzzBatchGrouping -fuzztime 5s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 5s ./internal/store

@@ -1081,12 +1081,23 @@ func buildHarnessCorpus() (harnessCorpus, error) {
 // BenchmarkEngineLeafLevel (14 of 15 nodes are leaves) cannot see.
 // EXPERIMENTS.md "One enumeration path" reads it at -benchtime 2s
 // -count 3.
-func BenchmarkEnumerateHeavyMix(b *testing.B) {
+func BenchmarkEnumerateHeavyMix(b *testing.B) { heavyMix(b, core.Optimized) }
+
+// BenchmarkEnumerateDPIsoMix is BenchmarkEnumerateHeavyMix's queries
+// planned under the DP-iso preset instead: the same search loop, with
+// DP-iso's adaptive NextVertex and failing sets in every class.
+// EXPERIMENTS.md "One search loop" reads it.
+func BenchmarkEnumerateDPIsoMix(b *testing.B) { heavyMix(b, core.DPIso) }
+
+// heavyMix runs the harness's heavy queries, each class planned under
+// preset a, one sequential capped core.MatchPlan per iteration, and
+// reports ns/node and nodes/op.
+func heavyMix(b *testing.B, a core.Algorithm) {
 	c := getHarnessCorpus(b)
 	for i, size := range []int{8, 12, 16} {
 		var plans []*core.Plan
 		for _, q := range c.heavy[i*heavyPerSize : (i+1)*heavyPerSize] {
-			plan, err := core.Preprocess(q, c.g, core.PresetConfig(core.Optimized, q, c.g), 1)
+			plan, err := core.Preprocess(q, c.g, core.PresetConfig(a, q, c.g), 1)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -57,13 +57,16 @@ type Config struct {
 	// materializes the flat block layout at build time).
 	Kernel intersect.Policy
 	// FailingSets enables the failing-sets pruning. It prunes nothing
-	// under VF2PPRules, whose cutoff no failing set accounts for.
+	// under VF2PPRules (a Direct-only rule), whose cutoff reads every
+	// mapped vertex, which no failing set accounts for.
 	FailingSets bool
 	// Adaptive enables DP-iso's dynamic vertex selection, weighted by
 	// its path-count weight array; requires the Intersect local method.
 	Adaptive bool
-	// VF2PPRules enables VF2++'s extra cutoff rules (Direct mode only).
-	// It turns FailingSets off: the cutoff reads every mapped vertex.
+	// VF2PPRules enables VF2++'s extra cutoff rules. It requires the
+	// Direct local method, the one whose candidates the cutoff filters:
+	// Preprocess refuses any other. It turns FailingSets off: the cutoff
+	// reads every mapped vertex.
 	VF2PPRules bool
 	// Homomorphism finds subgraph homomorphisms instead of isomorphisms
 	// (injectivity dropped — the WCOJ systems' default semantics, paper
@@ -372,6 +375,9 @@ func Preprocess(q, g *graph.Graph, cfg Config, _ int) (*Plan, error) {
 	}
 	if cfg.Homomorphism && (cfg.SymmetryBreaking || cfg.VF2PPRules) {
 		return nil, fmt.Errorf("core: homomorphism mode is incompatible with symmetry breaking and VF2++ rules")
+	}
+	if cfg.VF2PPRules && cfg.Local != enumerate.Direct {
+		return nil, fmt.Errorf("core: VF2++ rules require direct local candidates, got %v", cfg.Local)
 	}
 	plan := &Plan{Query: q, Data: g, Cfg: cfg, Orbit: 1}
 	plan.Span = obs.StartSpan("preprocess")

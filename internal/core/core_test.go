@@ -148,6 +148,26 @@ func TestMatchValidation(t *testing.T) {
 	}
 }
 
+// TestVF2PPRulesRequireDirect: VF2++'s cutoff filters Direct's local
+// candidates only, so Preprocess refuses it with any other method —
+// before filtering, so even a query no data vertex can match is refused
+// — and accepts it with Direct.
+func TestVF2PPRulesRequireDirect(t *testing.T) {
+	q, g := testutil.PaperQuery(), testutil.PaperData()
+	absent := graph.MustFromEdges([]graph.Label{9, 9}, [][2]graph.Vertex{{0, 1}})
+	for _, l := range []enumerate.LocalCandidates{enumerate.Scan, enumerate.TreeEdge, enumerate.Intersect} {
+		cfg := Config{Filter: filter.GQL, Order: order.GQL, Local: l, VF2PPRules: true}
+		for _, query := range []*graph.Graph{q, absent} {
+			if _, err := Preprocess(query, g, cfg, 1); err == nil {
+				t.Errorf("%v: VF2++ rules accepted", l)
+			}
+		}
+	}
+	if _, err := Match(q, g, PresetConfig(VF2PP, q, g), Limits{}); err != nil {
+		t.Errorf("VF2++ preset: %v", err)
+	}
+}
+
 func TestEmptyCandidatesShortCircuit(t *testing.T) {
 	// Query label not present in the data graph: the pipeline must
 	// return zero embeddings without running the enumerator.

@@ -57,12 +57,13 @@ func FuzzDifferential(f *testing.F) {
 
 // What an input reached, as the bits checkDifferential reports.
 const (
-	covOrbit       = 1 << iota // a symmetry orbit above 1
-	covDonated                 // a parallel run that donated
-	covHomAboveIso             // more homomorphisms than isomorphisms
-	covEmpty                   // an empty result
-	covCutRun                  // a cap that cuts a leaf run
-	covAll         = 1<<iota - 1
+	covOrbit           = 1 << iota // a symmetry orbit above 1
+	covDonated                     // a parallel run that donated
+	covHomAboveIso                 // more homomorphisms than isomorphisms
+	covEmpty                       // an empty result
+	covCutRun                      // a cap that cuts a leaf run
+	covAdaptiveDonated             // an adaptive plan whose parallel run donated
+	covAll             = 1<<iota - 1
 )
 
 // TestDifferentialCorpusCoverage: the seed corpus still reaches every
@@ -70,13 +71,14 @@ const (
 func TestDifferentialCorpusCoverage(t *testing.T) {
 	cov := 0
 	if runtime.GOMAXPROCS(0) == 1 {
-		cov = covDonated // donation needs a worker idle while another searches
+		// Donation needs a worker idle while another searches.
+		cov = covDonated | covAdaptiveDonated
 	}
 	for _, in := range differentialSeeds() {
 		cov |= checkDifferential(t, in)
 	}
 	if cov != covAll {
-		t.Errorf("the seed corpus covers %05b of %05b", cov, covAll)
+		t.Errorf("the seed corpus covers %06b of %06b", cov, covAll)
 	}
 }
 
@@ -264,6 +266,9 @@ func checkConfig(t *testing.T, name string, q, g *graph.Graph, cfg Config, ref [
 			}
 			if res.Split != nil && res.Split.SplitTasks > 0 {
 				cov |= covDonated
+				if cfg.Adaptive {
+					cov |= covAdaptiveDonated
+				}
 			}
 			// Sequential delivery order is deterministic: the cap cuts a
 			// leaf run where embeddings k and k+1 arrive in one call.

@@ -52,11 +52,13 @@ func TestParallelCancelDuringProbe(t *testing.T) {
 }
 
 // TestStressDonation hammers donation under contention: repeated
-// 8-worker runs over a fixture with failing sets on must always agree
+// 8-worker runs over a fixture with failing sets on, under a static GQL
+// order and under the DP-iso preset's adaptive one, must always agree
 // with the sequential count, and every task — a root candidate or a
 // donated prefix — runs exactly once. Runs under `make race-stress`,
-// where any cross-worker state leak in the deques, the sleeping workers
-// or a donated prefix trips the race detector.
+// where any cross-worker state leak in the deques, the sleeping
+// workers, a donated prefix or the adaptive pool a task re-derives from
+// its prefix trips the race detector.
 func TestStressDonation(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := testutil.RandomGraph(rng, 120, 700, 2)
@@ -64,7 +66,18 @@ func TestStressDonation(t *testing.T) {
 	for q == nil {
 		q = testutil.RandomConnectedQuery(rng, g, 5)
 	}
-	cfg := Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect, FailingSets: true}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"gql", Config{Filter: filter.GQL, Order: order.GQL, Local: enumerate.Intersect, FailingSets: true}},
+		{"dpiso", PresetConfig(DPIso, q, g)},
+	} {
+		t.Run(c.name, func(t *testing.T) { stressDonation(t, q, g, c.cfg) })
+	}
+}
+
+func stressDonation(t *testing.T, q, g *graph.Graph, cfg Config) {
 	plan, err := Preprocess(q, g, cfg, 1)
 	if err != nil {
 		t.Fatal(err)

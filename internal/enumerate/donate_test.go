@@ -26,10 +26,8 @@ func children(E *Engine, prefix, dst []uint32) []uint32 {
 		u := e.phi[L]
 		var lc []uint32
 		if e.opts.Adaptive {
-			// Some vertex is extendable: the unmapped one first in delta.
-			u = e.selectExtendable()
+			u = e.extendable(L)
 			lc = e.adaptive.lcOf[u]
-			e.adaptive.pool = append(e.adaptive.pool, u)
 		} else {
 			lc = e.computeLC(L, u)
 		}

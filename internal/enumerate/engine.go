@@ -70,6 +70,9 @@ func NewEngine(q, g *graph.Graph, cand [][]uint32, space *candspace.Space, phi [
 	if opts.Homomorphism && (len(opts.SymmetryClasses) > 0 || opts.VF2PPRules) {
 		return nil, fmt.Errorf("enumerate: homomorphism mode is incompatible with symmetry breaking and VF2++ rules")
 	}
+	if opts.VF2PPRules && opts.Local != Direct {
+		return nil, fmt.Errorf("enumerate: VF2++ rules require direct local candidates, got %v", opts.Local)
+	}
 
 	E := &Engine{engine: engine{
 		q: q, g: g, cand: cand, space: space, phi: phi, opts: opts,
@@ -123,11 +126,7 @@ func (E *Engine) Run() *Stats {
 		e.deadline = start.Add(e.opts.TimeLimit)
 	}
 	e.first = 0
-	if e.opts.Adaptive {
-		e.runAdaptive()
-	} else {
-		e.runFS(0)
-	}
+	e.search(0)
 	e.stats.Duration = time.Since(start)
 	e.stats.Kernels = e.sel.Stats()
 	return &e.stats
@@ -224,31 +223,22 @@ func (e *engine) pollHalt() bool {
 }
 
 // pin maps position i of a pinned prefix to the data vertex v. The
-// query vertex at position i is phi[i] under a static order; under
-// DP-iso's runtime order it is the vertex selectExtendable picks once
-// prefix[:i] is mapped — a function of the prefix alone, so a donor and
-// the task it donated re-derive the same vertex. A pinned position is
-// not a search node: nothing is counted except, when profiling, the
-// kernels its activation ran (attributed to depth i, as adaptiveRec
-// does). pin reports false, leaving the engine as it found it, when v
-// conflicts with an earlier position or breaks the symmetry order — a
-// donated candidate is not checked against the prefix, so the search
-// skips such a task here as it would have skipped the candidate — or
-// when v is not a candidate of the vertex. Finding v's position in C(u)
-// is the one binary search a pinned position costs.
+// query vertex at position i is the one the search would map there:
+// phi[i] under a static order, and under DP-iso's runtime order the
+// vertex extendable picks once prefix[:i] is mapped — a function of the
+// prefix alone, so a donor and the task it donated re-derive the same
+// vertex. A pinned position is not a search node: nothing is counted
+// except, when profiling, the kernels extendable ran. pin reports false,
+// leaving the position unmapped, when v conflicts with an earlier
+// position or breaks the symmetry order — a donated candidate is not
+// checked against the prefix, so the search skips such a task here as
+// it would have skipped the candidate — or when v is not a candidate of
+// the vertex. Finding v's position in C(u) is the one binary search a
+// pinned position costs.
 func (e *engine) pin(i int, v uint32) bool {
 	u := e.phi[i]
-	a := &e.adaptive
 	if e.opts.Adaptive {
-		if i == 0 {
-			// The DAG root is the only extendable vertex of an empty
-			// mapping.
-			a.pool = append(a.pool[:0], u)
-		}
-		if len(a.pool) == 0 {
-			return false
-		}
-		u = e.selectExtendable()
+		u = e.extendable(i)
 	}
 	x, ok := v, true
 	if ids := e.ids[u]; ids != nil {
@@ -257,36 +247,15 @@ func (e *engine) pin(i int, v uint32) bool {
 		x = uint32(ci)
 	}
 	if !ok || e.visited[v] || (e.symPeers != nil && e.symViolator(u, v) != graph.NoVertex) {
-		if e.opts.Adaptive {
-			a.pool = append(a.pool, u)
-		}
 		return false
 	}
 	e.assign(u, x, v)
-	if e.opts.Adaptive {
-		a.at[i] = u
-		var kpre intersect.KernelStats
-		if e.prof != nil {
-			kpre = e.sel.Stats()
-		}
-		e.activate(u)
-		if e.prof != nil {
-			e.prof.addKernelDelta(i, kpre, e.sel.Stats())
-		}
-	}
 	return true
 }
 
 // unpin undoes a successful pin(i, v); positions unwind last to first.
 func (e *engine) unpin(i int, v uint32) {
-	u := e.phi[i]
-	if e.opts.Adaptive {
-		a := &e.adaptive
-		u = a.at[i]
-		e.deactivate(u)
-		a.pool = append(a.pool, u)
-	}
-	e.unassign(u, v)
+	e.unassign(e.vertexAt(i), v)
 }
 
 // pinPrefix pins prefix position by position and returns how many
@@ -324,11 +293,7 @@ func (E *Engine) RunPrefix(prefix []uint32) bool {
 	k := e.pinPrefix(prefix)
 	if k == L {
 		e.first = L
-		if e.opts.Adaptive {
-			e.adaptiveRec(L)
-		} else {
-			e.runFS(L)
-		}
+		e.search(L)
 	}
 	e.unpinPrefix(prefix[:k])
 	return !e.aborted
@@ -426,7 +391,7 @@ func (e *engine) prepare() error {
 				e.bwd[depth] = append(e.bwd[depth], un)
 			}
 		}
-		if depth > 0 && len(e.bwd[depth]) == 0 && !e.opts.Adaptive {
+		if depth > 0 && len(e.bwd[depth]) == 0 {
 			return fmt.Errorf("enumerate: order prefix of length %d is disconnected at u%d", depth+1, u)
 		}
 		// Designated parent: prefer a backward neighbor whose pair is
@@ -602,14 +567,15 @@ func (e *engine) unassign(u graph.Vertex, v uint32) {
 	}
 }
 
-// runFS is the recursion of Algorithm 1 over a static order. The
-// returned mask is the failing set of the subtree rooted at the current
-// node; fullMask means "a match was found below (or nothing can be
-// pruned)". The masks are maintained throughout and acted upon only
+// search is Algorithm 1's recursion, for a static order and DP-iso's
+// adaptive one alike: the two differ only in NextVertex, at node entry.
+// The returned mask is the failing set of the subtree rooted at the
+// current node; fullMask means "a match was found below (or nothing can
+// be pruned)". The masks are maintained throughout and acted upon only
 // when the failing-sets optimization is enabled, which also spares the
 // plain search the one costly part of keeping them, the owner scan on a
 // conflict.
-func (e *engine) runFS(depth int) bitset.Mask64 {
+func (e *engine) search(depth int) bitset.Mask64 {
 	if !e.enterNode() {
 		return e.fullMask
 	}
@@ -620,12 +586,25 @@ func (e *engine) runFS(depth int) bitset.Mask64 {
 		e.emitPinned()
 		return e.fullMask
 	}
-	u := e.phi[depth]
+	// NextVertex: u, its position pu in phi (delta under DP-iso's order,
+	// so u's backward neighbours are bwd[pu] either way) and its LC.
+	var u graph.Vertex
+	var lc []uint32
 	var kpre intersect.KernelStats
 	if e.prof != nil {
 		kpre = e.sel.Stats()
 	}
-	lc := e.computeLC(depth, u)
+	pu := depth
+	if !e.opts.Adaptive {
+		u = e.phi[depth]
+		lc = e.computeLC(depth, u)
+	} else {
+		u = e.extendable(depth)
+		lc, pu = e.adaptive.lcOf[u], e.pos[u]
+		if e.prof != nil {
+			kpre = e.sel.Stats() // extendable charged its kernels to depth−1
+		}
+	}
 	if e.prof != nil {
 		e.prof.addKernelDelta(depth, kpre, e.sel.Stats())
 		e.prof.Nodes[depth]++
@@ -637,10 +616,10 @@ func (e *engine) runFS(depth int) bitset.Mask64 {
 	if len(lc) == 0 {
 		// Emptyset class: the failure involves u and the vertices whose
 		// mappings constrained LC.
-		return nodeMask(0, u, e.bwd[depth])
+		return nodeMask(0, u, e.bwd[pu])
 	}
 	if depth == e.q.NumVertices()-1 {
-		return nodeMask(e.leafLevel(depth, u, lc), u, e.bwd[depth])
+		return nodeMask(e.leafLevel(depth, u, lc), u, e.bwd[pu])
 	}
 	// VF2++'s cutoff makes LC depend on every mapped vertex, not only on
 	// u's backward neighbours, so no failing set is sound under it.
@@ -681,7 +660,7 @@ func (e *engine) runFS(depth int) bitset.Mask64 {
 				e.prof.Extended[depth]++
 			}
 			e.assign(u, x, v)
-			child = e.runFS(depth + 1)
+			child = e.search(depth + 1)
 			e.unassign(u, v)
 			if e.aborted {
 				return e.fullMask
@@ -690,7 +669,7 @@ func (e *engine) runFS(depth int) bitset.Mask64 {
 				// The rest of the level was donated (see donate for why
 				// the partial mask is sound).
 				e.cuts--
-				return nodeMask(accum.Union(child), u, e.bwd[depth])
+				return nodeMask(accum.Union(child), u, e.bwd[pu])
 			}
 		}
 		if fs && child != e.fullMask && !child.Has(uint32(u)) {
@@ -713,7 +692,7 @@ func (e *engine) runFS(depth int) bitset.Mask64 {
 	// introduce candidates no child mask accounts for. The node's
 	// failing set therefore always includes u and its backward
 	// neighbors. (A full accum — match found — stays full.)
-	return nodeMask(accum, u, e.bwd[depth])
+	return nodeMask(accum, u, e.bwd[pu])
 }
 
 // donate offers the unexplored candidates of the shallowest open level —
@@ -778,9 +757,9 @@ func nodeMask(accum bitset.Mask64, u graph.Vertex, bwd []graph.Vertex) bitset.Ma
 	return accum
 }
 
-// leafLevel finishes the last unmapped query vertex u in place, shared
-// by runFS and adaptiveRec, without mapping u — nothing below the last
-// level reads visited, mapped, candIdx or the adaptive pool. It filters
+// leafLevel finishes the last unmapped query vertex u in place, without
+// mapping u — nothing below the last level reads visited, mapped,
+// candIdx or the adaptive pool. It filters
 // lc by the conflict and symmetry checks of a full level (same profile
 // counters, same failing-set masks) into a run of admissible data
 // vertices — translated, so the sink only ever sees data vertices — and

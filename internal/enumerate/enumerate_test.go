@@ -231,6 +231,14 @@ func TestValidationErrors(t *testing.T) {
 			_, err := runFresh(q, g, cand, space, []graph.Vertex{0, 3, 1, 2}, Options{})
 			return err
 		}},
+		{"disconnected delta", func() error {
+			_, err := runFresh(q, g, cand, space, []graph.Vertex{0, 3, 1, 2}, Options{Local: Intersect, Adaptive: true})
+			return err
+		}},
+		{"VF2++ without direct", func() error {
+			_, err := runFresh(q, g, cand, space, phi, Options{Local: Intersect, VF2PPRules: true})
+			return err
+		}},
 	}
 	for _, c := range cases {
 		if c.fn() == nil {

@@ -56,7 +56,8 @@ type Options struct {
 	Kernel intersect.Policy
 
 	// FailingSets enables DP-iso's failing-sets pruning. Requires the
-	// query to have at most 64 vertices.
+	// query to have at most 64 vertices. Prunes nothing under
+	// VF2PPRules, whose cutoff reads every mapped vertex.
 	FailingSets bool
 
 	// Adaptive enables DP-iso's dynamic vertex selection: the order phi
@@ -70,8 +71,8 @@ type Options struct {
 	// extendable vertex with the fewest local candidates is selected.
 	AdaptiveWeights [][]float64
 
-	// VF2PPRules enables VF2++'s extra label-count cutoff rules in
-	// Direct mode (Section 3.3.1).
+	// VF2PPRules enables VF2++'s extra label-count cutoff rules
+	// (Section 3.3.1). Requires Local == Direct.
 	VF2PPRules bool
 
 	// Homomorphism drops the injectivity requirement, finding subgraph
