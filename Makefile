@@ -90,11 +90,15 @@ isolated:
 # (the delta line encoder reads, after every step of a sequence of
 # mappings, exactly what encoding/json writes; so does the stream after
 # every run through the run sink, whose lines past the first are spliced),
-# and the text parsers (Parse and ParseEdgeList return the graph or the
-# error text of verbatim copies of their pre-tokenizer versions), and
-# the NLF index's label runs and counts (each run is N(v) filtered by
-# label and each Count its length, on label alphabets below and above
-# 64, and CoveredBy and nlfOK are the counting reference),
+# and the text parsers (Parse and ParseEdgeList — the tokenizer that
+# cuts every buffered line at once and reads each field's value in the
+# pass that splits it — return the graph or the error text of verbatim
+# copies of their pre-tokenizer versions; 10 s), and Parse's round trip
+# through Write, and the NLF index's label runs and counts (each run —
+# laid out by the counting scatter over dense label ranks — is N(v)
+# filtered by label and each Count its length, on label alphabets below
+# and above 64 and on sparse labels near 2³², and CoveredBy and nlfOK
+# are the counting reference),
 # and the candidate space (every list is the ascending positions in
 # C(u′) of N(v) ∩ C(u′) and every block view decodes to its list, for
 # the full and the tree variant; built along a random order, every kept
@@ -114,7 +118,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzProfileRender -fuzztime 5s ./internal/obs/flight
 	$(GO) test -run '^$$' -fuzz FuzzLineEncoder -fuzztime 5s ./cmd/smatchd
 	$(GO) test -run '^$$' -fuzz FuzzRunSink -fuzztime 5s ./cmd/smatchd
-	$(GO) test -run '^$$' -fuzz FuzzParseMatchesReference -fuzztime 5s ./internal/graph
+	$(GO) test -run '^$$' -fuzz FuzzParseMatchesReference -fuzztime 10s ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzBuildPositions -fuzztime 5s ./internal/candspace
 	$(GO) test -run '^$$' -fuzz FuzzDifferential -fuzztime 10s ./internal/core
 

@@ -6,6 +6,7 @@
 package subgraphmatching_test
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -980,17 +981,25 @@ func preprocessColdMix(b *testing.B, labels int) {
 // index's resident bytes (index-MB, what GraphInfo.IndexBytes says):
 // 4.35 MiB when each entry held a label, a count and an int64 run
 // position, 2.41 MiB with the run end alone.
-func BenchmarkNLFIndex(b *testing.B) {
-	g, err := rmat.Generate(rmat.Config{NumVertices: 20000, NumEdges: 200000, NumLabels: 20, Seed: 1})
+func BenchmarkNLFIndex(b *testing.B) { nlfIndex(b, 20) }
+
+// BenchmarkNLFIndexManyLabels is BenchmarkNLFIndex on the same R-MAT
+// shape with 100 labels: more than one 64-bit word of label ranks, so
+// the build sorts the distinct ranks of each N(v), and the index is not
+// exact and stores each entry's label.
+func BenchmarkNLFIndexManyLabels(b *testing.B) { nlfIndex(b, 100) }
+
+func nlfIndex(b *testing.B, labels int) {
+	g, err := rmat.Generate(rmat.Config{NumVertices: 20000, NumEdges: 200000, NumLabels: labels, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	offsets, adj, labels := g.CSR()
+	offsets, adj, vertexLabels := g.CSR()
 	keys, counts := g.LabelPairCounts()
 	var bytes int64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		fresh, err := graph.FromCSR(offsets, adj, labels, keys, counts)
+		fresh, err := graph.FromCSR(offsets, adj, vertexLabels, keys, counts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -999,6 +1008,30 @@ func BenchmarkNLFIndex(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e6, "build-ms")
 	b.ReportMetric(float64(bytes)/(1<<20), "index-MB")
+}
+
+// BenchmarkParseDataGraph measures graph.Parse over the text of the
+// repository benchmark's data graph (g20, as BenchmarkNLFIndex), the
+// body every registration by text uploads: the tokenizer, the numeric
+// fields and Builder.Build. Reports parse-ms and the input rate (MB/s).
+func BenchmarkParseDataGraph(b *testing.B) {
+	g, err := rmat.Generate(rmat.Config{NumVertices: 20000, NumEdges: 200000, NumLabels: 20, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var text bytes.Buffer
+	if err := graph.Write(&text, g); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(text.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := graph.Parse(bytes.NewReader(text.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e6, "parse-ms")
 }
 
 // harnessCorpus is the enum-heavy input of the repository benchmark,

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"subgraphmatching/internal/core"
+	"subgraphmatching/internal/enumerate"
 	"subgraphmatching/internal/obs"
 	"subgraphmatching/internal/service"
 	"subgraphmatching/internal/testutil"
@@ -229,6 +230,21 @@ func TestInternalErrorMapsTo500(t *testing.T) {
 	}
 	if want := "service: internal error: boom"; body["error"] != want {
 		t.Errorf("body error %q, want %q", body["error"], want)
+	}
+}
+
+// TestUnsupportedTupleMapsTo400: a tuple the engine cannot run is the
+// request's fault, a 400 whose body names the constraint it breaks.
+func TestUnsupportedTupleMapsTo400(t *testing.T) {
+	cfg := core.PresetConfig(core.DPIso, nil, nil)
+	cfg.Local = enumerate.Scan
+	rec := httptest.NewRecorder()
+	httpError(rec, cfg.Check(5))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400", rec.Code)
+	}
+	if want := "adaptive ordering requires intersection-based local candidates"; !strings.Contains(rec.Body.String(), want) {
+		t.Errorf("body %s does not name %q", rec.Body, want)
 	}
 }
 

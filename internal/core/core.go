@@ -104,6 +104,29 @@ func (c Config) External() bool {
 	return c.UseGlasgow || c.UseVF2 || c.UseUllmann
 }
 
+// Check reports whether the tuple can run a query of n vertices, or the
+// enumerate.ErrUnsupported error that names the constraint it breaks:
+// enumerate.CheckOptions over the tuple's engine options, and symmetry
+// breaking, which homomorphism mode refuses. Preprocess checks it
+// before it filters, and the serving layer before it looks a plan up,
+// so a refused tuple is neither planned nor cached. External
+// configurations have no tuple and pass.
+func (c Config) Check(n int) error {
+	if c.External() {
+		return nil
+	}
+	if c.Homomorphism && c.SymmetryBreaking {
+		return fmt.Errorf("core: %w: homomorphism mode is incompatible with symmetry breaking", enumerate.ErrUnsupported)
+	}
+	return enumerate.CheckOptions(n, enumerate.Options{
+		Local:        c.Local,
+		FailingSets:  c.FailingSets,
+		Adaptive:     c.Adaptive,
+		VF2PPRules:   c.VF2PPRules,
+		Homomorphism: c.Homomorphism,
+	})
+}
+
 // Limits bounds a query's execution, mirroring the paper's methodology
 // (10^5 embeddings, five minutes per query).
 type Limits struct {
@@ -373,11 +396,8 @@ func Preprocess(q, g *graph.Graph, cfg Config, _ int) (*Plan, error) {
 	if !q.IsConnected() {
 		return nil, fmt.Errorf("core: %w", ErrDisconnectedQuery)
 	}
-	if cfg.Homomorphism && (cfg.SymmetryBreaking || cfg.VF2PPRules) {
-		return nil, fmt.Errorf("core: homomorphism mode is incompatible with symmetry breaking and VF2++ rules")
-	}
-	if cfg.VF2PPRules && cfg.Local != enumerate.Direct {
-		return nil, fmt.Errorf("core: VF2++ rules require direct local candidates, got %v", cfg.Local)
+	if err := cfg.Check(q.NumVertices()); err != nil {
+		return nil, err
 	}
 	plan := &Plan{Query: q, Data: g, Cfg: cfg, Orbit: 1}
 	plan.Span = obs.StartSpan("preprocess")

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -190,5 +192,92 @@ func TestAlgorithmStringAndParse(t *testing.T) {
 	}
 	if _, err := ParseAlgorithm("nope"); err == nil {
 		t.Error("expected parse error")
+	}
+}
+
+// pathGraph is a path of n vertices, all labelled 0.
+func pathGraph(n int) *graph.Graph {
+	b := graph.NewBuilder(n, n-1)
+	for i := 0; i < n; i++ {
+		b.AddVertex(0)
+	}
+	for i := 1; i < n; i++ {
+		b.AddEdge(graph.Vertex(i-1), graph.Vertex(i))
+	}
+	return b.MustBuild()
+}
+
+// TestPresetsRunPastSixtyFourVertices: a 70-vertex path against a
+// 300-vertex path has (300−70+1)·2 = 462 embeddings. The Optimized and
+// DP-iso presets, which turn failing sets on for large queries, leave
+// them off past the 64 vertices a failing set can hold, say so in the
+// EXPLAIN, and answer what the same tuple with failing sets off
+// answers; a plan that runs without them for another reason gets no
+// such note. The tuples that break a constraint are refused by Preprocess
+// with the typed error that names it, before any filtering, and by
+// NewEngine with the same error.
+func TestPresetsRunPastSixtyFourVertices(t *testing.T) {
+	q, g := pathGraph(70), pathGraph(300)
+	for _, a := range []Algorithm{Optimized, DPIso} {
+		cfg := PresetConfig(a, q, g)
+		if cfg.FailingSets {
+			t.Fatalf("%v: failing sets on for a 70-vertex query", a)
+		}
+		if !PresetConfig(a, pathGraph(64), g).FailingSets {
+			t.Fatalf("%v: failing sets off for a 64-vertex query", a)
+		}
+		plan, err := Preprocess(q, g, cfg, 1)
+		if err != nil {
+			t.Fatalf("%v: %v", a, err)
+		}
+		if note := ExplainPlan(plan).FailingSets; !strings.Contains(note, "70 vertices") {
+			t.Errorf("%v: EXPLAIN says %q about failing sets, want why they are off", a, note)
+		}
+		res, err := MatchPlan(plan, Limits{})
+		if err != nil || res.Embeddings != 462 {
+			t.Fatalf("%v: %v embeddings, err %v; want 462", a, res, err)
+		}
+		off := cfg
+		off.FailingSets = false
+		if ref, err := Match(q, g, off, Limits{}); err != nil || ref.Embeddings != res.Embeddings {
+			t.Fatalf("%v with failing sets off: %v, %v; the preset found %d", a, ref, err, res.Embeddings)
+		}
+	}
+	// Failing sets off for another reason earns no note: a preset that
+	// never turns them on, and a Custom tuple that is not a capping
+	// preset's.
+	custom := PresetConfig(DPIso, q, g)
+	custom.Filter = filter.GQL
+	for _, cfg := range []Config{PresetConfig(GraphQL, q, g), custom} {
+		plan, err := Preprocess(q, g, cfg, 1)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		if note := ExplainPlan(plan).FailingSets; note != "" {
+			t.Errorf("%+v: EXPLAIN says %q about failing sets, want nothing", cfg, note)
+		}
+	}
+	dpScan := PresetConfig(DPIso, q, g)
+	dpScan.Local = enumerate.Scan
+	optFS := PresetConfig(Optimized, q, g)
+	optFS.FailingSets = true
+	for _, c := range []struct {
+		cfg        Config
+		constraint string
+	}{
+		{optFS, "failing sets support at most 64 query vertices"},
+		{dpScan, "adaptive ordering requires intersection-based local candidates"},
+		{Config{Filter: filter.LDF, Order: order.RI, Local: enumerate.Intersect, VF2PPRules: true}, "VF2++ rules require direct local candidates"},
+		{Config{Filter: filter.LDF, Order: order.RI, Local: enumerate.Direct, Homomorphism: true, SymmetryBreaking: true}, "homomorphism mode is incompatible with symmetry breaking"},
+	} {
+		_, err := Preprocess(q, g, c.cfg, 1)
+		if !errors.Is(err, enumerate.ErrUnsupported) || !strings.Contains(err.Error(), c.constraint) {
+			t.Errorf("Preprocess(%+v) = %v, want ErrUnsupported naming %q", c.cfg, err, c.constraint)
+		}
+	}
+	cand := filter.RunLDF(q, g)
+	phi := graph.NewBFSTree(q, 0).Order
+	if _, err := enumerate.NewEngine(q, g, cand, nil, phi, enumerate.Options{Local: enumerate.Direct, FailingSets: true}); !errors.Is(err, enumerate.ErrUnsupported) {
+		t.Errorf("NewEngine with failing sets over 70 vertices: %v, want ErrUnsupported", err)
 	}
 }

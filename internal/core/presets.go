@@ -92,7 +92,8 @@ const LargeQueryThreshold = 12
 
 // PresetConfig returns the Config reproducing algorithm a for the given
 // query and data graph. Most presets ignore q and g; Optimized consults
-// the data graph's density and the query size.
+// the data graph's density and the query size, and Optimized and DPIso
+// leave failing sets off on a query too large for them.
 func PresetConfig(a Algorithm, q, g *graph.Graph) Config {
 	switch a {
 	case QuickSI:
@@ -110,7 +111,7 @@ func PresetConfig(a Algorithm, q, g *graph.Graph) Config {
 	case DPIso:
 		return Config{
 			Filter: filter.DPIso, Order: order.DPIso, Local: enumerate.Intersect,
-			Adaptive: true, FailingSets: true,
+			Adaptive: true, FailingSets: failingSetsFit(q),
 		}
 	case Optimized:
 		cfg := Config{Filter: filter.GQL, Local: enumerate.Intersect}
@@ -120,7 +121,7 @@ func PresetConfig(a Algorithm, q, g *graph.Graph) Config {
 			cfg.Order = order.RI
 		}
 		if q != nil && q.NumVertices() >= LargeQueryThreshold {
-			cfg.FailingSets = true
+			cfg.FailingSets = failingSetsFit(q)
 		}
 		return cfg
 	case Glasgow:
@@ -132,6 +133,14 @@ func PresetConfig(a Algorithm, q, g *graph.Graph) Config {
 	default:
 		return Config{}
 	}
+}
+
+// failingSetsFit reports whether failing sets can run over q: the
+// presets that turn them on leave them off above
+// enumerate.MaxFailingSetVertices query vertices, where
+// enumerate.CheckOptions would refuse them, and EXPLAIN says so.
+func failingSetsFit(q *graph.Graph) bool {
+	return q == nil || q.NumVertices() <= enumerate.MaxFailingSetVertices
 }
 
 // OrderingStudyConfig is the setup of the paper's Section 5.3 ordering

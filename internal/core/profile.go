@@ -3,9 +3,12 @@ package core
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
 	"strings"
 	"time"
+
+	"subgraphmatching/internal/enumerate"
 )
 
 // Profile is the EXPLAIN/ANALYZE view of one query execution: where
@@ -54,6 +57,29 @@ type Profile struct {
 	// Analyzed distinguishes an executed profile (heat + totals valid)
 	// from a dry-run EXPLAIN.
 	Analyzed bool `json:"analyzed"`
+	// FailingSets says why the plan runs without failing sets when a
+	// preset that turns them on (Optimized on a large query, DP-iso) left
+	// them off because its query is too large for them (more than
+	// enumerate.MaxFailingSetVertices vertices); empty otherwise.
+	FailingSets string `json:"failing_sets,omitempty"`
+}
+
+// failingSetsCapped reports whether plan runs without failing sets only
+// because its query is too large for them: its tuple is the one that
+// the Optimized or DP-iso preset, which turn them on for such a query,
+// give past enumerate.MaxFailingSetVertices vertices. A tuple with
+// failing sets off for any other reason (another preset, a Custom
+// tuple that differs from these) gets no note.
+func failingSetsCapped(plan *Plan) bool {
+	if plan.Cfg.FailingSets || plan.Query.NumVertices() <= enumerate.MaxFailingSetVertices {
+		return false
+	}
+	for _, a := range []Algorithm{Optimized, DPIso} {
+		if reflect.DeepEqual(plan.Cfg, PresetConfig(a, plan.Query, plan.Data)) {
+			return true
+		}
+	}
+	return false
 }
 
 // StageProfile is one filtering stage's candidate reduction.
@@ -116,6 +142,9 @@ func ExplainPlan(plan *Plan) *Profile {
 		Orbit:       plan.Orbit,
 		Empty:       plan.Empty,
 		Adaptive:    plan.Cfg.Adaptive,
+	}
+	if failingSetsCapped(plan) {
+		p.FailingSets = fmt.Sprintf("off: the query has %d vertices, failing sets support at most %d", plan.Query.NumVertices(), enumerate.MaxFailingSetVertices)
 	}
 	before := uint64(plan.Query.NumVertices()) * uint64(plan.Data.NumVertices())
 	for _, st := range plan.Stages {
@@ -214,6 +243,9 @@ func (p *Profile) Render(w io.Writer) {
 			parts[i] = fmt.Sprintf("u%d(%d)", e.Vertex, e.Candidates)
 		}
 		fmt.Fprintf(w, "order (%s): %s\n", p.OrderMethod, strings.Join(parts, " -> "))
+	}
+	if p.FailingSets != "" {
+		fmt.Fprintf(w, "failing sets: %s\n", p.FailingSets)
 	}
 	if !p.Analyzed {
 		return

@@ -30,7 +30,7 @@ import (
 // keeps an int it ignores (plans build on the caller's goroutine).
 var layerSurface = map[string][]string{
 	".": {
-		"Algorithm.String", "Algorithms", "Config.External", "ExplainPlan", "Match",
+		"Algorithm.String", "Algorithms", "Config.Check", "Config.External", "ExplainPlan", "Match",
 		"MatchFresh", "MatchPlan", "NeighborhoodEquivalenceClasses", "OrbitMultiplier",
 		"OrderingStudyConfig", "ParseAlgorithm", "Plan.PreprocessTime", "Plan.SizeBytes",
 		"Preprocess", "PresetConfig", "Profile.Render", "Result.PreprocessTime",
@@ -55,7 +55,7 @@ var layerSurface = map[string][]string{
 		"Methods", "ParseMethod", "Random", "Validate",
 	},
 	"../enumerate": {
-		"Engine.Rearm", "Engine.Release", "Engine.Run", "Engine.RunPrefix",
+		"CheckOptions", "Engine.Rearm", "Engine.Release", "Engine.Run", "Engine.RunPrefix",
 		"Engine.SetDeadline", "Engine.Stats", "LocalCandidates.String",
 		"NewEngine", "NewSearchProfile", "SearchProfile.BranchingSummary",
 		"SearchProfile.MaxDepth", "SearchProfile.Merge", "SearchProfile.Render",

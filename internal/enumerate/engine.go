@@ -55,23 +55,14 @@ func NewEngine(q, g *graph.Graph, cand [][]uint32, space *candspace.Space, phi [
 	if len(cand) != n {
 		return nil, fmt.Errorf("enumerate: got %d candidate sets for %d query vertices", len(cand), n)
 	}
-	if opts.FailingSets && n > 64 {
-		return nil, fmt.Errorf("enumerate: failing sets support at most 64 query vertices, got %d", n)
+	if err := CheckOptions(n, opts); err != nil {
+		return nil, err
 	}
 	switch opts.Local {
 	case TreeEdge, Intersect:
 		if space == nil {
 			return nil, fmt.Errorf("enumerate: %v local candidates require a candidate space", opts.Local)
 		}
-	}
-	if opts.Adaptive && opts.Local != Intersect {
-		return nil, fmt.Errorf("enumerate: adaptive ordering requires intersection-based local candidates")
-	}
-	if opts.Homomorphism && (len(opts.SymmetryClasses) > 0 || opts.VF2PPRules) {
-		return nil, fmt.Errorf("enumerate: homomorphism mode is incompatible with symmetry breaking and VF2++ rules")
-	}
-	if opts.VF2PPRules && opts.Local != Direct {
-		return nil, fmt.Errorf("enumerate: VF2++ rules require direct local candidates, got %v", opts.Local)
 	}
 
 	E := &Engine{engine: engine{

@@ -5,6 +5,7 @@
 package enumerate
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -43,6 +44,41 @@ func (l LocalCandidates) String() string {
 		return s
 	}
 	return fmt.Sprintf("LocalCandidates(%d)", l)
+}
+
+// ErrUnsupported marks a configuration tuple the engine cannot run. Its
+// text names the constraint the tuple breaks.
+var ErrUnsupported = errors.New("unsupported configuration")
+
+// MaxFailingSetVertices is the largest query failing sets support: a
+// failing set is one 64-bit mask over the query's vertices.
+const MaxFailingSetVertices = 64
+
+// CheckOptions is the one list of the constraints between the engine's
+// plan-scoped options, for a query of n vertices:
+//   - failing sets support at most 64 query vertices;
+//   - adaptive ordering requires Intersect local candidates;
+//   - VF2++ rules require Direct local candidates;
+//   - homomorphism mode takes neither symmetry classes nor VF2++ rules.
+//
+// NewEngine checks them, and so does core's Preprocess before it filters,
+// so a tuple that can be planned can also be run. A refusal wraps
+// ErrUnsupported.
+func CheckOptions(n int, opts Options) error {
+	var broken string
+	switch {
+	case opts.FailingSets && n > MaxFailingSetVertices:
+		broken = fmt.Sprintf("failing sets support at most %d query vertices, got %d", MaxFailingSetVertices, n)
+	case opts.Adaptive && opts.Local != Intersect:
+		broken = fmt.Sprintf("adaptive ordering requires intersection-based local candidates, got %v", opts.Local)
+	case opts.VF2PPRules && opts.Local != Direct:
+		broken = fmt.Sprintf("VF2++ rules require direct local candidates, got %v", opts.Local)
+	case opts.Homomorphism && (len(opts.SymmetryClasses) > 0 || opts.VF2PPRules):
+		broken = "homomorphism mode is incompatible with symmetry breaking and VF2++ rules"
+	default:
+		return nil
+	}
+	return fmt.Errorf("enumerate: %w: %s", ErrUnsupported, broken)
 }
 
 // Options configures a single enumeration run.

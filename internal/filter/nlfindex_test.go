@@ -1,6 +1,7 @@
 package filter
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -11,35 +12,34 @@ import (
 )
 
 // refFilter is the reference the index-backed filters are held to: the
-// NLF condition by counting L(N(v)) with a graph.LabelCounter on every
-// check (what nlfOK did before the per-graph index), candidate sets as
-// plain sorted slices with binary-search membership, and the
+// NLF condition by counting L(N(v)) into a map on every check (what
+// nlfOK did before the per-graph index, with a map in place of a
+// LabelCounter, whose table is as long as the largest label), candidate
+// sets as plain sorted slices with binary-search membership, and the
 // semi-perfect matching by exhaustive search. It shares no code with
 // state.
 type refFilter struct {
-	q, g    *graph.Graph
-	counter *graph.LabelCounter
-	cand    [][]uint32
+	q, g *graph.Graph
+	cand [][]uint32
 }
 
 func newRefFilter(q, g *graph.Graph) *refFilter {
-	return &refFilter{
-		q:       q,
-		g:       g,
-		counter: graph.NewLabelCounter(graph.MaxLabelOf(q, g)),
-		cand:    make([][]uint32, q.NumVertices()),
+	return &refFilter{q: q, g: g, cand: make([][]uint32, q.NumVertices())}
+}
+
+// labelCounts counts the labels of N(v) in g.
+func labelCounts(g *graph.Graph, v graph.Vertex) map[graph.Label]int {
+	counts := map[graph.Label]int{}
+	for _, w := range g.Neighbors(v) {
+		counts[g.Label(w)]++
 	}
+	return counts
 }
 
 func (r *refFilter) nlfOK(u graph.Vertex, v uint32) bool {
-	r.counter.CountNeighbors(r.q, u)
-	need := map[graph.Label]int32{}
-	for _, l := range r.counter.Touched() {
-		need[l] = r.counter.Count(l)
-	}
-	r.counter.CountNeighbors(r.g, v)
-	for l, c := range need {
-		if r.counter.Count(l) < c {
+	have := labelCounts(r.g, v)
+	for l, c := range labelCounts(r.q, u) {
+		if have[l] < c {
 			return false
 		}
 	}
@@ -418,8 +418,9 @@ func TestNLFIndexRequirementBoundary(t *testing.T) {
 // first byte sizes the vertex set (1–48), the next ones label the
 // vertices, and the rest are edges, consumed pairwise. Vertices whose id
 // is a multiple of 7 stay isolated. mode picks the label alphabet:
-// gapped labels below 64 ({0, 3, …, 21}), every label below 64, or
-// labels up to 199, which collide mod 64.
+// gapped labels below 64 ({0, 3, …, 21}), every label below 64, labels
+// up to 199, which collide mod 64, or a few sparse, huge ones
+// (hugeLabels), which an index must not size a table by.
 func labelRunGraph(mode uint8, data []byte) *graph.Graph {
 	if len(data) == 0 {
 		return nil
@@ -432,13 +433,15 @@ func labelRunGraph(mode uint8, data []byte) *graph.Graph {
 		if i < len(data) {
 			raw = data[i]
 		}
-		switch mode % 3 {
+		switch mode % 4 {
 		case 0:
 			b.AddVertex(graph.Label(raw%8) * 3)
 		case 1:
 			b.AddVertex(graph.Label(raw % 64))
-		default:
+		case 2:
 			b.AddVertex(graph.Label(raw % 200))
+		default:
+			b.AddVertex(hugeLabels[int(raw)%len(hugeLabels)])
 		}
 	}
 	for i := n; i+1 < len(data); i += 2 {
@@ -450,16 +453,35 @@ func labelRunGraph(mode uint8, data []byte) *graph.Graph {
 	return b.MustBuild()
 }
 
+// hugeLabels is a sparse label alphabet with values near the top of
+// uint32: 4 000 000 000 and 4 000 000 064 share signature bit 0 with
+// each other, and 7 and 4 294 967 295 have bits of their own.
+var hugeLabels = []graph.Label{7, 4_000_000_000, 4_000_000_064, math.MaxUint32}
+
+// probeLabels lists the labels to look up in g's index: every label up
+// to one past the largest or 255, whichever is less, and each label the
+// graph has with its two neighbours, so the gaps between sparse labels
+// are probed too.
+func probeLabels(g *graph.Graph) []graph.Label {
+	var probes []graph.Label
+	for l := graph.Label(0); l <= min(graph.MaxLabelOf(g)+1, 255); l++ {
+		probes = append(probes, l)
+	}
+	for _, l := range g.Labels() {
+		probes = append(probes, l-1, l, l+1)
+	}
+	return probes
+}
+
 // checkLabelRuns holds every label run of g's index, and every count,
-// to N(v) filtered by label, for each label the graph has, the gaps
-// between them, one past the largest, and each of them plus 64 (a label
-// sharing its signature bit).
+// to N(v) filtered by label, for each probe label (probeLabels) and
+// each of them plus 64 (a label sharing its signature bit).
 func checkLabelRuns(t *testing.T, g *graph.Graph) {
 	t.Helper()
 	x := g.NLF()
-	maxLabel := graph.MaxLabelOf(g)
+	probes := probeLabels(g)
 	for v := 0; v < g.NumVertices(); v++ {
-		for l := graph.Label(0); l <= maxLabel+1; l++ {
+		for _, l := range probes {
 			for _, probe := range []graph.Label{l, l + 64} {
 				var want []graph.Vertex
 				for _, w := range g.Neighbors(graph.Vertex(v)) {
@@ -489,6 +511,7 @@ func FuzzNLFLabelRuns(f *testing.F) {
 	f.Add(uint8(2), []byte{30, 5, 69, 133, 6, 70, 134, 199, 0, 64, 128, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 15, 16, 2, 16, 3, 15, 4, 13}, []byte{4, 5, 69, 133, 6, 1, 2, 2, 3, 1, 3})
 	f.Add(uint8(1), []byte{11, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 1, 3, 1, 4, 1, 5, 1, 6, 1, 8, 1, 9, 1, 10, 1, 11}, []byte{3, 0, 0, 0, 0, 1, 2, 1, 3, 2, 3})
 	f.Add(uint8(0), []byte{0}, []byte{0})
+	f.Add(uint8(3), []byte{16, 0, 1, 2, 3, 0, 1, 2, 3, 1, 1, 2, 2, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 1, 9, 2, 10, 3, 11, 4, 12}, []byte{3, 1, 0, 2, 1, 2, 2, 3})
 	f.Fuzz(func(t *testing.T, mode uint8, gRaw, qRaw []byte) {
 		if len(gRaw) > 512 || len(qRaw) > 64 {
 			t.Skip()

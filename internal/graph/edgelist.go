@@ -3,9 +3,9 @@ package graph
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
-	"strconv"
 )
 
 // Edge-list ingestion for SNAP-style datasets: one "u v" pair per line,
@@ -35,12 +35,12 @@ func ParseEdgeList(r io.Reader, numLabels int, seed int64) (*Graph, error) {
 	}
 	for s.next() {
 		if s.n < 2 {
-			return nil, fmt.Errorf("graph: edge list line %d: want two vertex ids, got %q", s.no, s.line)
+			return nil, fmt.Errorf("graph: edge list line %d: want two vertex ids, got %q", s.no, s.line())
 		}
-		u, err1 := strconv.ParseUint(string(s.fields[0]), 10, 64)
-		v, err2 := strconv.ParseUint(string(s.fields[1]), 10, 64)
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("graph: edge list line %d: malformed ids in %q", s.no, s.line)
+		u, ok1 := s.uintField(0, math.MaxUint64)
+		v, ok2 := s.uintField(1, math.MaxUint64)
+		if !ok1 || !ok2 {
+			return nil, fmt.Errorf("graph: edge list line %d: malformed ids in %q", s.no, s.line())
 		}
 		if u == v {
 			continue // drop self-loops silently; SNAP files contain them

@@ -4,10 +4,10 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -34,16 +34,15 @@ func Parse(r io.Reader) (*Graph, error) {
 	var declared []int
 	var hasDegree []bool
 	for s.next() {
-		f := &s.fields
-		switch string(f[0]) {
+		switch string(s.field(0)) {
 		case "t":
 			if s.n != 3 {
 				return nil, fmt.Errorf("graph: line %d: t line needs 2 arguments", s.no)
 			}
-			n, err1 := strconv.Atoi(string(f[1]))
-			m, err2 := strconv.Atoi(string(f[2]))
-			if err1 != nil || err2 != nil || n < 0 || m < 0 {
-				return nil, fmt.Errorf("graph: line %d: malformed t line %q", s.no, s.line)
+			n, ok1 := s.intField(1)
+			m, ok2 := s.intField(2)
+			if !ok1 || !ok2 || n < 0 || m < 0 {
+				return nil, fmt.Errorf("graph: line %d: malformed t line %q", s.no, s.line())
 			}
 			b = NewBuilder(n, m)
 			if declared == nil {
@@ -56,10 +55,10 @@ func Parse(r io.Reader) (*Graph, error) {
 			if s.n < 3 {
 				return nil, fmt.Errorf("graph: line %d: v line needs id and label", s.no)
 			}
-			id, err1 := strconv.ParseUint(string(f[1]), 10, 32)
-			l, err2 := strconv.ParseUint(string(f[2]), 10, 32)
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("graph: line %d: malformed v line %q", s.no, s.line)
+			id, ok1 := s.uintField(1, math.MaxUint32)
+			l, ok2 := s.uintField(2, math.MaxUint32)
+			if !ok1 || !ok2 {
+				return nil, fmt.Errorf("graph: line %d: malformed v line %q", s.no, s.line())
 			}
 			if int(id) != b.NumVertices() {
 				return nil, fmt.Errorf("graph: line %d: vertex ids must be consecutive from 0, got %d want %d", s.no, id, b.NumVertices())
@@ -69,9 +68,9 @@ func Parse(r io.Reader) (*Graph, error) {
 				declared, hasDegree = append(declared, 0), append(hasDegree, false)
 			}
 			if s.n >= 4 {
-				d, err := strconv.Atoi(string(f[3]))
-				if err != nil {
-					return nil, fmt.Errorf("graph: line %d: malformed degree in %q", s.no, s.line)
+				d, ok := s.intField(3)
+				if !ok {
+					return nil, fmt.Errorf("graph: line %d: malformed degree in %q", s.no, s.line())
 				}
 				declared[id], hasDegree[id] = d, true
 			}
@@ -82,14 +81,14 @@ func Parse(r io.Reader) (*Graph, error) {
 			if s.n < 3 {
 				return nil, fmt.Errorf("graph: line %d: e line needs two endpoints", s.no)
 			}
-			u, err1 := strconv.ParseUint(string(f[1]), 10, 32)
-			v, err2 := strconv.ParseUint(string(f[2]), 10, 32)
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("graph: line %d: malformed e line %q", s.no, s.line)
+			u, ok1 := s.uintField(1, math.MaxUint32)
+			v, ok2 := s.uintField(2, math.MaxUint32)
+			if !ok1 || !ok2 {
+				return nil, fmt.Errorf("graph: line %d: malformed e line %q", s.no, s.line())
 			}
 			b.AddEdge(Vertex(u), Vertex(v))
 		default:
-			return nil, fmt.Errorf("graph: line %d: unknown record type %q", s.no, f[0])
+			return nil, fmt.Errorf("graph: line %d: unknown record type %q", s.no, s.field(0))
 		}
 	}
 	if err := s.sc.Err(); err != nil {

@@ -221,10 +221,27 @@ func (g *Graph) PoolSignatures(l Label) []uint64 {
 	return (*g.poolSigs.Load())[l]
 }
 
-// buildNLF sorts each neighbourhood by (label, id) and counts its
-// distinct labels, then records where each label's run ends. The index
-// stays resident for the graph's lifetime, so the entry arrays are
-// allocated at their exact length once the first pass has counted them.
+// buildNLF groups each neighbourhood by label with a counting scatter,
+// the count → prefix-sum → fill of a counting sort, keyed by the dense
+// rank of a label among the graph's distinct labels: the count scratch
+// is as long as the label alphabet, however large its values. Per
+// vertex it counts N(v)'s ranks, walks the ranks present in ascending
+// order to turn the counts into run starts — writing each run end,
+// signature bit and, on an index that is not exact, label as it goes —
+// and scatters N(v) into its slot. The adjacency is id-sorted and the
+// scatter stable, so each run ascends. The ranks present are bits of a
+// bitmap over the ranks, read out word by word: N(v) notes each word it
+// sets first, and only those words are sorted, so a graph of at most 64
+// labels sorts nothing and a larger alphabet sorts at most one word per
+// distinct label of N(v), never the whole bitmap. The only other sort
+// is of the distinct labels, once.
+//
+// The entry arrays are allocated once, at the Σ_v min(d(v), |Σ|)
+// entries v can have at most, and copied to their exact length at the
+// end, since the index stays resident for the graph's lifetime: the
+// build holds up to twice the arrays' final size while it runs, which
+// costs less time than a pass over the adjacency counting the entries
+// (EXPERIMENTS.md, "Graph ingest").
 func buildNLF(g *Graph) *NLF {
 	n := g.NumVertices()
 	x := &NLF{
@@ -234,55 +251,85 @@ func buildNLF(g *Graph) *NLF {
 		base:   g.offsets,
 		single: make([]uint64, (n+63)/64),
 	}
-	exact := true
-	entries := 0
-	var keys []uint64 // label<<32 | neighbour
+	pools := g.labelIndex()
+	labels := make([]Label, 0, len(pools))
+	for l := range pools {
+		labels = append(labels, l)
+	}
+	slices.Sort(labels)
+	rank := make([]uint32, n)
+	exact := true // no neighbour label is 64 or more
+	for r, l := range labels {
+		for _, v := range pools[l] {
+			rank[v] = uint32(r)
+			exact = exact && (l < 64 || g.offsets[v+1] == g.offsets[v])
+		}
+	}
+	cnt := make([]uint32, len(labels))             // per rank: its count, then where its run is filled to
+	present := make([]uint64, (len(labels)+63)/64) // bit r: rank r occurs in N(v)
+	var words []uint32                             // the words of present that N(v) sets, in the order it sets them
+	var ranks []uint32                             // the ranks of N(v), ascending
+	room := 0
 	for v := 0; v < n; v++ {
-		slot := x.nbr[g.offsets[v]:g.offsets[v+1]]
-		if uint64(len(slot)) > math.MaxUint32 {
+		room += min(g.Degree(Vertex(v)), len(labels))
+	}
+	end := make([]uint32, 0, room)
+	var lab []Label
+	if !exact {
+		lab = make([]Label, 0, room)
+	}
+	for v := 0; v < n; v++ {
+		ns := g.Neighbors(Vertex(v))
+		if uint64(len(ns)) > math.MaxUint32 {
 			panic("graph: NLF index over a vertex of degree 2³² or more")
 		}
-		keys = keys[:0]
-		for _, w := range g.Neighbors(Vertex(v)) {
-			keys = append(keys, uint64(g.labels[w])<<32|uint64(w))
-		}
-		slices.Sort(keys)
-		single := true
-		for i, k := range keys {
-			l := Label(k >> 32)
-			slot[i] = Vertex(k)
-			if i > 0 && Label(keys[i-1]>>32) == l {
-				single = false
-				continue
+		for _, w := range ns {
+			r := rank[w]
+			cnt[r]++
+			if present[r/64] == 0 {
+				words = append(words, r/64)
 			}
-			entries++
-			x.sig[v] |= 1 << (l % 64)
-			exact = exact && l < 64
+			present[r/64] |= 1 << (r % 64)
 		}
-		if single {
+		if len(words) > 1 {
+			slices.Sort(words)
+		}
+		ranks = ranks[:0]
+		for _, i := range words {
+			for word := present[i]; word != 0; word &= word - 1 {
+				ranks = append(ranks, i*64+uint32(bits.TrailingZeros64(word)))
+			}
+			present[i] = 0
+		}
+		words = words[:0]
+		var at uint32
+		for _, r := range ranks {
+			c := cnt[r]
+			cnt[r] = at
+			at += c
+			end = append(end, at)
+			x.sig[v] |= 1 << (labels[r] % 64)
+			if !exact {
+				lab = append(lab, labels[r])
+			}
+		}
+		slot := x.nbr[g.offsets[v]:g.offsets[v+1]]
+		for _, w := range ns {
+			r := rank[w]
+			slot[cnt[r]] = w
+			cnt[r]++
+		}
+		for _, r := range ranks {
+			cnt[r] = 0
+		}
+		if len(ranks) == len(ns) {
 			x.single[v/64] |= 1 << (v % 64)
 		}
-		if entries > math.MaxInt32 {
+		if len(end) > math.MaxInt32 {
 			panic("graph: NLF index over 2³¹−1 (vertex, neighbour label) entries")
 		}
-		x.off[v+1] = int32(entries)
+		x.off[v+1] = int32(len(end))
 	}
-	x.end = make([]uint32, entries)
-	if !exact {
-		x.lab = make([]Label, entries)
-	}
-	for v := 0; v < n; v++ {
-		slot := x.nbr[g.offsets[v]:g.offsets[v+1]]
-		e := x.off[v]
-		for i, w := range slot {
-			if l := g.labels[w]; i+1 == len(slot) || g.labels[slot[i+1]] != l {
-				x.end[e] = uint32(i + 1)
-				if !exact {
-					x.lab[e] = l
-				}
-				e++
-			}
-		}
-	}
+	x.end, x.lab = slices.Clone(end), slices.Clone(lab)
 	return x
 }

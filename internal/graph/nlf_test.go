@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -41,49 +42,86 @@ func withLabels(g *Graph, f func(Label) Label) *Graph {
 	return b.MustBuild()
 }
 
+// hugeLabel moves randomSparseGraph's labels {0, 3, 6, 9, 12} to a
+// sparse alphabet near the top of uint32, where 4 000 000 000 and
+// 4 000 000 064 share signature bit 0.
+func hugeLabel(l Label) Label {
+	switch l {
+	case 0:
+		return 7
+	case 3:
+		return 4_000_000_000
+	case 6:
+		return 4_000_000_064
+	case 9:
+		return math.MaxUint32
+	}
+	return l
+}
+
+// probeLabels lists the labels to look up in g's index: every label up
+// to one past the largest or 300, whichever is less, and each label the
+// graph has with its two neighbours.
+func probeLabels(g *Graph) []Label {
+	var probes []Label
+	for l := Label(0); l <= min(MaxLabelOf(g)+1, 300); l++ {
+		probes = append(probes, l)
+	}
+	for _, l := range g.Labels() {
+		probes = append(probes, l-1, l, l+1)
+	}
+	return probes
+}
+
 // The index must say exactly what counting L(N(v)) says: one entry per
 // distinct neighbour label, the same count for every label (0 for the
 // labels v does not see, and nothing for an isolated vertex), with and
 // without the labels stored. The signature is those labels folded to
 // bits mod 64, and Bytes is 4 bytes an entry, 8 when the index is not
-// exact.
+// exact. The counts are kept in a map, as a LabelCounter's table would
+// be as long as the largest label: on the graphs with sparse, huge
+// labels (every third seed) neither may the build's be, which its
+// allocations bound.
 func TestNLFMatchesLabelCounter(t *testing.T) {
-	for seed := int64(0); seed < 200; seed++ {
+	for seed := int64(0); seed < 300; seed++ {
 		g := randomSparseGraph(rand.New(rand.NewSource(seed)))
-		if seed%2 == 1 {
+		switch seed % 3 {
+		case 1:
 			g = withLabels(g, func(l Label) Label { return l * 22 }) // up to 264
+		case 2:
+			g = withLabels(g, hugeLabel)
+			if b, _ := allocated(1, func() { buildNLF(g) }); b > 64<<10 {
+				t.Fatalf("seed %d: building the index of %v allocated %.0f B", seed, g, b)
+			}
 		}
 		if g.IndexBytes() != 0 {
 			t.Fatalf("seed %d: IndexBytes = %d before first use", seed, g.IndexBytes())
 		}
 		x := g.NLF()
-		maxLabel := MaxLabelOf(g)
-		c := NewLabelCounter(maxLabel)
+		probes := probeLabels(g)
 		entries, exact := 0, true
 		for v := 0; v < g.NumVertices(); v++ {
-			c.CountNeighbors(g, Vertex(v))
-			labels := c.Touched()
-			if got := int(x.off[v+1] - x.off[v]); got != len(labels) {
-				t.Fatalf("seed %d: N(%d) has %d entries, want %d", seed, v, got, len(labels))
+			counts := map[Label]int{}
+			for _, w := range g.Neighbors(Vertex(v)) {
+				counts[g.Label(w)]++
 			}
-			for l := Label(0); l <= maxLabel+1; l++ {
-				want := 0
-				if l <= maxLabel {
-					want = int(c.Count(l))
-				}
-				if got := x.Count(Vertex(v), l); got != want {
-					t.Fatalf("seed %d: vertex %d label %d: count %d, want %d", seed, v, l, got, want)
+			if got := int(x.off[v+1] - x.off[v]); got != len(counts) {
+				t.Fatalf("seed %d: N(%d) has %d entries, want %d", seed, v, got, len(counts))
+			}
+			for _, l := range probes {
+				if got := x.Count(Vertex(v), l); got != counts[l] {
+					t.Fatalf("seed %d: vertex %d label %d: count %d, want %d", seed, v, l, got, counts[l])
 				}
 			}
 			var sig uint64
-			for _, l := range labels {
+			for l := range counts {
 				sig |= 1 << (l % 64)
 				exact = exact && l < 64
 			}
 			if x.Signature(Vertex(v)) != sig {
 				t.Fatalf("seed %d: signature of N(%d) = %#x, want %#x", seed, v, x.Signature(Vertex(v)), sig)
 			}
-			entries += len(labels)
+			entries += len(counts)
 		}
 		if x.Exact() != exact {
 			t.Fatalf("seed %d: Exact = %v, want %v", seed, x.Exact(), exact)
@@ -217,6 +255,66 @@ func TestPoolSignatures(t *testing.T) {
 		}
 		if want := x.Bytes() + int64(g.NumVertices())*8; g.IndexBytes() != want {
 			t.Fatalf("seed %d: IndexBytes = %d, want %d", seed, g.IndexBytes(), want)
+		}
+	}
+}
+
+// On graphs with 64 distinct labels, where the ranks of N(v) come out
+// of one word of bits, and with 65 and about 1 500, where they are
+// sorted, every run is N(v) filtered by label, and the runs of v tile
+// its slot in label order. The labels are multiples of 3, so none of
+// the indexes is exact and each entry's label is stored.
+func TestNLFManyLabels(t *testing.T) {
+	for _, k := range []int{64, 65, 2000} {
+		rng := rand.New(rand.NewSource(3))
+		const n = 3000
+		b := NewBuilder(n, 8*n)
+		for i := 0; i < n; i++ {
+			b.AddVertex(Label(rng.Intn(k)) * 3)
+		}
+		for i := 0; i < 8*n; i++ {
+			u, v := Vertex(rng.Intn(n)), Vertex(rng.Intn(n/10)) // hubs among the first tenth
+			if u != v {
+				b.AddEdge(u, v)
+			}
+		}
+		g := b.MustBuild()
+		if (g.NumLabels() > 64) != (k > 64) {
+			t.Fatalf("%d labels drawn from %d", g.NumLabels(), k)
+		}
+		checkRunsTile(t, g)
+	}
+}
+
+// checkRunsTile checks every run of g's index against N(v) filtered by
+// its label, and that v's runs, in ascending label order, hold all of
+// N(v).
+func checkRunsTile(t *testing.T, g *Graph) {
+	t.Helper()
+	n := g.NumVertices()
+	x := g.NLF()
+	for v := 0; v < n; v++ {
+		var tiled []Vertex
+		var prev Label
+		for e := x.off[v]; e < x.off[v+1]; e++ {
+			l := x.lab[e]
+			if e > x.off[v] && l <= prev {
+				t.Fatalf("vertex %d: labels %d then %d", v, prev, l)
+			}
+			prev = l
+			var want []Vertex
+			for _, w := range g.Neighbors(Vertex(v)) {
+				if g.Label(w) == l {
+					want = append(want, w)
+				}
+			}
+			if got := x.Run(Vertex(v), l); !slices.Equal(got, want) {
+				t.Fatalf("vertex %d label %d: run %v, want %v", v, l, got, want)
+			}
+			tiled = append(tiled, want...)
+		}
+		if len(tiled) != g.Degree(Vertex(v)) {
+			t.Fatalf("vertex %d: runs hold %d of %d neighbours", v, len(tiled), g.Degree(Vertex(v)))
 		}
 	}
 }

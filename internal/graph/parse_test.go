@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // refParse is Parse as it was before the line tokenizer, verbatim: the
@@ -236,6 +237,54 @@ func FuzzParseMatchesReference(f *testing.F) {
 		"0 1\n1 2\n# c\n2 0\n9999999999 3\n3 3\n",      // an edge list
 		"1\n",
 		hugeHeader,
+		// Ten-digit ids and labels at and past 2³²−1, and the edge
+		// list's 64-bit ids at and past 2⁶⁴−1, also as 19- and 20-digit
+		// fields.
+		"t 2 1\nv 0 4294967295\nv 1 4294967294\ne 0 1\n",
+		"t 2 1\nv 0 0\nv 1 4294967296\ne 0 1\n",
+		"t 2 1\nv 0 0\nv 1 0\ne 4294967295 0\n",
+		"t 1 0\nv 0 0 9999999999\n",
+		"t 9999999999999999999 1\n",
+		"t 1 10000000000000000000\n",
+		"4294967295 4294967296\n18446744073709551615 1\n18446744073709551616 2\n",
+		"9999999999999999999 1\n10000000000000000000 2\n99999999999999999999 3\n",
+		// Signs on the t, id, label and degree fields.
+		"t -1 0\n",
+		"t +1 +0\nv 0 0 +0\n",
+		"t 1 0\nv -0 0\n",
+		"t 1 0\nv 0 +0\n",
+		"t 2 1\nv 0 0 -0\nv 1 0 +1\ne 0 1\n",
+		"t 2 1\nv 0 0 +\nv 1 0\ne 0 1\n",
+		"t 2 1\nv 0 0 1\nv 1 0 1\ne +0 1\n",
+		"t 2 1\nv 0 0 -9223372036854775808\nv 1 0\ne 0 1\n",
+		"t 2 1\nv 0 0 -9223372036854775809\nv 1 0\ne 0 1\n",
+		"t 9223372036854775807 0\n",
+		"t 9223372036854775808 0\n",
+		"+1 2\n-1 2\n",
+		// Leading zeros, past the nineteen digits a field's value is
+		// read in one pass for.
+		"t 0000000000000000000002 00000000000000000000001\nv 00000000000000000000000 0000000000000000000000000\nv 1 0 000000000000000000000000001\ne 0 0000000000000000000001\n",
+		"00000000000000000000000000005 7\n",
+		// Lines over 4 KiB: white space, a comment and a field.
+		"t 2 1\nv 0 0\nv 1 0\ne 0" + strings.Repeat(" ", 5000) + "1\n",
+		"# " + strings.Repeat("c", 5000) + "\nt 1 0\nv 0 0\n",
+		"t 1 0\nv " + strings.Repeat("0", 5000) + " 0\n",
+		"t 1 0\nv 0 0 " + strings.Repeat("9", 5000) + "\n",
+		// White space that is not ASCII, or not white space, between
+		// digits.
+		"t 2 1\nv 0 0\nv 1 0\ne 0\u00a01\n",
+		"t 2 1\nv 0 0\nv 1 0\ne 0\u20001\n",
+		"t 2 1\nv 0 0\nv 1 0\ne 0\u30001\u0085\n",
+		"t 2 1\nv 0 0\nv 1 0\ne 0\xa01\n",
+		"t 2 1\nv 0 0\nv 1 0\ne 0\u00a0\u00a01\n",
+		"t 2\u20281\nv 0\u20290\nv 1 0\ne 0 1\n",
+		"1\u00a02\n3\u30004\n",
+		"12\xe3\x80\x8034\n",
+		// Line ends: CR only, CR CR LF, no final newline, a final CR.
+		"t 1 0\rv 0 0\r",
+		"t 1 0\r\r\nv 0 0\n",
+		"t 2 1\nv 0 0\nv 1 0\ne 0 1",
+		"t 1 0\nv 0 0\n\r",
 	} {
 		f.Add(in)
 	}
@@ -249,6 +298,71 @@ func FuzzParseMatchesReference(f *testing.F) {
 			t.Errorf("ParseEdgeList(%q): %s", input, d)
 		}
 	})
+}
+
+// TestParseLineLimitMatchesReference: a line that fills the scanner's
+// largest buffer fails both parsers with bufio.ErrTooLong, one a byte
+// shorter passes, and so does the same line ending the input without a
+// newline — also behind 100 KiB of comments, read half a buffer at a
+// time. The limits of handing over buffered lines in chunks are the
+// line-by-line reference's.
+func TestParseLineLimitMatchesReference(t *testing.T) {
+	comments := strings.Repeat("# a comment line\n", 6000)
+	for _, n := range []int{maxLine - 2, maxLine - 1, maxLine, maxLine + 1} {
+		for _, tail := range []string{"\n", "\r\n", "", "\nv 1 0\n"} {
+			for _, pad := range []string{" ", "0"} { // white space, or leading zeros of the id
+				for _, prefix := range []string{"", comments} {
+					line := "v " + strings.Repeat(pad, n-len("v 0 0")) + "0 0"
+					input := prefix + "t 2 0\nv 0 0 0\n" + line[:n] + tail
+					reader := func() io.Reader { return strings.NewReader(input) }
+					if prefix != "" {
+						reader = func() io.Reader { return iotest.HalfReader(strings.NewReader(input)) }
+					}
+					g, err := Parse(reader())
+					if d := sameParse(g, err, func() (*Graph, error) { return refParse(reader()) }); d != "" {
+						t.Errorf("line of %d bytes, pad %q, tail %q, %d bytes before: %s", n, pad, tail, len(prefix), d)
+					}
+					g, err = ParseEdgeList(reader(), 3, 7)
+					if d := sameParse(g, err, func() (*Graph, error) { return refParseEdgeList(reader(), 3, 7) }); d != "" {
+						t.Errorf("edge list, line of %d bytes, pad %q, tail %q, %d bytes before: %s", n, pad, tail, len(prefix), d)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestParseLongInputMatchesReference: an input read in many chunks, in
+// reads of any size, parses to the reference's graph, or fails with its
+// error and line number, CRLF line ends split across reads included.
+func TestParseLongInputMatchesReference(t *testing.T) {
+	const n = 30000
+	var b strings.Builder
+	fmt.Fprintf(&b, "t %d %d\r\n", n, n-1)
+	for v := 0; v < n; v++ {
+		fmt.Fprintf(&b, "v %d %d 2\r\n", v, v%7)
+	}
+	for v := 1; v < n; v++ {
+		fmt.Fprintf(&b, "e %d %d\r\n", v-1, v)
+	}
+	valid := b.String()
+	for _, input := range []string{
+		valid, // the two ends of the path declare degree 2: an error
+		strings.Replace(strings.Replace(valid, "v 0 0 2", "v 0 0 1", 1), fmt.Sprintf("v %d %d 2", n-1, (n-1)%7), fmt.Sprintf("v %d %d 1", n-1, (n-1)%7), 1),
+		valid + "e 0 x\n",
+		strings.TrimSuffix(valid, "\r\n"),
+	} {
+		for _, wrap := range []func(io.Reader) io.Reader{
+			func(r io.Reader) io.Reader { return r },
+			iotest.HalfReader,
+			iotest.OneByteReader,
+		} {
+			g, err := Parse(wrap(strings.NewReader(input)))
+			if d := sameParse(g, err, func() (*Graph, error) { return refParse(wrap(strings.NewReader(input))) }); d != "" {
+				t.Errorf("%d bytes: %s", len(input), d)
+			}
+		}
+	}
 }
 
 // parseErrorInputs are TestParseErrors' inputs, for the fuzz corpus.

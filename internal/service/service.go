@@ -342,6 +342,12 @@ func (s *Service) resolve(req *Request) (target, error) {
 		return t, err
 	}
 	t.cfg = req.resolveConfig(entry.g)
+	// A tuple the engine cannot run is refused here, before the plan
+	// cache is asked: no lookup, no build, nothing cached.
+	if err := t.cfg.Check(req.Query.NumVertices()); err != nil {
+		s.metrics.recordError(entry.name, t.algo, 1)
+		return t, err
+	}
 	return t, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"subgraphmatching/internal/core"
+	"subgraphmatching/internal/enumerate"
 	"subgraphmatching/internal/graph"
 	"subgraphmatching/internal/obs"
 	"subgraphmatching/internal/testutil"
@@ -386,5 +387,56 @@ func TestEntryPointsAgree(t *testing.T) {
 				t.Errorf("Explain disagrees with Submit:\n explain %+v\n submit  %+v", explain, submit)
 			}
 		})
+	}
+}
+
+// TestRefusedTupleCachesNothing: a Custom tuple the engine cannot run —
+// here DP-iso's adaptive order over Scan local candidates — is refused
+// with the typed error before the plan cache is asked, on Submit and
+// on Explain alike, so every cache counter stays where it was and a
+// retry is refused the same way. A preset whose failing sets a large
+// query would break leaves them off and answers.
+func TestRefusedTupleCachesNothing(t *testing.T) {
+	s, g := newTestService(t, Config{})
+	q := testutil.RandomConnectedQuery(rand.New(rand.NewSource(4)), g, 4)
+	if _, err := s.Submit(context.Background(), Request{Graph: "main", Query: q, Algorithm: core.GraphQL}); err != nil {
+		t.Fatal(err)
+	}
+	before, builds := s.Stats().Cache, s.metrics.planBuilds.Value()
+	bad := core.PresetConfig(core.DPIso, q, g)
+	bad.Local = enumerate.Scan
+	req := Request{Graph: "main", Query: q, Custom: &bad}
+	for try := 0; try < 2; try++ {
+		if _, err := s.Submit(context.Background(), req); !errors.Is(err, enumerate.ErrUnsupported) {
+			t.Fatalf("try %d: Submit err = %v, want ErrUnsupported", try, err)
+		}
+		if _, err := s.Explain(context.Background(), req); !errors.Is(err, enumerate.ErrUnsupported) {
+			t.Fatalf("try %d: Explain err = %v, want ErrUnsupported", try, err)
+		}
+	}
+	if after := s.Stats().Cache; after != before || s.metrics.planBuilds.Value() != builds {
+		t.Errorf("cache %+v → %+v, plan builds %d → %d: a refused tuple moved them", before, after, builds, s.metrics.planBuilds.Value())
+	}
+
+	path := func(n int) *graph.Graph {
+		b := graph.NewBuilder(n, n-1)
+		for i := 0; i < n; i++ {
+			b.AddVertex(0)
+			if i > 0 {
+				b.AddEdge(graph.Vertex(i-1), graph.Vertex(i))
+			}
+		}
+		return b.MustBuild()
+	}
+	if _, err := s.RegisterGraph("path", path(300), false); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []core.Algorithm{core.Optimized, core.DPIso} {
+		for try := 0; try < 2; try++ {
+			resp, err := s.Submit(context.Background(), Request{Graph: "path", Query: path(70), Algorithm: a})
+			if err != nil || resp.Result.Embeddings != 462 || resp.CacheHit != (try == 1) {
+				t.Fatalf("%v try %d: %+v, %v; want 462 embeddings, a cache hit on the retry", a, try, resp, err)
+			}
+		}
 	}
 }
