@@ -118,6 +118,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzProfileRender -fuzztime 5s ./internal/obs/flight
 	$(GO) test -run '^$$' -fuzz FuzzLineEncoder -fuzztime 5s ./cmd/smatchd
 	$(GO) test -run '^$$' -fuzz FuzzRunSink -fuzztime 5s ./cmd/smatchd
+	$(GO) test -run '^$$' -fuzz FuzzQueryMemo -fuzztime 5s ./cmd/smatchd
 	$(GO) test -run '^$$' -fuzz FuzzParseMatchesReference -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzBuildPositions -fuzztime 5s ./internal/candspace

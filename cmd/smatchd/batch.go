@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 
 	"subgraphmatching/internal/service"
 )
@@ -64,9 +63,9 @@ func (s *server) matchBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, fmt.Errorf("batch of %d items exceeds the limit of %d", len(items), maxBatchItems))
 		return
 	}
-	params := r.URL.Query()
+	params := parseParams(r.URL.RawQuery)
 	var stream *ndjsonStream
-	if params.Get("stream") == "1" {
+	if params.stream == "1" {
 		stream = newNDJSONStream(w)
 	}
 
@@ -77,7 +76,10 @@ func (s *server) matchBatch(w http.ResponseWriter, r *http.Request) {
 	submitted := make([]int, 0, len(items)) // submitted position -> item index
 	for i := range items {
 		out[i].Index = i
-		req, err := items[i].toRequest(strings.NewReader(items[i].Query))
+		req, err := items[i].toRequest()
+		if err == nil {
+			req.Query, err = s.memo.parse([]byte(items[i].Query))
+		}
 		if err != nil {
 			out[i].fail(err)
 			continue
@@ -102,7 +104,7 @@ func (s *server) matchBatch(w http.ResponseWriter, r *http.Request) {
 				out[i].fail(err)
 			}
 		}
-		withTrace := params.Get("trace") == "1"
+		withTrace := params.trace == "1"
 		for pos, br := range results {
 			if br.Err != nil {
 				out[submitted[pos]].fail(br.Err)

@@ -15,8 +15,8 @@ import (
 // POST /match; ?format=text renders the profile as a table instead of
 // JSON.
 func (s *server) explain(w http.ResponseWriter, r *http.Request) {
-	params := r.URL.Query()
-	req, err := requestFromParams(w, r, params)
+	p := parseParams(r.URL.RawQuery)
+	req, err := s.requestFromParams(w, r, p)
 	if err != nil {
 		httpError(w, err)
 		return
@@ -26,7 +26,7 @@ func (s *server) explain(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
-	if params.Get("format") == "text" {
+	if p.format == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		resp.Profile.Render(w)
 		return

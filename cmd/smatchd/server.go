@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
-	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -70,6 +69,9 @@ func (a serviceAdmin) UnregisterGraph(name string) error {
 type server struct {
 	svc   *service.Service
 	admin graphAdmin
+	// memo maps query texts to their parsed graphs for /match,
+	// /explain and /match/batch; sized by the plan cache's entry bound.
+	memo *queryMemo
 	// store, when non-nil, is the durable graph store behind admin;
 	// /healthz reports its recovery and occupancy state.
 	store *store.Manager
@@ -89,7 +91,7 @@ type serverOptions struct {
 // newServer builds the smatchd handler — exported shape so tests can
 // mount it on httptest.Server.
 func newServer(svc *service.Service, opts serverOptions) http.Handler {
-	s := &server{svc: svc, store: opts.store}
+	s := &server{svc: svc, store: opts.store, memo: newQueryMemo(svc.Stats().Cache.Capacity)}
 	if opts.store != nil {
 		s.admin = opts.store
 	} else {
@@ -315,7 +317,7 @@ func toMatchResult(resp *service.Response, withTrace bool) matchResult {
 		Profile:    resp.Result.Explain,
 	}
 	if withTrace {
-		res.Trace = resp.Result.Trace
+		res.Trace = resp.Trace()
 	}
 	return res
 }
@@ -339,23 +341,29 @@ type matchRequest struct {
 	Explain bool `json:"explain,omitempty"`
 }
 
-// requestFromParams decodes a /match or /explain request.
-func requestFromParams(w http.ResponseWriter, r *http.Request, params url.Values) (service.Request, error) {
+// requestFromParams decodes a /match or /explain request from its query
+// parameters and its body.
+func (s *server) requestFromParams(w http.ResponseWriter, r *http.Request, p queryParams) (service.Request, error) {
 	m := matchRequest{
-		Graph:    params.Get("graph"),
-		Algo:     params.Get("algo"),
-		Limit:    json.Number(params.Get("limit")),
-		Timeout:  params.Get("timeout"),
-		Parallel: json.Number(params.Get("parallel")),
-		Explain:  params.Get("explain") == "1",
+		Graph:    p.graph,
+		Algo:     p.algo,
+		Limit:    json.Number(p.limit),
+		Timeout:  p.timeout,
+		Parallel: json.Number(p.parallel),
+		Explain:  p.explain == "1",
 	}
-	return m.toRequest(http.MaxBytesReader(w, r.Body, maxQueryBody))
+	req, err := m.toRequest()
+	if err != nil {
+		return req, err
+	}
+	req.Query, err = s.readQuery(w, r)
+	return req, err
 }
 
-// toRequest validates the wire form and converts it, reporting the
-// first bad field. query supplies the query graph's text: the HTTP body
-// or the item's inline field.
-func (m *matchRequest) toRequest(query io.Reader) (service.Request, error) {
+// toRequest validates the wire form's parameters and converts them,
+// reporting the first bad field; the caller parses the query graph
+// after them.
+func (m *matchRequest) toRequest() (service.Request, error) {
 	req := service.Request{Graph: m.Graph, Algorithm: core.Optimized, NoCache: m.NoCache, Profile: m.Explain}
 	if m.Graph == "" {
 		return req, fmt.Errorf("missing required parameter graph")
@@ -383,19 +391,18 @@ func (m *matchRequest) toRequest(query io.Reader) (service.Request, error) {
 		}
 		req.Parallel = n
 	}
-	req.Query, err = graph.Parse(query)
-	return req, err
+	return req, nil
 }
 
 func (s *server) match(w http.ResponseWriter, r *http.Request) {
-	params := r.URL.Query()
-	req, err := requestFromParams(w, r, params)
+	p := parseParams(r.URL.RawQuery)
+	req, err := s.requestFromParams(w, r, p)
 	if err != nil {
 		httpError(w, err)
 		return
 	}
-	withTrace := params.Get("trace") == "1"
-	if params.Get("stream") == "1" {
+	withTrace := p.trace == "1"
+	if p.stream == "1" {
 		s.matchStream(w, r, req, withTrace)
 		return
 	}
@@ -404,7 +411,11 @@ func (s *server) match(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toMatchResult(resp, withTrace))
+	if withTrace || resp.Result.Explain != nil {
+		writeJSON(w, http.StatusOK, toMatchResult(resp, withTrace))
+		return
+	}
+	writeMatchReply(w, resp)
 }
 
 // matchStream writes embeddings as NDJSON while the search runs (see

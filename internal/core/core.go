@@ -104,6 +104,21 @@ func (c Config) External() bool {
 	return c.UseGlasgow || c.UseVF2 || c.UseUllmann
 }
 
+// Engine names the external engine the configuration dispatches to —
+// "glasgow", "vf2" or "ullmann", the "engine" attribute of its enumerate
+// span — and is "" for the framework's own.
+func (c Config) Engine() string {
+	switch {
+	case c.UseGlasgow:
+		return "glasgow"
+	case c.UseVF2:
+		return "vf2"
+	case c.UseUllmann:
+		return "ullmann"
+	}
+	return ""
+}
+
 // Check reports whether the tuple can run a query of n vertices, or the
 // enumerate.ErrUnsupported error that names the constraint it breaks:
 // enumerate.CheckOptions over the tuple's engine options, and symmetry
@@ -659,7 +674,7 @@ func matchPlan(plan *Plan, limits Limits, park bool) (*Result, error) {
 		if plan.Empty {
 			res.Trace = obs.NewSpan("enumerate", enumStart, 0).SetAttr("empty", true)
 		} else {
-			res.Trace = enumerateSpan(enumStart, res)
+			res.Trace = EnumerateSpan(enumStart, res)
 		}
 	}
 	if limits.Profile {
@@ -701,12 +716,12 @@ func (p *Plan) parkEngine(e *enumerate.Engine) {
 	p.engineMu.Unlock()
 }
 
-// enumerateSpan builds the "enumerate" span from a finished result:
+// EnumerateSpan builds the "enumerate" span from a finished result:
 // outcome attributes plus one zero-duration child per parallel worker
 // carrying that worker's scheduler tallies. Worker children annotate
 // rather than time (they all cover the same wall interval), so the
 // sum-of-children invariant holds trivially.
-func enumerateSpan(start time.Time, res *Result) *obs.Span {
+func EnumerateSpan(start time.Time, res *Result) *obs.Span {
 	es := obs.NewSpan("enumerate", start, res.EnumTime).
 		SetAttr("embeddings", res.Embeddings).
 		SetAttr("nodes", res.Nodes)
@@ -758,27 +773,21 @@ func Match(q, g *graph.Graph, cfg Config, limits Limits) (*Result, error) {
 			return nil, err
 		}
 		limits.OnMatch, limits.OnRun = onMatch, nil
-		var (
-			res    *Result
-			engine string
-		)
+		var res *Result
 		switch {
 		case cfg.UseGlasgow:
 			res, err = matchGlasgow(q, g, cfg, limits)
-			engine = "glasgow"
 		case cfg.UseVF2:
 			res, err = matchVF2(q, g, limits)
-			engine = "vf2"
 		default:
 			res, err = matchUllmann(q, g, limits)
-			engine = "ullmann"
 		}
 		if err != nil {
 			return nil, err
 		}
 		if limits.Trace {
 			res.Trace = obs.NewSpan("match", start, time.Since(start)).
-				AddChild(enumerateSpan(start, res).SetAttr("engine", engine))
+				AddChild(EnumerateSpan(start, res).SetAttr("engine", cfg.Engine()))
 		}
 		return res, nil
 	}
@@ -792,7 +801,11 @@ func Match(q, g *graph.Graph, cfg Config, limits Limits) (*Result, error) {
 // RunContext runs one search under ctx. run receives limits with the ctx
 // deadline folded into TimeLimit, so the engines' own deadline checks
 // enforce it, and with a Cancel flag that ctx's end sets, so a cancel
-// stops the search cooperatively. When ctx ends before the search
+// stops the search cooperatively: a context.AfterFunc registration, or,
+// when limits.Cancel is already set, nothing — the caller watches ctx
+// and sets that flag itself (the serving layer's flight recorder
+// registers a watch only for a request that outlives its watcher's
+// tick). When ctx ends before the search
 // completes, ctx's error is returned; a TimeLimit expiry that is not the
 // ctx deadline still reports a Result with TimedOut set, the paper's
 // unsolved-query accounting.
@@ -810,10 +823,12 @@ func RunContext(ctx context.Context, limits Limits, run func(Limits) (*Result, e
 			limits.TimeLimit = remain
 		}
 	}
-	var flag atomic.Bool
-	stop := context.AfterFunc(ctx, func() { flag.Store(true) })
-	defer stop()
-	limits.Cancel = &flag
+	if limits.Cancel == nil {
+		var flag atomic.Bool
+		stop := context.AfterFunc(ctx, func() { flag.Store(true) })
+		defer stop()
+		limits.Cancel = &flag
+	}
 	res, err := run(limits)
 	if err != nil {
 		return nil, err

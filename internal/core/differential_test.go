@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -29,14 +30,22 @@ type diffInput struct {
 // homomorphisms is skipped, so no fuzz input runs for long.
 const maxHomomorphisms = 4096
 
-// differentialSeeds is the deterministic seed corpus.
+// pathLabels marks an input of the path mode: a labels byte at or above
+// it draws a path query of more than MaxFailingSetVertices vertices
+// inside a longer path graph instead of a random pair.
+const pathLabels = 0xF0
+
+// differentialSeeds is the deterministic seed corpus: 40 random pairs,
+// then a 65-vertex path query in a 69-vertex path, whose decoded tuple
+// asks for failing sets.
 func differentialSeeds() []diffInput {
 	in := make([]diffInput, 40)
 	for i := range in {
 		in[i] = diffInput{seed: int64(i), gsize: uint8(i * 7), qsize: uint8(i * 29), labels: uint8(i),
 			cfg: uint32(i) * 2654435761, cap: uint8(i * 5)}
 	}
-	return in
+	failingSets := uint32(len(filter.Methods()) * len(order.Methods()) * 4 * 4)
+	return append(in, diffInput{seed: 40, gsize: 3, qsize: 0, labels: pathLabels, cfg: failingSets, cap: 3})
 }
 
 // FuzzDifferential is the differential oracle. Every way the pipeline
@@ -45,7 +54,9 @@ func differentialSeeds() []diffInput {
 // tuple; fresh and over a cached plan, whose later requests re-arm a
 // parked engine; at 1 and 4 workers; counting and through both sink
 // forms; capped and uncapped — must return the embedding multiset of
-// one brute-force reference.
+// one brute-force reference. A decoded tuple the engine cannot run is
+// refused first (checkRefused), and the oracle runs its legal
+// neighbour.
 func FuzzDifferential(f *testing.F) {
 	for _, in := range differentialSeeds() {
 		f.Add(in.seed, in.gsize, in.qsize, in.labels, in.cfg, in.cap)
@@ -84,8 +95,9 @@ func TestDifferentialCorpusCoverage(t *testing.T) {
 
 // decodeConfig maps c onto one point of the tuple: filter × order ×
 // local candidates × kernel policy, then one bit each for failing sets,
-// adaptive order, VF2++ rules, symmetry breaking and homomorphism. Only
-// the pairs Preprocess and NewEngine refuse are normalised away.
+// adaptive order, VF2++ rules, symmetry breaking and homomorphism. It
+// decodes tuples the engine refuses too; legalConfig is the one the
+// oracle runs.
 func decodeConfig(c uint32) Config {
 	pick := func(n int) int {
 		v := int(c % uint32(n))
@@ -103,6 +115,12 @@ func decodeConfig(c uint32) Config {
 	cfg.VF2PPRules = pick(2) == 1
 	cfg.SymmetryBreaking = pick(2) == 1
 	cfg.Homomorphism = pick(2) == 1
+	return cfg
+}
+
+// legalConfig normalises away what Config.Check refuses for a query of
+// n vertices, and nothing else.
+func legalConfig(cfg Config, n int) Config {
 	if cfg.Homomorphism {
 		cfg.SymmetryBreaking, cfg.VF2PPRules = false, false
 	}
@@ -112,7 +130,38 @@ func decodeConfig(c uint32) Config {
 	if cfg.Adaptive {
 		cfg.Local = enumerate.Intersect
 	}
+	if n > enumerate.MaxFailingSetVertices {
+		cfg.FailingSets = false
+	}
 	return cfg
+}
+
+// checkRefused holds Config.Check and Preprocess to one verdict on a
+// decoded tuple: one Check passes is the tuple legalConfig leaves as it
+// is, and one it refuses — adaptive order without Intersect, VF2++
+// without Direct, homomorphism with symmetry breaking or VF2++, failing
+// sets past MaxFailingSetVertices — Preprocess refuses alike, with
+// enumerate.ErrUnsupported and no plan.
+func checkRefused(t *testing.T, name string, q, g *graph.Graph, cfg Config) {
+	t.Helper()
+	n := q.NumVertices()
+	err := cfg.Check(n)
+	if err == nil {
+		if !reflect.DeepEqual(legalConfig(cfg, n), cfg) {
+			t.Fatalf("%s: Check passes a tuple legalConfig changes to %+v", name, legalConfig(cfg, n))
+		}
+		return
+	}
+	if !errors.Is(err, enumerate.ErrUnsupported) {
+		t.Fatalf("%s: Check: %v, want enumerate.ErrUnsupported", name, err)
+	}
+	if reflect.DeepEqual(legalConfig(cfg, n), cfg) {
+		t.Fatalf("%s: Check refuses a tuple legalConfig keeps: %v", name, err)
+	}
+	plan, err := Preprocess(q, g, cfg, 1)
+	if plan != nil || !errors.Is(err, enumerate.ErrUnsupported) {
+		t.Fatalf("%s: Preprocess built %v, err %v; want no plan and enumerate.ErrUnsupported", name, plan, err)
+	}
 }
 
 // bruteForce returns the sorted keys of q's embeddings in g, or false
@@ -148,24 +197,40 @@ func canonical(keys []string, classes [][]graph.Vertex) []string {
 // covered.
 func checkDifferential(t *testing.T, in diffInput) (cov int) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(in.seed))
-	n, labels := 2+int(in.gsize)%27, 1+int(in.labels)%3
-	g := testutil.RandomGraph(rng, n, rng.Intn(3*n+1), labels)
-	src := g
-	if in.qsize >= 128 {
-		// A query drawn from another graph may not embed in g at all.
-		src = testutil.RandomGraph(rng, n, rng.Intn(3*n+1), labels)
+	var q, g *graph.Graph
+	var hom, iso []string
+	path := in.labels >= pathLabels
+	if path {
+		// A path has too many homomorphisms to list: the mode runs no
+		// homomorphism tuple.
+		g = pathGraph(enumerate.MaxFailingSetVertices + 5 + int(in.gsize)%4)
+		q = pathGraph(enumerate.MaxFailingSetVertices + 1 + int(in.qsize)%2)
+	} else {
+		rng := rand.New(rand.NewSource(in.seed))
+		n, labels := 2+int(in.gsize)%27, 1+int(in.labels)%3
+		g = testutil.RandomGraph(rng, n, rng.Intn(3*n+1), labels)
+		src := g
+		if in.qsize >= 128 {
+			// A query drawn from another graph may not embed in g at all.
+			src = testutil.RandomGraph(rng, n, rng.Intn(3*n+1), labels)
+		}
+		q = testutil.RandomConnectedQuery(rng, src, 2+int(in.qsize)%5)
+		if q == nil {
+			return 0
+		}
+		var ok bool
+		if hom, ok = bruteForce(q, g, true, maxHomomorphisms); !ok {
+			return 0
+		}
 	}
-	q := testutil.RandomConnectedQuery(rng, src, 2+int(in.qsize)%5)
-	if q == nil {
-		return 0
+	iso, _ = bruteForce(q, g, false, maxHomomorphisms)
+	decoded := decodeConfig(in.cfg)
+	checkRefused(t, fmt.Sprintf("%+v on %+v", decoded, in), q, g, decoded)
+	legal := legalConfig(decoded, q.NumVertices())
+	if path {
+		legal.Homomorphism = false
 	}
-	hom, ok := bruteForce(q, g, true, maxHomomorphisms)
-	if !ok {
-		return 0
-	}
-	iso, _ := bruteForce(q, g, false, maxHomomorphisms)
-	cfgs := []Config{decodeConfig(in.cfg)}
+	cfgs := []Config{legal}
 	for _, a := range Algorithms() {
 		cfgs = append(cfgs, PresetConfig(a, q, g))
 	}
@@ -293,8 +358,10 @@ func checkConfig(t *testing.T, name string, q, g *graph.Graph, cfg Config, ref [
 			}
 			return res.Nodes
 		}
-		if off, on := nodes(false, cfg.SymmetryBreaking), nodes(true, cfg.SymmetryBreaking); on > off {
-			t.Fatalf("%s: %d nodes with failing sets, %d without", name, on, off)
+		if q.NumVertices() <= enumerate.MaxFailingSetVertices {
+			if off, on := nodes(false, cfg.SymmetryBreaking), nodes(true, cfg.SymmetryBreaking); on > off {
+				t.Fatalf("%s: %d nodes with failing sets, %d without", name, on, off)
+			}
 		}
 		if !cfg.Homomorphism {
 			if off, on := nodes(false, false), nodes(false, true); on > off {

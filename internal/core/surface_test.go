@@ -30,7 +30,8 @@ import (
 // keeps an int it ignores (plans build on the caller's goroutine).
 var layerSurface = map[string][]string{
 	".": {
-		"Algorithm.String", "Algorithms", "Config.Check", "Config.External", "ExplainPlan", "Match",
+		"Algorithm.String", "Algorithms", "Config.Check", "Config.Engine", "Config.External",
+		"EnumerateSpan", "ExplainPlan", "Match",
 		"MatchFresh", "MatchPlan", "NeighborhoodEquivalenceClasses", "OrbitMultiplier",
 		"OrderingStudyConfig", "ParseAlgorithm", "Plan.PreprocessTime", "Plan.SizeBytes",
 		"Preprocess", "PresetConfig", "Profile.Render", "Result.PreprocessTime",
@@ -62,7 +63,7 @@ var layerSurface = map[string][]string{
 		"SearchProfile.TotalNodes", "Stats.Solved",
 	},
 	"../service": {
-		"New", "Service.Close", "Service.Explain",
+		"New", "Response.Trace", "Service.Close", "Service.Explain",
 		"Service.Flights", "Service.Graphs", "Service.Metrics",
 		"Service.RegisterGraph", "Service.RestoreGraph", "Service.SetGenerationFloor",
 		"Service.Stats", "Service.Stream", "Service.Submit", "Service.SubmitBatch",

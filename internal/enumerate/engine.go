@@ -309,8 +309,10 @@ type engine struct {
 
 	// VF2++ cutoff requirements: per depth, the labels (with counts)
 	// among the forward neighbors of phi[depth].
-	fwdReq  [][]labelNeed
-	counter *graph.LabelCounter
+	fwdReq [][]labelNeed
+	// needHave counts, per need of the depth vf2ppOK checks, the
+	// unmapped neighbors of the candidate that meet it so far.
+	needHave []int32
 
 	embedding []uint32 // per query vertex
 	candIdx   []int    // per query vertex: position of embedding in cand[u]
@@ -366,6 +368,20 @@ type engine struct {
 type labelNeed struct {
 	label graph.Label
 	count int32
+}
+
+// addNeed counts one more forward neighbor labelled l: the needs of a
+// depth are its forward neighbors' distinct labels, in the order they
+// first occur, each with how many carry it. Only the query's labels are
+// counted, so nothing is sized by the largest label of either graph.
+func addNeed(needs []labelNeed, l graph.Label) []labelNeed {
+	for i := range needs {
+		if needs[i].label == l {
+			needs[i].count++
+			return needs
+		}
+	}
+	return append(needs, labelNeed{l, 1})
 }
 
 // prepare computes per-depth backward neighbor lists and designated
@@ -429,19 +445,17 @@ func (e *engine) prepare() error {
 		}
 	}
 	if e.opts.VF2PPRules {
-		e.counter = graph.NewLabelCounter(graph.MaxLabelOf(e.q, e.g))
 		e.fwdReq = make([][]labelNeed, n)
+		widest := 0
 		for depth, u := range e.phi {
-			e.counter.Reset()
 			for _, un := range e.q.Neighbors(u) {
 				if e.pos[un] > depth {
-					e.counter.Add(e.q.Label(un))
+					e.fwdReq[depth] = addNeed(e.fwdReq[depth], e.q.Label(un))
 				}
 			}
-			for _, l := range e.counter.Touched() {
-				e.fwdReq[depth] = append(e.fwdReq[depth], labelNeed{l, e.counter.Count(l)})
-			}
+			widest = max(widest, len(e.fwdReq[depth]))
 		}
+		e.needHave = make([]int32, widest)
 	}
 	if len(e.opts.SymmetryClasses) > 0 {
 		e.symPeers = make([][]graph.Vertex, n)

@@ -150,21 +150,33 @@ func (e *engine) backwardEdgesOK(depth int, v uint32, skip graph.Vertex) bool {
 // vf2ppOK applies VF2++'s cutoff: for every label l among the forward
 // neighbors of the current query vertex, v must have at least that many
 // unmapped neighbors labeled l.
+//
+// It counts only the labels of the needs: an unmapped neighbor whose
+// label is one of them adds to that need's tally, and the check passes
+// as soon as every tally has reached its count.
 func (e *engine) vf2ppOK(depth int, v uint32) bool {
 	req := e.fwdReq[depth]
 	if len(req) == 0 {
 		return true
 	}
-	e.counter.Reset()
+	have := e.needHave[:len(req)]
+	clear(have)
+	short := len(req) // needs not met yet
 	for _, w := range e.g.Neighbors(v) {
-		if !e.visited[w] {
-			e.counter.Add(e.g.Label(w))
+		if e.visited[w] {
+			continue
+		}
+		l := e.g.Label(w)
+		for i := range req {
+			if req[i].label == l {
+				if have[i]++; have[i] == req[i].count {
+					if short--; short == 0 {
+						return true
+					}
+				}
+				break
+			}
 		}
 	}
-	for _, need := range req {
-		if e.counter.Count(need.label) < need.count {
-			return false
-		}
-	}
-	return true
+	return false
 }

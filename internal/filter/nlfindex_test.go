@@ -464,7 +464,11 @@ var hugeLabels = []graph.Label{7, 4_000_000_000, 4_000_000_064, math.MaxUint32}
 // are probed too.
 func probeLabels(g *graph.Graph) []graph.Label {
 	var probes []graph.Label
-	for l := graph.Label(0); l <= min(graph.MaxLabelOf(g)+1, 255); l++ {
+	var largest graph.Label
+	for _, l := range g.Labels() {
+		largest = max(largest, l)
+	}
+	for l := graph.Label(0); l <= min(largest+1, 255); l++ {
 		probes = append(probes, l)
 	}
 	for _, l := range g.Labels() {

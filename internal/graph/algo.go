@@ -5,8 +5,15 @@ package graph
 // extraction.
 
 // IsConnected reports whether g is connected. The empty graph is
-// considered connected.
+// considered connected. The graph is immutable, so the search runs once
+// and later calls read its verdict.
 func (g *Graph) IsConnected() bool {
+	g.connOnce.Do(func() { g.connected = g.searchConnected() })
+	return g.connected
+}
+
+// searchConnected is IsConnected's depth-first search from vertex 0.
+func (g *Graph) searchConnected() bool {
 	n := g.NumVertices()
 	if n == 0 {
 		return true

@@ -23,6 +23,7 @@ func ParseEdgeList(r io.Reader, numLabels int, seed int64) (*Graph, error) {
 		return nil, fmt.Errorf("graph: edge list needs at least 1 label")
 	}
 	s := newLineScanner(r)
+	defer s.release()
 	idOf := map[uint64]Vertex{}
 	b := NewBuilder(0, 0)
 	intern := func(raw uint64) Vertex {

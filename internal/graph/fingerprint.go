@@ -23,8 +23,16 @@ const fingerprintVersion = "smfp/1\n"
 // serialization — vertex count, labels in vertex order, then each
 // vertex's sorted adjacency list — through sha256. The CSR invariant
 // (adjacency sorted, ids dense) makes this serialization canonical
-// without any normalization pass. O(|V|+|E|) time, constant extra space.
+// without any normalization pass. O(|V|+|E|) time, constant extra space,
+// once per graph: the graph is immutable, so later calls read the digest
+// the first one kept.
 func FingerprintOf(g *Graph) Fingerprint {
+	g.fpOnce.Do(func() { g.fp = digest(g) })
+	return g.fp
+}
+
+// digest streams g's canonical serialization through sha256.
+func digest(g *Graph) Fingerprint {
 	h := sha256.New()
 	h.Write([]byte(fingerprintVersion))
 	var buf [8]byte

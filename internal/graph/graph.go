@@ -33,7 +33,8 @@ const NoVertex = ^Vertex(0)
 
 // Graph is an immutable undirected vertex-labeled graph in CSR form.
 // Its three indexes — by label, by label pair and NLF — are built on
-// first use, each once, safely under concurrent readers.
+// first use, each once, safely under concurrent readers; so are its
+// fingerprint and its connectivity verdict.
 // The zero value is an empty graph; use a Builder or the io helpers to
 // construct non-trivial instances. A Graph must not be copied after
 // first use (it carries the sync.Onces guarding its lazy indexes and
@@ -66,6 +67,14 @@ type Graph struct {
 	// then.
 	poolSigOnce sync.Once
 	poolSigs    atomic.Pointer[map[Label][]uint64]
+
+	// The fingerprint and the connectivity verdict, computed on first
+	// use (FingerprintOf, IsConnected): a query graph the serving layer
+	// reuses across requests pays for each once.
+	fpOnce    sync.Once
+	fp        Fingerprint
+	connOnce  sync.Once
+	connected bool
 
 	// The free lists of per-request scratch over this graph (scratch.go).
 	scratchMu   sync.Mutex

@@ -293,24 +293,6 @@ func TestNeighborDegreesDescending(t *testing.T) {
 	}
 }
 
-func TestLabelCounter(t *testing.T) {
-	g := triangleWithTail()
-	c := NewLabelCounter(MaxLabelOf(g))
-	c.CountNeighbors(g, 0)
-	if c.Count(1) != 2 || c.Count(2) != 1 || c.Count(0) != 0 {
-		t.Errorf("counts after CountNeighbors(0): l1=%d l2=%d l0=%d", c.Count(1), c.Count(2), c.Count(0))
-	}
-	touched := append([]Label(nil), c.Touched()...)
-	sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
-	if !reflect.DeepEqual(touched, []Label{1, 2}) {
-		t.Errorf("Touched = %v, want [1 2]", touched)
-	}
-	c.Reset()
-	if c.Count(1) != 0 || len(c.Touched()) != 0 {
-		t.Error("Reset did not clear counts")
-	}
-}
-
 func TestCSRInvariantsProperty(t *testing.T) {
 	// Property: for random graphs, adjacency is sorted, symmetric and
 	// consistent with HasEdge.

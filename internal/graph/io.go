@@ -27,6 +27,7 @@ func Parse(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph: nil reader")
 	}
 	s := newLineScanner(r)
+	defer s.release()
 	var b *Builder
 	// declared[v] is the degree column of vertex v where hasDegree[v].
 	// The list outlives a second t line: an id keeps the last degree any

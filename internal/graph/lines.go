@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 )
@@ -54,6 +55,8 @@ type lineScanner struct {
 	n           int               // number of fields on the current line
 	bounds      [maxFields][2]int // where its first min(n, maxFields) fields start and end in buf
 	value       [maxFields]uint64 // a field's value, or noValue
+
+	firstBuf *[scanBufSize]byte // the scanner's pooled first buffer
 }
 
 // noValue is the value of a field that is not 1..maxExactDigits digits.
@@ -65,11 +68,31 @@ func (s *lineScanner) line() []byte { return s.buf[s.first:s.last] }
 // field returns field k of the current record, k < min(n, maxFields).
 func (s *lineScanner) field(k int) []byte { return s.buf[s.bounds[k][0]:s.bounds[k][1]] }
 
+// scanBufSize is the scanner's first buffer, bufio's own start size.
+const scanBufSize = 4096
+
+// scanBufs holds the scanners' first buffers between parses. A parse
+// reads no byte of it after it returns (the graph and every error text
+// are copies), and a scanner that grows allocates its larger buffer
+// itself, as from nil, so a pooled buffer only ever has scanBufSize
+// bytes.
+var scanBufs = sync.Pool{New: func() any { return new([scanBufSize]byte) }}
+
+// newLineScanner returns a scanner over r whose first buffer comes from
+// scanBufs; release returns it.
 func newLineScanner(r io.Reader) *lineScanner {
+	first := scanBufs.Get().(*[scanBufSize]byte)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(nil, maxLine)
+	sc.Buffer(first[:0], maxLine)
 	sc.Split(scanLines)
-	return &lineScanner{sc: sc}
+	return &lineScanner{sc: sc, firstBuf: first}
+}
+
+// release hands the scanner's first buffer back; the scanner is not
+// used again.
+func (s *lineScanner) release() {
+	scanBufs.Put(s.firstBuf)
+	s.firstBuf = nil
 }
 
 // scanLines is the scanner's split function: every complete line the

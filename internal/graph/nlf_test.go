@@ -59,12 +59,21 @@ func hugeLabel(l Label) Label {
 	return l
 }
 
+// maxLabel is g's largest label, 0 for the empty graph.
+func maxLabel(g *Graph) Label {
+	var largest Label
+	for _, l := range g.Labels() {
+		largest = max(largest, l)
+	}
+	return largest
+}
+
 // probeLabels lists the labels to look up in g's index: every label up
 // to one past the largest or 300, whichever is less, and each label the
 // graph has with its two neighbours.
 func probeLabels(g *Graph) []Label {
 	var probes []Label
-	for l := Label(0); l <= min(MaxLabelOf(g)+1, 300); l++ {
+	for l := Label(0); l <= min(maxLabel(g)+1, 300); l++ {
 		probes = append(probes, l)
 	}
 	for _, l := range g.Labels() {
@@ -78,7 +87,7 @@ func probeLabels(g *Graph) []Label {
 // labels v does not see, and nothing for an isolated vertex), with and
 // without the labels stored. The signature is those labels folded to
 // bits mod 64, and Bytes is 4 bytes an entry, 8 when the index is not
-// exact. The counts are kept in a map, as a LabelCounter's table would
+// exact. The counts are kept in a map, as a dense counter's table would
 // be as long as the largest label: on the graphs with sparse, huge
 // labels (every third seed) neither may the build's be, which its
 // allocations bound.
@@ -160,7 +169,7 @@ func TestNLFExactStoresNoLabels(t *testing.T) {
 			if gx.Signature(Vertex(v)) != hx.Signature(Vertex(v)) {
 				t.Fatalf("seed %d: signature of N(%d) = %#x exact, %#x with labels", seed, v, gx.Signature(Vertex(v)), hx.Signature(Vertex(v)))
 			}
-			for l := Label(0); l <= MaxLabelOf(g)+1; l++ {
+			for l := Label(0); l <= maxLabel(g)+1; l++ {
 				if !slices.Equal(gx.Run(Vertex(v), l), hx.Run(Vertex(v), l+64)) || gx.Count(Vertex(v), l) != hx.Count(Vertex(v), l+64) {
 					t.Fatalf("seed %d: vertex %d: label %d runs %v (count %d), label %d runs %v (count %d)", seed, v,
 						l, gx.Run(Vertex(v), l), gx.Count(Vertex(v), l), l+64, hx.Run(Vertex(v), l+64), hx.Count(Vertex(v), l+64))
@@ -242,7 +251,7 @@ func TestPoolSignatures(t *testing.T) {
 		if g.IndexBytes() != x.Bytes() {
 			t.Fatalf("seed %d: IndexBytes = %d before PoolSignatures, NLF %d", seed, g.IndexBytes(), x.Bytes())
 		}
-		for l := Label(0); l <= MaxLabelOf(g)+1; l++ {
+		for l := Label(0); l <= maxLabel(g)+1; l++ {
 			pool, sigs := g.VerticesWithLabel(l), g.PoolSignatures(l)
 			if len(sigs) != len(pool) {
 				t.Fatalf("seed %d: label %d: %d signatures for %d vertices", seed, l, len(sigs), len(pool))

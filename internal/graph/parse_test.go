@@ -414,13 +414,16 @@ func allocated(runs int, f func()) (bytes, objects float64) {
 }
 
 // TestParseQueryAllocs is the allocation budget of a query parse: a
-// 16-vertex, 24-edge query in at most 15 objects and under 6 KiB, most
-// of it the scanner's 4 KiB buffer. With a 1 MiB scanner buffer
-// allocated per call it took 1 054 945 B and 145 objects; with the label
-// index and the label-pair counts built by Build, 6 320 B and 27. Those
-// two are built on first use now, and a query that only looks up a
-// cached plan never reads them.
+// 16-vertex, 24-edge query in at most 13 objects and under 2 KiB. With
+// a 1 MiB scanner buffer allocated per call it took 1 054 945 B and 145
+// objects; with the label index and the label-pair counts built by
+// Build, 6 320 B and 27; with the scanner's 4 KiB first buffer
+// allocated per call, 5 520 B and 13. The indexes are built on first
+// use now, and the buffer comes from a pool.
 func TestParseQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops a quarter of sync.Pool puts on purpose")
+	}
 	text := queryText16(t)
 	var g *Graph
 	b, n := allocated(50, func() {
@@ -432,8 +435,8 @@ func TestParseQueryAllocs(t *testing.T) {
 	if g.NumVertices() != 16 || g.NumEdges() != 24 {
 		t.Fatalf("parsed %v, want 16 vertices and 24 edges", g)
 	}
-	if b >= 6<<10 || n > 15 {
-		t.Errorf("Parse of a 16-vertex query: %.0f B, %.0f allocs per call; budget < 6144 B, <= 15", b, n)
+	if b >= 2<<10 || n > 13 {
+		t.Errorf("Parse of a 16-vertex query: %.0f B, %.0f allocs per call; budget < 2048 B, <= 13", b, n)
 	}
 }
 

@@ -10,6 +10,7 @@
 package flight
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -34,6 +35,14 @@ const (
 	DefaultErrorCap  = 64
 )
 
+// SpanSource yields a completed request's span tree. The recorder asks
+// for it only when it keeps the record, so a request that is neither
+// slow for its band nor failed never builds one. A *obs.Span is its own
+// source.
+type SpanSource interface {
+	Trace() *obs.Span
+}
+
 // Record is one completed request as retained by the recorder.
 type Record struct {
 	ID      uint64        `json:"id"`
@@ -57,51 +66,88 @@ type Flight struct {
 	graph string
 	algo  string
 	start time.Time
-	phase atomic.Value // string
+	phase atomic.Pointer[string]
 	done  atomic.Bool
+	// ctx, set by StartWatch before the flight is registered, is the
+	// request's context. The recorder's watcher, finding the flight
+	// still in flight, sets armed and registers stopWatch, a
+	// context.AfterFunc that sets cancel once ctx ends; armed and
+	// stopWatch are read and written under the recorder's lock.
+	ctx       context.Context
+	armed     bool
+	stopWatch func() bool
+	cancel    atomic.Bool
 }
 
 // ID returns the flight's recorder-unique id.
 func (f *Flight) ID() uint64 { return f.id }
 
+// phaseNames are the labels the serving path sets: SetPhase stores a
+// pointer into this table for them, and allocates only for another.
+var phaseNames = [...]string{"start", "admission", "plan", "enumerate", "groups"}
+
 // SetPhase labels what the request is doing right now ("queued",
 // "plan", "enumerate", ...).
-func (f *Flight) SetPhase(p string) { f.phase.Store(p) }
+func (f *Flight) SetPhase(p string) {
+	for i := range phaseNames {
+		if phaseNames[i] == p {
+			f.phase.Store(&phaseNames[i])
+			return
+		}
+	}
+	label := p // escapes here, not on the known labels' path
+	f.phase.Store(&label)
+}
 
 // Phase returns the current phase label.
 func (f *Flight) Phase() string {
-	if p, ok := f.phase.Load().(string); ok {
-		return p
+	if p := f.phase.Load(); p != nil {
+		return *p
 	}
 	return ""
 }
 
+// Cancelled is the flag set once the context the flight was started
+// with by StartWatch has ended — from the watcher's first tick of the
+// flight on: a search polling it stops. It is the flight's own, so it
+// may serve one search as core.Limits.Cancel.
+func (f *Flight) Cancelled() *atomic.Bool { return &f.cancel }
+
 // Finish completes the flight: it leaves the in-flight registry, its
-// latency is measured, and the resulting Record — carrying the given
-// span tree, error and consumer payload — is offered to the retention
-// buckets and the subscribers. Finish is idempotent; calls after the
-// first are ignored.
-func (f *Flight) Finish(span *obs.Span, err error, payload any) *Record {
+// latency is measured, and when the recorder keeps the record — slow
+// for its latency band, or failed — the record carries the span tree
+// span yields (nil for none), the error and the consumer payload. Every
+// completion reaches the subscribers, with a span tree only when the
+// record is kept. Finish is idempotent; calls after the first are
+// ignored. It returns the record, nil when none was made.
+func (f *Flight) Finish(span SpanSource, err error, payload any) *Record {
 	return f.finish(time.Since(f.start), span, err, payload)
 }
 
-func (f *Flight) finish(latency time.Duration, span *obs.Span, err error, payload any) *Record {
+func (f *Flight) finish(latency time.Duration, span SpanSource, err error, payload any) *Record {
 	if f.done.Swap(true) {
 		return nil
 	}
-	rec := &Record{
-		ID:      f.id,
-		Graph:   f.graph,
-		Algo:    f.algo,
-		Start:   f.start,
-		Latency: latency,
-		Span:    span,
-		Payload: payload,
+	keep, subscribed := f.r.wants(latency)
+	keep = keep || err != nil
+	var rec *Record
+	if keep || subscribed {
+		rec = &Record{
+			ID:      f.id,
+			Graph:   f.graph,
+			Algo:    f.algo,
+			Start:   f.start,
+			Latency: latency,
+			Payload: payload,
+		}
+		if keep && span != nil {
+			rec.Span = span.Trace()
+		}
+		if err != nil {
+			rec.Err = err.Error()
+		}
 	}
-	if err != nil {
-		rec.Err = err.Error()
-	}
-	f.r.complete(rec)
+	f.r.complete(f, latency, rec)
 	return rec
 }
 
@@ -119,6 +165,17 @@ type InflightInfo struct {
 type bucket struct {
 	count   uint64    // total completions that landed here
 	records []*Record // sorted slowest-first, len <= perBucket
+}
+
+// slot is where a record of the given latency goes in the band's
+// slowest-first list; it is kept when the slot is below perBucket.
+func (b *bucket) slot(latency time.Duration) int {
+	for i, old := range b.records {
+		if latency > old.Latency {
+			return i
+		}
+	}
+	return len(b.records)
 }
 
 // BucketSnapshot is the exported view of one latency bucket.
@@ -145,6 +202,8 @@ type Recorder struct {
 	errCap    int
 	perBucket int
 	subs      []func(*Record)
+	// watching says the watcher goroutine runs (see watch).
+	watching bool
 }
 
 // NewRecorder builds a recorder keeping the slowest perBucket records
@@ -167,13 +226,89 @@ func NewRecorder(perBucket, errCap int) *Recorder {
 
 // Start registers a new in-flight request and returns its handle.
 func (r *Recorder) Start(graph, algo string) *Flight {
+	return r.StartWatch(nil, graph, algo)
+}
+
+// StartWatch is Start for a request that runs one search under ctx:
+// a flight the watcher finds still in flight at one of its ticks, every
+// watchEvery, gets a context.AfterFunc on ctx that sets its Cancelled
+// flag, stopped when the flight finishes. A request shorter than a tick
+// pays for no registration, one that runs longer pays once, and a
+// cancel reaches a search at most one tick after it starts. A nil ctx
+// is not watched.
+func (r *Recorder) StartWatch(ctx context.Context, graph, algo string) *Flight {
+	f := &Flight{r: r, graph: graph, algo: algo, start: time.Now(), ctx: ctx}
+	f.phase.Store(&phaseNames[0])
 	r.mu.Lock()
 	r.nextID++
-	f := &Flight{r: r, id: r.nextID, graph: graph, algo: algo, start: time.Now()}
+	f.id = r.nextID
 	r.inflight[f.id] = f
+	if f.ctx != nil && !r.watching {
+		r.watching = true
+		go r.watch()
+	}
 	r.mu.Unlock()
-	f.phase.Store("start")
 	return f
+}
+
+// watchEvery is the watcher's period. It is the longest a cancel waits
+// to reach a search, beside the engines' own polling interval, and it
+// sets how often a busy recorder wakes a goroutine: polling every
+// context each 2 ms instead cost serve-cold 4 % of its throughput on a
+// 2-CPU box.
+const watchEvery = 10 * time.Millisecond
+
+// watchIdleTicks is how many ticks in a row with no watched flight end
+// the watcher; the next StartWatch of a watched flight starts another.
+const watchIdleTicks = 10
+
+// watch is the watcher goroutine: one per recorder while watched flights
+// are in flight. It arms the watch of every watched flight it finds, so
+// the per-request context.AfterFunc registration — its allocations and
+// its two locks of the parent context — falls only on the requests that
+// outlive a tick.
+func (r *Recorder) watch() {
+	t := time.NewTicker(watchEvery)
+	defer t.Stop()
+	idle := 0
+	var arm []*Flight
+	for range t.C {
+		r.mu.Lock()
+		watched := 0
+		arm = arm[:0]
+		for _, f := range r.inflight {
+			if f.ctx == nil {
+				continue
+			}
+			watched++
+			if !f.armed {
+				f.armed = true
+				arm = append(arm, f)
+			}
+		}
+		if watched > 0 {
+			idle = 0
+		} else if idle++; idle >= watchIdleTicks {
+			r.watching = false
+			r.mu.Unlock()
+			return
+		}
+		r.mu.Unlock()
+		// The registration calls into the request's context, so it runs
+		// outside the lock; a flight that finished meanwhile drops it.
+		for _, f := range arm {
+			stop := context.AfterFunc(f.ctx, func() { f.cancel.Store(true) })
+			r.mu.Lock()
+			_, live := r.inflight[f.id]
+			if live {
+				f.stopWatch = stop
+			}
+			r.mu.Unlock()
+			if !live {
+				stop()
+			}
+		}
+	}
 }
 
 // bucketIndex maps a latency to its band.
@@ -194,25 +329,37 @@ func BucketLabel(i int) string {
 	return ">=" + BucketBounds[len(BucketBounds)-1].String()
 }
 
-// complete moves a finished flight into retention and fans it out to
-// the subscribers (outside the lock: a slow subscriber must not stall
-// the serving path's recorder).
-func (r *Recorder) complete(rec *Record) {
+// wants reports whether a completion of the given latency would be
+// kept in its band and whether anyone subscribes — whether the finisher
+// has to make a record, and a span tree for it, at all.
+func (r *Recorder) wants(latency time.Duration) (keep, subscribed bool) {
 	r.mu.Lock()
-	delete(r.inflight, rec.ID)
-	b := &r.buckets[bucketIndex(rec.Latency)]
+	defer r.mu.Unlock()
+	return r.buckets[bucketIndex(latency)].slot(latency) < r.perBucket, len(r.subs) > 0
+}
+
+// complete takes a finished flight out of the registry, stops its
+// watch, counts it in its band and, when the finisher made a record,
+// moves it into retention and fans it out to the subscribers (outside
+// the lock: a slow subscriber must not stall the serving path's
+// recorder).
+func (r *Recorder) complete(f *Flight, latency time.Duration, rec *Record) {
+	r.mu.Lock()
+	delete(r.inflight, f.id)
+	if stop := f.stopWatch; stop != nil {
+		defer stop() // after the unlock: it calls into the request's context
+	}
+	b := &r.buckets[bucketIndex(latency)]
 	b.count++
+	if rec == nil {
+		r.mu.Unlock()
+		return
+	}
 	// Insert keeping slowest-first order, then clip to the cap. The
 	// slice is tiny (perBucket ~ 8), so a linear insert is cheaper than
-	// anything clever.
-	pos := len(b.records)
-	for i, old := range b.records {
-		if rec.Latency > old.Latency {
-			pos = i
-			break
-		}
-	}
-	if pos < r.perBucket {
+	// anything clever. The slot is looked up again: another completion
+	// may have taken it since wants.
+	if pos := b.slot(latency); pos < r.perBucket {
 		b.records = append(b.records, nil)
 		copy(b.records[pos+1:], b.records[pos:])
 		b.records[pos] = rec

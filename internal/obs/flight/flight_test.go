@@ -1,6 +1,7 @@
 package flight
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -201,5 +202,73 @@ func TestRecorderStress(t *testing.T) {
 	}
 	if errs := r.Errors(); len(errs) != 64 {
 		t.Fatalf("error ring holds %d, want 64", len(errs))
+	}
+}
+
+// TestWatchSetsCancelled: a watched flight's flag is set within a tick
+// or so of its context's end, an unwatched one's never, and the watcher
+// goroutine ends once no watched flight is in flight.
+func TestWatchSetsCancelled(t *testing.T) {
+	r := NewRecorder(0, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	f := r.StartWatch(ctx, "g", "a")
+	plain := r.Start("g", "a")
+	if f.Cancelled().Load() {
+		t.Fatal("flag set before the cancel")
+	}
+	cancel()
+	deadline := time.Now().Add(time.Second)
+	for !f.Cancelled().Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("flag not set a second after the cancel")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if plain.Cancelled().Load() {
+		t.Error("an unwatched flight's flag was set")
+	}
+	f.Finish(nil, nil, nil)
+	plain.Finish(nil, nil, nil)
+	for deadline = time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		r.mu.Lock()
+		watching := r.watching
+		r.mu.Unlock()
+		if !watching {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the watcher still runs with nothing in flight")
+		}
+	}
+}
+
+// TestWatchStress starts and finishes watched flights from many
+// goroutines, half of them cancelled while in flight, under the race
+// detector (make race-stress): every cancelled flight sees its flag.
+func TestWatchStress(t *testing.T) {
+	r := NewRecorder(0, 0)
+	var wg sync.WaitGroup
+	for g := range 16 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 20 {
+				ctx, cancel := context.WithCancel(context.Background())
+				f := r.StartWatch(ctx, "g", "a")
+				f.SetPhase("enumerate")
+				if (g+i)%2 == 0 {
+					cancel()
+					for !f.Cancelled().Load() {
+						time.Sleep(100 * time.Microsecond)
+					}
+				}
+				f.Finish(nil, nil, nil)
+				cancel()
+			}
+		}()
+	}
+	wg.Wait()
+	if n := r.InflightCount(); n != 0 {
+		t.Fatalf("inflight = %d after all finished", n)
 	}
 }

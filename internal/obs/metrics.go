@@ -17,9 +17,10 @@ package obs
 
 import (
 	"fmt"
-	"hash/fnv"
+	"hash/maphash"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -132,15 +133,15 @@ func (h *Histogram) Count() uint64 {
 }
 
 // vecShards is the shard count of each labeled family's children map.
-// Lookups hash the label key onto a shard, so concurrent recorders with
-// different label sets contend on different locks; the values themselves
-// are atomics, so the lock is held only for the map access.
+// Lookups hash the label values onto a shard, so concurrent recorders
+// with different label sets contend on different locks; the values
+// themselves are atomics, so the lock is held only for the map access.
 const vecShards = 16
 
 type vecShard[T any] struct {
 	mu sync.RWMutex
-	m  map[string]*child[T]
-	_  [24]byte // pad away from the neighboring shard's lock word
+	m  map[uint64][]*child[T] // by labelHash; a slice only on a collision
+	_  [24]byte               // pad away from the neighboring shard's lock word
 }
 
 type child[T any] struct {
@@ -158,37 +159,70 @@ type vec[T any] struct {
 func newVec[T any](labels []string, newT func() *T) *vec[T] {
 	v := &vec[T]{labels: labels, newT: newT}
 	for i := range v.shards {
-		v.shards[i].m = make(map[string]*child[T])
+		v.shards[i].m = make(map[uint64][]*child[T])
 	}
 	return v
 }
 
-// key joins label values with a separator that cannot appear unescaped.
+// vecKey joins label values with a separator that cannot appear
+// unescaped: the exposition's sort key.
 func vecKey(values []string) string {
 	return strings.Join(values, "\x1f")
+}
+
+// labelSeed keys labelHash for the life of the process.
+var labelSeed = maphash.MakeSeed()
+
+// labelHash hashes label values, each followed by the separator, in a
+// hasher on the stack: a lookup builds no key and allocates nothing.
+func labelHash(values []string) uint64 {
+	var h maphash.Hash
+	h.SetSeed(labelSeed)
+	for _, v := range values {
+		h.WriteString(v)
+		h.WriteByte(0x1f)
+	}
+	return h.Sum64()
+}
+
+// find returns the child with exactly these label values among those
+// sharing their hash; the caller holds the shard's lock.
+func (s *vecShard[T]) find(h uint64, values []string) *child[T] {
+	for _, c := range s.m[h] {
+		if slices.Equal(c.values, values) {
+			return c
+		}
+	}
+	return nil
+}
+
+// lookup returns the child for values and its hash, nil when it does
+// not exist.
+func (v *vec[T]) lookup(values []string) (*child[T], uint64) {
+	h := labelHash(values)
+	s := &v.shards[h%vecShards]
+	s.mu.RLock()
+	c := s.find(h, values)
+	s.mu.RUnlock()
+	return c, h
 }
 
 func (v *vec[T]) with(values ...string) *T {
 	if len(values) != len(v.labels) {
 		panic(fmt.Sprintf("obs: got %d label values for %d labels %v", len(values), len(v.labels), v.labels))
 	}
-	k := vecKey(values)
-	h := fnv.New32a()
-	io.WriteString(h, k)
-	s := &v.shards[h.Sum32()%vecShards]
-	s.mu.RLock()
-	c, ok := s.m[k]
-	s.mu.RUnlock()
-	if ok {
+	c, h := v.lookup(values)
+	if c != nil {
 		return c.metric
 	}
+	s := &v.shards[h%vecShards]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if c, ok = s.m[k]; ok {
+	if c = s.find(h, values); c != nil {
 		return c.metric
 	}
 	c = &child[T]{values: append([]string(nil), values...), metric: v.newT()}
-	s.m[k] = c
+	s.m[h] = append(s.m[h], c)
 	return c.metric
 }
 
@@ -199,8 +233,8 @@ func (v *vec[T]) children() []*child[T] {
 	for i := range v.shards {
 		s := &v.shards[i]
 		s.mu.RLock()
-		for _, c := range s.m {
-			out = append(out, c)
+		for _, cs := range s.m {
+			out = append(out, cs...)
 		}
 		s.mu.RUnlock()
 	}
@@ -217,19 +251,14 @@ type CounterVec struct {
 
 // With returns (creating on first use) the child counter for the given
 // label values, which must match the family's label names in count and
-// order.
+// order. A caller that records into the same child on every request
+// keeps the returned pointer instead of looking it up each time.
 func (c *CounterVec) With(values ...string) *Counter { return c.vec.with(values...) }
 
 // Value returns the child's current count, 0 if the child was never
 // touched — reading does not create children.
 func (c *CounterVec) Value(values ...string) uint64 {
-	k := vecKey(values)
-	h := fnv.New32a()
-	io.WriteString(h, k)
-	s := &c.vec.shards[h.Sum32()%vecShards]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if ch, ok := s.m[k]; ok {
+	if ch, _ := c.vec.lookup(values); ch != nil {
 		return ch.metric.Value()
 	}
 	return 0

@@ -48,6 +48,11 @@ func NewSpan(name string, start time.Time, d time.Duration) *Span {
 	return &Span{Name: name, Start: start, Duration: d}
 }
 
+// Trace returns s: a finished span is its own span source, for a
+// consumer that takes either a span or something that builds one on
+// demand (flight.SpanSource).
+func (s *Span) Trace() *Span { return s }
+
 // StartSpan begins a span now; pair with End.
 func StartSpan(name string) *Span {
 	return &Span{Name: name, Start: time.Now()}

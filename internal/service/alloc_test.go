@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"math"
 	"runtime"
 	"strconv"
 	"strings"
@@ -11,28 +12,40 @@ import (
 )
 
 // warmHitAllocBudget is what a cache-hit Submit on the benchService
-// fixture allocates: the request's result, its spans and its flight.
-// The plan's parked engine and the query graph's lazy label indexes
-// keep engine construction and index building off this path; a change
-// that puts an allocation back on it moves this number, on purpose or
-// not. BenchmarkServeWarm reports the same count.
-const warmHitAllocBudget = 48
+// fixture allocates: the request's flight, its result and its
+// response. The plan's parked engine and the query graph's lazy label
+// indexes keep engine construction and index building off this path;
+// the workload's metric children are bound once, the spine records the
+// request as values and builds its spans only for a flight the recorder
+// keeps, and the flight's watcher stands in for context.AfterFunc
+// (48 allocations before those). A change that puts an allocation back
+// on it moves this number, on purpose or not. BenchmarkServeWarm
+// reports the same count.
+const warmHitAllocBudget = 3
 
-// TestWarmHitAllocBudget pins the allocations of a warm hit.
+// TestWarmHitAllocBudget pins the allocations of a warm hit. A hit that
+// is slow for its latency band has its record and span tree kept by the
+// flight recorder, which allocates; the recorder keeps the slowest 8 of
+// a band, so the n-th hit is kept with odds of about 8/n. The test warms
+// it with 1 000 hits and takes the quietest of five rounds, the path
+// every other hit takes.
 func TestWarmHitAllocBudget(t *testing.T) {
 	s, req := benchService(t)
 	ctx := context.Background()
-	for i := 0; i < 3; i++ { // build the plan, then park its engine
+	for i := 0; i < 1000; i++ { // build the plan, park its engine, fill the recorder's bands
 		if _, err := s.Submit(ctx, req); err != nil {
 			t.Fatal(err)
 		}
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		resp, err := s.Submit(ctx, req)
-		if err != nil || !resp.CacheHit {
-			t.Fatalf("warm Submit: hit %v, err %v", resp != nil && resp.CacheHit, err)
-		}
-	})
+	allocs := math.Inf(1)
+	for range 5 {
+		allocs = min(allocs, testing.AllocsPerRun(50, func() {
+			resp, err := s.Submit(ctx, req)
+			if err != nil || !resp.CacheHit {
+				t.Fatalf("warm Submit: hit %v, err %v", resp != nil && resp.CacheHit, err)
+			}
+		}))
+	}
 	if allocs > warmHitAllocBudget {
 		t.Errorf("a warm hit allocates %.0f times, budget %d", allocs, warmHitAllocBudget)
 	}

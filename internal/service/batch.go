@@ -205,7 +205,7 @@ func (s *Service) runBatchGroup(ctx context.Context, began time.Time, grp *batch
 
 	span := obs.NewSpan("group", admStart, 0).
 		SetAttr("graph", grp.entry.name).
-		SetAttr("algo", grp.algo).
+		SetAttr("algo", grp.w.algo).
 		SetAttr("items", len(grp.items))
 	span.AddChild(obs.NewSpan("admission", admStart, queueWait))
 
@@ -235,7 +235,7 @@ func (s *Service) runBatchGroup(ctx context.Context, began time.Time, grp *batch
 			// the Response is private so per-item serving facts stay
 			// per-item.
 			s.metrics.batchDeduped.Inc()
-			s.metrics.recordSuccess(grp.entry.name, grp.algo, prior.Result.Embeddings, true,
+			s.metrics.recordSuccess(grp.w, prior.Result.Embeddings, true,
 				prior.Result.TimedOut, prior.Result.LimitHit, time.Since(began))
 			results[idx].Resp = &Response{Result: prior.Result, CacheHit: true, QueueWait: queueWait}
 			continue
@@ -249,7 +249,7 @@ func (s *Service) runBatchGroup(ctx context.Context, began time.Time, grp *batch
 				p.src = planHit
 			}
 		}
-		resp, err := s.run(ctx, &grp.target, &req, p, began, queueWait)
+		resp, err := s.run(ctx, &grp.target, &req, p, began, queueWait, nil)
 		if err != nil {
 			results[idx].Err = err
 			continue
@@ -258,6 +258,9 @@ func (s *Service) runBatchGroup(ctx context.Context, began time.Time, grp *batch
 		if !req.hasSink() {
 			dedup[ek] = resp
 		}
+		// The batch keeps every item's match span: the group span, and
+		// the batch's flight, are built from them.
+		resp.Result.Trace = resp.trail.matchSpan(resp.Result)
 		span.AddChild(resp.Result.Trace.SetAttr("index", idx))
 	}
 	span.End()

@@ -42,9 +42,12 @@ func BenchmarkServeCold(b *testing.B) {
 // BenchmarkServeWarm measures the cache-hit path the service exists
 // for: preprocessing amortized into one build, requests go straight to
 // enumeration. ISSUE acceptance: ≥2× faster than BenchmarkServeCold.
-// A hit allocates 48 objects, 1.9 KB: its engine comes parked on the
-// plan and its query graph builds no label index (with both on the path
-// it was 90 objects, 8.6 KB). TestWarmHitAllocBudget pins the count.
+// A hit allocates 3 objects, 488 B — its flight, result and response:
+// its engine comes parked on the plan, its query graph builds no label
+// index (with both on the path it was 90 objects, 8.6 KB), its metric
+// children are bound once and its spans are built only when kept (with
+// those it was 48 objects, 1.9 KB). TestWarmHitAllocBudget pins the
+// count.
 func BenchmarkServeWarm(b *testing.B) {
 	s, req := benchService(b)
 	ctx := context.Background()

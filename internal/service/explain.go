@@ -33,7 +33,7 @@ func (s *Service) Explain(ctx context.Context, req Request) (_ *ExplainResponse,
 	if t.entry == nil {
 		return nil, err
 	}
-	fl := s.flights.Start(t.entry.name, t.algo+" (explain)")
+	fl := s.flights.Start(t.entry.name, t.w.algo+" (explain)")
 	defer func() { fl.Finish(nil, retErr, nil) }()
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package service
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"subgraphmatching/internal/core"
@@ -18,10 +19,18 @@ import (
 // service-wide aggregates, with the point-in-time occupancy exposed as
 // gauge functions over the live structures.
 //
-// Latency percentiles for the JSON snapshot come from a per-workload
-// sample ring kept alongside the metrics (Prometheus gets the full
-// histogram instead); the ring map doubles as the authoritative set of
-// workloads the snapshot enumerates.
+// Every (graph, algorithm) pair resolves once to a workload: its
+// children in the labeled families, each bound on first use, and its
+// latency ring. A request reaches its workload through the registered
+// graph's entry (graphEntry.workload), so recording an outcome reads a
+// pointer where the families' With would hash the label values and
+// take a shard lock; the intersection-kernel and phase children are
+// bound the same way, in arrays indexed by kernel and by phase.
+//
+// Latency percentiles for the JSON snapshot come from each workload's
+// sample ring (Prometheus gets the full histogram instead); the
+// workload map is the authoritative set of workloads the snapshot
+// enumerates.
 type serviceMetrics struct {
 	reg *obs.Registry
 
@@ -36,6 +45,10 @@ type serviceMetrics struct {
 	phase      *obs.HistogramVec
 
 	kernels *obs.CounterVec // service-wide intersection-kernel mix
+
+	// The kernel and phase children, bound on first use.
+	kernelChild [intersect.NumKernels]atomic.Pointer[obs.Counter]
+	phaseChild  [numPhases]atomic.Pointer[obs.Histogram]
 
 	// Scheduler task volumes across parallel requests: every task, and
 	// the ones running searches donated to idle workers.
@@ -65,9 +78,53 @@ type serviceMetrics struct {
 	batchDeduped *obs.Counter
 	batchSize    *obs.Histogram
 
-	latMu sync.Mutex
-	lat   map[statKey]*latencyRing
+	wlMu      sync.Mutex
+	workloads map[statKey]*workload
 }
+
+// workload is one (graph, algorithm) pair's face on the labeled
+// families: each child is bound on its first use — a family shows a
+// child only once something was recorded into it — and kept. listed
+// says an outcome was recorded, which puts the pair on /stats.
+type workload struct {
+	graph, algo string
+
+	requests, errors, timeouts, limitHits, rejected, cacheHits, embeddings atomic.Pointer[obs.Counter]
+	latency                                                                atomic.Pointer[obs.Histogram]
+
+	listed atomic.Bool
+	mu     sync.Mutex
+	ring   latencyRing
+}
+
+// bind returns the child slot holds, resolving it with with on first
+// use; racing first uses resolve the same child.
+func bind[T any](slot *atomic.Pointer[T], with func() *T) *T {
+	if c := slot.Load(); c != nil {
+		return c
+	}
+	c := with()
+	slot.Store(c)
+	return c
+}
+
+// counter is the workload's child in the (graph, algo) family vec.
+func (w *workload) counter(slot *atomic.Pointer[obs.Counter], vec *obs.CounterVec) *obs.Counter {
+	return bind(slot, func() *obs.Counter { return vec.With(w.graph, w.algo) })
+}
+
+// phase indexes the phase histogram's children.
+type phase uint8
+
+const (
+	phaseFilter phase = iota
+	phaseBuild
+	phaseOrder
+	phaseEnumerate
+	numPhases
+)
+
+var phaseNames = [numPhases]string{"filter", "build", "order", "enumerate"}
 
 // batchSizeBuckets cover the useful batch-size range (smatchd caps
 // batches at maxBatchItems = 1024).
@@ -84,8 +141,8 @@ var depthNodesBuckets = []float64{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
 func newServiceMetrics(s *Service) *serviceMetrics {
 	r := obs.NewRegistry()
 	m := &serviceMetrics{
-		reg: r,
-		lat: make(map[statKey]*latencyRing),
+		reg:       r,
+		workloads: make(map[statKey]*workload),
 
 		requests: r.CounterVec("smatch_requests_total",
 			"Completed match requests.", "graph", "algo"),
@@ -209,60 +266,69 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 	return m
 }
 
-// touch ensures the workload appears in the JSON snapshot even when its
-// only outcomes so far are rejections or errors, and returns its
-// latency ring.
-func (m *serviceMetrics) touch(graph, algo string) *latencyRing {
-	m.latMu.Lock()
-	defer m.latMu.Unlock()
+// workload returns the (graph, algo) pair's workload, made on first
+// use. Callers keep it: graphEntry.workload resolves a request's once
+// per registered graph.
+func (m *serviceMetrics) workload(graph, algo string) *workload {
+	m.wlMu.Lock()
+	defer m.wlMu.Unlock()
 	k := statKey{graph, algo}
-	ring, ok := m.lat[k]
+	w, ok := m.workloads[k]
 	if !ok {
-		ring = &latencyRing{}
-		m.lat[k] = ring
+		w = &workload{graph: graph, algo: algo}
+		m.workloads[k] = w
 	}
-	return ring
+	return w
+}
+
+// list puts the workload on the JSON snapshot: its first outcome,
+// rejections and errors included, does.
+func (w *workload) list() {
+	if !w.listed.Load() {
+		w.listed.Store(true)
+	}
 }
 
 // recordError and recordRejected count n requests at once: the items
 // of a batch group share one plan build and one admission grant, and
 // fail them together.
-func (m *serviceMetrics) recordError(graph, algo string, n int) {
-	m.touch(graph, algo)
-	m.errors.With(graph, algo).Add(uint64(n))
+func (m *serviceMetrics) recordError(w *workload, n int) {
+	w.list()
+	w.counter(&w.errors, m.errors).Add(uint64(n))
 }
 
-func (m *serviceMetrics) recordTimeout(graph, algo string) {
-	m.touch(graph, algo)
-	m.timeouts.With(graph, algo).Inc()
+func (m *serviceMetrics) recordTimeout(w *workload) {
+	w.list()
+	w.counter(&w.timeouts, m.timeouts).Inc()
 }
 
-func (m *serviceMetrics) recordRejected(graph, algo string, n int) {
-	m.touch(graph, algo)
-	m.rejected.With(graph, algo).Add(uint64(n))
+func (m *serviceMetrics) recordRejected(w *workload, n int) {
+	w.list()
+	w.counter(&w.rejected, m.rejected).Add(uint64(n))
 }
 
 // recordSuccess applies one completed request's outcome.
-func (m *serviceMetrics) recordSuccess(graph, algo string, embeddings uint64,
+func (m *serviceMetrics) recordSuccess(w *workload, embeddings uint64,
 	cacheHit, timedOut, limitHit bool, latency time.Duration) {
 
-	ring := m.touch(graph, algo)
-	m.latMu.Lock()
-	ring.add(latency)
-	m.latMu.Unlock()
+	w.list()
+	w.mu.Lock()
+	w.ring.add(latency)
+	w.mu.Unlock()
 
-	m.requests.With(graph, algo).Inc()
-	m.embeddings.With(graph, algo).Add(embeddings)
+	w.counter(&w.requests, m.requests).Inc()
+	w.counter(&w.embeddings, m.embeddings).Add(embeddings)
 	if cacheHit {
-		m.cacheHits.With(graph, algo).Inc()
+		w.counter(&w.cacheHits, m.cacheHits).Inc()
 	}
 	if timedOut {
-		m.timeouts.With(graph, algo).Inc()
+		w.counter(&w.timeouts, m.timeouts).Inc()
 	}
 	if limitHit {
-		m.limitHits.With(graph, algo).Inc()
+		w.counter(&w.limitHits, m.limitHits).Inc()
 	}
-	m.latency.With(graph, algo).Observe(latency.Seconds())
+	bind(&w.latency, func() *obs.Histogram { return m.latency.With(w.graph, w.algo) }).
+		Observe(latency.Seconds())
 }
 
 // recordKernels folds one completed request's intersection-kernel mix
@@ -271,7 +337,9 @@ func (m *serviceMetrics) recordSuccess(graph, algo string, embeddings uint64,
 func (m *serviceMetrics) recordKernels(ks intersect.KernelStats) {
 	for i, n := range ks {
 		if n != 0 {
-			m.kernels.With(intersect.Kernel(i).String()).Add(n)
+			bind(&m.kernelChild[i], func() *obs.Counter {
+				return m.kernels.With(intersect.Kernel(i).String())
+			}).Add(n)
 		}
 	}
 }
@@ -322,41 +390,46 @@ func (m *serviceMetrics) kernelSnapshot() map[string]uint64 {
 // skip them) and the enumeration time always.
 func (m *serviceMetrics) observePhases(filter, build, order, enum time.Duration, paidPreprocess bool) {
 	if paidPreprocess {
-		m.phase.With("filter").Observe(filter.Seconds())
-		m.phase.With("build").Observe(build.Seconds())
-		m.phase.With("order").Observe(order.Seconds())
+		m.observePhase(phaseFilter, filter)
+		m.observePhase(phaseBuild, build)
+		m.observePhase(phaseOrder, order)
 	}
-	m.phase.With("enumerate").Observe(enum.Seconds())
+	m.observePhase(phaseEnumerate, enum)
+}
+
+func (m *serviceMetrics) observePhase(p phase, d time.Duration) {
+	bind(&m.phaseChild[p], func() *obs.Histogram { return m.phase.With(phaseNames[p]) }).
+		Observe(d.Seconds())
 }
 
 // snapshot builds the JSON /stats workload list by reading the counter
 // vecs back — the snapshot and /metrics can never disagree.
 func (m *serviceMetrics) snapshot() []WorkloadStats {
-	m.latMu.Lock()
-	keys := make([]statKey, 0, len(m.lat))
-	rings := make([]*latencyRing, 0, len(m.lat))
-	for k, r := range m.lat {
-		keys = append(keys, k)
-		rings = append(rings, r)
+	m.wlMu.Lock()
+	ws := make([]*workload, 0, len(m.workloads))
+	for _, w := range m.workloads {
+		if w.listed.Load() {
+			ws = append(ws, w)
+		}
 	}
-	m.latMu.Unlock()
+	m.wlMu.Unlock()
 
-	out := make([]WorkloadStats, 0, len(keys))
-	for i, k := range keys {
-		m.latMu.Lock()
-		p50 := rings[i].percentile(0.50)
-		p99 := rings[i].percentile(0.99)
-		m.latMu.Unlock()
+	out := make([]WorkloadStats, 0, len(ws))
+	for _, w := range ws {
+		w.mu.Lock()
+		p50 := w.ring.percentile(0.50)
+		p99 := w.ring.percentile(0.99)
+		w.mu.Unlock()
 		out = append(out, WorkloadStats{
-			Graph:      k.graph,
-			Algorithm:  k.algo,
-			Queries:    m.requests.Value(k.graph, k.algo),
-			CacheHits:  m.cacheHits.Value(k.graph, k.algo),
-			Timeouts:   m.timeouts.Value(k.graph, k.algo),
-			LimitHits:  m.limitHits.Value(k.graph, k.algo),
-			Rejected:   m.rejected.Value(k.graph, k.algo),
-			Errors:     m.errors.Value(k.graph, k.algo),
-			Embeddings: m.embeddings.Value(k.graph, k.algo),
+			Graph:      w.graph,
+			Algorithm:  w.algo,
+			Queries:    m.requests.Value(w.graph, w.algo),
+			CacheHits:  m.cacheHits.Value(w.graph, w.algo),
+			Timeouts:   m.timeouts.Value(w.graph, w.algo),
+			LimitHits:  m.limitHits.Value(w.graph, w.algo),
+			Rejected:   m.rejected.Value(w.graph, w.algo),
+			Errors:     m.errors.Value(w.graph, w.algo),
+			Embeddings: m.embeddings.Value(w.graph, w.algo),
 			P50:        p50,
 			P99:        p99,
 		})

@@ -6,7 +6,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -222,7 +224,7 @@ func TestSubmitTraceShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := resp.Result.Trace
+	root := resp.Trace()
 	if root == nil || root.Name != "request" {
 		t.Fatalf("cold: root = %+v, want request span", root)
 	}
@@ -247,7 +249,7 @@ func TestSubmitTraceShapes(t *testing.T) {
 	if !resp.CacheHit {
 		t.Fatal("second submit did not hit the cache")
 	}
-	root = resp.Result.Trace
+	root = resp.Trace()
 	assertNested("warm", root)
 	match = root.Child("match")
 	if match == nil {
@@ -404,6 +406,87 @@ func TestStatsMatchMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(buf.String(), family) {
 			t.Errorf("exposition missing %s", family)
+		}
+	}
+}
+
+// phaseSum reads the phase histogram's running sum for phase from a
+// scrape, 0 while the phase has no child yet.
+func phaseSum(t *testing.T, s *Service, phase string) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	s.Metrics().WritePrometheus(&buf)
+	prefix := `smatch_phase_duration_seconds_sum{phase="` + phase + `"} `
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	return 0
+}
+
+// TestPhaseRecordsAgree: a request's phases are recorded once, as values
+// on its Result, and the phase histogram, the span tree and EXPLAIN all
+// read those — for the request that built its plan and for a hit, whose
+// "plan" span reports the preprocessing the build paid.
+func TestPhaseRecordsAgree(t *testing.T) {
+	s, g := newTestService(t, Config{})
+	defer s.Close()
+	q := testutil.RandomConnectedQuery(rand.New(rand.NewSource(9)), g, 5)
+	phases := []string{"filter", "build", "order", "enumerate"}
+	var built time.Duration
+	for _, hit := range []bool{false, true} {
+		before := make(map[string]float64)
+		for _, p := range phases {
+			before[p] = phaseSum(t, s, p)
+		}
+		resp, err := s.Submit(context.Background(), Request{Graph: "main", Query: q, Algorithm: core.GraphQL, Profile: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.CacheHit != hit {
+			t.Fatalf("hit %v, want %v", resp.CacheHit, hit)
+		}
+		res := resp.Result
+		want := map[string]time.Duration{"enumerate": res.EnumTime}
+		if !hit {
+			want["filter"], want["build"], want["order"] = res.FilterTime, res.BuildTime, res.OrderTime
+			built = res.PreprocessTime()
+		}
+		for _, p := range phases {
+			got := phaseSum(t, s, p) - before[p]
+			if math.Abs(got-want[p].Seconds()) > 1e-9 {
+				t.Errorf("hit %v: the %s histogram grew by %gs, the Result says %v", hit, p, got, want[p])
+			}
+		}
+		match := resp.Trace().Child("match")
+		if d := match.Child("enumerate").Duration; d != res.EnumTime {
+			t.Errorf("hit %v: enumerate span %v, Result %v", hit, d, res.EnumTime)
+		}
+		if hit {
+			if saved := match.Child("plan").Attr("saved_ns"); saved != built.Nanoseconds() {
+				t.Errorf("plan span saved_ns = %v, the build paid %v", saved, built)
+			}
+			continue
+		}
+		pre := match.Child("preprocess")
+		for _, p := range phases[:3] {
+			if d := pre.Child(p).Duration; d != want[p] {
+				t.Errorf("%s span %v, Result %v", p, d, want[p])
+			}
+		}
+		stages := pre.Child("filter").Children
+		if len(stages) != len(res.Explain.Filter) {
+			t.Fatalf("filter span has %d stages, EXPLAIN %d", len(stages), len(res.Explain.Filter))
+		}
+		for i, st := range res.Explain.Filter {
+			if stages[i].Name != st.Name || stages[i].Duration.Nanoseconds() != st.DurationNS {
+				t.Errorf("stage %d: span %s %v, EXPLAIN %s %dns", i, stages[i].Name, stages[i].Duration, st.Name, st.DurationNS)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"subgraphmatching/internal/core"
@@ -39,6 +40,29 @@ type graphEntry struct {
 	g    *graph.Graph
 	gen  uint64
 	at   time.Time
+	// workloads caches the metrics workload of each preset run against
+	// the graph, indexed by core.Algorithm, and at customSlot of the
+	// Custom configurations: a request resolves its (graph, algo)
+	// children once per registration. The workloads themselves outlive
+	// the entry, so /stats and /metrics keep counting across a
+	// replacement.
+	workloads [customSlot + 1]atomic.Pointer[workload]
+}
+
+// customSlot is the workloads slot of Custom requests; an Algorithm at
+// or past it is not cached.
+const customSlot = 16
+
+// workload returns the request's metrics workload against this graph.
+func (e *graphEntry) workload(m *serviceMetrics, req *Request) *workload {
+	slot := customSlot
+	if req.Custom == nil {
+		slot = int(req.Algorithm)
+		if slot >= customSlot {
+			return m.workload(e.name, req.algoName())
+		}
+	}
+	return bind(&e.workloads[slot], func() *workload { return m.workload(e.name, req.algoName()) })
 }
 
 func (e *graphEntry) info() GraphInfo {

@@ -142,6 +142,26 @@ type Response struct {
 	CacheHit bool
 	// QueueWait is how long admission control held the request.
 	QueueWait time.Duration
+	// trail is the request's value record, which Trace builds the span
+	// tree from.
+	trail trail
+}
+
+// Trace returns the request's span tree — the request root with its
+// admission and match children, the match span of a batch item — and
+// keeps it on Result.Trace. The serving path records a request's clocks
+// and outcomes as values; the tree is built on the first call, so a
+// request nobody traces, explains or keeps never builds one.
+func (r *Response) Trace() *obs.Span {
+	if r.Result.Trace == nil {
+		t := &r.trail
+		r.Result.Trace = obs.NewSpan("request", t.began, t.latency).
+			SetAttr("graph", t.w.graph).
+			SetAttr("algo", t.w.algo).
+			AddChild(obs.NewSpan("admission", t.began, r.QueueWait)).
+			AddChild(t.matchSpan(r.Result))
+	}
+	return r.Result.Trace
 }
 
 // Service is the long-lived matching layer: registry + plan cache +
@@ -317,7 +337,7 @@ func (r *Request) resolveConfig(g *graph.Graph) core.Config {
 type target struct {
 	entry *graphEntry
 	cfg   core.Config
-	algo  string
+	w     *workload // the (graph, algo) metrics children
 }
 
 // resolve turns a request into its target, or the typed error that
@@ -336,16 +356,16 @@ func (s *Service) resolve(req *Request) (target, error) {
 	if err != nil {
 		return target{}, err
 	}
-	t := target{entry: entry, algo: req.algoName()}
+	t := target{entry: entry, w: entry.workload(s.metrics, req)}
 	if err := core.Validate(req.Query, entry.g); err != nil {
-		s.metrics.recordError(entry.name, t.algo, 1)
+		s.metrics.recordError(t.w, 1)
 		return t, err
 	}
 	t.cfg = req.resolveConfig(entry.g)
 	// A tuple the engine cannot run is refused here, before the plan
 	// cache is asked: no lookup, no build, nothing cached.
 	if err := t.cfg.Check(req.Query.NumVertices()); err != nil {
-		s.metrics.recordError(entry.name, t.algo, 1)
+		s.metrics.recordError(t.w, 1)
 		return t, err
 	}
 	return t, nil
@@ -358,7 +378,7 @@ func (s *Service) resolve(req *Request) (target, error) {
 func (s *Service) admit(ctx context.Context, t *target, began time.Time, parallel, n int) (int64, time.Duration, error) {
 	weight := s.sem.clampWeight(int64(parallel))
 	if err := s.sem.acquire(ctx, t.entry.name, weight, s.cfg.MaxQueueWait, s.cfg.MaxQueue); err != nil {
-		s.metrics.recordRejected(t.entry.name, t.algo, n)
+		s.metrics.recordRejected(t.w, n)
 		return 0, 0, err
 	}
 	queueWait := time.Since(began)
@@ -406,7 +426,7 @@ func (s *Service) plan(ctx context.Context, t *target, req *Request, n int) (p p
 	if err != nil {
 		// A preprocessing failure is a property of the (query, config)
 		// every item sharing the plan has; each would fail identically.
-		s.metrics.recordError(t.entry.name, t.algo, n)
+		s.metrics.recordError(t.w, n)
 		return p, err
 	}
 	p.arrived = time.Since(p.start)
@@ -424,18 +444,21 @@ func (r *Request) hasSink() bool { return r.OnRun != nil || r.OnMatch != nil }
 // becomes a core.Limits, run by core.RunContext: the ctx deadline is
 // folded into the time limit there, after the queue wait and the plan
 // acquisition — both consume the caller's budget — and cancelling ctx
-// stops the search cooperatively. A ctx deadline counts as a timeout,
-// every other failure as an error.
+// stops the search cooperatively, through cancel when the caller's
+// flight watches ctx and through RunContext's own watch when cancel is
+// nil. A ctx deadline counts as a timeout, every other failure as an
+// error.
 //
-// The "match" span distinguishes the three ways a plan can arrive. A
-// fresh build attaches the plan's full "preprocess" span; a cache hit
-// attaches a "plan" span covering only the lookup, annotated with the
+// The Response's trail records the run for its "match" span, which
+// distinguishes the three ways a plan can arrive. A fresh build
+// attaches the plan's full "preprocess" span; a cache hit attaches a
+// "plan" span covering only the lookup, annotated with the
 // preprocessing cost the hit saved; a singleflight follower attaches a
 // "plan" span covering its wait on the leader's build. The latter two
 // report CacheHit — the request did not pay preprocessing — and keep
 // the Result's preprocessing times zero for the same reason.
 func (s *Service) run(ctx context.Context, t *target, req *Request, p planned,
-	began time.Time, queueWait time.Duration) (_ *Response, err error) {
+	began time.Time, queueWait time.Duration, cancel *atomic.Bool) (_ *Response, err error) {
 
 	// A panic on this goroutine — in enumeration, or in the caller's sink
 	// on a sequential run — is the request's error, not its connection's
@@ -457,14 +480,11 @@ func (s *Service) run(ctx context.Context, t *target, req *Request, p planned,
 	limits := core.Limits{
 		MaxEmbeddings: req.MaxEmbeddings,
 		TimeLimit:     timeLimit,
+		Cancel:        cancel,
 		OnRun:         req.OnRun,
 		OnMatch:       req.OnMatch,
 		Parallel:      req.Parallel,
 		Profile:       req.Profile,
-		// The service always traces: spans are built at phase
-		// boundaries only, the slow-query log needs them, and callers
-		// get the breakdown for free on Result.Trace.
-		Trace: true,
 	}
 	cacheHit := p.plan != nil && p.src != planBuilt
 	res, err := core.RunContext(ctx, limits, func(limits core.Limits) (*core.Result, error) {
@@ -478,41 +498,81 @@ func (s *Service) run(ctx context.Context, t *target, req *Request, p planned,
 	})
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
-			s.metrics.recordTimeout(t.entry.name, t.algo)
+			s.metrics.recordTimeout(t.w)
 		} else {
-			s.metrics.recordError(t.entry.name, t.algo, 1)
+			s.metrics.recordError(t.w, 1)
 		}
 		return nil, err
 	}
-	if cacheHit {
-		res.Trace = obs.NewSpan("match", p.start, time.Since(p.start)).
-			AddChild(planSpan(p.src, p.plan, p.start, p.arrived)).
-			AddChild(res.Trace)
+	resp := &Response{Result: res, CacheHit: cacheHit, QueueWait: queueWait}
+	resp.trail = trail{w: t.w, p: p, match: time.Since(p.start), began: began}
+	if p.plan == nil {
+		resp.trail.engine = t.cfg.Engine()
 	}
 
-	s.metrics.recordSuccess(t.entry.name, t.algo, res.Embeddings, cacheHit,
+	s.metrics.recordSuccess(t.w, res.Embeddings, cacheHit,
 		res.TimedOut, res.LimitHit, time.Since(began))
 	s.metrics.recordKernels(res.Kernels)
 	s.metrics.recordSplit(res.Split)
 	s.metrics.observeDepthNodes(res.Profile)
 	s.metrics.observePhases(res.FilterTime, res.BuildTime, res.OrderTime,
 		res.EnumTime, !cacheHit)
-	return &Response{Result: res, CacheHit: cacheHit, QueueWait: queueWait}, nil
+	return resp, nil
+}
+
+// trail is one request's value record: the spine's steps write their
+// clocks and the plan's arrival here as they pass, and the span tree is
+// built from it — by Response.Trace — only for a request that asks for
+// it, that the flight recorder keeps, or that the slow-query log
+// writes.
+type trail struct {
+	w *workload
+	// engine names the external engine that ran a plan-less request.
+	engine string
+	p      planned
+	// match is the run's wall time from the plan step's start.
+	match time.Duration
+	// began and latency are the request's arrival and its end-to-end
+	// latency (Submit's).
+	began   time.Time
+	latency time.Duration
+}
+
+// matchSpan is the run's "match" span: how the plan arrived and the
+// enumeration over it, which started when the plan arrived.
+func (t *trail) matchSpan(res *core.Result) *obs.Span {
+	p := t.p
+	enumStart := p.start.Add(p.arrived)
+	sp := obs.NewSpan("match", p.start, t.match)
+	switch {
+	case p.plan == nil:
+		return sp.AddChild(core.EnumerateSpan(enumStart, res).SetAttr("engine", t.engine))
+	case p.src == planBuilt:
+		sp.AddChild(p.plan.Span)
+	default:
+		sp.AddChild(planSpan(p.src, p.plan, p.start, p.arrived))
+	}
+	if p.plan.Empty {
+		return sp.AddChild(obs.NewSpan("enumerate", enumStart, 0).SetAttr("empty", true))
+	}
+	return sp.AddChild(core.EnumerateSpan(enumStart, res))
 }
 
 // Submit runs one request end to end — the spine for a group of one,
-// as a direct call chain — and then wraps the request's root span,
-// prepares its slow-query record and finishes its flight.
+// as a direct call chain — and then prepares its slow-query record and
+// finishes its flight, which builds the request's span tree only if the
+// recorder keeps it.
 func (s *Service) Submit(ctx context.Context, req Request) (resp *Response, retErr error) {
 	t, err := s.resolve(&req)
 	if t.entry == nil {
 		return nil, err
 	}
-	// Every request past graph resolution is on the flight recorder.
-	// The success path finishes the flight explicitly with its span and
-	// slow-log payload; Finish is idempotent, so the deferred call only
-	// catches the error returns.
-	fl := s.flights.Start(t.entry.name, t.algo)
+	// Every request past graph resolution is on the flight recorder,
+	// which also watches ctx for the search. The success path finishes
+	// the flight explicitly with its trail and slow-log payload; Finish
+	// is idempotent, so the deferred call only catches the error
+	// returns.
+	fl := s.flights.StartWatch(ctx, t.entry.name, t.w.algo)
 	defer func() { fl.Finish(nil, retErr, nil) }()
 	if err != nil {
 		return nil, err
@@ -533,19 +593,12 @@ func (s *Service) Submit(ctx context.Context, req Request) (resp *Response, retE
 		return nil, err
 	}
 	fl.SetPhase("enumerate")
-	if resp, err = s.run(ctx, &t, &req, p, began, queueWait); err != nil {
+	if resp, err = s.run(ctx, &t, &req, p, began, queueWait, fl.Cancelled()); err != nil {
 		return nil, err
 	}
 	res := resp.Result
 	latency := time.Since(began)
-
-	// Wrap the request root span: admission wait plus the match tree.
-	root := obs.NewSpan("request", began, latency).
-		SetAttr("graph", t.entry.name).
-		SetAttr("algo", t.algo)
-	root.AddChild(obs.NewSpan("admission", began, queueWait))
-	root.AddChild(res.Trace)
-	res.Trace = root
+	resp.trail.latency = latency
 
 	// Slow path: prepare the log record here (the serving path owns the
 	// threshold decision) and hand it to the recorder as the flight's
@@ -556,7 +609,7 @@ func (s *Service) Submit(ctx context.Context, req Request) (resp *Response, retE
 		payload = slowQueryRecord{
 			Time:        time.Now().UTC().Format(time.RFC3339Nano),
 			Graph:       t.entry.name,
-			Algorithm:   t.algo,
+			Algorithm:   t.w.algo,
 			QueryFP:     fingerprintHex(graph.FingerprintOf(req.Query)),
 			QueryVerts:  req.Query.NumVertices(),
 			QueryEdges:  req.Query.NumEdges(),
@@ -569,10 +622,10 @@ func (s *Service) Submit(ctx context.Context, req Request) (resp *Response, retE
 			LimitHit:    res.LimitHit,
 			LatencyNS:   latency.Nanoseconds(),
 			QueueWaitNS: queueWait.Nanoseconds(),
-			Trace:       res.Trace,
+			Trace:       resp.Trace(),
 		}
 	}
-	fl.Finish(root, nil, payload)
+	fl.Finish(resp, nil, payload)
 	return resp, nil
 }
 
@@ -673,7 +726,7 @@ func (s *Service) forgetPlan(t *target, req *Request, plan *core.Plan) {
 // recorder's error ring keeps with the error — is the panicking
 // goroutine's.
 func (s *Service) recovered(t *target, n int, r any) error {
-	s.metrics.recordError(t.entry.name, t.algo, n)
+	s.metrics.recordError(t.w, n)
 	return fmt.Errorf("service: %w: %v\n%s", core.ErrInternal, r, debug.Stack())
 }
 

@@ -15,7 +15,12 @@ const latencySampleSize = 512
 // counters themselves live on the obs registry (see serviceMetrics);
 // the ring survives because exact p50/p99 over recent requests is a
 // different quantity than a fixed-bucket histogram can provide, and the
-// JSON /stats consumers rely on it.
+// JSON /stats consumers rely on it. Read from the latency histogram, a
+// quantile is known only to within its bucket: the bounds step by 2–2.5×
+// (obs.DefaultDurationBuckets), so a warm hit's p50 of 40 µs would read
+// as "somewhere below 100 µs" and one of 300 µs as anywhere in 250–500
+// µs — an error of up to 150 % that no interpolation bounds, and one
+// that covers every request since start, not the recent ones.
 type latencyRing struct {
 	buf  [latencySampleSize]time.Duration
 	n    int // total recorded (saturates the ring at len(buf))
@@ -31,7 +36,7 @@ func (r *latencyRing) add(d time.Duration) {
 }
 
 // percentile returns the p-quantile (0 < p <= 1) of the retained
-// samples, 0 when empty. Called under the metrics latency lock.
+// samples, 0 when empty. Called under the workload's lock.
 func (r *latencyRing) percentile(p float64) time.Duration {
 	if r.n == 0 {
 		return 0
