@@ -106,7 +106,11 @@ isolated:
 # the differential oracle (every preset and any legal configuration
 # tuple, fresh and over a cached plan, at 1 and 4 workers, through every
 # sink form, capped and uncapped, returns the brute-force embedding
-# multiset).
+# multiset; its seeds start with the four counted-tail rows after the
+# 65-vertex path — a tail with a same-label pair, counted at caps 1 and
+# 7 and by 4 uncapped workers; one under homomorphism; one under failing
+# sets that counts 0; one a third same-label vertex cuts short, so the
+# loop runs over it).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFilterSoundness -fuzztime 5s ./internal/filter
 	$(GO) test -run '^$$' -fuzz FuzzSemiPerfectClasses -fuzztime 5s ./internal/filter

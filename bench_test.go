@@ -1034,14 +1034,16 @@ func BenchmarkParseDataGraph(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e6, "parse-ms")
 }
 
-// harnessCorpus is the enum-heavy input of the repository benchmark,
-// regenerated in-process by cmd/smatchbench's rules (corpus.go): the g20
-// graph and the 48 fingerprint-deduplicated sparse queries whose
-// Optimized run reaches 250 000 embeddings (per size, the first 16 of
-// 32), which enum-heavy and stream-embeddings send.
+// harnessCorpus is the input of the repository benchmark, regenerated
+// in-process by cmd/smatchbench's rules (corpus.go): the g20 graph, the
+// 48 fingerprint-deduplicated sparse queries whose Optimized run reaches
+// 250 000 embeddings (per size, the first 16 of 32), which enum-heavy
+// and stream-embeddings send, and serve-warm's 64 distinct queries,
+// cycling through the six classes (sizes 8/12/16, dense and sparse).
 type harnessCorpus struct {
 	g     *graph.Graph
 	heavy []*graph.Graph
+	warm  []*graph.Graph
 }
 
 const heavyLimit, heavyPerSize = 250000, 16
@@ -1081,6 +1083,28 @@ func buildHarnessCorpus() (harnessCorpus, error) {
 		return true
 	}
 	c := harnessCorpus{g: g}
+	// serve-warm's list: per class 19 queries, taken one per class in
+	// turn, the first 64 distinct (cmd/smatchbench's mixedQueries).
+	const warmQueries = 64
+	per := (warmQueries+5)/6 + 8
+	var classes [][]*graph.Graph
+	for _, size := range []int{8, 12, 16} {
+		for _, d := range []querygen.Density{querygen.Dense, querygen.Sparse} {
+			qs, err := class(size, d, per)
+			if err != nil {
+				return c, err
+			}
+			classes = append(classes, qs)
+		}
+	}
+	for i := 0; i < per && len(c.warm) < warmQueries; i++ {
+		for _, qs := range classes {
+			if fresh(qs[i]) && len(c.warm) < warmQueries {
+				c.warm = append(c.warm, qs[i])
+			}
+		}
+	}
+	seen = map[graph.Fingerprint]bool{}
 	for _, size := range []int{8, 12, 16} {
 		qs, err := class(size, querygen.Sparse, 2*heavyPerSize)
 		if err != nil {
@@ -1114,18 +1138,26 @@ func buildHarnessCorpus() (harnessCorpus, error) {
 // BenchmarkEngineLeafLevel (14 of 15 nodes are leaves) cannot see.
 // EXPERIMENTS.md "One enumeration path" reads it at -benchtime 2s
 // -count 3.
-func BenchmarkEnumerateHeavyMix(b *testing.B) { heavyMix(b, core.Optimized) }
+//
+// The sequential legs count the Optimized preset's independent tail
+// (Config.CountTail), so their nodes are the interior ones. Each class
+// also runs at 2 workers ("-parallel2"), the harness's parallel=C on
+// the 2-CPU box: capped parallel counts reserve the cap one embedding
+// at a time and keep the enumerating loop (ROADMAP items 2 and 3a), so
+// this leg reads slower than the sequential one — core.par_speedup < 1,
+// pinned in process (item 4e).
+func BenchmarkEnumerateHeavyMix(b *testing.B) { heavyMix(b, core.Optimized, 1, 2) }
 
 // BenchmarkEnumerateDPIsoMix is BenchmarkEnumerateHeavyMix's queries
 // planned under the DP-iso preset instead: the same search loop, with
 // DP-iso's adaptive NextVertex and failing sets in every class.
 // EXPERIMENTS.md "One search loop" reads it.
-func BenchmarkEnumerateDPIsoMix(b *testing.B) { heavyMix(b, core.DPIso) }
+func BenchmarkEnumerateDPIsoMix(b *testing.B) { heavyMix(b, core.DPIso, 1) }
 
 // heavyMix runs the harness's heavy queries, each class planned under
-// preset a, one sequential capped core.MatchPlan per iteration, and
-// reports ns/node and nodes/op.
-func heavyMix(b *testing.B, a core.Algorithm) {
+// preset a, one capped core.MatchPlan per iteration at each of the
+// worker counts, and reports ns/node and nodes/op.
+func heavyMix(b *testing.B, a core.Algorithm, workers ...int) {
 	c := getHarnessCorpus(b)
 	for i, size := range []int{8, 12, 16} {
 		var plans []*core.Plan
@@ -1136,19 +1168,70 @@ func heavyMix(b *testing.B, a core.Algorithm) {
 			}
 			plans = append(plans, plan)
 		}
-		b.Run(fmt.Sprintf("%d-sparse", size), func(b *testing.B) {
+		for _, w := range workers {
+			name := fmt.Sprintf("%d-sparse", size)
+			if w > 1 {
+				name += fmt.Sprintf("-parallel%d", w)
+			}
+			b.Run(name, func(b *testing.B) {
+				var nodes uint64
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, err := core.MatchPlan(plans[i%len(plans)], core.Limits{MaxEmbeddings: heavyLimit, Parallel: w})
+					if err != nil {
+						b.Fatal(err)
+					}
+					nodes += res.Nodes
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
+				b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+			})
+		}
+	}
+}
+
+// BenchmarkEnumerateWarmMix is the in-process twin of serve-warm's
+// search: its 64 queries (harnessCorpus.warm), each planned under the
+// Optimized preset and then raced as the service races a plan on its
+// first hit (core.RaceOrders at the request's limit); one iteration is
+// one sequential count over the next plan, capped at serve-warm's 1 000
+// embeddings. It reports ns/req and nodes/req. The "built" leg runs
+// the plans as Preprocess built them, without the race.
+func BenchmarkEnumerateWarmMix(b *testing.B) {
+	const warmLimit = 1000
+	c := getHarnessCorpus(b)
+	built := make([]*core.Plan, len(c.warm))
+	raced := make([]*core.Plan, len(c.warm))
+	for i, q := range c.warm {
+		for _, plans := range [][]*core.Plan{built, raced} {
+			plan, err := core.Preprocess(q, c.g, core.PresetConfig(core.Optimized, q, c.g), 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			plans[i] = plan
+		}
+		if won := core.RaceOrders(raced[i], warmLimit); won != nil {
+			raced[i] = won
+		}
+	}
+	for _, leg := range []struct {
+		name  string
+		plans []*core.Plan
+	}{{"raced", raced}, {"built", built}} {
+		b.Run(leg.name, func(b *testing.B) {
 			var nodes uint64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := core.MatchPlan(plans[i%len(plans)], core.Limits{MaxEmbeddings: heavyLimit})
+				res, err := core.MatchPlan(leg.plans[i%len(leg.plans)], core.Limits{MaxEmbeddings: warmLimit})
 				if err != nil {
 					b.Fatal(err)
 				}
 				nodes += res.Nodes
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
-			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/req")
+			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/req")
 		})
 	}
 }

@@ -82,6 +82,13 @@ type Config struct {
 	// MaxEmbeddings caps canonical embeddings (the reported total may
 	// exceed it by the orbit factor).
 	SymmetryBreaking bool
+	// CountTail counts the embeddings below the order's independent tail
+	// — its trailing, pairwise non-adjacent vertices — instead of
+	// enumerating them, on runs with no sink that the parallel shared
+	// cap does not hook (enumerate.Options.CountTail). It changes node
+	// counts and nothing else. The Optimized preset sets it; the paper's
+	// presets leave it off.
+	CountTail bool
 	// UseGlasgow routes the query to the constraint-programming solver;
 	// all other fields are ignored.
 	UseGlasgow bool
@@ -326,9 +333,10 @@ func (r *Result) Solved() bool { return !r.TimedOut }
 // A Plan is immutable once built. MatchPlan runs enumerate over it
 // without mutating any field, so one Plan may serve many concurrent
 // MatchPlan calls — this is the contract the serving layer's plan cache
-// is built on. The one exception is the plan's free list of idle
-// engines, unexported and behind its own lock: the zero value is an
-// empty list, and the list goes with the plan when the plan is dropped.
+// is built on. The exceptions are the plan's free list of idle
+// engines, unexported and behind its own lock — the zero value is an
+// empty list, and the list goes with the plan when the plan is dropped —
+// and the flag RaceOrders claims.
 type Plan struct {
 	// Query and Data are the graphs the plan was preprocessed for.
 	Query, Data *graph.Graph
@@ -373,6 +381,10 @@ type Plan struct {
 	MeanCandidates float64
 	MemoryBytes    int64
 
+	// Race is the order race that chose Order (RaceOrders), nil on a
+	// plan that has not raced.
+	Race *Race
+
 	// Span is the preprocessing phase breakdown: a "preprocess" root
 	// with "filter" (and its per-stage children), "order" and "build"
 	// children, in the order they run. Always populated — span assembly
@@ -385,6 +397,9 @@ type Plan struct {
 	// at most maxIdleEngines long (takeEngine, parkEngine).
 	engineMu sync.Mutex
 	idle     []*enumerate.Engine
+	// raced is set by the first RaceOrders call on the plan, and on the
+	// plan a race returns: a plan races at most once.
+	raced atomic.Bool
 }
 
 // Preprocess runs the preprocessing half of the pipeline — filtering
@@ -637,6 +652,7 @@ func matchPlan(plan *Plan, limits Limits, park bool) (*Result, error) {
 			VF2PPRules:      cfg.VF2PPRules,
 			Homomorphism:    cfg.Homomorphism,
 			SymmetryClasses: plan.SymClasses,
+			CountTail:       cfg.CountTail,
 			MaxEmbeddings:   limits.MaxEmbeddings,
 			TimeLimit:       limits.TimeLimit,
 			OnRun:           limits.OnRun,

@@ -37,7 +37,12 @@ const pathLabels = 0xF0
 
 // differentialSeeds is the deterministic seed corpus: 40 random pairs,
 // then a 65-vertex path query in a 69-vertex path, whose decoded tuple
-// asks for failing sets.
+// asks for failing sets, then four pairs whose decoded tuple counts its
+// tail: one whose tail holds two vertices of one label (and reaches caps
+// 1 and 7 inside it, and counts it with 4 uncapped workers), one under
+// homomorphism, one under failing sets whose tail counts 0 on some
+// path, and one whose tail a third vertex of one label cuts short — the
+// loop runs over that vertex.
 func differentialSeeds() []diffInput {
 	in := make([]diffInput, 40)
 	for i := range in {
@@ -45,7 +50,11 @@ func differentialSeeds() []diffInput {
 			cfg: uint32(i) * 2654435761, cap: uint8(i * 5)}
 	}
 	failingSets := uint32(len(filter.Methods()) * len(order.Methods()) * 4 * 4)
-	return append(in, diffInput{seed: 40, gsize: 3, qsize: 0, labels: pathLabels, cfg: failingSets, cap: 3})
+	return append(in, diffInput{seed: 40, gsize: 3, qsize: 0, labels: pathLabels, cfg: failingSets, cap: 3},
+		diffInput{seed: 360, gsize: 23, qsize: 53, labels: 1, cfg: 0xb0d6, cap: 200},
+		diffInput{seed: 340, gsize: 56, qsize: 106, labels: 0, cfg: 0xab8f, cap: 34},
+		diffInput{seed: 68, gsize: 143, qsize: 78, labels: 2, cfg: 0xaf8c, cap: 89},
+		diffInput{seed: 570, gsize: 222, qsize: 102, labels: 0, cfg: 0x96ad, cap: 102})
 }
 
 // FuzzDifferential is the differential oracle. Every way the pipeline
@@ -74,6 +83,12 @@ const (
 	covEmpty                       // an empty result
 	covCutRun                      // a cap that cuts a leaf run
 	covAdaptiveDonated             // an adaptive plan whose parallel run donated
+	covTailPair                    // a counted tail with two vertices of one label
+	covTailCut                     // a tail a third vertex of one label cut short
+	covTailHom                     // a counted tail under homomorphism
+	covTailZero                    // a tail that counted 0 under failing sets
+	covTailCapped                  // caps 1 and 7 reached inside a counted tail
+	covTailWorkers                 // a tail counted by 4 uncapped workers
 	covAll             = 1<<iota - 1
 )
 
@@ -89,13 +104,14 @@ func TestDifferentialCorpusCoverage(t *testing.T) {
 		cov |= checkDifferential(t, in)
 	}
 	if cov != covAll {
-		t.Errorf("the seed corpus covers %06b of %06b", cov, covAll)
+		t.Errorf("the seed corpus covers %012b of %012b", cov, covAll)
 	}
 }
 
 // decodeConfig maps c onto one point of the tuple: filter × order ×
 // local candidates × kernel policy, then one bit each for failing sets,
-// adaptive order, VF2++ rules, symmetry breaking and homomorphism. It
+// adaptive order, VF2++ rules, symmetry breaking, homomorphism and the
+// counted tail. It
 // decodes tuples the engine refuses too; legalConfig is the one the
 // oracle runs.
 func decodeConfig(c uint32) Config {
@@ -115,6 +131,7 @@ func decodeConfig(c uint32) Config {
 	cfg.VF2PPRules = pick(2) == 1
 	cfg.SymmetryBreaking = pick(2) == 1
 	cfg.Homomorphism = pick(2) == 1
+	cfg.CountTail = pick(2) == 1
 	return cfg
 }
 
@@ -368,6 +385,7 @@ func checkConfig(t *testing.T, name string, q, g *graph.Graph, cfg Config, ref [
 				t.Fatalf("%s: %d nodes with symmetry breaking, %d without", name, on, off)
 			}
 		}
+		cov |= checkTail(t, name, plan, uint64(len(canon)))
 	}
 	return cov
 }
@@ -402,4 +420,116 @@ func deliver(t *testing.T, at string, s step, limits Limits) (*Result, []string,
 		t.Fatalf("%s: %v", at, err)
 	}
 	return res, keys, calls
+}
+
+// tailOf is the counted tail the engine must find in plan's order: the
+// longest suffix, of at least two positions, of pairwise non-adjacent
+// vertices with no label three times (any labels under homomorphism).
+// It returns the tail's first position (len(Order) when there is none),
+// whether a label occurs twice in it, and whether a third vertex of one
+// label cut it short.
+func tailOf(plan *Plan) (start int, pair, cut bool) {
+	q, phi, n := plan.Query, plan.Order, len(plan.Order)
+	cfg := plan.Cfg
+	if plan.Empty || !cfg.CountTail || cfg.Adaptive || cfg.VF2PPRules {
+		return n, false, false
+	}
+	start = n
+	for d := n - 1; d >= 1; d-- {
+		adjacent, same := false, 0
+		for _, w := range phi[d+1:] {
+			adjacent = adjacent || q.HasEdge(phi[d], w)
+			if q.Label(w) == q.Label(phi[d]) {
+				same++
+			}
+		}
+		if adjacent {
+			break
+		}
+		if !cfg.Homomorphism && same >= 2 {
+			cut = true
+			break
+		}
+		pair = pair || (!cfg.Homomorphism && same == 1)
+		start = d
+	}
+	if n-start < 2 {
+		return n, false, false
+	}
+	return start, pair, cut
+}
+
+// checkTail holds a plan with a counted tail to its profile's
+// reconciliation — sum(Nodes) is Result.Nodes, and Nodes[n] plus the
+// counted embeddings times the orbit is Result.Embeddings, with 1 and 4
+// workers — and to caps 1 and 7, which the count must stop at exactly.
+// canon is the canonical reference count.
+func checkTail(t *testing.T, name string, plan *Plan, canon uint64) (cov int) {
+	t.Helper()
+	start, pair, cut := tailOf(plan)
+	n := len(plan.Order)
+	if start == n {
+		return 0
+	}
+	for _, w := range []int{1, 4} {
+		res, err := MatchPlan(plan, Limits{Parallel: w, Profile: true})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		p := res.Profile
+		var counted uint64
+		for _, c := range p.Counted {
+			counted += c
+		}
+		if p.TotalNodes() != res.Nodes || (p.Nodes[n]+counted)*plan.Orbit != res.Embeddings {
+			t.Fatalf("%s: workers %d: heat nodes %d, emitted %d + counted %d, orbit %d; result %d nodes, %d embeddings",
+				name, w, p.TotalNodes(), p.Nodes[n], counted, plan.Orbit, res.Nodes, res.Embeddings)
+		}
+		if p.Nodes[n] != 0 {
+			t.Fatalf("%s: workers %d: %d nodes past the tail at %d", name, w, p.Nodes[n], start)
+		}
+		if counted == 0 {
+			continue
+		}
+		cov |= tailCov(pair, cut, plan.Cfg.Homomorphism)
+		if w == 4 {
+			cov |= covTailWorkers
+		}
+		if plan.Cfg.FailingSets && p.EmptyLC[start] > 0 {
+			cov |= covTailZero
+		}
+	}
+	capped := 0
+	for _, k := range []uint64{1, 7} {
+		if k >= canon {
+			continue
+		}
+		res, err := MatchPlan(plan, Limits{MaxEmbeddings: k, Profile: true})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Embeddings != k*plan.Orbit || !res.LimitHit {
+			t.Fatalf("%s: cap %d: %d embeddings (limit hit %v), want %d × orbit %d", name, k, res.Embeddings, res.LimitHit, k, plan.Orbit)
+		}
+		if res.Profile.Counted[start] > 0 {
+			capped++
+		}
+	}
+	if capped == 2 {
+		cov |= covTailCapped
+	}
+	return cov
+}
+
+func tailCov(pair, cut, hom bool) (cov int) {
+	if pair {
+		cov |= covTailPair
+	}
+	if cut {
+		cov |= covTailCut
+	}
+	if hom {
+		cov |= covTailHom
+	}
+	return cov
 }

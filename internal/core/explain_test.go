@@ -19,7 +19,8 @@ func explainPresets() []Algorithm {
 // TestExplainReconcilesAcrossPresetsAndWorkers is the acceptance
 // identity of the EXPLAIN layer: the per-depth heat table must reconcile
 // exactly with the Result totals — sum of heat nodes equals Nodes, the
-// emit-depth row times the orbit equals Embeddings, and the per-depth
+// emit-depth row plus the counted embeddings, times the orbit, equals
+// Embeddings, and the per-depth
 // kernel tallies sum to the run's kernel mix — for every preset at every
 // worker count. Runs are uncapped: under an embedding cap workers race
 // the stop flag and engine-local tallies legitimately exceed the
@@ -50,15 +51,16 @@ func TestExplainReconcilesAcrossPresetsAndWorkers(t *testing.T) {
 			var leaf uint64
 			for _, h := range p.Heat {
 				if h.Depth == n {
-					leaf = h.Nodes
+					leaf += h.Nodes
 				}
+				leaf += h.Counted
 			}
 			orbit := p.Orbit
 			if orbit == 0 {
 				orbit = 1
 			}
 			if leaf*orbit != res.Embeddings {
-				t.Errorf("%v/w%d: emit-depth nodes %d x orbit %d != embeddings %d",
+				t.Errorf("%v/w%d: emit-depth nodes + counted %d x orbit %d != embeddings %d",
 					a, workers, leaf, orbit, res.Embeddings)
 			}
 			if p.Embeddings != res.Embeddings || p.Nodes != res.Nodes {

@@ -29,17 +29,25 @@ import (
 
 // cappedCountRun bounds the leaf runs of a parallel capped count — a
 // hooked run with no sink, so no sink call or lock to share across a
-// run, and a cap that is reserved per embedding either way. It is not
-// a tuning knob but a brake, and the benchmark harness is what it
-// brakes for: with whole runs (mean 5) the two workers CAS the shared
-// counter in bursts instead of taking turns on its cache line and
-// enum-heavy reads 1.16× the parent's qps, which lifts its
-// smatchd.overhead_us / lat_p50_ms share to 0.043–0.048 against the
-// harness's 0.05 floor; with runs of one the same workload reads 0.85×
-// (a run of one costs more than the per-leaf loop it replaced), with
-// 2 0.97×, with 3 it reads what the parent read (EXPERIMENTS.md "Leaf
-// runs" has every run). It goes when the floor does — ROADMAP item 2,
-// behind Benchmark v2 (item 1a).
+// run, and a cap that is reserved per embedding either way. Such a
+// count also keeps the enumerating loop where a sequential one counts
+// its independent tail (Config.CountTail): the hook sees every
+// embedding. It is not a tuning knob but a brake, and the benchmark
+// harness is what it brakes for. Measured when enum-heavy's p50 was
+// about 13 ms: with whole runs (mean 5) enum-heavy read 1.16× the
+// parent's qps, which lifted its smatchd.overhead_us / lat_p50_ms share
+// to 0.043–0.048 against the harness's 0.05 floor; with runs of one it
+// read 0.85×, with 2 0.97×, with 3 what the parent read (EXPERIMENTS.md
+// "Leaf runs"). Re-measured at commit 46a7577, where the p50 is about
+// 4 ms: in process, the 48 queries run 1.72 ms each sequentially and
+// 4.09–4.30 ms at 2 workers, 2.4× slower; reserving min(remaining,
+// len(vs)) with one CAS per leaf run read 2.79–2.84 ms, and end to end
+// 0.63× cpu_ms_per_op and 1.5× qps over 3 pairs, with the overhead
+// share at 0.023–0.044. A timer inside the handler put the daemon's own
+// part of smatchd.overhead_us at 10–14 µs against the 65–92 µs the
+// harness counted in the same runs: the floor is set by wake-up latency
+// outside the daemon, so any enum-heavy win trips it. The brake goes
+// when the floor does — ROADMAP item 2, behind Benchmark v2 (item 1a).
 const cappedCountRun = 3
 
 // matchParallel runs the enumeration step across limits.Parallel

@@ -36,7 +36,8 @@ const (
 	VF2PP
 	// Optimized is the paper's Section 6 recommendation: GraphQL
 	// filtering, GraphQL/RI ordering by data-graph density, full-edge
-	// index with set intersections, failing sets on large queries.
+	// index with set intersections, failing sets on large queries —
+	// plus the serving preset's own component, the counted tail.
 	Optimized
 	// Glasgow is the constraint-programming solver.
 	Glasgow
@@ -114,7 +115,7 @@ func PresetConfig(a Algorithm, q, g *graph.Graph) Config {
 			Adaptive: true, FailingSets: failingSetsFit(q),
 		}
 	case Optimized:
-		cfg := Config{Filter: filter.GQL, Local: enumerate.Intersect}
+		cfg := Config{Filter: filter.GQL, Local: enumerate.Intersect, CountTail: true}
 		if g != nil && g.AverageDegree() >= DenseGraphDegreeThreshold {
 			cfg.Order = order.GQL
 		} else {

@@ -19,16 +19,21 @@ import (
 // first-class result. A Profile built by ExplainPlan alone (the dry-run
 // path) carries only the plan-side sections; explainResult adds the heat
 // table and totals, which reconcile exactly with the Result:
-// sum(Heat.Nodes) == Result.Nodes, the emit-depth row's Nodes times
-// Orbit == Result.Embeddings, and the per-depth kernel tallies sum to
-// Result.Kernels.
+// sum(Heat.Nodes) == Result.Nodes, the emit-depth row's Nodes plus
+// sum(Heat.Counted), times Orbit, == Result.Embeddings, and the
+// per-depth kernel tallies sum to Result.Kernels.
 type Profile struct {
 	// Filter is the per-stage candidate reduction table, in execution
 	// order. The first stage's Before is |V(q)|·|V(g)| — every data
 	// vertex a candidate for every query vertex.
 	Filter []StageProfile `json:"filter,omitempty"`
-	// OrderMethod names how the matching order was chosen.
+	// OrderMethod names the matching order in use: the method that
+	// computed it, which an order race (Race) may have changed.
 	OrderMethod string `json:"order_method,omitempty"`
+	// Race is the order race that chose the order — the limit it counted
+	// to and each candidate order's node count — nil when the plan has
+	// not raced.
+	Race *Race `json:"race,omitempty"`
 	// Order lists the matching order with each vertex's filtered
 	// candidate cardinality (nil for adaptive runs, where the order is
 	// chosen per search node).
@@ -48,8 +53,8 @@ type Profile struct {
 	Nodes      uint64            `json:"nodes"`
 	Kernels    map[string]uint64 `json:"kernels,omitempty"`
 	// Orbit is the symmetry-breaking multiplier: Embeddings is the
-	// canonical count (the emit-depth Nodes) times Orbit. 1 when
-	// symmetry breaking is off.
+	// canonical count (the emit-depth Nodes plus the counted ones) times
+	// Orbit. 1 when symmetry breaking is off.
 	Orbit uint64 `json:"orbit,omitempty"`
 	// Empty marks a plan whose filtering emptied a candidate set;
 	// enumeration was skipped.
@@ -107,15 +112,19 @@ type DepthHeat struct {
 	Depth int `json:"depth"`
 	// Vertex is the query vertex mapped at this depth, -1 when no
 	// single vertex owns the depth (adaptive order, or the emit depth).
-	Vertex          int               `json:"vertex"`
-	Nodes           uint64            `json:"nodes"`
-	Candidates      uint64            `json:"candidates"`
-	Extended        uint64            `json:"extended"`
-	Conflicts       uint64            `json:"conflicts"`
-	EmptyLC         uint64            `json:"empty_lc"`
-	SymmetrySkips   uint64            `json:"symmetry_skips,omitempty"`
-	FailingSetSkips uint64            `json:"failing_set_skips,omitempty"`
-	Kernels         map[string]uint64 `json:"kernels,omitempty"`
+	Vertex          int    `json:"vertex"`
+	Nodes           uint64 `json:"nodes"`
+	Candidates      uint64 `json:"candidates"`
+	Extended        uint64 `json:"extended"`
+	Conflicts       uint64 `json:"conflicts"`
+	EmptyLC         uint64 `json:"empty_lc"`
+	SymmetrySkips   uint64 `json:"symmetry_skips,omitempty"`
+	FailingSetSkips uint64 `json:"failing_set_skips,omitempty"`
+	// Counted is the embeddings this depth's nodes counted without
+	// enumerating them (Config.CountTail): the emit-depth Nodes plus
+	// every depth's Counted, times Orbit, is Embeddings.
+	Counted uint64            `json:"counted,omitempty"`
+	Kernels map[string]uint64 `json:"kernels,omitempty"`
 }
 
 // WorkerHeat is one parallel worker's per-depth node counts.
@@ -139,6 +148,7 @@ type SplitProfile struct {
 func ExplainPlan(plan *Plan) *Profile {
 	p := &Profile{
 		OrderMethod: plan.OrderMethod,
+		Race:        plan.Race,
 		Orbit:       plan.Orbit,
 		Empty:       plan.Empty,
 		Adaptive:    plan.Cfg.Adaptive,
@@ -199,6 +209,7 @@ func explainResult(plan *Plan, res *Result) *Profile {
 				EmptyLC:         prof.EmptyLC[d],
 				SymmetrySkips:   prof.SymmetrySkips[d],
 				FailingSetSkips: prof.FailingSetSkips[d],
+				Counted:         prof.Counted[d],
 				Kernels:         prof.Kernels[d].Map(),
 			}
 			if !plan.Cfg.Adaptive && d < n && d < len(plan.Order) {
@@ -244,6 +255,19 @@ func (p *Profile) Render(w io.Writer) {
 		}
 		fmt.Fprintf(w, "order (%s): %s\n", p.OrderMethod, strings.Join(parts, " -> "))
 	}
+	if r := p.Race; r != nil {
+		parts := make([]string, len(r.Entries))
+		for i, e := range r.Entries {
+			parts[i] = fmt.Sprintf("%s %d", e.Order, e.Nodes)
+			switch {
+			case i == r.Winner:
+				parts[i] += " (won)"
+			case e.Stopped:
+				parts[i] += " (stopped)"
+			}
+		}
+		fmt.Fprintf(w, "order race at limit %d, nodes: %s\n", r.Limit, strings.Join(parts, ", "))
+	}
 	if p.FailingSets != "" {
 		fmt.Fprintf(w, "failing sets: %s\n", p.FailingSets)
 	}
@@ -252,18 +276,18 @@ func (p *Profile) Render(w io.Writer) {
 	}
 	if len(p.Heat) > 0 {
 		fmt.Fprintf(w, "enumeration heat:\n")
-		fmt.Fprintf(w, "  %5s %6s %12s %12s %12s %10s %8s %8s %8s  %s\n",
+		fmt.Fprintf(w, "  %5s %6s %12s %12s %12s %10s %8s %8s %8s %12s  %s\n",
 			"depth", "vertex", "nodes", "candidates", "extended",
-			"conflicts", "emptyLC", "sym-skip", "fs-skip", "kernels")
+			"conflicts", "emptyLC", "sym-skip", "fs-skip", "counted", "kernels")
 		for _, h := range p.Heat {
 			v := "-"
 			if h.Vertex >= 0 {
 				v = fmt.Sprintf("u%d", h.Vertex)
 			}
-			fmt.Fprintf(w, "  %5d %6s %12d %12d %12d %10d %8d %8d %8d  %s\n",
+			fmt.Fprintf(w, "  %5d %6s %12d %12d %12d %10d %8d %8d %8d %12d  %s\n",
 				h.Depth, v, h.Nodes, h.Candidates, h.Extended,
 				h.Conflicts, h.EmptyLC, h.SymmetrySkips, h.FailingSetSkips,
-				kernelMix(h.Kernels))
+				h.Counted, kernelMix(h.Kernels))
 		}
 	}
 	if s := p.Split; s != nil {

@@ -28,13 +28,15 @@ import (
 // literal, and core.Preprocess(q, g, cfg, 1) — which is why the
 // external-engine switches are still Config fields, and why Preprocess
 // keeps an int it ignores (plans build on the caller's goroutine).
+// RaceOrders is the serving layer's one way to change a cached plan's
+// order: it returns a new plan, and the plan cache swaps it in.
 var layerSurface = map[string][]string{
 	".": {
 		"Algorithm.String", "Algorithms", "Config.Check", "Config.Engine", "Config.External",
 		"EnumerateSpan", "ExplainPlan", "Match",
 		"MatchFresh", "MatchPlan", "NeighborhoodEquivalenceClasses", "OrbitMultiplier",
 		"OrderingStudyConfig", "ParseAlgorithm", "Plan.PreprocessTime", "Plan.SizeBytes",
-		"Preprocess", "PresetConfig", "Profile.Render", "Result.PreprocessTime",
+		"Preprocess", "PresetConfig", "Profile.Render", "RaceOrders", "Result.PreprocessTime",
 		"Result.Solved", "Result.TotalTime", "RunContext", "Validate",
 	},
 	"../filter": {
@@ -87,7 +89,9 @@ var layerSurface = map[string][]string{
 //
 // core.Config is the paper's tuple plus the external-engine switches,
 // which cmd/smatchbench/corpus.go constructs; they leave with ROADMAP
-// item 5's Matcher.
+// item 5's Matcher. CountTail is the one component the paper's tuple
+// lacks: the Optimized preset sets it and the paper presets, which
+// reproduce the study's node counts, leave it off.
 //
 // OnRun and OnMatch are one knob, the sink, in two forms (setting both is
 // ErrTwoSinks). OnRun is the contract; its caller is smatchd's run sink
@@ -108,7 +112,7 @@ var layerSurface = map[string][]string{
 var knobSurface = map[[2]string][]string{
 	{".", "Config"}: {
 		"Filter", "Order", "FixedOrder", "Local", "Kernel", "FailingSets", "Adaptive",
-		"VF2PPRules", "Homomorphism", "SymmetryBreaking", "UseGlasgow", "UseVF2",
+		"VF2PPRules", "Homomorphism", "SymmetryBreaking", "CountTail", "UseGlasgow", "UseVF2",
 		"UseUllmann", "GlasgowMemoryBudget",
 	},
 	{".", "Limits"}: {

@@ -136,8 +136,19 @@ func (e *engine) resetRun() {
 	e.aborted = false
 	e.cuts = 0
 	e.clockTicker = 0
+	e.budgetPoll()
 	e.deadline = time.Time{}
 	e.sel.ResetStats()
+}
+
+// budgetPoll brings the next poll forward to where the node budget
+// (Options.MaxNodes) runs out, when that comes before the ticker's own
+// round, so the budget is checked when it is due at no cost to the
+// nodes in between.
+func (e *engine) budgetPoll() {
+	if b := e.opts.MaxNodes; b > e.stats.Nodes && b-e.stats.Nodes < timeCheckInterval {
+		e.clockTicker = timeCheckInterval - int(b-e.stats.Nodes)
+	}
 }
 
 // SetDeadline arms (or, with a zero time, disarms) the wall-clock
@@ -155,18 +166,19 @@ func (E *Engine) Stats() *Stats {
 
 // Rearm readies the engine for a new request over the same tuple: it
 // swaps in opts' request-scoped fields — MaxEmbeddings, TimeLimit,
-// Cancel, OnRun, MaxRun, Donor and Profile — clears the statistics, the
-// abort state and the task deadline, and takes visited marks from the
-// data graph if Release gave them back. The plan-scoped fields of opts
-// are ignored: they are the engine's for life. A profiled request gets
-// a profile of its own, so the previous request's Stats.Profile stays
-// with whoever holds it. The search state needs no clearing: every
-// search path unwinds its marks, even on abort.
+// Cancel, OnRun, MaxRun, MaxNodes, Donor and Profile — clears the
+// statistics, the abort state and the task deadline, and takes visited
+// marks from the data graph if Release gave them back. The plan-scoped
+// fields of opts are ignored: they are the engine's for life. A
+// profiled request gets a profile of its own, so the previous request's
+// Stats.Profile stays with whoever holds it. The search state needs no
+// clearing: every search path unwinds its marks, even on abort.
 func (E *Engine) Rearm(opts Options) {
 	e := &E.engine
 	o := &e.opts
 	o.MaxEmbeddings, o.TimeLimit, o.Cancel = opts.MaxEmbeddings, opts.TimeLimit, opts.Cancel
 	o.OnRun, o.MaxRun, o.Donor, o.Profile = opts.OnRun, opts.MaxRun, opts.Donor, opts.Profile
+	o.MaxNodes = opts.MaxNodes
 	e.prof = nil
 	if opts.Profile {
 		e.prof = newSearchProfile(e.q.NumVertices())
@@ -195,8 +207,9 @@ func (E *Engine) Release() {
 	}
 }
 
-// pollHalt polls the cancellation flag and deadline once. The search
-// calls it when clockTicker comes round (enterNode, leafLevel).
+// pollHalt polls the cancellation flag, the deadline and the node
+// budget once. The search calls it when clockTicker comes round
+// (enterNode, leafRun).
 func (e *engine) pollHalt() bool {
 	if e.aborted {
 		return true
@@ -210,6 +223,12 @@ func (e *engine) pollHalt() bool {
 		e.aborted = true
 		return true
 	}
+	if e.opts.MaxNodes > 0 && e.stats.Nodes >= e.opts.MaxNodes {
+		e.stats.OverBudget = true
+		e.aborted = true
+		return true
+	}
+	e.budgetPoll()
 	return false
 }
 
@@ -363,6 +382,11 @@ type engine struct {
 
 	// adaptive mode state (see adaptive.go)
 	adaptive adaptiveState
+
+	// The counted tail (see tail.go): its first depth, past the emit
+	// depth when the plan has none, and its label classes.
+	tail        int
+	tailClasses []tailClass
 }
 
 type labelNeed struct {
@@ -480,6 +504,7 @@ func (e *engine) prepare() error {
 	if e.opts.Adaptive {
 		e.initAdaptive()
 	}
+	e.prepareTail()
 	// Kernel dispatch follows the configured policy. Only the block
 	// policy reads block views, so only it gathers them.
 	e.sel.SetPolicy(e.opts.Kernel)
@@ -590,6 +615,9 @@ func (e *engine) search(depth int) bitset.Mask64 {
 		}
 		e.emitPinned()
 		return e.fullMask
+	}
+	if depth == e.tail && e.opts.OnRun == nil {
+		return e.countTail(depth)
 	}
 	// NextVertex: u, its position pu in phi (delta under DP-iso's order,
 	// so u's backward neighbours are bwd[pu] either way) and its LC.

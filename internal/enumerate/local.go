@@ -29,6 +29,9 @@ func (e *engine) lcDirect(depth int, u graph.Vertex) []uint32 {
 	if depth == 0 {
 		return e.cand[u]
 	}
+	if e.opts.Within != nil {
+		return e.lcWithin(depth, u)
+	}
 	p := e.parent[depth]
 	out := e.lcBuf[depth][:0]
 	for _, v := range e.g.Neighbors(e.embedding[p]) {
@@ -47,6 +50,20 @@ func (e *engine) lcDirect(depth int, u graph.Vertex) []uint32 {
 			continue
 		}
 		out = append(out, v)
+	}
+	e.lcBuf[depth] = out
+	return out
+}
+
+// lcWithin is lcDirect under Options.Within: the parent mapping's
+// neighbours in C(u), checked against the other backward edges.
+func (e *engine) lcWithin(depth int, u graph.Vertex) []uint32 {
+	p, in := e.parent[depth], e.opts.Within[u]
+	out := e.lcBuf[depth][:0]
+	for _, v := range e.g.Neighbors(e.embedding[p]) {
+		if in[v>>6]&(1<<(v&63)) != 0 && e.backwardEdgesOK(depth, v, p) {
+			out = append(out, v)
+		}
 	}
 	e.lcBuf[depth] = out
 	return out

@@ -116,6 +116,24 @@ type Options struct {
 	// the WCOJ-based systems the paper contrasts with (Section 2.2).
 	Homomorphism bool
 
+	// CountTail counts the embeddings below the independent tail of phi
+	// instead of enumerating them, on runs with no sink (OnRun == nil):
+	// see tail.go for which suffix that is and how it is counted. It
+	// changes Stats.Nodes — the tail's first depth is one node per
+	// partial embedding that reaches it, and the positions below it are
+	// none — and nothing else. Adaptive orders and VF2PPRules have no
+	// tail.
+	CountTail bool
+
+	// Within, when set under Direct, keeps LC(u) to the data vertices
+	// whose bit is set in Within[u] — u's candidate set C(u) as a bitmap
+	// over V(G) — and drops Direct's label and degree tests, which C(u)
+	// has passed. Direct's LC is then Intersect's, C(u) ∩ N(M(u′)) over
+	// u's backward neighbours u′, in the same ascending order, so both
+	// search the same tree node for node, and no 𝒜 is needed. Only
+	// core's order race sets it; other methods ignore it.
+	Within [][]uint64
+
 	// SymmetryClasses lists groups of interchangeable query vertices
 	// (same label, identical neighborhoods modulo each other). Within a
 	// class the engine enforces increasing data-vertex ids, enumerating
@@ -147,6 +165,14 @@ type Options struct {
 	// embedding cap and timeCheckInterval allow. Only the parallel
 	// runner's capped count sets it (core.cappedCountRun has the why).
 	MaxRun int
+
+	// MaxNodes, when positive, stops the search at the first poll that
+	// finds at least this many nodes searched, and sets
+	// Stats.OverBudget. The engine polls every timeCheckInterval nodes,
+	// and once more where the budget runs out, so a search stops within
+	// one leaf run of it. Only core's order race sets it: an alternative
+	// order stops once it has searched what the best order needed.
+	MaxNodes uint64
 
 	// Cancel, when non-nil, is polled periodically; setting it to true
 	// stops the search cooperatively. Used by the parallel runner so a
@@ -182,7 +208,9 @@ type Stats struct {
 	// MaxEmbeddings).
 	Embeddings uint64
 	// Nodes is the number of search-tree nodes explored (recursive
-	// calls of the Enumerate procedure).
+	// calls of the Enumerate procedure). Under CountTail a node at the
+	// tail's first depth counts its completions and is the last node on
+	// its path.
 	Nodes uint64
 	// TimedOut reports whether the time limit fired; per the paper's
 	// methodology such a query counts as unsolved and its enumeration
@@ -190,6 +218,8 @@ type Stats struct {
 	TimedOut bool
 	// LimitHit reports whether MaxEmbeddings stopped the search.
 	LimitHit bool
+	// OverBudget reports whether MaxNodes stopped the search.
+	OverBudget bool
 	// Duration is the wall-clock enumeration time.
 	Duration time.Duration
 	// Kernels tallies the pairwise intersection-kernel executions by

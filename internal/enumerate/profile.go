@@ -25,11 +25,18 @@ type SearchProfile struct {
 	Conflicts []uint64
 	// SymmetrySkips[d] counts candidates rejected by symmetry breaking.
 	SymmetrySkips []uint64
-	// EmptyLC[d] counts nodes whose local candidate set was empty.
+	// EmptyLC[d] counts nodes whose local candidate set was empty, and
+	// counting nodes (Counted) that counted no completion.
 	EmptyLC []uint64
 	// FailingSetSkips[d] counts sibling groups pruned by the
 	// failing-set optimization at depth d.
 	FailingSetSkips []uint64
+	// Counted[d] counts the embeddings nodes at depth d counted without
+	// enumerating them (Options.CountTail): with them, Nodes[n] +
+	// sum(Counted) is Stats.Embeddings, where Nodes[n] alone is without
+	// a counted tail. A counting node adds the LCs of every tail position
+	// to Candidates[d], and their kernels to Kernels[d].
+	Counted []uint64
 	// Kernels[d] tallies the pairwise intersection-kernel executions
 	// performed while computing local candidates for depth d (for the
 	// adaptive order: while activating the children of the vertex mapped
@@ -47,6 +54,7 @@ func newSearchProfile(n int) *SearchProfile {
 		SymmetrySkips:   make([]uint64, n+1),
 		EmptyLC:         make([]uint64, n+1),
 		FailingSetSkips: make([]uint64, n+1),
+		Counted:         make([]uint64, n+1),
 		Kernels:         make([]intersect.KernelStats, n+1),
 	}
 }
@@ -56,7 +64,7 @@ func newSearchProfile(n int) *SearchProfile {
 func (p *SearchProfile) reset() {
 	for _, s := range [][]uint64{
 		p.Nodes, p.Candidates, p.Extended, p.Conflicts,
-		p.SymmetrySkips, p.EmptyLC, p.FailingSetSkips,
+		p.SymmetrySkips, p.EmptyLC, p.FailingSetSkips, p.Counted,
 	} {
 		for i := range s {
 			s[i] = 0
@@ -89,7 +97,7 @@ func (p *SearchProfile) Merge(o *SearchProfile) {
 		{p.Nodes, o.Nodes}, {p.Candidates, o.Candidates},
 		{p.Extended, o.Extended}, {p.Conflicts, o.Conflicts},
 		{p.SymmetrySkips, o.SymmetrySkips}, {p.EmptyLC, o.EmptyLC},
-		{p.FailingSetSkips, o.FailingSetSkips},
+		{p.FailingSetSkips, o.FailingSetSkips}, {p.Counted, o.Counted},
 	}
 	for _, pr := range pairs {
 		dst, src := pr[0], pr[1]
@@ -120,16 +128,16 @@ func (p *SearchProfile) TotalNodes() uint64 {
 
 // Render writes the profile as an aligned per-depth table.
 func (p *SearchProfile) Render(w io.Writer) {
-	fmt.Fprintf(w, "%5s %12s %12s %12s %10s %9s %8s %8s\n",
-		"depth", "nodes", "candidates", "extended", "conflicts", "sym-skip", "emptyLC", "fs-skip")
-	fmt.Fprintf(w, "%s\n", strings.Repeat("-", 84))
+	fmt.Fprintf(w, "%5s %12s %12s %12s %10s %9s %8s %8s %12s\n",
+		"depth", "nodes", "candidates", "extended", "conflicts", "sym-skip", "emptyLC", "fs-skip", "counted")
+	fmt.Fprintf(w, "%s\n", strings.Repeat("-", 97))
 	for d := 0; d < len(p.Nodes); d++ {
 		if p.Nodes[d] == 0 && p.Candidates[d] == 0 {
 			continue
 		}
-		fmt.Fprintf(w, "%5d %12d %12d %12d %10d %9d %8d %8d\n",
+		fmt.Fprintf(w, "%5d %12d %12d %12d %10d %9d %8d %8d %12d\n",
 			d, p.Nodes[d], p.Candidates[d], p.Extended[d],
-			p.Conflicts[d], p.SymmetrySkips[d], p.EmptyLC[d], p.FailingSetSkips[d])
+			p.Conflicts[d], p.SymmetrySkips[d], p.EmptyLC[d], p.FailingSetSkips[d], p.Counted[d])
 	}
 }
 

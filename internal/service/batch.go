@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"subgraphmatching/internal/graph"
 	"subgraphmatching/internal/obs"
 )
 
@@ -94,15 +93,7 @@ func (s *Service) SubmitBatch(ctx context.Context, items []Request) ([]BatchResu
 			results[i].Err = err
 			continue
 		}
-		gk := batchGroupKey{
-			planKey: planKey{
-				graph:   t.entry.name,
-				gen:     t.entry.gen,
-				queryFP: graph.FingerprintOf(req.Query),
-				cfgHash: configHash(t.cfg),
-			},
-			noCache: req.NoCache,
-		}
+		gk := batchGroupKey{planKey: planKeyOf(&t, req.Query), noCache: req.NoCache}
 		grp, ok := groups[gk]
 		if !ok {
 			grp = &batchGroup{target: t}
@@ -211,7 +202,7 @@ func (s *Service) runBatchGroup(ctx context.Context, began time.Time, grp *batch
 
 	// One plan acquisition for the whole group.
 	first := item(grp.items[0])
-	p, err := s.plan(ctx, &grp.target, &first, len(grp.items))
+	p, err := s.plan(ctx, &grp.target, &first, len(grp.items), grp.target.racesOrders(&first))
 	if err != nil {
 		failAll(err)
 		return span

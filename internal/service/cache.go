@@ -23,6 +23,10 @@ type planKey struct {
 	gen     uint64
 	queryFP graph.Fingerprint
 	cfgHash uint64
+	// races marks the Optimized preset's plans, whose order a race may
+	// change (target.races): a Custom tuple of the same configuration
+	// asks for its order and gets a plan of its own.
+	races bool
 }
 
 // configHash digests every Config field that influences the plan's
@@ -56,6 +60,7 @@ func configHash(cfg core.Config) uint64 {
 	flag(cfg.VF2PPRules)
 	flag(cfg.Homomorphism)
 	flag(cfg.SymmetryBreaking)
+	flag(cfg.CountTail)
 	flag(cfg.UseGlasgow)
 	flag(cfg.UseVF2)
 	flag(cfg.UseUllmann)
@@ -132,7 +137,7 @@ type planCache struct {
 type cacheEntry struct {
 	key  planKey
 	plan *core.Plan
-	size int64 // Plan.SizeBytes at insert time (plans are immutable)
+	size int64 // the plan's Plan.SizeBytes (plans are immutable; swap replaces both)
 }
 
 // newPlanCache builds a cache bounded by maxEntries and maxBytes (0
@@ -195,6 +200,33 @@ func (c *planCache) add(k planKey, p *core.Plan) *core.Plan {
 	size := p.SizeBytes()
 	c.entries[k] = c.ll.PushFront(&cacheEntry{key: k, plan: p, size: size})
 	c.bytes += size
+	c.evictLocked()
+	return p
+}
+
+// swap puts next in place of prev, the plan an order race started from,
+// if k still holds prev: the entry keeps its place in the LRU and is
+// charged next's size, and the tail is evicted if that overruns a
+// bound. It is no insert, so size + evictions + purged still counts
+// inserts. An entry that no longer holds prev — evicted, purged or
+// rebuilt while the race ran — is left alone, and next serves only the
+// request that raced.
+func (c *planCache) swap(k planKey, prev, next *core.Plan) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[k]
+	if !ok || e.Value.(*cacheEntry).plan != prev {
+		return
+	}
+	ent := e.Value.(*cacheEntry)
+	size := next.SizeBytes()
+	c.bytes += size - ent.size
+	ent.plan, ent.size = next, size
+	c.evictLocked()
+}
+
+// evictLocked evicts from the LRU tail until both bounds hold.
+func (c *planCache) evictLocked() {
 	for c.overLimitLocked() {
 		oldest := c.ll.Back()
 		ent := oldest.Value.(*cacheEntry)
@@ -203,7 +235,6 @@ func (c *planCache) add(k planKey, p *core.Plan) *core.Plan {
 		c.bytes -= ent.size
 		c.evictions.Inc()
 	}
-	return p
 }
 
 // overLimitLocked reports whether either bound is exceeded. The list

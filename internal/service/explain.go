@@ -50,7 +50,7 @@ func (s *Service) Explain(ctx context.Context, req Request) (_ *ExplainResponse,
 	defer s.sem.release(weight)
 
 	fl.SetPhase("plan")
-	p, err := s.plan(ctx, &t, &req, 1)
+	p, err := s.plan(ctx, &t, &req, 1, false)
 	if err != nil {
 		return nil, err
 	}

@@ -64,6 +64,8 @@ type serviceMetrics struct {
 	planCachePurged    *obs.Counter
 	planBuilds         *obs.Counter
 	planBuildWaits     *obs.Counter
+	// Order races on cached plans (core.RaceOrders), by outcome.
+	racesKept, racesSwitched *obs.Counter
 
 	slowQueries *obs.Counter
 
@@ -208,6 +210,11 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 			"Items per batch.", batchSizeBuckets),
 	}
 
+	races := r.CounterVec("smatch_plan_races_total",
+		"Order races run on cached plans, by outcome: the incumbent order kept, or switched to a cheaper one.",
+		"outcome")
+	m.racesKept, m.racesSwitched = races.With("kept"), races.With("switched")
+
 	r.GaugeFunc("smatch_plan_cache_entries",
 		"Plans currently cached.", func() float64 {
 			if s.cache == nil {
@@ -341,6 +348,15 @@ func (m *serviceMetrics) recordKernels(ks intersect.KernelStats) {
 				return m.kernels.With(intersect.Kernel(i).String())
 			}).Add(n)
 		}
+	}
+}
+
+// recordRace counts one order race by its outcome.
+func (m *serviceMetrics) recordRace(r *core.Race) {
+	if r.Winner == 0 {
+		m.racesKept.Inc()
+	} else {
+		m.racesSwitched.Inc()
 	}
 }
 
