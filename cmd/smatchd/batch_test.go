@@ -236,15 +236,23 @@ func TestInternalErrorMapsTo500(t *testing.T) {
 // TestUnsupportedTupleMapsTo400: a tuple the engine cannot run is the
 // request's fault, a 400 whose body names the constraint it breaks.
 func TestUnsupportedTupleMapsTo400(t *testing.T) {
-	cfg := core.PresetConfig(core.DPIso, nil, nil)
-	cfg.Local = enumerate.Scan
-	rec := httptest.NewRecorder()
-	httpError(rec, cfg.Check(5))
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", rec.Code)
-	}
-	if want := "adaptive ordering requires intersection-based local candidates"; !strings.Contains(rec.Body.String(), want) {
-		t.Errorf("body %s does not name %q", rec.Body, want)
+	adaptive := core.PresetConfig(core.DPIso, nil, nil)
+	adaptive.Local = enumerate.Scan
+	for _, c := range []struct {
+		cfg  core.Config
+		want string
+	}{
+		{adaptive, "adaptive ordering requires intersection-based local candidates"},
+		{core.Config{UseGlasgow: true, Homomorphism: true}, "the glasgow engine does not find homomorphisms"},
+	} {
+		rec := httptest.NewRecorder()
+		httpError(rec, c.cfg.Check(5))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("status = %d, want 400", rec.Code)
+		}
+		if !strings.Contains(rec.Body.String(), c.want) {
+			t.Errorf("body %s does not name %q", rec.Body, c.want)
+		}
 	}
 }
 

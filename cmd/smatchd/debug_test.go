@@ -102,10 +102,10 @@ func TestExplainEndpoint(t *testing.T) {
 		t.Errorf("text render missing sections:\n%s", out)
 	}
 
-	// External engines have no plan: 400.
+	// An engine's plan names the engine.
 	resp, out = do(t, "POST", ts.URL+"/explain?graph=main&algo=VF2", body)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("external explain = %d %q, want 400", resp.StatusCode, out)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(out, `"order_method":"vf2"`) {
+		t.Errorf("engine explain = %d %q, want 200 naming vf2", resp.StatusCode, out)
 	}
 }
 

@@ -272,9 +272,6 @@ func (s *Space) Query() *graph.Graph { return s.q }
 // Candidates returns C(u). The slice aliases internal storage.
 func (s *Space) Candidates(u graph.Vertex) []uint32 { return s.candidates[u] }
 
-// AllCandidates returns the per-vertex candidate sets.
-func (s *Space) AllCandidates() [][]uint32 { return s.candidates }
-
 // neighborPos returns the position of up within u's neighbor list, or -1.
 func (s *Space) neighborPos(u, up graph.Vertex) int {
 	if i, ok := slices.BinarySearch(s.q.Neighbors(u), up); ok {

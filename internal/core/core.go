@@ -72,7 +72,7 @@ type Config struct {
 	// (injectivity dropped — the WCOJ systems' default semantics, paper
 	// Section 2.2). The Filter setting is ignored: only label-based
 	// candidate generation is sound without injectivity. Incompatible
-	// with SymmetryBreaking, VF2PPRules and UseGlasgow.
+	// with SymmetryBreaking, VF2PPRules and the three engine switches.
 	Homomorphism bool
 	// SymmetryBreaking detects interchangeable query vertices
 	// (neighborhood equivalence classes, the structures behind
@@ -90,31 +90,21 @@ type Config struct {
 	// presets leave it off.
 	CountTail bool
 	// UseGlasgow routes the query to the constraint-programming solver;
-	// all other fields are ignored.
+	// of the other fields only Homomorphism is read, and refused.
 	UseGlasgow bool
-	// UseVF2 routes the query to the classic VF2 state-space engine;
-	// all other fields are ignored.
+	// UseVF2 routes the query to the classic VF2 state-space engine, as
+	// UseGlasgow does.
 	UseVF2 bool
-	// UseUllmann routes the query to Ullmann's 1976 algorithm; all
-	// other fields are ignored.
+	// UseUllmann routes the query to Ullmann's 1976 algorithm, as
+	// UseGlasgow does.
 	UseUllmann bool
-	// GlasgowMemoryBudget bounds the CP solver's bitset working set
-	// (0 = glasgow.DefaultMemoryBudget).
-	GlasgowMemoryBudget int64
 }
 
-// External reports whether the configuration routes the query to one of
-// the engines that run outside the filter/order/enumerate pipeline
-// (Glasgow, VF2, Ullmann). Those have no preprocessing plan, so nothing
-// to cache, share across a batch group or explain.
-func (c Config) External() bool {
-	return c.UseGlasgow || c.UseVF2 || c.UseUllmann
-}
-
-// Engine names the external engine the configuration dispatches to —
-// "glasgow", "vf2" or "ullmann", the "engine" attribute of its enumerate
-// span — and is "" for the framework's own.
-func (c Config) Engine() string {
+// engine names the engine outside the filter/order/enumerate pipeline
+// that the configuration routes the query to — "glasgow", "vf2" or
+// "ullmann", the OrderMethod of its plan — and is "" for the
+// framework's own.
+func (c Config) engine() string {
 	switch {
 	case c.UseGlasgow:
 		return "glasgow"
@@ -131,10 +121,13 @@ func (c Config) Engine() string {
 // enumerate.CheckOptions over the tuple's engine options, and symmetry
 // breaking, which homomorphism mode refuses. Preprocess checks it
 // before it filters, and the serving layer before it looks a plan up,
-// so a refused tuple is neither planned nor cached. External
-// configurations have no tuple and pass.
+// so a refused tuple is neither planned nor cached. The engines outside
+// the pipeline read no tuple; they find no homomorphisms.
 func (c Config) Check(n int) error {
-	if c.External() {
+	if e := c.engine(); e != "" {
+		if c.Homomorphism {
+			return fmt.Errorf("core: %w: the %s engine does not find homomorphisms", enumerate.ErrUnsupported, e)
+		}
 		return nil
 	}
 	if c.Homomorphism && c.SymmetryBreaking {
@@ -174,9 +167,8 @@ type Limits struct {
 	// OnMatch is the per-embedding form of the same sink, for callers
 	// that want one call per embedding: it sees the mappings of a run
 	// one after the other, and returning false declines that embedding
-	// and stops the search (the external engines, which call it
-	// directly, count the declined embedding; the pipeline does not).
-	// The slice rules are OnRun's. Setting both is ErrTwoSinks.
+	// and stops the search; a declined embedding is not counted. The
+	// slice rules are OnRun's. Setting both is ErrTwoSinks.
 	OnMatch func(mapping []uint32) bool
 	// Parallel runs the enumeration across this many worker goroutines
 	// (0 or 1 = sequential). Embedding counts remain exact. Not
@@ -196,8 +188,9 @@ type Limits struct {
 	// there differ slightly from a sequential run because pinned task
 	// prefixes skip the shared root levels. It is a per-request limit,
 	// not part of the configuration: a cached plan is shared between
-	// profiled and unprofiled requests. Not supported by the external
-	// engines (Glasgow/VF2/Ullmann), which have no plan to explain.
+	// profiled and unprofiled requests. The profile of an engine plan
+	// (Glasgow/VF2/Ullmann) names its engine and carries the totals, with
+	// no filter stages, order or heat table: the engine records none.
 	Profile bool
 }
 
@@ -221,22 +214,6 @@ func (l *Limits) runSink() (func([]uint32, graph.Vertex, []uint32) int, error) {
 		}
 		return len(vs)
 	}, nil
-}
-
-// perEmbeddingSink is the sink in the form the external engines
-// (Glasgow, VF2, Ullmann) call: OnMatch as it is, OnRun fed runs of one.
-// With the whole mapping known any position can play the open one; the
-// run is position 0 itself, so a sink writing mapping[0] = vs[0] writes
-// what is there.
-func (l *Limits) perEmbeddingSink() (func([]uint32) bool, error) {
-	if l.OnRun == nil {
-		return l.OnMatch, nil
-	}
-	if l.OnMatch != nil {
-		return nil, fmt.Errorf("core: %w", ErrTwoSinks)
-	}
-	onRun := l.OnRun
-	return func(m []uint32) bool { return onRun(m, 0, m[:1]) == 1 }, nil
 }
 
 // Result reports a query's execution, with the time split the paper
@@ -329,6 +306,10 @@ func (r *Result) Solved() bool { return !r.TimedOut }
 // auxiliary candidate-space structure, the matching order, DP-iso's
 // weight array and the symmetry classes — everything enumeration needs,
 // and everything the paper's time split files under "preprocessing".
+// The plan of a configuration routed to an engine outside the pipeline
+// (Glasgow, VF2, Ullmann) holds Query, Data, Cfg and Orbit 1 and names
+// its engine in OrderMethod: the engine filters and orders as it
+// searches, so there is nothing to build ahead of the run.
 //
 // A Plan is immutable once built. MatchPlan runs enumerate over it
 // without mutating any field, so one Plan may serve many concurrent
@@ -367,7 +348,8 @@ type Plan struct {
 	// EXPLAIN must show).
 	Stages []filter.Stage
 	// OrderMethod names how Order was chosen ("gql", "ri", "fixed",
-	// ...); empty for Empty plans, which never reach ordering.
+	// ...), or an engine plan's engine ("glasgow", "vf2", "ullmann");
+	// empty for Empty plans, which never reach ordering.
 	OrderMethod string
 
 	// FilterTime, BuildTime and OrderTime record how long each
@@ -408,17 +390,14 @@ type Plan struct {
 // and the symmetry-class setup — and returns the resulting Plan. Every
 // layer runs on the caller's goroutine, so a panic in one reaches the
 // caller. The int is ignored: the form predates the
-// one-goroutine build, and cmd/smatchbench still calls it.
-// Configurations routed to the external engines have no plan;
-// Preprocess reports ErrNoPlan for them. The QFilter block layout is
-// built only under the pinned-block policy, the one policy that reads
-// it.
+// one-goroutine build, and cmd/smatchbench still calls it. A
+// configuration routed to an engine gets an engine plan, whose
+// "preprocess" span is childless and names the engine. The QFilter
+// block layout is built only under the pinned-block policy, the one
+// policy that reads it.
 func Preprocess(q, g *graph.Graph, cfg Config, _ int) (*Plan, error) {
 	if q == nil || g == nil {
 		return nil, fmt.Errorf("core: %w", ErrNilGraph)
-	}
-	if cfg.External() {
-		return nil, fmt.Errorf("core: %w", ErrNoPlan)
 	}
 	if q.NumVertices() == 0 {
 		return nil, fmt.Errorf("core: %w", ErrEmptyQuery)
@@ -431,6 +410,11 @@ func Preprocess(q, g *graph.Graph, cfg Config, _ int) (*Plan, error) {
 	}
 	plan := &Plan{Query: q, Data: g, Cfg: cfg, Orbit: 1}
 	plan.Span = obs.StartSpan("preprocess")
+	if e := cfg.engine(); e != "" {
+		plan.OrderMethod = e
+		plan.Span.SetAttr("engine", e).End()
+		return plan, nil
+	}
 
 	// Step 1: filtering. The method's internal stages (e.g. GQL's local
 	// pruning and refinement rounds, CFL's generate/refine phases)
@@ -616,13 +600,14 @@ func (p *Plan) SizeBytes() int64 {
 }
 
 // MatchPlan runs the enumeration step (paper Algorithm 1 line 3) over a
-// previously built plan. The plan is read-only: concurrent MatchPlan
-// calls over one shared plan are safe. Each takes one engine per worker
-// from the plan's free list, or builds one; a sequential run parks its
-// engine there again when it is over, so a sequential request on a plan
-// that served one before builds no engine. The returned Result carries
-// only enumeration-side fields; the preprocessing times live on the plan
-// (a caller reusing a cached plan did not pay them).
+// previously built plan, or an engine plan's solver over its query. The
+// plan is read-only: concurrent MatchPlan calls over one shared plan are
+// safe. Each takes one engine per worker from the plan's free list, or
+// builds one; a sequential run parks its engine there again when it is
+// over, so a sequential request on a plan that served one before builds
+// no engine. The returned Result carries only enumeration-side fields;
+// the preprocessing times live on the plan (a caller reusing a cached
+// plan did not pay them).
 func MatchPlan(plan *Plan, limits Limits) (*Result, error) {
 	return matchPlan(plan, limits, true)
 }
@@ -639,10 +624,15 @@ func matchPlan(plan *Plan, limits Limits, park bool) (*Result, error) {
 	}
 	limits.OnRun, limits.OnMatch = sink, nil
 	cfg := plan.Cfg
-	res := &Result{MeanCandidates: plan.MeanCandidates, MemoryBytes: plan.MemoryBytes}
+	res := &Result{MeanCandidates: plan.MeanCandidates, MemoryBytes: plan.MemoryBytes, Order: plan.Order}
 	enumStart := time.Now()
-	if !plan.Empty {
-		res.Order = plan.Order
+	switch {
+	case plan.Empty:
+	case cfg.engine() != "":
+		if err := solve(plan, limits, res); err != nil {
+			return nil, err
+		}
+	default:
 		opts := enumerate.Options{
 			Local:           cfg.Local,
 			Kernel:          cfg.Kernel,
@@ -766,47 +756,9 @@ func EnumerateSpan(start time.Time, res *Result) *obs.Span {
 }
 
 // Match runs the full pipeline for one query: Preprocess followed by
-// MatchPlan, with the external engines (Glasgow, VF2, Ullmann)
-// dispatched directly.
+// MatchFresh.
 func Match(q, g *graph.Graph, cfg Config, limits Limits) (*Result, error) {
-	if q == nil || g == nil {
-		return nil, fmt.Errorf("core: %w", ErrNilGraph)
-	}
 	start := time.Now()
-	if cfg.External() {
-		if q.NumVertices() == 0 {
-			return nil, fmt.Errorf("core: %w", ErrEmptyQuery)
-		}
-		if !q.IsConnected() {
-			return nil, fmt.Errorf("core: %w", ErrDisconnectedQuery)
-		}
-		if cfg.Homomorphism {
-			return nil, fmt.Errorf("core: the external engines do not support homomorphisms")
-		}
-		// The external engines emit one embedding at a time.
-		onMatch, err := limits.perEmbeddingSink()
-		if err != nil {
-			return nil, err
-		}
-		limits.OnMatch, limits.OnRun = onMatch, nil
-		var res *Result
-		switch {
-		case cfg.UseGlasgow:
-			res, err = matchGlasgow(q, g, cfg, limits)
-		case cfg.UseVF2:
-			res, err = matchVF2(q, g, limits)
-		default:
-			res, err = matchUllmann(q, g, limits)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if limits.Trace {
-			res.Trace = obs.NewSpan("match", start, time.Since(start)).
-				AddChild(EnumerateSpan(start, res).SetAttr("engine", cfg.Engine()))
-		}
-		return res, nil
-	}
 	plan, err := Preprocess(q, g, cfg, 1)
 	if err != nil {
 		return nil, err
@@ -896,62 +848,48 @@ func runFilter(q, g *graph.Graph, cfg Config, tr *filter.StageTrace) ([][]uint32
 	return filter.RunOpts(cfg.Filter, q, g, filter.Options{Trace: tr})
 }
 
-func matchVF2(q, g *graph.Graph, limits Limits) (*Result, error) {
-	st, err := vf2.Solve(q, g, vf2.Options{
-		MaxEmbeddings: limits.MaxEmbeddings,
-		TimeLimit:     limits.TimeLimit,
-		OnMatch:       limits.OnMatch,
-		Cancel:        limits.Cancel,
-	})
-	if err != nil {
-		return nil, err
+// solve runs an engine plan's solver — Glasgow, VF2 or Ullmann — over
+// the plan's query into res. The engines emit one embedding at a
+// time, so the run sink sees runs of one: with the whole mapping known
+// any position can play the open one, and position 0 does.
+func solve(plan *Plan, limits Limits, res *Result) error {
+	var onMatch func([]uint32) bool
+	if sink := limits.OnRun; sink != nil {
+		onMatch = func(m []uint32) bool { return sink(m, 0, m[:1]) == 1 }
 	}
-	return &Result{
-		Embeddings: st.Embeddings,
-		Nodes:      st.Nodes,
-		TimedOut:   st.TimedOut,
-		LimitHit:   st.LimitHit,
-		EnumTime:   st.Duration,
-	}, nil
-}
-
-func matchUllmann(q, g *graph.Graph, limits Limits) (*Result, error) {
-	st, err := ullmann.Solve(q, g, ullmann.Options{
-		MaxEmbeddings: limits.MaxEmbeddings,
-		TimeLimit:     limits.TimeLimit,
-		OnMatch:       limits.OnMatch,
-		Cancel:        limits.Cancel,
-	})
-	if err != nil {
-		return nil, err
+	q, g := plan.Query, plan.Data
+	switch {
+	case plan.Cfg.UseGlasgow:
+		st, err := glasgow.Solve(q, g, glasgow.Options{
+			MaxEmbeddings: limits.MaxEmbeddings, TimeLimit: limits.TimeLimit,
+			OnMatch: onMatch, Parallel: limits.Parallel, Cancel: limits.Cancel,
+		})
+		if err != nil {
+			return err
+		}
+		res.Embeddings, res.Nodes, res.TimedOut, res.LimitHit, res.EnumTime =
+			st.Embeddings, st.Nodes, st.TimedOut, st.LimitHit, st.Duration
+		res.MemoryBytes = st.MemoryBytes
+	case plan.Cfg.UseVF2:
+		st, err := vf2.Solve(q, g, vf2.Options{
+			MaxEmbeddings: limits.MaxEmbeddings, TimeLimit: limits.TimeLimit,
+			OnMatch: onMatch, Cancel: limits.Cancel,
+		})
+		if err != nil {
+			return err
+		}
+		res.Embeddings, res.Nodes, res.TimedOut, res.LimitHit, res.EnumTime =
+			st.Embeddings, st.Nodes, st.TimedOut, st.LimitHit, st.Duration
+	default:
+		st, err := ullmann.Solve(q, g, ullmann.Options{
+			MaxEmbeddings: limits.MaxEmbeddings, TimeLimit: limits.TimeLimit,
+			OnMatch: onMatch, Cancel: limits.Cancel,
+		})
+		if err != nil {
+			return err
+		}
+		res.Embeddings, res.Nodes, res.TimedOut, res.LimitHit, res.EnumTime =
+			st.Embeddings, st.Nodes, st.TimedOut, st.LimitHit, st.Duration
 	}
-	return &Result{
-		Embeddings: st.Embeddings,
-		Nodes:      st.Nodes,
-		TimedOut:   st.TimedOut,
-		LimitHit:   st.LimitHit,
-		EnumTime:   st.Duration,
-	}, nil
-}
-
-func matchGlasgow(q, g *graph.Graph, cfg Config, limits Limits) (*Result, error) {
-	st, err := glasgow.Solve(q, g, glasgow.Options{
-		MaxEmbeddings: limits.MaxEmbeddings,
-		TimeLimit:     limits.TimeLimit,
-		MemoryBudget:  cfg.GlasgowMemoryBudget,
-		OnMatch:       limits.OnMatch,
-		Parallel:      limits.Parallel,
-		Cancel:        limits.Cancel,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Embeddings:  st.Embeddings,
-		Nodes:       st.Nodes,
-		TimedOut:    st.TimedOut,
-		LimitHit:    st.LimitHit,
-		EnumTime:    st.Duration,
-		MemoryBytes: st.MemoryBytes,
-	}, nil
+	return nil
 }

@@ -91,6 +91,28 @@ func TestLimitsPropagate(t *testing.T) {
 	}
 }
 
+// TestDeclinedEmbeddingCountsNowhere: a sink that declines the third
+// embedding stops the search with two counted, on every preset — the
+// framework's and the three engines' — sequentially and at 4 workers.
+func TestDeclinedEmbeddingCountsNowhere(t *testing.T) {
+	q, g := engineFixture(t)
+	for _, a := range Algorithms() {
+		for _, workers := range []int{1, 4} {
+			calls := 0
+			res, err := Match(q, g, PresetConfig(a, q, g), Limits{Parallel: workers, OnMatch: func([]uint32) bool {
+				calls++
+				return calls < 3
+			}})
+			if err != nil {
+				t.Fatalf("%v at %d workers: %v", a, workers, err)
+			}
+			if res.Embeddings != 2 {
+				t.Errorf("%v at %d workers: a sink that declined the third embedding reports %d, want 2", a, workers, res.Embeddings)
+			}
+		}
+	}
+}
+
 func TestResultTimesAndMetrics(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
 	res, err := Match(q, g, PresetConfig(DPIso, q, g), Limits{TimeLimit: time.Minute})

@@ -71,7 +71,7 @@ func FuzzDifferential(f *testing.F) {
 		f.Add(in.seed, in.gsize, in.qsize, in.labels, in.cfg, in.cap)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, gsize, qsize, labels uint8, cfg uint32, cap uint8) {
-		checkDifferential(t, diffInput{seed, gsize, qsize, labels, cfg, cap})
+		checkDifferential(t, diffInput{seed, gsize, qsize, labels, cfg, cap}, []int{1, 4})
 	})
 }
 
@@ -92,16 +92,34 @@ const (
 	covAll             = 1<<iota - 1
 )
 
+// donors are the seed rows whose runs at 4 workers donate on most
+// tries, adaptive plans among them: on an idle 2-CPU machine rows 3 and
+// 40 donated on 30 of 30 tries and an adaptive plan of theirs on 22 and
+// 27, with both CPUs busy elsewhere on 11 and 12.
+var donors = []int{3, 40}
+
+// maxDonorTries bounds the donors' re-runs.
+const maxDonorTries = 50
+
 // TestDifferentialCorpusCoverage: the seed corpus still reaches every
-// case the oracle exists to check.
+// case the oracle exists to check. Donation needs a worker idle while
+// another searches, which a loaded machine may not leave on one pass:
+// the donors' parallel legs run again, every answer checked each time,
+// until both donation bits show or maxDonorTries is spent.
 func TestDifferentialCorpusCoverage(t *testing.T) {
 	cov := 0
 	if runtime.GOMAXPROCS(0) == 1 {
-		// Donation needs a worker idle while another searches.
 		cov = covDonated | covAdaptiveDonated
 	}
-	for _, in := range differentialSeeds() {
-		cov |= checkDifferential(t, in)
+	seeds := differentialSeeds()
+	for _, in := range seeds {
+		cov |= checkDifferential(t, in, []int{1, 4})
+	}
+	const donated = covDonated | covAdaptiveDonated
+	for try := 0; try < maxDonorTries && cov&donated != donated; try++ {
+		for _, i := range donors {
+			cov |= checkDifferential(t, seeds[i], []int{4})
+		}
 	}
 	if cov != covAll {
 		t.Errorf("the seed corpus covers %012b of %012b", cov, covAll)
@@ -210,9 +228,9 @@ func canonical(keys []string, classes [][]graph.Vertex) []string {
 }
 
 // checkDifferential builds the input's (q, g), checks every
-// configuration against the brute-force reference and reports what it
-// covered.
-func checkDifferential(t *testing.T, in diffInput) (cov int) {
+// configuration at each of workers against the brute-force reference
+// and reports what it covered.
+func checkDifferential(t *testing.T, in diffInput, workers []int) (cov int) {
 	t.Helper()
 	var q, g *graph.Graph
 	var hom, iso []string
@@ -262,7 +280,7 @@ func checkDifferential(t *testing.T, in diffInput) (cov int) {
 		if len(ref) == 0 {
 			cov |= covEmpty
 		}
-		cov |= checkConfig(t, fmt.Sprintf("%+v on %+v", cfg, in), q, g, cfg, ref, in.cap)
+		cov |= checkConfig(t, fmt.Sprintf("%+v on %+v", cfg, in), q, g, cfg, ref, in.cap, workers)
 	}
 	return cov
 }
@@ -281,31 +299,28 @@ type step struct {
 	cap  uint64
 }
 
-// checkConfig runs one configuration. An external engine runs fresh
-// counting, through both sinks and capped: Glasgow at 1 and 4 workers,
-// VF2 and Ullmann sequentially. A framework configuration runs fresh and
-// then over one cached plan at 1 and 4 workers; the cached requests
-// differ in cap and sink, so each re-arms an engine a previous one
-// parked with other request state. Uncapped, a sink takes exactly the
-// reference (its canonical part under symmetry breaking); capped at k,
-// k distinct reference embeddings; and the count is what it took times
-// the orbit. Sequential node counts must not rise when failing sets or
-// symmetry breaking are turned on.
-func checkConfig(t *testing.T, name string, q, g *graph.Graph, cfg Config, ref []string, capSeed uint8) (cov int) {
+// checkConfig runs one configuration fresh and then over one cached
+// plan at each of workers (VF2 and Ullmann run sequentially at every
+// count); the cached requests differ in cap and sink, so each re-arms an
+// engine a previous one parked with other request state. Uncapped, a
+// sink takes exactly the reference (its canonical part under symmetry
+// breaking); capped at k, k distinct reference embeddings; and the count
+// is what it took times the orbit. When workers holds 1, sequential node
+// counts must not rise when failing sets or symmetry breaking are turned
+// on, and a counted tail must reconcile (checkTail).
+func checkConfig(t *testing.T, name string, q, g *graph.Graph, cfg Config, ref []string, capSeed uint8, workers []int) (cov int) {
 	t.Helper()
-	canon, orbit := ref, uint64(1)
-	var plan *Plan
-	if !cfg.External() {
-		var err error
-		if plan, err = Preprocess(q, g, cfg, 1); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if orbit = plan.Orbit; orbit > 1 {
-			cov |= covOrbit
-		}
-		if canon = canonical(ref, plan.SymClasses); uint64(len(canon))*orbit != uint64(len(ref)) {
-			t.Fatalf("%s: %d canonical embeddings × orbit %d, brute force %d", name, len(canon), orbit, len(ref))
-		}
+	plan, err := Preprocess(q, g, cfg, 1)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	orbit := plan.Orbit
+	if orbit > 1 {
+		cov |= covOrbit
+	}
+	canon := canonical(ref, plan.SymClasses)
+	if uint64(len(canon))*orbit != uint64(len(ref)) {
+		t.Fatalf("%s: %d canonical embeddings × orbit %d, brute force %d", name, len(canon), orbit, len(ref))
 	}
 	capBelow := func(seed uint8) uint64 {
 		if len(canon) < 2 {
@@ -316,16 +331,8 @@ func checkConfig(t *testing.T, name string, q, g *graph.Graph, cfg Config, ref [
 	k := capBelow(capSeed)
 	fresh := func(l Limits) (*Result, error) { return Match(q, g, cfg, l) }
 	cached := func(l Limits) (*Result, error) { return MatchPlan(plan, l) }
-	steps := []step{{fresh, countOnly, 0}, {fresh, matchSink, 0}, {fresh, runSink, k}}
-	workers := []int{1}
-	if cfg.UseGlasgow {
-		workers = append(workers, 4)
-	}
-	if plan != nil {
-		steps = []step{{fresh, runSink, 0}, {cached, countOnly, k}, {cached, matchSink, 0},
-			{cached, runSink, capBelow(capSeed / 2)}, {cached, countOnly, 0}}
-		workers = []int{1, 4}
-	}
+	steps := []step{{fresh, runSink, 0}, {cached, countOnly, k}, {cached, matchSink, 0},
+		{cached, runSink, capBelow(capSeed / 2)}, {cached, countOnly, 0}}
 	for _, w := range workers {
 		for _, s := range steps {
 			at := fmt.Sprintf("%s: workers %d, sink %d, cap %d", name, w, s.sink, s.cap)
@@ -365,29 +372,29 @@ func checkConfig(t *testing.T, name string, q, g *graph.Graph, cfg Config, ref [
 			t.Fatalf("%s: workers %d, both sinks set: err = %v, want ErrTwoSinks", name, w, err)
 		}
 	}
-	if plan != nil {
-		nodes := func(fs, sym bool) uint64 {
-			c := cfg
-			c.FailingSets, c.SymmetryBreaking = fs, sym
-			res, err := Match(q, g, c, Limits{})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			return res.Nodes
-		}
-		if q.NumVertices() <= enumerate.MaxFailingSetVertices {
-			if off, on := nodes(false, cfg.SymmetryBreaking), nodes(true, cfg.SymmetryBreaking); on > off {
-				t.Fatalf("%s: %d nodes with failing sets, %d without", name, on, off)
-			}
-		}
-		if !cfg.Homomorphism {
-			if off, on := nodes(false, false), nodes(false, true); on > off {
-				t.Fatalf("%s: %d nodes with symmetry breaking, %d without", name, on, off)
-			}
-		}
-		cov |= checkTail(t, name, plan, uint64(len(canon)))
+	if !slices.Contains(workers, 1) {
+		return cov
 	}
-	return cov
+	nodes := func(fs, sym bool) uint64 {
+		c := cfg
+		c.FailingSets, c.SymmetryBreaking = fs, sym
+		res, err := Match(q, g, c, Limits{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return res.Nodes
+	}
+	if q.NumVertices() <= enumerate.MaxFailingSetVertices {
+		if off, on := nodes(false, cfg.SymmetryBreaking), nodes(true, cfg.SymmetryBreaking); on > off {
+			t.Fatalf("%s: %d nodes with failing sets, %d without", name, on, off)
+		}
+	}
+	if !cfg.Homomorphism {
+		if off, on := nodes(false, false), nodes(false, true); on > off {
+			t.Fatalf("%s: %d nodes with symmetry breaking, %d without", name, on, off)
+		}
+	}
+	return cov | checkTail(t, name, plan, uint64(len(canon)))
 }
 
 // deliver runs s under limits with a sink of s's form and returns the

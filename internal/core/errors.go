@@ -28,10 +28,6 @@ var (
 	// carries; every candidate set would be empty. Like ErrQueryTooLarge
 	// it is a strict-validation error, not a Match failure.
 	ErrUnknownLabel = errors.New("query uses a label absent from the data graph")
-	// ErrNoPlan reports a configuration routed to an external engine
-	// (Glasgow, VF2, Ullmann), which bypasses the filter/order/enumerate
-	// pipeline and therefore has no reusable preprocessing plan.
-	ErrNoPlan = errors.New("algorithm bypasses the preprocessing pipeline and has no plan")
 	// ErrTwoSinks reports Limits with both OnRun and OnMatch set: a run
 	// delivers its embeddings to one sink.
 	ErrTwoSinks = errors.New("both OnRun and OnMatch are set")

@@ -10,8 +10,8 @@ import (
 	"subgraphmatching/internal/testutil"
 )
 
-// explainPresets are the presets with a Plan (the external engines have
-// nothing to explain).
+// explainPresets are the presets whose plans the framework enumerates:
+// an engine plan's EXPLAIN ANALYZE carries totals and no heat table.
 func explainPresets() []Algorithm {
 	return []Algorithm{QuickSI, GraphQL, CFL, CECI, DPIso, RI, VF2PP, Optimized}
 }

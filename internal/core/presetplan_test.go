@@ -69,7 +69,7 @@ func presetPlanConfigs(q, g *graph.Graph) map[string]Config {
 		"fig10-QFilter":        qfilterArm,
 	}
 	for _, a := range Algorithms() {
-		if cfg := PresetConfig(a, q, g); !cfg.External() {
+		if cfg := PresetConfig(a, q, g); cfg.engine() == "" {
 			cfgs[a.String()] = cfg
 		}
 	}

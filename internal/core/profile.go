@@ -254,6 +254,8 @@ func (p *Profile) Render(w io.Writer) {
 			parts[i] = fmt.Sprintf("u%d(%d)", e.Vertex, e.Candidates)
 		}
 		fmt.Fprintf(w, "order (%s): %s\n", p.OrderMethod, strings.Join(parts, " -> "))
+	} else if p.OrderMethod != "" {
+		fmt.Fprintf(w, "order (%s): the engine's own, chosen as it searches\n", p.OrderMethod)
 	}
 	if r := p.Race; r != nil {
 		parts := make([]string, len(r.Entries))

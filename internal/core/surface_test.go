@@ -25,14 +25,16 @@ import (
 // (*Space).MaterializeBlocks() and order.Compute(m,q,g,cand): those stay
 // thin forwards. Of this package it pins core.Config{UseGlasgow: true}
 // and core.Config{UseVF2: true} run through core.Match, the core.Plan{…}
-// literal, and core.Preprocess(q, g, cfg, 1) — which is why the
-// external-engine switches are still Config fields, and why Preprocess
-// keeps an int it ignores (plans build on the caller's goroutine).
+// literal, and core.Preprocess(q, g, cfg, 1) — which is why the engine
+// switches are still Config fields, and why Preprocess keeps an int it
+// ignores (plans build on the caller's goroutine). A switch routes the
+// query to its engine behind the same Preprocess → MatchPlan as every
+// tuple: there is no second way to run a configuration.
 // RaceOrders is the serving layer's one way to change a cached plan's
 // order: it returns a new plan, and the plan cache swaps it in.
 var layerSurface = map[string][]string{
 	".": {
-		"Algorithm.String", "Algorithms", "Config.Check", "Config.Engine", "Config.External",
+		"Algorithm.String", "Algorithms", "Config.Check",
 		"EnumerateSpan", "ExplainPlan", "Match",
 		"MatchFresh", "MatchPlan", "NeighborhoodEquivalenceClasses", "OrbitMultiplier",
 		"OrderingStudyConfig", "ParseAlgorithm", "Plan.PreprocessTime", "Plan.SizeBytes",
@@ -46,7 +48,7 @@ var layerSurface = map[string][]string{
 	"../candspace": {
 		"Build", "BuildFull", "EstimateSpanningTreeEmbeddings",
 		"Pair.Adjacency", "Pair.View", "Space.Adjacency",
-		"Space.AllCandidates", "Space.BlockMemoryBytes", "Space.BlockStats",
+		"Space.BlockMemoryBytes", "Space.BlockStats",
 		"Space.Candidates", "Space.HasBlocks",
 		"Space.HasPair", "Space.MaterializeBlocks", "Space.MeanCandidates",
 		"Space.MemoryBytes", "Space.Pair", "Space.Query",
@@ -87,11 +89,12 @@ var layerSurface = map[string][]string{
 // preprocessing fan-out paid at no size the service sees (EXPERIMENTS.md
 // "Preprocessing phases").
 //
-// core.Config is the paper's tuple plus the external-engine switches,
-// which cmd/smatchbench/corpus.go constructs; they leave with ROADMAP
-// item 5's Matcher. CountTail is the one component the paper's tuple
-// lacks: the Optimized preset sets it and the paper presets, which
-// reproduce the study's node counts, leave it off.
+// core.Config is the paper's tuple plus three engine switches the
+// harness builds (cmd/smatchbench/corpus.go); they leave when Benchmark
+// v2 (ROADMAP item 1) stops building them. CountTail is the one
+// component the paper's tuple lacks: the Optimized preset sets it and
+// the paper presets, which reproduce the study's node counts, leave it
+// off.
 //
 // OnRun and OnMatch are one knob, the sink, in two forms (setting both is
 // ErrTwoSinks). OnRun is the contract; its caller is smatchd's run sink
@@ -113,7 +116,7 @@ var knobSurface = map[[2]string][]string{
 	{".", "Config"}: {
 		"Filter", "Order", "FixedOrder", "Local", "Kernel", "FailingSets", "Adaptive",
 		"VF2PPRules", "Homomorphism", "SymmetryBreaking", "CountTail", "UseGlasgow", "UseVF2",
-		"UseUllmann", "GlasgowMemoryBudget",
+		"UseUllmann",
 	},
 	{".", "Limits"}: {
 		"MaxEmbeddings", "TimeLimit", "Cancel", "OnRun", "OnMatch", "Parallel",

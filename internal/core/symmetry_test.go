@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -87,8 +88,11 @@ func TestHomomorphismSupersetOfIsomorphism(t *testing.T) {
 
 func TestHomomorphismIncompatibilities(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
-	if _, err := Match(q, g, Config{UseGlasgow: true, Homomorphism: true}, Limits{}); err == nil {
-		t.Error("expected error for Glasgow + homomorphism")
+	for _, engine := range []Config{{UseGlasgow: true}, {UseVF2: true}, {UseUllmann: true}} {
+		engine.Homomorphism = true
+		if _, err := Match(q, g, engine, Limits{}); !errors.Is(err, enumerate.ErrUnsupported) {
+			t.Errorf("%s engine with homomorphism: err = %v, want enumerate.ErrUnsupported", engine.engine(), err)
+		}
 	}
 	cfg := Config{Local: enumerate.Intersect, Order: order.GQL, Homomorphism: true, SymmetryBreaking: true}
 	if _, err := Match(q, g, cfg, Limits{}); err == nil {

@@ -46,22 +46,25 @@ func TestMatchTraceAllPresets(t *testing.T) {
 		if root.Child("enumerate") == nil {
 			t.Errorf("%v: no enumerate child", a)
 		}
-		external := cfg.UseGlasgow || cfg.UseVF2 || cfg.UseUllmann
-		if pre := root.Child("preprocess"); !external {
-			if pre == nil {
-				t.Fatalf("%v: no preprocess child", a)
+		pre := root.Child("preprocess")
+		if pre == nil {
+			t.Fatalf("%v: no preprocess child", a)
+		}
+		if e := cfg.engine(); e != "" {
+			// An engine plan builds nothing: its span names the engine.
+			if pre.Attr("engine") != e || len(pre.Children) != 0 {
+				t.Errorf("%v: preprocess span engine %v with %d children, want %q and none", a, pre.Attr("engine"), len(pre.Children), e)
 			}
-			for _, phase := range []string{"filter", "build", "order"} {
-				if pre.Child(phase) == nil {
-					t.Errorf("%v: preprocess missing %q child", a, phase)
-				}
+			continue
+		}
+		for _, phase := range []string{"filter", "build", "order"} {
+			if pre.Child(phase) == nil {
+				t.Errorf("%v: preprocess missing %q child", a, phase)
 			}
-			f := pre.Child("filter")
-			if f != nil && f.Attr("method") == nil {
-				t.Errorf("%v: filter span has no method attr", a)
-			}
-		} else if pre != nil {
-			t.Errorf("%v: external engine grew a preprocess span", a)
+		}
+		f := pre.Child("filter")
+		if f != nil && f.Attr("method") == nil {
+			t.Errorf("%v: filter span has no method attr", a)
 		}
 	}
 }

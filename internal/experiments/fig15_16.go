@@ -123,11 +123,12 @@ func Fig16(env Env) error {
 // memory budget rejects the dataset (the paper's outcome on all but the
 // small graphs).
 func glasgowCell(set []*graph.Graph, g *graph.Graph, env Env) string {
-	cfg := core.Config{UseGlasgow: true, GlasgowMemoryBudget: fig16GlasgowBudget}
 	var sum time.Duration
 	n, oom := 0, 0
 	for _, q := range set {
-		res, err := core.Match(q, g, cfg, env.Limits())
+		st, err := glasgow.Solve(q, g, glasgow.Options{
+			MaxEmbeddings: env.MaxEmbeddings, TimeLimit: env.TimeLimit, MemoryBudget: fig16GlasgowBudget,
+		})
 		if err != nil {
 			if errors.Is(err, glasgow.ErrOutOfMemory) {
 				oom++
@@ -135,8 +136,8 @@ func glasgowCell(set []*graph.Graph, g *graph.Graph, env Env) string {
 			continue
 		}
 		n++
-		tt := res.EnumTime
-		if res.TimedOut {
+		tt := st.Duration
+		if st.TimedOut {
 			tt = env.TimeLimit
 		}
 		sum += tt

@@ -50,7 +50,8 @@ type Options struct {
 	// DefaultMemoryBudget.
 	MemoryBudget int64
 	// OnMatch, when non-nil, receives each embedding (indexed by query
-	// vertex; the slice is reused). Returning false aborts the search.
+	// vertex; the slice is reused). Returning false aborts the search,
+	// and the embedding it declined is not counted.
 	// Under parallel execution calls are serialized but unordered.
 	OnMatch func(mapping []uint32) bool
 	// Parallel splits the search across this many goroutines by
@@ -252,11 +253,11 @@ func (s *solver) search(level int) bool {
 	}
 	if u < 0 {
 		// All assigned: report the embedding.
-		s.stats.Embeddings++
 		if s.opts.OnMatch != nil && !s.opts.OnMatch(s.assignment) {
 			s.aborted = true
 			return false
 		}
+		s.stats.Embeddings++
 		if s.opts.MaxEmbeddings > 0 && s.stats.Embeddings >= s.opts.MaxEmbeddings {
 			s.stats.LimitHit = true
 			s.aborted = true

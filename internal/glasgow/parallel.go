@@ -99,6 +99,8 @@ func solveParallel(template *solver, workers int) {
 					cont := opts.OnMatch(m)
 					matchLock.Unlock()
 					if !cont {
+						// A declined embedding gives its reservation back.
+						accepted.Add(^uint64(0))
 						stop.Store(true)
 						return false
 					}

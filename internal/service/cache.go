@@ -32,11 +32,9 @@ type planKey struct {
 // configHash digests every Config field that influences the plan's
 // contents. The preprocessing worker count is not among them: a plan is
 // identical at every worker count, so a plan built by a parallel=4
-// request serves a later parallel=1 request. The external-engine flags
-// are folded in too: they never reach the cache on the Submit path
-// (external engines have no plan), but SubmitBatch groups requests by
-// this hash and must not co-group a pipeline config with a
-// Glasgow/VF2/Ullmann one.
+// request serves a later parallel=1 request. The engine switches are
+// folded in too: an engine plan is a plan of its own, and SubmitBatch
+// groups requests by this hash.
 func configHash(cfg core.Config) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -64,7 +62,6 @@ func configHash(cfg core.Config) uint64 {
 	flag(cfg.UseGlasgow)
 	flag(cfg.UseVF2)
 	flag(cfg.UseUllmann)
-	u64(uint64(cfg.GlasgowMemoryBudget))
 	u64(uint64(len(cfg.FixedOrder)))
 	for _, v := range cfg.FixedOrder {
 		u64(uint64(v))

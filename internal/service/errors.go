@@ -55,10 +55,6 @@ var (
 	ErrNilCallback = errors.New("service: nil embedding sink")
 	// ErrNilQuery reports a request without a query graph.
 	ErrNilQuery = errors.New("service: nil query graph")
-	// ErrNoExplain reports an Explain request against an external engine
-	// (Glasgow, VF2, Ullmann): those run outside the filter/order/enumerate
-	// pipeline, so there is no preprocessing plan to explain.
-	ErrNoExplain = errors.New("service: algorithm has no plan to explain")
 	// ErrClosed reports a submit after Close.
 	ErrClosed = errors.New("service: closed")
 )

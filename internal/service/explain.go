@@ -38,9 +38,6 @@ func (s *Service) Explain(ctx context.Context, req Request) (_ *ExplainResponse,
 	if err != nil {
 		return nil, err
 	}
-	if t.cfg.External() {
-		return nil, ErrNoExplain
-	}
 
 	fl.SetPhase("admission")
 	weight, queueWait, err := s.admit(ctx, &t, time.Now(), 1, 1)

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -117,15 +116,45 @@ func TestExplainDryRun(t *testing.T) {
 	}
 }
 
-// TestExplainExternalEngineRejected: the engines outside the pipeline
-// have no plan to explain.
-func TestExplainExternalEngineRejected(t *testing.T) {
+// TestExplainEnginePlan: an engine outside the pipeline has a plan like
+// any configuration. EXPLAIN builds and caches it and names the engine;
+// EXPLAIN ANALYZE over the cached plan names it too and carries the
+// run's totals, with no heat table — the engine records none — and the
+// built plan's trace names the engine on its preprocess span.
+func TestExplainEnginePlan(t *testing.T) {
 	s, g := newTestService(t, Config{})
 	defer s.Close()
 	q := testutil.RandomConnectedQuery(rand.New(rand.NewSource(13)), g, 3)
-	_, err := s.Explain(context.Background(), Request{Graph: "main", Query: q, Algorithm: core.VF2Classic})
-	if !errors.Is(err, ErrNoExplain) {
-		t.Fatalf("err = %v, want ErrNoExplain", err)
+	ctx := context.Background()
+	for algo, engine := range map[core.Algorithm]string{core.Glasgow: "glasgow", core.VF2Classic: "vf2", core.Ullmann: "ullmann"} {
+		req := Request{Graph: "main", Query: q, Algorithm: algo}
+		ex, err := s.Explain(ctx, req)
+		if err != nil {
+			t.Fatalf("%v: %v", algo, err)
+		}
+		if ex.CacheHit || ex.Profile.OrderMethod != engine || len(ex.Profile.Heat) != 0 {
+			t.Errorf("%v: EXPLAIN hit %v, names %q, %d heat rows; want a miss naming %q, no heat",
+				algo, ex.CacheHit, ex.Profile.OrderMethod, len(ex.Profile.Heat), engine)
+		}
+		req.Profile = true
+		resp, err := s.Submit(ctx, req)
+		if err != nil {
+			t.Fatalf("%v: %v", algo, err)
+		}
+		res, p := resp.Result, resp.Result.Explain
+		if !resp.CacheHit || p == nil || !p.Analyzed || p.OrderMethod != engine || len(p.Heat) != 0 ||
+			p.Embeddings != res.Embeddings || p.Nodes != res.Nodes || res.Embeddings == 0 {
+			t.Errorf("%v: EXPLAIN ANALYZE hit %v, profile %+v, result %d embeddings %d nodes",
+				algo, resp.CacheHit, p, res.Embeddings, res.Nodes)
+		}
+		req.Profile, req.NoCache = false, true
+		if resp, err = s.Submit(ctx, req); err != nil {
+			t.Fatalf("%v: %v", algo, err)
+		}
+		pre := resp.Trace().Child("match").Child("preprocess")
+		if pre == nil || pre.Attr("engine") != engine {
+			t.Errorf("%v: a built plan's trace does not name the engine", algo)
+		}
 	}
 }
 

@@ -128,8 +128,8 @@ type Request struct {
 	// Profile requests EXPLAIN/ANALYZE: the per-filter-stage reduction
 	// and per-depth enumeration heat attached to Result.Explain. A
 	// per-request limit, not part of the plan identity — profiled and
-	// unprofiled requests share cached plans. External engines (Glasgow,
-	// VF2, Ullmann) have no plan and ignore it.
+	// unprofiled requests share cached plans. An engine plan (Glasgow,
+	// VF2, Ullmann) has totals and no heat.
 	Profile bool
 }
 
@@ -402,9 +402,9 @@ func (r *Request) clampTo(weight int64) {
 	}
 }
 
-// planned is the plan step's outcome: the plan (nil for the external
-// engines, which have none), how it arrived, when the step started —
-// the "match" span's origin — and how long the plan took to arrive.
+// planned is the plan step's outcome: the plan, how it arrived, when
+// the step started — the "match" span's origin — and how long the plan
+// took to arrive.
 type planned struct {
 	plan    *core.Plan
 	src     planSource
@@ -414,10 +414,9 @@ type planned struct {
 
 // plan obtains the preprocessing plan an admitted request — or the n
 // items of a batch group — enumerates over; race lets a cache hit run
-// the plan's order race (planFor). This is the one place the
-// serving path asks whether the configuration has a plan at all. A
-// plan builds on the calling goroutine, so a panic in any
-// preprocessing layer ends here, as ErrInternal against all n.
+// the plan's order race (planFor). A plan builds on the calling
+// goroutine, so a panic in any preprocessing layer ends here, as
+// ErrInternal against all n.
 func (s *Service) plan(ctx context.Context, t *target, req *Request, n int, race bool) (p planned, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -425,9 +424,6 @@ func (s *Service) plan(ctx context.Context, t *target, req *Request, n int, race
 		}
 	}()
 	p = planned{start: time.Now()}
-	if t.cfg.External() {
-		return p, nil
-	}
 	p.plan, p.src, err = s.planFor(ctx, t, req, race)
 	if err != nil {
 		// A preprocessing failure is a property of the (query, config)
@@ -504,12 +500,9 @@ func (s *Service) run(ctx context.Context, t *target, req *Request, p planned,
 		Parallel:      req.Parallel,
 		Profile:       req.Profile,
 	}
-	cacheHit := p.plan != nil && p.src != planBuilt
+	cacheHit := p.src != planBuilt
 	res, err := core.RunContext(ctx, limits, func(limits core.Limits) (*core.Result, error) {
-		switch {
-		case p.plan == nil:
-			return core.Match(req.Query, t.entry.g, t.cfg, limits)
-		case cacheHit:
+		if cacheHit {
 			return core.MatchPlan(p.plan, limits)
 		}
 		return core.MatchFresh(p.plan, limits, p.start)
@@ -524,9 +517,6 @@ func (s *Service) run(ctx context.Context, t *target, req *Request, p planned,
 	}
 	resp := &Response{Result: res, CacheHit: cacheHit, QueueWait: queueWait}
 	resp.trail = trail{w: t.w, p: p, match: time.Since(p.start), began: began}
-	if p.plan == nil {
-		resp.trail.engine = t.cfg.Engine()
-	}
 
 	s.metrics.recordSuccess(t.w, res.Embeddings, cacheHit,
 		res.TimedOut, res.LimitHit, time.Since(began))
@@ -545,9 +535,7 @@ func (s *Service) run(ctx context.Context, t *target, req *Request, p planned,
 // writes.
 type trail struct {
 	w *workload
-	// engine names the external engine that ran a plan-less request.
-	engine string
-	p      planned
+	p planned
 	// match is the run's wall time from the plan step's start.
 	match time.Duration
 	// began and latency are the request's arrival and its end-to-end
@@ -562,12 +550,9 @@ func (t *trail) matchSpan(res *core.Result) *obs.Span {
 	p := t.p
 	enumStart := p.start.Add(p.arrived)
 	sp := obs.NewSpan("match", p.start, t.match)
-	switch {
-	case p.plan == nil:
-		return sp.AddChild(core.EnumerateSpan(enumStart, res).SetAttr("engine", t.engine))
-	case p.src == planBuilt:
+	if p.src == planBuilt {
 		sp.AddChild(p.plan.Span)
-	default:
+	} else {
 		sp.AddChild(planSpan(p.src, p.plan, p.start, p.arrived))
 	}
 	if p.plan.Empty {
@@ -748,7 +733,7 @@ func planKeyOf(t *target, q *graph.Graph) planKey {
 // forgetPlan removes plan from the cache if it is still resident under
 // the request's key: a run on it failed with ErrInternal.
 func (s *Service) forgetPlan(t *target, req *Request, plan *core.Plan) {
-	if s.cache == nil || req.NoCache || plan == nil {
+	if s.cache == nil || req.NoCache {
 		return
 	}
 	s.cache.remove(planKeyOf(t, req.Query), plan)

@@ -300,10 +300,11 @@ func TestEntryPointsAgree(t *testing.T) {
 						o.limitHit, o.embeddings, o.counters.LimitHits)
 				}
 			}},
-		{name: "external engine", req: Request{Graph: "main", Query: q, Algorithm: core.VF2Classic},
+		{name: "external engine", req: Request{Graph: "main", Query: q, Algorithm: core.VF2Classic}, explain: true,
 			check: func(t *testing.T, o entryOutcome) {
-				if o.cacheHit || o.embeddings == 0 {
-					t.Errorf("cacheHit=%v embeddings=%d, want false and >0", o.cacheHit, o.embeddings)
+				if o.cacheHit || o.counters.CacheHits != 0 || o.counters.Queries != 1 || o.embeddings == 0 {
+					t.Errorf("cacheHit=%v cache_hits=%d queries=%d embeddings=%d, want false 0 1 >0",
+						o.cacheHit, o.counters.CacheHits, o.counters.Queries, o.embeddings)
 				}
 			}},
 		{name: "fresh plan", req: Request{Graph: "main", Query: q, Algorithm: core.CFL}, explain: true,
@@ -391,7 +392,8 @@ func TestEntryPointsAgree(t *testing.T) {
 }
 
 // TestRefusedTupleCachesNothing: a Custom tuple the engine cannot run —
-// here DP-iso's adaptive order over Scan local candidates — is refused
+// here DP-iso's adaptive order over Scan local candidates, and Glasgow
+// asked for homomorphisms — is refused
 // with the typed error before the plan cache is asked, on Submit and
 // on Explain alike, so every cache counter stays where it was and a
 // retry is refused the same way. A preset whose failing sets a large
@@ -405,13 +407,15 @@ func TestRefusedTupleCachesNothing(t *testing.T) {
 	before, builds := s.Stats().Cache, s.metrics.planBuilds.Value()
 	bad := core.PresetConfig(core.DPIso, q, g)
 	bad.Local = enumerate.Scan
-	req := Request{Graph: "main", Query: q, Custom: &bad}
-	for try := 0; try < 2; try++ {
-		if _, err := s.Submit(context.Background(), req); !errors.Is(err, enumerate.ErrUnsupported) {
-			t.Fatalf("try %d: Submit err = %v, want ErrUnsupported", try, err)
-		}
-		if _, err := s.Explain(context.Background(), req); !errors.Is(err, enumerate.ErrUnsupported) {
-			t.Fatalf("try %d: Explain err = %v, want ErrUnsupported", try, err)
+	for _, cfg := range []core.Config{bad, {UseGlasgow: true, Homomorphism: true}} {
+		req := Request{Graph: "main", Query: q, Custom: &cfg}
+		for try := 0; try < 2; try++ {
+			if _, err := s.Submit(context.Background(), req); !errors.Is(err, enumerate.ErrUnsupported) {
+				t.Fatalf("%+v try %d: Submit err = %v, want ErrUnsupported", cfg, try, err)
+			}
+			if _, err := s.Explain(context.Background(), req); !errors.Is(err, enumerate.ErrUnsupported) {
+				t.Fatalf("%+v try %d: Explain err = %v, want ErrUnsupported", cfg, try, err)
+			}
 		}
 	}
 	if after := s.Stats().Cache; after != before || s.metrics.planBuilds.Value() != builds {

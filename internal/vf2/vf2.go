@@ -30,7 +30,8 @@ type Options struct {
 	// TimeLimit bounds the wall-clock search time (0 = unlimited).
 	TimeLimit time.Duration
 	// OnMatch, when non-nil, receives each embedding (indexed by query
-	// vertex; the slice is reused). Returning false aborts the search.
+	// vertex; the slice is reused). Returning false aborts the search,
+	// and the embedding it declined is not counted.
 	OnMatch func(mapping []uint32) bool
 	// Cancel, when non-nil, is polled periodically; setting it to true
 	// stops the search cooperatively (not reported as a timeout).
@@ -210,11 +211,11 @@ func (s *state) match(depth int) bool {
 		return false
 	}
 	if depth == s.q.NumVertices() {
-		s.stats.Embeddings++
 		if s.opts.OnMatch != nil && !s.opts.OnMatch(s.core1) {
 			s.aborted = true
 			return false
 		}
+		s.stats.Embeddings++
 		if s.opts.MaxEmbeddings > 0 && s.stats.Embeddings >= s.opts.MaxEmbeddings {
 			s.stats.LimitHit = true
 			s.aborted = true

@@ -151,10 +151,9 @@ type Options struct {
 	// OnMatch, when non-nil, receives each embedding indexed by query
 	// vertex. Returning false stops the search; the embedding it was
 	// returned for counts as declined, so Result.Embeddings is the
-	// number of calls that returned true (the external engines —
-	// AlgoGlasgow, AlgoVF2, AlgoUllmann — count the declined one too).
-	// The slice is reused between calls and valid only during the call,
-	// at every Parallel setting: copy it to retain. Under parallel
+	// number of calls that returned true, for every algorithm. The
+	// slice is reused between calls and valid only during the call, at
+	// every Parallel setting: copy it to retain. Under parallel
 	// execution calls are serialized and arrive in no particular order.
 	OnMatch func(mapping []Vertex) bool
 	// Parallel runs the enumeration across this many worker goroutines
@@ -175,9 +174,10 @@ type Options struct {
 	// what each filter stage eliminated, the matching order the planner
 	// chose, and where the enumeration spent its search nodes, depth by
 	// depth. Off by default — profiling adds a few per-node counter
-	// increments; off, it costs nothing. Not supported by the external
-	// engines (AlgoGlasgow, AlgoVF2, AlgoUllmann), which leave Explain
-	// nil.
+	// increments; off, it costs nothing. The external engines
+	// (AlgoGlasgow, AlgoVF2, AlgoUllmann) filter and order as they
+	// search and record no heat: their Profile names the engine and
+	// carries the totals.
 	Explain bool
 }
 
