@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"subgraphmatching/internal/candspace"
-	"subgraphmatching/internal/compress"
 	"subgraphmatching/internal/core"
 	"subgraphmatching/internal/enumerate"
 	"subgraphmatching/internal/filter"
@@ -681,51 +680,6 @@ func BenchmarkAblationGQLRounds(b *testing.B) {
 			b.ReportMetric(mean, "candidates/vertex")
 		})
 	}
-}
-
-// BenchmarkAblationCompression compares direct enumeration against the
-// BoostIso-style compressed count on a twin-rich graph (a hub-and-spoke
-// "blown-up" structure where compression shines) — the Section 3.4
-// trade-off.
-func BenchmarkAblationCompression(b *testing.B) {
-	// 40 hubs in a cycle, each with 20 interchangeable leaves.
-	bld := graph.NewBuilder(40*21, 40*21)
-	for h := 0; h < 40; h++ {
-		bld.AddVertex(1)
-	}
-	for h := 0; h < 40; h++ {
-		bld.AddEdge(graph.Vertex(h), graph.Vertex((h+1)%40))
-		for l := 0; l < 20; l++ {
-			leaf := bld.AddVertex(0)
-			bld.AddEdge(graph.Vertex(h), leaf)
-		}
-	}
-	g := bld.MustBuild()
-	// Pattern: hub with 3 leaves plus a hub neighbor.
-	q := graph.MustFromEdges([]graph.Label{1, 0, 0, 0, 1},
-		[][2]graph.Vertex{{0, 1}, {0, 2}, {0, 3}, {0, 4}})
-	b.Run("direct", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := core.Match(q, g, core.PresetConfig(core.Optimized, q, g), core.Limits{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.Embeddings), "embeddings")
-		}
-	})
-	b.Run("compressed", func(b *testing.B) {
-		c, err := compress.Build(g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			res, err := compress.Count(q, c, compress.CountOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.Embeddings), "embeddings")
-		}
-	})
 }
 
 // BenchmarkPreprocess* measure the preprocessing pipeline on the skewed

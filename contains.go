@@ -38,14 +38,6 @@ func ContainingGraphs(q *Graph, collection []*Graph, opts Options) ([]int, error
 	return out, nil
 }
 
-// ComputeCandidates runs one filtering method in isolation and returns
-// the per-query-vertex candidate sets (sorted data vertices) — useful
-// for inspecting pruning power or feeding external tooling, the way the
-// study's Figure 8 compares filters.
-func ComputeCandidates(q, g *Graph, m FilterMethod) ([][]Vertex, error) {
-	return filter.Run(m, q, g)
-}
-
 // EstimateEmbeddings cheaply estimates the number of embeddings of q in
 // g without enumerating: it runs GraphQL's filter, builds the candidate
 // space, and counts the spanning-tree embeddings of the BFS order with

@@ -74,13 +74,6 @@ func (s *Set) IntersectWith(other *Set) {
 	}
 }
 
-// UnionWith performs s |= other in place.
-func (s *Set) UnionWith(other *Set) {
-	for i := range s.words {
-		s.words[i] |= other.words[i]
-	}
-}
-
 // CopyFrom overwrites s with other's bits. The sets must have equal
 // capacity.
 func (s *Set) CopyFrom(other *Set) {
@@ -91,15 +84,6 @@ func (s *Set) CopyFrom(other *Set) {
 // Clone returns an independent copy of s.
 func (s *Set) Clone() *Set {
 	return &Set{words: append([]uint64(nil), s.words...), n: s.n}
-}
-
-// IntersectionCount returns |s AND other| without materializing it.
-func (s *Set) IntersectionCount(other *Set) int {
-	n := 0
-	for i := range s.words {
-		n += bits.OnesCount64(s.words[i] & other.words[i])
-	}
-	return n
 }
 
 // ForEach calls fn for every set bit in ascending order. Iteration stops
@@ -114,24 +98,6 @@ func (s *Set) ForEach(fn func(i uint32) bool) {
 			w &= w - 1
 		}
 	}
-}
-
-// NextSet returns the first set bit >= i, or (0, false) if none exists.
-func (s *Set) NextSet(i uint32) (uint32, bool) {
-	if int(i) >= s.n {
-		return 0, false
-	}
-	wi := int(i / wordBits)
-	w := s.words[wi] >> (i % wordBits)
-	if w != 0 {
-		return i + uint32(bits.TrailingZeros64(w)), true
-	}
-	for wi++; wi < len(s.words); wi++ {
-		if s.words[wi] != 0 {
-			return uint32(wi*wordBits) + uint32(bits.TrailingZeros64(s.words[wi])), true
-		}
-	}
-	return 0, false
 }
 
 // Words exposes the backing words for word-parallel operations (e.g. the

@@ -11,8 +11,9 @@ import (
 )
 
 // layerSurface is every exported function and method of the three
-// preprocessing layers, of enumeration, of this package and of the
-// serving layer. Each layer has one entry point per job, and the trace
+// preprocessing layers, of enumeration, of this package, of the
+// serving layer and of the public root package. Each layer has one
+// entry point per job, and the trace
 // and the method parameters are arguments of that entry point — a new
 // RunXParallelStatsTraced must show up here as a reviewed
 // line; so must a second way to pin a task (RunPrefix takes a prefix of
@@ -32,6 +33,9 @@ import (
 // tuple: there is no second way to run a configuration.
 // RaceOrders is the serving layer's one way to change a cached plan's
 // order: it returns a new plan, and the plan cache swaps it in.
+// The root package is the library's public face: every export there is
+// a promise to callers outside the module, so adding one or taking one
+// away is a reviewed line here too.
 var layerSurface = map[string][]string{
 	".": {
 		"Algorithm.String", "Algorithms", "Config.Check",
@@ -72,6 +76,14 @@ var layerSurface = map[string][]string{
 		"Service.RegisterGraph", "Service.RestoreGraph", "Service.SetGenerationFloor",
 		"Service.Stats", "Service.Stream", "Service.Submit", "Service.SubmitBatch",
 		"Service.UnregisterGraph",
+	},
+	"../..": {
+		"Algorithms", "ContainingGraphs", "Contains", "Count", "Dataset",
+		"DatasetCatalog", "EstimateEmbeddings", "FindAll", "ForEachMatch",
+		"FromEdges", "GenerateQueries", "GenerateRMAT", "LoadEdgeList",
+		"LoadGraph", "LoadQueryDir", "Match", "MatchContext", "NewBuilder",
+		"ParseAlgorithm", "ParseEdgeList", "ParseGraph", "ParseKernelPolicy",
+		"PresetConfig", "SaveGraph", "SaveSnapshot", "Validate", "WriteGraph",
 	},
 }
 

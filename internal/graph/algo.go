@@ -135,17 +135,6 @@ func (g *Graph) TwoCore() []bool {
 	return inCore
 }
 
-// CoreSize returns the number of vertices in the 2-core.
-func (g *Graph) CoreSize() int {
-	n := 0
-	for _, in := range g.TwoCore() {
-		if in {
-			n++
-		}
-	}
-	return n
-}
-
 // InducedSubgraph extracts g[verts], the vertex-induced subgraph on the
 // given vertex set. It returns the subgraph plus the mapping from new
 // vertex ids (0..len(verts)-1) back to the original ids, in the order

@@ -254,13 +254,10 @@ func TestTwoCore(t *testing.T) {
 	if !reflect.DeepEqual(core, want) {
 		t.Errorf("TwoCore = %v, want %v", core, want)
 	}
-	if g.CoreSize() != 3 {
-		t.Errorf("CoreSize = %d, want 3", g.CoreSize())
-	}
 	// A tree has an empty 2-core.
 	tree := MustFromEdges([]Label{0, 0, 0}, [][2]Vertex{{0, 1}, {1, 2}})
-	if tree.CoreSize() != 0 {
-		t.Errorf("tree CoreSize = %d, want 0", tree.CoreSize())
+	if got := tree.TwoCore(); !reflect.DeepEqual(got, []bool{false, false, false}) {
+		t.Errorf("tree TwoCore = %v, want all false", got)
 	}
 }
 

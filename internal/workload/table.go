@@ -106,20 +106,6 @@ func FmtCount(x float64) string {
 	}
 }
 
-// FmtBytes formats byte counts compactly.
-func FmtBytes(b int64) string {
-	switch {
-	case b >= 1<<30:
-		return fmt.Sprintf("%.2fGB", float64(b)/float64(1<<30))
-	case b >= 1<<20:
-		return fmt.Sprintf("%.2fMB", float64(b)/float64(1<<20))
-	case b >= 1<<10:
-		return fmt.Sprintf("%.1fKB", float64(b)/float64(1<<10))
-	default:
-		return fmt.Sprintf("%dB", b)
-	}
-}
-
 // FmtSpeedup formats a speedup ratio.
 func FmtSpeedup(x float64) string {
 	if x >= 100 {

@@ -6,9 +6,7 @@
 package workload
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -190,41 +188,6 @@ func stddev(xs []float64) float64 {
 		v += (x - mean) * (x - mean)
 	}
 	return math.Sqrt(v / float64(len(xs)))
-}
-
-// WriteOutcomesCSV writes one CSV row per query outcome: the raw
-// per-query data behind the aggregates, for external analysis.
-func WriteOutcomesCSV(w io.Writer, label string, outcomes []Outcome) error {
-	cw := csv.NewWriter(w)
-	header := []string{"label", "query", "embeddings", "nodes",
-		"preprocess_ms", "enum_ms", "candidates", "memory_bytes",
-		"timed_out", "limit_hit", "error"}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for i, o := range outcomes {
-		row := []string{label, fmt.Sprintf("%d", i)}
-		if o.Err != nil {
-			row = append(row, "", "", "", "", "", "", "", "", o.Err.Error())
-		} else {
-			r := o.Result
-			row = append(row,
-				fmt.Sprintf("%d", r.Embeddings),
-				fmt.Sprintf("%d", r.Nodes),
-				fmt.Sprintf("%.3f", float64(r.PreprocessTime())/float64(time.Millisecond)),
-				fmt.Sprintf("%.3f", float64(r.EnumTime)/float64(time.Millisecond)),
-				fmt.Sprintf("%.1f", r.MeanCandidates),
-				fmt.Sprintf("%d", r.MemoryBytes),
-				fmt.Sprintf("%t", r.TimedOut),
-				fmt.Sprintf("%t", r.LimitHit),
-				"")
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // Stats holds summary statistics of a float sample.

@@ -121,12 +121,6 @@ func TestFormatters(t *testing.T) {
 	if FmtCount(1234567) != "1.23M" || FmtCount(1500) != "1.5K" || FmtCount(5) != "5.0" {
 		t.Error("FmtCount wrong")
 	}
-	if FmtBytes(2048) != "2.0KB" || FmtBytes(100) != "100B" {
-		t.Error("FmtBytes wrong")
-	}
-	if FmtBytes(3<<20) != "3.00MB" || FmtBytes(2<<30) != "2.00GB" {
-		t.Error("FmtBytes large wrong")
-	}
 	if FmtSpeedup(2.5) != "2.50x" || FmtSpeedup(250) != "250x" {
 		t.Error("FmtSpeedup wrong")
 	}
@@ -152,33 +146,26 @@ func TestTableRenderCSV(t *testing.T) {
 	}
 }
 
-func TestWriteOutcomesCSV(t *testing.T) {
+func TestRunEach(t *testing.T) {
 	q, g := testutil.PaperQuery(), testutil.PaperData()
 	outcomes := RunEach([]*graph.Graph{q, q}, g, func(q *graph.Graph) core.Config {
 		return core.PresetConfig(core.Optimized, q, g)
 	}, core.Limits{})
-	var buf bytes.Buffer
-	if err := WriteOutcomesCSV(&buf, "demo", outcomes); err != nil {
-		t.Fatal(err)
+	if len(outcomes) != 2 {
+		t.Fatalf("got %d outcomes, want 2", len(outcomes))
 	}
-	out := buf.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 { // header + 2 rows
-		t.Fatalf("got %d lines:\n%s", len(lines), out)
-	}
-	if !strings.HasPrefix(lines[1], "demo,0,1,") {
-		t.Errorf("first data row = %q", lines[1])
+	for i, o := range outcomes {
+		if o.Err != nil || o.Result.Embeddings != 1 {
+			t.Errorf("outcome %d = %+v, %v; want 1 embedding", i, o.Result, o.Err)
+		}
 	}
 	// Error outcomes are recorded too.
 	disc := graph.MustFromEdges([]graph.Label{0, 0, 0}, [][2]graph.Vertex{{0, 1}})
 	outcomes = RunEach([]*graph.Graph{disc}, g, func(q *graph.Graph) core.Config {
 		return core.Config{}
 	}, core.Limits{})
-	buf.Reset()
-	if err := WriteOutcomesCSV(&buf, "err", outcomes); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "connected") {
-		t.Errorf("error text missing:\n%s", buf.String())
+	if len(outcomes) != 1 || outcomes[0].Err == nil ||
+		!strings.Contains(outcomes[0].Err.Error(), "connected") {
+		t.Errorf("disconnected query outcome = %+v", outcomes)
 	}
 }
